@@ -73,6 +73,10 @@ def _merge_config(args) -> dict:
                 cfg[key] = val
     if cfg["command"] not in COMMANDS:
         raise ValueError("--command is required (or must be set in the config file)")
+    for name, low in (("samples", 0), ("d", 1), ("kmax", 1)):
+        val = cfg[name]
+        if val is not None and (not isinstance(val, int) or val < low):
+            raise ValueError(f"--{name} must be an integer >= {low}, got {val!r}")
     return cfg
 
 

@@ -6,11 +6,10 @@ base point normalized away. The p-norm (0 < p <= 1) is the infimum of
 (delta(x) - delta(y)) / d(x, y). Three certified routes are provided:
 
 * an exact value for p = 1 by minimum-cost flow on the complete graph,
-* an exact value for any p on small hosts by enumerating decompositions
-  supported on linearly independent molecule subsets (the objective is
-  concave per sign-orthant and coercive, so some minimizer has independent
-  support of size at most n - 1, and every such support extends to an
-  independent subset of that exact size),
+* an exact value for any p on small hosts by a dynamic program over trees
+  (linearly independent molecule sets are forests, the concave cost is
+  minimized on a tree rooted at the base, and a Dreyfus-Wagner subset
+  program finds the best one in O(3^k n + 2^k n^2) time for support size k),
 * certified two-sided bounds: any explicit decomposition gives an upper
   bound, and any validated dual certificate of Lipschitz-1 functions with
   bounded pair multiplicity gives a lower bound via subadditivity of t^p.
@@ -18,17 +17,14 @@ base point normalized away. The p-norm (0 < p <= 1) is the infimum of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations, islice
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .constants import check_p
 from .metric import PointedFiniteMetric
 
-RANK_TOL = 1e-10
 EVAL_TOL = 1e-9
 COEFF_TOL = 1e-12
 DEFAULT_CAP = 8
@@ -39,7 +35,8 @@ class FreeElement:
     """A finitely supported weight vector over the points of a host space.
 
     Zero weights and any weight at the base index are dropped on
-    construction (the base evaluation is the zero vector).
+    construction (the base evaluation is the zero vector); a non-finite
+    weight is rejected.
     """
 
     __slots__ = ("host", "weights")
@@ -52,6 +49,8 @@ class FreeElement:
             if not 0 <= idx < host.n:
                 raise ValueError(f"point index {idx} out of range")
             w = float(w)
+            if not math.isfinite(w):
+                raise ValueError(f"weight {w!r} at point index {idx} is not finite")
             if idx != host.base and w != 0.0:
                 clean[idx] = clean.get(idx, 0.0) + w
         self.weights = {i: w for i, w in clean.items() if w != 0.0}
@@ -175,88 +174,106 @@ def upper_bound_from(m: FreeElement, p: float, decomp: Decomposition) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact norm by independent-support enumeration
+# exact norm by a dynamic program over trees
 
 
-def _molecule_matrix(host, mols, rows):
-    row_of = {q: r for r, q in enumerate(rows)}
-    A = np.zeros((len(rows), len(mols)))
-    for c, (i, j) in enumerate(mols):
-        inv = 1.0 / host.distance(i, j)
-        if i in row_of:
-            A[row_of[i], c] += inv
-        if j in row_of:
-            A[row_of[j], c] -= inv
-    return A
+def _tree_norm(m, p, subset):
+    """(p-norm, witness) of m over trees on the points of `subset`: the least
+    sum_e (d(e) |W_e|)^p, W_e the weight of m on the side of edge e away
+    from the root (the base, or a subset point when m sums to zero).
 
-
-def _chunked_combinations(m: int, r: int, size: int):
-    it = combinations(range(m), r)
-    while True:
-        block = list(islice(it, size))
-        if not block:
-            return
-        yield np.array(block, dtype=np.intp)
-
-
-def _norm_by_enumeration(m, p, subset, chunk=65536):
-    host = m.host
-    subset = sorted(set(int(i) for i in subset))
-    if any(not 0 <= i < host.n for i in subset):
+    f[S][v] is the least cost of a tree joining the terminals S to v, and
+    g[S][v] the least with v a branch point: the minimum over splits of S of
+    f[T][v] + f[S - T][v]. One hop f[S][v] = min_u g[S][u] + d(u, v)^p
+    |w(S)|^p suffices because d^p is a metric for p <= 1.
+    """
+    host, n = m.host, m.host.n
+    verts = sorted(set(int(i) for i in subset))
+    if any(not 0 <= i < n for i in verts):
         raise ValueError("subset contains out-of-range indices")
-    outside = [i for i in m.weights if i not in subset]
+    outside = [i for i in m.weights if i not in verts]
     if outside:
         raise ValueError(f"element supported outside the subset at indices {outside}")
     if m.is_zero():
         return 0.0, Decomposition(host, ())
-
-    mols = list(combinations(subset, 2))
-    rows = [q for q in subset if q != host.base]
-    if not mols:
-        raise ValueError("element is not decomposable over molecules of the subset")
-    A = _molecule_matrix(host, mols, rows)
-    t = np.array([m.weights.get(q, 0.0) for q in rows])
-
-    svals = np.linalg.svd(A, compute_uv=False)
-    r = int((svals > RANK_TOL * svals[0]).sum())
-    coeffs_ls, _, _, _ = np.linalg.lstsq(A, t, rcond=None)
-    if np.abs(A @ coeffs_ls - t).max() > EVAL_TOL * (1.0 + np.abs(t).max()):
+    root = host.base if host.base in verts else verts[0]
+    # a root other than the base absorbs the total weight, which must vanish
+    if root != host.base and abs(sum(m.weights.values())) > EVAL_TOL * (
+        1.0 + max(map(abs, m.weights.values()))
+    ):
         raise ValueError("element is not decomposable over molecules of the subset")
 
-    scale = 1.0 + float(np.abs(t).max())
-    best_cost = np.inf
-    best = None
-    for idx in _chunked_combinations(len(mols), r, chunk):
-        B = np.ascontiguousarray(A.T[idx].transpose(0, 2, 1))  # (chunk, n_rows, r)
-        u, s, vt = np.linalg.svd(B, full_matrices=False)
-        keep = s[:, -1] > RANK_TOL * s[:, 0]
-        if not keep.any():
-            continue
-        idx, u, s, vt, B = idx[keep], u[keep], s[keep], vt[keep], B[keep]
-        ut = np.einsum("cnr,n->cr", u, t)
-        a = np.einsum("crk,cr->ck", vt, ut / s)
-        resid = np.abs(np.einsum("cnk,ck->cn", B, a) - t).max(axis=1)
-        ok = resid <= EVAL_TOL * scale
-        if not ok.any():
-            continue
-        idx, a = idx[ok], a[ok]
-        mag = np.abs(a)
-        mag[mag <= COEFF_TOL * mag.max(axis=1, keepdims=True)] = 0.0
-        costs = (mag**p).sum(axis=1) ** (1.0 / p)
-        k = int(np.argmin(costs))
-        if costs[k] < best_cost:
-            best_cost = float(costs[k])
-            best = (idx[k], np.where(mag[k] > 0.0, a[k], 0.0))
+    terminals = [verts.index(i) for i in sorted(m.weights) if i != root]
+    w = np.array([m.weights[verts[t]] for t in terminals])
+    size, cols = 1 << len(terminals), np.arange(len(verts))
+    wsum = ((np.arange(size)[:, None] >> np.arange(len(terminals))) & 1) @ w
+    # subset sums at rounding level carry no weight, not a tiny molecule
+    flow = np.where(np.abs(wsum) > COEFF_TOL * np.abs(w).sum(), np.abs(wsum), 0.0)
+    Dp = host.dist[verts][:, verts] ** p
+    F = np.zeros((size, len(verts)))
+    hop = np.zeros((size, len(verts)), dtype=np.intp)
+    split = np.zeros((size, len(verts)), dtype=np.intp)
+    for S in range(1, size):
+        low = S & -S
+        if S == low:
+            g = np.where(cols == terminals[low.bit_length() - 1], 0.0, np.inf)
+        else:
+            parts, T = [], S ^ low
+            while T:
+                T = (T - 1) & (S ^ low)
+                parts.append(low | T)
+            parts = np.array(parts)
+            cand = F[parts] + F[S ^ parts]
+            best = cand.argmin(axis=0)
+            g, split[S] = cand[best, cols], parts[best]
+        H = g[:, None] + flow[S] ** p * Dp
+        hop[S] = H.argmin(axis=0)
+        F[S] = H[hop[S], cols]
 
-    if best is None:
-        raise ValueError("element is not decomposable over molecules of the subset")
-    cols, coeffs = best
+    W = np.zeros((len(verts), len(verts)))  # weight carried from u to v, antisymmetric
+    stack = [(size - 1, verts.index(root))]
+    while stack:
+        S, v = stack.pop()
+        u = hop[S, v]
+        if u != v and flow[S] > 0.0:
+            W[u, v] += wsum[S]
+            W[v, u] -= wsum[S]
+        if S & (S - 1):
+            stack += [(split[S, u], u), (S ^ split[S, u], u)]
+    _cancel_cycles(W, Dp, p)
     terms = tuple(
-        (float(coeffs[k]), Molecule(host, *mols[int(c)]))
-        for k, c in enumerate(cols)
-        if coeffs[k] != 0.0
+        (host.distance(verts[x], verts[y]) * W[x, y], Molecule(host, verts[x], verts[y]))
+        for x, y in zip(*np.nonzero(W > 0))
     )
-    return best_cost, Decomposition(host, terms)
+    return float(F[-1, verts.index(root)] ** (1.0 / p)), Decomposition(host, terms)
+
+
+def _cancel_cycles(W, Dp, p):
+    """Make the antisymmetric flow W a forest without raising sum Dp |W|^p.
+
+    At p = 1 pushing weight around a cycle can cost nothing, so rounding may
+    let the backtracking close one. While no flow on the cycle changes sign
+    the cost is concave in the amount pushed, so one end of that range costs
+    no more than the current flow, and there a pair carries nothing.
+    """
+    while True:
+        core = W != 0
+        while (leaf := core.sum(axis=1) == 1).any():
+            core[leaf] = core[:, leaf] = False
+        if not core.any():
+            return
+        # every point left has two neighbours: a walk that never turns back repeats one
+        walk = [int(core.any(axis=1).argmax())]
+        walk.append(int(core[walk[0]].argmax()))
+        while walk[-1] not in walk[:-1]:
+            nbrs = np.flatnonzero(core[walk[-1]])
+            walk.append(int(nbrs[nbrs != walk[-2]][0]))
+        i = walk.index(walk[-1])
+        a, b = np.array(walk[i:-1]), np.array(walk[i + 1 :])
+        g = W[a, b]
+        ends = (-g[g > 0].min(initial=np.inf), -g[g < 0].max(initial=-np.inf))
+        t = min((t for t in ends if np.isfinite(t)), key=lambda t: (Dp[a, b] * np.abs(g + t) ** p).sum())
+        W[a, b], W[b, a] = g + t, -(g + t)
 
 
 def exact_norm_small(
@@ -264,9 +281,12 @@ def exact_norm_small(
 ) -> tuple[float, Decomposition]:
     """Exact free p-norm of m over its host, with an optimal witness.
 
-    Enumerates all decompositions supported on linearly independent molecule
-    subsets; exact for every 0 < p <= 1 but exponential in the host size,
-    hence the cap. Beyond the cap, use the certified bound operations
+    The minimum over decompositions is attained on a tree rooted at the base
+    (a minimum concave-cost flow, Zangwill 1968), found by a Dreyfus-Wagner
+    dynamic program in O(3^k n + 2^k n^2) time for support size k; the
+    witness has one molecule per tree edge carrying nonzero weight. Exact
+    for every 0 < p <= 1 but exponential in the support size, hence the cap
+    on the host size. Beyond the cap, use the certified bound operations
     (`upper_bound_from`, `dual_lower_bound`) instead.
     """
     p = check_p(p)
@@ -275,19 +295,20 @@ def exact_norm_small(
             f"host has {m.host.n} points, beyond the exact-norm cap {cap}; "
             "use upper_bound_from / dual_lower_bound for certified bounds"
         )
-    return _norm_by_enumeration(m, p, range(m.host.n))
+    return _tree_norm(m, p, range(m.host.n))
 
 
 def restricted_norm(
     m: FreeElement, p: float, subset, cap: int = DEFAULT_CAP
 ) -> float:
     """Infimum cost over decompositions into molecules with both endpoints in
-    `subset`; at least the unrestricted norm."""
+    `subset`; at least the unrestricted norm. When the base is outside
+    `subset`, m must sum to zero."""
     p = check_p(p)
-    subset = sorted(set(int(i) for i in subset))
+    subset = set(int(i) for i in subset)
     if len(subset) > cap:
         raise ValueError(f"subset has {len(subset)} points, beyond the cap {cap}")
-    value, _ = _norm_by_enumeration(m, p, subset)
+    value, _ = _tree_norm(m, p, subset)
     return value
 
 
@@ -303,6 +324,9 @@ def exact_norm_p1(m: FreeElement, cap: int = FLOW_CAP) -> tuple[float, Decomposi
     linear program (HiGHS); the flow on an edge, times its length, is the
     molecule coefficient of the witness.
     """
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
     host = m.host
     n = host.n
     if n > cap:
@@ -310,23 +334,15 @@ def exact_norm_p1(m: FreeElement, cap: int = FLOW_CAP) -> tuple[float, Decomposi
     if m.is_zero():
         return 0.0, Decomposition(host, ())
 
-    edges = [(i, j) for i in range(n) for j in range(n) if i != j]
-    cost = np.array([host.distance(i, j) for i, j in edges])
-    rows_idx, cols_idx, vals = [], [], []
-    row_of = {q: r for r, q in enumerate(q for q in range(n) if q != host.base)}
-    for c, (i, j) in enumerate(edges):
-        if i in row_of:
-            rows_idx.append(row_of[i])
-            cols_idx.append(c)
-            vals.append(1.0)
-        if j in row_of:
-            rows_idx.append(row_of[j])
-            cols_idx.append(c)
-            vals.append(-1.0)
-    A_eq = sp.coo_matrix((vals, (rows_idx, cols_idx)), shape=(n - 1, len(edges)))
-    b_eq = np.zeros(n - 1)
-    for i, w in m.weights.items():
-        b_eq[row_of[i]] = w
+    I, J = np.nonzero(~np.eye(n, dtype=bool))  # all ordered pairs, row-major
+    cost = host.dist[I, J]
+    pair = np.arange(len(I))
+    incidence = sp.csr_matrix(
+        (np.repeat([1.0, -1.0], len(I)), (np.concatenate([I, J]), np.concatenate([pair, pair]))),
+        shape=(n, len(I)),
+    )
+    keep = np.arange(n) != host.base
+    A_eq, b_eq = incidence[keep], m.as_full_vector()[keep]
 
     res = linprog(cost, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if res.status != 0:
@@ -334,7 +350,7 @@ def exact_norm_p1(m: FreeElement, cap: int = FLOW_CAP) -> tuple[float, Decomposi
     flows = res.x
     floor = COEFF_TOL * max(1.0, float(flows.max()))
     terms = tuple(
-        (float(f * cost[c]), Molecule(host, *edges[c]))
+        (float(f * cost[c]), Molecule(host, int(I[c]), int(J[c])))
         for c, f in enumerate(flows)
         if f > floor
     )

@@ -23,8 +23,8 @@ class PointedFiniteMetric:
     """A finite metric space with a distinguished base point.
 
     Points are hashable labels (coordinate tuples in practice); `dist` is a
-    dense symmetric matrix. Validation covers symmetry, the zero diagonal,
-    positivity off the diagonal, and the triangle inequality.
+    dense symmetric matrix. Validation covers finiteness, symmetry, the zero
+    diagonal, positivity off the diagonal, and the triangle inequality.
     """
 
     def __init__(self, points: Sequence, base: int, dist: np.ndarray, validate: bool = True):
@@ -45,6 +45,10 @@ class PointedFiniteMetric:
             raise ValueError(f"base index {self.base} out of range for {n} points")
         if self.dist.shape != (n, n):
             raise ValueError(f"distance matrix shape {self.dist.shape} != ({n}, {n})")
+        bad = np.argwhere(~np.isfinite(self.dist))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"distance d({i},{j}) = {self.dist[i, j]} is not finite")
         if np.any(np.diag(self.dist) != 0.0):
             raise ValueError("distance matrix has a nonzero diagonal entry")
         if not np.array_equal(self.dist, self.dist.T):

@@ -60,6 +60,36 @@ def test_norm_rejects_malformed_element(capsys, space_file, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["--command", "norm", "--p", "0.5"],
+    ["--command", "norm", "--p", "1"],
+    ["--command", "decompose", "--alpha", "0.5"],
+])
+def test_non_finite_weight_is_rejected(capsys, space_file, tmp_path, command):
+    bad = write(tmp_path, "nan.txt", "nan 1\n-0.25 2\n")
+    code, out, err = run(capsys, [*command, "--in", space_file, "--in", bad])
+    assert code == 2
+    assert out == ""
+    assert "weight nan at point index 1 is not finite" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--command", "lambda-check", "--d", "2", "--samples", "-5"],
+     "--samples must be an integer >= 0, got -5"),
+    (["--command", "retraction-verify", "--d", "2", "--p", "0.5", "--samples", "-5"],
+     "--samples must be an integer >= 0, got -5"),
+    (["--command", "bm-report", "--p", "1", "--alpha", "0.5", "--d", "0"],
+     "--d must be an integer >= 1, got 0"),
+    (["--command", "basis-verify", "--d", "1", "--alpha", "0.5", "--p", "1", "--kmax", "0"],
+     "--kmax must be an integer >= 1, got 0"),
+])
+def test_counts_are_validated(capsys, flags, message):
+    code, out, err = run(capsys, flags)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_norm_requires_two_inputs(capsys, space_file):
     code, _, err = run(capsys, ["--command", "norm", "--p", "1", "--in", space_file])
     assert code == 2

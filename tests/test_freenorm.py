@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from enum_oracle import ORACLE_CAP, enumeration_norm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freep
 from freep.freenorm import (
+    EVAL_TOL,
     CertificateError,
     Decomposition,
     DualCertificate,
@@ -18,10 +26,12 @@ from freep.freenorm import (
     p_cost,
     parse_decomposition,
     parse_element,
+    _cancel_cycles,
+    _tree_norm,
     restricted_norm,
     upper_bound_from,
 )
-from freep.metric import PointedFiniteMetric, l1_space
+from freep.metric import PointedFiniteMetric, holder_distort, l1_space
 
 
 def three_point_space():
@@ -46,6 +56,13 @@ def test_element_normalizes_base_and_zeros():
     s = three_point_space()
     m = FreeElement(s, {0: 5.0, 1: 0.0, 2: 2.0})
     assert m.weights == {2: 2.0}
+
+
+def test_element_rejects_non_finite_weights():
+    s = three_point_space()
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=f"weight {bad!r} at point index 2 is not finite"):
+            FreeElement(s, {1: 1.0, 2: bad})
 
 
 def test_evaluate_examples():
@@ -170,6 +187,8 @@ def test_restricted_norm_examples():
     assert restricted_norm(m, 0.5, [1, 2]) >= full - 1e-9
     with pytest.raises(ValueError, match="outside"):
         restricted_norm(m, 0.5, [0, 1])
+    with pytest.raises(ValueError, match="not decomposable"):
+        restricted_norm(FreeElement(s, {1: 1.0, 2: -0.5}), 0.5, [1, 2])
 
 
 def test_restricted_norm_monotone_under_inclusion():
@@ -258,3 +277,125 @@ def test_decomposition_serialization_round_trip():
     assert [(a, t.x, t.y) for a, t in back.terms] == [(0.5, 1, 2), (-1.0, 0, 2)]
     with pytest.raises(ValueError):
         parse_decomposition(s, "1.0 2\n")
+
+
+def assert_optimal_forest(m, p, value, witness, subset):
+    """The witness is a forest on `subset`, reproduces m, and costs `value`."""
+    assert len(witness.terms) <= len(subset) - 1
+    root = {q: q for q in subset}
+
+    def find(q):
+        while root[q] != q:
+            q = root[q]
+        return q
+
+    for _, mol in witness.terms:
+        a, b = find(mol.x), find(mol.y)
+        assert a != b, "witness molecules contain a cycle"
+        root[a] = b
+    assert evaluate(witness).max_weight_diff(m) <= EVAL_TOL
+    assert p_cost(witness, p) == pytest.approx(value, rel=1e-12, abs=1e-15)
+
+
+def lattice_space(rng, n):
+    """Distinct points of {0, 1, 2}^2 under l1: many equal-cost trees."""
+    cells = rng.choice(9, size=n, replace=False)
+    return l1_space([(c // 3, c % 3) for c in sorted(cells)], base=0)
+
+
+def test_tree_program_matches_enumeration_oracle():
+    rng = np.random.default_rng(2024)
+    for n in range(2, ORACLE_CAP + 1):
+        for p in (1.0, 0.8, 0.5, 0.3):
+            for kind in ("plain", "holder", "lattice"):
+                s = lattice_space(rng, n) if kind == "lattice" else random_space(rng, n)
+                if kind == "holder":
+                    s = holder_distort(s, float(rng.uniform(0.3, 0.7)))
+                m = random_element(rng, s)
+                value, witness = exact_norm_small(m, p)
+                want, _ = enumeration_norm(m, p)
+                assert value == pytest.approx(want, rel=1e-9, abs=1e-15)
+                assert_optimal_forest(m, p, value, witness, range(n))
+
+                # a subset holding the base, and one without it
+                with_base = [0, *rng.choice(np.arange(1, n), int(rng.integers(1, n)), replace=False)]
+                subsets = [sorted(int(q) for q in with_base)]
+                if n >= 3:
+                    subsets.append(sorted(rng.choice(np.arange(1, n), int(rng.integers(2, n)),
+                                                     replace=False).tolist()))
+                for subset in subsets:
+                    w = rng.normal(size=len(subset))
+                    if 0 not in subset:
+                        w -= w.mean()  # the root absorbs the total, so it must vanish
+                    mr = FreeElement(s, dict(zip(subset, w)))
+                    got = restricted_norm(mr, p, subset)
+                    want, _ = enumeration_norm(mr, p, subset)
+                    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+                    _, tree = _tree_norm(mr, p, subset)
+                    assert_optimal_forest(mr, p, got, tree, subset)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 7))
+def test_norm_is_monotone_in_p(seed, n):
+    rng = np.random.default_rng(seed)
+    m = random_element(rng, random_space(rng, n))
+    n05, _ = exact_norm_small(m, 0.5)
+    n08, _ = exact_norm_small(m, 0.8)
+    n1, _ = exact_norm_p1(m)
+    assert n05 >= n08 - 1e-9
+    assert n08 >= n1 - 1e-9
+
+
+def test_equal_cost_trees_at_p1_give_a_forest():
+    # l1 lattice and dyadic weights: pushing weight around a cycle is free
+    s = l1_space([(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)], base=0)
+    m = FreeElement(s, {1: -0.5, 2: -0.75, 3: -0.75, 4: 1.0})
+    value, witness = exact_norm_small(m, 1.0)
+    assert value == pytest.approx(enumeration_norm(m, 1.0)[0], rel=1e-12)
+    assert_optimal_forest(m, 1.0, value, witness, range(s.n))
+
+
+def test_rounding_level_subset_sum_carries_no_flow():
+    s = l1_space([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (2.0, 0.5)], base=0)
+    m = FreeElement(s, {1: 0.1, 2: 0.2, 3: -0.3})  # sums to 5.6e-17
+    for p in (0.3, 1.0):
+        value, witness = exact_norm_small(m, p)
+        assert value == pytest.approx(enumeration_norm(m, p)[0], rel=1e-12)
+        assert_optimal_forest(m, p, value, witness, range(s.n))
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(freep.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    code = "import sys, freep; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5])
+@pytest.mark.parametrize("cycle", [
+    {(0, 1): 1.0, (1, 2): 1.0, (0, 2): -0.5},  # a consistently oriented cycle
+    {(0, 1): 1.0, (1, 2): -0.25, (0, 2): 0.5},
+    {(0, 1): -0.25, (1, 2): 1.0, (0, 2): -0.5},  # the mirror case
+])
+def test_cancel_cycles_keeps_element_and_cost(p, cycle):
+    s = l1_space([(0.0,), (1.0,), (2.0,), (3.0,)])
+    W = np.zeros((4, 4))
+    for (x, y), f in {**cycle, (2, 3): 0.75}.items():
+        W[x, y], W[y, x] = f, -f
+
+    def witness(W):
+        return Decomposition(s, tuple((s.distance(x, y) * W[x, y], Molecule(s, x, y))
+                                      for x, y in zip(*np.nonzero(W > 0))))
+
+    before = witness(W)
+    _cancel_cycles(W, s.dist**p, p)
+    after = witness(W)
+    assert np.array_equal(W, -W.T)
+    assert len(after.terms) == 3
+    assert evaluate(after).max_weight_diff(evaluate(before)) <= 1e-15
+    assert p_cost(after, p) <= p_cost(before, p) + 1e-15

@@ -44,6 +44,14 @@ def test_metric_validation_catches_triangle_violation():
         PointedFiniteMetric(("a", "b", "c"), 0, bad)
 
 
+def test_metric_validation_rejects_non_finite_distances():
+    with pytest.raises(ValueError, match=r"d\(0,1\) = nan is not finite"):
+        l1_space([(0.0, 0.0), (float("nan"), 1.0)])
+    inf = np.array([[0.0, np.inf], [np.inf, 0.0]])
+    with pytest.raises(ValueError, match="not finite"):
+        PointedFiniteMetric(("a", "b"), 0, inf)
+
+
 def test_holder_identity_and_example():
     s = l1_space([(0.0,), (4.0,)])
     assert holder_distort(s, 1.0).distance(0, 1) == 4.0
