@@ -45,7 +45,6 @@ from .metric import (
     dyadic_grid,
     holder_distort,
     l1_space,
-    level_of,
     neighbors,
 )
 from .retraction import (

@@ -4,13 +4,21 @@ decomposition algorithms.
 The basis element at a grid point v of exact level k is the scaled
 difference between delta(v) and its coarser-grid interpolation,
 2^(k*alpha) * (delta(v) - sum_u w(u, v) delta(u)); corners at level 0 map to
-their bare evaluations. Four constructive routines expand targets over this
-basis with certified coefficient costs:
+their bare evaluations. The basis is level-triangular, so every dyadically
+supported element has unique coefficients, which `analyze` peels level by
+level from finest to coarsest; `synthesize` maps coefficients back to point
+evaluations. Three constructive routines of the paper expand targets over
+this basis with certified coefficient costs:
 
 * `hat_decompose`  - a single coordinate evaluation over an interval,
 * `step_decompose` - an axis-centered second difference at any grid point,
-* `line_path`      - a mesh-adjacent chain between two dyadic scalars,
-* `molecule_decompose` - a full normalized molecule via face induction.
+* `line_path`      - a mesh-adjacent chain between two dyadic scalars.
+
+A normalized molecule (`molecule_decompose`) is the analysis of its two
+point evaluations; `verify_norming` builds the analysis operator of a grid
+once, so each molecule's coefficients are a scaled difference of two of its
+columns. The face-induction construction of molecules from these routines
+is kept in the tests as an oracle for the operator.
 
 All coefficients are finite sums of dyadic rationals times integer powers
 of X = 2^(-alpha); the default double-precision mode checks reconstruction
@@ -24,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -477,71 +484,14 @@ def path_cost(path: list[Fraction], p: float, alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# molecule decomposition by face induction
+# molecules through the analysis operator
 
 
-class _Decomposer:
-    def __init__(self, d: int, ctx):
-        self.d = d
-        self.ctx = ctx
-        self.step_cache: dict = {}
-
-    def diff(self, u: tuple, v: tuple) -> dict:
-        """Combination reconstructing delta(u) - delta(v)."""
-        axes = [j for j in range(self.d) if u[j] != v[j]]
-        if len(axes) == 1:
-            return self.one_coord(u, v, axes[0])
-        out: dict[DyadicPoint, object] = {}
-        cur = list(v)
-        for j in axes:
-            nxt = list(cur)
-            nxt[j] = u[j]
-            _acc(out, self.one_coord(tuple(nxt), tuple(cur), j))
-            cur = nxt
-        return out
-
-    def one_coord(self, u: tuple, v: tuple, axis: int) -> dict:
-        out: dict[DyadicPoint, object] = {}
-        path = line_path(v[axis], u[axis])
-        for a, b in zip(path, path[1:]):
-            _acc(out, self.adjacent(u, axis, a, b))
-        return out
-
-    def adjacent(self, template: tuple, axis: int, a: Fraction, b: Fraction) -> dict:
-        """Combination for delta at (template with axis = b) minus delta at
-        (template with axis = a), with |a - b| a single mesh step."""
-        gap = abs(b - a)
-        assert gap.numerator == 1
-        m = coordinate_level(gap)
-        ctx = self.ctx
-        out: dict[DyadicPoint, object] = {}
-        if m == 0:
-            sign = 1 if b > a else -1
-            _acc(out, self.point(replaced(template, axis, Fraction(1))), ctx.rat(sign))
-            _acc(out, self.point(replaced(template, axis, Fraction(0))), ctx.rat(-sign))
-            return out
-        h = Fraction(1, 2**m)
-        w = a if coordinate_level(a) == m else b
-        if b == w:
-            nu1, nu2 = (1, -1) if a == w + h else (1, 1)
-        else:
-            nu1, nu2 = (-1, 1) if b == w + h else (-1, -1)
-        step = _step_comb(replaced(template, axis, w), axis, ctx, self.step_cache)
-        _acc(out, step, ctx.rat(nu1) * ctx.xm(m))
-        _acc(out, self.adjacent(template, axis, w - h, w + h), ctx.rat(Fraction(nu2, 2)))
-        return out
-
-    def point(self, coords: tuple) -> dict:
-        """Combination for delta(coords): move to the coordinatewise-smallest
-        corner sharing every binary coordinate, then add that corner."""
-        corner = tuple(c if c in (0, 1) else Fraction(0) for c in coords)
-        out: dict[DyadicPoint, object] = {}
-        if corner != tuple(coords):
-            _acc(out, self.diff(tuple(coords), corner))
-        cpt = DyadicPoint.from_fractions(corner)
-        if not cpt.is_origin():
-            _acc(out, {cpt: self.ctx.one})
-        return out
+def _check_molecule(u: DyadicPoint, v: DyadicPoint) -> None:
+    if u == v:
+        raise ValueError("a molecule needs two distinct points")
+    if u.d != v.d:
+        raise ValueError("points of different dimensions")
 
 
 def molecule_difference(
@@ -549,14 +499,9 @@ def molecule_difference(
 ) -> BasisCombination:
     """Combination reconstructing the unnormalized difference
     delta(u) - delta(v)."""
-    if u == v:
-        raise ValueError("a molecule needs two distinct points")
-    if u.d != v.d:
-        raise ValueError("points of different dimensions")
-    ctx = _ExactCoeffs() if exact else _FloatCoeffs(check_alpha(alpha))
-    dec = _Decomposer(u.d, ctx)
-    comb = dec.diff(u.coords(), v.coords())
-    return BasisCombination(_pruned(comb, ctx), exact)
+    _check_molecule(u, v)
+    one = PowSum({0: Fraction(1)}) if exact else 1.0
+    return analyze({u: one, v: -one}, alpha, exact)
 
 
 def molecule_l1(u: DyadicPoint, v: DyadicPoint) -> Fraction:
@@ -567,10 +512,9 @@ def molecule_decompose(u: DyadicPoint, v: DyadicPoint, alpha: float) -> BasisCom
     """Combination reconstructing the molecule
     (delta(u) - delta(v)) / |u - v|_1^alpha, with p-cost at most
     tau(p, alpha, d)^d * rho(p, alpha)^d for every 0 < p <= 1."""
+    _check_molecule(u, v)
     alpha = check_alpha(alpha)
-    diff = molecule_difference(u, v, alpha)
-    scale = 1.0 / float(molecule_l1(u, v)) ** alpha
-    return BasisCombination({k: scale * c for k, c in diff.coeffs.items()}, False)
+    return analyze(molecule_target(u, v, alpha), alpha)
 
 
 def molecule_target(u: DyadicPoint, v: DyadicPoint, alpha: float) -> dict[DyadicPoint, float]:
@@ -707,6 +651,44 @@ def analyze(
     return BasisCombination(_pruned(out, ctx), ctx.exact)
 
 
+def _analysis_operator(d: int, k_max: int, alpha: float):
+    """(grid, S, A) for the level-k_max grid sorted by (level, nums), the
+    origin first. Rows index the basis points grid[1:]; column j of the
+    synthesis matrix S is the point expansion of the basis element at
+    grid[j + 1], and column j of the analysis matrix A holds the basis
+    coefficients of delta(grid[j]), zero for the origin."""
+    ctx = _FloatCoeffs(alpha)
+    pts = basis_points(d, k_max)
+    row = {v: i for i, v in enumerate(pts)}
+    S = np.zeros((len(pts), len(pts)))
+    A = np.zeros((len(pts), len(pts) + 1))
+    for j, v in enumerate(pts):
+        for u, c in _iota_expansion(v, ctx).items():
+            S[row[u], j] = c
+        for u, c in analyze({v: 1.0}, alpha).coeffs.items():
+            A[row[u], j + 1] = c
+    return [DyadicPoint.origin(d)] + pts, S, A
+
+
+def _molecule_checks(coords, S, A, i, js, alpha, p):
+    """(p-costs, reconstruction residuals) of the molecules from grid point
+    i to each grid point in js, with S and A from `_analysis_operator`.
+
+    Analysis is linear, so the coefficients of the molecule at (i, j) are
+    (A[:, i] - A[:, j]) / |u_i - u_j|_1^alpha, pruned per pair as `analyze`
+    prunes: a rounding-level entry left in would move a p < 1 cost by far
+    more than its own size."""
+    scale = 1.0 / np.abs(coords[js] - coords[i]).sum(axis=1) ** alpha
+    C = (A[:, [i]] - A[:, js]) * scale
+    C[np.abs(C) <= PRUNE_TOL * (1.0 + np.abs(C).max(axis=0))] = 0.0
+    target = np.zeros_like(C)  # rows skip the origin, grid point 0
+    if i:
+        target[i - 1] = scale
+    target[js - 1, np.arange(js.size)] = -scale
+    costs = (np.abs(C) ** p).sum(axis=0) ** (1.0 / p)
+    return costs, np.abs(S @ C - target).max(axis=0)
+
+
 def verify_norming(
     d: int,
     alpha: float,
@@ -723,7 +705,9 @@ def verify_norming(
     decomposed with reconstruction residual and cost recorded against
     tau^d rho^d. The report carries the resulting norming bound
     C(p, 2^d) rho^d tau^d and a completeness flag (the pair budget trims
-    oversized grids)."""
+    oversized grids, keeping the first pairs of `combinations(grid, 2)`).
+    The analysis operator of the grid is built once, and the molecules are
+    checked in batch, one first point at a time."""
     p = check_p(p)
     alpha = check_alpha(alpha)
     d = int(d)
@@ -737,19 +721,21 @@ def verify_norming(
         max_basis = max(max_basis, value)
         basis_ok = basis_ok and value <= bound + REC_TOL
 
-    grid = sorted(dyadic_grid(d, k_max), key=lambda q: (q.level, q.nums))
-    pairs = list(combinations(grid, 2))
-    complete = len(pairs) <= pair_budget
-    pairs = pairs[:pair_budget]
+    grid, S, A = _analysis_operator(d, k_max, alpha)
+    coords = np.array([v.floats() for v in grid])
+    complete = len(grid) * (len(grid) - 1) // 2 <= pair_budget
     molecule_bound = tau(p, alpha, d) ** d * rho(p, alpha) ** d
     max_cost = 0.0
     max_residual = 0.0
-    for u, v in pairs:
-        comb = molecule_decompose(u, v, alpha)
-        max_cost = max(max_cost, comb.p_cost(p))
-        max_residual = max(
-            max_residual, reconstruction_residual(comb, molecule_target(u, v, alpha), alpha)
-        )
+    left = pair_budget
+    for i in range(len(grid) - 1):
+        js = np.arange(i + 1, min(len(grid), i + 1 + left))
+        if not js.size:
+            break
+        left -= js.size
+        costs, residuals = _molecule_checks(coords, S, A, i, js, alpha, p)
+        max_cost = max(max_cost, float(costs.max()))
+        max_residual = max(max_residual, float(residuals.max()))
 
     return {
         "d": d,

@@ -286,13 +286,15 @@ def exact_norm_small(
     dynamic program in O(3^k n + 2^k n^2) time for support size k; the
     witness has one molecule per tree edge carrying nonzero weight. Exact
     for every 0 < p <= 1 but exponential in the support size, hence the cap
-    on the host size. Beyond the cap, use the certified bound operations
-    (`upper_bound_from`, `dual_lower_bound`) instead.
+    on the support plus the base; the host itself may be larger. Beyond the
+    cap, use the certified bound operations (`upper_bound_from`,
+    `dual_lower_bound`) instead.
     """
     p = check_p(p)
-    if m.host.n > cap:
+    if len(m.weights) + 1 > cap:
         raise ValueError(
-            f"host has {m.host.n} points, beyond the exact-norm cap {cap}; "
+            f"element has {len(m.weights)} support points plus the base, beyond "
+            f"the exact-norm cap {cap}; "
             "use upper_bound_from / dual_lower_bound for certified bounds"
         )
     return _tree_norm(m, p, range(m.host.n))

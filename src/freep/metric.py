@@ -225,11 +225,6 @@ class DyadicPoint:
         return all(n == 0 for n in self.nums)
 
 
-def level_of(v: DyadicPoint) -> int:
-    """Least k with v on the level-k grid (the canonical stored level)."""
-    return v.level
-
-
 def dyadic_grid(d: int, k: int) -> set[DyadicPoint]:
     """The grid [0,1]^d intersected with 2^-k Z^d; k = -1 gives the origin."""
     d = int(d)
@@ -246,25 +241,8 @@ def dyadic_grid(d: int, k: int) -> set[DyadicPoint]:
 # coordinate helpers on plain tuples
 
 
-def project_out(x: Sequence, j: int) -> tuple:
-    """Drop coordinate j (0-based)."""
-    return tuple(x[:j]) + tuple(x[j + 1 :])
-
-
-def shifted(x: Sequence, j: int, eps) -> tuple:
-    """Add eps to coordinate j (0-based)."""
-    out = list(x)
-    out[j] = out[j] + eps
-    return tuple(out)
-
-
 def replaced(x: Sequence, j: int, value) -> tuple:
     """Replace coordinate j (0-based)."""
     out = list(x)
     out[j] = value
     return tuple(out)
-
-
-def with_last(v: Sequence, bit) -> tuple:
-    """Append a final coordinate, extending a (d-1)-vector to d dimensions."""
-    return tuple(v) + (bit,)

@@ -50,6 +50,16 @@ def test_norm_command(capsys, space_file, element_file):
     assert report["witness"]
 
 
+def test_norm_on_a_host_beyond_the_cap_with_small_support(capsys, tmp_path):
+    line = write(tmp_path, "line.txt", "1 0\n" + "".join(f"{i}.0\n" for i in range(9)))
+    elem = write(tmp_path, "one.txt", "1.0 1\n")
+    code, out, _ = run(capsys, ["--command", "norm", "--p", "0.5", "--in", line, "--in", elem])
+    assert code == 0
+    report = json.loads(out)
+    assert report["n_points"] == 9
+    assert report["norm"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_norm_rejects_malformed_element(capsys, space_file, tmp_path):
     bad = write(tmp_path, "bad.txt", "not an element\n")
     code, _, err = run(

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from face_induction_oracle import oracle_difference, oracle_molecule
 from freep.constants import rho, tau
 from freep.dyadic import (
     BasisCombination,
@@ -25,6 +27,8 @@ from freep.dyadic import (
     step_target,
     synthesize,
     verify_norming,
+    _analysis_operator,
+    _molecule_checks,
 )
 from freep.freenorm import exact_norm_small
 from freep.metric import DyadicPoint, dyadic_grid
@@ -316,3 +320,59 @@ def test_verify_norming_d1_full_run():
 def test_verify_norming_budget_flag():
     report = verify_norming(1, 0.5, 1.0, 2, pair_budget=3)
     assert not report["complete"]
+
+
+def sorted_grid(d, k):
+    return sorted(dyadic_grid(d, k), key=lambda q: (q.level, q.nums))
+
+
+@pytest.mark.parametrize("d,k", [(1, 4), (2, 2), (3, 1)])
+def test_molecules_match_face_induction_oracle(d, k):
+    alpha = 0.35
+    for u, v in combinations(sorted_grid(d, k), 2):
+        for got, want in (
+            (molecule_difference(u, v, alpha), oracle_difference(u, v, alpha)),
+            (molecule_decompose(u, v, alpha), oracle_molecule(u, v, alpha)),
+        ):
+            assert set(got.coeffs) == set(want.coeffs)
+            for key, c in want.coeffs.items():
+                assert got.coeffs[key] == pytest.approx(c, rel=1e-12, abs=1e-12)
+        assert molecule_difference(u, v, exact=True) == oracle_difference(u, v, exact=True)
+
+
+@pytest.mark.parametrize("d,k", [(1, 3), (2, 2)])
+@pytest.mark.parametrize("p", [0.4, 1.0])
+def test_verify_norming_batch_matches_single_pairs(d, k, p):
+    alpha = 0.45
+    pairs = list(combinations(sorted_grid(d, k), 2))
+    for budget in (3, 40, len(pairs)):
+        report = verify_norming(d, alpha, p, k, basis_k_max=0, pair_budget=budget)
+        assert report["complete"] == (budget >= len(pairs))
+        combs = [(u, v, molecule_decompose(u, v, alpha)) for u, v in pairs[:budget]]
+        cost = max(comb.p_cost(p) for _, _, comb in combs)
+        residual = max(
+            reconstruction_residual(comb, molecule_target(u, v, alpha), alpha)
+            for u, v, comb in combs
+        )
+        assert report["max_molecule_cost"] == pytest.approx(cost, rel=1e-12)
+        assert report["max_molecule_residual"] == pytest.approx(residual, abs=1e-14)
+
+
+def test_molecule_checks_prune_like_analyze():
+    # at alpha = 1/2, X^2 = 1/2 is rational, so A[:, u] - A[:, v] leaves
+    # rounding-level entries (about 4e-17) from (1/4, 1/4) to level-3 points;
+    # kept, they would move these p = 0.4 costs by about 3e-7 relative
+    alpha, p = 0.5, 0.4
+    grid, S, A = _analysis_operator(2, 3, alpha)
+    i = grid.index(dp(F(1, 4), F(1, 4)))
+    js = np.arange(i + 1, len(grid))
+    costs, residuals = _molecule_checks(
+        np.array([v.floats() for v in grid]), S, A, i, js, alpha, p
+    )
+    for j, cost, residual in zip(js, costs, residuals):
+        comb = molecule_decompose(grid[i], grid[j], alpha)
+        assert cost == pytest.approx(comb.p_cost(p), rel=1e-12)
+        target = molecule_target(grid[i], grid[j], alpha)
+        assert residual == pytest.approx(
+            reconstruction_residual(comb, target, alpha), abs=1e-14
+        )

@@ -125,8 +125,15 @@ def test_exact_norm_small_square_witness_value():
 
 def test_exact_norm_cap_error():
     s = l1_space([(float(i), float(i) ** 2) for i in range(9)])
-    with pytest.raises(ValueError, match="bound"):
-        exact_norm_small(FreeElement(s, {1: 1.0}), 0.5)
+    with pytest.raises(ValueError, match="8 support points plus the base.*bound"):
+        exact_norm_small(FreeElement(s, {i: 1.0 for i in range(1, 9)}), 0.5)
+
+
+def test_exact_norm_cap_counts_terminals_not_host_points():
+    s = l1_space([(float(i),) for i in range(9)])
+    value, witness = exact_norm_small(FreeElement(s, {1: 1.0}), 0.5)
+    assert value == pytest.approx(1.0, abs=1e-12)
+    assert len(witness.terms) == 1
 
 
 def test_oracle_equivalence_p1():

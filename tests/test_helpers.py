@@ -1,21 +1,16 @@
 import json
-from fractions import Fraction
 
 import numpy as np
 
 from freep.cli import main
 from freep.cubes import CubeComplex
-from freep.metric import project_out, replaced, shifted, with_last
+from freep.metric import replaced
 from freep.retraction import SamplerConfig, build_context, estimate_lipschitz, retract
 
 
 def test_coordinate_helpers():
     x = (0.25, 0.5, 0.75)
-    assert project_out(x, 1) == (0.25, 0.75)
-    assert shifted(x, 0, 0.5) == (0.75, 0.5, 0.75)
     assert replaced(x, 2, 0.0) == (0.25, 0.5, 0.0)
-    assert with_last((0, 1), 1) == (0, 1, 1)
-    assert with_last((Fraction(1, 2),), Fraction(0)) == (Fraction(1, 2), Fraction(0))
 
 
 def test_negative_offsets_and_fractional_scale():

@@ -14,7 +14,6 @@ from freep.metric import (
     holder_distort,
     l1_space,
     lattice_l1_space,
-    level_of,
     load_points,
     neighbors,
     save_points,
@@ -90,7 +89,7 @@ def test_dyadic_grid_nesting():
 
 def test_levels():
     v = DyadicPoint.from_fractions([Fraction(1, 2), Fraction(1, 4)])
-    assert level_of(v) == 2
+    assert v.level == 2
     assert coordinate_level(Fraction(3, 8)) == 3
     assert coordinate_level(2) == 0
     with pytest.raises(ValueError):
@@ -99,9 +98,9 @@ def test_levels():
 
 def test_level_exhaustive_grid():
     for v in dyadic_grid(2, 3):
-        assert level_of(v) <= 3
+        assert v.level <= 3
         odd_at_3 = any(n % 2 == 1 for n in (c * 8 for c in v.coords()))
-        assert (level_of(v) == 3) == odd_at_3
+        assert (v.level == 3) == odd_at_3
 
 
 def test_neighbors_examples():
