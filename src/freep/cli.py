@@ -73,10 +73,22 @@ def _merge_config(args) -> dict:
                 cfg[key] = val
     if cfg["command"] not in COMMANDS:
         raise ValueError("--command is required (or must be set in the config file)")
-    for name, low in (("samples", 0), ("d", 1), ("kmax", 1)):
+    # a config file can hold any JSON value, and JSON true is an int to Python
+    for name, low in (("seed", 0), ("samples", 0), ("d", 1), ("kmax", 1)):
         val = cfg[name]
-        if val is not None and (not isinstance(val, int) or val < low):
+        if val is not None and (isinstance(val, bool) or not isinstance(val, int) or val < low):
             raise ValueError(f"--{name} must be an integer >= {low}, got {val!r}")
+    for name in ("p", "alpha", "R"):
+        val = cfg[name]
+        if val is not None and (isinstance(val, bool) or not isinstance(val, (int, float))):
+            raise ValueError(f"--{name} must be a real number, got {val!r}")
+    inputs = cfg["inputs"]
+    if inputs is not None and (
+        not isinstance(inputs, list) or not all(isinstance(f, str) for f in inputs)
+    ):
+        raise ValueError(f"--in must be a list of strings, got {inputs!r}")
+    if cfg["out"] is not None and not isinstance(cfg["out"], str):
+        raise ValueError(f"--out must be a string, got {cfg['out']!r}")
     return cfg
 
 
@@ -182,11 +194,7 @@ def _cmd_decompose(cfg):
         )
         weights[pt] = weights.get(pt, 0.0) + w
     comb = dyadic.analyze(weights, alpha)
-    synth = dyadic.synthesize(comb, alpha)
-    keys = set(synth) | set(weights)
-    residual = max(
-        (abs(synth.get(k, 0.0) - weights.get(k, 0.0)) for k in keys), default=0.0
-    )
+    residual = dyadic.reconstruction_residual(comb, weights, alpha)
     report = {
         "command": "decompose",
         "alpha": alpha,

@@ -7,18 +7,19 @@ difference between delta(v) and its coarser-grid interpolation,
 their bare evaluations. The basis is level-triangular, so every dyadically
 supported element has unique coefficients, which `analyze` peels level by
 level from finest to coarsest; `synthesize` maps coefficients back to point
-evaluations. Three constructive routines of the paper expand targets over
-this basis with certified coefficient costs:
+evaluations. `analyze` is the one routine that computes basis coefficients:
+the expansions of the paper's lemmas are analyses of their targets,
 
-* `hat_decompose`  - a single coordinate evaluation over an interval,
-* `step_decompose` - an axis-centered second difference at any grid point,
-* `line_path`      - a mesh-adjacent chain between two dyadic scalars.
+* `hat_decompose`      - a single coordinate evaluation over an interval,
+* `step_decompose`     - an axis-centered second difference at any grid point,
+* `molecule_decompose` - a normalized molecule (delta(u) - delta(v)) / |u - v|_1^alpha,
 
-A normalized molecule (`molecule_decompose`) is the analysis of its two
-point evaluations; `verify_norming` builds the analysis operator of a grid
-once, so each molecule's coefficients are a scaled difference of two of its
-columns. The face-induction construction of molecules from these routines
-is kept in the tests as an oracle for the operator.
+and `verify_norming` builds the analysis operator of a grid once, so each
+molecule's coefficients are a scaled difference of two of its columns.
+`line_path`, a mesh-adjacent chain between two dyadic scalars, stays
+constructive. The face-induction construction of molecules, with the
+constructive hat and step kernels it is built from, is kept in the tests as
+an oracle for the analysis.
 
 All coefficients are finite sums of dyadic rationals times integer powers
 of X = 2^(-alpha); the default double-precision mode checks reconstruction
@@ -32,6 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -40,15 +43,17 @@ from .constants import bm_bound, c_const, check_alpha, check_p, rho, tau
 from .freenorm import DEFAULT_CAP, FreeElement, exact_norm_small
 from .metric import (
     DyadicPoint,
-    PointedFiniteMetric,
     coordinate_level,
     dyadic_grid,
+    holder_distort,
     l1_space,
+    neighbors,
     replaced,
 )
 
 REC_TOL = 1e-9
 PRUNE_TOL = 1e-13
+MAX_LEVEL = 32
 
 
 # ---------------------------------------------------------------------------
@@ -102,16 +107,12 @@ class _FloatCoeffs:
     def __init__(self, alpha: float):
         self.alpha = alpha
         self.one = 1.0
-        self.half = 0.5
 
     def xm(self, m: int) -> float:
         return 2.0 ** (-m * self.alpha)
 
     def rat(self, q) -> float:
         return float(q)
-
-    def to_float(self, c) -> float:
-        return float(c)
 
     def is_zero(self, c) -> bool:
         return c == 0.0
@@ -122,16 +123,12 @@ class _ExactCoeffs:
 
     def __init__(self):
         self.one = PowSum({0: Fraction(1)})
-        self.half = PowSum({0: Fraction(1, 2)})
 
     def xm(self, m: int) -> PowSum:
         return PowSum({m: Fraction(1)})
 
     def rat(self, q) -> PowSum:
         return PowSum({0: Fraction(q)})
-
-    def to_float(self, c) -> float:
-        raise TypeError("exact coefficients need an alpha to evaluate")
 
     def is_zero(self, c) -> bool:
         return c.is_zero()
@@ -203,41 +200,33 @@ def basis_points(d: int, k_max: int) -> list[DyadicPoint]:
     return sorted(pts, key=lambda v: (v.level, v.nums))
 
 
+@lru_cache(maxsize=1 << 14)
+def _coarse_neighbors(v: DyadicPoint) -> tuple[tuple[DyadicPoint, Fraction], ...]:
+    """The pairs (u, w(u, v)) of the coarser-grid interpolation of a point v
+    at level k >= 1, origin included: each coordinate at level k moves to
+    one of its two `neighbors` with weight 1/2, the others stay."""
+    half = Fraction(1, 2)
+    axes = [
+        [(x, half) for x in neighbors(c)] if coordinate_level(c) == v.level else [(c, Fraction(1))]
+        for c in v.coords()
+    ]
+    return tuple(
+        (DyadicPoint.from_fractions(c for c, _ in combo), math.prod(q for _, q in combo))
+        for combo in product(*axes)
+    )
+
+
 def _iota_expansion(v: DyadicPoint, ctx) -> dict[DyadicPoint, object]:
     """Point-evaluation expansion of the basis element at v (origin entries
     dropped, since the base evaluation vanishes)."""
-    k = v.level
-    if k == 0:
+    if v.level == 0:
         return {} if v.is_origin() else {v: ctx.one}
-    out = {v: ctx.xm(-k)}
-    h = Fraction(1, 2**k)
-    options = []
-    for c in v.coords():
-        if coordinate_level(c) == k:
-            options.append(((c - h, Fraction(1, 2)), (c + h, Fraction(1, 2))))
-        else:
-            options.append(((c, Fraction(1)),))
-    scale = ctx.xm(-k)
-    for combo in _product(options):
-        weight = Fraction(1)
-        coords = []
-        for c, q in combo:
-            coords.append(c)
-            weight *= q
-        u = DyadicPoint.from_fractions(coords)
+    scale = ctx.xm(-v.level)
+    out = {v: scale}
+    for u, weight in _coarse_neighbors(v):
         if not u.is_origin():
-            inc = ctx.rat(-weight) * scale
-            out[u] = out.get(u, _zero(ctx)) + inc
+            out[u] = ctx.rat(-weight) * scale
     return out
-
-
-def _product(options):
-    if not options:
-        yield ()
-        return
-    for head in options[0]:
-        for rest in _product(options[1:]):
-            yield (head,) + rest
 
 
 def _zero(ctx):
@@ -282,14 +271,17 @@ def _check_dyadic_unit(x) -> Fraction:
     return x
 
 
-def _hat_parts(u1: Fraction, u2: Fraction, v: Fraction):
-    """Alpha-free kernel of the hat expansion.
+def hat_decompose(u1, u2, v, alpha: float) -> HatDecomposition:
+    """Expand 2^(n*alpha) delta(v) over the interval endpoints and centered
+    second differences at the strictly finer levels.
 
-    Returns (mu1, mu2, terms) with exact fractions; `terms` maps a position
-    w at exact level l > n to the fraction q with coefficient q * 2^((n-l)a).
-    Positions merge across the two half-interval branches, so there is at
-    most one term per level.
+    The convex endpoint weights sum to one; the term coefficients satisfy
+    (sum nu_i^p)^(1/p) <= 2^(-alpha) (1/(1 - 2^(-p*alpha)))^(1/p) for every
+    0 < p <= 1, with at most one term per level. The terms are the
+    coefficients above level n of the analysis of 2^(n*alpha) delta(v) on
+    [0, 1]; the rest of that analysis expands the endpoint part.
     """
+    alpha = check_alpha(alpha)
     u1, u2, v = Fraction(u1), Fraction(u2), Fraction(v)
     gap = u2 - u1
     if gap <= 0 or gap.numerator != 1:
@@ -299,100 +291,32 @@ def _hat_parts(u1: Fraction, u2: Fraction, v: Fraction):
         raise ValueError(f"u1 = {u1} is not on the level-{n} grid")
     if not u1 <= v <= u2:
         raise ValueError(f"{v} outside [{u1}, {u2}]")
-    coordinate_level(v)
-
-    memo: dict[Fraction, tuple] = {}
-
-    def rec(w: Fraction):
-        if w in memo:
-            return memo[w]
-        if w == u1:
-            res = (Fraction(1), Fraction(0), {})
-        elif w == u2:
-            res = (Fraction(0), Fraction(1), {})
-        else:
-            k = coordinate_level(w)
-            h = Fraction(1, 2**k)
-            m1a, m2a, ta = rec(w - h)
-            m1b, m2b, tb = rec(w + h)
-            half = Fraction(1, 2)
-            terms: dict[Fraction, tuple[int, Fraction]] = {}
-            for src in (ta, tb):
-                for pos, (lvl, q) in src.items():
-                    if pos in terms:
-                        terms[pos] = (lvl, terms[pos][1] + half * q)
-                    else:
-                        terms[pos] = (lvl, half * q)
-            terms[w] = (k, Fraction(1))
-            res = (half * (m1a + m1b), half * (m2a + m2b), terms)
-        memo[w] = res
-        return res
-
-    mu1, mu2, terms = rec(v)
-    return n, mu1, mu2, terms
-
-
-def hat_decompose(u1, u2, v, alpha: float) -> HatDecomposition:
-    """Expand 2^(n*alpha) delta(v) over the interval endpoints and centered
-    second differences at the strictly finer levels.
-
-    The convex endpoint weights sum to one; the term coefficients satisfy
-    (sum nu_i^p)^(1/p) <= 2^(-alpha) (1/(1 - 2^(-p*alpha)))^(1/p) for every
-    0 < p <= 1, with at most one term per level.
-    """
-    alpha = check_alpha(alpha)
-    n, mu1, mu2, terms = _hat_parts(u1, u2, v)
-    out = [
-        HatTerm(float(q) * 2.0 ** ((n - lvl) * alpha), lvl, pos)
-        for pos, (lvl, q) in terms.items()
-    ]
-    out.sort(key=lambda t: t.level)
-    return HatDecomposition(float(mu1), float(mu2), tuple(out))
+    comb = analyze({DyadicPoint.from_fractions([v]): PowSum({-n: Fraction(1)})}, None, exact=True)
+    terms = tuple(
+        HatTerm(c.to_float(alpha), w.level, w.coords()[0])
+        for w, c in comb.items_sorted()
+        if w.level > n
+    )
+    return HatDecomposition(float((u2 - v) / gap), float((v - u1) / gap), terms)
 
 
 # ---------------------------------------------------------------------------
 # the axis-step expansion
 
 
-def _on_level_grid(c: Fraction, n: int) -> bool:
-    return (c * 2**n).denominator == 1
-
-
-def _step_comb(coords, axis, ctx, cache):
-    key = (coords, axis)
-    got = cache.get(key)
-    if got is not None:
-        return got
+def _step_element(v: DyadicPoint, axis: int) -> dict[DyadicPoint, PowSum]:
+    """The step element of `step_decompose` in the exact ring, origin entry
+    dropped."""
+    coords = v.coords()
+    if not 0 <= axis < v.d:
+        raise ValueError(f"axis {axis} out of range")
     n = coordinate_level(coords[axis])
-    assert n >= 1
-    h = Fraction(1, 2**n)
-    bad = [j for j in range(len(coords)) if j != axis and not _on_level_grid(coords[j], n)]
-
-    out: dict[DyadicPoint, object] = {}
-    if not bad:
-        out[DyadicPoint.from_fractions(coords)] = ctx.one
-        for sgn in (1, -1):
-            w = replaced(coords, axis, coords[axis] + sgn * h)
-            wpt = DyadicPoint.from_fractions(w)
-            if wpt.level == n:  # otherwise it sits on the coarser grid: zero term
-                _acc(out, {wpt: ctx.one}, -ctx.half)
-    else:
-        j = bad[0]
-        u1 = Fraction(math.floor(coords[j] * 2**n), 2**n)
-        u2 = u1 + h
-        _, mu1, mu2, terms = _hat_parts(u1, u2, coords[j])
-        if mu1:
-            _acc(out, _step_comb(replaced(coords, j, u1), axis, ctx, cache), ctx.rat(mu1))
-        if mu2:
-            _acc(out, _step_comb(replaced(coords, j, u2), axis, ctx, cache), ctx.rat(mu2))
-        for pos, (lvl, q) in sorted(terms.items()):
-            nu = ctx.rat(q) * ctx.xm(lvl - n)
-            _acc(out, _step_comb(replaced(coords, j, pos), j, ctx, cache), nu)
-            for sgn in (1, -1):
-                moved = replaced(replaced(coords, axis, coords[axis] + sgn * h), j, pos)
-                _acc(out, _step_comb(moved, j, ctx, cache), -(ctx.half * nu))
-    cache[key] = out
-    return out
+    if n < 1:
+        raise ValueError(f"coordinate {coords[axis]} of v is at level 0")
+    out = {v: PowSum({-n: Fraction(1)})}
+    for c in neighbors(coords[axis]):
+        out[DyadicPoint.from_fractions(replaced(coords, axis, c))] = PowSum({-n: Fraction(-1, 2)})
+    return {u: c for u, c in out.items() if not u.is_origin()}
 
 
 def step_decompose(
@@ -400,34 +324,22 @@ def step_decompose(
 ) -> BasisCombination:
     """Expand 2^(n*alpha)(delta(v) - (delta(v + h e_axis) + delta(v - h e_axis)) / 2)
     over the basis, where h = 2^-n and the axis coordinate of v has exact
-    level n >= 1. Coordinates finer than level n are first resolved by hat
-    expansions; the cost is at most rho^(l+1) <= rho^d with l the number of
-    such coordinates.
+    level n >= 1; the cost is at most rho^(l+1) <= rho^d with l the number of
+    coordinates of v finer than level n.
+
+    The double mode evaluates the exact coefficients: a double analysis
+    rounds on the way (1.0000000000000002 for the d = 1 base case).
     """
-    coords = v.coords()
-    if not 0 <= axis < v.d:
-        raise ValueError(f"axis {axis} out of range")
-    if coordinate_level(coords[axis]) < 1:
-        raise ValueError(f"coordinate {coords[axis]} of v is at level 0")
-    ctx = _ExactCoeffs() if exact else _FloatCoeffs(check_alpha(alpha))
-    comb = _step_comb(coords, axis, ctx, {})
-    return BasisCombination(_pruned(comb, ctx), exact)
+    comb = analyze(_step_element(v, axis), None, exact=True)
+    if exact:
+        return comb
+    alpha = check_alpha(alpha)
+    return BasisCombination({u: c.to_float(alpha) for u, c in comb.coeffs.items()})
 
 
 def step_target(v: DyadicPoint, axis: int, alpha: float) -> dict[DyadicPoint, float]:
     """Point expansion of the step element (origin entries dropped)."""
-    coords = v.coords()
-    n = coordinate_level(coords[axis])
-    scale = 2.0 ** (n * alpha)
-    out: dict[DyadicPoint, float] = {}
-    for pt, c in (
-        (v, scale),
-        (DyadicPoint.from_fractions(replaced(coords, axis, coords[axis] + Fraction(1, 2**n))), -0.5 * scale),
-        (DyadicPoint.from_fractions(replaced(coords, axis, coords[axis] - Fraction(1, 2**n))), -0.5 * scale),
-    ):
-        if not pt.is_origin():
-            out[pt] = out.get(pt, 0.0) + c
-    return out
+    return {u: c.to_float(alpha) for u, c in _step_element(v, axis).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -556,13 +468,8 @@ def basis_element(v: DyadicPoint | BasisIndex, alpha: float) -> FreeElement:
     expansion = _iota_expansion(v, ctx)
     support = sorted(expansion, key=lambda q: (q.level, q.nums))
     points = [DyadicPoint.origin(v.d)] + support
-    host = _holder_host(points, alpha)
+    host = holder_distort(l1_space([q.floats() for q in points], base=0), alpha)
     return FreeElement(host, {i + 1: expansion[q] for i, q in enumerate(support)})
-
-
-def _holder_host(points: list[DyadicPoint], alpha: float) -> PointedFiniteMetric:
-    space = l1_space([p.floats() for p in points], base=0)
-    return PointedFiniteMetric(space.points, 0, space.dist**alpha)
 
 
 def _proof_cost(v: DyadicPoint, alpha: float, p: float) -> float:
@@ -571,24 +478,10 @@ def _proof_cost(v: DyadicPoint, alpha: float, p: float) -> float:
     k = v.level
     if k == 0:
         return float(molecule_l1(v, DyadicPoint.origin(v.d))) ** alpha
-    ctx = _FloatCoeffs(alpha)
     total = 0.0
-    h = Fraction(1, 2**k)
-    options = []
-    for c in v.coords():
-        if coordinate_level(c) == k:
-            options.append(((c - h, 0.5), (c + h, 0.5)))
-        else:
-            options.append(((c, 1.0),))
-    for combo in _product(options):
-        weight = 1.0
-        coords = []
-        for c, q in combo:
-            coords.append(c)
-            weight *= q
-        u = DyadicPoint.from_fractions(coords)
+    for u, weight in _coarse_neighbors(v):
         dist = float(molecule_l1(v, u)) ** alpha
-        total += (2.0 ** (k * alpha) * weight * dist) ** p
+        total += (2.0 ** (k * alpha) * float(weight) * dist) ** p
     return total ** (1.0 / p)
 
 
@@ -615,26 +508,14 @@ def basis_norm_check(
 
 
 def analyze(
-    m: dict[DyadicPoint, float] | FreeElement,
-    alpha: float,
-    exact: bool = False,
-    max_level: int = 32,
+    m: dict[DyadicPoint, object], alpha: float | None, exact: bool = False
 ) -> BasisCombination:
     """The unique basis coefficients reproducing a dyadically supported
     element, peeled level by level from finest to coarsest."""
     ctx = _ExactCoeffs() if exact else _FloatCoeffs(check_alpha(alpha))
-    if isinstance(m, FreeElement):
-        work: dict[DyadicPoint, object] = {}
-        for idx, w in m.weights.items():
-            coords = [Fraction(float(c)) for c in m.host.points[idx]]
-            pt = DyadicPoint.from_fractions(coords)
-            val = ctx.rat(w) if ctx.exact else float(w)
-            work[pt] = work.get(pt, _zero(ctx)) + val
-    else:
-        work = dict(m)
-    work = {pt: c for pt, c in work.items() if not pt.is_origin() and not ctx.is_zero(c)}
-    if any(pt.level > max_level for pt in work):
-        raise ValueError(f"support is not dyadic at level <= {max_level}")
+    work = {pt: c for pt, c in m.items() if not pt.is_origin() and not ctx.is_zero(c)}
+    if any(pt.level > MAX_LEVEL for pt in work):
+        raise ValueError(f"support is not dyadic at level <= {MAX_LEVEL}")
 
     out: dict[DyadicPoint, object] = {}
     for k in range(max((pt.level for pt in work), default=0), 0, -1):
@@ -695,8 +576,7 @@ def verify_norming(
     p: float,
     k_max: int,
     basis_k_max: int | None = None,
-    engine_cap: int = DEFAULT_CAP,
-    pair_budget: int = 20000,
+    pair_budget: int = 100_000,
 ) -> dict:
     """Certify the two-sided norming estimates at desk scale.
 
@@ -717,7 +597,7 @@ def verify_norming(
     basis_bound = float(d) ** alpha * c_const(p, 2**d)
     basis_ok = True
     for v in basis_points(d, basis_k_max):
-        value, bound = basis_norm_check(v, alpha, p, cap=engine_cap)
+        value, bound = basis_norm_check(v, alpha, p)
         max_basis = max(max_basis, value)
         basis_ok = basis_ok and value <= bound + REC_TOL
 

@@ -27,13 +27,12 @@ class PointedFiniteMetric:
     diagonal, positivity off the diagonal, and the triangle inequality.
     """
 
-    def __init__(self, points: Sequence, base: int, dist: np.ndarray, validate: bool = True):
+    def __init__(self, points: Sequence, base: int, dist: np.ndarray):
         self.points = tuple(points)
         self.base = int(base)
         self.dist = np.array(dist, dtype=float)
         self.dist.setflags(write=False)
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         n = len(self.points)

@@ -29,6 +29,10 @@ from .freenorm import (
 from .metric import PointedFiniteMetric, lattice_l1_space
 
 LATTICE_TOL = 1e-9
+# exact norms cross-check the sampled pairs on complexes of at most
+# EXACT_NORM_CAP vertices, for the first EXACT_CHECK_SAMPLES pairs
+EXACT_NORM_CAP = 6
+EXACT_CHECK_SAMPLES = 50
 
 
 @dataclass(frozen=True)
@@ -282,16 +286,14 @@ def lower_bound_witness(d: int, p: float) -> WitnessResult:
 class SamplerConfig:
     n_samples: int = 200
     seed: int = 0
-    include_witness_pair: bool = True
-    exact_norm_cap: int = 6
-    exact_check_samples: int = 50
 
 
 def estimate_lipschitz(ctx: RetractionContext, config: SamplerConfig) -> dict:
     """Sample point pairs in the cube union and report the certified
     Lipschitz evidence for the retraction.
 
-    Every pair contributes a dual lower bound ratio and the proof
+    The cross-axis witness pair comes first, then `n_samples` seeded
+    pairs. Every pair contributes a dual lower bound ratio and the proof
     decomposition's cost ratio; the theoretical sandwich and the witness
     value accompany them. Exact norms are cross-checked only when the vertex
     count is within the engine cap, and the report says whether they were.
@@ -301,19 +303,17 @@ def estimate_lipschitz(ctx: RetractionContext, config: SamplerConfig) -> dict:
     offsets = np.array(complex.offsets, dtype=float)
     R = complex.R
 
-    pairs = []
-    if config.include_witness_pair:
-        w0 = offsets[0]
-        unit_x = np.array((0.5,) * (complex.d - 1) + (0.0,))
-        unit_y = np.array((0.5,) * (complex.d - 1) + (1.0,))
-        pairs.append((R * (w0 + unit_x), R * (w0 + unit_y)))
+    w0 = offsets[0]
+    unit_x = np.array((0.5,) * (complex.d - 1) + (0.0,))
+    unit_y = np.array((0.5,) * (complex.d - 1) + (1.0,))
+    pairs = [(R * (w0 + unit_x), R * (w0 + unit_y))]
     for _ in range(config.n_samples):
         wa = offsets[rng.integers(len(offsets))]
         wb = offsets[rng.integers(len(offsets))]
         pairs.append((R * (wa + rng.random(complex.d)), R * (wb + rng.random(complex.d))))
 
     cert = vertex_indicator_certificate(ctx.vertex_space)
-    exact_ok = ctx.vertex_space.n <= config.exact_norm_cap
+    exact_ok = ctx.vertex_space.n <= EXACT_NORM_CAP
     max_lower = 0.0
     max_cost = 0.0
     max_residual = 0.0
@@ -330,8 +330,8 @@ def estimate_lipschitz(ctx: RetractionContext, config: SamplerConfig) -> dict:
         max_lower = max(max_lower, lower)
         max_cost = max(max_cost, cost)
         max_residual = max(max_residual, residual)
-        if exact_ok and exact_checked < config.exact_check_samples:
-            norm, _ = exact_norm_small(m, p, cap=config.exact_norm_cap)
+        if exact_ok and exact_checked < EXACT_CHECK_SAMPLES:
+            norm, _ = exact_norm_small(m, p, cap=EXACT_NORM_CAP)
             exact_checked += 1
             if not (lower * l1 <= norm + 1e-9 and norm <= cost * l1 + 1e-9):
                 raise AssertionError("exact norm escaped its certified bounds")

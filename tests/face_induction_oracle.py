@@ -1,28 +1,145 @@
-"""Reference molecule decomposition by face induction.
+"""Reference decompositions by construction.
 
-The constructive route of the dyadic basis: delta(u) - delta(v) is walked
-one coordinate at a time along mesh-adjacent `line_path` chains, and each
-mesh step is split into an axis step (`step_decompose`'s combination) plus
-the step one level coarser, down to the level-0 corners. It never solves
-anything, so it checks the analysis operator of `freep.dyadic`, which peels
-coefficients level by level, from an independent direction: the basis is
-level-triangular, so both must give the same unique coefficients.
+The constructive routes of the dyadic basis, which `freep.dyadic` computes
+by analysis instead: the hat kernel expands a coordinate evaluation by recursive
+midpoint splitting (`oracle_hat`), the step kernel resolves each coordinate
+finer than the axis level by a hat expansion (`oracle_step`), and
+delta(u) - delta(v) is walked one coordinate at a time along mesh-adjacent
+`line_path` chains, each mesh step split into an axis step plus the step one
+level coarser, down to the level-0 corners (`oracle_difference`). None of it
+solves anything, so it checks `freep.dyadic`, which peels coefficients level
+by level, from an independent direction: the basis is level-triangular, so
+both must give the same unique coefficients.
 """
 
+import math
 from fractions import Fraction
 
 from freep.constants import check_alpha
 from freep.dyadic import (
     BasisCombination,
+    HatDecomposition,
+    HatTerm,
     _acc,
     _ExactCoeffs,
     _FloatCoeffs,
     _pruned,
-    _step_comb,
     line_path,
     molecule_l1,
 )
 from freep.metric import DyadicPoint, coordinate_level, replaced
+
+
+def _hat_parts(u1: Fraction, u2: Fraction, v: Fraction):
+    """Alpha-free kernel of the hat expansion.
+
+    Returns (n, mu1, mu2, terms) with exact fractions; `terms` maps a
+    position w at exact level l > n to (l, q), the coefficient being
+    q * 2^((n-l)a). Positions merge across the two half-interval branches,
+    so there is at most one term per level.
+    """
+    u1, u2, v = Fraction(u1), Fraction(u2), Fraction(v)
+    gap = u2 - u1
+    if gap <= 0 or gap.numerator != 1:
+        raise ValueError("u1, u2 must be adjacent grid points with u1 < u2")
+    n = coordinate_level(gap)
+    if (u1 * 2**n).denominator != 1:
+        raise ValueError(f"u1 = {u1} is not on the level-{n} grid")
+    if not u1 <= v <= u2:
+        raise ValueError(f"{v} outside [{u1}, {u2}]")
+    coordinate_level(v)
+
+    memo: dict[Fraction, tuple] = {}
+
+    def rec(w: Fraction):
+        if w in memo:
+            return memo[w]
+        if w == u1:
+            res = (Fraction(1), Fraction(0), {})
+        elif w == u2:
+            res = (Fraction(0), Fraction(1), {})
+        else:
+            k = coordinate_level(w)
+            h = Fraction(1, 2**k)
+            m1a, m2a, ta = rec(w - h)
+            m1b, m2b, tb = rec(w + h)
+            half = Fraction(1, 2)
+            terms: dict[Fraction, tuple[int, Fraction]] = {}
+            for src in (ta, tb):
+                for pos, (lvl, q) in src.items():
+                    if pos in terms:
+                        terms[pos] = (lvl, terms[pos][1] + half * q)
+                    else:
+                        terms[pos] = (lvl, half * q)
+            terms[w] = (k, Fraction(1))
+            res = (half * (m1a + m1b), half * (m2a + m2b), terms)
+        memo[w] = res
+        return res
+
+    mu1, mu2, terms = rec(v)
+    return n, mu1, mu2, terms
+
+
+def oracle_hat(u1, u2, v, alpha: float) -> HatDecomposition:
+    """The hat expansion of 2^(n*alpha) delta(v) built by midpoint splitting."""
+    alpha = check_alpha(alpha)
+    n, mu1, mu2, terms = _hat_parts(u1, u2, v)
+    out = [
+        HatTerm(float(q) * 2.0 ** ((n - lvl) * alpha), lvl, pos)
+        for pos, (lvl, q) in terms.items()
+    ]
+    out.sort(key=lambda t: t.level)
+    return HatDecomposition(float(mu1), float(mu2), tuple(out))
+
+
+def _on_level_grid(c: Fraction, n: int) -> bool:
+    return (c * 2**n).denominator == 1
+
+
+def _step_comb(coords, axis, ctx, cache):
+    key = (coords, axis)
+    got = cache.get(key)
+    if got is not None:
+        return got
+    n = coordinate_level(coords[axis])
+    assert n >= 1
+    h = Fraction(1, 2**n)
+    bad = [j for j in range(len(coords)) if j != axis and not _on_level_grid(coords[j], n)]
+
+    out: dict[DyadicPoint, object] = {}
+    if not bad:
+        out[DyadicPoint.from_fractions(coords)] = ctx.one
+        for sgn in (1, -1):
+            w = replaced(coords, axis, coords[axis] + sgn * h)
+            wpt = DyadicPoint.from_fractions(w)
+            if wpt.level == n:  # otherwise it sits on the coarser grid: zero term
+                _acc(out, {wpt: ctx.one}, ctx.rat(Fraction(-1, 2)))
+    else:
+        j = bad[0]
+        u1 = Fraction(math.floor(coords[j] * 2**n), 2**n)
+        u2 = u1 + h
+        _, mu1, mu2, terms = _hat_parts(u1, u2, coords[j])
+        if mu1:
+            _acc(out, _step_comb(replaced(coords, j, u1), axis, ctx, cache), ctx.rat(mu1))
+        if mu2:
+            _acc(out, _step_comb(replaced(coords, j, u2), axis, ctx, cache), ctx.rat(mu2))
+        for pos, (lvl, q) in sorted(terms.items()):
+            nu = ctx.rat(q) * ctx.xm(lvl - n)
+            _acc(out, _step_comb(replaced(coords, j, pos), j, ctx, cache), nu)
+            for sgn in (1, -1):
+                moved = replaced(replaced(coords, axis, coords[axis] + sgn * h), j, pos)
+                _acc(out, _step_comb(moved, j, ctx, cache), -(ctx.rat(Fraction(1, 2)) * nu))
+    cache[key] = out
+    return out
+
+
+def oracle_step(
+    v: DyadicPoint, axis: int, alpha: float | None = None, exact: bool = False
+) -> BasisCombination:
+    """The axis-step expansion at v built by hat expansions of the
+    coordinates finer than the axis level; exact mode carries `PowSum`s."""
+    ctx = _ExactCoeffs() if exact else _FloatCoeffs(check_alpha(alpha))
+    return BasisCombination(_pruned(_step_comb(v.coords(), axis, ctx, {}), ctx), exact)
 
 
 class _Decomposer:

@@ -92,9 +92,30 @@ def test_non_finite_weight_is_rejected(capsys, space_file, tmp_path, command):
      "--d must be an integer >= 1, got 0"),
     (["--command", "basis-verify", "--d", "1", "--alpha", "0.5", "--p", "1", "--kmax", "0"],
      "--kmax must be an integer >= 1, got 0"),
+    (["--command", "lambda-check", "--d", "1", "--seed", "-3"],
+     "--seed must be an integer >= 0, got -3"),
 ])
 def test_counts_are_validated(capsys, flags, message):
     code, out, err = run(capsys, flags)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"seed": 1.5}, "--seed must be an integer >= 0, got 1.5"),
+    ({"samples": True}, "--samples must be an integer >= 0, got True"),
+    ({"d": 2.0}, "--d must be an integer >= 1, got 2.0"),
+    ({"R": "abc"}, "--R must be a real number, got 'abc'"),
+    ({"p": False}, "--p must be a real number, got False"),
+    ({"in": "cx.txt"}, "--in must be a list of strings, got 'cx.txt'"),
+    ({"in": [1]}, "--in must be a list of strings, got [1]"),
+    ({"out": 3}, "--out must be a string, got 3"),
+])
+def test_config_values_are_type_checked(capsys, tmp_path, values, message):
+    cfg = write(tmp_path, "cfg.json",
+                json.dumps({"command": "lambda-check", "d": 1, "samples": 10, **values}))
+    code, out, err = run(capsys, ["--config", cfg])
     assert code == 2
     assert out == ""
     assert message in err
@@ -141,6 +162,17 @@ def test_basis_verify(capsys):
     report = json.loads(out)
     assert report["complete"] is True
     assert report["max_molecule_cost"] <= report["molecule_bound"]
+
+
+def test_basis_verify_default_budget_covers_the_d2_level4_grid(capsys):
+    # 41,616 molecule pairs; the grid is checked in about a second
+    code, out, _ = run(
+        capsys,
+        ["--command", "basis-verify", "--d", "2", "--alpha", "0.5",
+         "--p", "0.5", "--kmax", "4"],
+    )
+    assert code == 0
+    assert json.loads(out)["complete"] is True
 
 
 def test_decompose(capsys, space_file, element_file):

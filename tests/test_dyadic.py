@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from face_induction_oracle import oracle_difference, oracle_molecule
+from face_induction_oracle import oracle_difference, oracle_hat, oracle_molecule, oracle_step
 from freep.constants import rho, tau
 from freep.dyadic import (
     BasisCombination,
@@ -376,3 +376,39 @@ def test_molecule_checks_prune_like_analyze():
         assert residual == pytest.approx(
             reconstruction_residual(comb, target, alpha), abs=1e-14
         )
+
+
+@pytest.mark.parametrize("d,k", [(1, 4), (2, 2), (3, 1)])
+def test_step_matches_constructive_oracle(d, k):
+    count = 0
+    for v in sorted_grid(d, k):
+        for axis in range(d):
+            if v.coords()[axis] in (0, 1):
+                continue  # level-0 coordinate, no step element there
+            assert step_decompose(v, axis, None, exact=True) == oracle_step(v, axis, exact=True)
+            for alpha in (0.35, 0.5):
+                # float equality of the nonzero coefficients is bitwise
+                assert step_decompose(v, axis, alpha) == oracle_step(v, axis, alpha)
+            count += 1
+    assert count
+
+
+def hat_cases():
+    """Every interval of levels 0..3 with every v of level <= 8 inside it."""
+    for n in range(4):
+        for i in range(2**n):
+            for num in range(2 ** (8 - n) * i, 2 ** (8 - n) * (i + 1) + 1):
+                yield F(i, 2**n), F(i + 1, 2**n), F(num, 256)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9])
+def test_hat_matches_constructive_oracle(alpha):
+    for u1, u2, v in hat_cases():
+        assert hat_decompose(u1, u2, v, alpha) == oracle_hat(u1, u2, v, alpha)
+
+
+def test_hat_rejects_points_outside_the_unit_interval():
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        hat_decompose(1, 2, F(3, 2), 0.5)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        hat_decompose(-1, 0, F(-1, 2), 0.5)
