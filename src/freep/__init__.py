@@ -11,7 +11,15 @@ from .constants import (
     rho,
     tau,
 )
-from .cubes import CubeComplex, find_cube, lambda_support, lambda_weight, scalar_coeff
+from .cubes import (
+    CubeComplex,
+    find_cube,
+    lambda_support,
+    lambda_weight,
+    scalar_coeff,
+    vertex_bits,
+    vertex_weights,
+)
 from .dyadic import (
     BasisCombination,
     BasisIndex,
@@ -31,6 +39,7 @@ from .freenorm import (
     FreeElement,
     Molecule,
     dual_lower_bound,
+    dual_lower_bounds,
     evaluate,
     exact_norm_p1,
     exact_norm_small,

@@ -8,6 +8,7 @@ named on stderr), 2 on unusable configuration or input files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -82,6 +83,8 @@ def _merge_config(args) -> dict:
         val = cfg[name]
         if val is not None and (isinstance(val, bool) or not isinstance(val, (int, float))):
             raise ValueError(f"--{name} must be a real number, got {val!r}")
+    if cfg["R"] is not None and not (math.isfinite(cfg["R"]) and cfg["R"] > 0):
+        raise ValueError(f"--R must be a finite positive number, got {cfg['R']!r}")
     inputs = cfg["inputs"]
     if inputs is not None and (
         not isinstance(inputs, list) or not all(isinstance(f, str) for f in inputs)
@@ -235,39 +238,33 @@ def _cmd_lambda_check(cfg):
     seed = cfg["seed"] if cfg["seed"] is not None else 0
     rng = np.random.default_rng(seed)
     offsets = np.array(complex.offsets, dtype=float)
+    d = complex.d
 
-    max_partition = 0.0
-    max_product = 0.0
-    for _ in range(n_samples):
+    X = np.empty((n_samples, d))
+    for k in range(n_samples):
         w = offsets[rng.integers(len(offsets))]
-        x = complex.R * (w + rng.random(complex.d))
-        support = cubes.lambda_support(complex, x)
-        max_partition = max(max_partition, abs(sum(wt for _, wt in support) - 1.0))
-        cube = cubes.find_cube(complex, x)
-        cube_verts = {
-            tuple(c + b for c, b in zip(cube, bits))
-            for bits in np.ndindex(*(2,) * complex.d)
-        }
-        if any(v not in cube_verts for v, _ in support):
-            return {"command": "lambda-check"}, ["support escapes the containing cube"]
-        lines = [
-            cubes.CubeComplex(d=1, R=complex.R, offsets=((cube[i],),))
-            for i in range(complex.d)
-        ]
-        for v, wt in support:
-            prod = 1.0
-            for i, line in enumerate(lines):
-                prod *= cubes.lambda_weight(line, (v[i],), (x[i],))
-            max_product = max(max_product, abs(prod - wt))
+        X[k] = complex.R * (w + rng.random(d))
+    cube, weights = cubes.vertex_weights(complex, X)
+    # summed left to right like the list of nonzero weights (adding a zero
+    # weight leaves a float sum unchanged)
+    total = np.zeros(n_samples)
+    for col in weights.T:
+        total = total + col
+    max_partition = float(np.abs(total - 1.0).max(initial=0.0))
+    # the tensor product again, from the one-dimensional weight per coordinate
+    t = np.clip(X / complex.R - cube, 0.0, 1.0)
+    max_product = 0.0
+    for col, bits in enumerate(cubes.vertex_bits(d)):
+        prod = np.ones(n_samples)
+        for i, b in enumerate(bits):
+            prod = prod * cubes.scalar_coeff(t[:, i], b)
+        max_product = max(max_product, float(np.abs(prod - weights[:, col]).max(initial=0.0)))
 
-    kronecker = True
-    verts = complex.vertices()
-    for v in verts:
-        coords = complex.R * np.array(v, dtype=float)
-        for u in verts:
-            expected = 1.0 if u == v else 0.0
-            if cubes.lambda_weight(complex, u, coords) != expected:
-                kronecker = False
+    verts = np.array(complex.vertices(), dtype=np.int64)
+    cube, weights = cubes.vertex_weights(complex, complex.R * verts.astype(float))
+    expected = np.zeros_like(weights)
+    expected[np.arange(len(verts)), (verts - cube) @ (1 << np.arange(d)[::-1])] = 1.0
+    kronecker = bool(np.array_equal(weights, expected))
 
     report = {
         "command": "lambda-check",

@@ -6,17 +6,32 @@ product over coordinates of the one-dimensional affine weights; within each
 cube the weights form a partition of unity that is Kronecker at vertices.
 Vertices are handled in lattice units (integers), positions in actual
 coordinates.
+
+`vertex_weights` is the one kernel: for an (N, d) array of points it finds
+each point's cube from the floor of its lattice position and a sorted table
+of the offsets present, then forms the 2^d weights of the cube's vertices as
+one tensor product. `find_cube`, `lambda_support` and `lambda_weight` are
+one-point views of it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 _CUBE_TOL = 1e-12
+# Offsets are bounded so that every point that can lie in a cube has a
+# lookup tolerance below 0.003 lattice units: such a point lies in the cube at
+# the floor of its lattice position or, on or near a face, in the one beside.
+MAX_OFFSET = 2**31
+# The kernel takes at most this many (point, vertex) cells per block, so its
+# memory does not grow with the number of points.
+_BLOCK_CELLS = 2**13
 
 
 class VertexWeight(NamedTuple):
@@ -24,16 +39,14 @@ class VertexWeight(NamedTuple):
     weight: float
 
 
-def scalar_coeff(x: float, w: int) -> float:
-    """One-dimensional weight of lattice coordinate w at local position x."""
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
+def scalar_coeff(x, w: int):
+    """One-dimensional weight of lattice coordinate w at local position x;
+    elementwise when x is an array."""
+    x = np.asarray(x, dtype=float)
+    if not np.all((0.0 <= x) & (x <= 1.0)):
         raise ValueError(f"local coordinate {x} outside [0, 1]")
-    if w == 1:
-        return x
-    if w == 0:
-        return 1.0 - x
-    return 0.0
+    out = x if w == 1 else 1.0 - x if w == 0 else np.zeros_like(x)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -49,13 +62,15 @@ class CubeComplex:
         d = int(self.d)
         if d < 1:
             raise ValueError("d must be >= 1")
-        if not self.R > 0:
-            raise ValueError("R must be positive")
+        if not (math.isfinite(self.R) and self.R > 0):
+            raise ValueError(f"R must be a finite positive number, got {self.R!r}")
         offs = sorted({tuple(int(c) for c in w) for w in self.offsets})
         if not offs:
             raise ValueError("a cube complex needs at least one cube")
         if any(len(w) != d for w in offs):
             raise ValueError("every offset must have d coordinates")
+        if any(abs(c) > MAX_OFFSET for w in offs for c in w):
+            raise ValueError(f"offset coordinates must lie within +-{MAX_OFFSET}")
         verts = sorted(
             {tuple(wi + b for wi, b in zip(w, bits)) for w in offs for bits in product((0, 1), repeat=d)}
         )
@@ -68,43 +83,146 @@ class CubeComplex:
         object.__setattr__(self, "offsets", tuple(offs))
         object.__setattr__(self, "base_vertex", base)
         object.__setattr__(self, "_vertices", tuple(verts))
+        # the sorted offsets, and the same as one record of d int64 fields
+        # per offset, which compare (and search) lexicographically
+        table = np.array(offs, dtype=np.int64)
+        record = np.dtype([(f"c{i}", np.int64) for i in range(d)])
+        object.__setattr__(self, "_offsets", table)
+        object.__setattr__(self, "_table", table.view(record)[:, 0])
 
     def vertices(self) -> tuple[tuple[int, ...], ...]:
         return self._vertices  # type: ignore[attr-defined]
 
 
+@lru_cache(maxsize=None)
+def vertex_bits(d: int) -> np.ndarray:
+    """The (2^d, d) vertex offsets of a cube in `product((0, 1), repeat=d)`
+    order, the column order of `vertex_weights` (read-only)."""
+    bits = np.array(list(product((0, 1), repeat=d)), dtype=np.int64)
+    bits.setflags(write=False)
+    return bits
+
+
+def _present(complex: CubeComplex, C: np.ndarray) -> np.ndarray:
+    """Whether each offset in the int64 array C (..., d) is a cube of the complex."""
+    table = complex._table  # type: ignore[attr-defined]
+    idx = np.searchsorted(table, np.ascontiguousarray(C).view(table.dtype)[..., 0])
+    return (complex._offsets[np.minimum(idx, len(table) - 1)] == C).all(axis=-1)  # type: ignore[attr-defined]
+
+
+def _lookup(complex: CubeComplex, X: np.ndarray) -> np.ndarray:
+    """Offsets (N, d) of the cubes containing the rows of X: an exact pass,
+    then, if a row is left open, a pass with tolerance _CUBE_TOL (1 + max|z|),
+    z the lattice position; the lexicographically smallest cube on shared
+    faces. Raises for the first row inside no cube."""
+    Z = X / complex.R
+    A = np.abs(Z)
+    # a point beyond MAX_OFFSET + 2 (or NaN) is inside no cube at any tolerance
+    near = (A <= MAX_OFFSET + 2.0).all(axis=1, keepdims=True)
+    F = np.floor(np.where(near, Z, 0.0))
+    bits = vertex_bits(complex.d)
+    rows = np.arange(len(Z))
+    out = np.empty(Z.shape, dtype=np.int64)
+    found = np.zeros(len(Z), dtype=bool)
+    for tol in (0.0, _CUBE_TOL * (1.0 + A.max(axis=1, keepdims=True))):
+        # the cube at the floor contains z; the one below too when z is
+        # within tol above the floor, the one above when within tol below it
+        below = Z <= F + tol
+        C = (F - below)[:, None, :] + bits  # candidates, lexicographic per row
+        hit = (bits <= (below | (Z >= (F + 1.0) - tol))[:, None, :]).all(axis=2)
+        hit &= near & _present(complex, C.astype(np.int64))
+        first = hit.argmax(axis=1)
+        new = hit[rows, first] & ~found
+        out[new] = C[new, first[new]]
+        found |= new
+        if found.all():
+            return out
+    k = int(np.argmin(found))
+    raise ValueError(f"point {tuple(map(float, X[k]))} lies outside the complex")
+
+
+def _local_coords(complex: CubeComplex, W, X) -> np.ndarray:
+    """Coordinates (N, d) of the rows of X in the cubes W, clipped to
+    [0, 1]; raises for the first row farther than _CUBE_TOL outside its cube."""
+    W = np.asarray(W)
+    T = np.asarray(X, dtype=float) / complex.R - W
+    bad = np.any((T < -_CUBE_TOL - _CUBE_TOL * np.abs(T)) | (T > 1.0 + _CUBE_TOL), axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"point {tuple(map(float, X[k]))} not in cube {tuple(int(c) for c in W[k])}"
+        )
+    return np.clip(T, 0.0, 1.0)
+
+
+def _forced(complex: CubeComplex, cubes) -> np.ndarray:
+    """Given cube offsets as int64, each checked to be a cube of the complex."""
+    C = np.asarray(cubes, dtype=float)
+    ok = np.all((C == np.floor(C)) & (np.abs(C) <= MAX_OFFSET), axis=1)
+    W = np.where(ok[:, None], C, 0.0).astype(np.int64)
+    ok &= _present(complex, W)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise ValueError(f"cube {tuple(c.item() for c in np.asarray(cubes[k]))} is not part of the complex")
+    return W
+
+
+def vertex_weights(complex: CubeComplex, X, cubes=None) -> tuple[np.ndarray, np.ndarray]:
+    """Containing-cube offsets (N, d) and vertex weights (N, 2^d) of the
+    points X (N, d), in actual coordinates.
+
+    Column j holds the weight of vertex w + vertex_bits(d)[j] of the point's
+    cube w, each the product of the one-dimensional weights taken left to
+    right. Cubes are found by `find_cube`'s rule, or given as `cubes` (N, d)
+    to evaluate across a shared face from a chosen side. Points outside
+    every cube (or farther than _CUBE_TOL outside a given cube) raise.
+    """
+    X = np.asarray(X, dtype=float)
+    d = complex.d
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError(f"points must form an (N, {d}) array")
+    if cubes is not None and np.shape(cubes) != X.shape:
+        raise ValueError("cubes must have the shape of the points")
+    W = np.empty(X.shape, dtype=np.int64)
+    L = np.empty((len(X), 2**d))
+    step = max(1, _BLOCK_CELLS >> d)
+    for s in range(0, len(X), step):
+        blk = slice(s, s + step)
+        W[blk] = _lookup(complex, X[blk]) if cubes is None else _forced(complex, cubes[blk])
+        T = _local_coords(complex, W[blk], X[blk])
+        factors = np.stack([1.0 - T, T], axis=2)  # (rows, d, 2)
+        block = factors[:, 0]
+        for i in range(1, d):  # new axis as the fastest-varying column bit
+            block = (block[:, :, None] * factors[:, i, None, :]).reshape(len(T), -1)
+        L[blk] = block
+    return W, L
+
+
+def _point(complex: CubeComplex, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (complex.d,):
+        raise ValueError(f"point must have {complex.d} coordinates")
+    return x[None, :]
+
+
 def find_cube(complex: CubeComplex, x: Sequence[float]) -> tuple[int, ...]:
     """Offset of a cube of the complex containing x (lexicographically
     smallest on shared faces); raises if x lies outside every cube."""
-    z = np.asarray(x, dtype=float) / complex.R
-    if z.shape != (complex.d,):
-        raise ValueError(f"point must have {complex.d} coordinates")
-    for tol in (0.0, _CUBE_TOL * (1.0 + float(np.abs(z).max()))):
-        for w in complex.offsets:
-            wa = np.array(w, dtype=float)
-            if np.all(z >= wa - tol) and np.all(z <= wa + 1.0 + tol):
-                return w
-    raise ValueError(f"point {tuple(map(float, x))} lies outside the complex")
-
-
-def _local_coords(complex: CubeComplex, w: tuple[int, ...], x: Sequence[float]) -> np.ndarray:
-    t = np.asarray(x, dtype=float) / complex.R - np.array(w, dtype=float)
-    if np.any(t < -_CUBE_TOL - _CUBE_TOL * np.abs(t)) or np.any(t > 1.0 + _CUBE_TOL):
-        raise ValueError(f"point {tuple(map(float, x))} not in cube {w}")
-    return np.clip(t, 0.0, 1.0)
+    return tuple(int(c) for c in _lookup(complex, _point(complex, x))[0])
 
 
 def lambda_weight(complex: CubeComplex, v: Sequence[int], x: Sequence[float]) -> float:
     """Weight of lattice vertex v (lattice units) at point x (actual
     coordinates); zero whenever v is not a vertex of x's cube."""
-    w = find_cube(complex, x)
-    t = _local_coords(complex, w, x)
-    out = 1.0
-    for ti, vi, wi in zip(t, v, w):
-        out *= scalar_coeff(ti, int(vi) - wi)
-        if out == 0.0:
-            return 0.0
-    return out
+    v = np.array([int(c) for c in v], dtype=np.int64)
+    if v.shape != (complex.d,):
+        raise ValueError(f"vertex must have {complex.d} coordinates")
+    W, L = vertex_weights(complex, _point(complex, x))
+    bit = v - W[0]
+    if np.any((bit < 0) | (bit > 1)):
+        return 0.0
+    weight = float(L[0, int(bit @ (1 << np.arange(complex.d)[::-1]))])
+    return 0.0 if weight == 0.0 else weight
 
 
 def lambda_support(
@@ -116,22 +234,13 @@ def lambda_support(
     weights are kept, never truncated. A containing cube may be forced via
     `cube`, e.g. to compare evaluations across a shared face.
     """
-    if cube is None:
-        cube = find_cube(complex, x)
-    elif tuple(cube) not in complex.offsets:
-        raise ValueError(f"cube {cube} is not part of the complex")
-    w = tuple(int(c) for c in cube)
-    t = _local_coords(complex, w, x)
-    out = []
-    for bits in product((0, 1), repeat=complex.d):
-        weight = 1.0
-        for ti, b in zip(t, bits):
-            weight *= ti if b else 1.0 - ti
-            if weight == 0.0:
-                break
-        if weight != 0.0:
-            out.append(VertexWeight(tuple(wi + b for wi, b in zip(w, bits)), float(weight)))
-    return out
+    W, L = vertex_weights(complex, _point(complex, x), None if cube is None else [cube])
+    w = W[0].tolist()
+    return [
+        VertexWeight(tuple(a + b for a, b in zip(w, bits)), weight)
+        for bits, weight in zip(vertex_bits(complex.d).tolist(), L[0].tolist())
+        if weight != 0.0
+    ]
 
 
 def save_complex(complex: CubeComplex) -> str:
@@ -150,6 +259,8 @@ def load_complex(text: str) -> CubeComplex:
     if len(head) != 2:
         raise ValueError("first line must hold d and R")
     d, R = int(head[0]), float(head[1])
+    if not (math.isfinite(R) and R > 0):
+        raise ValueError(f"complex file R must be a finite positive number, got {R!r}")
     vectors = [tuple(int(tok) for tok in ln.split()) for ln in rows[1:]]
     if any(len(v) != d for v in vectors):
         raise ValueError("every offset line must have d integers")

@@ -412,8 +412,9 @@ class DualCertificate:
             )
 
 
-def dual_lower_bound(m: FreeElement, p: float, cert: DualCertificate) -> float:
-    """Certified lower bound (sum_u |<phi_u, m>|^p / kappa)^(1/p).
+def dual_lower_bounds(elements, p: float, cert: DualCertificate) -> list[float]:
+    """Certified lower bounds (sum_u |<phi_u, m>|^p / kappa)^(1/p), one per
+    element, with the certificate validated once for all of them.
 
     Sound for any decomposition sum a_i mu_i of m: each pairing is at most
     sum of |a_i| over the molecules active for that function, subadditivity
@@ -421,11 +422,19 @@ def dual_lower_bound(m: FreeElement, p: float, cert: DualCertificate) -> float:
     cap lets the function sum be charged to kappa copies of the cost.
     """
     p = check_p(p)
-    if cert.host is not m.host:
+    if any(m.host is not cert.host for m in elements):
         raise CertificateError("certificate host differs from the element host")
     cert.validate()
-    pairings = cert.functions @ m.as_full_vector()
-    return float(((np.abs(pairings) ** p).sum() / cert.kappa) ** (1.0 / p))
+    out = []
+    for m in elements:
+        pairings = cert.functions @ m.as_full_vector()
+        out.append(float(((np.abs(pairings) ** p).sum() / cert.kappa) ** (1.0 / p)))
+    return out
+
+
+def dual_lower_bound(m: FreeElement, p: float, cert: DualCertificate) -> float:
+    """Certified lower bound of one element; see `dual_lower_bounds`."""
+    return dual_lower_bounds([m], p, cert)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import c_const, check_p, retraction_bounds
-from .cubes import CubeComplex, find_cube, lambda_support, _local_coords
+from .cubes import (
+    CubeComplex,
+    lambda_support,
+    vertex_bits,
+    vertex_weights,
+    _local_coords,
+    _lookup,
+    _point,
+)
 from .freenorm import (
     Decomposition,
     DualCertificate,
     FreeElement,
     Molecule,
     dual_lower_bound,
+    dual_lower_bounds,
     evaluate,
     exact_norm_small,
     p_cost,
@@ -60,10 +69,20 @@ def build_context(complex: CubeComplex, p: float) -> RetractionContext:
 
 def retract(ctx: RetractionContext, x) -> FreeElement:
     """The vertex-weight image of x; the unit evaluation when x is a vertex."""
-    weights = {
-        ctx.vertex_index(v): w for v, w in lambda_support(ctx.complex, x)
-    }
-    return FreeElement(ctx.vertex_space, weights)
+    return _images(ctx, _point(ctx.complex, x))[1][0]
+
+
+def _images(ctx: RetractionContext, X) -> tuple[np.ndarray, list[FreeElement]]:
+    """The containing cubes (N, d) of the rows of X and their vertex-weight
+    images, weighed in one kernel call."""
+    W, L = vertex_weights(ctx.complex, X)
+    bits = vertex_bits(ctx.complex.d)
+    out = []
+    for w, row in zip(W, L):
+        nonzero = np.flatnonzero(row)
+        weights = {ctx.vertex_index(w + bits[j]): row[j] for j in nonzero}
+        out.append(FreeElement(ctx.vertex_space, weights))
+    return W, out
 
 
 def translate_element(ctx: RetractionContext, m: FreeElement, shift) -> FreeElement:
@@ -121,12 +140,10 @@ def rescale_check(m: FreeElement, R: float, shift, p: float):
 # the certified upper-bound decomposition
 
 
-def _axis_pair_terms(ctx, w, common, axis, delta):
+def _axis_pair_terms(ctx, w, t, axis, delta):
     """Terms for the difference of two images in cube `w` that agree except
-    in `axis`, where they differ by `delta` (actual units)."""
-    if delta == 0.0:
-        return []
-    t = _local_coords(ctx.complex, w, common)
+    in `axis`, where they differ by `delta` (actual units); `t` holds the
+    local coordinates of their common point."""
     other = [j for j in range(ctx.complex.d) if j != axis]
     terms = []
     for bits in np.ndindex(*(2,) * len(other)):
@@ -154,11 +171,15 @@ def _same_cube_terms(ctx, w, a, b):
     coordinate at a time, each step supported on a single face."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    steps = [i for i in range(ctx.complex.d) if float(a[i] - b[i]) != 0.0]
+    if not steps:
+        return []
+    # common point of each step pair, whose axis-i value is irrelevant
+    common = [np.concatenate([a[: i + 1], b[i + 1 :]]) for i in steps]
+    T = _local_coords(ctx.complex, [w] * len(steps), common)
     terms = []
-    for i in range(ctx.complex.d):
-        z = np.concatenate([a[: i + 1], b[i + 1 :]])
-        z[i] = a[i]  # common point of the step pair, axis-i value irrelevant
-        terms += _axis_pair_terms(ctx, w, z, i, float(a[i] - b[i]))
+    for i, t in zip(steps, T):
+        terms += _axis_pair_terms(ctx, w, t, i, float(a[i] - b[i]))
     return terms
 
 
@@ -189,10 +210,13 @@ def lipschitz_upper_decomposition(ctx: RetractionContext, x, y) -> Decomposition
     difference is a lattice vector handled by vertex translation. When a
     facing integer coordinate is ambiguous the smaller value is taken.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    wx = find_cube(ctx.complex, x)
-    wy = find_cube(ctx.complex, y)
+    both = np.concatenate([_point(ctx.complex, x), _point(ctx.complex, y)])
+    wx, wy = _lookup(ctx.complex, both).tolist()
+    return _upper_decomposition(ctx, both[0], both[1], tuple(wx), tuple(wy))
+
+
+def _upper_decomposition(ctx, x, y, wx, wy) -> Decomposition:
+    """`lipschitz_upper_decomposition` of x in cube wx and y in cube wy."""
     if wx == wy:
         return Decomposition(ctx.vertex_space, tuple(_same_cube_terms(ctx, wx, x, y)))
 
@@ -297,6 +321,8 @@ def estimate_lipschitz(ctx: RetractionContext, config: SamplerConfig) -> dict:
     decomposition's cost ratio; the theoretical sandwich and the witness
     value accompany them. Exact norms are cross-checked only when the vertex
     count is within the engine cap, and the report says whether they were.
+    All sampled points are weighed in one kernel call, and the dual
+    certificate is validated once for all pairs.
     """
     complex, p = ctx.complex, ctx.p
     rng = np.random.default_rng(config.seed)
@@ -312,19 +338,25 @@ def estimate_lipschitz(ctx: RetractionContext, config: SamplerConfig) -> dict:
         wb = offsets[rng.integers(len(offsets))]
         pairs.append((R * (wa + rng.random(complex.d)), R * (wb + rng.random(complex.d))))
 
+    W, images = _images(ctx, np.array([pt for pair in pairs for pt in pair]))
+    cubes = [tuple(w) for w in W.tolist()]
+    work = []
+    for k, (x, y) in enumerate(pairs):
+        l1 = float(np.abs(x - y).sum())
+        if l1 != 0.0:
+            m = images[2 * k] - images[2 * k + 1]
+            work.append((x, y, cubes[2 * k], cubes[2 * k + 1], l1, m))
     cert = vertex_indicator_certificate(ctx.vertex_space)
+    lowers = dual_lower_bounds([m for *_, m in work], p, cert)
+
     exact_ok = ctx.vertex_space.n <= EXACT_NORM_CAP
     max_lower = 0.0
     max_cost = 0.0
     max_residual = 0.0
     exact_checked = 0
-    for x, y in pairs:
-        l1 = float(np.abs(x - y).sum())
-        if l1 == 0.0:
-            continue
-        m = retract(ctx, x) - retract(ctx, y)
-        lower = dual_lower_bound(m, p, cert) / l1
-        decomp = lipschitz_upper_decomposition(ctx, x, y)
+    for (x, y, wx, wy, l1, m), lower in zip(work, lowers):
+        lower = lower / l1
+        decomp = _upper_decomposition(ctx, x, y, wx, wy)
         cost = p_cost(decomp, p) / l1
         residual = evaluate(decomp).max_weight_diff(m)
         max_lower = max(max_lower, lower)

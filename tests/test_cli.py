@@ -1,7 +1,11 @@
+import hashlib
 import json
+import warnings
 
+import numpy as np
 import pytest
 
+from freep import cubes
 from freep.cli import main
 
 
@@ -214,3 +218,95 @@ def test_missing_required_flag(capsys):
     code, _, err = run(capsys, ["--command", "bm-report", "--p", "1"])
     assert code == 2
     assert "requires" in err
+
+
+TWO_SQUARES = "2 1.0\n0 0\n1 0\n0 0\n"
+
+
+# sha256 of the reports before the cube layer became one array kernel: the
+# README lambda-check and retraction-verify, and a lambda-check and a
+# retraction-verify on the two-square complex file as the benchmark runs them
+@pytest.mark.parametrize("args, digest", [
+    (["--command", "lambda-check", "--d", "3", "--R", "2", "--samples", "10000", "--seed", "0"],
+     "d76a1433a33d51be659dbb3f345409e3858c1f79e00d6db8d2ad68daa278796a"),
+    (["--command", "retraction-verify", "--d", "2", "--p", "0.5", "--seed", "7", "--samples", "1000"],
+     "b1675717b1b1f5d249ec564c6e41268aa42d69dc5afb4db22b8fc8505284ebe5"),
+    (["--command", "lambda-check", "--d", "3", "--R", "2", "--samples", "2000", "--seed", "3"],
+     "93ee04a1a40d8b7b0d5d8dcc4235500fe29c66e03586bd523448b84a62abf22e"),
+    (["--command", "retraction-verify", "--p", "0.8", "--seed", "3", "--samples", "200",
+      "--in", "TWO_SQUARES"],
+     "d7adf76a62afd3e2200c8653b72fa407d9601a1b4073b7fd857a673c76060f89"),
+], ids=["readme-lambda-check", "readme-retraction-verify", "lambda-check-2000",
+        "retraction-verify-two-squares"])
+def test_reports_are_byte_stable(capsys, tmp_path, args, digest):
+    complex_file = write(tmp_path, "cx.txt", TWO_SQUARES)
+    args = [complex_file if a == "TWO_SQUARES" else a for a in args]
+    code, out, _ = run(capsys, args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", [
+    ["--command", "lambda-check"],
+    ["--command", "retraction-verify", "--p", "0.5"],
+], ids=["lambda-check", "retraction-verify"])
+@pytest.mark.parametrize("R", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_scale_must_be_finite_and_positive(capsys, tmp_path, command, R, source):
+    if source == "flag":
+        args, message = ["--d", "1", "--R", R], f"--R must be a finite positive number, got {float(R)!r}"
+    else:
+        args = ["--in", write(tmp_path, "cx.txt", f"1 {R}\n0\n0\n")]
+        message = f"complex file R must be a finite positive number, got {float(R)!r}"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, [*command, *args, "--samples", "5"])
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_lambda_check_weighs_all_samples_at_once(capsys, monkeypatch):
+    """The number of cube-layer calls does not grow with the sample count."""
+    counts = {}
+
+    def counted(name):
+        fn = getattr(cubes, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    per_run = []
+    for samples in (200, 2000):
+        counts.clear()
+        with monkeypatch.context() as mp:
+            for name in ("find_cube", "lambda_weight", "lambda_support", "vertex_weights"):
+                mp.setattr(cubes, name, counted(name))
+            code, _, _ = run(capsys, ["--command", "lambda-check", "--d", "3", "--R", "2",
+                                      "--samples", str(samples), "--seed", "1"])
+        assert code == 0
+        per_run.append(dict(counts))
+    assert per_run[0] == per_run[1]
+    assert per_run[0].get("vertex_weights", 0) <= 2
+
+
+def test_lambda_check_catches_a_wrong_kernel(capsys, monkeypatch):
+    """The partition and product checks are independent of the kernel: a
+    relative error of 1e-13 in its weights fails the run."""
+    kernel = cubes.vertex_weights
+
+    def skewed(*args, **kwargs):
+        W, L = kernel(*args, **kwargs)
+        return W, L * (1.0 + 1e-13 * (L < 1.0))
+
+    monkeypatch.setattr(cubes, "vertex_weights", skewed)
+    code, out, err = run(capsys, ["--command", "lambda-check", "--d", "2", "--samples", "50"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["max_partition_deviation"] > 1e-14
+    assert report["max_product_deviation"] > 1e-15
+    assert "check failed" in err

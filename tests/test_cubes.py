@@ -1,7 +1,13 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
+from cube_oracle import oracle_find_cube, oracle_support, oracle_weight
+from freep import cubes
 from freep.cubes import (
+    _CUBE_TOL,
+    MAX_OFFSET,
     CubeComplex,
     find_cube,
     lambda_support,
@@ -9,6 +15,8 @@ from freep.cubes import (
     load_complex,
     save_complex,
     scalar_coeff,
+    vertex_bits,
+    vertex_weights,
 )
 
 TWO_CUBES = CubeComplex(d=2, R=1.0, offsets=((0, 0), (1, 0)))
@@ -115,3 +123,158 @@ def test_complex_file_round_trip():
     assert back == TWO_CUBES
     with pytest.raises(ValueError):
         load_complex("2 1.0\n0 0\n")  # no base vertex line
+
+
+def test_complex_requires_finite_positive_R():
+    for R in (float("inf"), float("nan"), -1.0, 0.0):
+        with pytest.raises(ValueError, match="R must be a finite positive number"):
+            CubeComplex(d=1, R=R, offsets=((0,),))
+    for R in ("inf", "nan", "-1"):
+        with pytest.raises(ValueError, match="complex file R must be a finite positive number"):
+            load_complex(f"1 {R}\n0\n0\n")
+
+
+def test_offsets_are_bounded():
+    with pytest.raises(ValueError, match="offset coordinates"):
+        CubeComplex(d=2, R=1.0, offsets=((0, MAX_OFFSET + 1),))
+    far = CubeComplex(d=2, R=1.0, offsets=((-MAX_OFFSET, MAX_OFFSET),))
+    x = (-MAX_OFFSET + 0.25, MAX_OFFSET + 1.0)
+    assert find_cube(far, x) == oracle_find_cube(far, x) == (-MAX_OFFSET, MAX_OFFSET)
+    assert lambda_support(far, x) == oracle_support(far, x)
+
+
+def test_scalar_coeff_is_elementwise_on_arrays():
+    t = np.array([0.0, 0.25, 1.0])
+    assert scalar_coeff(t, 1).tolist() == [0.0, 0.25, 1.0]
+    assert scalar_coeff(t, 0).tolist() == [1.0, 0.75, 0.0]
+    assert scalar_coeff(t, 3).tolist() == [0.0, 0.0, 0.0]
+    with pytest.raises(ValueError):
+        scalar_coeff(np.array([0.5, 1.5]), 1)
+
+
+# one-cube, two-cube, L-shaped and gapped complexes, by dimension
+def _shapes(d):
+    e = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    zero = (0,) * d
+    corner = tuple(a + b for a, b in zip(e[0], e[-1])) if d > 1 else (2,)
+    return {
+        "one": (zero,),
+        "two": (zero, e[0]),
+        "L": (zero, e[0], corner),
+        "gapped": ((-1,) * d, tuple(2 * c for c in e[-1])),
+    }
+
+
+def _sample_points(complex, rng, n=12):
+    """Interior points, points on faces and at vertices, points nudged off a
+    face by a fraction or a multiple of _CUBE_TOL (the tolerance pass, on
+    either side of it), and points outside."""
+    d, R = complex.d, complex.R
+    offs = np.array(complex.offsets, dtype=float)
+    pts = []
+    for _ in range(n):
+        w = offs[rng.integers(len(offs))]
+        u = rng.random(d)
+        pts.append(R * (w + u))
+        face = u.copy()
+        face[rng.random(d) < 0.5] = rng.integers(0, 2)
+        pts.append(R * (w + face))
+        nudged = face.copy()
+        i = int(rng.integers(d))
+        side = -1.0 if rng.random() < 0.5 else 1.0
+        nudged[i] = float(rng.integers(0, 2)) + side * rng.choice([0.3, 0.9, 1.5, 3.0, 8.0]) * _CUBE_TOL
+        pts.append(R * (w + nudged))
+        pts.append(R * (rng.integers(-3, 4, size=d) + rng.random(d)))
+    pts += [R * np.array(v, dtype=float) for v in complex.vertices()]
+    return pts
+
+
+def _or_error(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError:
+        return ValueError
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_kernel_and_views_match_the_oracle(d):
+    rng = np.random.default_rng(60 + d)
+    bits = vertex_bits(d)
+    for R in (1.0, 2.0, 0.7, 1e-3):
+        for offsets in _shapes(d).values():
+            complex = CubeComplex(d=d, R=R, offsets=offsets)
+            inside = []
+            for x in _sample_points(complex, rng):
+                cube = _or_error(oracle_find_cube, complex, x)
+                support = _or_error(oracle_support, complex, x)
+                assert _or_error(find_cube, complex, x) == cube
+                assert _or_error(lambda_support, complex, x) == support
+                if support is ValueError:
+                    with pytest.raises(ValueError):
+                        vertex_weights(complex, [x])
+                    continue
+                inside.append((x, cube, support))
+                for k in rng.choice(len(bits), size=min(3, len(bits)), replace=False):
+                    v = tuple(int(c) for c in np.add(cube, bits[k]))
+                    assert lambda_weight(complex, v, x) == oracle_weight(complex, v, x)
+                for w in complex.offsets:  # every cube, forced
+                    assert _or_error(lambda_support, complex, x, cube=w) == _or_error(
+                        oracle_support, complex, x, w
+                    )
+            W, L = vertex_weights(complex, [x for x, _, _ in inside])
+            for (x, cube, support), w, row in zip(inside, W, L):
+                assert tuple(w.tolist()) == cube
+                dense = {v: wt for v, wt in support}
+                for b, wt in zip(bits, row):
+                    assert wt == dense.get(tuple(int(c) for c in w + b), 0.0)
+
+
+def test_kernel_blocks_match_the_oracle():
+    complex = CubeComplex(d=2, R=0.7, offsets=((0, 0), (1, 0), (1, 1)))
+    step = cubes._BLOCK_CELLS >> complex.d
+    rng = np.random.default_rng(7)
+    offs = np.array(complex.offsets, dtype=float)
+    n = 2 * step + 37
+    X = complex.R * (offs[rng.integers(len(offs), size=n)] + rng.random((n, 2)))
+    X[::5, 0] = complex.R * np.round(X[::5, 0] / complex.R)  # on a face
+    W, L = vertex_weights(complex, X)
+    assert W.shape == (n, 2) and L.shape == (n, 4)
+    for x, w, row in zip(X, W, L):
+        assert tuple(w.tolist()) == oracle_find_cube(complex, x)
+        support = [(v, wt) for v, wt in oracle_support(complex, x)]
+        assert [(tuple((w + b).tolist()), wt) for b, wt in zip(vertex_bits(2), row) if wt != 0.0] == support
+    # the first point outside is named, wherever it sits among the blocks
+    X[step + 3] = (5.0, 5.0)
+    with pytest.raises(ValueError, match=r"point \(5.0, 5.0\) lies outside"):
+        vertex_weights(complex, X)
+
+
+def test_non_finite_points_lie_outside():
+    for x in ((float("inf"), 0.5), (0.5, float("-inf")), (float("nan"), 0.5), (1e300, 0.5)):
+        with pytest.raises(ValueError, match="outside"):
+            find_cube(TWO_CUBES, x)
+        with pytest.raises(ValueError, match="outside"):
+            vertex_weights(TWO_CUBES, [x])
+
+
+def test_kernel_rejects_malformed_input():
+    with pytest.raises(ValueError, match="points must form"):
+        vertex_weights(TWO_CUBES, [0.5, 0.5])
+    with pytest.raises(ValueError, match="shape of the points"):
+        vertex_weights(TWO_CUBES, [[0.5, 0.5]], cubes=[(0, 0), (1, 0)])
+    with pytest.raises(ValueError, match="not part of the complex"):
+        vertex_weights(TWO_CUBES, [[0.5, 0.5]], cubes=[(0, 1)])
+    with pytest.raises(ValueError, match="not part of the complex"):
+        vertex_weights(TWO_CUBES, [[0.5, 0.5]], cubes=[(0.5, 0)])
+    with pytest.raises(ValueError, match="not in cube"):
+        vertex_weights(TWO_CUBES, [[0.5, 0.5]], cubes=[(1, 0)])
+    with pytest.raises(ValueError, match="vertex must have"):
+        lambda_weight(TWO_CUBES, (0,), (0.5, 0.5))
+    W, L = vertex_weights(TWO_CUBES, np.empty((0, 2)))
+    assert W.shape == (0, 2) and L.shape == (0, 4)
+
+
+def test_vertex_bits_order_is_product_order():
+    for d in (1, 2, 3):
+        assert vertex_bits(d).tolist() == [list(b) for b in product((0, 1), repeat=d)]
+        assert not vertex_bits(d).flags.writeable

@@ -18,6 +18,7 @@ from freep.freenorm import (
     FreeElement,
     Molecule,
     dual_lower_bound,
+    dual_lower_bounds,
     evaluate,
     exact_norm_p1,
     exact_norm_small,
@@ -267,6 +268,21 @@ def test_certificate_validation_names_the_violation():
     act2 = np.vstack([activity, activity])
     with pytest.raises(CertificateError, match="multiplicity|active"):
         dual_lower_bound(FreeElement(s, {1: 1.0}), 0.5, DualCertificate(s, crowded, 1, act2))
+
+
+def test_batched_dual_lower_bounds_equal_single_ones():
+    rng = np.random.default_rng(12)
+    s = l1_space(rng.random((6, 2)) * 3, base=0)
+    D = s.dist
+    F = (D - D[s.base][None, :]).T
+    cert = DualCertificate(s, F, s.n, np.broadcast_to(~np.eye(s.n, dtype=bool), (s.n,) * 3))
+    elements = [FreeElement(s, {i: float(rng.normal()) for i in range(1, 6) if rng.random() < 0.7})
+                for _ in range(20)]
+    for p in (1.0, 0.5, 0.3):
+        assert dual_lower_bounds(elements, p, cert) == [dual_lower_bound(m, p, cert) for m in elements]
+    other = FreeElement(l1_space([(0.0,), (1.0,)]), {1: 1.0})
+    with pytest.raises(CertificateError, match="host"):
+        dual_lower_bounds(elements + [other], 0.5, cert)
 
 
 def test_element_serialization_round_trip():

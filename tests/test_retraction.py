@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from cube_oracle import oracle_find_cube, oracle_support
 
 from freep.constants import c_const, retraction_bounds
 from freep.cubes import CubeComplex
 from freep.freenorm import evaluate, p_cost, upper_bound_from
 from freep.retraction import (
+    _images,
     SamplerConfig,
     build_context,
     estimate_lipschitz,
@@ -15,7 +17,7 @@ from freep.retraction import (
     translate_element,
     witness_sandwich,
 )
-from freep.freenorm import FreeElement
+from freep.freenorm import DualCertificate, FreeElement
 from freep.metric import lattice_l1_space
 
 UNIT_SQUARE = CubeComplex(d=2, R=1.0, offsets=((0, 0),))
@@ -165,3 +167,29 @@ def test_harness_p1_ratios_do_not_exceed_one():
     ctx = build_context(TWO_CUBES_1D, 1.0)
     report = estimate_lipschitz(ctx, SamplerConfig(n_samples=200, seed=8))
     assert report["max_upper_cost_ratio"] <= 1.0 + 1e-9
+
+
+def test_harness_validates_the_certificate_once(monkeypatch):
+    """One validation for the sampled pairs and one for the witness, not one
+    per pair."""
+    calls = []
+    validate = DualCertificate.validate
+    monkeypatch.setattr(DualCertificate, "validate", lambda self: calls.append(1) or validate(self))
+    ctx = build_context(TWO_CUBES_1D, 0.5)
+    estimate_lipschitz(ctx, SamplerConfig(n_samples=60, seed=2))
+    assert len(calls) == 2
+
+
+def test_batched_images_match_the_oracle_weights():
+    complex = CubeComplex(d=2, R=0.7, offsets=((0, 0), (1, 0), (1, 1)))
+    ctx = build_context(complex, 0.5)
+    rng = np.random.default_rng(3)
+    offs = np.array(complex.offsets, dtype=float)
+    X = complex.R * (offs[rng.integers(3, size=50)] + rng.random((50, 2)))
+    X[::4, 1] = complex.R  # on the face shared by (1, 0) and (1, 1)
+    W, images = _images(ctx, X)
+    for x, w, image in zip(X, W, images):
+        assert tuple(w.tolist()) == oracle_find_cube(complex, x)
+        expected = {ctx.vertex_index(v): w for v, w in oracle_support(complex, x)}
+        expected.pop(ctx.vertex_index(complex.base_vertex), None)
+        assert list(image.weights.items()) == list(expected.items())
