@@ -7,11 +7,14 @@ cube the weights form a partition of unity that is Kronecker at vertices.
 Vertices are handled in lattice units (integers), positions in actual
 coordinates.
 
-`vertex_weights` is the one kernel: for an (N, d) array of points it finds
-each point's cube from the floor of its lattice position and a sorted table
-of the offsets present, then forms the 2^d weights of the cube's vertices as
-one tensor product. `find_cube`, `lambda_support` and `lambda_weight` are
-one-point views of it.
+`vertex_weights` is the one kernel, for an (N, d) array of points, in three
+public stages: `find_cubes` finds each point's cube from the floor of its
+lattice position and a sorted table of the offsets present, `local_coords`
+places the points in their cubes, and `tensor_weights` forms the 2^d weights
+of a cube's vertices as one tensor product of the local coordinates. The
+retraction weighs the rows of its upper decompositions with the last two.
+`find_cube`, `lambda_support` and `lambda_weight` are one-point views of
+the kernel.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ _CUBE_TOL = 1e-12
 # lookup tolerance below 0.003 lattice units: such a point lies in the cube at
 # the floor of its lattice position or, on or near a face, in the one beside.
 MAX_OFFSET = 2**31
-# The kernel takes at most this many (point, vertex) cells per block, so its
-# memory does not grow with the number of points.
+# The lookup takes at most this many (point, candidate cube) cells per block,
+# so its scratch memory does not grow with the number of points.
 _BLOCK_CELLS = 2**13
 
 
@@ -111,10 +114,7 @@ def _present(complex: CubeComplex, C: np.ndarray) -> np.ndarray:
 
 
 def _lookup(complex: CubeComplex, X: np.ndarray) -> np.ndarray:
-    """Offsets (N, d) of the cubes containing the rows of X: an exact pass,
-    then, if a row is left open, a pass with tolerance _CUBE_TOL (1 + max|z|),
-    z the lattice position; the lexicographically smallest cube on shared
-    faces. Raises for the first row inside no cube."""
+    """`find_cubes` of one block of rows."""
     Z = X / complex.R
     A = np.abs(Z)
     # a point beyond MAX_OFFSET + 2 (or NaN) is inside no cube at any tolerance
@@ -124,7 +124,8 @@ def _lookup(complex: CubeComplex, X: np.ndarray) -> np.ndarray:
     rows = np.arange(len(Z))
     out = np.empty(Z.shape, dtype=np.int64)
     found = np.zeros(len(Z), dtype=bool)
-    for tol in (0.0, _CUBE_TOL * (1.0 + A.max(axis=1, keepdims=True))):
+    for exact in (True, False):
+        tol = 0.0 if exact else _CUBE_TOL * (1.0 + A.max(axis=1, keepdims=True))
         # the cube at the floor contains z; the one below too when z is
         # within tol above the floor, the one above when within tol below it
         below = Z <= F + tol
@@ -141,74 +142,66 @@ def _lookup(complex: CubeComplex, X: np.ndarray) -> np.ndarray:
     raise ValueError(f"point {tuple(map(float, X[k]))} lies outside the complex")
 
 
-def _local_coords(complex: CubeComplex, W, X) -> np.ndarray:
-    """Coordinates (N, d) of the rows of X in the cubes W, clipped to
-    [0, 1]; raises for the first row farther than _CUBE_TOL outside its cube."""
-    W = np.asarray(W)
-    T = np.asarray(X, dtype=float) / complex.R - W
-    bad = np.any((T < -_CUBE_TOL - _CUBE_TOL * np.abs(T)) | (T > 1.0 + _CUBE_TOL), axis=1)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(
-            f"point {tuple(map(float, X[k]))} not in cube {tuple(int(c) for c in W[k])}"
-        )
-    return np.clip(T, 0.0, 1.0)
+def as_points(complex: CubeComplex, *xs) -> np.ndarray:
+    """The points xs, each with d coordinates, as the rows of an array."""
+    X = [np.asarray(x, dtype=float) for x in xs]
+    if any(x.shape != (complex.d,) for x in X):
+        raise ValueError(f"point must have {complex.d} coordinates")
+    return np.array(X)
 
 
-def _forced(complex: CubeComplex, cubes) -> np.ndarray:
-    """Given cube offsets as int64, each checked to be a cube of the complex."""
-    C = np.asarray(cubes, dtype=float)
-    ok = np.all((C == np.floor(C)) & (np.abs(C) <= MAX_OFFSET), axis=1)
-    W = np.where(ok[:, None], C, 0.0).astype(np.int64)
-    ok &= _present(complex, W)
-    if not ok.all():
-        k = int(np.argmin(ok))
-        raise ValueError(f"cube {tuple(c.item() for c in np.asarray(cubes[k]))} is not part of the complex")
-    return W
+def find_cubes(complex: CubeComplex, X) -> np.ndarray:
+    """Offsets (N, d) of the cubes containing the points X (N, d), in actual
+    coordinates.
 
-
-def vertex_weights(complex: CubeComplex, X, cubes=None) -> tuple[np.ndarray, np.ndarray]:
-    """Containing-cube offsets (N, d) and vertex weights (N, 2^d) of the
-    points X (N, d), in actual coordinates.
-
-    Column j holds the weight of vertex w + vertex_bits(d)[j] of the point's
-    cube w, each the product of the one-dimensional weights taken left to
-    right. Cubes are found by `find_cube`'s rule, or given as `cubes` (N, d)
-    to evaluate across a shared face from a chosen side. Points outside
-    every cube (or farther than _CUBE_TOL outside a given cube) raise.
+    A point lies in cube w when its lattice position z = x/R is within
+    _CUBE_TOL (1 + max|z|) of w + [0, 1]^d; an exact pass comes first, and
+    the lexicographically smallest cube wins on shared faces. Raises for the
+    first point inside no cube.
     """
     X = np.asarray(X, dtype=float)
     d = complex.d
     if X.ndim != 2 or X.shape[1] != d:
         raise ValueError(f"points must form an (N, {d}) array")
-    if cubes is not None and np.shape(cubes) != X.shape:
-        raise ValueError("cubes must have the shape of the points")
     W = np.empty(X.shape, dtype=np.int64)
-    L = np.empty((len(X), 2**d))
     step = max(1, _BLOCK_CELLS >> d)
     for s in range(0, len(X), step):
-        blk = slice(s, s + step)
-        W[blk] = _lookup(complex, X[blk]) if cubes is None else _forced(complex, cubes[blk])
-        T = _local_coords(complex, W[blk], X[blk])
-        factors = np.stack([1.0 - T, T], axis=2)  # (rows, d, 2)
-        block = factors[:, 0]
-        for i in range(1, d):  # new axis as the fastest-varying column bit
-            block = (block[:, :, None] * factors[:, i, None, :]).reshape(len(T), -1)
-        L[blk] = block
-    return W, L
+        W[s : s + step] = _lookup(complex, X[s : s + step])
+    return W
 
 
-def _point(complex: CubeComplex, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (complex.d,):
-        raise ValueError(f"point must have {complex.d} coordinates")
-    return x[None, :]
+def local_coords(complex: CubeComplex, W, X) -> np.ndarray:
+    """Coordinates (N, d) of the points X in the cubes W, clipped to [0, 1]."""
+    return (np.asarray(X, dtype=float) / complex.R - np.asarray(W)).clip(0.0, 1.0)
+
+
+def tensor_weights(T) -> np.ndarray:
+    """Vertex weights (N, 2^d) at the local coordinates T (N, d).
+
+    Column j multiplies, left to right, the factor 1 - t_i or t_i of each
+    axis as bit i of vertex_bits(d)[j] is 0 or 1.
+    """
+    T = np.asarray(T, dtype=float)
+    N, d = T.shape
+    factors = np.concatenate([1.0 - T, T], axis=1).reshape(N, 2, d)
+    L = factors[:, :, 0]
+    for i in range(1, d):  # new axis as the fastest-varying column bit
+        L = (L[:, :, None] * factors[:, None, :, i]).reshape(N, 2 << i)
+    return L
+
+
+def vertex_weights(complex: CubeComplex, X) -> tuple[np.ndarray, np.ndarray]:
+    """Containing-cube offsets W (N, d) and vertex weights (N, 2^d) of the
+    points X (N, d), in actual coordinates; column j holds the weight of
+    vertex W + vertex_bits(d)[j]."""
+    W = find_cubes(complex, X)
+    return W, tensor_weights(local_coords(complex, W, X))
 
 
 def find_cube(complex: CubeComplex, x: Sequence[float]) -> tuple[int, ...]:
     """Offset of a cube of the complex containing x (lexicographically
     smallest on shared faces); raises if x lies outside every cube."""
-    return tuple(int(c) for c in _lookup(complex, _point(complex, x))[0])
+    return tuple(int(c) for c in find_cubes(complex, as_points(complex, x))[0])
 
 
 def lambda_weight(complex: CubeComplex, v: Sequence[int], x: Sequence[float]) -> float:
@@ -217,7 +210,7 @@ def lambda_weight(complex: CubeComplex, v: Sequence[int], x: Sequence[float]) ->
     v = np.array([int(c) for c in v], dtype=np.int64)
     if v.shape != (complex.d,):
         raise ValueError(f"vertex must have {complex.d} coordinates")
-    W, L = vertex_weights(complex, _point(complex, x))
+    W, L = vertex_weights(complex, as_points(complex, x))
     bit = v - W[0]
     if np.any((bit < 0) | (bit > 1)):
         return 0.0
@@ -225,16 +218,13 @@ def lambda_weight(complex: CubeComplex, v: Sequence[int], x: Sequence[float]) ->
     return 0.0 if weight == 0.0 else weight
 
 
-def lambda_support(
-    complex: CubeComplex, x: Sequence[float], cube: tuple[int, ...] | None = None
-) -> list[VertexWeight]:
+def lambda_support(complex: CubeComplex, x: Sequence[float]) -> list[VertexWeight]:
     """All vertices with nonzero weight at x, with their weights.
 
     At most 2^d entries; the weights sum to 1 to machine precision. Tiny
-    weights are kept, never truncated. A containing cube may be forced via
-    `cube`, e.g. to compare evaluations across a shared face.
+    weights are kept, never truncated.
     """
-    W, L = vertex_weights(complex, _point(complex, x), None if cube is None else [cube])
+    W, L = vertex_weights(complex, as_points(complex, x))
     w = W[0].tolist()
     return [
         VertexWeight(tuple(a + b for a, b in zip(w, bits)), weight)

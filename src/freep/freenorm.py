@@ -441,11 +441,6 @@ def dual_lower_bound(m: FreeElement, p: float, cert: DualCertificate) -> float:
 # line-oriented text formats
 
 
-def format_element(m: FreeElement) -> str:
-    lines = [f"{w!r} {i}" for i, w in sorted(m.weights.items())]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def parse_element(host: PointedFiniteMetric, text: str) -> FreeElement:
     weights: dict[int, float] = {}
     for ln in text.splitlines():
@@ -458,21 +453,3 @@ def parse_element(host: PointedFiniteMetric, text: str) -> FreeElement:
         w, idx = float(toks[0]), int(toks[1])
         weights[idx] = weights.get(idx, 0.0) + w
     return FreeElement(host, weights)
-
-
-def format_decomposition(decomp: Decomposition) -> str:
-    lines = [f"{a!r} {mol.x} {mol.y}" for a, mol in decomp.terms]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_decomposition(host: PointedFiniteMetric, text: str) -> Decomposition:
-    terms = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        toks = ln.split()
-        if len(toks) != 3:
-            raise ValueError(f"decomposition line {ln!r} is not 'a x y'")
-        terms.append((float(toks[0]), Molecule(host, int(toks[1]), int(toks[2]))))
-    return Decomposition(host, tuple(terms))

@@ -17,12 +17,12 @@ import numpy as np
 from .constants import c_const, check_p, retraction_bounds
 from .cubes import (
     CubeComplex,
-    lambda_support,
+    as_points,
+    find_cubes,
+    local_coords,
+    tensor_weights,
     vertex_bits,
     vertex_weights,
-    _local_coords,
-    _lookup,
-    _point,
 )
 from .freenorm import (
     Decomposition,
@@ -69,7 +69,7 @@ def build_context(complex: CubeComplex, p: float) -> RetractionContext:
 
 def retract(ctx: RetractionContext, x) -> FreeElement:
     """The vertex-weight image of x; the unit evaluation when x is a vertex."""
-    return _images(ctx, _point(ctx.complex, x))[1][0]
+    return _images(ctx, as_points(ctx.complex, x))[1][0]
 
 
 def _images(ctx: RetractionContext, X) -> tuple[np.ndarray, list[FreeElement]]:
@@ -140,67 +140,6 @@ def rescale_check(m: FreeElement, R: float, shift, p: float):
 # the certified upper-bound decomposition
 
 
-def _axis_pair_terms(ctx, w, t, axis, delta):
-    """Terms for the difference of two images in cube `w` that agree except
-    in `axis`, where they differ by `delta` (actual units); `t` holds the
-    local coordinates of their common point."""
-    other = [j for j in range(ctx.complex.d) if j != axis]
-    terms = []
-    for bits in np.ndindex(*(2,) * len(other)):
-        weight = 1.0
-        for j, b in zip(other, bits):
-            weight *= t[j] if b else 1.0 - t[j]
-            if weight == 0.0:
-                break
-        if weight == 0.0:
-            continue
-        hi = list(w)
-        for j, b in zip(other, bits):
-            hi[j] += b
-        lo = list(hi)
-        hi[axis] += 1
-        mol = Molecule(
-            ctx.vertex_space, ctx.vertex_index(tuple(hi)), ctx.vertex_index(tuple(lo))
-        )
-        terms.append((delta * weight, mol))
-    return terms
-
-
-def _same_cube_terms(ctx, w, a, b):
-    """Zigzag decomposition of r(a) - r(b) for a, b in one cube: change one
-    coordinate at a time, each step supported on a single face."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    steps = [i for i in range(ctx.complex.d) if float(a[i] - b[i]) != 0.0]
-    if not steps:
-        return []
-    # common point of each step pair, whose axis-i value is irrelevant
-    common = [np.concatenate([a[: i + 1], b[i + 1 :]]) for i in steps]
-    T = _local_coords(ctx.complex, [w] * len(steps), common)
-    terms = []
-    for i, t in zip(steps, T):
-        terms += _axis_pair_terms(ctx, w, t, i, float(a[i] - b[i]))
-    return terms
-
-
-def _bridge_terms(ctx, w, x1, y1):
-    """Terms for r(x') - r(y') when y' - x' is a lattice vector: every
-    supported vertex of x' pairs with its translate."""
-    delta = np.asarray(y1, dtype=float) - np.asarray(x1, dtype=float)
-    lat = np.rint(delta / ctx.complex.R)
-    assert np.abs(delta / ctx.complex.R - lat).max(initial=0.0) <= LATTICE_TOL
-    lat = tuple(int(c) for c in lat)
-    if all(c == 0 for c in lat):
-        return []
-    l1 = float(np.abs(delta).sum())
-    terms = []
-    for v, weight in lambda_support(ctx.complex, x1, cube=w):
-        target = tuple(a + b for a, b in zip(v, lat))
-        mol = Molecule(ctx.vertex_space, ctx.vertex_index(v), ctx.vertex_index(target))
-        terms.append((weight * l1, mol))
-    return terms
-
-
 def lipschitz_upper_decomposition(ctx: RetractionContext, x, y) -> Decomposition:
     """Explicit decomposition of r(x) - r(y) whose cost is at most
     C(p, 2^(d-1)) C(p, d) C(p, 3) |x - y|_1.
@@ -209,32 +148,71 @@ def lipschitz_upper_decomposition(ctx: RetractionContext, x, y) -> Decomposition
     points are first moved to the facing integer faces (x', y'), whose
     difference is a lattice vector handled by vertex translation. When a
     facing integer coordinate is ambiguous the smaller value is taken.
+
+    The terms come in rows, each weighing one point in one cube and moving
+    the weight of every vertex v it supports to v + s for a lattice step s.
+    A zigzag step along axis i is the step pair's common point with its
+    local coordinate t_i set to 0, scaled by the signed step, with s = e_i
+    and molecules (v + s, v). The bridge is x' in x's cube, scaled by
+    |x' - y'|_1, with s = y' - x' and molecules (v, v + s).
     """
-    both = np.concatenate([_point(ctx.complex, x), _point(ctx.complex, y)])
-    wx, wy = _lookup(ctx.complex, both).tolist()
-    return _upper_decomposition(ctx, both[0], both[1], tuple(wx), tuple(wy))
+    X = as_points(ctx.complex, x, y)
+    W = find_cubes(ctx.complex, X)
+    return _upper_decompositions(ctx, X[:1], X[1:], W[:1], W[1:])[0]
 
 
-def _upper_decomposition(ctx, x, y, wx, wy) -> Decomposition:
-    """`lipschitz_upper_decomposition` of x in cube wx and y in cube wy."""
-    if wx == wy:
-        return Decomposition(ctx.vertex_space, tuple(_same_cube_terms(ctx, wx, x, y)))
+def _upper_decompositions(ctx, X, Y, WX, WY) -> list[Decomposition]:
+    """`lipschitz_upper_decomposition` of each pair X[k], Y[k], whose points
+    lie in the cubes WX[k] and WY[k]; the rows of all pairs are weighed in
+    one `tensor_weights` call."""
+    complex, n = ctx.complex, len(X)
+    moved = WX != WY
+    # the path x, x', y', y: x' and y' lie on the facing integer faces f and g
+    # of the two cubes, off the moved axes at x's values; within one cube
+    # x' = y' = y
+    f = WX + (WX < WY)
+    g = WY + (WX > WY)
+    via = np.where(moved.any(axis=1, keepdims=True), X, Y)
+    path = np.concatenate(
+        [X, np.where(moved, complex.R * f, via), np.where(moved, complex.R * g, via), Y], axis=1
+    ).reshape(n, 4, -1)
 
-    R = ctx.complex.R
-    moved = [i for i in range(ctx.complex.d) if wx[i] != wy[i]]
-    x1 = x.copy()
-    y1 = x.copy()  # coordinates off the moved set stay at x's values
-    for i in moved:
-        n_i = wx[i] + 1 if wx[i] < wy[i] else wx[i]
-        m_i = wy[i] if wx[i] < wy[i] else wy[i] + 1
-        x1[i] = R * n_i
-        y1[i] = R * m_i
-    terms = (
-        _same_cube_terms(ctx, wx, x, x1)
-        + _bridge_terms(ctx, wx, x1, y1)
-        + _same_cube_terms(ctx, wy, y1, y)
-    )
-    return Decomposition(ctx.vertex_space, tuple(terms))
+    # Each leg of the path (in x's cube, across, in y's cube) has a row per
+    # axis i. A zigzag row has a step along i; its point takes the leg's
+    # start up to axis i and its end after it. The bridge is the row at the
+    # last axis of the middle leg, whose point is x'.
+    start, end = path[:, :-1], path[:, 1:]
+    diff = start - end
+    diff[:, 1, -1] = np.abs(diff[:, 1]).sum(axis=1)
+    active = diff != 0.0
+    active[:, 1, :-1] = False
+    key, leg, axis = np.nonzero(active)
+    bridge = leg == 1
+    after = np.arange(complex.d) - axis[:, None]  # > 0 past the row's axis
+    cube = np.concatenate([WX, WX, WY], axis=1).reshape(n, 3, -1)[key, leg]
+    T = local_coords(complex, cube, np.where(after > 0, end[key, leg], start[key, leg]))
+    # molecules (v + head, v + tail): head = e_i on a zigzag row, whose t_i
+    # is set to 0 rather than the point moved onto the face, since (R w)/R
+    # can miss w by one ulp; tail = y' - x' on the bridge
+    head = (after == 0) & ~bridge[:, None]
+    T[head] = 0.0
+    scale = diff[key, leg, axis]
+    tail = (g - f)[key] * bridge[:, None]
+    L = tensor_weights(T)
+
+    row, col = np.nonzero(L)
+    V = cube[row] + vertex_bits(complex.d)[col]
+    index = ctx._index  # type: ignore[attr-defined]
+    terms = [
+        (a, Molecule(ctx.vertex_space, index[h], index[t]))
+        for a, h, t in zip(
+            (scale[row] * L[row, col]).tolist(),
+            map(tuple, (V + head[row]).tolist()),
+            map(tuple, (V + tail[row]).tolist()),
+        )
+    ]
+    ends = np.cumsum(np.bincount(key[row], minlength=n)).tolist()
+    return [Decomposition(ctx.vertex_space, tuple(terms[a:b])) for a, b in zip([0] + ends, ends)]
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +266,8 @@ def lower_bound_witness(d: int, p: float) -> WitnessResult:
     ctx = build_context(complex, p)
     x = (0.5,) * (d - 1) + (0.0,)
     y = (0.5,) * (d - 1) + (1.0,)
-    element = retract(ctx, y) - retract(ctx, x)
+    _, (image_x, image_y) = _images(ctx, np.array([x, y]))
+    element = image_y - image_x
 
     cert = vertex_indicator_certificate(ctx.vertex_space)
     value = dual_lower_bound(element, p, cert)
@@ -321,8 +300,9 @@ def estimate_lipschitz(ctx: RetractionContext, config: SamplerConfig) -> dict:
     decomposition's cost ratio; the theoretical sandwich and the witness
     value accompany them. Exact norms are cross-checked only when the vertex
     count is within the engine cap, and the report says whether they were.
-    All sampled points are weighed in one kernel call, and the dual
-    certificate is validated once for all pairs.
+    All sampled points are weighed in one kernel call, the rows of all upper
+    decompositions in one more, and the dual certificate is validated once
+    for all pairs.
     """
     complex, p = ctx.complex, ctx.p
     rng = np.random.default_rng(config.seed)
@@ -338,25 +318,23 @@ def estimate_lipschitz(ctx: RetractionContext, config: SamplerConfig) -> dict:
         wb = offsets[rng.integers(len(offsets))]
         pairs.append((R * (wa + rng.random(complex.d)), R * (wb + rng.random(complex.d))))
 
-    W, images = _images(ctx, np.array([pt for pair in pairs for pt in pair]))
-    cubes = [tuple(w) for w in W.tolist()]
-    work = []
-    for k, (x, y) in enumerate(pairs):
-        l1 = float(np.abs(x - y).sum())
-        if l1 != 0.0:
-            m = images[2 * k] - images[2 * k + 1]
-            work.append((x, y, cubes[2 * k], cubes[2 * k + 1], l1, m))
+    points = np.array([pt for pair in pairs for pt in pair])
+    W, images = _images(ctx, points)
+    l1s = [float(np.abs(x - y).sum()) for x, y in pairs]
+    k = np.flatnonzero(l1s)  # the pairs of distinct points
+    diffs = [images[2 * j] - images[2 * j + 1] for j in k]
     cert = vertex_indicator_certificate(ctx.vertex_space)
-    lowers = dual_lower_bounds([m for *_, m in work], p, cert)
+    lowers = dual_lower_bounds(diffs, p, cert)
+    decomps = _upper_decompositions(ctx, points[2 * k], points[2 * k + 1], W[2 * k], W[2 * k + 1])
 
     exact_ok = ctx.vertex_space.n <= EXACT_NORM_CAP
     max_lower = 0.0
     max_cost = 0.0
     max_residual = 0.0
     exact_checked = 0
-    for (x, y, wx, wy, l1, m), lower in zip(work, lowers):
+    for j, m, lower, decomp in zip(k, diffs, lowers, decomps):
+        l1 = l1s[j]
         lower = lower / l1
-        decomp = _upper_decomposition(ctx, x, y, wx, wy)
         cost = p_cost(decomp, p) / l1
         residual = evaluate(decomp).max_weight_diff(m)
         max_lower = max(max_lower, lower)

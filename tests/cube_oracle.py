@@ -5,9 +5,10 @@ position among the offsets present and forms all vertex weights of a block
 of points as one tensor product. This module keeps the direct per-point
 route it replaced: scan the sorted offsets for the first cube containing the
 point (an exact pass, then a pass with tolerance _CUBE_TOL (1 + max|z|)),
-then multiply the one-dimensional weights vertex by vertex. The tests pin
-the kernel and its one-point views equal to it, cubes exactly and weights
-bitwise.
+then multiply the one-dimensional weights vertex by vertex. A point found in
+a cube is weighed there, its local coordinates clipped to [0, 1]. The tests
+pin the kernel and its one-point views equal to it, cubes exactly and
+weights bitwise.
 """
 
 from itertools import product
@@ -31,8 +32,6 @@ def oracle_find_cube(complex, x):
 
 def oracle_local_coords(complex, w, x):
     t = np.asarray(x, dtype=float) / complex.R - np.array(w, dtype=float)
-    if np.any(t < -_CUBE_TOL - _CUBE_TOL * np.abs(t)) or np.any(t > 1.0 + _CUBE_TOL):
-        raise ValueError(f"point {tuple(map(float, x))} not in cube {w}")
     return np.clip(t, 0.0, 1.0)
 
 
@@ -64,3 +63,16 @@ def oracle_support(complex, x, cube=None):
         if weight != 0.0:
             out.append(VertexWeight(tuple(wi + b for wi, b in zip(w, bits)), float(weight)))
     return out
+
+
+def complex_shapes(d):
+    """One-cube, two-cube, L-shaped and gapped complexes of dimension d."""
+    e = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    zero = (0,) * d
+    corner = tuple(a + b for a, b in zip(e[0], e[-1])) if d > 1 else (2,)
+    return {
+        "one": (zero,),
+        "two": (zero, e[0]),
+        "L": (zero, e[0], corner),
+        "gapped": ((-1,) * d, tuple(2 * c for c in e[-1])),
+    }

@@ -220,12 +220,19 @@ def test_missing_required_flag(capsys):
     assert "requires" in err
 
 
-TWO_SQUARES = "2 1.0\n0 0\n1 0\n0 0\n"
+COMPLEX_FILES = {
+    "TWO_SQUARES": "2 1.0\n0 0\n1 0\n0 0\n",
+    "L_SHAPE": "2 0.7\n0 0\n1 0\n1 1\n2 1\n0 0\n",
+    "GAPPED": "2 1.0\n0 0\n2 0\n0 0\n",
+}
 
 
 # sha256 of the reports before the cube layer became one array kernel: the
 # README lambda-check and retraction-verify, and a lambda-check and a
-# retraction-verify on the two-square complex file as the benchmark runs them
+# retraction-verify on the two-square complex file as the benchmark runs them;
+# then, from before the upper decompositions became batched rows, three
+# retraction-verify runs whose pairs cross an L-shaped complex, a gap along
+# one axis, and d = 3 cubes at R = 0.7
 @pytest.mark.parametrize("args, digest", [
     (["--command", "lambda-check", "--d", "3", "--R", "2", "--samples", "10000", "--seed", "0"],
      "d76a1433a33d51be659dbb3f345409e3858c1f79e00d6db8d2ad68daa278796a"),
@@ -236,11 +243,20 @@ TWO_SQUARES = "2 1.0\n0 0\n1 0\n0 0\n"
     (["--command", "retraction-verify", "--p", "0.8", "--seed", "3", "--samples", "200",
       "--in", "TWO_SQUARES"],
      "d7adf76a62afd3e2200c8653b72fa407d9601a1b4073b7fd857a673c76060f89"),
+    (["--command", "retraction-verify", "--p", "0.3", "--seed", "5", "--samples", "400",
+      "--in", "L_SHAPE"],
+     "d3d18c0437e1c5b4ebb59b9bfbbedba956b6515e79a337e0317a477ca3d53cdf"),
+    (["--command", "retraction-verify", "--p", "0.3", "--seed", "5", "--samples", "400",
+      "--in", "GAPPED"],
+     "ef2114aca426c0ec63ae3c2ccc01cbd0c7a63764637786525c62c1a6a08a1d50"),
+    (["--command", "retraction-verify", "--d", "3", "--p", "0.75", "--R", "0.7", "--seed", "2",
+      "--samples", "500"],
+     "bf749c1e61a679334aba106f344eb1ee0b8b5f6bcf1e43b0cbd1a74c2f0739e9"),
 ], ids=["readme-lambda-check", "readme-retraction-verify", "lambda-check-2000",
-        "retraction-verify-two-squares"])
+        "retraction-verify-two-squares", "retraction-verify-L", "retraction-verify-gapped",
+        "retraction-verify-d3"])
 def test_reports_are_byte_stable(capsys, tmp_path, args, digest):
-    complex_file = write(tmp_path, "cx.txt", TWO_SQUARES)
-    args = [complex_file if a == "TWO_SQUARES" else a for a in args]
+    args = [write(tmp_path, "cx.txt", COMPLEX_FILES[a]) if a in COMPLEX_FILES else a for a in args]
     code, out, _ = run(capsys, args)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from cube_oracle import oracle_find_cube, oracle_support, oracle_weight
+from cube_oracle import complex_shapes, oracle_find_cube, oracle_support, oracle_weight
 from freep import cubes
 from freep.cubes import (
     _CUBE_TOL,
@@ -13,8 +13,10 @@ from freep.cubes import (
     lambda_support,
     lambda_weight,
     load_complex,
+    local_coords,
     save_complex,
     scalar_coeff,
+    tensor_weights,
     vertex_bits,
     vertex_weights,
 )
@@ -56,10 +58,24 @@ def test_support_at_vertex_and_interior():
 
 
 def test_shared_face_is_cube_independent():
-    x = (1.0, 0.375)
-    via_left = lambda_support(TWO_CUBES, x, cube=(0, 0))
-    via_right = lambda_support(TWO_CUBES, x, cube=(1, 0))
-    assert sorted(via_left) == sorted(via_right)
+    x = [(1.0, 0.375)]
+
+    def support(w):
+        row = tensor_weights(local_coords(TWO_CUBES, [w], x))[0]
+        return sorted((tuple(np.add(w, b).tolist()), wt) for b, wt in zip(vertex_bits(2), row) if wt != 0.0)
+
+    assert support((0, 0)) == support((1, 0))
+    assert len(support((0, 0))) == 2
+
+
+def test_a_point_found_in_a_cube_is_weighed_there():
+    """The lookup's tolerance is the only containment rule: a point just
+    outside the last square, within _CUBE_TOL (1 + max|z|), is weighed in it
+    with its local coordinates clipped to the square."""
+    x = (2 + 1.5e-12, 0.5)
+    assert find_cube(TWO_CUBES, x) == (1, 0)
+    assert lambda_support(TWO_CUBES, x) == lambda_support(TWO_CUBES, (2.0, 0.5))
+    assert lambda_support(TWO_CUBES, x) == oracle_support(TWO_CUBES, x)
 
 
 def test_partition_of_unity_random():
@@ -152,19 +168,6 @@ def test_scalar_coeff_is_elementwise_on_arrays():
         scalar_coeff(np.array([0.5, 1.5]), 1)
 
 
-# one-cube, two-cube, L-shaped and gapped complexes, by dimension
-def _shapes(d):
-    e = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-    zero = (0,) * d
-    corner = tuple(a + b for a, b in zip(e[0], e[-1])) if d > 1 else (2,)
-    return {
-        "one": (zero,),
-        "two": (zero, e[0]),
-        "L": (zero, e[0], corner),
-        "gapped": ((-1,) * d, tuple(2 * c for c in e[-1])),
-    }
-
-
 def _sample_points(complex, rng, n=12):
     """Interior points, points on faces and at vertices, points nudged off a
     face by a fraction or a multiple of _CUBE_TOL (the tolerance pass, on
@@ -201,7 +204,7 @@ def test_kernel_and_views_match_the_oracle(d):
     rng = np.random.default_rng(60 + d)
     bits = vertex_bits(d)
     for R in (1.0, 2.0, 0.7, 1e-3):
-        for offsets in _shapes(d).values():
+        for offsets in complex_shapes(d).values():
             complex = CubeComplex(d=d, R=R, offsets=offsets)
             inside = []
             for x in _sample_points(complex, rng):
@@ -217,10 +220,6 @@ def test_kernel_and_views_match_the_oracle(d):
                 for k in rng.choice(len(bits), size=min(3, len(bits)), replace=False):
                     v = tuple(int(c) for c in np.add(cube, bits[k]))
                     assert lambda_weight(complex, v, x) == oracle_weight(complex, v, x)
-                for w in complex.offsets:  # every cube, forced
-                    assert _or_error(lambda_support, complex, x, cube=w) == _or_error(
-                        oracle_support, complex, x, w
-                    )
             W, L = vertex_weights(complex, [x for x, _, _ in inside])
             for (x, cube, support), w, row in zip(inside, W, L):
                 assert tuple(w.tolist()) == cube
@@ -260,14 +259,6 @@ def test_non_finite_points_lie_outside():
 def test_kernel_rejects_malformed_input():
     with pytest.raises(ValueError, match="points must form"):
         vertex_weights(TWO_CUBES, [0.5, 0.5])
-    with pytest.raises(ValueError, match="shape of the points"):
-        vertex_weights(TWO_CUBES, [[0.5, 0.5]], cubes=[(0, 0), (1, 0)])
-    with pytest.raises(ValueError, match="not part of the complex"):
-        vertex_weights(TWO_CUBES, [[0.5, 0.5]], cubes=[(0, 1)])
-    with pytest.raises(ValueError, match="not part of the complex"):
-        vertex_weights(TWO_CUBES, [[0.5, 0.5]], cubes=[(0.5, 0)])
-    with pytest.raises(ValueError, match="not in cube"):
-        vertex_weights(TWO_CUBES, [[0.5, 0.5]], cubes=[(1, 0)])
     with pytest.raises(ValueError, match="vertex must have"):
         lambda_weight(TWO_CUBES, (0,), (0.5, 0.5))
     W, L = vertex_weights(TWO_CUBES, np.empty((0, 2)))

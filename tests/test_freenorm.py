@@ -22,10 +22,7 @@ from freep.freenorm import (
     evaluate,
     exact_norm_p1,
     exact_norm_small,
-    format_decomposition,
-    format_element,
     p_cost,
-    parse_decomposition,
     parse_element,
     _cancel_cycles,
     _tree_norm,
@@ -287,19 +284,9 @@ def test_batched_dual_lower_bounds_equal_single_ones():
 
 def test_element_serialization_round_trip():
     s = three_point_space()
-    m = FreeElement(s, {1: 0.25, 2: -1.5})
-    assert parse_element(s, format_element(m)).weights == m.weights
+    assert parse_element(s, "0.25 1\n\n-1.5 2\n").weights == {1: 0.25, 2: -1.5}
     with pytest.raises(ValueError):
         parse_element(s, "0.5\n")
-
-
-def test_decomposition_serialization_round_trip():
-    s = three_point_space()
-    d = Decomposition(s, ((0.5, Molecule(s, 1, 2)), (-1.0, Molecule(s, 0, 2))))
-    back = parse_decomposition(s, format_decomposition(d))
-    assert [(a, t.x, t.y) for a, t in back.terms] == [(0.5, 1, 2), (-1.0, 0, 2)]
-    with pytest.raises(ValueError):
-        parse_decomposition(s, "1.0 2\n")
 
 
 def assert_optimal_forest(m, p, value, witness, subset):

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
-from cube_oracle import oracle_find_cube, oracle_support
+from cube_oracle import complex_shapes, oracle_find_cube, oracle_support
+from retraction_oracle import oracle_upper_decomposition
 
+from freep import cubes, retraction
 from freep.constants import c_const, retraction_bounds
-from freep.cubes import CubeComplex
+from freep.cubes import CubeComplex, find_cubes
 from freep.freenorm import evaluate, p_cost, upper_bound_from
 from freep.retraction import (
     _images,
+    _upper_decompositions,
     SamplerConfig,
     build_context,
     estimate_lipschitz,
@@ -193,3 +196,77 @@ def test_batched_images_match_the_oracle_weights():
         expected = {ctx.vertex_index(v): w for v, w in oracle_support(complex, x)}
         expected.pop(ctx.vertex_index(complex.base_vertex), None)
         assert list(image.weights.items()) == list(expected.items())
+
+
+def _pairs(complex, rng, n=10):
+    """Pairs of interior points, points on faces and vertices: each point
+    with a random point of the complex, with a point of its own cube, and
+    with itself."""
+    d, R = complex.d, complex.R
+    offs = np.array(complex.offsets, dtype=float)
+    pts = [R * np.array(v, dtype=float) for v in complex.vertices()]
+    for _ in range(n):
+        w = offs[rng.integers(len(offs))]
+        u = rng.random(d)
+        pts.append(R * (w + u))
+        u[rng.random(d) < 0.5] = rng.integers(0, 2)
+        pts.append(R * (w + u))
+    pairs = []
+    for x in pts:
+        w = np.array(oracle_find_cube(complex, x), dtype=float)
+        pairs += [(x, pts[rng.integers(len(pts))]), (x, R * (w + rng.random(d))), (x, x)]
+    return pairs
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_upper_decomposition_matches_the_oracle(d):
+    """The one-pair view and the batched rows equal the per-pair oracle:
+    coefficients bitwise, the same molecules in the same orientation and
+    order."""
+    rng = np.random.default_rng(80 + d)
+    # and a gap along one axis only, so a bridge keeps the other axes
+    gap_along_first_axis = ((0,) * d, (2,) + (0,) * (d - 1))
+    for R in (1.0, 2.0, 0.7, 1e-3):
+        for offsets in [*complex_shapes(d).values(), gap_along_first_axis]:
+            complex = CubeComplex(d=d, R=R, offsets=offsets)
+            ctx = build_context(complex, 0.5)
+            pairs = _pairs(complex, rng)
+            expected = [oracle_upper_decomposition(ctx, x, y) for x, y in pairs]
+            assert any(dec.terms for dec in expected)
+            assert [lipschitz_upper_decomposition(ctx, x, y) for x, y in pairs] == expected
+            X = np.array([x for x, _ in pairs])
+            Y = np.array([y for _, y in pairs])
+            batched = _upper_decompositions(ctx, X, Y, find_cubes(complex, X), find_cubes(complex, Y))
+            assert batched == expected
+
+
+def test_a_point_found_in_a_cube_is_retracted_there():
+    """Just outside the last square, within the lookup's tolerance, a point
+    is retracted and decomposed in that square."""
+    ctx = build_context(CubeComplex(d=2, R=1.0, offsets=((0, 0), (1, 0))), 0.5)
+    x = (2 + 1.5e-12, 0.5)
+    assert retract(ctx, x).weights == retract(ctx, (2.0, 0.5)).weights
+    dec = lipschitz_upper_decomposition(ctx, x, (0.3, 0.2))
+    assert dec == oracle_upper_decomposition(ctx, x, (0.3, 0.2))
+    assert evaluate(dec).max_weight_diff(retract(ctx, x) - retract(ctx, (0.3, 0.2))) <= 1e-12
+
+
+def test_harness_weighs_all_pairs_at_once(monkeypatch):
+    """The number of tensor-product calls does not grow with the sample
+    count: the sampled points, the decomposition rows and the witness."""
+    calls = []
+    kernel = cubes.tensor_weights
+
+    def counted(T):
+        calls.append(len(T))
+        return kernel(T)
+
+    monkeypatch.setattr(cubes, "tensor_weights", counted)
+    monkeypatch.setattr(retraction, "tensor_weights", counted)
+    ctx = build_context(CubeComplex(d=2, R=0.7, offsets=((0, 0), (1, 0), (1, 1))), 0.5)
+    per_run = []
+    for samples in (100, 1000):
+        calls.clear()
+        estimate_lipschitz(ctx, SamplerConfig(n_samples=samples, seed=1))
+        per_run.append(len(calls))
+    assert per_run[0] == per_run[1] <= 3
