@@ -22,7 +22,6 @@ from .cubes import (
 )
 from .dyadic import (
     BasisCombination,
-    BasisIndex,
     analyze,
     basis_element,
     basis_norm_check,

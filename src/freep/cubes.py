@@ -171,8 +171,16 @@ def find_cubes(complex: CubeComplex, X) -> np.ndarray:
 
 
 def local_coords(complex: CubeComplex, W, X) -> np.ndarray:
-    """Coordinates (N, d) of the points X in the cubes W, clipped to [0, 1]."""
-    return (np.asarray(X, dtype=float) / complex.R - np.asarray(W)).clip(0.0, 1.0)
+    """Coordinates (N, d) of the points X in the cubes W.
+
+    A coordinate within the lookup tolerance _CUBE_TOL (1 + max|z|) of 0 or
+    1, z = x/R, is exactly 0 or 1, so a point on a face is weighed on it
+    (R v / R may miss a vertex v by an ulp); the others are clipped to [0, 1].
+    """
+    Z = np.asarray(X, dtype=float) / complex.R
+    T = Z - np.asarray(W)
+    tol = _CUBE_TOL * (1.0 + np.abs(Z).max(axis=1, keepdims=True))
+    return np.where(T <= tol, 0.0, np.where(T >= 1.0 - tol, 1.0, T))
 
 
 def tensor_weights(T) -> np.ndarray:

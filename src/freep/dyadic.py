@@ -17,15 +17,18 @@ the expansions of the paper's lemmas are analyses of their targets,
 and `verify_norming` builds the analysis operator of a grid once, so each
 molecule's coefficients are a scaled difference of two of its columns.
 `line_path`, a mesh-adjacent chain between two dyadic scalars, stays
-constructive. The face-induction construction of molecules, with the
-constructive hat and step kernels it is built from, is kept in the tests as
-an oracle for the analysis.
+constructive.
 
-All coefficients are finite sums of dyadic rationals times integer powers
-of X = 2^(-alpha); the default double-precision mode checks reconstruction
-to 1e-9, while the exact mode carries the coefficients symbolically (the
-molecule routine then returns the unnormalized difference, since the
-molecule's own normalizer 1/|u-v|^alpha generally leaves the ring).
+The weights w(u, v) are dyadic, so the coefficient at a level-k point is an
+exact dyadic rational beta times 2^(-k*alpha). The analysis has one
+arithmetic: it peels the alpha-free weights beta in exact rationals (a double
+input is a dyadic rational too) and rounds each coefficient once, as
+float(beta) * 2^(-k*alpha); the hat and step elements carry a factor
+2^(n*alpha), which shifts the exponent to k - n. Equal coefficients thus
+round to equal doubles. The face-induction construction of molecules, with
+the constructive hat and step kernels it is built from, is kept in the tests
+as an oracle for the analysis, together with the exact ring of sums of
+rationals times powers of 2^(-alpha) it computes in.
 """
 
 from __future__ import annotations
@@ -57,140 +60,29 @@ MAX_LEVEL = 32
 
 
 # ---------------------------------------------------------------------------
-# coefficient arithmetic: doubles, or exact sums of q * X^m with X = 2^-alpha
+# basis combinations
 
 
-class PowSum:
-    """Finite sum of dyadic rationals times integer powers of X = 2^-alpha."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[int, Fraction] | None = None):
-        self.terms = {m: q for m, q in (terms or {}).items() if q != 0}
-
-    def __add__(self, other: "PowSum") -> "PowSum":
-        out = dict(self.terms)
-        for m, q in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + q
-        return PowSum(out)
-
-    def __sub__(self, other: "PowSum") -> "PowSum":
-        return self + (-other)
-
-    def __neg__(self) -> "PowSum":
-        return PowSum({m: -q for m, q in self.terms.items()})
-
-    def __mul__(self, other: "PowSum") -> "PowSum":
-        out: dict[int, Fraction] = {}
-        for m1, q1 in self.terms.items():
-            for m2, q2 in other.terms.items():
-                m = m1 + m2
-                out[m] = out.get(m, Fraction(0)) + q1 * q2
-        return PowSum(out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PowSum) and self.terms == other.terms
-
-    def to_float(self, alpha: float) -> float:
-        return float(sum(q * 2.0 ** (-m * alpha) for m, q in self.terms.items()))
-
-    def __repr__(self) -> str:
-        return f"PowSum({self.terms})"
-
-
-class _FloatCoeffs:
-    exact = False
-
-    def __init__(self, alpha: float):
-        self.alpha = alpha
-        self.one = 1.0
-
-    def xm(self, m: int) -> float:
-        return 2.0 ** (-m * self.alpha)
-
-    def rat(self, q) -> float:
-        return float(q)
-
-    def is_zero(self, c) -> bool:
-        return c == 0.0
-
-
-class _ExactCoeffs:
-    exact = True
-
-    def __init__(self):
-        self.one = PowSum({0: Fraction(1)})
-
-    def xm(self, m: int) -> PowSum:
-        return PowSum({m: Fraction(1)})
-
-    def rat(self, q) -> PowSum:
-        return PowSum({0: Fraction(q)})
-
-    def is_zero(self, c) -> bool:
-        return c.is_zero()
-
-
-def _acc(target: dict, source: dict, factor=None) -> None:
-    for key, c in source.items():
-        inc = c if factor is None else factor * c
-        if key in target:
-            target[key] = target[key] + inc
-        else:
-            target[key] = inc
-
-
-def _pruned(comb: dict, ctx) -> dict:
-    if ctx.exact:
-        return {k: c for k, c in comb.items() if not c.is_zero()}
+def _pruned(comb: dict[DyadicPoint, float]) -> dict[DyadicPoint, float]:
     scale = max((abs(c) for c in comb.values()), default=0.0)
     floor = PRUNE_TOL * (1.0 + scale)
     return {k: c for k, c in comb.items() if abs(c) > floor}
 
 
-# ---------------------------------------------------------------------------
-# basis indices and combinations
-
-
-@dataclass(frozen=True)
-class BasisIndex:
-    """A dyadic point v of [0,1]^d at its exact level k >= 0, excluding the
-    origin (whose evaluation is the zero vector)."""
-
-    point: DyadicPoint
-    k: int = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        k = self.point.level if self.k is None else int(self.k)
-        if k != self.point.level or self.point.is_origin():
-            raise ValueError(
-                f"stale basis index: {self.point} lies on the level-{max(k - 1, -1)} grid"
-            )
-        object.__setattr__(self, "k", k)
-
-
 @dataclass
 class BasisCombination:
-    """Sparse coefficients over basis points; values are doubles in the
-    default mode and `PowSum` ring elements in exact mode."""
+    """Sparse double coefficients over basis points."""
 
-    coeffs: dict[DyadicPoint, object] = field(default_factory=dict)
-    exact: bool = False
+    coeffs: dict[DyadicPoint, float] = field(default_factory=dict)
 
     def items_sorted(self):
         return sorted(self.coeffs.items(), key=lambda kv: (kv[0].level, kv[0].nums))
 
-    def p_cost(self, p: float, alpha: float | None = None) -> float:
+    def p_cost(self, p: float) -> float:
         p = check_p(p)
         if not self.coeffs:
             return 0.0
-        if self.exact:
-            vals = np.array([abs(c.to_float(alpha)) for c in self.coeffs.values()])
-        else:
-            vals = np.abs(np.array(list(self.coeffs.values()), dtype=float))
+        vals = np.abs(np.array(list(self.coeffs.values()), dtype=float))
         return float((vals**p).sum() ** (1.0 / p))
 
 
@@ -216,35 +108,71 @@ def _coarse_neighbors(v: DyadicPoint) -> tuple[tuple[DyadicPoint, Fraction], ...
     )
 
 
-def _iota_expansion(v: DyadicPoint, ctx) -> dict[DyadicPoint, object]:
+def _iota_expansion(v: DyadicPoint, alpha: float) -> dict[DyadicPoint, float]:
     """Point-evaluation expansion of the basis element at v (origin entries
     dropped, since the base evaluation vanishes)."""
     if v.level == 0:
-        return {} if v.is_origin() else {v: ctx.one}
-    scale = ctx.xm(-v.level)
+        return {} if v.is_origin() else {v: 1.0}
+    scale = 2.0 ** (v.level * alpha)
     out = {v: scale}
     for u, weight in _coarse_neighbors(v):
         if not u.is_origin():
-            out[u] = ctx.rat(-weight) * scale
+            out[u] = float(-weight) * scale
     return out
 
 
-def _zero(ctx):
-    return PowSum() if ctx.exact else 0.0
-
-
-def synthesize(
-    comb: BasisCombination | dict, alpha: float | None = None, exact: bool = False
-) -> dict[DyadicPoint, object]:
+def synthesize(comb: BasisCombination | dict, alpha: float) -> dict[DyadicPoint, float]:
     """Point-evaluation expansion of a coefficient combination."""
     if isinstance(comb, BasisCombination):
-        exact = comb.exact
         comb = comb.coeffs
-    ctx = _ExactCoeffs() if exact else _FloatCoeffs(check_alpha(alpha))
-    out: dict[DyadicPoint, object] = {}
+    alpha = check_alpha(alpha)
+    out: dict[DyadicPoint, float] = {}
     for v, c in comb.items():
-        _acc(out, _iota_expansion(v, ctx), c)
-    return _pruned(out, ctx)
+        for u, e in _iota_expansion(v, alpha).items():
+            out[u] = out.get(u, 0.0) + c * e
+    return _pruned(out)
+
+
+def _peel(m: dict) -> dict[DyadicPoint, Fraction]:
+    """The exact weights beta with m = sum_v beta_v (delta(v) - sum_u w(u, v)
+    delta(u)), m given by exact or double (so dyadic) values.
+
+    The points are peeled finest level first: each passes its weight on to
+    its coarser neighbours, so what is left at level 0 is the corners' own
+    weight. Origin entries and zero weights are dropped."""
+    work = {pt: Fraction(c) for pt, c in m.items() if not pt.is_origin() and c}
+    if any(pt.level > MAX_LEVEL for pt in work):
+        raise ValueError(f"support is not dyadic at level <= {MAX_LEVEL}")
+    out: dict[DyadicPoint, Fraction] = {}
+    for k in range(max((pt.level for pt in work), default=0), 0, -1):
+        for v in sorted((pt for pt in work if pt.level == k), key=lambda q: q.nums):
+            beta = work.pop(v)
+            if beta:
+                out[v] = beta
+                for u, weight in _coarse_neighbors(v):
+                    if not u.is_origin():
+                        work[u] = work.get(u, 0) + beta * weight
+    out.update((v, beta) for v, beta in work.items() if beta)
+    return out
+
+
+def _rounded(
+    betas: dict[DyadicPoint, Fraction], alpha: float, n: int
+) -> dict[DyadicPoint, float]:
+    """The basis coefficients of 2^(n alpha) times the element whose peel is
+    `betas`: beta_v 2^(-(k - n) alpha) at a level-k point v, each exact
+    weight rounded once."""
+    return {v: float(beta) * 2.0 ** (-(v.level - n) * alpha) for v, beta in betas.items()}
+
+
+def analyze(m: dict[DyadicPoint, float], alpha: float) -> BasisCombination:
+    """The unique basis coefficients reproducing a dyadically supported
+    element: its exact peel, rounded once.
+
+    Coefficients at rounding level relative to the largest are pruned, since
+    a rounded input (`synthesize` output, say) carries them at extra points."""
+    alpha = check_alpha(alpha)
+    return BasisCombination(_pruned(_rounded(_peel(m), alpha, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +219,9 @@ def hat_decompose(u1, u2, v, alpha: float) -> HatDecomposition:
         raise ValueError(f"u1 = {u1} is not on the level-{n} grid")
     if not u1 <= v <= u2:
         raise ValueError(f"{v} outside [{u1}, {u2}]")
-    comb = analyze({DyadicPoint.from_fractions([v]): PowSum({-n: Fraction(1)})}, None, exact=True)
+    comb = BasisCombination(_rounded(_peel({DyadicPoint.from_fractions([v]): 1}), alpha, n))
     terms = tuple(
-        HatTerm(c.to_float(alpha), w.level, w.coords()[0])
-        for w, c in comb.items_sorted()
-        if w.level > n
+        HatTerm(c, w.level, w.coords()[0]) for w, c in comb.items_sorted() if w.level > n
     )
     return HatDecomposition(float((u2 - v) / gap), float((v - u1) / gap), terms)
 
@@ -304,42 +230,35 @@ def hat_decompose(u1, u2, v, alpha: float) -> HatDecomposition:
 # the axis-step expansion
 
 
-def _step_element(v: DyadicPoint, axis: int) -> dict[DyadicPoint, PowSum]:
-    """The step element of `step_decompose` in the exact ring, origin entry
-    dropped."""
+def _step_element(v: DyadicPoint, axis: int) -> tuple[int, dict[DyadicPoint, Fraction]]:
+    """(n, the step element of `step_decompose` divided by 2^(n*alpha)),
+    origin entry dropped."""
     coords = v.coords()
     if not 0 <= axis < v.d:
         raise ValueError(f"axis {axis} out of range")
     n = coordinate_level(coords[axis])
     if n < 1:
         raise ValueError(f"coordinate {coords[axis]} of v is at level 0")
-    out = {v: PowSum({-n: Fraction(1)})}
+    out = {v: Fraction(1)}
     for c in neighbors(coords[axis]):
-        out[DyadicPoint.from_fractions(replaced(coords, axis, c))] = PowSum({-n: Fraction(-1, 2)})
-    return {u: c for u, c in out.items() if not u.is_origin()}
+        out[DyadicPoint.from_fractions(replaced(coords, axis, c))] = Fraction(-1, 2)
+    return n, {u: c for u, c in out.items() if not u.is_origin()}
 
 
-def step_decompose(
-    v: DyadicPoint, axis: int, alpha: float, exact: bool = False
-) -> BasisCombination:
+def step_decompose(v: DyadicPoint, axis: int, alpha: float) -> BasisCombination:
     """Expand 2^(n*alpha)(delta(v) - (delta(v + h e_axis) + delta(v - h e_axis)) / 2)
     over the basis, where h = 2^-n and the axis coordinate of v has exact
     level n >= 1; the cost is at most rho^(l+1) <= rho^d with l the number of
     coordinates of v finer than level n.
-
-    The double mode evaluates the exact coefficients: a double analysis
-    rounds on the way (1.0000000000000002 for the d = 1 base case).
     """
-    comb = analyze(_step_element(v, axis), None, exact=True)
-    if exact:
-        return comb
-    alpha = check_alpha(alpha)
-    return BasisCombination({u: c.to_float(alpha) for u, c in comb.coeffs.items()})
+    n, elem = _step_element(v, axis)
+    return BasisCombination(_rounded(_peel(elem), check_alpha(alpha), n))
 
 
 def step_target(v: DyadicPoint, axis: int, alpha: float) -> dict[DyadicPoint, float]:
     """Point expansion of the step element (origin entries dropped)."""
-    return {u: c.to_float(alpha) for u, c in _step_element(v, axis).items()}
+    n, elem = _step_element(v, axis)
+    return {u: float(c) * 2.0 ** (n * alpha) for u, c in elem.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +325,11 @@ def _check_molecule(u: DyadicPoint, v: DyadicPoint) -> None:
         raise ValueError("points of different dimensions")
 
 
-def molecule_difference(
-    u: DyadicPoint, v: DyadicPoint, alpha: float | None = None, exact: bool = False
-) -> BasisCombination:
+def molecule_difference(u: DyadicPoint, v: DyadicPoint, alpha: float) -> BasisCombination:
     """Combination reconstructing the unnormalized difference
     delta(u) - delta(v)."""
     _check_molecule(u, v)
-    one = PowSum({0: Fraction(1)}) if exact else 1.0
-    return analyze({u: one, v: -one}, alpha, exact)
+    return analyze({u: 1.0, v: -1.0}, alpha)
 
 
 def molecule_l1(u: DyadicPoint, v: DyadicPoint) -> Fraction:
@@ -456,16 +372,13 @@ def reconstruction_residual(
 # basis elements as free elements, norm checks, and the norming report
 
 
-def basis_element(v: DyadicPoint | BasisIndex, alpha: float) -> FreeElement:
+def basis_element(v: DyadicPoint, alpha: float) -> FreeElement:
     """The basis element at v as a free element over its support plus the
     origin, under the alpha-distorted l1 metric."""
-    if isinstance(v, BasisIndex):
-        v = v.point
     if v.is_origin():
         raise ValueError("the origin does not index a basis element")
     alpha = check_alpha(alpha)
-    ctx = _FloatCoeffs(alpha)
-    expansion = _iota_expansion(v, ctx)
+    expansion = _iota_expansion(v, alpha)
     support = sorted(expansion, key=lambda q: (q.level, q.nums))
     points = [DyadicPoint.origin(v.d)] + support
     host = holder_distort(l1_space([q.floats() for q in points], base=0), alpha)
@@ -485,51 +398,22 @@ def _proof_cost(v: DyadicPoint, alpha: float, p: float) -> float:
     return total ** (1.0 / p)
 
 
-def basis_norm_check(
-    v: DyadicPoint | BasisIndex, alpha: float, p: float, cap: int = DEFAULT_CAP
-) -> tuple[float, float]:
+def basis_norm_check(v: DyadicPoint, alpha: float, p: float) -> tuple[float, float]:
     """(exact norm or certified upper bound, the norming bound d^alpha C(p, 2^d)).
 
-    The exact engine runs whenever the support fits its cap; otherwise the
-    partition-of-unity decomposition cost stands in, which never exceeds the
-    bound either.
+    The exact engine runs whenever the support fits its cap DEFAULT_CAP;
+    otherwise the partition-of-unity decomposition cost stands in, which
+    never exceeds the bound either.
     """
-    if isinstance(v, BasisIndex):
-        v = v.point
     p = check_p(p)
     alpha = check_alpha(alpha)
     elem = basis_element(v, alpha)
-    if elem.host.n <= cap:
-        value, _ = exact_norm_small(elem, p, cap=cap)
+    if elem.host.n <= DEFAULT_CAP:
+        value, _ = exact_norm_small(elem, p)
     else:
         value = _proof_cost(v, alpha, p)
     bound = float(v.d) ** alpha * c_const(p, 2**v.d)
     return value, bound
-
-
-def analyze(
-    m: dict[DyadicPoint, object], alpha: float | None, exact: bool = False
-) -> BasisCombination:
-    """The unique basis coefficients reproducing a dyadically supported
-    element, peeled level by level from finest to coarsest."""
-    ctx = _ExactCoeffs() if exact else _FloatCoeffs(check_alpha(alpha))
-    work = {pt: c for pt, c in m.items() if not pt.is_origin() and not ctx.is_zero(c)}
-    if any(pt.level > MAX_LEVEL for pt in work):
-        raise ValueError(f"support is not dyadic at level <= {MAX_LEVEL}")
-
-    out: dict[DyadicPoint, object] = {}
-    for k in range(max((pt.level for pt in work), default=0), 0, -1):
-        for v in sorted((pt for pt in work if pt.level == k), key=lambda q: q.nums):
-            c = work.pop(v)
-            coeff = c * ctx.xm(k)
-            out[v] = coeff
-            for u, cc in _iota_expansion(v, ctx).items():
-                if u == v:
-                    continue
-                work[u] = work.get(u, _zero(ctx)) - coeff * cc
-    for v, c in work.items():  # level-0 corners map to bare evaluations
-        out[v] = c
-    return BasisCombination(_pruned(out, ctx), ctx.exact)
 
 
 def _analysis_operator(d: int, k_max: int, alpha: float):
@@ -538,13 +422,12 @@ def _analysis_operator(d: int, k_max: int, alpha: float):
     synthesis matrix S is the point expansion of the basis element at
     grid[j + 1], and column j of the analysis matrix A holds the basis
     coefficients of delta(grid[j]), zero for the origin."""
-    ctx = _FloatCoeffs(alpha)
     pts = basis_points(d, k_max)
     row = {v: i for i, v in enumerate(pts)}
     S = np.zeros((len(pts), len(pts)))
     A = np.zeros((len(pts), len(pts) + 1))
     for j, v in enumerate(pts):
-        for u, c in _iota_expansion(v, ctx).items():
+        for u, c in _iota_expansion(v, alpha).items():
             S[row[u], j] = c
         for u, c in analyze({v: 1.0}, alpha).coeffs.items():
             A[row[u], j + 1] = c
@@ -556,12 +439,10 @@ def _molecule_checks(coords, S, A, i, js, alpha, p):
     i to each grid point in js, with S and A from `_analysis_operator`.
 
     Analysis is linear, so the coefficients of the molecule at (i, j) are
-    (A[:, i] - A[:, j]) / |u_i - u_j|_1^alpha, pruned per pair as `analyze`
-    prunes: a rounding-level entry left in would move a p < 1 cost by far
-    more than its own size."""
+    (A[:, i] - A[:, j]) / |u_i - u_j|_1^alpha. The columns of A are exact
+    coefficients rounded once, so equal coefficients cancel exactly."""
     scale = 1.0 / np.abs(coords[js] - coords[i]).sum(axis=1) ** alpha
     C = (A[:, [i]] - A[:, js]) * scale
-    C[np.abs(C) <= PRUNE_TOL * (1.0 + np.abs(C).max(axis=0))] = 0.0
     target = np.zeros_like(C)  # rows skip the origin, grid point 0
     if i:
         target[i - 1] = scale

@@ -276,9 +276,7 @@ def _cancel_cycles(W, Dp, p):
         W[a, b], W[b, a] = g + t, -(g + t)
 
 
-def exact_norm_small(
-    m: FreeElement, p: float, cap: int = DEFAULT_CAP
-) -> tuple[float, Decomposition]:
+def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
     """Exact free p-norm of m over its host, with an optimal witness.
 
     The minimum over decompositions is attained on a tree rooted at the base
@@ -286,30 +284,28 @@ def exact_norm_small(
     dynamic program in O(3^k n + 2^k n^2) time for support size k; the
     witness has one molecule per tree edge carrying nonzero weight. Exact
     for every 0 < p <= 1 but exponential in the support size, hence the cap
-    on the support plus the base; the host itself may be larger. Beyond the
-    cap, use the certified bound operations (`upper_bound_from`,
-    `dual_lower_bound`) instead.
+    DEFAULT_CAP on the support plus the base; the host itself may be
+    larger. Beyond the cap, use the certified bound operations
+    (`upper_bound_from`, `dual_lower_bound`) instead.
     """
     p = check_p(p)
-    if len(m.weights) + 1 > cap:
+    if len(m.weights) + 1 > DEFAULT_CAP:
         raise ValueError(
             f"element has {len(m.weights)} support points plus the base, beyond "
-            f"the exact-norm cap {cap}; "
+            f"the exact-norm cap {DEFAULT_CAP}; "
             "use upper_bound_from / dual_lower_bound for certified bounds"
         )
     return _tree_norm(m, p, range(m.host.n))
 
 
-def restricted_norm(
-    m: FreeElement, p: float, subset, cap: int = DEFAULT_CAP
-) -> float:
+def restricted_norm(m: FreeElement, p: float, subset) -> float:
     """Infimum cost over decompositions into molecules with both endpoints in
-    `subset`; at least the unrestricted norm. When the base is outside
-    `subset`, m must sum to zero."""
+    `subset`, of at most DEFAULT_CAP points; at least the unrestricted norm.
+    When the base is outside `subset`, m must sum to zero."""
     p = check_p(p)
     subset = set(int(i) for i in subset)
-    if len(subset) > cap:
-        raise ValueError(f"subset has {len(subset)} points, beyond the cap {cap}")
+    if len(subset) > DEFAULT_CAP:
+        raise ValueError(f"subset has {len(subset)} points, beyond the cap {DEFAULT_CAP}")
     value, _ = _tree_norm(m, p, subset)
     return value
 
@@ -318,8 +314,9 @@ def restricted_norm(
 # p = 1: minimum-cost flow on the complete graph
 
 
-def exact_norm_p1(m: FreeElement, cap: int = FLOW_CAP) -> tuple[float, Decomposition]:
-    """Exact free 1-norm as a minimum-cost transshipment.
+def exact_norm_p1(m: FreeElement) -> tuple[float, Decomposition]:
+    """Exact free 1-norm as a minimum-cost transshipment, on hosts of at
+    most FLOW_CAP points.
 
     Nonnegative flows on all ordered point pairs; each non-base point must
     emit its weight net, the base point is a free source/sink. Solved as a
@@ -331,8 +328,8 @@ def exact_norm_p1(m: FreeElement, cap: int = FLOW_CAP) -> tuple[float, Decomposi
 
     host = m.host
     n = host.n
-    if n > cap:
-        raise ValueError(f"host has {n} points, beyond the flow cap {cap}")
+    if n > FLOW_CAP:
+        raise ValueError(f"host has {n} points, beyond the flow cap {FLOW_CAP}")
     if m.is_zero():
         return 0.0, Decomposition(host, ())
 
@@ -419,15 +416,21 @@ def dual_lower_bounds(elements, p: float, cert: DualCertificate) -> list[float]:
     Sound for any decomposition sum a_i mu_i of m: each pairing is at most
     sum of |a_i| over the molecules active for that function, subadditivity
     of t -> t^p turns that into a per-function bound, and the multiplicity
-    cap lets the function sum be charged to kappa copies of the cost.
+    cap lets the function sum be charged to kappa copies of the cost. A
+    pairing of at most COEFF_TOL (|phi_u| . |m|) is rounding, not weight,
+    and counts as zero: t^p would magnify it, and dropping a term only
+    lowers the bound.
     """
     p = check_p(p)
     if any(m.host is not cert.host for m in elements):
         raise CertificateError("certificate host differs from the element host")
     cert.validate()
     out = []
+    F = cert.functions
     for m in elements:
-        pairings = cert.functions @ m.as_full_vector()
+        v = m.as_full_vector()
+        pairings = F @ v
+        pairings[np.abs(pairings) <= COEFF_TOL * (np.abs(F) @ np.abs(v))] = 0.0
         out.append(float(((np.abs(pairings) ** p).sum() / cert.kappa) ** (1.0 / p)))
     return out
 

@@ -341,7 +341,7 @@ def estimate_lipschitz(ctx: RetractionContext, config: SamplerConfig) -> dict:
         max_cost = max(max_cost, cost)
         max_residual = max(max_residual, residual)
         if exact_ok and exact_checked < EXACT_CHECK_SAMPLES:
-            norm, _ = exact_norm_small(m, p, cap=EXACT_NORM_CAP)
+            norm, _ = exact_norm_small(m, p)
             exact_checked += 1
             if not (lower * l1 <= norm + 1e-9 and norm <= cost * l1 + 1e-9):
                 raise AssertionError("exact norm escaped its certified bounds")

@@ -6,7 +6,8 @@ of points as one tensor product. This module keeps the direct per-point
 route it replaced: scan the sorted offsets for the first cube containing the
 point (an exact pass, then a pass with tolerance _CUBE_TOL (1 + max|z|)),
 then multiply the one-dimensional weights vertex by vertex. A point found in
-a cube is weighed there, its local coordinates clipped to [0, 1]. The tests
+a cube is weighed there, a local coordinate within that tolerance of 0 or 1
+set to it and the others clipped to [0, 1]. The tests
 pin the kernel and its one-point views equal to it, cubes exactly and
 weights bitwise.
 """
@@ -31,8 +32,12 @@ def oracle_find_cube(complex, x):
 
 
 def oracle_local_coords(complex, w, x):
-    t = np.asarray(x, dtype=float) / complex.R - np.array(w, dtype=float)
-    return np.clip(t, 0.0, 1.0)
+    z = np.asarray(x, dtype=float) / complex.R
+    tol = _CUBE_TOL * (1.0 + float(np.abs(z).max()))
+    out = []
+    for t in z - np.array(w, dtype=float):
+        out.append(0.0 if t <= tol else 1.0 if t >= 1.0 - tol else float(t))
+    return np.array(out)
 
 
 def oracle_weight(complex, v, x):

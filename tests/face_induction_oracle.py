@@ -10,24 +10,115 @@ level coarser, down to the level-0 corners (`oracle_difference`). None of it
 solves anything, so it checks `freep.dyadic`, which peels coefficients level
 by level, from an independent direction: the basis is level-triangular, so
 both must give the same unique coefficients.
+
+The kernels compute in doubles or, in exact mode, in the ring of finite sums
+of dyadic rationals times integer powers of X = 2^-alpha (`PowSum`); exact
+coefficients check the rationals of `freep.dyadic`'s peel.
 """
 
 import math
 from fractions import Fraction
 
+from freep import dyadic
 from freep.constants import check_alpha
-from freep.dyadic import (
-    BasisCombination,
-    HatDecomposition,
-    HatTerm,
-    _acc,
-    _ExactCoeffs,
-    _FloatCoeffs,
-    _pruned,
-    line_path,
-    molecule_l1,
-)
+from freep.dyadic import BasisCombination, HatDecomposition, HatTerm, line_path, molecule_l1
 from freep.metric import DyadicPoint, coordinate_level, replaced
+
+# ---------------------------------------------------------------------------
+# coefficient arithmetic: doubles, or exact sums of q * X^m with X = 2^-alpha
+
+
+class PowSum:
+    """Finite sum of dyadic rationals times integer powers of X = 2^-alpha."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[int, Fraction] | None = None):
+        self.terms = {m: q for m, q in (terms or {}).items() if q != 0}
+
+    def __add__(self, other: "PowSum") -> "PowSum":
+        out = dict(self.terms)
+        for m, q in other.terms.items():
+            out[m] = out.get(m, Fraction(0)) + q
+        return PowSum(out)
+
+    def __sub__(self, other: "PowSum") -> "PowSum":
+        return self + (-other)
+
+    def __neg__(self) -> "PowSum":
+        return PowSum({m: -q for m, q in self.terms.items()})
+
+    def __mul__(self, other: "PowSum") -> "PowSum":
+        out: dict[int, Fraction] = {}
+        for m1, q1 in self.terms.items():
+            for m2, q2 in other.terms.items():
+                m = m1 + m2
+                out[m] = out.get(m, Fraction(0)) + q1 * q2
+        return PowSum(out)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PowSum) and self.terms == other.terms
+
+    def to_float(self, alpha: float) -> float:
+        return float(sum(q * 2.0 ** (-m * alpha) for m, q in self.terms.items()))
+
+    def __repr__(self) -> str:
+        return f"PowSum({self.terms})"
+
+
+class _FloatCoeffs:
+    exact = False
+
+    def __init__(self, alpha: float):
+        self.alpha = alpha
+        self.one = 1.0
+
+    def xm(self, m: int) -> float:
+        return 2.0 ** (-m * self.alpha)
+
+    def rat(self, q) -> float:
+        return float(q)
+
+    def is_zero(self, c) -> bool:
+        return c == 0.0
+
+
+class _ExactCoeffs:
+    exact = True
+
+    def __init__(self):
+        self.one = PowSum({0: Fraction(1)})
+
+    def xm(self, m: int) -> PowSum:
+        return PowSum({m: Fraction(1)})
+
+    def rat(self, q) -> PowSum:
+        return PowSum({0: Fraction(q)})
+
+    def is_zero(self, c) -> bool:
+        return c.is_zero()
+
+
+def _acc(target: dict, source: dict, factor=None) -> None:
+    for key, c in source.items():
+        inc = c if factor is None else factor * c
+        if key in target:
+            target[key] = target[key] + inc
+        else:
+            target[key] = inc
+
+
+def _pruned(comb: dict, ctx) -> dict:
+    if ctx.exact:
+        return {k: c for k, c in comb.items() if not c.is_zero()}
+    return dyadic._pruned(comb)
+
+
+# ---------------------------------------------------------------------------
+# the constructive kernels
 
 
 def _hat_parts(u1: Fraction, u2: Fraction, v: Fraction):
@@ -139,7 +230,7 @@ def oracle_step(
     """The axis-step expansion at v built by hat expansions of the
     coordinates finer than the axis level; exact mode carries `PowSum`s."""
     ctx = _ExactCoeffs() if exact else _FloatCoeffs(check_alpha(alpha))
-    return BasisCombination(_pruned(_step_comb(v.coords(), axis, ctx, {}), ctx), exact)
+    return BasisCombination(_pruned(_step_comb(v.coords(), axis, ctx, {}), ctx))
 
 
 class _Decomposer:
@@ -215,11 +306,11 @@ def oracle_difference(
         raise ValueError("a molecule needs two distinct points")
     ctx = _ExactCoeffs() if exact else _FloatCoeffs(check_alpha(alpha))
     comb = _Decomposer(u.d, ctx).diff(u.coords(), v.coords())
-    return BasisCombination(_pruned(comb, ctx), exact)
+    return BasisCombination(_pruned(comb, ctx))
 
 
 def oracle_molecule(u: DyadicPoint, v: DyadicPoint, alpha: float) -> BasisCombination:
     """The normalized molecule (delta(u) - delta(v)) / |u - v|_1^alpha."""
     diff = oracle_difference(u, v, alpha)
     scale = 1.0 / float(molecule_l1(u, v)) ** alpha
-    return BasisCombination({k: scale * c for k, c in diff.coeffs.items()}, False)
+    return BasisCombination({k: scale * c for k, c in diff.coeffs.items()})

@@ -191,16 +191,18 @@ def test_decompose(capsys, space_file, element_file):
     assert report["n_terms"] == len(report["coefficients"]) == 2
 
 
-def test_lambda_check(capsys):
-    code, out, _ = run(
-        capsys,
-        ["--command", "lambda-check", "--d", "2", "--R", "3",
-         "--samples", "200", "--seed", "0"],
-    )
-    assert code == 0
-    report = json.loads(out)
-    assert report["kronecker_exact"] is True
-    assert report["max_partition_deviation"] <= 1e-12
+def test_lambda_check(capsys, tmp_path):
+    runs = [["--d", "2", "--R", "3", "--samples", "200", "--seed", "0"]]
+    # complex files at R = 0.7, whose vertex v placed at R v divides back
+    # to v only up to an ulp
+    for name in ("L_SHAPE", "GAPPED_R07"):
+        runs.append(["--samples", "10", "--in", write(tmp_path, f"{name}.txt", COMPLEX_FILES[name])])
+    for args in runs:
+        code, out, err = run(capsys, ["--command", "lambda-check", *args])
+        assert code == 0, (args, err)
+        report = json.loads(out)
+        assert report["kronecker_exact"] is True
+        assert report["max_partition_deviation"] <= 1e-12
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):
@@ -224,7 +226,19 @@ COMPLEX_FILES = {
     "TWO_SQUARES": "2 1.0\n0 0\n1 0\n0 0\n",
     "L_SHAPE": "2 0.7\n0 0\n1 0\n1 1\n2 1\n0 0\n",
     "GAPPED": "2 1.0\n0 0\n2 0\n0 0\n",
+    "GAPPED_R07": "2 0.7\n0 0\n2 0\n0 0\n",
+    "LINE_R07": "1 0.7\n-2\n-1\n0\n3\n-2\n",
 }
+
+
+def test_retraction_verify_lower_bound_ignores_rounding_pairings(capsys, tmp_path):
+    # an image difference off the base pairs with the base function at
+    # rounding level, and t^0.3 magnified that above the exact norm
+    cx = write(tmp_path, "cx.txt", COMPLEX_FILES["LINE_R07"])
+    code, out, err = run(capsys, ["--command", "retraction-verify", "--p", "0.3", "--seed", "5",
+                                  "--samples", "400", "--in", cx])
+    assert code == 0, err
+    assert json.loads(out)["exact_norms_checked"] == 50
 
 
 # sha256 of the reports before the cube layer became one array kernel: the

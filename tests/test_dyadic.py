@@ -1,3 +1,4 @@
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from face_induction_oracle import oracle_difference, oracle_hat, oracle_molecule, oracle_step
+from face_induction_oracle import (
+    PowSum,
+    oracle_difference,
+    oracle_hat,
+    oracle_molecule,
+    oracle_step,
+)
 from freep.constants import rho, tau
 from freep.dyadic import (
     BasisCombination,
-    BasisIndex,
-    PowSum,
     analyze,
     basis_element,
     basis_norm_check,
@@ -28,9 +33,13 @@ from freep.dyadic import (
     synthesize,
     verify_norming,
     _analysis_operator,
+    _coarse_neighbors,
     _molecule_checks,
+    _peel,
+    _proof_cost,
+    _step_element,
 )
-from freep.freenorm import exact_norm_small
+from freep.freenorm import DEFAULT_CAP, exact_norm_small
 from freep.metric import DyadicPoint, dyadic_grid
 
 F = Fraction
@@ -181,12 +190,14 @@ def test_molecule_d1_half_support_and_cost():
 
 
 def test_molecule_exact_mode_is_structural():
+    # the peel is exact: its weights rebuild delta(a) - delta(b) with no residual
     a, b = dp(F(1, 4), F(3, 4)), dp(F(1, 2), F(0))
-    diff = molecule_difference(a, b, exact=True)
-    synth = synthesize(diff)
-    target = {a: PowSum({0: F(1)}), b: PowSum({0: F(-1)})}
-    for key in set(synth) | set(target):
-        assert (synth.get(key, PowSum()) - target.get(key, PowSum())).is_zero()
+    rebuilt = {}
+    for v, beta in _peel({a: 1, b: -1}).items():
+        rebuilt[v] = rebuilt.get(v, 0) + beta
+        for u, weight in _coarse_neighbors(v) if v.level else ():
+            rebuilt[u] = rebuilt.get(u, 0) - beta * weight
+    assert {u: c for u, c in rebuilt.items() if c and not u.is_origin()} == {a: 1, b: -1}
 
 
 def test_molecule_cost_dominates_molecule_norm():
@@ -250,13 +261,6 @@ def test_basis_element_rejects_origin():
         basis_element(DyadicPoint.origin(2), 0.5)
 
 
-def test_basis_index_staleness():
-    with pytest.raises(ValueError, match="stale"):
-        BasisIndex(dp(F(1, 2)), 2)
-    idx = BasisIndex(dp(F(1, 2)))
-    assert idx.k == 1
-
-
 def test_basis_norm_check_examples():
     value, bound = basis_norm_check(dp(F(1, 2)), 0.5, 1.0)
     assert value == pytest.approx(1.0, abs=1e-9)
@@ -268,10 +272,15 @@ def test_basis_norm_check_examples():
 
 def test_basis_norm_check_proof_cost_fallback():
     v = dp(F(1, 2), F(1, 2))
-    exact_val, bound = basis_norm_check(v, 0.5, 0.5)
-    fallback_val, _ = basis_norm_check(v, 0.5, 0.5, cap=2)
-    assert exact_val <= fallback_val + 1e-9
-    assert fallback_val <= bound + 1e-9
+    exact_val, _ = basis_norm_check(v, 0.5, 0.5)
+    assert exact_val <= _proof_cost(v, 0.5, 0.5) + 1e-9
+    # the d = 3 centre point has all 8 corners as coarse neighbours, so its
+    # host is beyond the exact-norm cap and the proof cost stands in
+    centre = dp(F(1, 2), F(1, 2), F(1, 2))
+    assert basis_element(centre, 0.5).host.n > DEFAULT_CAP
+    value, bound = basis_norm_check(centre, 0.5, 0.5)
+    assert value == _proof_cost(centre, 0.5, 0.5)
+    assert value <= bound + 1e-9
 
 
 def test_analyze_examples():
@@ -301,6 +310,49 @@ def test_analyze_round_trip_random():
             assert back.coeffs[k] == pytest.approx(c, abs=1e-9)
 
 
+def exact_coefficients(m):
+    """The basis coefficients of sum_x a_x delta(x) in the exact ring, each
+    delta(x) = delta(x) - delta(origin) built by face induction."""
+    out = {}
+    for x, a in m.items():
+        if x.is_origin():
+            continue
+        for v, c in oracle_difference(x, DyadicPoint.origin(x.d), exact=True).coeffs.items():
+            out[v] = out.get(v, PowSum()) + PowSum({0: F(a)}) * c
+    return {v: c for v, c in out.items() if not c.is_zero()}
+
+
+def assert_rounded_once(m, alpha):
+    got = analyze(m, alpha).coeffs
+    want = exact_coefficients(m)
+    assert set(got) == set(want)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for v, c in want.items():
+            exact = sum(
+                Decimal(q.numerator) / Decimal(q.denominator) * Decimal(2) ** (-e * Decimal(alpha))
+                for e, q in c.terms.items()
+            )
+            assert abs(Decimal(got[v]) - exact) <= Decimal("4e-16") * abs(exact), (v, got[v], exact)
+
+
+@pytest.mark.parametrize("d,k", [(1, 5), (2, 3), (3, 2)])
+def test_analysis_rounds_once(d, k):
+    rng = np.random.default_rng([d, k])
+    pts = basis_points(d, k)
+    for alpha in (0.35, 0.5):
+        for _ in range(3):
+            sel = rng.choice(len(pts), size=6, replace=False)
+            assert_rounded_once({pts[i]: float(rng.normal()) for i in sel}, alpha)
+
+
+def test_analysis_rounds_once_on_an_all_dyadic_element():
+    m = {dp(F(1, 2), 0): 1.0, dp(F(1, 2), F(1, 4)): -0.5, dp(1, 1): 0.25}
+    assert_rounded_once(m, 0.5)
+    level0 = {v: c for v, c in analyze(m, 0.5).coeffs.items() if v.level == 0}
+    assert level0 == {dp(0, 1): -0.0625, dp(1, 0): 0.3125, dp(1, 1): 0.1875}
+
+
 def test_analyze_depth_guard():
     deep = dp(F(1, 2**40))
     with pytest.raises(ValueError, match="dyadic"):
@@ -326,6 +378,11 @@ def sorted_grid(d, k):
     return sorted(dyadic_grid(d, k), key=lambda q: (q.level, q.nums))
 
 
+def ring(betas, n=0):
+    """Peel weights as the exact coefficients beta_v X^(k - n), X = 2^-alpha."""
+    return {v: PowSum({v.level - n: beta}) for v, beta in betas.items()}
+
+
 @pytest.mark.parametrize("d,k", [(1, 4), (2, 2), (3, 1)])
 def test_molecules_match_face_induction_oracle(d, k):
     alpha = 0.35
@@ -337,7 +394,7 @@ def test_molecules_match_face_induction_oracle(d, k):
             assert set(got.coeffs) == set(want.coeffs)
             for key, c in want.coeffs.items():
                 assert got.coeffs[key] == pytest.approx(c, rel=1e-12, abs=1e-12)
-        assert molecule_difference(u, v, exact=True) == oracle_difference(u, v, exact=True)
+        assert ring(_peel({u: 1, v: -1})) == oracle_difference(u, v, exact=True).coeffs
 
 
 @pytest.mark.parametrize("d,k", [(1, 3), (2, 2)])
@@ -358,10 +415,12 @@ def test_verify_norming_batch_matches_single_pairs(d, k, p):
         assert report["max_molecule_residual"] == pytest.approx(residual, abs=1e-14)
 
 
-def test_molecule_checks_prune_like_analyze():
-    # at alpha = 1/2, X^2 = 1/2 is rational, so A[:, u] - A[:, v] leaves
-    # rounding-level entries (about 4e-17) from (1/4, 1/4) to level-3 points;
-    # kept, they would move these p = 0.4 costs by about 3e-7 relative
+def test_molecule_checks_match_single_pairs():
+    # at alpha = 1/2, X^2 = 1/2 is rational, so the molecules from (1/4, 1/4)
+    # to level-3 points have exactly zero coefficients where A[:, u] and
+    # A[:, v] are both nonzero; only exact cancellation there keeps these
+    # unpruned p = 0.4 costs equal to the single-pair route (a rounding-level
+    # entry of 4e-17 would move them by about 3e-7 relative)
     alpha, p = 0.5, 0.4
     grid, S, A = _analysis_operator(2, 3, alpha)
     i = grid.index(dp(F(1, 4), F(1, 4)))
@@ -385,7 +444,8 @@ def test_step_matches_constructive_oracle(d, k):
         for axis in range(d):
             if v.coords()[axis] in (0, 1):
                 continue  # level-0 coordinate, no step element there
-            assert step_decompose(v, axis, None, exact=True) == oracle_step(v, axis, exact=True)
+            n, elem = _step_element(v, axis)
+            assert ring(_peel(elem), n) == oracle_step(v, axis, exact=True).coeffs
             for alpha in (0.35, 0.5):
                 # float equality of the nonzero coefficients is bitwise
                 assert step_decompose(v, axis, alpha) == oracle_step(v, axis, alpha)

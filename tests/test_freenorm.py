@@ -30,6 +30,7 @@ from freep.freenorm import (
     upper_bound_from,
 )
 from freep.metric import PointedFiniteMetric, holder_distort, l1_space
+from freep.retraction import vertex_indicator_certificate
 
 
 def three_point_space():
@@ -265,6 +266,19 @@ def test_certificate_validation_names_the_violation():
     act2 = np.vstack([activity, activity])
     with pytest.raises(CertificateError, match="multiplicity|active"):
         dual_lower_bound(FreeElement(s, {1: 1.0}), 0.5, DualCertificate(s, crowded, 1, act2))
+
+
+def test_rounding_level_pairings_count_as_zero():
+    # weights one ulp apart pair with the base function at rounding level,
+    # and t^p would lift that term far above its size
+    s = l1_space([(0.0,), (1.4,), (2.1,)], base=0)
+    cert = vertex_indicator_certificate(s)
+    a = 0.1006
+    b = float(np.nextafter(a, 1.0))
+    m = FreeElement(s, {1: a, 2: -b})
+    p, scale = 0.3, 0.7
+    assert dual_lower_bound(m, p, cert) == (((scale * a) ** p + (scale * b) ** p) / 2) ** (1 / p)
+    assert dual_lower_bound(m, p, cert) <= exact_norm_small(m, p)[0]
 
 
 def test_batched_dual_lower_bounds_equal_single_ones():

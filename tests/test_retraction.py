@@ -28,13 +28,17 @@ TWO_CUBES_1D = CubeComplex(d=1, R=1.0, offsets=((0,), (1,)))
 
 
 def test_retract_at_vertices_is_unit_evaluation():
-    ctx = build_context(UNIT_SQUARE, 0.5)
-    for v in UNIT_SQUARE.vertices():
-        m = retract(ctx, np.array(v, dtype=float))
-        if v == UNIT_SQUARE.base_vertex:
-            assert m.is_zero()
-        else:
-            assert m.weights == {ctx.vertex_index(v): 1.0}
+    # at R = 0.7, (0.7 * 3) / 0.7 = 2.9999999999999996: the vertex R v of the
+    # L-shaped complex lies an ulp off v and is still weighed as the vertex
+    L_SHAPE = CubeComplex(d=2, R=0.7, offsets=((0, 0), (1, 0), (1, 1), (2, 1)))
+    for complex in (UNIT_SQUARE, L_SHAPE):
+        ctx = build_context(complex, 0.5)
+        for v in complex.vertices():
+            m = retract(ctx, complex.R * np.array(v, dtype=float))
+            if v == complex.base_vertex:
+                assert m.is_zero()
+            else:
+                assert m.weights == {ctx.vertex_index(v): 1.0}, v
 
 
 def test_retract_examples():
