@@ -6,7 +6,6 @@ constants."""
 from .constants import (
     bm_bound,
     c_const,
-    c_const_sup_oracle,
     retraction_bounds,
     rho,
     tau,
@@ -18,6 +17,7 @@ from .cubes import (
     lambda_weight,
     scalar_coeff,
     vertex_bits,
+    vertex_ids,
     vertex_weights,
 )
 from .dyadic import (
@@ -43,7 +43,6 @@ from .freenorm import (
     exact_norm_p1,
     exact_norm_small,
     p_cost,
-    restricted_norm,
     upper_bound_from,
 )
 from .metric import (

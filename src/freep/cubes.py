@@ -14,7 +14,8 @@ places the points in their cubes, and `tensor_weights` forms the 2^d weights
 of a cube's vertices as one tensor product of the local coordinates. The
 retraction weighs the rows of its upper decompositions with the last two.
 `find_cube`, `lambda_support` and `lambda_weight` are one-point views of
-the kernel.
+the kernel. `vertex_ids` indexes lattice vertices by the same search over
+a sorted table of the vertices present.
 """
 
 from __future__ import annotations
@@ -86,12 +87,10 @@ class CubeComplex:
         object.__setattr__(self, "offsets", tuple(offs))
         object.__setattr__(self, "base_vertex", base)
         object.__setattr__(self, "_vertices", tuple(verts))
-        # the sorted offsets, and the same as one record of d int64 fields
-        # per offset, which compare (and search) lexicographically
-        table = np.array(offs, dtype=np.int64)
-        record = np.dtype([(f"c{i}", np.int64) for i in range(d)])
-        object.__setattr__(self, "_offsets", table)
-        object.__setattr__(self, "_table", table.view(record)[:, 0])
+        # offsets and vertices as sorted tables of records, one per point, of
+        # d int64 fields, which compare (and search) lexicographically
+        object.__setattr__(self, "_cubes", _records(np.array(offs, dtype=np.int64)))
+        object.__setattr__(self, "_verts", _records(np.array(verts, dtype=np.int64)))
 
     def vertices(self) -> tuple[tuple[int, ...], ...]:
         return self._vertices  # type: ignore[attr-defined]
@@ -106,11 +105,31 @@ def vertex_bits(d: int) -> np.ndarray:
     return bits
 
 
-def _present(complex: CubeComplex, C: np.ndarray) -> np.ndarray:
-    """Whether each offset in the int64 array C (..., d) is a cube of the complex."""
-    table = complex._table  # type: ignore[attr-defined]
-    idx = np.searchsorted(table, np.ascontiguousarray(C).view(table.dtype)[..., 0])
-    return (complex._offsets[np.minimum(idx, len(table) - 1)] == C).all(axis=-1)  # type: ignore[attr-defined]
+def _records(A: np.ndarray) -> np.ndarray:
+    """The int64 points A (..., d) as records (...) of d fields."""
+    A = np.ascontiguousarray(A, dtype=np.int64)
+    return A.view(np.dtype([(f"c{i}", np.int64) for i in range(A.shape[-1])]))[..., 0]
+
+
+def _search(table: np.ndarray, P) -> tuple[np.ndarray, np.ndarray]:
+    """(row, present) of each int64 point in P (..., d) in the sorted record
+    table: where it sits in the table, and whether it is there."""
+    keys = _records(P)
+    row = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+    return row, table[row] == keys
+
+
+def vertex_ids(complex: CubeComplex, V) -> np.ndarray:
+    """Indices into `complex.vertices()` of the lattice points V (..., d);
+    raises for the first point that is not a vertex of the complex."""
+    V = np.asarray(V, dtype=np.int64)
+    if V.ndim < 1 or V.shape[-1] != complex.d:
+        raise ValueError(f"lattice points must have {complex.d} coordinates")
+    row, present = _search(complex._verts, V)  # type: ignore[attr-defined]
+    if not present.all():
+        k = np.unravel_index(np.argmin(present), present.shape)
+        raise ValueError(f"lattice point {tuple(V[k].tolist())} is missing from the complex")
+    return row
 
 
 def _lookup(complex: CubeComplex, X: np.ndarray) -> np.ndarray:
@@ -131,7 +150,7 @@ def _lookup(complex: CubeComplex, X: np.ndarray) -> np.ndarray:
         below = Z <= F + tol
         C = (F - below)[:, None, :] + bits  # candidates, lexicographic per row
         hit = (bits <= (below | (Z >= (F + 1.0) - tol))[:, None, :]).all(axis=2)
-        hit &= near & _present(complex, C.astype(np.int64))
+        hit &= near & _search(complex._cubes, C)[1]  # type: ignore[attr-defined]
         first = hit.argmax(axis=1)
         new = hit[rows, first] & ~found
         out[new] = C[new, first[new]]

@@ -57,6 +57,9 @@ from .metric import (
 REC_TOL = 1e-9
 PRUNE_TOL = 1e-13
 MAX_LEVEL = 32
+# verify_norming holds two dense N x N matrices for a grid of N basis
+# points: at most 0.4 GB together
+MAX_BASIS_POINTS = 5000
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +312,6 @@ def line_path(u, v) -> list[Fraction]:
     return path
 
 
-def path_cost(path: list[Fraction], p: float, alpha: float) -> float:
-    gaps = [abs(b - a) for a, b in zip(path, path[1:])]
-    return float(sum(float(g) ** (p * alpha) for g in gaps) ** (1.0 / p))
-
-
 # ---------------------------------------------------------------------------
 # molecules through the analysis operator
 
@@ -456,28 +454,35 @@ def verify_norming(
     alpha: float,
     p: float,
     k_max: int,
-    basis_k_max: int | None = None,
     pair_budget: int = 100_000,
 ) -> dict:
     """Certify the two-sided norming estimates at desk scale.
 
-    Every basis element up to `basis_k_max` is checked against the norm
-    bound d^alpha C(p, 2^d); every molecule over the level-`k_max` grid is
+    Every basis element of the level-`k_max` grid is checked against the
+    norm bound d^alpha C(p, 2^d); every molecule over the grid is
     decomposed with reconstruction residual and cost recorded against
     tau^d rho^d. The report carries the resulting norming bound
     C(p, 2^d) rho^d tau^d and a completeness flag (the pair budget trims
     oversized grids, keeping the first pairs of `combinations(grid, 2)`).
     The analysis operator of the grid is built once, and the molecules are
-    checked in batch, one first point at a time."""
+    checked in batch, one first point at a time. A grid of more than
+    MAX_BASIS_POINTS basis points raises before any work."""
     p = check_p(p)
     alpha = check_alpha(alpha)
     d = int(d)
-    basis_k_max = k_max if basis_k_max is None else int(basis_k_max)
+    # N = (2^k + 1)^d - 1 basis points; when d (k + 1) > 64, N > 2^32 anyway
+    n_basis = (2**k_max + 1) ** d - 1 if d * (k_max + 1) <= 64 else None
+    if n_basis is None or n_basis > MAX_BASIS_POINTS:
+        count = "more than 2^32" if n_basis is None else n_basis
+        raise ValueError(
+            f"--d {d} --kmax {k_max} give a grid of {count} basis points, beyond "
+            f"the cap {MAX_BASIS_POINTS}; lower --d or --kmax"
+        )
 
     max_basis = 0.0
     basis_bound = float(d) ** alpha * c_const(p, 2**d)
     basis_ok = True
-    for v in basis_points(d, basis_k_max):
+    for v in basis_points(d, k_max):
         value, bound = basis_norm_check(v, alpha, p)
         max_basis = max(max_basis, value)
         basis_ok = basis_ok and value <= bound + REC_TOL
@@ -503,7 +508,7 @@ def verify_norming(
         "alpha": alpha,
         "p": p,
         "k_max": k_max,
-        "basis_k_max": basis_k_max,
+        "basis_k_max": k_max,
         "max_basis_norm": max_basis,
         "basis_bound": basis_bound,
         "basis_ok": basis_ok,

@@ -6,10 +6,13 @@ base point normalized away. The p-norm (0 < p <= 1) is the infimum of
 (delta(x) - delta(y)) / d(x, y). Three certified routes are provided:
 
 * an exact value for p = 1 by minimum-cost flow on the complete graph,
-* an exact value for any p on small hosts by a dynamic program over trees
-  (linearly independent molecule sets are forests, the concave cost is
-  minimized on a tree rooted at the base, and a Dreyfus-Wagner subset
-  program finds the best one in O(3^k n + 2^k n^2) time for support size k),
+* an exact value for any p on small supports by a dynamic program over
+  trees (linearly independent molecule sets are forests, the concave cost
+  is minimized on a tree of the whole host rooted at the base, and a
+  Dreyfus-Wagner subset program finds the best one in O(3^k n + 2^k n^2)
+  time for support size k on n points); the norm with molecules restricted
+  to a subset of the host is, by definition, the norm over the induced
+  subspace, so it is this program run on that subspace as its own host,
 * certified two-sided bounds: any explicit decomposition gives an upper
   bound, and any validated dual certificate of Lipschitz-1 functions with
   bounded pair multiplicity gives a lower bound via subadditivity of t^p.
@@ -54,14 +57,6 @@ class FreeElement:
             if idx != host.base and w != 0.0:
                 clean[idx] = clean.get(idx, 0.0) + w
         self.weights = {i: w for i, w in clean.items() if w != 0.0}
-
-    @classmethod
-    def zero(cls, host: PointedFiniteMetric) -> "FreeElement":
-        return cls(host, {})
-
-    @classmethod
-    def delta(cls, host: PointedFiniteMetric, idx: int) -> "FreeElement":
-        return cls(host, {idx: 1.0})
 
     def is_zero(self) -> bool:
         return not self.weights
@@ -177,10 +172,10 @@ def upper_bound_from(m: FreeElement, p: float, decomp: Decomposition) -> float:
 # exact norm by a dynamic program over trees
 
 
-def _tree_norm(m, p, subset):
-    """(p-norm, witness) of m over trees on the points of `subset`: the least
-    sum_e (d(e) |W_e|)^p, W_e the weight of m on the side of edge e away
-    from the root (the base, or a subset point when m sums to zero).
+def _tree_norm(m, p):
+    """(p-norm, witness) of m over trees on the host rooted at the base: the
+    least sum_e (d(e) |W_e|)^p, W_e the weight of m on the side of edge e
+    away from the base.
 
     f[S][v] is the least cost of a tree joining the terminals S to v, and
     g[S][v] the least with v a branch point: the minimum over splits of S of
@@ -188,31 +183,18 @@ def _tree_norm(m, p, subset):
     |w(S)|^p suffices because d^p is a metric for p <= 1.
     """
     host, n = m.host, m.host.n
-    verts = sorted(set(int(i) for i in subset))
-    if any(not 0 <= i < n for i in verts):
-        raise ValueError("subset contains out-of-range indices")
-    outside = [i for i in m.weights if i not in verts]
-    if outside:
-        raise ValueError(f"element supported outside the subset at indices {outside}")
     if m.is_zero():
         return 0.0, Decomposition(host, ())
-    root = host.base if host.base in verts else verts[0]
-    # a root other than the base absorbs the total weight, which must vanish
-    if root != host.base and abs(sum(m.weights.values())) > EVAL_TOL * (
-        1.0 + max(map(abs, m.weights.values()))
-    ):
-        raise ValueError("element is not decomposable over molecules of the subset")
-
-    terminals = [verts.index(i) for i in sorted(m.weights) if i != root]
-    w = np.array([m.weights[verts[t]] for t in terminals])
-    size, cols = 1 << len(terminals), np.arange(len(verts))
+    terminals = sorted(m.weights)
+    w = np.array([m.weights[t] for t in terminals])
+    size, cols = 1 << len(terminals), np.arange(n)
     wsum = ((np.arange(size)[:, None] >> np.arange(len(terminals))) & 1) @ w
     # subset sums at rounding level carry no weight, not a tiny molecule
     flow = np.where(np.abs(wsum) > COEFF_TOL * np.abs(w).sum(), np.abs(wsum), 0.0)
-    Dp = host.dist[verts][:, verts] ** p
-    F = np.zeros((size, len(verts)))
-    hop = np.zeros((size, len(verts)), dtype=np.intp)
-    split = np.zeros((size, len(verts)), dtype=np.intp)
+    Dp = host.dist**p
+    F = np.zeros((size, n))
+    hop = np.zeros((size, n), dtype=np.intp)
+    split = np.zeros((size, n), dtype=np.intp)
     for S in range(1, size):
         low = S & -S
         if S == low:
@@ -230,8 +212,8 @@ def _tree_norm(m, p, subset):
         hop[S] = H.argmin(axis=0)
         F[S] = H[hop[S], cols]
 
-    W = np.zeros((len(verts), len(verts)))  # weight carried from u to v, antisymmetric
-    stack = [(size - 1, verts.index(root))]
+    W = np.zeros((n, n))  # weight carried from u to v, antisymmetric
+    stack = [(size - 1, host.base)]
     while stack:
         S, v = stack.pop()
         u = hop[S, v]
@@ -241,11 +223,12 @@ def _tree_norm(m, p, subset):
         if S & (S - 1):
             stack += [(split[S, u], u), (S ^ split[S, u], u)]
     _cancel_cycles(W, Dp, p)
+    # endpoints as Python ints: reports serialize no numpy integers
     terms = tuple(
-        (host.distance(verts[x], verts[y]) * W[x, y], Molecule(host, verts[x], verts[y]))
-        for x, y in zip(*np.nonzero(W > 0))
+        (host.distance(x, y) * W[x, y], Molecule(host, x, y))
+        for x, y in zip(*(a.tolist() for a in np.nonzero(W > 0)))
     )
-    return float(F[-1, verts.index(root)] ** (1.0 / p)), Decomposition(host, terms)
+    return float(F[-1, host.base] ** (1.0 / p)), Decomposition(host, terms)
 
 
 def _cancel_cycles(W, Dp, p):
@@ -282,11 +265,14 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
     The minimum over decompositions is attained on a tree rooted at the base
     (a minimum concave-cost flow, Zangwill 1968), found by a Dreyfus-Wagner
     dynamic program in O(3^k n + 2^k n^2) time for support size k; the
-    witness has one molecule per tree edge carrying nonzero weight. Exact
-    for every 0 < p <= 1 but exponential in the support size, hence the cap
-    DEFAULT_CAP on the support plus the base; the host itself may be
-    larger. Beyond the cap, use the certified bound operations
-    (`upper_bound_from`, `dual_lower_bound`) instead.
+    witness has one molecule per tree edge carrying nonzero weight, with
+    both endpoints anywhere in the host (every host point may serve as a
+    Steiner point). Exact for every 0 < p <= 1 but exponential in the
+    support size, hence the cap DEFAULT_CAP on the support plus the base;
+    the host itself may be larger. To restrict the molecules to a subset,
+    build the induced subspace as the host. Beyond the cap, use the
+    certified bound operations (`upper_bound_from`, `dual_lower_bound`)
+    instead.
     """
     p = check_p(p)
     if len(m.weights) + 1 > DEFAULT_CAP:
@@ -295,19 +281,7 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
             f"the exact-norm cap {DEFAULT_CAP}; "
             "use upper_bound_from / dual_lower_bound for certified bounds"
         )
-    return _tree_norm(m, p, range(m.host.n))
-
-
-def restricted_norm(m: FreeElement, p: float, subset) -> float:
-    """Infimum cost over decompositions into molecules with both endpoints in
-    `subset`, of at most DEFAULT_CAP points; at least the unrestricted norm.
-    When the base is outside `subset`, m must sum to zero."""
-    p = check_p(p)
-    subset = set(int(i) for i in subset)
-    if len(subset) > DEFAULT_CAP:
-        raise ValueError(f"subset has {len(subset)} points, beyond the cap {DEFAULT_CAP}")
-    value, _ = _tree_norm(m, p, subset)
-    return value
+    return _tree_norm(m, p)
 
 
 # ---------------------------------------------------------------------------

@@ -71,9 +71,6 @@ class PointedFiniteMetric:
     def distance(self, i: int, j: int) -> float:
         return float(self.dist[i, j])
 
-    def index(self, point) -> int:
-        return self.points.index(point)
-
     def __repr__(self) -> str:
         return f"PointedFiniteMetric(n={self.n}, base={self.base})"
 

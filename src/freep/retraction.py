@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import c_const, check_p, retraction_bounds
+from .constants import check_p, retraction_bounds
 from .cubes import (
     CubeComplex,
     as_points,
@@ -22,6 +22,7 @@ from .cubes import (
     local_coords,
     tensor_weights,
     vertex_bits,
+    vertex_ids,
     vertex_weights,
 )
 from .freenorm import (
@@ -51,20 +52,15 @@ class RetractionContext:
     vertex_space: PointedFiniteMetric
 
     def vertex_index(self, v: tuple[int, ...]) -> int:
-        return self._index[tuple(int(c) for c in v)]  # type: ignore[attr-defined]
-
-    def vertex_lattice(self, idx: int) -> tuple[int, ...]:
-        return self.vertex_space.points[idx]
+        """The index of lattice vertex v in `vertex_space`."""
+        return int(vertex_ids(self.complex, v))
 
 
 def build_context(complex: CubeComplex, p: float) -> RetractionContext:
     """Pair a complex with the metric space over its vertices."""
     p = check_p(p)
-    verts = complex.vertices()
-    space = lattice_l1_space(verts, complex.R, base=verts.index(complex.base_vertex))
-    ctx = RetractionContext(complex, p, space)
-    object.__setattr__(ctx, "_index", {v: i for i, v in enumerate(verts)})
-    return ctx
+    base = int(vertex_ids(complex, complex.base_vertex))
+    return RetractionContext(complex, p, lattice_l1_space(complex.vertices(), complex.R, base=base))
 
 
 def retract(ctx: RetractionContext, x) -> FreeElement:
@@ -76,12 +72,11 @@ def _images(ctx: RetractionContext, X) -> tuple[np.ndarray, list[FreeElement]]:
     """The containing cubes (N, d) of the rows of X and their vertex-weight
     images, weighed in one kernel call."""
     W, L = vertex_weights(ctx.complex, X)
-    bits = vertex_bits(ctx.complex.d)
+    ids = vertex_ids(ctx.complex, W[:, None, :] + vertex_bits(ctx.complex.d))
     out = []
-    for w, row in zip(W, L):
+    for row, idx in zip(L, ids):
         nonzero = np.flatnonzero(row)
-        weights = {ctx.vertex_index(w + bits[j]): row[j] for j in nonzero}
-        out.append(FreeElement(ctx.vertex_space, weights))
+        out.append(FreeElement(ctx.vertex_space, dict(zip(idx[nonzero], row[nonzero]))))
     return W, out
 
 
@@ -99,21 +94,14 @@ def translate_element(ctx: RetractionContext, m: FreeElement, shift) -> FreeElem
     lat = np.rint(shift / ctx.complex.R)
     if np.abs(shift / ctx.complex.R - lat).max(initial=0.0) > LATTICE_TOL:
         raise ValueError(f"shift {tuple(shift)} is not a lattice vector")
-    lat = tuple(int(c) for c in lat)
 
     family = dict(m.weights)
     complement = 1.0 - sum(family.values())
     if abs(complement) > 1e-12:
         family[m.host.base] = complement
-    out: dict[int, float] = {}
-    for idx, w in family.items():
-        v = tuple(a + b for a, b in zip(ctx.vertex_lattice(idx), lat))
-        try:
-            j = ctx.vertex_index(v)
-        except KeyError:
-            raise ValueError(f"shifted vertex {v} is missing from the complex") from None
-        out[j] = out.get(j, 0.0) + w
-    return FreeElement(ctx.vertex_space, out)
+    points = np.array([m.host.points[idx] for idx in family], dtype=np.int64)
+    ids = vertex_ids(ctx.complex, points + lat.astype(np.int64))
+    return FreeElement(ctx.vertex_space, dict(zip(ids, family.values())))
 
 
 def rescale_check(m: FreeElement, R: float, shift, p: float):
@@ -202,13 +190,12 @@ def _upper_decompositions(ctx, X, Y, WX, WY) -> list[Decomposition]:
 
     row, col = np.nonzero(L)
     V = cube[row] + vertex_bits(complex.d)[col]
-    index = ctx._index  # type: ignore[attr-defined]
     terms = [
-        (a, Molecule(ctx.vertex_space, index[h], index[t]))
+        (a, Molecule(ctx.vertex_space, h, t))
         for a, h, t in zip(
             (scale[row] * L[row, col]).tolist(),
-            map(tuple, (V + head[row]).tolist()),
-            map(tuple, (V + tail[row]).tolist()),
+            vertex_ids(complex, V + head[row]).tolist(),
+            vertex_ids(complex, V + tail[row]).tolist(),
         )
     ]
     ends = np.cumsum(np.bincount(key[row], minlength=n)).tolist()
@@ -363,11 +350,3 @@ def estimate_lipschitz(ctx: RetractionContext, config: SamplerConfig) -> dict:
         "witness_value": witness.certified_value,
         "exact_norms_checked": exact_checked,
     }
-
-
-def witness_sandwich(d: int, p: float) -> tuple[float, float, float]:
-    """(dual lower bound, exact target, decomposition upper bound) for the
-    witness element; all three coincide at C(p, 2^(d-1))."""
-    res = lower_bound_witness(d, p)
-    upper = p_cost(res.upper_decomposition, p)
-    return res.certified_value, c_const(p, 2 ** (d - 1)), upper

@@ -9,8 +9,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from constants_oracle import c_const_sup_oracle
 
-from freep.constants import c_const, c_const_sup_oracle, retraction_bounds, rho, tau
+from freep.constants import c_const, retraction_bounds, rho, tau
 from freep.cubes import CubeComplex, lambda_support, lambda_weight
 from freep.dyadic import (
     BasisCombination,

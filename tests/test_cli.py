@@ -179,6 +179,17 @@ def test_basis_verify_default_budget_covers_the_d2_level4_grid(capsys):
     assert json.loads(out)["complete"] is True
 
 
+@pytest.mark.parametrize("d,kmax,count", [("2", "7", "16640"), ("20", "1", "3486784400")])
+def test_basis_verify_refuses_oversized_grids(capsys, d, kmax, count):
+    code, out, err = run(
+        capsys,
+        ["--command", "basis-verify", "--d", d, "--alpha", "0.5",
+         "--p", "0.5", "--kmax", kmax],
+    )
+    assert (code, out) == (2, "")
+    assert f"{count} basis points" in err and "--d" in err and "--kmax" in err
+
+
 def test_decompose(capsys, space_file, element_file):
     code, out, _ = run(
         capsys,

@@ -1,13 +1,13 @@
 import math
 
 import pytest
+from constants_oracle import c_const_sup_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freep.constants import (
     bm_bound,
     c_const,
-    c_const_sup_oracle,
     retraction_bounds,
     rho,
     tau,

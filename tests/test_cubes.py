@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import numpy as np
@@ -157,6 +158,26 @@ def test_offsets_are_bounded():
     x = (-MAX_OFFSET + 0.25, MAX_OFFSET + 1.0)
     assert find_cube(far, x) == oracle_find_cube(far, x) == (-MAX_OFFSET, MAX_OFFSET)
     assert lambda_support(far, x) == oracle_support(far, x)
+
+
+def test_vertex_ids_match_a_dict_of_the_vertices():
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 3):
+        for origin in (0, -5, MAX_OFFSET - 3, -MAX_OFFSET):
+            offsets = {tuple(origin + rng.integers(0, 3, d)) for _ in range(4)}
+            complex = CubeComplex(d=d, R=1.0, offsets=tuple(offsets))
+            index = {v: i for i, v in enumerate(complex.vertices())}
+            V = np.array(complex.vertices())[rng.integers(len(index), size=(4, 3))]
+            want = [[index[tuple(v)] for v in row] for row in V.tolist()]
+            assert cubes.vertex_ids(complex, V).tolist() == want
+            assert cubes.vertex_ids(complex, V[1, 2]) == want[1][2]
+            # vertices lie within origin + [0, 3]: name the first point beyond
+            V[1, 2], V[3, 0] = origin + 5, origin + 6
+            first = tuple([origin + 5] * d)
+            with pytest.raises(ValueError, match=re.escape(f"lattice point {first} is missing")):
+                cubes.vertex_ids(complex, V)
+    with pytest.raises(ValueError, match="2 coordinates"):
+        cubes.vertex_ids(TWO_CUBES, [0, 0, 0])
 
 
 def test_scalar_coeff_is_elementwise_on_arrays():

@@ -1,3 +1,4 @@
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
@@ -26,7 +27,6 @@ from freep.dyadic import (
     molecule_decompose,
     molecule_difference,
     molecule_target,
-    path_cost,
     reconstruction_residual,
     step_decompose,
     step_target,
@@ -150,7 +150,8 @@ def test_line_path_examples():
     path = line_path(F(1, 8), F(7, 8))
     assert path[0] == F(1, 8) and path[-1] == F(7, 8)
     p, alpha = 0.5, 0.5
-    assert path_cost(path, p, alpha) < 2 ** (1 / p) * (1 / (1 - 2 ** (-p * alpha))) ** (
+    cost = sum(float(abs(b - a)) ** (p * alpha) for a, b in zip(path, path[1:])) ** (1 / p)
+    assert cost < 2 ** (1 / p) * (1 / (1 - 2 ** (-p * alpha))) ** (
         1 / p
     ) * float(F(3, 4)) ** alpha
     with pytest.raises(ValueError):
@@ -374,6 +375,16 @@ def test_verify_norming_budget_flag():
     assert not report["complete"]
 
 
+@pytest.mark.parametrize("d,k", [(2, 7), (20, 1)])
+def test_verify_norming_refuses_oversized_grids(d, k):
+    # (2^k + 1)^d - 1 basis points: dense N x N matrices of 4.4 GB at (2, 7),
+    # and 3.5e9 grid points to enumerate at (20, 1)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"{(2**k + 1) ** d - 1} basis points"):
+        verify_norming(d, 0.5, 0.5, k)
+    assert time.perf_counter() - start < 0.5
+
+
 def sorted_grid(d, k):
     return sorted(dyadic_grid(d, k), key=lambda q: (q.level, q.nums))
 
@@ -403,7 +414,7 @@ def test_verify_norming_batch_matches_single_pairs(d, k, p):
     alpha = 0.45
     pairs = list(combinations(sorted_grid(d, k), 2))
     for budget in (3, 40, len(pairs)):
-        report = verify_norming(d, alpha, p, k, basis_k_max=0, pair_budget=budget)
+        report = verify_norming(d, alpha, p, k, pair_budget=budget)
         assert report["complete"] == (budget >= len(pairs))
         combs = [(u, v, molecule_decompose(u, v, alpha)) for u, v in pairs[:budget]]
         cost = max(comb.p_cost(p) for _, _, comb in combs)

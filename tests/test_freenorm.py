@@ -25,8 +25,6 @@ from freep.freenorm import (
     p_cost,
     parse_element,
     _cancel_cycles,
-    _tree_norm,
-    restricted_norm,
     upper_bound_from,
 )
 from freep.metric import PointedFiniteMetric, holder_distort, l1_space
@@ -49,6 +47,18 @@ def random_space(rng, n):
 def random_element(rng, space):
     w = {i: float(rng.normal()) for i in range(1, space.n) if rng.random() < 0.85}
     return FreeElement(space, w)
+
+
+def induced(m, subset):
+    """m over the subspace its host induces on `subset`, as its own host.
+
+    The base stays the base when the subset holds it; otherwise the first
+    subset point is the base, and m must sum to zero to be the same element.
+    """
+    subset, host = sorted(int(i) for i in subset), m.host
+    base = subset.index(host.base) if host.base in subset else 0
+    sub = PointedFiniteMetric([host.points[i] for i in subset], base, host.dist[np.ix_(subset, subset)])
+    return FreeElement(sub, {subset.index(i): w for i, w in m.weights.items()})
 
 
 def test_element_normalizes_base_and_zeros():
@@ -185,24 +195,25 @@ def test_homogeneity_and_p_triangle(seed, p):
 
 
 def test_restricted_norm_examples():
+    # the norm over molecules within a subset is the norm of the induced subspace
     s = three_point_space()
     m = Molecule(s, 1, 2).element()
     full, _ = exact_norm_small(m, 0.5)
-    assert restricted_norm(m, 0.5, range(s.n)) == pytest.approx(full, abs=1e-9)
-    assert restricted_norm(m, 0.5, [1, 2]) == pytest.approx(1.0, abs=1e-9)
-    assert restricted_norm(m, 0.5, [1, 2]) >= full - 1e-9
-    with pytest.raises(ValueError, match="outside"):
-        restricted_norm(m, 0.5, [0, 1])
-    with pytest.raises(ValueError, match="not decomposable"):
-        restricted_norm(FreeElement(s, {1: 1.0, 2: -0.5}), 0.5, [1, 2])
+    assert exact_norm_small(induced(m, range(s.n)), 0.5)[0] == pytest.approx(full, abs=1e-9)
+    on_pair, _ = exact_norm_small(induced(m, [1, 2]), 0.5)
+    assert on_pair == pytest.approx(1.0, abs=1e-9)
+    assert on_pair == pytest.approx(enumeration_norm(m, 0.5, [1, 2])[0], abs=1e-12)
+    assert on_pair >= full - 1e-9
 
 
 def test_restricted_norm_monotone_under_inclusion():
     rng = np.random.default_rng(3)
     s = random_space(rng, 6)
     m = FreeElement(s, {1: 1.0, 2: -0.4})
-    small = restricted_norm(m, 0.5, [0, 1, 2])
-    large = restricted_norm(m, 0.5, [0, 1, 2, 3, 4])
+    small, _ = exact_norm_small(induced(m, [0, 1, 2]), 0.5)
+    large, _ = exact_norm_small(induced(m, [0, 1, 2, 3, 4]), 0.5)
+    assert small == pytest.approx(enumeration_norm(m, 0.5, [0, 1, 2])[0], rel=1e-9)
+    assert large == pytest.approx(enumeration_norm(m, 0.5, [0, 1, 2, 3, 4])[0], rel=1e-9)
     assert large <= small + 1e-9
 
 
@@ -350,13 +361,13 @@ def test_tree_program_matches_enumeration_oracle():
                 for subset in subsets:
                     w = rng.normal(size=len(subset))
                     if 0 not in subset:
-                        w -= w.mean()  # the root absorbs the total, so it must vanish
+                        w -= w.mean()  # an element of the induced subspace: the total vanishes
                     mr = FreeElement(s, dict(zip(subset, w)))
-                    got = restricted_norm(mr, p, subset)
+                    sub = induced(mr, subset)
+                    got, tree = exact_norm_small(sub, p)
                     want, _ = enumeration_norm(mr, p, subset)
                     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
-                    _, tree = _tree_norm(mr, p, subset)
-                    assert_optimal_forest(mr, p, got, tree, subset)
+                    assert_optimal_forest(sub, p, got, tree, range(sub.host.n))
 
 
 @settings(max_examples=25, deadline=None)

@@ -18,7 +18,6 @@ from freep.retraction import (
     rescale_check,
     retract,
     translate_element,
-    witness_sandwich,
 )
 from freep.freenorm import DualCertificate, FreeElement
 from freep.metric import lattice_l1_space
@@ -123,14 +122,6 @@ def test_upper_decomposition_cross_cube_band():
         assert p_cost(dec, 0.5) <= upper * l1 * (1 + 1e-9)
         m = retract(ctx, x) - retract(ctx, y)
         assert evaluate(dec).max_weight_diff(m) <= 1e-9
-
-
-def test_witness_values_match_constant():
-    for d in (1, 2, 3):
-        for p in (1.0, 0.75, 0.5):
-            lo, target, up = witness_sandwich(d, p)
-            assert lo == pytest.approx(target, abs=1e-9)
-            assert up == pytest.approx(target, abs=1e-9)
 
 
 def test_witness_d3_norm_is_exact():
