@@ -1,3 +1,5 @@
+import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +10,11 @@ import pytest
 from enum_oracle import ORACLE_CAP, enumeration_norm
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lp_oracle import lp_norm_p1
 
 import freep
+from freep import freenorm
+from freep.cli import main
 from freep.freenorm import (
     EVAL_TOL,
     CertificateError,
@@ -143,6 +148,74 @@ def test_exact_norm_cap_counts_terminals_not_host_points():
     value, witness = exact_norm_small(FreeElement(s, {1: 1.0}), 0.5)
     assert value == pytest.approx(1.0, abs=1e-12)
     assert len(witness.terms) == 1
+
+
+def test_exact_norm_p1_matches_lp_oracle():
+    rng = np.random.default_rng(1972)
+    sizes = [n for n in range(2, 13) for _ in range(3)] + [20, 40, 80, 200]
+    for n in sizes:
+        for kind in ("plain", "holder", "lattice"):
+            if kind == "lattice":
+                s = lattice_space(rng, n)
+                # dyadic weights on a lattice: ties in cost and in amount
+                m = FreeElement(s, {i: int(rng.integers(-4, 5)) / 4 for i in range(1, n)})
+            else:
+                s = random_space(rng, n)
+                if kind == "holder":
+                    s = holder_distort(s, float(rng.choice([0.3, 0.5, 0.7])))
+                m = random_element(rng, s)
+            value, witness = exact_norm_p1(m)
+            want, _ = lp_norm_p1(m)
+            assert value == pytest.approx(want, rel=1e-12, abs=1e-15), (n, kind)
+            assert_optimal_forest(m, 1.0, value, witness, range(n))
+
+
+def touches_base(witness):
+    return any(witness.host.base in (mol.x, mol.y) for _, mol in witness.terms)
+
+
+def test_exact_norm_p1_edge_cases():
+    s = l1_space([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (2.0, 0.5)], base=0)
+    value, witness = exact_norm_p1(FreeElement(s, {}))
+    assert value == 0.0 and witness.terms == ()
+
+    # the total is 0: the base carries nothing
+    m = FreeElement(s, {1: 1.0, 3: -1.0})
+    value, witness = exact_norm_p1(m)
+    assert value == pytest.approx(1.5, rel=1e-15)
+    assert not touches_base(witness)
+    assert_optimal_forest(m, 1.0, value, witness, range(s.n))
+
+    # the total 5.6e-17 is rounding: no molecule to the base
+    m = FreeElement(s, {1: 0.1, 2: 0.2, 3: -0.3})
+    value, witness = exact_norm_p1(m)
+    assert value == pytest.approx(lp_norm_p1(m)[0], rel=1e-12)
+    assert not touches_base(witness)
+    assert_optimal_forest(m, 1.0, value, witness, range(s.n))
+
+    # a one-point support is one molecule to the base
+    for w in (0.75, -2.0):
+        m = FreeElement(s, {2: w})
+        value, witness = exact_norm_p1(m)
+        assert value == pytest.approx(2.0 * abs(w), rel=1e-15)
+        assert [sorted((mol.x, mol.y)) for _, mol in witness.terms] == [[0, 2]]
+        assert_optimal_forest(m, 1.0, value, witness, range(s.n))
+
+
+def test_exact_norm_p1_flow_cap(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(freenorm, "FLOW_CAP", 5)
+    s = l1_space([(float(i),) for i in range(6)])
+    with pytest.raises(ValueError, match=r"^host has 6 points, beyond the flow cap 5$"):
+        exact_norm_p1(FreeElement(s, {1: 1.0}))
+    assert exact_norm_p1(FreeElement(l1_space([(float(i),) for i in range(5)]), {1: 1.0}))[0] == 1.0
+
+    (tmp_path / "line.txt").write_text("1 0\n" + "".join(f"{i}.0\n" for i in range(6)))
+    (tmp_path / "one.txt").write_text("1.0 1\n")
+    code = main(["--command", "norm", "--p", "1",
+                 "--in", str(tmp_path / "line.txt"), "--in", str(tmp_path / "one.txt")])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert "host has 6 points, beyond the flow cap 5" in out.err
 
 
 def test_oracle_equivalence_p1():
@@ -333,9 +406,11 @@ def assert_optimal_forest(m, p, value, witness, subset):
 
 
 def lattice_space(rng, n):
-    """Distinct points of {0, 1, 2}^2 under l1: many equal-cost trees."""
-    cells = rng.choice(9, size=n, replace=False)
-    return l1_space([(c // 3, c % 3) for c in sorted(cells)], base=0)
+    """Distinct points of {0, ..., k - 1}^2 under l1, k = max(3, ceil(sqrt(n))):
+    many equal-cost trees."""
+    k = max(3, math.isqrt(n - 1) + 1)
+    cells = rng.choice(k * k, size=n, replace=False)
+    return l1_space([(c // k, c % k) for c in sorted(cells)], base=0)
 
 
 def test_tree_program_matches_enumeration_oracle():
@@ -400,15 +475,44 @@ def test_rounding_level_subset_sum_carries_no_flow():
         assert_optimal_forest(m, p, value, witness, range(s.n))
 
 
-def test_import_leaves_scipy_optimize_unloaded():
+def fresh_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(freep.__file__).parents[1]), env.get("PYTHONPATH", "")]
     )
-    code = "import sys, freep; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return env
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    code = (
+        "import sys, freep\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "s = freep.l1_space([(0.0,), (1.0,), (3.0,)], base=0)\n"
+        "freep.exact_norm_p1(freep.FreeElement(s, {1: 1.0, 2: -0.5}))\n"
+        "print(any(k.split('.')[0] == 'scipy' for k in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False", "False"]
+
+
+def test_norm_p1_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: the p = 1 norm must not need it
+    (tmp_path / "space.txt").write_text("2 0\n0 0\n0.5 0\n0.5 0.25\n1 1\n")
+    (tmp_path / "element.txt").write_text("1.0 1\n-0.5 2\n0.25 3\n")
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from freep.cli import main\n"
+        "sys.exit(main(['--command', 'norm', '--p', '1', '--in', 'space.txt',"
+        " '--in', 'element.txt', '--out', 'report.json']))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=fresh_env(), cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["command"] == "norm" and report["p"] == 1.0
+    assert report["norm"] > 0 and report["witness"]
 
 
 @pytest.mark.parametrize("p", [1.0, 0.5])
