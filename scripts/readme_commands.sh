@@ -2,20 +2,33 @@
 # Run every README CLI command at README size with the `freep` on PATH, in
 # the current directory: the two file commands on a 4-point dyadic file
 # (norm also at p = 1, the transport route), norm --p 1 on a 40-point file,
-# and lambda-check on an L-shaped complex at R = 0.7. A nonzero exit (a
-# failed certified check or a crash) stops the script with that status.
+# and lambda-check on an L-shaped complex at R = 0.7. Each report is written
+# with --out and parsed as strict JSON. A nonzero exit (a failed certified
+# check, a crash, or a report that is not JSON) stops the script with that
+# status.
 set -e
-freep --command bm-report --p 0.5 --alpha 0.5 --d 2 > /dev/null
-freep --command retraction-verify --d 2 --p 0.5 --seed 7 --samples 1000 > /dev/null
-freep --command basis-verify --d 2 --alpha 0.5 --p 0.5 --kmax 2 > /dev/null
-freep --command lambda-check --d 3 --R 2 --samples 10000 --seed 0 > /dev/null
+run() {
+    freep "$@" --out report.json
+    python3 -c '
+import json, sys
+
+def refuse(token):
+    sys.exit(f"report.json holds {token}, which is not JSON")
+
+json.load(open(sys.argv[1]), parse_constant=refuse)
+' report.json
+}
+run --command bm-report --p 0.5 --alpha 0.5 --d 2
+run --command retraction-verify --d 2 --p 0.5 --seed 7 --samples 1000
+run --command basis-verify --d 2 --alpha 0.5 --p 0.5 --kmax 2
+run --command lambda-check --d 3 --R 2 --samples 10000 --seed 0
 printf '2 0\n0 0\n0.5 0\n0.5 0.25\n1 1\n' > space.txt
 printf '1.0 1\n-0.5 2\n0.25 3\n' > element.txt
-freep --command norm --p 0.5 --alpha 0.5 --in space.txt --in element.txt > /dev/null
-freep --command norm --p 1 --in space.txt --in element.txt > /dev/null
-freep --command decompose --alpha 0.5 --in space.txt --in element.txt > /dev/null
+run --command norm --p 0.5 --alpha 0.5 --in space.txt --in element.txt
+run --command norm --p 1 --in space.txt --in element.txt
+run --command decompose --alpha 0.5 --in space.txt --in element.txt
 python3 -c 'import random; r = random.Random(40); print("2 0"); [print(r.uniform(0, 10), r.uniform(0, 10)) for _ in range(40)]' > space40.txt
 python3 -c 'import random; r = random.Random(41); [print(r.gauss(0, 1), j) for j in range(1, 40)]' > element40.txt
-freep --command norm --p 1 --in space40.txt --in element40.txt > /dev/null
+run --command norm --p 1 --in space40.txt --in element40.txt
 printf '2 0.7\n0 0\n1 0\n1 1\n2 1\n0 0\n' > L.txt
-freep --command lambda-check --in L.txt > /dev/null
+run --command lambda-check --in L.txt

@@ -4,6 +4,7 @@ bounds, and dyadic basis decompositions with quantitative norming
 constants."""
 
 from .constants import (
+    basis_bound,
     bm_bound,
     c_const,
     retraction_bounds,
@@ -61,9 +62,7 @@ from .retraction import (
     estimate_lipschitz,
     lipschitz_upper_decomposition,
     lower_bound_witness,
-    rescale_check,
     retract,
-    translate_element,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

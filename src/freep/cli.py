@@ -16,9 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import constants, cubes, dyadic, freenorm, metric, retraction
+from .freenorm import EVAL_TOL
 from .reportio import report_json
-
-CHECK_TOL = 1e-9
 
 COMMANDS = (
     "norm",
@@ -162,11 +161,11 @@ def _cmd_retraction_verify(cfg):
     report = retraction.estimate_lipschitz(ctx, sampler)
     report["command"] = "retraction-verify"
     failures = []
-    if report["max_upper_cost_ratio"] > report["theoretical_upper"] * (1 + CHECK_TOL):
+    if report["max_upper_cost_ratio"] > report["theoretical_upper"] * (1 + EVAL_TOL):
         failures.append("decomposition cost ratio exceeds the certified upper constant")
-    if report["max_reconstruction_residual"] > CHECK_TOL:
+    if report["max_reconstruction_residual"] > EVAL_TOL:
         failures.append("decomposition does not reconstruct the retraction difference")
-    if abs(report["witness_value"] - report["theoretical_lower"]) > CHECK_TOL:
+    if abs(report["witness_value"] - report["theoretical_lower"]) > EVAL_TOL:
         failures.append("witness value differs from the certified lower constant")
     return report, failures
 
@@ -178,9 +177,9 @@ def _cmd_basis_verify(cfg):
     failures = []
     if not report["basis_ok"]:
         failures.append("a basis element exceeds the norming bound")
-    if report["max_molecule_cost"] > report["molecule_bound"] + CHECK_TOL:
+    if report["max_molecule_cost"] > report["molecule_bound"] + EVAL_TOL:
         failures.append("a molecule decomposition exceeds the certified cost bound")
-    if report["max_molecule_residual"] > CHECK_TOL:
+    if report["max_molecule_residual"] > EVAL_TOL:
         failures.append("a molecule decomposition does not reconstruct its molecule")
     if not report["complete"]:
         failures.append("pair budget exceeded: report incomplete")
@@ -190,6 +189,9 @@ def _cmd_basis_verify(cfg):
 def _cmd_decompose(cfg):
     alpha, = _need(cfg, "alpha")
     space, elem = _load_space_and_element(cfg)
+    if any(space.points[space.base]):
+        raise ValueError(f"the dyadic basis is pointed at the origin, but the base point "
+                         f"{space.base} of {cfg['inputs'][0]} is {space.points[space.base]}")
     weights = {}
     for idx, w in elem.weights.items():
         pt = metric.DyadicPoint.from_fractions(
@@ -209,7 +211,7 @@ def _cmd_decompose(cfg):
         "residual": residual,
     }
     failures = []
-    if residual > CHECK_TOL:
+    if residual > EVAL_TOL:
         failures.append("basis coefficients do not reconstruct the element")
     return report, failures
 
@@ -302,11 +304,17 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cfg = _merge_config(args)
-        report, failures = _DISPATCH[cfg["command"]](cfg)
+        try:
+            report, failures = _DISPATCH[cfg["command"]](cfg)
+        except OverflowError:
+            flags = " ".join(f"--{k} {v}" for k, v in cfg.items() if isinstance(v, (int, float)))
+            raise ValueError(
+                f"{flags} take a constant beyond the double range; raise --p or lower --d"
+            ) from None
+        text = report_json(report)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    text = report_json(report)
     if cfg["out"]:
         Path(cfg["out"]).write_text(text)
     else:

@@ -3,7 +3,7 @@
 Everything here is a pure double-precision formula: the summation constant
 C(p, n) that plays the role of a quasi-norm modulus for n-term sums, the
 two cost factors entering the dyadic decomposition bounds, the Lipschitz
-sandwich of the cube retraction, and the resulting norming bound.
+sandwich of the cube retraction, the basis bound, and the norming bound.
 """
 
 from __future__ import annotations
@@ -68,6 +68,11 @@ def retraction_bounds(p: float, d: int) -> tuple[float, float]:
     lower = c_const(p, 2 ** (d - 1))
     upper = lower * c_const(p, d) * c_const(p, 3)
     return lower, upper
+
+
+def basis_bound(p: float, alpha: float, d: int) -> float:
+    """Upper bound d^alpha C(p, 2^d) on the norm of every dyadic basis element."""
+    return float(d) ** check_alpha(alpha) * c_const(p, 2 ** int(d))
 
 
 def bm_bound(p: float, alpha: float, d: int) -> float:

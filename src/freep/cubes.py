@@ -260,14 +260,6 @@ def lambda_support(complex: CubeComplex, x: Sequence[float]) -> list[VertexWeigh
     ]
 
 
-def save_complex(complex: CubeComplex) -> str:
-    """Serialize: first line "d R", one offset per line, base vertex last."""
-    lines = [f"{complex.d} {complex.R!r}"]
-    lines += [" ".join(str(c) for c in w) for w in complex.offsets]
-    lines.append(" ".join(str(c) for c in complex.base_vertex))
-    return "\n".join(lines) + "\n"
-
-
 def load_complex(text: str) -> CubeComplex:
     rows = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(rows) < 3:

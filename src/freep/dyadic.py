@@ -42,8 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import bm_bound, c_const, check_alpha, check_p, rho, tau
-from .freenorm import DEFAULT_CAP, FreeElement, exact_norm_small
+from .constants import basis_bound, bm_bound, check_alpha, check_p, rho, tau
+from .freenorm import DEFAULT_CAP, EVAL_TOL, FreeElement, coefficient_cost, exact_norm_small
 from .metric import (
     DyadicPoint,
     coordinate_level,
@@ -54,7 +54,6 @@ from .metric import (
     replaced,
 )
 
-REC_TOL = 1e-9
 PRUNE_TOL = 1e-13
 MAX_LEVEL = 32
 # verify_norming holds two dense N x N matrices for a grid of N basis
@@ -82,11 +81,7 @@ class BasisCombination:
         return sorted(self.coeffs.items(), key=lambda kv: (kv[0].level, kv[0].nums))
 
     def p_cost(self, p: float) -> float:
-        p = check_p(p)
-        if not self.coeffs:
-            return 0.0
-        vals = np.abs(np.array(list(self.coeffs.values()), dtype=float))
-        return float((vals**p).sum() ** (1.0 / p))
+        return float(coefficient_cost(np.array(list(self.coeffs.values())), check_p(p)))
 
 
 def basis_points(d: int, k_max: int) -> list[DyadicPoint]:
@@ -98,17 +93,12 @@ def basis_points(d: int, k_max: int) -> list[DyadicPoint]:
 @lru_cache(maxsize=1 << 14)
 def _coarse_neighbors(v: DyadicPoint) -> tuple[tuple[DyadicPoint, Fraction], ...]:
     """The pairs (u, w(u, v)) of the coarser-grid interpolation of a point v
-    at level k >= 1, origin included: each coordinate at level k moves to
-    one of its two `neighbors` with weight 1/2, the others stay."""
-    half = Fraction(1, 2)
-    axes = [
-        [(x, half) for x in neighbors(c)] if coordinate_level(c) == v.level else [(c, Fraction(1))]
-        for c in v.coords()
-    ]
-    return tuple(
-        (DyadicPoint.from_fractions(c for c, _ in combo), math.prod(q for _, q in combo))
-        for combo in product(*axes)
-    )
+    at level k >= 1, origin included: each coordinate at level k, an odd
+    numerator n, moves to one of its two neighbours n -+ 1 at that level, the
+    others stay, and every u weighs 2^-(the number of moved coordinates)."""
+    axes = [(n - 1, n + 1) if n % 2 else (n,) for n in v.nums]
+    weight = Fraction(1, 2 ** sum(n % 2 for n in v.nums))
+    return tuple((DyadicPoint(v.level, nums), weight) for nums in product(*axes))
 
 
 def _iota_expansion(v: DyadicPoint, alpha: float) -> dict[DyadicPoint, float]:
@@ -258,12 +248,6 @@ def step_decompose(v: DyadicPoint, axis: int, alpha: float) -> BasisCombination:
     return BasisCombination(_rounded(_peel(elem), check_alpha(alpha), n))
 
 
-def step_target(v: DyadicPoint, axis: int, alpha: float) -> dict[DyadicPoint, float]:
-    """Point expansion of the step element (origin entries dropped)."""
-    n, elem = _step_element(v, axis)
-    return {u: float(c) * 2.0 ** (n * alpha) for u, c in elem.items()}
-
-
 # ---------------------------------------------------------------------------
 # mesh-adjacent paths between dyadic scalars
 
@@ -321,13 +305,6 @@ def _check_molecule(u: DyadicPoint, v: DyadicPoint) -> None:
         raise ValueError("a molecule needs two distinct points")
     if u.d != v.d:
         raise ValueError("points of different dimensions")
-
-
-def molecule_difference(u: DyadicPoint, v: DyadicPoint, alpha: float) -> BasisCombination:
-    """Combination reconstructing the unnormalized difference
-    delta(u) - delta(v)."""
-    _check_molecule(u, v)
-    return analyze({u: 1.0, v: -1.0}, alpha)
 
 
 def molecule_l1(u: DyadicPoint, v: DyadicPoint) -> Fraction:
@@ -397,7 +374,7 @@ def _proof_cost(v: DyadicPoint, alpha: float, p: float) -> float:
 
 
 def basis_norm_check(v: DyadicPoint, alpha: float, p: float) -> tuple[float, float]:
-    """(exact norm or certified upper bound, the norming bound d^alpha C(p, 2^d)).
+    """(exact norm or certified upper bound, `basis_bound` d^alpha C(p, 2^d)).
 
     The exact engine runs whenever the support fits its cap DEFAULT_CAP;
     otherwise the partition-of-unity decomposition cost stands in, which
@@ -410,8 +387,7 @@ def basis_norm_check(v: DyadicPoint, alpha: float, p: float) -> tuple[float, flo
         value, _ = exact_norm_small(elem, p)
     else:
         value = _proof_cost(v, alpha, p)
-    bound = float(v.d) ** alpha * c_const(p, 2**v.d)
-    return value, bound
+    return value, basis_bound(p, alpha, v.d)
 
 
 def _analysis_operator(d: int, k_max: int, alpha: float):
@@ -445,8 +421,7 @@ def _molecule_checks(coords, S, A, i, js, alpha, p):
     if i:
         target[i - 1] = scale
     target[js - 1, np.arange(js.size)] = -scale
-    costs = (np.abs(C) ** p).sum(axis=0) ** (1.0 / p)
-    return costs, np.abs(S @ C - target).max(axis=0)
+    return coefficient_cost(C, p, axis=0), np.abs(S @ C - target).max(axis=0)
 
 
 def verify_norming(
@@ -458,15 +433,16 @@ def verify_norming(
 ) -> dict:
     """Certify the two-sided norming estimates at desk scale.
 
-    Every basis element of the level-`k_max` grid is checked against the
-    norm bound d^alpha C(p, 2^d); every molecule over the grid is
+    Every basis element of the level-`k_max` grid is checked against
+    `basis_bound` d^alpha C(p, 2^d); every molecule over the grid is
     decomposed with reconstruction residual and cost recorded against
     tau^d rho^d. The report carries the resulting norming bound
     C(p, 2^d) rho^d tau^d and a completeness flag (the pair budget trims
     oversized grids, keeping the first pairs of `combinations(grid, 2)`).
-    The analysis operator of the grid is built once, and the molecules are
-    checked in batch, one first point at a time. A grid of more than
-    MAX_BASIS_POINTS basis points raises before any work."""
+    The analysis operator of the grid is built once, its grid serves the
+    basis checks, and the molecules are checked in batch, one first point at
+    a time. A grid of more than MAX_BASIS_POINTS basis points raises before
+    any work."""
     p = check_p(p)
     alpha = check_alpha(alpha)
     d = int(d)
@@ -479,15 +455,14 @@ def verify_norming(
             f"the cap {MAX_BASIS_POINTS}; lower --d or --kmax"
         )
 
+    grid, S, A = _analysis_operator(d, k_max, alpha)
     max_basis = 0.0
-    basis_bound = float(d) ** alpha * c_const(p, 2**d)
     basis_ok = True
-    for v in basis_points(d, k_max):
+    for v in grid[1:]:
         value, bound = basis_norm_check(v, alpha, p)
         max_basis = max(max_basis, value)
-        basis_ok = basis_ok and value <= bound + REC_TOL
+        basis_ok = basis_ok and value <= bound + EVAL_TOL
 
-    grid, S, A = _analysis_operator(d, k_max, alpha)
     coords = np.array([v.floats() for v in grid])
     complete = len(grid) * (len(grid) - 1) // 2 <= pair_budget
     molecule_bound = tau(p, alpha, d) ** d * rho(p, alpha) ** d
@@ -510,7 +485,7 @@ def verify_norming(
         "k_max": k_max,
         "basis_k_max": k_max,
         "max_basis_norm": max_basis,
-        "basis_bound": basis_bound,
+        "basis_bound": basis_bound(p, alpha, d),
         "basis_ok": basis_ok,
         "max_molecule_cost": max_cost,
         "molecule_bound": molecule_bound,

@@ -32,6 +32,7 @@ import numpy as np
 from .constants import check_p
 from .metric import PointedFiniteMetric
 
+# the slack of every certified comparison: a residual, or a value against its bound
 EVAL_TOL = 1e-9
 COEFF_TOL = 1e-12
 DEFAULT_CAP = 8
@@ -149,13 +150,14 @@ def evaluate(decomp: Decomposition) -> FreeElement:
     return FreeElement(decomp.host, acc)
 
 
+def coefficient_cost(a, p: float, axis=None):
+    """The p-cost (sum |a_i|^p)^(1/p) of the coefficients a along `axis`."""
+    return (np.abs(a) ** p).sum(axis) ** (1.0 / p)
+
+
 def p_cost(decomp: Decomposition, p: float) -> float:
-    """The coefficient cost (sum |a_i|^p)^(1/p); zero for an empty list."""
-    p = check_p(p)
-    if not decomp.terms:
-        return 0.0
-    coeffs = np.array([abs(a) for a, _ in decomp.terms])
-    return float((coeffs**p).sum() ** (1.0 / p))
+    """The coefficient cost of a decomposition; zero for an empty list."""
+    return float(coefficient_cost(np.array([a for a, _ in decomp.terms]), check_p(p)))
 
 
 def upper_bound_from(m: FreeElement, p: float, decomp: Decomposition) -> float:

@@ -11,6 +11,7 @@ seeded sampling harness reporting both extremes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .cubes import (
     vertex_weights,
 )
 from .freenorm import (
+    EVAL_TOL,
     Decomposition,
     DualCertificate,
     FreeElement,
@@ -38,7 +40,6 @@ from .freenorm import (
 )
 from .metric import PointedFiniteMetric, lattice_l1_space
 
-LATTICE_TOL = 1e-9
 # exact norms cross-check the sampled pairs on complexes of at most
 # EXACT_NORM_CAP vertices, for the first EXACT_CHECK_SAMPLES pairs
 EXACT_NORM_CAP = 6
@@ -78,50 +79,6 @@ def _images(ctx: RetractionContext, X) -> tuple[np.ndarray, list[FreeElement]]:
         nonzero = np.flatnonzero(row)
         out.append(FreeElement(ctx.vertex_space, dict(zip(idx[nonzero], row[nonzero]))))
     return W, out
-
-
-def translate_element(ctx: RetractionContext, m: FreeElement, shift) -> FreeElement:
-    """Transport a retraction-image weight family by a lattice vector.
-
-    The element is read as a full weight family summing to one, with the
-    base vertex carrying the complement of the stored weights (evaluations
-    at the base are normalized away in `FreeElement`); every weight then
-    moves to its shifted vertex, which must exist in the complex.
-    """
-    if m.host is not ctx.vertex_space:
-        raise ValueError("element does not live over this context's vertices")
-    shift = np.asarray(shift, dtype=float)
-    lat = np.rint(shift / ctx.complex.R)
-    if np.abs(shift / ctx.complex.R - lat).max(initial=0.0) > LATTICE_TOL:
-        raise ValueError(f"shift {tuple(shift)} is not a lattice vector")
-
-    family = dict(m.weights)
-    complement = 1.0 - sum(family.values())
-    if abs(complement) > 1e-12:
-        family[m.host.base] = complement
-    points = np.array([m.host.points[idx] for idx in family], dtype=np.int64)
-    ids = vertex_ids(ctx.complex, points + lat.astype(np.int64))
-    return FreeElement(ctx.vertex_space, dict(zip(ids, family.values())))
-
-
-def rescale_check(m: FreeElement, R: float, shift, p: float):
-    """Compare the norm of an element under v -> R(v + shift) against R times
-    its norm on the original integer vertex set.
-
-    The host of `m` must be an integer-lattice l1 space at scale 1. Returns
-    (lhs, rhs); the dilation isometry of free p-spaces makes them equal up
-    to floating error.
-    """
-    p = check_p(p)
-    pts = [tuple(int(c) for c in v) for v in m.host.points]
-    shift = tuple(int(c) for c in shift)
-    image_pts = [tuple(c + s for c, s in zip(v, shift)) for v in pts]
-    image_space = lattice_l1_space(image_pts, float(R), base=m.host.base)
-
-    m_image = FreeElement(image_space, dict(m.weights))
-    lhs, _ = exact_norm_small(m_image, p)
-    rhs_raw, _ = exact_norm_small(m, p)
-    return lhs, float(R) * rhs_raw
 
 
 # ---------------------------------------------------------------------------
@@ -210,21 +167,16 @@ def vertex_indicator_certificate(space: PointedFiniteMetric) -> DualCertificate:
     """One scaled indicator per vertex (complemented at the base so it still
     vanishes there), active exactly on the pairs meeting that vertex; every
     pair meets at most two vertices, so the multiplicity is 2."""
-    n = space.n
-    off = ~np.eye(n, dtype=bool)
-    scale = float(space.dist[off].min())
-    F = np.zeros((n, n))
-    activity = np.zeros((n, n, n), dtype=bool)
-    for u in range(n):
-        if u == space.base:
-            F[u] = scale
-            F[u, u] = 0.0
-        else:
-            F[u, u] = scale
-        activity[u, u, :] = True
-        activity[u, :, u] = True
-        activity[u, u, u] = False
-    return DualCertificate(space, F, 2, activity)
+    eye = np.eye(space.n, dtype=bool)
+    scale = float(space.dist[~eye].min())
+    F = scale * eye
+    F[space.base] = scale - F[space.base]
+    return DualCertificate(space, F, 2, eye[:, :, None] ^ eye[:, None, :])
+
+
+def _witness_pair(d: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The centers of the unit cube's bottom and top facets: the cross-axis pair."""
+    return (0.5,) * (d - 1) + (0.0,), (0.5,) * (d - 1) + (1.0,)
 
 
 @dataclass(frozen=True)
@@ -234,8 +186,12 @@ class WitnessResult:
     element: FreeElement
     certificate: DualCertificate
     certified_value: float
-    upper_decomposition: Decomposition
     context: RetractionContext
+
+    @cached_property
+    def upper_decomposition(self) -> Decomposition:
+        """The element along the 2^(d-1) vertical edges, 2^-(d-1) on each."""
+        return lipschitz_upper_decomposition(self.context, self.y, self.x)
 
 
 def lower_bound_witness(d: int, p: float) -> WitnessResult:
@@ -244,28 +200,18 @@ def lower_bound_witness(d: int, p: float) -> WitnessResult:
 
     x and y sit at the centers of the bottom and top facets; the image
     difference spreads over the 2^(d-1) vertical edges with equal weights,
-    the indicator certificate matches the explicit edge decomposition, and
-    the two certified bounds coincide.
+    the indicator certificate matches the upper decomposition along those
+    edges, and the two certified bounds coincide.
     """
     p = check_p(p)
     d = int(d)
     complex = CubeComplex(d=d, R=1.0, offsets=((0,) * d,), base_vertex=(0,) * d)
     ctx = build_context(complex, p)
-    x = (0.5,) * (d - 1) + (0.0,)
-    y = (0.5,) * (d - 1) + (1.0,)
+    x, y = _witness_pair(d)
     _, (image_x, image_y) = _images(ctx, np.array([x, y]))
     element = image_y - image_x
-
     cert = vertex_indicator_certificate(ctx.vertex_space)
-    value = dual_lower_bound(element, p, cert)
-
-    coeff = 2.0 ** (-(d - 1))
-    terms = []
-    for bits in np.ndindex(*(2,) * (d - 1)):
-        hi = ctx.vertex_index(tuple(bits) + (1,))
-        lo = ctx.vertex_index(tuple(bits) + (0,))
-        terms.append((coeff, Molecule(ctx.vertex_space, hi, lo)))
-    return WitnessResult(x, y, element, cert, value, Decomposition(ctx.vertex_space, tuple(terms)), ctx)
+    return WitnessResult(x, y, element, cert, dual_lower_bound(element, p, cert), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +238,14 @@ def estimate_lipschitz(ctx: RetractionContext, config: SamplerConfig) -> dict:
     for all pairs.
     """
     complex, p = ctx.complex, ctx.p
+    # first, so that flags whose constants leave the double range stop here
+    lower_const, upper_const = retraction_bounds(p, complex.d)
     rng = np.random.default_rng(config.seed)
     offsets = np.array(complex.offsets, dtype=float)
     R = complex.R
 
-    w0 = offsets[0]
-    unit_x = np.array((0.5,) * (complex.d - 1) + (0.0,))
-    unit_y = np.array((0.5,) * (complex.d - 1) + (1.0,))
-    pairs = [(R * (w0 + unit_x), R * (w0 + unit_y))]
+    unit_x, unit_y = np.array(_witness_pair(complex.d))
+    pairs = [(R * (offsets[0] + unit_x), R * (offsets[0] + unit_y))]
     for _ in range(config.n_samples):
         wa = offsets[rng.integers(len(offsets))]
         wb = offsets[rng.integers(len(offsets))]
@@ -330,10 +276,9 @@ def estimate_lipschitz(ctx: RetractionContext, config: SamplerConfig) -> dict:
         if exact_ok and exact_checked < EXACT_CHECK_SAMPLES:
             norm, _ = exact_norm_small(m, p)
             exact_checked += 1
-            if not (lower * l1 <= norm + 1e-9 and norm <= cost * l1 + 1e-9):
+            if not (lower * l1 <= norm + EVAL_TOL and norm <= cost * l1 + EVAL_TOL):
                 raise AssertionError("exact norm escaped its certified bounds")
 
-    lower_const, upper_const = retraction_bounds(p, complex.d)
     witness = lower_bound_witness(complex.d, p)
     return {
         "d": complex.d,

@@ -13,16 +13,19 @@ both must give the same unique coefficients.
 
 The kernels compute in doubles or, in exact mode, in the ring of finite sums
 of dyadic rationals times integer powers of X = 2^-alpha (`PowSum`); exact
-coefficients check the rationals of `freep.dyadic`'s peel.
+coefficients check the rationals of `freep.dyadic`'s peel. The coarser-grid
+interpolation is kept here too, in exact coordinates (`oracle_coarse_neighbors`),
+as a check on `freep.dyadic`'s integer kernel over the numerators.
 """
 
 import math
 from fractions import Fraction
+from itertools import product
 
 from freep import dyadic
 from freep.constants import check_alpha
 from freep.dyadic import BasisCombination, HatDecomposition, HatTerm, line_path, molecule_l1
-from freep.metric import DyadicPoint, coordinate_level, replaced
+from freep.metric import DyadicPoint, coordinate_level, neighbors, replaced
 
 # ---------------------------------------------------------------------------
 # coefficient arithmetic: doubles, or exact sums of q * X^m with X = 2^-alpha
@@ -115,6 +118,25 @@ def _pruned(comb: dict, ctx) -> dict:
     if ctx.exact:
         return {k: c for k, c in comb.items() if not c.is_zero()}
     return dyadic._pruned(comb)
+
+
+# ---------------------------------------------------------------------------
+# the coarser-grid interpolation, in exact coordinates
+
+
+def oracle_coarse_neighbors(v: DyadicPoint) -> tuple[tuple[DyadicPoint, Fraction], ...]:
+    """The pairs (u, w(u, v)) of the coarser-grid interpolation of a point v
+    at level k >= 1, origin included: each coordinate at level k moves to
+    one of its two `neighbors` with weight 1/2, the others stay."""
+    half = Fraction(1, 2)
+    axes = [
+        [(x, half) for x in neighbors(c)] if coordinate_level(c) == v.level else [(c, Fraction(1))]
+        for c in v.coords()
+    ]
+    return tuple(
+        (DyadicPoint.from_fractions(c for c, _ in combo), math.prod(q for _, q in combo))
+        for combo in product(*axes)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,25 @@ weighed vertex by vertex over the axes it leaves unchanged, and across cubes
 a bridge between the facing integer faces x' and y', weighed by
 `oracle_support` in x's cube. The tests pin the fast path equal to it:
 coefficients bitwise, the same molecules in the same orientation and order.
+
+The witness's decomposition edge by edge (`oracle_witness_edges`) and the
+vertex indicator certificate vertex by vertex (`oracle_indicator_certificate`)
+are kept as well, for the kernel call and the array expressions that replaced
+them. It also holds the two symmetries of the tests: `translate_element` moves a
+retraction image by a lattice vector, and `rescale_check` compares a norm
+before and after a dilation of its integer host.
 """
 
 import numpy as np
 from cube_oracle import oracle_find_cube, oracle_local_coords, oracle_support
 
-from freep.freenorm import Decomposition, Molecule
-from freep.retraction import LATTICE_TOL
+from freep.constants import check_p
+from freep.cubes import vertex_ids
+from freep.freenorm import Decomposition, FreeElement, Molecule, exact_norm_small
+from freep.metric import lattice_l1_space
+from freep.retraction import RetractionContext
+
+LATTICE_TOL = 1e-9
 
 
 def _axis_pair_terms(ctx, w, t, axis, delta):
@@ -96,3 +108,82 @@ def oracle_upper_decomposition(ctx, x, y):
         + _same_cube_terms(ctx, wy, y1, y)
     )
     return Decomposition(ctx.vertex_space, tuple(terms))
+
+
+def oracle_witness_edges(ctx):
+    """The cross-axis witness's decomposition on the unit d-cube: one molecule
+    per vertical edge, from its top vertex to its bottom one, each carrying
+    2^-(d-1)."""
+    d = ctx.complex.d
+    coeff = 2.0 ** (-(d - 1))
+    terms = []
+    for bits in np.ndindex(*(2,) * (d - 1)):
+        hi = ctx.vertex_index(tuple(bits) + (1,))
+        lo = ctx.vertex_index(tuple(bits) + (0,))
+        terms.append((coeff, Molecule(ctx.vertex_space, hi, lo)))
+    return Decomposition(ctx.vertex_space, tuple(terms))
+
+
+def oracle_indicator_certificate(space):
+    """(functions, activity) of the vertex indicator certificate: the scaled
+    indicator of each vertex, complemented at the base, active on the pairs
+    meeting that vertex."""
+    n = space.n
+    off = ~np.eye(n, dtype=bool)
+    scale = float(space.dist[off].min())
+    F = np.zeros((n, n))
+    activity = np.zeros((n, n, n), dtype=bool)
+    for u in range(n):
+        if u == space.base:
+            F[u] = scale
+            F[u, u] = 0.0
+        else:
+            F[u, u] = scale
+        activity[u, u, :] = True
+        activity[u, :, u] = True
+        activity[u, u, u] = False
+    return F, activity
+
+
+def translate_element(ctx: RetractionContext, m: FreeElement, shift) -> FreeElement:
+    """Transport a retraction-image weight family by a lattice vector.
+
+    The element is read as a full weight family summing to one, with the
+    base vertex carrying the complement of the stored weights (evaluations
+    at the base are normalized away in `FreeElement`); every weight then
+    moves to its shifted vertex, which must exist in the complex.
+    """
+    if m.host is not ctx.vertex_space:
+        raise ValueError("element does not live over this context's vertices")
+    shift = np.asarray(shift, dtype=float)
+    lat = np.rint(shift / ctx.complex.R)
+    if np.abs(shift / ctx.complex.R - lat).max(initial=0.0) > LATTICE_TOL:
+        raise ValueError(f"shift {tuple(shift)} is not a lattice vector")
+
+    family = dict(m.weights)
+    complement = 1.0 - sum(family.values())
+    if abs(complement) > 1e-12:
+        family[m.host.base] = complement
+    points = np.array([m.host.points[idx] for idx in family], dtype=np.int64)
+    ids = vertex_ids(ctx.complex, points + lat.astype(np.int64))
+    return FreeElement(ctx.vertex_space, dict(zip(ids, family.values())))
+
+
+def rescale_check(m: FreeElement, R: float, shift, p: float):
+    """Compare the norm of an element under v -> R(v + shift) against R times
+    its norm on the original integer vertex set.
+
+    The host of `m` must be an integer-lattice l1 space at scale 1. Returns
+    (lhs, rhs); the dilation isometry of free p-spaces makes them equal up
+    to floating error.
+    """
+    p = check_p(p)
+    pts = [tuple(int(c) for c in v) for v in m.host.points]
+    shift = tuple(int(c) for c in shift)
+    image_pts = [tuple(c + s for c, s in zip(v, shift)) for v in pts]
+    image_space = lattice_l1_space(image_pts, float(R), base=m.host.base)
+
+    m_image = FreeElement(image_space, dict(m.weights))
+    lhs, _ = exact_norm_small(m_image, p)
+    rhs_raw, _ = exact_norm_small(m, p)
+    return lhs, float(R) * rhs_raw

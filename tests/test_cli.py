@@ -202,6 +202,37 @@ def test_decompose(capsys, space_file, element_file):
     assert report["n_terms"] == len(report["coefficients"]) == 2
 
 
+def test_decompose_refuses_a_base_off_the_origin(capsys, tmp_path):
+    # the base evaluation is the zero vector, so the weight at point 1 would
+    # be dropped without a word while the basis is pointed at the origin
+    space = write(tmp_path, "space.txt", "2 1\n0 0\n0.5 0.5\n0.25 0\n")
+    element = write(tmp_path, "elem.txt", "1.0 1\n-0.5 2\n")
+    code, out, err = run(
+        capsys, ["--command", "decompose", "--alpha", "0.5", "--in", space, "--in", element]
+    )
+    assert code == 2
+    assert out == ""
+    assert f"the base point 1 of {space} is (0.5, 0.5)" in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--command", "basis-verify", "--p", "0.01", "--alpha", "0.5", "--d", "1", "--kmax", "1"],
+     "report value 'bm_bound' is inf"),
+    (["--command", "bm-report", "--p", "0.01", "--alpha", "0.5", "--d", "3"],
+     "--p 0.01 --alpha 0.5 --d 3 take a constant beyond the double range"),
+    (["--command", "retraction-verify", "--p", "0.001", "--d", "2", "--samples", "3"],
+     "--p 0.001 --d 2 --samples 3 take a constant beyond the double range"),
+], ids=["basis-verify", "bm-report", "retraction-verify"])
+def test_constants_beyond_the_double_range_exit_2(capsys, args, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, args)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_lambda_check(capsys, tmp_path):
     runs = [["--d", "2", "--R", "3", "--samples", "200", "--seed", "0"]]
     # complex files at R = 0.7, whose vertex v placed at R v divides back

@@ -15,7 +15,6 @@ from freep.cubes import (
     lambda_weight,
     load_complex,
     local_coords,
-    save_complex,
     scalar_coeff,
     tensor_weights,
     vertex_bits,
@@ -23,6 +22,14 @@ from freep.cubes import (
 )
 
 TWO_CUBES = CubeComplex(d=2, R=1.0, offsets=((0, 0), (1, 0)))
+
+
+def save_complex(complex: CubeComplex) -> str:
+    """Serialize: first line "d R", one offset per line, base vertex last."""
+    lines = [f"{complex.d} {complex.R!r}"]
+    lines += [" ".join(str(c) for c in w) for w in complex.offsets]
+    lines.append(" ".join(str(c) for c in complex.base_vertex))
+    return "\n".join(lines) + "\n"
 
 
 def test_scalar_coeff_cases():

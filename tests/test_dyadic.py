@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from face_induction_oracle import (
     PowSum,
+    oracle_coarse_neighbors,
     oracle_difference,
     oracle_hat,
     oracle_molecule,
@@ -25,11 +26,9 @@ from freep.dyadic import (
     hat_decompose,
     line_path,
     molecule_decompose,
-    molecule_difference,
     molecule_target,
     reconstruction_residual,
     step_decompose,
-    step_target,
     synthesize,
     verify_norming,
     _analysis_operator,
@@ -43,6 +42,18 @@ from freep.freenorm import DEFAULT_CAP, exact_norm_small
 from freep.metric import DyadicPoint, dyadic_grid
 
 F = Fraction
+
+
+def step_target(v: DyadicPoint, axis: int, alpha: float) -> dict[DyadicPoint, float]:
+    """Point expansion of the step element (origin entries dropped)."""
+    n, elem = _step_element(v, axis)
+    return {u: float(c) * 2.0 ** (n * alpha) for u, c in elem.items()}
+
+
+def molecule_difference(u: DyadicPoint, v: DyadicPoint, alpha: float) -> BasisCombination:
+    """Combination reconstructing the unnormalized difference
+    delta(u) - delta(v)."""
+    return analyze({u: 1.0, v: -1.0}, alpha)
 
 
 def dp(*coords):
@@ -392,6 +403,16 @@ def sorted_grid(d, k):
 def ring(betas, n=0):
     """Peel weights as the exact coefficients beta_v X^(k - n), X = 2^-alpha."""
     return {v: PowSum({v.level - n: beta}) for v, beta in betas.items()}
+
+
+@pytest.mark.parametrize("d,k", [(1, 9), (2, 5), (3, 3), (4, 2)])
+def test_coarse_neighbors_match_the_oracle(d, k):
+    # the same neighbours in the same order, with the same exact weights
+    for v in sorted_grid(d, k):
+        if v.level:
+            got = _coarse_neighbors(v)
+            assert got == oracle_coarse_neighbors(v), v
+            assert all(type(weight) is Fraction for _, weight in got)
 
 
 @pytest.mark.parametrize("d,k", [(1, 4), (2, 2), (3, 1)])

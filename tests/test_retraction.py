@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 from cube_oracle import complex_shapes, oracle_find_cube, oracle_support
-from retraction_oracle import oracle_upper_decomposition
+from retraction_oracle import (
+    oracle_indicator_certificate,
+    oracle_upper_decomposition,
+    oracle_witness_edges,
+    rescale_check,
+    translate_element,
+)
 
 from freep import cubes, retraction
 from freep.constants import c_const, retraction_bounds
@@ -15,9 +21,8 @@ from freep.retraction import (
     estimate_lipschitz,
     lipschitz_upper_decomposition,
     lower_bound_witness,
-    rescale_check,
     retract,
-    translate_element,
+    vertex_indicator_certificate,
 )
 from freep.freenorm import DualCertificate, FreeElement
 from freep.metric import lattice_l1_space
@@ -141,6 +146,25 @@ def test_witness_element_shape():
     assert w[ctx.vertex_index((1, 1))] == pytest.approx(0.5)
     assert w[ctx.vertex_index((1, 0))] == pytest.approx(-0.5)
     assert ctx.vertex_index((0, 0)) not in w
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_witness_decomposition_matches_the_edge_oracle(d):
+    for p in (1.0, 0.75, 0.5, 0.3):
+        res = lower_bound_witness(d, p)
+        assert res.upper_decomposition == oracle_witness_edges(res.context)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_indicator_certificate_matches_the_oracle(d):
+    for offsets in complex_shapes(d).values():
+        # the last offset as the base, so it is not always vertex 0
+        complex = CubeComplex(d=d, R=0.7, offsets=offsets, base_vertex=offsets[-1])
+        space = build_context(complex, 0.5).vertex_space
+        cert = vertex_indicator_certificate(space)
+        F, activity = oracle_indicator_certificate(space)
+        assert cert.functions.tobytes() == F.tobytes()
+        assert np.array_equal(cert.activity, activity)
 
 
 def test_harness_d1_band_and_report():
