@@ -26,6 +26,7 @@ from .dyadic import (
     analyze,
     basis_element,
     basis_norm_check,
+    basis_norm_checks,
     hat_decompose,
     line_path,
     molecule_decompose,
@@ -43,6 +44,7 @@ from .freenorm import (
     evaluate,
     exact_norm_p1,
     exact_norm_small,
+    exact_norms,
     p_cost,
     upper_bound_from,
 )

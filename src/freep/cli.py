@@ -82,6 +82,10 @@ def _merge_config(args) -> dict:
         val = cfg[name]
         if val is not None and (isinstance(val, bool) or not isinstance(val, (int, float))):
             raise ValueError(f"--{name} must be a real number, got {val!r}")
+        if isinstance(val, int) and not -sys.float_info.max <= val <= sys.float_info.max:
+            # a JSON integer has no size limit: do not echo hundreds of digits
+            raise ValueError(
+                f"--{name} must be a real number, got an integer beyond the double range")
     if cfg["R"] is not None and not (math.isfinite(cfg["R"]) and cfg["R"] > 0):
         raise ValueError(f"--R must be a finite positive number, got {cfg['R']!r}")
     inputs = cfg["inputs"]

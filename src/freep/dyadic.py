@@ -43,9 +43,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import basis_bound, bm_bound, check_alpha, check_p, rho, tau
-from .freenorm import DEFAULT_CAP, EVAL_TOL, FreeElement, coefficient_cost, exact_norm_small
+from .freenorm import DEFAULT_CAP, EVAL_TOL, FreeElement, coefficient_cost, exact_norms
 from .metric import (
     DyadicPoint,
+    check_distances,
     coordinate_level,
     dyadic_grid,
     holder_distort,
@@ -347,17 +348,23 @@ def reconstruction_residual(
 # basis elements as free elements, norm checks, and the norming report
 
 
+def _basis_host(v: DyadicPoint, alpha: float) -> tuple[list[DyadicPoint], list[float]]:
+    """The host points of the basis element at v, the origin first and then
+    its support by (level, nums), and its weights on the support."""
+    if v.is_origin():
+        raise ValueError("the origin does not index a basis element")
+    expansion = _iota_expansion(v, alpha)
+    support = sorted(expansion, key=lambda q: (q.level, q.nums))
+    return [DyadicPoint.origin(v.d)] + support, [expansion[q] for q in support]
+
+
 def basis_element(v: DyadicPoint, alpha: float) -> FreeElement:
     """The basis element at v as a free element over its support plus the
     origin, under the alpha-distorted l1 metric."""
-    if v.is_origin():
-        raise ValueError("the origin does not index a basis element")
     alpha = check_alpha(alpha)
-    expansion = _iota_expansion(v, alpha)
-    support = sorted(expansion, key=lambda q: (q.level, q.nums))
-    points = [DyadicPoint.origin(v.d)] + support
+    points, weights = _basis_host(v, alpha)
     host = holder_distort(l1_space([q.floats() for q in points], base=0), alpha)
-    return FreeElement(host, {i + 1: expansion[q] for i, q in enumerate(support)})
+    return FreeElement(host, dict(enumerate(weights, 1)))
 
 
 def _proof_cost(v: DyadicPoint, alpha: float, p: float) -> float:
@@ -373,21 +380,52 @@ def _proof_cost(v: DyadicPoint, alpha: float, p: float) -> float:
     return total ** (1.0 / p)
 
 
-def basis_norm_check(v: DyadicPoint, alpha: float, p: float) -> tuple[float, float]:
-    """(exact norm or certified upper bound, `basis_bound` d^alpha C(p, 2^d)).
+def _basis_distances(hosts: list[list[DyadicPoint]], alpha: float) -> np.ndarray:
+    """The distance matrices |X_i - X_j|_1^alpha of hosts of one size and
+    dimension as one stack, checked as metrics before and after the
+    distortion, as `basis_element` checks its one host."""
+    X = np.array([[q.floats() for q in host] for host in hosts])
+    dist = np.abs(X[:, :, None] - X[:, None]).sum(axis=3)
+    check_distances(dist)
+    dist = dist**alpha
+    check_distances(dist)
+    return dist
 
-    The exact engine runs whenever the support fits its cap DEFAULT_CAP;
-    otherwise the partition-of-unity decomposition cost stands in, which
-    never exceeds the bound either.
+
+def basis_norm_checks(
+    points: list[DyadicPoint], alpha: float, p: float
+) -> list[tuple[float, float]]:
+    """(exact norm or certified upper bound, `basis_bound` d^alpha C(p, 2^d))
+    of the basis element at each point.
+
+    The elements are checked in batches of one host size: the points of
+    `basis_element`'s hosts give one checked stack of distance matrices
+    (`_basis_distances`), and one call of the exact engine `exact_norms`
+    takes the whole stack. Beyond its cap DEFAULT_CAP the partition-of-unity
+    decomposition cost stands in, which never exceeds the bound either.
     """
     p = check_p(p)
     alpha = check_alpha(alpha)
-    elem = basis_element(v, alpha)
-    if elem.host.n <= DEFAULT_CAP:
-        value, _ = exact_norm_small(elem, p)
-    else:
-        value = _proof_cost(v, alpha, p)
-    return value, basis_bound(p, alpha, v.d)
+    values: list[float] = [0.0] * len(points)
+    batches: dict[tuple[int, int], list] = {}
+    for i, v in enumerate(points):
+        host, weights = _basis_host(v, alpha)
+        if len(host) > DEFAULT_CAP:
+            values[i] = _proof_cost(v, alpha, p)
+        else:
+            batches.setdefault((v.d, len(host)), []).append((i, host, weights))
+    for batch in batches.values():
+        dist = _basis_distances([host for _, host, _ in batch], alpha)
+        norms = exact_norms(dist, np.array([weights for _, _, weights in batch]), p)
+        for (i, _, _), value in zip(batch, norms):
+            values[i] = value
+    bounds = {d: basis_bound(p, alpha, d) for d in {v.d for v in points}}
+    return [(value, bounds[v.d]) for value, v in zip(values, points)]
+
+
+def basis_norm_check(v: DyadicPoint, alpha: float, p: float) -> tuple[float, float]:
+    """The check of `basis_norm_checks` for one basis point."""
+    return basis_norm_checks([v], alpha, p)[0]
 
 
 def _analysis_operator(d: int, k_max: int, alpha: float):
@@ -440,9 +478,10 @@ def verify_norming(
     C(p, 2^d) rho^d tau^d and a completeness flag (the pair budget trims
     oversized grids, keeping the first pairs of `combinations(grid, 2)`).
     The analysis operator of the grid is built once, its grid serves the
-    basis checks, and the molecules are checked in batch, one first point at
-    a time. A grid of more than MAX_BASIS_POINTS basis points raises before
-    any work."""
+    basis checks, which run in batches of one host size (one
+    `basis_norm_checks` call), and the molecules are checked in batch, one
+    first point at a time. A grid of more than MAX_BASIS_POINTS basis points
+    raises before any work."""
     p = check_p(p)
     alpha = check_alpha(alpha)
     d = int(d)
@@ -458,8 +497,7 @@ def verify_norming(
     grid, S, A = _analysis_operator(d, k_max, alpha)
     max_basis = 0.0
     basis_ok = True
-    for v in grid[1:]:
-        value, bound = basis_norm_check(v, alpha, p)
+    for value, bound in basis_norm_checks(grid[1:], alpha, p):
         max_basis = max(max_basis, value)
         basis_ok = basis_ok and value <= bound + EVAL_TOL
 

@@ -14,9 +14,13 @@ base point normalized away. The p-norm (0 < p <= 1) is the infimum of
   trees (linearly independent molecule sets are forests, the concave cost
   is minimized on a tree of the whole host rooted at the base, and a
   Dreyfus-Wagner subset program finds the best one in O(3^k n + 2^k n^2)
-  time for support size k on n points); the norm with molecules restricted
-  to a subset of the host is, by definition, the norm over the induced
-  subspace, so it is this program run on that subspace as its own host,
+  time for support size k on n points); the program takes one popcount
+  layer of subsets per array step, k steps in all, for a whole stack of
+  same-size hosts at once (`exact_norms`, values only), and
+  `exact_norm_small` is its one-host call with a witness; the norm with
+  molecules restricted to a subset of the host is, by definition, the norm
+  over the induced subspace, so it is this program run on that subspace as
+  its own host,
 * certified two-sided bounds: any explicit decomposition gives an upper
   bound, and any validated dual certificate of Lipschitz-1 functions with
   bounded pair multiplicity gives a lower bound via subadditivity of t^p.
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -178,57 +183,86 @@ def upper_bound_from(m: FreeElement, p: float, decomp: Decomposition) -> float:
 # exact norm by a dynamic program over trees
 
 
-def _tree_norm(m, p):
-    """(p-norm, witness) of m over trees on the host rooted at the base: the
-    least sum_e (d(e) |W_e|)^p, W_e the weight of m on the side of edge e
-    away from the base.
-
-    f[S][v] is the least cost of a tree joining the terminals S to v, and
-    g[S][v] the least with v a branch point: the minimum over splits of S of
-    f[T][v] + f[S - T][v]. One hop f[S][v] = min_u g[S][u] + d(u, v)^p
-    |w(S)|^p suffices because d^p is a metric for p <= 1.
-    """
-    host, n = m.host, m.host.n
-    if m.is_zero():
-        return 0.0, Decomposition(host, ())
-    terminals = sorted(m.weights)
-    w = np.array([m.weights[t] for t in terminals])
-    size, cols = 1 << len(terminals), np.arange(n)
-    wsum = ((np.arange(size)[:, None] >> np.arange(len(terminals))) & 1) @ w
-    # subset sums at rounding level carry no weight, not a tiny molecule
-    flow = np.where(np.abs(wsum) > COEFF_TOL * np.abs(w).sum(), np.abs(wsum), 0.0)
-    Dp = host.dist**p
-    F = np.zeros((size, n))
-    hop = np.zeros((size, n), dtype=np.intp)
-    split = np.zeros((size, n), dtype=np.intp)
+@lru_cache(maxsize=None)
+def _subset_program(k):
+    """(bits, splits, layers) of the tree program on k terminals: the (2^k, k)
+    membership table of the subsets; per subset S its splits, the proper
+    parts T of S that hold its lowest terminal, in a fixed order; and per
+    popcount 2..k the layer (subsets S, all their splits T concatenated,
+    S - T for each, the index where each S's splits start)."""
+    size = 1 << k
+    bits = (np.arange(size)[:, None] >> np.arange(k)) & 1
+    splits = [np.zeros(0, dtype=np.intp)]
     for S in range(1, size):
-        low = S & -S
-        if S == low:
-            g = np.where(cols == terminals[low.bit_length() - 1], 0.0, np.inf)
-        else:
-            parts, T = [], S ^ low
-            while T:
-                T = (T - 1) & (S ^ low)
-                parts.append(low | T)
-            parts = np.array(parts)
-            cand = F[parts] + F[S ^ parts]
-            best = cand.argmin(axis=0)
-            g, split[S] = cand[best, cols], parts[best]
-        H = g[:, None] + flow[S] ** p * Dp
-        hop[S] = H.argmin(axis=0)
-        F[S] = H[hop[S], cols]
+        low, parts, T = S & -S, [], S & (S - 1)
+        while T:
+            T = (T - 1) & (S ^ low)
+            parts.append(low | T)
+        splits.append(np.array(parts, dtype=np.intp))
+    layers = []
+    for c in range(2, k + 1):
+        subsets = np.array([S for S in range(size) if S.bit_count() == c])
+        lens = [len(splits[S]) for S in subsets]
+        T = np.concatenate([splits[S] for S in subsets])
+        starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
+        layers.append((subsets, T, np.repeat(subsets, lens) ^ T, starts))
+    return bits, splits, layers
 
-    W = np.zeros((n, n))  # weight carried from u to v, antisymmetric
-    stack = [(size - 1, host.base)]
-    while stack:
-        S, v = stack.pop()
-        u = hop[S, v]
-        if u != v and flow[S] > 0.0:
-            W[u, v] += wsum[S]
-            W[v, u] -= wsum[S]
-        if S & (S - 1):
-            stack += [(split[S, u], u), (S ^ split[S, u], u)]
-    return float(F[-1, host.base] ** (1.0 / p)), _forest_witness(host, W, Dp, p)
+
+def _subset_flows(w, p):
+    """(w(S), |w(S)|, |w(S)|^p) over the subsets S of the terminals with
+    weights w; a subset sum at rounding level carries no weight, not a tiny
+    molecule."""
+    wsum = _subset_program(len(w))[0] @ w
+    flow = np.where(np.abs(wsum) > COEFF_TOL * np.abs(w).sum(), np.abs(wsum), 0.0)
+    # scalar powers: numpy's array ** differs from pow() in the last bit on some inputs
+    return wsum, flow, np.array([f**p for f in flow.tolist()])
+
+
+def _tree_table(Dp, terminals, fp):
+    """The tree program on a stack of hosts with the same terminals:
+    F[b, S, v], the least sum_e Dp[b](e) |W_e|^p over trees joining the
+    terminals S to v in host b, W_e the weight on the side of edge e away
+    from v, given Dp (B, n, n) and the flow powers fp (B, 2^k) of
+    `_subset_flows`.
+
+    One popcount layer of subsets per step. The branch cost g[S][u] is the
+    least F[T][u] + F[S - T][u] over the splits T of S: one gather and one
+    `np.minimum.reduceat` per layer. One hop F[S][v] = min_u g[S][u] +
+    Dp(u, v) |w(S)|^p suffices because d^p is a metric for p <= 1: one
+    (B, |layer|, n, n) minimum. A singleton {t} costs |w_t|^p Dp(t, v).
+    """
+    k = len(terminals)
+    _, _, layers = _subset_program(k)
+    F = np.zeros((Dp.shape[0], 1 << k, Dp.shape[1]))
+    single = 1 << np.arange(k)
+    F[:, single] = fp[:, single, None] * Dp[:, terminals]
+    for subsets, T, rest, starts in layers:
+        g = np.minimum.reduceat(F[:, T] + F[:, rest], starts, axis=1)
+        F[:, subsets] = (g[..., None] + fp[:, subsets, None, None] * Dp[:, None]).min(axis=2)
+    return F
+
+
+def _check_cap(k):
+    if k + 1 > DEFAULT_CAP:
+        raise ValueError(
+            f"element has {k} support points plus the base, beyond "
+            f"the exact-norm cap {DEFAULT_CAP}; "
+            "use upper_bound_from / dual_lower_bound for certified bounds"
+        )
+
+
+def exact_norms(dist: np.ndarray, weights: np.ndarray, p: float) -> list[float]:
+    """Exact free p-norms, values only, of a batch of elements on hosts of
+    the same size: element b weighs points 1..n-1 of the host with distance
+    matrix dist[b] by weights[b], and point 0 is the base. One call of the
+    tree program for the whole batch; `exact_norm_small` is the one-host
+    case, with a witness, and the same cap applies."""
+    p = check_p(p)
+    _check_cap(weights.shape[1])
+    fp = np.array([_subset_flows(w, p)[2] for w in weights])
+    F = _tree_table(dist**p, np.arange(1, dist.shape[1]), fp)
+    return [f ** (1.0 / p) for f in F[:, -1, 0].tolist()]
 
 
 def _forest_witness(host, W, Dp, p):
@@ -275,25 +309,48 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
     """Exact free p-norm of m over its host, with an optimal witness.
 
     The minimum over decompositions is attained on a tree rooted at the base
-    (a minimum concave-cost flow, Zangwill 1968), found by a Dreyfus-Wagner
-    dynamic program in O(3^k n + 2^k n^2) time for support size k; the
-    witness has one molecule per tree edge carrying nonzero weight, with
-    both endpoints anywhere in the host (every host point may serve as a
-    Steiner point). Exact for every 0 < p <= 1 but exponential in the
-    support size, hence the cap DEFAULT_CAP on the support plus the base;
-    the host itself may be larger. To restrict the molecules to a subset,
-    build the induced subspace as the host. Beyond the cap, use the
-    certified bound operations (`upper_bound_from`, `dual_lower_bound`)
-    instead.
+    (a minimum concave-cost flow, Zangwill 1968): the least sum_e (d(e)
+    |W_e|)^p, W_e the weight of m on the side of edge e away from the base.
+    This is the one-host call of the layered tree program `_tree_table`, in
+    O(3^k n + 2^k n^2) time and k array steps for support size k. The
+    witness comes from a backtracking from the full set at the base that
+    recomputes the branch and hop minima only at the O(k) nodes it visits,
+    taking first minima in the table's order; it has one molecule per tree
+    edge carrying nonzero weight, with both endpoints anywhere in the host
+    (every host point may serve as a Steiner point). Exact for every
+    0 < p <= 1 but exponential in the support size, hence the cap
+    DEFAULT_CAP on the support plus the base; the host itself may be larger.
+    To restrict the molecules to a subset, build the induced subspace as the
+    host. Beyond the cap, use the certified bound operations
+    (`upper_bound_from`, `dual_lower_bound`) instead.
     """
     p = check_p(p)
-    if len(m.weights) + 1 > DEFAULT_CAP:
-        raise ValueError(
-            f"element has {len(m.weights)} support points plus the base, beyond "
-            f"the exact-norm cap {DEFAULT_CAP}; "
-            "use upper_bound_from / dual_lower_bound for certified bounds"
-        )
-    return _tree_norm(m, p)
+    _check_cap(len(m.weights))
+    host = m.host
+    if m.is_zero():
+        return 0.0, Decomposition(host, ())
+    terminals = sorted(m.weights)
+    wsum, flow, fp = _subset_flows(np.array([m.weights[t] for t in terminals]), p)
+    Dp = host.dist**p
+    F = _tree_table(Dp[None], terminals, fp[None])[0]
+    splits = _subset_program(len(terminals))[1]
+
+    W = np.zeros((host.n, host.n))  # weight carried from u to v, antisymmetric
+    stack = [(len(F) - 1, host.base)]
+    while stack:
+        S, v = stack.pop()
+        if S & (S - 1):
+            T = splits[S]
+            cand = F[T] + F[S ^ T]
+            u = int((cand.min(axis=0) + fp[S] * Dp[:, v]).argmin())
+            T = int(T[cand[:, u].argmin()])
+            stack += [(T, u), (S ^ T, u)]
+        else:
+            u = terminals[S.bit_length() - 1]
+        if u != v and flow[S] > 0.0:
+            W[u, v] += wsum[S]
+            W[v, u] -= wsum[S]
+    return float(F[-1, host.base]) ** (1.0 / p), _forest_witness(host, W, Dp, p)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +446,7 @@ def exact_norm_p1(m: FreeElement) -> tuple[float, Decomposition]:
     magnitude. That is a transportation problem with cost matrix
     dist[P][:, N], solved by `_transport` by successive shortest paths whose
     node potentials keep every reduced cost nonnegative. A total at rounding
-    level (at most COEFF_TOL sum |w|, the rule of `_tree_norm`) puts
+    level (at most COEFF_TOL sum |w|, the rule of `_subset_flows`) puts
     nothing on the base, and any other weight or left-over amount at that
     level counts as zero. The flow, made a forest by `_cancel_cycles`, is
     the witness: one molecule per edge, the flow times the edge length its

@@ -19,6 +19,36 @@ from .constants import check_alpha
 _TRIANGLE_TOL = 1e-12
 
 
+def check_distances(dist: np.ndarray) -> None:
+    """Raise ValueError unless each (n, n) matrix of the stack dist
+    (..., n, n) is finite and symmetric with a zero diagonal, positive off
+    it, and satisfies the triangle inequality up to _TRIANGLE_TOL relative to
+    its own largest entry; the messages name the entries within a matrix."""
+    n = dist.shape[-1]
+    D = dist.reshape(-1, n, n)
+    bad = np.argwhere(~np.isfinite(D))
+    if bad.size:
+        b, i, j = bad[0]
+        raise ValueError(f"distance d({i},{j}) = {D[b, i, j]} is not finite")
+    if np.any(np.diagonal(D, axis1=1, axis2=2) != 0.0):
+        raise ValueError("distance matrix has a nonzero diagonal entry")
+    if not np.array_equal(D, D.transpose(0, 2, 1)):
+        raise ValueError("distance matrix is not symmetric")
+    off = D[:, ~np.eye(n, dtype=bool)]
+    if off.size and off.min() <= 0.0:
+        raise ValueError("off-diagonal distances must be strictly positive")
+    slack = _TRIANGLE_TOL * np.maximum(1.0, D.max(axis=(1, 2), initial=0.0))[:, None, None]
+    for k in range(n):
+        via = D[:, :, k, None] + D[:, None, k, :]
+        over = D > via + slack
+        if over.any():
+            b = over.reshape(len(D), -1).any(axis=1).argmax()
+            i, j = np.unravel_index(np.argmax(D[b] - via[b]), (n, n))
+            raise ValueError(
+                f"triangle inequality fails: d({i},{j}) > d({i},{k}) + d({k},{j})"
+            )
+
+
 class PointedFiniteMetric:
     """A finite metric space with a distinguished base point.
 
@@ -44,25 +74,7 @@ class PointedFiniteMetric:
             raise ValueError(f"base index {self.base} out of range for {n} points")
         if self.dist.shape != (n, n):
             raise ValueError(f"distance matrix shape {self.dist.shape} != ({n}, {n})")
-        bad = np.argwhere(~np.isfinite(self.dist))
-        if bad.size:
-            i, j = bad[0]
-            raise ValueError(f"distance d({i},{j}) = {self.dist[i, j]} is not finite")
-        if np.any(np.diag(self.dist) != 0.0):
-            raise ValueError("distance matrix has a nonzero diagonal entry")
-        if not np.array_equal(self.dist, self.dist.T):
-            raise ValueError("distance matrix is not symmetric")
-        off = self.dist[~np.eye(n, dtype=bool)]
-        if off.size and off.min() <= 0.0:
-            raise ValueError("off-diagonal distances must be strictly positive")
-        slack = _TRIANGLE_TOL * max(1.0, float(self.dist.max(initial=0.0)))
-        for k in range(n):
-            via = self.dist[:, k, None] + self.dist[None, k, :]
-            if np.any(self.dist > via + slack):
-                i, j = np.unravel_index(np.argmax(self.dist - via), (n, n))
-                raise ValueError(
-                    f"triangle inequality fails: d({i},{j}) > d({i},{k}) + d({k},{j})"
-                )
+        check_distances(self.dist)
 
     @property
     def n(self) -> int:

@@ -52,10 +52,6 @@ class RetractionContext:
     p: float
     vertex_space: PointedFiniteMetric
 
-    def vertex_index(self, v: tuple[int, ...]) -> int:
-        """The index of lattice vertex v in `vertex_space`."""
-        return int(vertex_ids(self.complex, v))
-
 
 def build_context(complex: CubeComplex, p: float) -> RetractionContext:
     """Pair a complex with the metric space over its vertices."""

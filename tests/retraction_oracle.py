@@ -13,7 +13,9 @@ vertex indicator certificate vertex by vertex (`oracle_indicator_certificate`)
 are kept as well, for the kernel call and the array expressions that replaced
 them. It also holds the two symmetries of the tests: `translate_element` moves a
 retraction image by a lattice vector, and `rescale_check` compares a norm
-before and after a dilation of its integer host.
+before and after a dilation of its integer host. `vertex_index` looks one
+lattice vertex up in a context's vertex space, the one-point view of
+`cubes.vertex_ids` that these per-vertex constructions use.
 """
 
 import numpy as np
@@ -26,6 +28,11 @@ from freep.metric import lattice_l1_space
 from freep.retraction import RetractionContext
 
 LATTICE_TOL = 1e-9
+
+
+def vertex_index(ctx: RetractionContext, v: tuple[int, ...]) -> int:
+    """The index of lattice vertex v in `ctx.vertex_space`."""
+    return int(vertex_ids(ctx.complex, v))
 
 
 def _axis_pair_terms(ctx, w, t, axis, delta):
@@ -47,7 +54,8 @@ def _axis_pair_terms(ctx, w, t, axis, delta):
             hi[j] += b
         lo = list(hi)
         hi[axis] += 1
-        mol = Molecule(ctx.vertex_space, ctx.vertex_index(tuple(hi)), ctx.vertex_index(tuple(lo)))
+        mol = Molecule(ctx.vertex_space, vertex_index(ctx, tuple(hi)),
+                       vertex_index(ctx, tuple(lo)))
         terms.append((delta * weight, mol))
     return terms
 
@@ -77,7 +85,7 @@ def _bridge_terms(ctx, w, x1, y1):
     terms = []
     for v, weight in oracle_support(ctx.complex, x1, cube=w):
         target = tuple(a + b for a, b in zip(v, lat))
-        mol = Molecule(ctx.vertex_space, ctx.vertex_index(v), ctx.vertex_index(target))
+        mol = Molecule(ctx.vertex_space, vertex_index(ctx, v), vertex_index(ctx, target))
         terms.append((weight * l1, mol))
     return terms
 
@@ -118,8 +126,8 @@ def oracle_witness_edges(ctx):
     coeff = 2.0 ** (-(d - 1))
     terms = []
     for bits in np.ndindex(*(2,) * (d - 1)):
-        hi = ctx.vertex_index(tuple(bits) + (1,))
-        lo = ctx.vertex_index(tuple(bits) + (0,))
+        hi = vertex_index(ctx, tuple(bits) + (1,))
+        lo = vertex_index(ctx, tuple(bits) + (0,))
         terms.append((coeff, Molecule(ctx.vertex_space, hi, lo)))
     return Decomposition(ctx.vertex_space, tuple(terms))
 

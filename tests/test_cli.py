@@ -233,6 +233,21 @@ def test_constants_beyond_the_double_range_exit_2(capsys, args, message):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("flag, command", [
+    ("R", ["--command", "lambda-check", "--d", "1"]),
+    ("p", ["--command", "bm-report", "--alpha", "0.5", "--d", "2"]),
+    ("alpha", ["--command", "bm-report", "--p", "0.5", "--d", "2"]),
+])
+def test_config_integers_beyond_the_double_range_exit_2(capsys, tmp_path, flag, command):
+    huge = "1" + "0" * 400
+    cfg = write(tmp_path, "cfg.json", f'{{"{flag}": {huge}}}')
+    code, out, err = run(capsys, [*command, "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert f"--{flag} must be a real number, got an integer beyond the double range" in err
+    assert huge not in err
+
+
 def test_lambda_check(capsys, tmp_path):
     runs = [["--d", "2", "--R", "3", "--samples", "200", "--seed", "0"]]
     # complex files at R = 0.7, whose vertex v placed at R v divides back
@@ -273,6 +288,14 @@ COMPLEX_FILES = {
 }
 
 
+# the point set and element that scripts/readme_commands.sh writes for the
+# README file commands
+README_FILES = {
+    "README_SPACE": "2 0\n0 0\n0.5 0\n0.5 0.25\n1 1\n",
+    "README_ELEMENT": "1.0 1\n-0.5 2\n0.25 3\n",
+}
+
+
 def test_retraction_verify_lower_bound_ignores_rounding_pairings(capsys, tmp_path):
     # an image difference off the base pairs with the base function at
     # rounding level, and t^0.3 magnified that above the exact norm
@@ -288,7 +311,10 @@ def test_retraction_verify_lower_bound_ignores_rounding_pairings(capsys, tmp_pat
 # retraction-verify on the two-square complex file as the benchmark runs them;
 # then, from before the upper decompositions became batched rows, three
 # retraction-verify runs whose pairs cross an L-shaped complex, a gap along
-# one axis, and d = 3 cubes at R = 0.7
+# one axis, and d = 3 cubes at R = 0.7; then, from before the basis norms
+# became one tree-program call per host size, the README basis-verify, two
+# more basis-verify grids (d = 3 sends its centre to the fallback cost), and
+# the README norm report with its witness, on the README command files
 @pytest.mark.parametrize("args, digest", [
     (["--command", "lambda-check", "--d", "3", "--R", "2", "--samples", "10000", "--seed", "0"],
      "d76a1433a33d51be659dbb3f345409e3858c1f79e00d6db8d2ad68daa278796a"),
@@ -308,11 +334,22 @@ def test_retraction_verify_lower_bound_ignores_rounding_pairings(capsys, tmp_pat
     (["--command", "retraction-verify", "--d", "3", "--p", "0.75", "--R", "0.7", "--seed", "2",
       "--samples", "500"],
      "bf749c1e61a679334aba106f344eb1ee0b8b5f6bcf1e43b0cbd1a74c2f0739e9"),
+    (["--command", "basis-verify", "--d", "2", "--alpha", "0.5", "--p", "0.5", "--kmax", "2"],
+     "66f1d9ab3357c3c226da279a8b221a0a901513dbe22c5e016f87a34b3a9937d0"),
+    (["--command", "basis-verify", "--d", "1", "--kmax", "5", "--alpha", "0.7", "--p", "0.3"],
+     "0fe5959c84542a6114d5944031370c9824f2456f5c760defda52a51b506645cc"),
+    (["--command", "basis-verify", "--d", "3", "--kmax", "1", "--alpha", "0.25", "--p", "0.4"],
+     "cf1480212879d8ef6592f580339506a34b15a83582ec1be823fa22c781f3f144"),
+    (["--command", "norm", "--p", "0.5", "--alpha", "0.5", "--in", "README_SPACE",
+      "--in", "README_ELEMENT"],
+     "69290d445abb052f90c43a323d369bc9218bf46ca17a7bff378481f6dbbd884f"),
 ], ids=["readme-lambda-check", "readme-retraction-verify", "lambda-check-2000",
         "retraction-verify-two-squares", "retraction-verify-L", "retraction-verify-gapped",
-        "retraction-verify-d3"])
+        "retraction-verify-d3", "readme-basis-verify", "basis-verify-d1", "basis-verify-d3",
+        "readme-norm"])
 def test_reports_are_byte_stable(capsys, tmp_path, args, digest):
-    args = [write(tmp_path, "cx.txt", COMPLEX_FILES[a]) if a in COMPLEX_FILES else a for a in args]
+    files = {**COMPLEX_FILES, **README_FILES}
+    args = [write(tmp_path, a, files[a]) if a in files else a for a in args]
     code, out, _ = run(capsys, args)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

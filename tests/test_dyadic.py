@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
@@ -16,12 +17,14 @@ from face_induction_oracle import (
     oracle_molecule,
     oracle_step,
 )
+from freep import dyadic
 from freep.constants import rho, tau
 from freep.dyadic import (
     BasisCombination,
     analyze,
     basis_element,
     basis_norm_check,
+    basis_norm_checks,
     basis_points,
     hat_decompose,
     line_path,
@@ -32,13 +35,15 @@ from freep.dyadic import (
     synthesize,
     verify_norming,
     _analysis_operator,
+    _basis_distances,
+    _basis_host,
     _coarse_neighbors,
     _molecule_checks,
     _peel,
     _proof_cost,
     _step_element,
 )
-from freep.freenorm import DEFAULT_CAP, exact_norm_small
+from freep.freenorm import DEFAULT_CAP, exact_norm_small, exact_norms
 from freep.metric import DyadicPoint, dyadic_grid
 
 F = Fraction
@@ -293,6 +298,55 @@ def test_basis_norm_check_proof_cost_fallback():
     value, bound = basis_norm_check(centre, 0.5, 0.5)
     assert value == _proof_cost(centre, 0.5, 0.5)
     assert value <= bound + 1e-9
+
+
+ORACLE_GRIDS = ((1, 7), (2, 3), (3, 2))
+
+
+def test_batched_basis_norms_equal_one_host_norms():
+    """basis_norm_checks runs one tree-program call per host size; each value
+    equals the exact norm of the element on its own host bitwise, and beyond
+    the cap the fallback cost."""
+    exact = 0
+    for d, k in ORACLE_GRIDS:
+        pts = basis_points(d, k)
+        for alpha in (0.25, 0.5, 0.7):
+            elems = [basis_element(v, alpha) for v in pts]
+            for p in (0.3, 0.5, 0.8, 1.0):
+                checks = basis_norm_checks(pts, alpha, p)
+                assert checks[3] == basis_norm_check(pts[3], alpha, p)
+                for v, e, (value, _) in zip(pts, elems, checks):
+                    if e.host.n <= DEFAULT_CAP:
+                        expected, exact = exact_norm_small(e, p)[0], exact + 1
+                    else:
+                        expected = _proof_cost(v, alpha, p)
+                    assert value.hex() == expected.hex(), (v, alpha, p)
+    assert exact > 3000  # 3,876 of the 3,984 checks run the tree program
+
+
+def test_verify_norming_runs_one_tree_program_call_per_host_size(monkeypatch):
+    calls = []
+
+    def counted(dist, weights, p):
+        calls.append(dist.shape)
+        return exact_norms(dist, weights, p)
+
+    monkeypatch.setattr(dyadic, "exact_norms", counted)
+    verify_norming(3, 0.5, 0.5, 1)
+    sizes = Counter(basis_element(v, 0.5).host.n for v in basis_points(3, 1))
+    assert sorted(calls) == sorted((count, n, n) for n, count in sizes.items() if n <= DEFAULT_CAP)
+
+
+def test_basis_distance_stack_equals_the_element_hosts():
+    for d, k in ORACLE_GRIDS:
+        for alpha in (0.25, 0.5, 0.7):
+            by_size = {}
+            for v in basis_points(d, k):
+                by_size.setdefault(len(_basis_host(v, alpha)[0]), []).append(v)
+            for vs in by_size.values():
+                stack = _basis_distances([_basis_host(v, alpha)[0] for v in vs], alpha)
+                for v, dist in zip(vs, stack):
+                    assert dist.tobytes() == basis_element(v, alpha).host.dist.tobytes(), (v, alpha)
 
 
 def test_analyze_examples():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from enum_oracle import ORACLE_CAP, enumeration_norm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from lp_oracle import lp_norm_p1
+from tree_oracle import oracle_tree_norm
 
 import freep
 from freep import freenorm
@@ -27,6 +29,7 @@ from freep.freenorm import (
     evaluate,
     exact_norm_p1,
     exact_norm_small,
+    exact_norms,
     p_cost,
     parse_element,
     _cancel_cycles,
@@ -443,6 +446,36 @@ def test_tree_program_matches_enumeration_oracle():
                     want, _ = enumeration_norm(mr, p, subset)
                     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
                     assert_optimal_forest(sub, p, got, tree, range(sub.host.n))
+
+
+def terms_hex(decomp):
+    return [(a.hex(), mol.x, mol.y) for a, mol in decomp.terms]
+
+
+def test_tree_program_matches_the_per_subset_loop_bitwise():
+    """Values and witnesses equal the per-subset loop's to the bit, ties
+    included (lattice hosts have many equal-cost trees), with the base at
+    any index; batched values of full-support elements based at point 0
+    equal it too."""
+    rng = np.random.default_rng(12)
+    for n, p, kind, _ in itertools.product(range(2, 9), (1.0, 0.8, 0.5, 0.3),
+                                           ("plain", "holder", "lattice"), range(3)):
+        hosts = [lattice_space(rng, n) if kind == "lattice" else random_space(rng, n)
+                 for _ in range(2)]
+        if kind == "holder":
+            hosts = [holder_distort(h, float(rng.uniform(0.3, 0.7))) for h in hosts]
+        draw = (lambda: float(rng.choice([-1.0, 0.5, 1.0]))) if kind == "lattice" else rng.normal
+        weights = np.array([[draw() for _ in range(n - 1)] for _ in hosts])
+        batch = exact_norms(np.stack([h.dist for h in hosts]), weights, p)
+        for h, w, value in zip(hosts, weights, batch):
+            assert value.hex() == oracle_tree_norm(FreeElement(h, dict(enumerate(w, 1))), p)[0].hex()
+
+        s = PointedFiniteMetric(hosts[0].points, int(rng.integers(n)), hosts[0].dist)
+        m = FreeElement(s, {i: draw() for i in range(n) if rng.random() < 0.7})
+        value, witness = exact_norm_small(m, p)
+        want, tree = oracle_tree_norm(m, p)
+        assert value.hex() == want.hex(), (n, p, kind)
+        assert terms_hex(witness) == terms_hex(tree), (n, p, kind)
 
 
 @settings(max_examples=25, deadline=None)

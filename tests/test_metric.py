@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from freep.metric import (
     DyadicPoint,
     PointedFiniteMetric,
+    check_distances,
     coordinate_level,
     dyadic_grid,
     holder_distort,
@@ -49,6 +50,29 @@ def test_metric_validation_rejects_non_finite_distances():
     inf = np.array([[0.0, np.inf], [np.inf, 0.0]])
     with pytest.raises(ValueError, match="not finite"):
         PointedFiniteMetric(("a", "b"), 0, inf)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]],
+     "triangle inequality fails: d(0,2) > d(0,1) + d(1,2)"),
+    ([[0.0, 1.0, 2.0], [1.0, 0.0, np.inf], [2.0, np.inf, 0.0]], "distance d(1,2) = inf is not finite"),
+    ([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.5, 1.0, 0.0]], "distance matrix is not symmetric"),
+    ([[0.0, 1.0, 2.0], [1.0, 0.5, 1.0], [2.0, 1.0, 0.0]], "distance matrix has a nonzero diagonal entry"),
+    ([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
+     "off-diagonal distances must be strictly positive"),
+], ids=["triangle", "non-finite", "asymmetric", "diagonal", "zero"])
+def test_a_stack_with_one_bad_host_raises_its_message(bad, message):
+    """One bad matrix among good ones raises the message that a host with
+    that matrix alone raises."""
+    with pytest.raises(ValueError) as alone:
+        PointedFiniteMetric(("a", "b", "c"), 0, np.array(bad))
+    assert str(alone.value) == message
+    good = l1_space([(0.0,), (1.0,), (3.0,)]).dist
+    for stack in (np.stack([good, bad, good]), np.stack([[good, good], [good, bad]])):
+        with pytest.raises(ValueError) as batch:
+            check_distances(stack)
+        assert str(batch.value) == message
+    check_distances(np.stack([good, good]))
 
 
 def test_holder_identity_and_example():

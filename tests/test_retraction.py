@@ -7,6 +7,7 @@ from retraction_oracle import (
     oracle_witness_edges,
     rescale_check,
     translate_element,
+    vertex_index,
 )
 
 from freep import cubes, retraction
@@ -42,13 +43,13 @@ def test_retract_at_vertices_is_unit_evaluation():
             if v == complex.base_vertex:
                 assert m.is_zero()
             else:
-                assert m.weights == {ctx.vertex_index(v): 1.0}, v
+                assert m.weights == {vertex_index(ctx, v): 1.0}, v
 
 
 def test_retract_examples():
     ctx1 = build_context(CubeComplex(d=1, R=1.0, offsets=((0,),)), 1.0)
     m = retract(ctx1, (0.3,))
-    assert m.weights == pytest.approx({ctx1.vertex_index((1,)): 0.3})
+    assert m.weights == pytest.approx({vertex_index(ctx1, (1,)): 0.3})
     ctx2 = build_context(UNIT_SQUARE, 1.0)
     m2 = retract(ctx2, (0.5, 0.5))
     assert sorted(m2.weights.values()) == pytest.approx([0.25, 0.25, 0.25])
@@ -142,10 +143,10 @@ def test_witness_element_shape():
     res = lower_bound_witness(2, 0.5)
     ctx = res.context
     w = res.element.weights
-    assert w[ctx.vertex_index((0, 1))] == pytest.approx(0.5)
-    assert w[ctx.vertex_index((1, 1))] == pytest.approx(0.5)
-    assert w[ctx.vertex_index((1, 0))] == pytest.approx(-0.5)
-    assert ctx.vertex_index((0, 0)) not in w
+    assert w[vertex_index(ctx, (0, 1))] == pytest.approx(0.5)
+    assert w[vertex_index(ctx, (1, 1))] == pytest.approx(0.5)
+    assert w[vertex_index(ctx, (1, 0))] == pytest.approx(-0.5)
+    assert vertex_index(ctx, (0, 0)) not in w
 
 
 @pytest.mark.parametrize("d", range(1, 6))
@@ -212,8 +213,8 @@ def test_batched_images_match_the_oracle_weights():
     W, images = _images(ctx, X)
     for x, w, image in zip(X, W, images):
         assert tuple(w.tolist()) == oracle_find_cube(complex, x)
-        expected = {ctx.vertex_index(v): w for v, w in oracle_support(complex, x)}
-        expected.pop(ctx.vertex_index(complex.base_vertex), None)
+        expected = {vertex_index(ctx, v): w for v, w in oracle_support(complex, x)}
+        expected.pop(vertex_index(ctx, complex.base_vertex), None)
         assert list(image.weights.items()) == list(expected.items())
 
 
