@@ -7,33 +7,39 @@ difference between delta(v) and its coarser-grid interpolation,
 their bare evaluations. The basis is level-triangular, so every dyadically
 supported element has unique coefficients, which `analyze` peels level by
 level from finest to coarsest; `synthesize` maps coefficients back to point
-evaluations. `analyze` is the one routine that computes basis coefficients:
-the expansions of the paper's lemmas are analyses of their targets,
+evaluations. `analyze` computes the basis coefficients of an element; the
+expansions of the paper's lemmas are analyses of their targets,
 
 * `hat_decompose`      - a single coordinate evaluation over an interval,
 * `step_decompose`     - an axis-centered second difference at any grid point,
 * `molecule_decompose` - a normalized molecule (delta(u) - delta(v)) / |u - v|_1^alpha,
 
-and `verify_norming` builds the analysis operator of a grid once, so each
-molecule's coefficients are a scaled difference of two of its columns.
-`line_path`, a mesh-adjacent chain between two dyadic scalars, stays
-constructive.
+and `verify_norming` builds the analysis operator of a whole grid at once
+(`_analysis_operator`, the analysis of every point evaluation of the grid,
+from one integer array of grid numerators), so each molecule's coefficients
+are a scaled difference of two of its columns. `line_path`, a mesh-adjacent
+chain between two dyadic scalars, stays constructive.
 
 The weights w(u, v) are dyadic, so the coefficient at a level-k point is an
 exact dyadic rational beta times 2^(-k*alpha). The analysis has one
-arithmetic: it peels the alpha-free weights beta in exact rationals (a double
-input is a dyadic rational too) and rounds each coefficient once, as
-float(beta) * 2^(-k*alpha); the hat and step elements carry a factor
-2^(n*alpha), which shifts the exponent to k - n. Equal coefficients thus
-round to equal doubles. The face-induction construction of molecules, with
-the constructive hat and step kernels it is built from, is kept in the tests
-as an oracle for the analysis, together with the exact ring of sums of
-rationals times powers of 2^(-alpha) it computes in.
+arithmetic: it peels the alpha-free weights beta exactly (in rationals for
+an element, a double input being a dyadic rational too; in doubles for the
+grid operator, whose weights need far fewer than 53 bits) and rounds each
+coefficient once, as float(beta) * 2^(-k*alpha); the hat and step elements
+carry a factor 2^(n*alpha), which shifts the exponent to k - n. Equal
+coefficients thus round to equal doubles, and the tests pin the grid
+operator bitwise to one `analyze` per grid point (`tests/analysis_oracle.py`).
+The face-induction construction of molecules, with the constructive hat and
+step kernels it is built from, is kept in the tests as an oracle for the
+analysis, together with the exact ring of sums of rationals times powers of
+2^(-alpha) it computes in.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -57,8 +63,9 @@ from .metric import (
 
 PRUNE_TOL = 1e-13
 MAX_LEVEL = 32
-# verify_norming holds two dense N x N matrices for a grid of N basis
-# points: at most 0.4 GB together
+# verify_norming holds two dense N x N matrices, S and A, for a grid of N
+# basis points (at most 0.4 GB together), and checks its molecules in blocks
+# of at most N
 MAX_BASIS_POINTS = 5000
 
 
@@ -380,11 +387,11 @@ def _proof_cost(v: DyadicPoint, alpha: float, p: float) -> float:
     return total ** (1.0 / p)
 
 
-def _basis_distances(hosts: list[list[DyadicPoint]], alpha: float) -> np.ndarray:
-    """The distance matrices |X_i - X_j|_1^alpha of hosts of one size and
-    dimension as one stack, checked as metrics before and after the
-    distortion, as `basis_element` checks its one host."""
-    X = np.array([[q.floats() for q in host] for host in hosts])
+def _basis_distances(X: np.ndarray, alpha: float) -> np.ndarray:
+    """The distance matrices |X_i - X_j|_1^alpha of a stack X (B, n, d) of
+    host coordinates, one host of n points per row, checked as metrics
+    before and after the distortion, as `basis_element` checks its one
+    host."""
     dist = np.abs(X[:, :, None] - X[:, None]).sum(axis=3)
     check_distances(dist)
     dist = dist**alpha
@@ -398,7 +405,7 @@ def basis_norm_checks(
     """(exact norm or certified upper bound, `basis_bound` d^alpha C(p, 2^d))
     of the basis element at each point.
 
-    The elements are checked in batches of one host size: the points of
+    The elements are checked in batches of one host size: the coordinates of
     `basis_element`'s hosts give one checked stack of distance matrices
     (`_basis_distances`), and one call of the exact engine `exact_norms`
     takes the whole stack. Beyond its cap DEFAULT_CAP the partition-of-unity
@@ -415,9 +422,9 @@ def basis_norm_checks(
         else:
             batches.setdefault((v.d, len(host)), []).append((i, host, weights))
     for batch in batches.values():
-        dist = _basis_distances([host for _, host, _ in batch], alpha)
-        norms = exact_norms(dist, np.array([weights for _, _, weights in batch]), p)
-        for (i, _, _), value in zip(batch, norms):
+        X = np.array([[q.floats() for q in host] for _, host, _ in batch])
+        weights = np.array([weights for _, _, weights in batch])
+        for (i, _, _), value in zip(batch, exact_norms(_basis_distances(X, alpha), weights, p)):
             values[i] = value
     bounds = {d: basis_bound(p, alpha, d) for d in {v.d for v in points}}
     return [(value, bounds[v.d]) for value, v in zip(values, points)]
@@ -428,38 +435,164 @@ def basis_norm_check(v: DyadicPoint, alpha: float, p: float) -> tuple[float, flo
     return basis_norm_checks([v], alpha, p)[0]
 
 
+def _grid(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(nums, levels, index) of the level-k grid of [0, 1]^d sorted by
+    (level, nums), the origin first: nums (M, d) holds the integer numerators
+    over 2^k, levels the canonical levels, and index[key] the position of
+    the grid point with mixed-radix key nums @ (2^k + 1)^(d - 1 - axis)."""
+    side = 2**k + 1
+    nums = np.indices((side,) * d).reshape(d, -1).T
+    levels = np.full(len(nums), k)
+    for t in range(1, k + 1):
+        levels[(nums % 2**t == 0).all(axis=1)] = k - t
+    order = np.argsort(levels, kind="stable")  # nums come in lexicographic order
+    index = np.empty_like(order)
+    index[order] = np.arange(len(order))
+    return nums[order], levels[order], index
+
+
+def _coarse_triplets(nums: np.ndarray, levels: np.ndarray, index: np.ndarray, k: int):
+    """The coarser-grid interpolation of `_grid`'s points as grid positions:
+    for each sign pattern s in {-1, 1}^d, the arrays (u, v, w) of the points
+    v of level >= 1 whose coordinates at their own level are odd where
+    s = -1, their neighbours u = v + s h on the odd coordinates (h the mesh
+    of v's level), and the weights w = 2^-(number of odd coordinates).
+
+    Each pair (u, v) of `_coarse_neighbors` appears once, in the pattern
+    with s = 1 on the even coordinates of v, which do not move; origin
+    neighbours are dropped, since the basis leaves out the origin."""
+    d = nums.shape[1]
+    h = 2 ** (k - levels)[:, None]
+    odd = (nums // h % 2 == 1) & (levels > 0)[:, None]
+    weights = 0.5 ** odd.sum(axis=1)
+    radix = (2**k + 1) ** np.arange(d - 1, -1, -1)
+    out = []
+    for signs in product((-1, 1), repeat=d):
+        v = np.flatnonzero((odd | (np.array(signs) > 0)).all(axis=1) & (levels > 0))
+        u = index[((nums[v] + odd[v] * signs * h[v]) * radix).sum(axis=1)]
+        keep = u > 0
+        out.append((u[keep], v[keep], weights[v[keep]]))
+    return out
+
+
 def _analysis_operator(d: int, k_max: int, alpha: float):
-    """(grid, S, A) for the level-k_max grid sorted by (level, nums), the
-    origin first. Rows index the basis points grid[1:]; column j of the
-    synthesis matrix S is the point expansion of the basis element at
-    grid[j + 1], and column j of the analysis matrix A holds the basis
-    coefficients of delta(grid[j]), zero for the origin."""
-    pts = basis_points(d, k_max)
-    row = {v: i for i, v in enumerate(pts)}
-    S = np.zeros((len(pts), len(pts)))
-    A = np.zeros((len(pts), len(pts) + 1))
-    for j, v in enumerate(pts):
-        for u, c in _iota_expansion(v, alpha).items():
-            S[row[u], j] = c
-        for u, c in analyze({v: 1.0}, alpha).coeffs.items():
-            A[row[u], j + 1] = c
-    return [DyadicPoint.origin(d)] + pts, S, A
+    """(nums, S, A) for the level-k_max grid of `_grid`, the origin at
+    position 0. Rows index the basis points, grid positions 1..N; column
+    j of the synthesis matrix S is the point expansion of the basis element
+    at position j + 1, S = (I - W) 2^(level alpha) with W the coarse
+    neighbour weights of `_coarse_triplets`, and column j of the analysis
+    matrix A holds the basis coefficients of delta(position j), zero for the
+    origin.
+
+    A is `_peel` run on every delta at once: finest level first, the rows of
+    one level pass their weighted values on to the rows of their coarser
+    neighbours, the finest rows being the unit rows of their deltas. The
+    values are dyadic rationals of size at most 3^d with denominators of at
+    most 2^(d k_max), far fewer than 53 significant bits on the grids
+    MAX_BASIS_POINTS admits, so every sum is exact; each row is then rounded
+    once, by the factor 2^(-level alpha) of `_rounded`."""
+    nums, levels, index = _grid(d, k_max)
+    n = len(nums) - 1
+    scale = np.array([2.0 ** (k * alpha) for k in range(k_max + 1)])[levels[1:]]
+    unscale = np.array([2.0 ** (-k * alpha) for k in range(k_max + 1)])[levels[1:]]
+    # at k_max = 0 no point has neighbours, and d may be as large as 12
+    triplets = _coarse_triplets(nums, levels, index, k_max) if k_max else []
+    S = np.diag(scale)
+    A = np.zeros((n, n + 1))
+    A[np.arange(n), np.arange(1, n + 1)] = 1.0
+    for u, v, w in triplets:
+        S[u - 1, v - 1] = -w * scale[v - 1]
+        # a finest row passes on its unit entry: the bare weight
+        finest = levels[v] == k_max
+        A[u[finest] - 1, v[finest]] = w[finest]
+    for k in range(k_max - 1, 0, -1):
+        for u, v, w in triplets:
+            at = levels[v] == k
+            np.add.at(A, u[at] - 1, w[at, None] * A[v[at] - 1])
+    A *= unscale[:, None]
+    return nums, S, A
 
 
-def _molecule_checks(coords, S, A, i, js, alpha, p):
-    """(p-costs, reconstruction residuals) of the molecules from grid point
-    i to each grid point in js, with S and A from `_analysis_operator`.
+def _grid_basis_norms(coords, nums, S, k_max, alpha, p) -> np.ndarray:
+    """The values of `basis_norm_checks` at the basis points of
+    `_analysis_operator`'s grid, read off its synthesis matrix S.
+
+    The basis element at position j + 1 is column j of S, so its host is the
+    origin followed by the column's nonzero rows, already in (level, nums)
+    order, and its weights are the column's entries. The hosts of one size
+    go through the batch kernel of `basis_norm_checks` in one
+    `exact_norms` call; beyond DEFAULT_CAP `_proof_cost` stands in."""
+    n = S.shape[0]
+    col, row = np.nonzero(S.T)  # by column, each column's rows ascending
+    start = np.searchsorted(col, np.arange(n + 1))
+    support = np.diff(start)
+    values = np.empty(n)
+    for size in sorted(set(support.tolist())):
+        cols = np.flatnonzero(support == size)
+        if size + 1 > DEFAULT_CAP:
+            values[cols] = [
+                _proof_cost(DyadicPoint(k_max, tuple(nums[j + 1].tolist())), alpha, p)
+                for j in cols.tolist()
+            ]
+            continue
+        rows = row[start[cols, None] + np.arange(size)]
+        X = coords[np.column_stack((np.zeros(len(cols), dtype=int), rows + 1))]
+        values[cols] = exact_norms(_basis_distances(X, alpha), S[rows, cols[:, None]], p)
+    return values
+
+
+def _molecule_blocks(n_points: int, pair_budget: int):
+    """The first pair_budget pairs (i, j) of combinations(range(n_points), 2)
+    in that order, as blocks (I, J, cuts) of at most n_points - 1 pairs made
+    of whole runs of one first point i (but for a run the budget cuts); the
+    runs of a block are its columns cuts[r]:cuts[r + 1]."""
+    starts = np.concatenate(([0], np.cumsum(np.arange(n_points - 1, 0, -1))))
+    total = min(pair_budget, int(starts[-1]))
+    bounds = starts.tolist()
+    t0 = 0
+    while t0 < total:
+        # a run holds at most n_points - 1 pairs, so a next run starts in reach
+        reach = t0 + n_points - 1
+        t1 = total if total <= reach else bounds[bisect_right(bounds, reach) - 1]
+        runs = bounds[bisect_left(bounds, t0) : bisect_left(bounds, t1)]
+        t = np.arange(t0, t1)
+        I = np.searchsorted(starts, t, side="right") - 1
+        yield I, t - starts[I] + I + 1, [b - t0 for b in runs] + [t1 - t0]
+        t0 = t1
+
+
+def _molecule_checks(coords, S, A, I, J, cuts, alpha, p):
+    """(p-costs, reconstruction residuals) of the molecules at the grid
+    position pairs (I, J) of a `_molecule_blocks` block, with S and A from
+    `_analysis_operator`.
 
     Analysis is linear, so the coefficients of the molecule at (i, j) are
     (A[:, i] - A[:, j]) / |u_i - u_j|_1^alpha. The columns of A are exact
-    coefficients rounded once, so equal coefficients cancel exactly."""
-    scale = 1.0 / np.abs(coords[js] - coords[i]).sum(axis=1) ** alpha
-    C = (A[:, [i]] - A[:, js]) * scale
-    target = np.zeros_like(C)  # rows skip the origin, grid point 0
-    if i:
-        target[i - 1] = scale
-    target[js - 1, np.arange(js.size)] = -scale
-    return coefficient_cost(C, p, axis=0), np.abs(S @ C - target).max(axis=0)
+    coefficients rounded once, so equal coefficients cancel exactly. The
+    costs are one reduction over the block; the synthesis is taken one run
+    at a time, as S times the run's contiguous coefficient columns, since a
+    BLAS product rounds by the shape and layout of its operands."""
+    scale = 1.0 / np.abs(coords[J] - coords[I]).sum(axis=1) ** alpha
+    C = np.asfortranarray(A[:, I])
+    C -= A[:, J]
+    C *= scale
+    costs = coefficient_cost(C, p, axis=0)
+    # C turns into S C, run by run
+    for a, b in zip(cuts, cuts[1:]):
+        C[:, a:b] = S @ C[:, a:b]
+    # the target is scale at i and -scale at j; rows skip the origin, position
+    # 0, whose run fills a block of its own
+    cols = np.arange(len(I))
+    if I[0]:
+        C[I - 1, cols] -= scale
+    C[J - 1, cols] += scale
+    return costs, np.abs(C, out=C).max(axis=0)
+
+
+def _check_count(name: str, value, low: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def verify_norming(
@@ -477,14 +610,16 @@ def verify_norming(
     tau^d rho^d. The report carries the resulting norming bound
     C(p, 2^d) rho^d tau^d and a completeness flag (the pair budget trims
     oversized grids, keeping the first pairs of `combinations(grid, 2)`).
-    The analysis operator of the grid is built once, its grid serves the
-    basis checks, which run in batches of one host size (one
-    `basis_norm_checks` call), and the molecules are checked in batch, one
-    first point at a time. A grid of more than MAX_BASIS_POINTS basis points
-    raises before any work."""
+    The analysis operator of the grid is built once from its integer
+    numerators (`_analysis_operator`); the basis hosts are read off the
+    columns of its synthesis matrix and checked in batches of one host size,
+    and the molecules are checked in blocks of pairs. A grid of more than
+    MAX_BASIS_POINTS basis points raises before any work, and so do a d
+    that is not an integer >= 1 and a k_max that is not an integer >= 0."""
     p = check_p(p)
     alpha = check_alpha(alpha)
-    d = int(d)
+    d = _check_count("d", d, 1)
+    k_max = _check_count("k_max", k_max, 0)
     # N = (2^k + 1)^d - 1 basis points; when d (k + 1) > 64, N > 2^32 anyway
     n_basis = (2**k_max + 1) ** d - 1 if d * (k_max + 1) <= 64 else None
     if n_basis is None or n_basis > MAX_BASIS_POINTS:
@@ -494,25 +629,16 @@ def verify_norming(
             f"the cap {MAX_BASIS_POINTS}; lower --d or --kmax"
         )
 
-    grid, S, A = _analysis_operator(d, k_max, alpha)
-    max_basis = 0.0
-    basis_ok = True
-    for value, bound in basis_norm_checks(grid[1:], alpha, p):
-        max_basis = max(max_basis, value)
-        basis_ok = basis_ok and value <= bound + EVAL_TOL
+    nums, S, A = _analysis_operator(d, k_max, alpha)
+    coords = nums / 2.0**k_max
+    values = _grid_basis_norms(coords, nums, S, k_max, alpha, p)
+    bound = basis_bound(p, alpha, d)
 
-    coords = np.array([v.floats() for v in grid])
-    complete = len(grid) * (len(grid) - 1) // 2 <= pair_budget
-    molecule_bound = tau(p, alpha, d) ** d * rho(p, alpha) ** d
+    complete = len(nums) * (len(nums) - 1) // 2 <= pair_budget
     max_cost = 0.0
     max_residual = 0.0
-    left = pair_budget
-    for i in range(len(grid) - 1):
-        js = np.arange(i + 1, min(len(grid), i + 1 + left))
-        if not js.size:
-            break
-        left -= js.size
-        costs, residuals = _molecule_checks(coords, S, A, i, js, alpha, p)
+    for I, J, cuts in _molecule_blocks(len(nums), pair_budget):
+        costs, residuals = _molecule_checks(coords, S, A, I, J, cuts, alpha, p)
         max_cost = max(max_cost, float(costs.max()))
         max_residual = max(max_residual, float(residuals.max()))
 
@@ -522,11 +648,11 @@ def verify_norming(
         "p": p,
         "k_max": k_max,
         "basis_k_max": k_max,
-        "max_basis_norm": max_basis,
-        "basis_bound": basis_bound(p, alpha, d),
-        "basis_ok": basis_ok,
+        "max_basis_norm": float(values.max()),
+        "basis_bound": bound,
+        "basis_ok": bool((values <= bound + EVAL_TOL).all()),
         "max_molecule_cost": max_cost,
-        "molecule_bound": molecule_bound,
+        "molecule_bound": tau(p, alpha, d) ** d * rho(p, alpha) ** d,
         "max_molecule_residual": max_residual,
         "bm_bound": bm_bound(p, alpha, d),
         "complete": complete,

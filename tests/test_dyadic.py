@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from analysis_oracle import oracle_analysis_operator
 from face_induction_oracle import (
     PowSum,
     oracle_coarse_neighbors,
@@ -38,6 +39,8 @@ from freep.dyadic import (
     _basis_distances,
     _basis_host,
     _coarse_neighbors,
+    _grid_basis_norms,
+    _molecule_blocks,
     _molecule_checks,
     _peel,
     _proof_cost,
@@ -344,7 +347,8 @@ def test_basis_distance_stack_equals_the_element_hosts():
             for v in basis_points(d, k):
                 by_size.setdefault(len(_basis_host(v, alpha)[0]), []).append(v)
             for vs in by_size.values():
-                stack = _basis_distances([_basis_host(v, alpha)[0] for v in vs], alpha)
+                X = np.array([[q.floats() for q in _basis_host(v, alpha)[0]] for v in vs])
+                stack = _basis_distances(X, alpha)
                 for v, dist in zip(vs, stack):
                     assert dist.tobytes() == basis_element(v, alpha).host.dist.tobytes(), (v, alpha)
 
@@ -450,6 +454,78 @@ def test_verify_norming_refuses_oversized_grids(d, k):
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize("d, k, message", [
+    (2, -1, "k_max must be an integer >= 0, got -1"),
+    (2, 1.5, "k_max must be an integer >= 0, got 1.5"),
+    (2.7, 1, "d must be an integer >= 1, got 2.7"),
+], ids=["negative-kmax", "fractional-kmax", "fractional-d"])
+def test_verify_norming_rejects_counts_that_are_not_grid_sizes(d, k, message):
+    # unchecked, k_max = -1 would pass with an empty grid and d = 2.7 would
+    # check the d = 2 grid
+    with pytest.raises(ValueError, match=message):
+        verify_norming(d, 0.5, 0.5, k)
+
+
+@pytest.mark.parametrize("d, k", [(1, 9), (2, 5), (3, 3), (4, 2), (7, 1)])
+def test_analysis_operator_equals_the_per_point_oracle(d, k):
+    """The array kernel builds the grid order, S and A bitwise equal to the
+    per-point route: exact Fraction peels of each delta, rounded once."""
+    for alpha in (0.25, 0.5, 0.7):
+        nums, S, A = _analysis_operator(d, k, alpha)
+        grid, S_want, A_want = oracle_analysis_operator(d, k, alpha)
+        assert [DyadicPoint(k, n) for n in nums.tolist()] == grid
+        assert S.tobytes() == S_want.tobytes(), alpha
+        assert A.tobytes() == A_want.tobytes(), alpha
+
+
+def test_grid_basis_norms_equal_basis_norm_checks():
+    """The hosts read off the synthesis columns give the values of
+    basis_norm_checks bitwise, the d = 3 fallback cost included, and
+    verify_norming reports their maximum."""
+    fallback = 0
+    for d, k in ORACLE_GRIDS:
+        pts = basis_points(d, k)
+        for alpha in (0.25, 0.5, 0.7):
+            nums, S, A = _analysis_operator(d, k, alpha)
+            for p in (0.3, 0.5, 0.8, 1.0):
+                got = _grid_basis_norms(nums / 2**k, nums, S, k, alpha, p)
+                want = [value for value, _ in basis_norm_checks(pts, alpha, p)]
+                assert [x.hex() for x in got.tolist()] == [x.hex() for x in want], (d, k, alpha, p)
+                report = verify_norming(d, alpha, p, k)
+                assert report["max_basis_norm"].hex() == max(want).hex()
+            fallback += sum(len(_basis_host(v, alpha)[0]) > DEFAULT_CAP for v in pts)
+    assert fallback
+
+
+def test_verify_norming_does_no_per_point_analysis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("per-point analysis in verify_norming")
+
+    monkeypatch.setattr(dyadic, "_peel", refuse)
+    monkeypatch.setattr(dyadic, "_iota_expansion", refuse)
+    for d, k in ((2, 2), (3, 1)):
+        report = verify_norming(d, 0.5, 0.5, k)
+        assert report["basis_ok"] and report["complete"]
+
+
+@pytest.mark.parametrize("n_points", [2, 3, 10, 33])
+def test_molecule_blocks_take_the_budgeted_pairs_in_order(n_points):
+    pairs = list(combinations(range(n_points), 2))
+    for budget in (-1, 0, 1, 5, n_points, len(pairs) - 1, len(pairs), len(pairs) + 7):
+        got = []
+        for I, J, cuts in _molecule_blocks(n_points, budget):
+            assert len(I) <= n_points - 1
+            assert cuts[0] == 0 and cuts[-1] == len(I)
+            # whole runs of one first point: only the budget cuts the last one
+            for a, b in zip(cuts, cuts[1:]):
+                assert (I[a:b] == I[a]).all() and J[a] == I[a] + 1
+                assert J[b - 1] == n_points - 1 or len(got) + b == budget
+            assert all(I[b - 1] < I[b] for b in cuts[1:-1])
+            assert I[0] or not I[-1]  # the origin's run is a block of its own
+            got += zip(I.tolist(), J.tolist())
+        assert got == pairs[: max(budget, 0)]
+
+
 def sorted_grid(d, k):
     return sorted(dyadic_grid(d, k), key=lambda q: (q.level, q.nums))
 
@@ -508,11 +584,12 @@ def test_molecule_checks_match_single_pairs():
     # unpruned p = 0.4 costs equal to the single-pair route (a rounding-level
     # entry of 4e-17 would move them by about 3e-7 relative)
     alpha, p = 0.5, 0.4
-    grid, S, A = _analysis_operator(2, 3, alpha)
+    nums, S, A = _analysis_operator(2, 3, alpha)
+    grid = [DyadicPoint(3, n) for n in nums.tolist()]
     i = grid.index(dp(F(1, 4), F(1, 4)))
     js = np.arange(i + 1, len(grid))
     costs, residuals = _molecule_checks(
-        np.array([v.floats() for v in grid]), S, A, i, js, alpha, p
+        nums / 8, S, A, np.full(js.size, i), js, [0, js.size], alpha, p
     )
     for j, cost, residual in zip(js, costs, residuals):
         comb = molecule_decompose(grid[i], grid[j], alpha)
