@@ -26,7 +26,6 @@ from .dyadic import (
     analyze,
     basis_element,
     basis_norm_check,
-    basis_norm_checks,
     hat_decompose,
     line_path,
     molecule_decompose,

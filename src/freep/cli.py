@@ -75,9 +75,8 @@ def _merge_config(args) -> dict:
         raise ValueError("--command is required (or must be set in the config file)")
     # a config file can hold any JSON value, and JSON true is an int to Python
     for name, low in (("seed", 0), ("samples", 0), ("d", 1), ("kmax", 1)):
-        val = cfg[name]
-        if val is not None and (isinstance(val, bool) or not isinstance(val, int) or val < low):
-            raise ValueError(f"--{name} must be an integer >= {low}, got {val!r}")
+        if cfg[name] is not None:
+            constants.check_count(f"--{name}", cfg[name], low)
     for name in ("p", "alpha", "R"):
         val = cfg[name]
         if val is not None and (isinstance(val, bool) or not isinstance(val, (int, float))):

@@ -8,6 +8,17 @@ sandwich of the cube retraction, the basis bound, and the norming bound.
 
 from __future__ import annotations
 
+import numbers
+
+
+def check_count(name: str, value, low: int) -> int:
+    """Validate an integer count value >= low; a bool, a float or any other
+    non-integral value raises, so a count is never truncated."""
+    # int first: a plain int skips the slower abstract-class check
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
 
 def check_p(p: float) -> float:
     """Validate an exponent p with 0 < p <= 1."""
@@ -30,9 +41,7 @@ def check_alpha(alpha: float, allow_one: bool = False) -> float:
 def c_const(p: float, n: int) -> float:
     """The n-term summation constant n^(1/p - 1)."""
     p = check_p(p)
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = check_count("n", n, 1)
     return float(n) ** (1.0 / p - 1.0)
 
 
@@ -48,9 +57,7 @@ def tau(p: float, alpha: float, d: int) -> float:
     """Cost factor of one face-induction level in molecule decompositions."""
     p = check_p(p)
     alpha = check_alpha(alpha)
-    d = int(d)
-    if d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
+    d = check_count("d", d, 1)
     chain = c_const(p * alpha, d) ** alpha
     line = (1.0 / (1.0 - 2.0 ** (p * (alpha - 1.0)))) ** (1.0 / p)
     path = (1.0 / (1.0 - 2.0 ** (-p * alpha))) ** (1.0 / p)
@@ -62,9 +69,7 @@ def retraction_bounds(p: float, d: int) -> tuple[float, float]:
     """Certified (lower, upper) bounds on the Lipschitz constant of the
     vertex retraction of a d-dimensional cube complex."""
     p = check_p(p)
-    d = int(d)
-    if d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
+    d = check_count("d", d, 1)
     lower = c_const(p, 2 ** (d - 1))
     upper = lower * c_const(p, d) * c_const(p, 3)
     return lower, upper
@@ -72,11 +77,12 @@ def retraction_bounds(p: float, d: int) -> tuple[float, float]:
 
 def basis_bound(p: float, alpha: float, d: int) -> float:
     """Upper bound d^alpha C(p, 2^d) on the norm of every dyadic basis element."""
-    return float(d) ** check_alpha(alpha) * c_const(p, 2 ** int(d))
+    d = check_count("d", d, 1)
+    return float(d) ** check_alpha(alpha) * c_const(p, 2**d)
 
 
 def bm_bound(p: float, alpha: float, d: int) -> float:
     """Upper bound on the Banach-Mazur distance between the free p-space of
     the distorted d-cube and the sequence space with the same exponent."""
-    d = int(d)
+    d = check_count("d", d, 1)
     return c_const(p, 2**d) * rho(p, alpha) ** d * tau(p, alpha, d) ** d

@@ -28,6 +28,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .constants import check_count
+
 _CUBE_TOL = 1e-12
 # Offsets are bounded so that every point that can lie in a cube has a
 # lookup tolerance below 0.003 lattice units: such a point lies in the cube at
@@ -63,9 +65,7 @@ class CubeComplex:
     base_vertex: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        d = int(self.d)
-        if d < 1:
-            raise ValueError("d must be >= 1")
+        d = check_count("d", self.d, 1)
         if not (math.isfinite(self.R) and self.R > 0):
             raise ValueError(f"R must be a finite positive number, got {self.R!r}")
         offs = sorted({tuple(int(c) for c in w) for w in self.offsets})
@@ -264,13 +264,19 @@ def load_complex(text: str) -> CubeComplex:
     rows = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(rows) < 3:
         raise ValueError("complex file needs a header, offsets, and a base vertex")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise ValueError("first line must hold d and R")
-    d, R = int(head[0]), float(head[1])
+    try:
+        d, R = rows[0].split()
+        d, R = int(d), float(R)
+    except ValueError:
+        raise ValueError(f"first line {rows[0]!r} must hold an integer d and a real R") from None
     if not (math.isfinite(R) and R > 0):
         raise ValueError(f"complex file R must be a finite positive number, got {R!r}")
-    vectors = [tuple(int(tok) for tok in ln.split()) for ln in rows[1:]]
+    vectors = []
+    for ln in rows[1:]:
+        try:
+            vectors.append(tuple(int(tok) for tok in ln.split()))
+        except ValueError:
+            raise ValueError(f"complex line {ln!r} holds a value that is not an integer") from None
     if any(len(v) != d for v in vectors):
         raise ValueError("every offset line must have d integers")
     return CubeComplex(d=d, R=R, offsets=tuple(vectors[:-1]), base_vertex=vectors[-1])

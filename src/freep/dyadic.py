@@ -20,6 +20,12 @@ from one integer array of grid numerators), so each molecule's coefficients
 are a scaled difference of two of its columns. `line_path`, a mesh-adjacent
 chain between two dyadic scalars, stays constructive.
 
+The norm of a basis element has one definition, `basis_norm_check` (the
+exact norm on the element's own host within the exact engine's cap, beyond
+it the cost of its partition-of-unity decomposition), and one batch,
+`_grid_basis_norms`, which reads a whole grid's hosts off the synthesis
+columns for `verify_norming`; the tests pin the batch to it bitwise.
+
 The weights w(u, v) are dyadic, so the coefficient at a level-k point is an
 exact dyadic rational beta times 2^(-k*alpha). The analysis has one
 arithmetic: it peels the alpha-free weights beta exactly (in rationals for
@@ -38,7 +44,6 @@ analysis, together with the exact ring of sums of rationals times powers of
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,8 +53,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import basis_bound, bm_bound, check_alpha, check_p, rho, tau
-from .freenorm import DEFAULT_CAP, EVAL_TOL, FreeElement, coefficient_cost, exact_norms
+from .constants import basis_bound, bm_bound, check_alpha, check_count, check_p, rho, tau
+from .freenorm import (
+    DEFAULT_CAP,
+    EVAL_TOL,
+    FreeElement,
+    coefficient_cost,
+    exact_norm_small,
+    exact_norms,
+)
 from .metric import (
     DyadicPoint,
     check_distances,
@@ -122,13 +134,11 @@ def _iota_expansion(v: DyadicPoint, alpha: float) -> dict[DyadicPoint, float]:
     return out
 
 
-def synthesize(comb: BasisCombination | dict, alpha: float) -> dict[DyadicPoint, float]:
+def synthesize(comb: BasisCombination, alpha: float) -> dict[DyadicPoint, float]:
     """Point-evaluation expansion of a coefficient combination."""
-    if isinstance(comb, BasisCombination):
-        comb = comb.coeffs
     alpha = check_alpha(alpha)
     out: dict[DyadicPoint, float] = {}
-    for v, c in comb.items():
+    for v, c in comb.coeffs.items():
         for u, e in _iota_expansion(v, alpha).items():
             out[u] = out.get(u, 0.0) + c * e
     return _pruned(out)
@@ -355,35 +365,36 @@ def reconstruction_residual(
 # basis elements as free elements, norm checks, and the norming report
 
 
-def _basis_host(v: DyadicPoint, alpha: float) -> tuple[list[DyadicPoint], list[float]]:
-    """The host points of the basis element at v, the origin first and then
-    its support by (level, nums), and its weights on the support."""
+def basis_element(v: DyadicPoint, alpha: float) -> FreeElement:
+    """The basis element at v as a free element over a host of the origin
+    and then its support by (level, nums), under the alpha-distorted l1
+    metric."""
+    alpha = check_alpha(alpha)
     if v.is_origin():
         raise ValueError("the origin does not index a basis element")
     expansion = _iota_expansion(v, alpha)
     support = sorted(expansion, key=lambda q: (q.level, q.nums))
-    return [DyadicPoint.origin(v.d)] + support, [expansion[q] for q in support]
-
-
-def basis_element(v: DyadicPoint, alpha: float) -> FreeElement:
-    """The basis element at v as a free element over its support plus the
-    origin, under the alpha-distorted l1 metric."""
-    alpha = check_alpha(alpha)
-    points, weights = _basis_host(v, alpha)
+    points = [DyadicPoint.origin(v.d)] + support
     host = holder_distort(l1_space([q.floats() for q in points], base=0), alpha)
-    return FreeElement(host, dict(enumerate(weights, 1)))
+    return FreeElement(host, {i: expansion[q] for i, q in enumerate(support, 1)})
 
 
 def _proof_cost(v: DyadicPoint, alpha: float, p: float) -> float:
     """Cost of the partition-of-unity decomposition of the basis element at v
-    into molecules toward its coarser neighbors (origin included)."""
+    into molecules toward its coarser neighbors (origin included).
+
+    A level-k point with m odd numerators has 2^m coarse neighbours, each
+    m 2^-k away and weighing 2^-m, both exact doubles, so every molecule
+    term is the same double; the 2^m terms are added one by one, as a sum
+    over the neighbours rounds. A corner costs its distance to the origin."""
     k = v.level
     if k == 0:
-        return float(molecule_l1(v, DyadicPoint.origin(v.d))) ** alpha
+        return float(sum(v.nums)) ** alpha
+    m = sum(n % 2 for n in v.nums)
+    term = (2.0 ** (k * alpha) * 0.5**m * (m / 2.0**k) ** alpha) ** p
     total = 0.0
-    for u, weight in _coarse_neighbors(v):
-        dist = float(molecule_l1(v, u)) ** alpha
-        total += (2.0 ** (k * alpha) * float(weight) * dist) ** p
+    for _ in range(2**m):
+        total += term
     return total ** (1.0 / p)
 
 
@@ -399,40 +410,23 @@ def _basis_distances(X: np.ndarray, alpha: float) -> np.ndarray:
     return dist
 
 
-def basis_norm_checks(
-    points: list[DyadicPoint], alpha: float, p: float
-) -> list[tuple[float, float]]:
-    """(exact norm or certified upper bound, `basis_bound` d^alpha C(p, 2^d))
-    of the basis element at each point.
+def basis_norm_check(v: DyadicPoint, alpha: float, p: float) -> tuple[float, float]:
+    """(value, `basis_bound` d^alpha C(p, 2^d)) for the basis element at v.
 
-    The elements are checked in batches of one host size: the coordinates of
-    `basis_element`'s hosts give one checked stack of distance matrices
-    (`_basis_distances`), and one call of the exact engine `exact_norms`
-    takes the whole stack. Beyond its cap DEFAULT_CAP the partition-of-unity
-    decomposition cost stands in, which never exceeds the bound either.
-    """
+    The value is the exact norm of `basis_element` when its host, the
+    support plus the origin, fits the exact engine's cap DEFAULT_CAP, and
+    beyond it the partition-of-unity decomposition cost `_proof_cost`, which
+    never exceeds the bound either. This is the definition of the basis
+    norm; `verify_norming` computes it for a whole grid at once
+    (`_grid_basis_norms`)."""
     p = check_p(p)
     alpha = check_alpha(alpha)
-    values: list[float] = [0.0] * len(points)
-    batches: dict[tuple[int, int], list] = {}
-    for i, v in enumerate(points):
-        host, weights = _basis_host(v, alpha)
-        if len(host) > DEFAULT_CAP:
-            values[i] = _proof_cost(v, alpha, p)
-        else:
-            batches.setdefault((v.d, len(host)), []).append((i, host, weights))
-    for batch in batches.values():
-        X = np.array([[q.floats() for q in host] for _, host, _ in batch])
-        weights = np.array([weights for _, _, weights in batch])
-        for (i, _, _), value in zip(batch, exact_norms(_basis_distances(X, alpha), weights, p)):
-            values[i] = value
-    bounds = {d: basis_bound(p, alpha, d) for d in {v.d for v in points}}
-    return [(value, bounds[v.d]) for value, v in zip(values, points)]
-
-
-def basis_norm_check(v: DyadicPoint, alpha: float, p: float) -> tuple[float, float]:
-    """The check of `basis_norm_checks` for one basis point."""
-    return basis_norm_checks([v], alpha, p)[0]
+    elem = basis_element(v, alpha)
+    if elem.host.n <= DEFAULT_CAP:
+        value = exact_norm_small(elem, p)[0]
+    else:
+        value = _proof_cost(v, alpha, p)
+    return value, basis_bound(p, alpha, v.d)
 
 
 def _grid(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -514,14 +508,15 @@ def _analysis_operator(d: int, k_max: int, alpha: float):
 
 
 def _grid_basis_norms(coords, nums, S, k_max, alpha, p) -> np.ndarray:
-    """The values of `basis_norm_checks` at the basis points of
-    `_analysis_operator`'s grid, read off its synthesis matrix S.
+    """The values of `basis_norm_check` at the basis points of
+    `_analysis_operator`'s grid, bitwise, read off its synthesis matrix S.
 
     The basis element at position j + 1 is column j of S, so its host is the
     origin followed by the column's nonzero rows, already in (level, nums)
     order, and its weights are the column's entries. The hosts of one size
-    go through the batch kernel of `basis_norm_checks` in one
-    `exact_norms` call; beyond DEFAULT_CAP `_proof_cost` stands in."""
+    give one checked stack of distance matrices (`_basis_distances`) and go
+    through the exact engine in one `exact_norms` call; beyond DEFAULT_CAP
+    `_proof_cost` stands in."""
     n = S.shape[0]
     col, row = np.nonzero(S.T)  # by column, each column's rows ascending
     start = np.searchsorted(col, np.arange(n + 1))
@@ -589,12 +584,6 @@ def _molecule_checks(coords, S, A, I, J, cuts, alpha, p):
     return costs, np.abs(C, out=C).max(axis=0)
 
 
-def _check_count(name: str, value, low: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
-
-
 def verify_norming(
     d: int,
     alpha: float,
@@ -618,8 +607,8 @@ def verify_norming(
     that is not an integer >= 1 and a k_max that is not an integer >= 0."""
     p = check_p(p)
     alpha = check_alpha(alpha)
-    d = _check_count("d", d, 1)
-    k_max = _check_count("k_max", k_max, 0)
+    d = check_count("d", d, 1)
+    k_max = check_count("k_max", k_max, 0)
     # N = (2^k + 1)^d - 1 basis points; when d (k + 1) > 64, N > 2^32 anyway
     n_basis = (2**k_max + 1) ** d - 1 if d * (k_max + 1) <= 64 else None
     if n_basis is None or n_basis > MAX_BASIS_POINTS:

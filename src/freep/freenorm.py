@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constants import check_p
+from .constants import check_count, check_p
 from .metric import PointedFiniteMetric
 
 # the slack of every certified comparison: a residual, or a value against its bound
@@ -58,8 +58,8 @@ class FreeElement:
         self.host = host
         clean = {}
         for idx, w in weights.items():
-            idx = int(idx)
-            if not 0 <= idx < host.n:
+            idx = check_count("point index", idx, 0)
+            if idx >= host.n:
                 raise ValueError(f"point index {idx} out of range")
             w = float(w)
             if not math.isfinite(w):
@@ -118,7 +118,7 @@ class Molecule:
         if self.x == self.y:
             raise ValueError("a molecule needs two distinct points")
         for idx in (self.x, self.y):
-            if not 0 <= idx < self.host.n:
+            if check_count("point index", idx, 0) >= self.host.n:
                 raise ValueError(f"point index {idx} out of range")
 
     @property
@@ -563,9 +563,10 @@ def parse_element(host: PointedFiniteMetric, text: str) -> FreeElement:
         ln = ln.strip()
         if not ln:
             continue
-        toks = ln.split()
-        if len(toks) != 2:
-            raise ValueError(f"element line {ln!r} is not 'weight point-index'")
-        w, idx = float(toks[0]), int(toks[1])
+        try:
+            w, idx = ln.split()
+            w, idx = float(w), int(idx)
+        except ValueError:
+            raise ValueError(f"element line {ln!r} is not 'weight point-index'") from None
         weights[idx] = weights.get(idx, 0.0) + w
     return FreeElement(host, weights)

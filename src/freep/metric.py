@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .constants import check_alpha
+from .constants import check_alpha, check_count
 
 _TRIANGLE_TOL = 1e-12
 
@@ -142,13 +142,18 @@ def load_points(text: str) -> tuple[list[tuple[float, ...]], int]:
     rows = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not rows:
         raise ValueError("empty point-set file")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise ValueError("first line must hold the dimension and the base index")
-    d, base = int(head[0]), int(head[1])
+    try:
+        d, base = map(int, rows[0].split())
+    except ValueError:
+        raise ValueError(
+            f"first line {rows[0]!r} must hold the dimension and the base index"
+        ) from None
     points = []
     for ln in rows[1:]:
-        coords = tuple(float(tok) for tok in ln.split())
+        try:
+            coords = tuple(float(tok) for tok in ln.split())
+        except ValueError:
+            raise ValueError(f"point {ln!r} holds a coordinate that is not a number") from None
         if len(coords) != d:
             raise ValueError(f"point {ln!r} does not have {d} coordinates")
         points.append(coords)
@@ -235,11 +240,8 @@ class DyadicPoint:
 
 def dyadic_grid(d: int, k: int) -> set[DyadicPoint]:
     """The grid [0,1]^d intersected with 2^-k Z^d; k = -1 gives the origin."""
-    d = int(d)
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if k < -1:
-        raise ValueError("k must be >= -1")
+    d = check_count("d", d, 1)
+    k = check_count("k", k, -1)
     if k == -1:
         return {DyadicPoint.origin(d)}
     return {DyadicPoint(k, nums) for nums in product(range(2**k + 1), repeat=d)}

@@ -15,11 +15,14 @@ The kernels compute in doubles or, in exact mode, in the ring of finite sums
 of dyadic rationals times integer powers of X = 2^-alpha (`PowSum`); exact
 coefficients check the rationals of `freep.dyadic`'s peel. The coarser-grid
 interpolation is kept here too, in exact coordinates (`oracle_coarse_neighbors`),
-as a check on `freep.dyadic`'s integer kernel over the numerators.
+as a check on `freep.dyadic`'s integer kernel over the numerators, and so
+is the cost of a basis element's partition-of-unity decomposition, summed
+over those neighbours with exact distances (`oracle_proof_cost`).
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from freep import dyadic
@@ -137,6 +140,26 @@ def oracle_coarse_neighbors(v: DyadicPoint) -> tuple[tuple[DyadicPoint, Fraction
         (DyadicPoint.from_fractions(c for c, _ in combo), math.prod(q for _, q in combo))
         for combo in product(*axes)
     )
+
+
+@lru_cache(maxsize=None)
+def _exact_terms(v: DyadicPoint) -> tuple[tuple[float, float], ...]:
+    """(weight, l1 distance) of each coarse neighbour of v, each computed
+    exactly and rounded once."""
+    return tuple((float(w), float(molecule_l1(v, u))) for u, w in oracle_coarse_neighbors(v))
+
+
+def oracle_proof_cost(v: DyadicPoint, alpha: float, p: float) -> float:
+    """Cost of the partition-of-unity decomposition of the basis element at v
+    into molecules toward its coarser neighbours (origin included), one term
+    per neighbour from its exact weight and l1 distance."""
+    k = v.level
+    if k == 0:
+        return float(molecule_l1(v, DyadicPoint.origin(v.d))) ** alpha
+    total = 0.0
+    for weight, l1 in _exact_terms(v):
+        total += (2.0 ** (k * alpha) * weight * l1**alpha) ** p
+    return total ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

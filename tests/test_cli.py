@@ -74,6 +74,20 @@ def test_norm_rejects_malformed_element(capsys, space_file, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("space, element, message", [
+    ("1 0\n0.0\n0.5\n", "1.0 1\nx 2\n", "element line 'x 2' is not 'weight point-index'"),
+    ("2.5 0\n0 0\n1 1\n", "1.0 1\n",
+     "first line '2.5 0' must hold the dimension and the base index"),
+])
+def test_parse_errors_name_the_line(capsys, tmp_path, space, element, message):
+    argv = ["--command", "norm", "--p", "0.5", "--in", write(tmp_path, "space.txt", space),
+            "--in", write(tmp_path, "elem.txt", element)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", [
     ["--command", "norm", "--p", "0.5"],
     ["--command", "norm", "--p", "1"],
@@ -115,6 +129,7 @@ def test_counts_are_validated(capsys, flags, message):
     ({"in": "cx.txt"}, "--in must be a list of strings, got 'cx.txt'"),
     ({"in": [1]}, "--in must be a list of strings, got [1]"),
     ({"out": 3}, "--out must be a string, got 3"),
+    ({"kmax": 1.5}, "--kmax must be an integer >= 1, got 1.5"),
 ])
 def test_config_values_are_type_checked(capsys, tmp_path, values, message):
     cfg = write(tmp_path, "cfg.json",

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from constants_oracle import c_const_sup_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freep.constants import (
+    basis_bound,
     bm_bound,
     c_const,
     retraction_bounds,
@@ -29,6 +31,28 @@ def test_c_const_rejects_bad_arguments():
         c_const(0.0, 3)
     with pytest.raises(ValueError):
         c_const(1.5, 3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: c_const(0.5, 2.5), "n must be an integer >= 1, got 2.5"),
+    (lambda: c_const(0.5, True), "n must be an integer >= 1, got True"),
+    (lambda: tau(0.5, 0.5, 2.5), "d must be an integer >= 1, got 2.5"),
+    (lambda: retraction_bounds(0.5, 2.5), "d must be an integer >= 1, got 2.5"),
+    (lambda: basis_bound(0.5, 0.5, 2.5), "d must be an integer >= 1, got 2.5"),
+    (lambda: bm_bound(0.5, 0.5, 2.5), "d must be an integer >= 1, got 2.5"),
+    (lambda: bm_bound(0.5, 0.5, 0), "d must be an integer >= 1, got 0"),
+], ids=["c_const", "c_const-bool", "tau", "retraction_bounds", "basis_bound", "bm_bound",
+        "bm_bound-zero"])
+def test_counts_are_never_truncated(call, message):
+    # truncated, c_const(0.5, 2.5) would read 2.0 and basis_bound would mix
+    # d = 2.5 and d = 2
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_integer_counts_of_any_integral_type_are_taken():
+    assert c_const(0.5, np.int64(4)) == c_const(0.5, 4)
+    assert basis_bound(0.5, 0.5, np.int32(2)) == basis_bound(0.5, 0.5, 2)
 
 
 def test_c_const_monotone_and_unital():

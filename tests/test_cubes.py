@@ -139,6 +139,21 @@ def test_complex_requires_cubes_and_valid_base():
         CubeComplex(d=2, R=1.0, offsets=())
     with pytest.raises(ValueError):
         CubeComplex(d=2, R=1.0, offsets=((0, 0),), base_vertex=(5, 5))
+    # truncated, d = 2.7 would build a d = 2 complex
+    with pytest.raises(ValueError, match="d must be an integer >= 1, got 2.7"):
+        CubeComplex(d=2.7, R=1.0, offsets=((0, 0),))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2.5 0.7\n0 0\n0 0\n", "first line '2.5 0.7' must hold an integer d and a real R"),
+    ("2 r\n0 0\n0 0\n", "first line '2 r' must hold an integer d and a real R"),
+    ("2\n0 0\n0 0\n", "first line '2' must hold an integer d and a real R"),
+    ("2 0.7\n0 z\n0 0\n", "complex line '0 z' holds a value that is not an integer"),
+    ("2 0.7\n0 0\n0 0.5\n", "complex line '0 0.5' holds a value that is not an integer"),
+])
+def test_complex_file_parse_errors_name_the_line(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_complex(text)
 
 
 def test_complex_file_round_trip():

@@ -16,16 +16,16 @@ from face_induction_oracle import (
     oracle_difference,
     oracle_hat,
     oracle_molecule,
+    oracle_proof_cost,
     oracle_step,
 )
 from freep import dyadic
-from freep.constants import rho, tau
+from freep.constants import basis_bound, rho, tau
 from freep.dyadic import (
     BasisCombination,
     analyze,
     basis_element,
     basis_norm_check,
-    basis_norm_checks,
     basis_points,
     hat_decompose,
     line_path,
@@ -37,7 +37,6 @@ from freep.dyadic import (
     verify_norming,
     _analysis_operator,
     _basis_distances,
-    _basis_host,
     _coarse_neighbors,
     _grid_basis_norms,
     _molecule_blocks,
@@ -306,25 +305,54 @@ def test_basis_norm_check_proof_cost_fallback():
 ORACLE_GRIDS = ((1, 7), (2, 3), (3, 2))
 
 
-def test_batched_basis_norms_equal_one_host_norms():
-    """basis_norm_checks runs one tree-program call per host size; each value
-    equals the exact norm of the element on its own host bitwise, and beyond
-    the cap the fallback cost."""
+@pytest.fixture(scope="module")
+def basis_checks():
+    """basis_norm_check at every basis point of ORACLE_GRIDS, by (d, k, alpha, p)."""
+    return {
+        (d, k, alpha, p): [basis_norm_check(v, alpha, p) for v in basis_points(d, k)]
+        for d, k in ORACLE_GRIDS
+        for alpha in (0.25, 0.5, 0.7)
+        for p in (0.3, 0.5, 0.8, 1.0)
+    }
+
+
+def test_batched_basis_norms_equal_one_host_norms(basis_checks):
+    """basis_norm_check, which the grid batch is pinned to, is the exact norm
+    of each element on its own host bitwise, beyond the cap the fallback
+    cost of the exact oracle, paired with the basis bound."""
     exact = 0
     for d, k in ORACLE_GRIDS:
         pts = basis_points(d, k)
         for alpha in (0.25, 0.5, 0.7):
             elems = [basis_element(v, alpha) for v in pts]
             for p in (0.3, 0.5, 0.8, 1.0):
-                checks = basis_norm_checks(pts, alpha, p)
-                assert checks[3] == basis_norm_check(pts[3], alpha, p)
-                for v, e, (value, _) in zip(pts, elems, checks):
+                bound = basis_bound(p, alpha, d)
+                for v, e, (value, check_bound) in zip(pts, elems, basis_checks[d, k, alpha, p]):
                     if e.host.n <= DEFAULT_CAP:
                         expected, exact = exact_norm_small(e, p)[0], exact + 1
                     else:
-                        expected = _proof_cost(v, alpha, p)
+                        expected = oracle_proof_cost(v, alpha, p)
                     assert value.hex() == expected.hex(), (v, alpha, p)
+                    assert check_bound == bound
     assert exact > 3000  # 3,876 of the 3,984 checks run the tree program
+
+
+PROOF_COST_GRIDS = ((1, 9), (2, 5), (3, 3), (4, 2), (5, 1))
+
+
+def test_proof_cost_equals_the_exact_oracle_bitwise():
+    """The float fallback cost, one double term repeated over the 2^m coarse
+    neighbours, equals the term-by-term exact oracle on every basis point of
+    five grids."""
+    count = 0
+    for d, k in PROOF_COST_GRIDS:
+        for v in basis_points(d, k):
+            for alpha in (0.25, 0.5, 0.7):
+                for p in (0.3, 0.5, 0.8, 1.0):
+                    got, want = _proof_cost(v, alpha, p), oracle_proof_cost(v, alpha, p)
+                    assert got.hex() == want.hex(), (v, alpha, p)
+                    count += 1
+    assert count == 38_328
 
 
 def test_verify_norming_runs_one_tree_program_call_per_host_size(monkeypatch):
@@ -345,12 +373,12 @@ def test_basis_distance_stack_equals_the_element_hosts():
         for alpha in (0.25, 0.5, 0.7):
             by_size = {}
             for v in basis_points(d, k):
-                by_size.setdefault(len(_basis_host(v, alpha)[0]), []).append(v)
-            for vs in by_size.values():
-                X = np.array([[q.floats() for q in _basis_host(v, alpha)[0]] for v in vs])
-                stack = _basis_distances(X, alpha)
-                for v, dist in zip(vs, stack):
-                    assert dist.tobytes() == basis_element(v, alpha).host.dist.tobytes(), (v, alpha)
+                host = basis_element(v, alpha).host
+                by_size.setdefault(host.n, []).append(host)
+            for hosts in by_size.values():
+                stack = _basis_distances(np.array([host.points for host in hosts]), alpha)
+                for host, dist in zip(hosts, stack):
+                    assert dist.tobytes() == host.dist.tobytes(), (host.points, alpha)
 
 
 def test_analyze_examples():
@@ -478,10 +506,10 @@ def test_analysis_operator_equals_the_per_point_oracle(d, k):
         assert A.tobytes() == A_want.tobytes(), alpha
 
 
-def test_grid_basis_norms_equal_basis_norm_checks():
+def test_grid_basis_norms_equal_basis_norm_checks(basis_checks):
     """The hosts read off the synthesis columns give the values of
-    basis_norm_checks bitwise, the d = 3 fallback cost included, and
-    verify_norming reports their maximum."""
+    basis_norm_check bitwise, the d = 3 fallback cost included, and
+    verify_norming reports their maximum and the bound."""
     fallback = 0
     for d, k in ORACLE_GRIDS:
         pts = basis_points(d, k)
@@ -489,11 +517,13 @@ def test_grid_basis_norms_equal_basis_norm_checks():
             nums, S, A = _analysis_operator(d, k, alpha)
             for p in (0.3, 0.5, 0.8, 1.0):
                 got = _grid_basis_norms(nums / 2**k, nums, S, k, alpha, p)
-                want = [value for value, _ in basis_norm_checks(pts, alpha, p)]
+                checks = basis_checks[d, k, alpha, p]
+                want = [value for value, _ in checks]
                 assert [x.hex() for x in got.tolist()] == [x.hex() for x in want], (d, k, alpha, p)
                 report = verify_norming(d, alpha, p, k)
                 assert report["max_basis_norm"].hex() == max(want).hex()
-            fallback += sum(len(_basis_host(v, alpha)[0]) > DEFAULT_CAP for v in pts)
+                assert {report["basis_bound"]} == {bound for _, bound in checks}
+            fallback += sum(basis_element(v, alpha).host.n > DEFAULT_CAP for v in pts)
     assert fallback
 
 
@@ -501,8 +531,10 @@ def test_verify_norming_does_no_per_point_analysis(monkeypatch):
     def refuse(*args):
         raise AssertionError("per-point analysis in verify_norming")
 
-    monkeypatch.setattr(dyadic, "_peel", refuse)
-    monkeypatch.setattr(dyadic, "_iota_expansion", refuse)
+    for name in ("_peel", "_iota_expansion", "_coarse_neighbors", "molecule_l1"):
+        monkeypatch.setattr(dyadic, name, refuse)
+    # (3, 1) has the centre point, whose host is beyond the cap: the fallback
+    # cost runs too
     for d, k in ((2, 2), (3, 1)):
         report = verify_norming(d, 0.5, 0.5, k)
         assert report["basis_ok"] and report["complete"]

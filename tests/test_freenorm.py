@@ -390,6 +390,36 @@ def test_element_serialization_round_trip():
         parse_element(s, "0.5\n")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("0.25 1\nx 2\n", "x 2"),
+    ("0.25 1\n1.0 2.5\n", "1.0 2.5"),
+    ("0.25 1 2\n", "0.25 1 2"),
+])
+def test_element_parse_errors_name_the_line(text, line):
+    with pytest.raises(ValueError, match=f"element line '{line}' is not 'weight point-index'"):
+        parse_element(three_point_space(), text)
+
+
+@pytest.mark.parametrize("make", [
+    lambda s: FreeElement(s, {1.5: 1.0}),
+    lambda s: FreeElement(s, {True: 1.0}),
+    lambda s: Molecule(s, 0, 1.5),
+], ids=["element-float", "element-bool", "molecule-float"])
+def test_point_indices_are_never_truncated(make):
+    # truncated, FreeElement(s, {1.5: 1.0}) would weigh point 1
+    with pytest.raises(ValueError, match="point index must be an integer >= 0"):
+        make(three_point_space())
+
+
+def test_point_indices_are_range_checked():
+    s = three_point_space()
+    with pytest.raises(ValueError, match="point index 3 out of range"):
+        FreeElement(s, {3: 1.0})
+    with pytest.raises(ValueError, match="point index 3 out of range"):
+        Molecule(s, 0, 3)
+    assert FreeElement(s, {np.int64(1): 1.0}).weights == {1: 1.0}
+
+
 def assert_optimal_forest(m, p, value, witness, subset):
     """The witness is a forest on `subset`, reproduces m, and costs `value`."""
     assert len(witness.terms) <= len(subset) - 1

@@ -103,6 +103,16 @@ def test_dyadic_grid_sizes():
     assert dyadic_grid(2, -1) == {DyadicPoint.origin(2)}
 
 
+@pytest.mark.parametrize("d, k, message", [
+    (2.5, 1, "d must be an integer >= 1, got 2.5"),
+    (2, 1.5, "k must be an integer >= -1, got 1.5"),
+    (2, -2, "k must be an integer >= -1, got -2"),
+])
+def test_dyadic_grid_counts_are_integers(d, k, message):
+    with pytest.raises(ValueError, match=message):
+        dyadic_grid(d, k)
+
+
 def test_dyadic_grid_nesting():
     for d, k in ((1, 2), (2, 1)):
         coarse = dyadic_grid(d, k)
@@ -169,3 +179,14 @@ def test_point_file_errors():
         load_points("2 0\n0.0\n")  # wrong arity
     with pytest.raises(ValueError):
         load_points("1 5\n0.0\n")  # base out of range
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2.5 0\n0 0\n1 1\n", "first line '2.5 0' must hold the dimension and the base index"),
+    ("2 x\n0 0\n1 1\n", "first line '2 x' must hold the dimension and the base index"),
+    ("2 0 1\n0 0\n1 1\n", "first line '2 0 1' must hold the dimension and the base index"),
+    ("2 0\n0 0\n1 y\n", "point '1 y' holds a coordinate that is not a number"),
+])
+def test_point_file_parse_errors_name_the_line(text, message):
+    with pytest.raises(ValueError, match=message):
+        load_points(text)
