@@ -43,7 +43,6 @@ from .freenorm import (
     evaluate,
     exact_norm_p1,
     exact_norm_small,
-    exact_norms,
     p_cost,
     upper_bound_from,
 )

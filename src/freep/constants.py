@@ -20,6 +20,14 @@ def check_count(name: str, value, low: int) -> int:
     return int(value)
 
 
+def check_integer(name: str, value) -> int:
+    """Validate an integer value of either sign, a coordinate; a bool, a
+    float or any other non-integral value raises, so it is never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_p(p: float) -> float:
     """Validate an exponent p with 0 < p <= 1."""
     p = float(p)

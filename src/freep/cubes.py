@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .constants import check_count
+from .constants import check_count, check_integer
 
 _CUBE_TOL = 1e-12
 # Offsets are bounded so that every point that can lie in a cube has a
@@ -68,7 +68,9 @@ class CubeComplex:
         d = check_count("d", self.d, 1)
         if not (math.isfinite(self.R) and self.R > 0):
             raise ValueError(f"R must be a finite positive number, got {self.R!r}")
-        offs = sorted({tuple(int(c) for c in w) for w in self.offsets})
+        offs = sorted(
+            {tuple(check_integer("offset coordinate", c) for c in w) for w in self.offsets}
+        )
         if not offs:
             raise ValueError("a cube complex needs at least one cube")
         if any(len(w) != d for w in offs):
@@ -79,7 +81,10 @@ class CubeComplex:
             {tuple(wi + b for wi, b in zip(w, bits)) for w in offs for bits in product((0, 1), repeat=d)}
         )
         base = self.base_vertex
-        base = verts[0] if base is None else tuple(int(c) for c in base)
+        if base is None:
+            base = verts[0]
+        else:
+            base = tuple(check_integer("base vertex coordinate", c) for c in base)
         if base not in verts:
             raise ValueError(f"base vertex {base} is not a vertex of the complex")
         object.__setattr__(self, "d", d)
@@ -234,7 +239,7 @@ def find_cube(complex: CubeComplex, x: Sequence[float]) -> tuple[int, ...]:
 def lambda_weight(complex: CubeComplex, v: Sequence[int], x: Sequence[float]) -> float:
     """Weight of lattice vertex v (lattice units) at point x (actual
     coordinates); zero whenever v is not a vertex of x's cube."""
-    v = np.array([int(c) for c in v], dtype=np.int64)
+    v = np.array([check_integer("vertex coordinate", c) for c in v], dtype=np.int64)
     if v.shape != (complex.d,):
         raise ValueError(f"vertex must have {complex.d} coordinates")
     W, L = vertex_weights(complex, as_points(complex, x))

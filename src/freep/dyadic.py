@@ -64,7 +64,6 @@ from .freenorm import (
 )
 from .metric import (
     DyadicPoint,
-    check_distances,
     coordinate_level,
     dyadic_grid,
     holder_distort,
@@ -400,14 +399,11 @@ def _proof_cost(v: DyadicPoint, alpha: float, p: float) -> float:
 
 def _basis_distances(X: np.ndarray, alpha: float) -> np.ndarray:
     """The distance matrices |X_i - X_j|_1^alpha of a stack X (B, n, d) of
-    host coordinates, one host of n points per row, checked as metrics
-    before and after the distortion, as `basis_element` checks its one
-    host."""
-    dist = np.abs(X[:, :, None] - X[:, None]).sum(axis=3)
-    check_distances(dist)
-    dist = dist**alpha
-    check_distances(dist)
-    return dist
+    host coordinates, one host of n points per row, equal to the checked
+    `basis_element` hosts. They need no check: the rows are distinct dyadic
+    grid points, so their l1 distances are exact and positive, and
+    t -> t^alpha keeps the triangle inequality."""
+    return np.abs(X[:, :, None] - X[:, None]).sum(axis=3) ** alpha
 
 
 def basis_norm_check(v: DyadicPoint, alpha: float, p: float) -> tuple[float, float]:
@@ -514,8 +510,8 @@ def _grid_basis_norms(coords, nums, S, k_max, alpha, p) -> np.ndarray:
     The basis element at position j + 1 is column j of S, so its host is the
     origin followed by the column's nonzero rows, already in (level, nums)
     order, and its weights are the column's entries. The hosts of one size
-    give one checked stack of distance matrices (`_basis_distances`) and go
-    through the exact engine in one `exact_norms` call; beyond DEFAULT_CAP
+    give one stack of distance matrices (`_basis_distances`) and go through
+    the exact engine in one `exact_norms` call; beyond DEFAULT_CAP
     `_proof_cost` stands in."""
     n = S.shape[0]
     col, row = np.nonzero(S.T)  # by column, each column's rows ascending

@@ -16,8 +16,9 @@ base point normalized away. The p-norm (0 < p <= 1) is the infimum of
   Dreyfus-Wagner subset program finds the best one in O(3^k n + 2^k n^2)
   time for support size k on n points); the program takes one popcount
   layer of subsets per array step, k steps in all, for a whole stack of
-  same-size hosts at once (`exact_norms`, values only), and
-  `exact_norm_small` is its one-host call with a witness; the norm with
+  same-size hosts at once (`exact_norms`, values only, on raw distance
+  matrices that its one caller, the dyadic basis batch, builds as metrics),
+  and `exact_norm_small` is its one-host call with a witness; the norm with
   molecules restricted to a subset of the host is, by definition, the norm
   over the induced subspace, so it is this program run on that subspace as
   its own host,
@@ -257,7 +258,10 @@ def exact_norms(dist: np.ndarray, weights: np.ndarray, p: float) -> list[float]:
     the same size: element b weighs points 1..n-1 of the host with distance
     matrix dist[b] by weights[b], and point 0 is the base. One call of the
     tree program for the whole batch; `exact_norm_small` is the one-host
-    case, with a witness, and the same cap applies."""
+    case, with a witness, and the same cap applies.
+
+    Nothing here checks dist: each dist[b] must be a metric, as the
+    matrix of a `PointedFiniteMetric` is, or the values are not norms."""
     p = check_p(p)
     _check_cap(weights.shape[1])
     fp = np.array([_subset_flows(w, p)[2] for w in weights])

@@ -1,8 +1,12 @@
 """Finite pointed metric spaces and exact dyadic coordinates.
 
-Real-valued distances live in doubles; dyadic grid points are stored exactly
-as integer numerators over a power-of-two denominator so that grid
-membership, coordinate levels, and neighbor computations never round.
+Real-valued distances live in doubles and are checked once, where they
+enter: the `PointedFiniteMetric` constructor refuses a matrix that is not a
+metric, and every public entry of the library takes such a host. Dyadic grid
+points are stored exactly as integer numerators over a power-of-two
+denominator so that grid membership, coordinate levels, and neighbor
+computations never round; a count or a coordinate that is not an integer
+raises rather than being truncated.
 """
 
 from __future__ import annotations
@@ -14,39 +18,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .constants import check_alpha, check_count
+from .constants import check_alpha, check_count, check_integer
 
 _TRIANGLE_TOL = 1e-12
-
-
-def check_distances(dist: np.ndarray) -> None:
-    """Raise ValueError unless each (n, n) matrix of the stack dist
-    (..., n, n) is finite and symmetric with a zero diagonal, positive off
-    it, and satisfies the triangle inequality up to _TRIANGLE_TOL relative to
-    its own largest entry; the messages name the entries within a matrix."""
-    n = dist.shape[-1]
-    D = dist.reshape(-1, n, n)
-    bad = np.argwhere(~np.isfinite(D))
-    if bad.size:
-        b, i, j = bad[0]
-        raise ValueError(f"distance d({i},{j}) = {D[b, i, j]} is not finite")
-    if np.any(np.diagonal(D, axis1=1, axis2=2) != 0.0):
-        raise ValueError("distance matrix has a nonzero diagonal entry")
-    if not np.array_equal(D, D.transpose(0, 2, 1)):
-        raise ValueError("distance matrix is not symmetric")
-    off = D[:, ~np.eye(n, dtype=bool)]
-    if off.size and off.min() <= 0.0:
-        raise ValueError("off-diagonal distances must be strictly positive")
-    slack = _TRIANGLE_TOL * np.maximum(1.0, D.max(axis=(1, 2), initial=0.0))[:, None, None]
-    for k in range(n):
-        via = D[:, :, k, None] + D[:, None, k, :]
-        over = D > via + slack
-        if over.any():
-            b = over.reshape(len(D), -1).any(axis=1).argmax()
-            i, j = np.unravel_index(np.argmax(D[b] - via[b]), (n, n))
-            raise ValueError(
-                f"triangle inequality fails: d({i},{j}) > d({i},{k}) + d({k},{j})"
-            )
 
 
 class PointedFiniteMetric:
@@ -59,7 +33,7 @@ class PointedFiniteMetric:
 
     def __init__(self, points: Sequence, base: int, dist: np.ndarray):
         self.points = tuple(points)
-        self.base = int(base)
+        self.base = check_count("base index", base, 0)
         self.dist = np.array(dist, dtype=float)
         self.dist.setflags(write=False)
         self._validate()
@@ -70,11 +44,29 @@ class PointedFiniteMetric:
             raise ValueError("a pointed metric space needs at least one point")
         if len(set(self.points)) != n:
             raise ValueError("duplicate points in metric space")
-        if not 0 <= self.base < n:
+        if self.base >= n:
             raise ValueError(f"base index {self.base} out of range for {n} points")
-        if self.dist.shape != (n, n):
-            raise ValueError(f"distance matrix shape {self.dist.shape} != ({n}, {n})")
-        check_distances(self.dist)
+        D = self.dist
+        if D.shape != (n, n):
+            raise ValueError(f"distance matrix shape {D.shape} != ({n}, {n})")
+        bad = np.argwhere(~np.isfinite(D))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"distance d({i},{j}) = {D[i, j]} is not finite")
+        if np.any(np.diagonal(D) != 0.0):
+            raise ValueError("distance matrix has a nonzero diagonal entry")
+        if not np.array_equal(D, D.T):
+            raise ValueError("distance matrix is not symmetric")
+        if n > 1 and D[~np.eye(n, dtype=bool)].min() <= 0.0:
+            raise ValueError("off-diagonal distances must be strictly positive")
+        slack = _TRIANGLE_TOL * max(1.0, D.max())
+        for k in range(n):
+            via = D[:, k, None] + D[k]
+            if (D > via + slack).any():
+                i, j = np.unravel_index(np.argmax(D - via), (n, n))
+                raise ValueError(
+                    f"triangle inequality fails: d({i},{j}) > d({i},{k}) + d({k},{j})"
+                )
 
     @property
     def n(self) -> int:
@@ -108,7 +100,7 @@ def lattice_l1_space(
     Distances are computed as scale * (integer l1 distance), one rounding per
     entry, so equal lattice gaps always produce bitwise-equal distances.
     """
-    pts = [tuple(int(c) for c in v) for v in lattice_points]
+    pts = [tuple(check_integer("lattice coordinate", c) for c in v) for v in lattice_points]
     if not pts:
         raise ValueError("need at least one lattice point")
     if len(set(pts)) != len(pts):
@@ -197,10 +189,8 @@ class DyadicPoint:
     nums: tuple[int, ...]
 
     def __post_init__(self):
-        level = int(self.level)
-        nums = tuple(int(n) for n in self.nums)
-        if level < 0:
-            raise ValueError("level must be nonnegative")
+        level = check_count("level", self.level, 0)
+        nums = tuple(check_integer("numerator", n) for n in self.nums)
         if not nums:
             raise ValueError("need at least one coordinate")
         while level > 0 and all(n % 2 == 0 for n in nums):

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .constants import check_p, retraction_bounds
+from .constants import check_count, check_p, retraction_bounds
 from .cubes import (
     CubeComplex,
     as_points,
@@ -200,7 +200,7 @@ def lower_bound_witness(d: int, p: float) -> WitnessResult:
     edges, and the two certified bounds coincide.
     """
     p = check_p(p)
-    d = int(d)
+    d = check_count("d", d, 1)
     complex = CubeComplex(d=d, R=1.0, offsets=((0,) * d,), base_vertex=(0,) * d)
     ctx = build_context(complex, p)
     x, y = _witness_pair(d)

@@ -14,6 +14,11 @@ from freep.constants import (
     rho,
     tau,
 )
+from freep.cubes import CubeComplex, lambda_weight
+from freep.metric import DyadicPoint, l1_space, lattice_l1_space
+from freep.retraction import lower_bound_witness
+
+UNIT_SQUARE = CubeComplex(d=2, R=1.0, offsets=((0, 0),))
 
 P_GRID = [1.0, 0.75, 0.5, 0.25]
 
@@ -41,11 +46,24 @@ def test_c_const_rejects_bad_arguments():
     (lambda: basis_bound(0.5, 0.5, 2.5), "d must be an integer >= 1, got 2.5"),
     (lambda: bm_bound(0.5, 0.5, 2.5), "d must be an integer >= 1, got 2.5"),
     (lambda: bm_bound(0.5, 0.5, 0), "d must be an integer >= 1, got 0"),
+    (lambda: DyadicPoint(1.5, (1,)), "level must be an integer >= 0, got 1.5"),
+    (lambda: DyadicPoint(2, (1.7, 2)), "numerator must be an integer, got 1.7"),
+    (lambda: l1_space([(0.0,), (1.0,)], base=1.5), "base index must be an integer >= 0, got 1.5"),
+    (lambda: lattice_l1_space([(0.5,), (1.7,)], 1.0),
+     "lattice coordinate must be an integer, got 0.5"),
+    (lambda: CubeComplex(d=1, R=1.0, offsets=((0.5,),)),
+     "offset coordinate must be an integer, got 0.5"),
+    (lambda: CubeComplex(d=1, R=1.0, offsets=((0,),), base_vertex=(0.9,)),
+     "base vertex coordinate must be an integer, got 0.9"),
+    (lambda: lambda_weight(UNIT_SQUARE, (0.9, 0.9), (0.5, 0.5)),
+     "vertex coordinate must be an integer, got 0.9"),
+    (lambda: lower_bound_witness(2.7, 0.5), "d must be an integer >= 1, got 2.7"),
 ], ids=["c_const", "c_const-bool", "tau", "retraction_bounds", "basis_bound", "bm_bound",
-        "bm_bound-zero"])
+        "bm_bound-zero", "dyadic-level", "dyadic-numerator", "l1-base", "lattice-coordinate",
+        "cube-offset", "cube-base-vertex", "lambda-vertex", "witness-d"])
 def test_counts_are_never_truncated(call, message):
-    # truncated, c_const(0.5, 2.5) would read 2.0 and basis_bound would mix
-    # d = 2.5 and d = 2
+    # truncated, c_const(0.5, 2.5) would read 2.0, basis_bound would mix
+    # d = 2.5 and d = 2, and lambda_weight would weigh vertex (0, 0)
     with pytest.raises(ValueError, match=message):
         call()
 
@@ -53,6 +71,14 @@ def test_counts_are_never_truncated(call, message):
 def test_integer_counts_of_any_integral_type_are_taken():
     assert c_const(0.5, np.int64(4)) == c_const(0.5, 4)
     assert basis_bound(0.5, 0.5, np.int32(2)) == basis_bound(0.5, 0.5, 2)
+    assert DyadicPoint(np.int64(2), (np.int32(1), np.int64(2))) == DyadicPoint(2, (1, 2))
+    assert l1_space([(0.0,), (1.0,)], base=np.int64(1)).base == 1
+    assert lattice_l1_space([(np.int64(0),), (np.int32(1),)], 1.0).points == ((0,), (1,))
+    cube = CubeComplex(d=1, R=1.0, offsets=((np.int64(1),),), base_vertex=(np.int32(2),))
+    assert (cube.offsets, cube.base_vertex) == (((1,),), (2,))
+    assert lambda_weight(UNIT_SQUARE, np.array([1, 1]), (0.5, 0.5)) == 0.25
+    witness = lower_bound_witness(np.int64(2), 0.5)
+    assert witness.certified_value == lower_bound_witness(2, 0.5).certified_value
 
 
 def test_c_const_monotone_and_unital():

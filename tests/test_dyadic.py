@@ -19,7 +19,7 @@ from face_induction_oracle import (
     oracle_proof_cost,
     oracle_step,
 )
-from freep import dyadic
+from freep import dyadic, metric
 from freep.constants import basis_bound, rho, tau
 from freep.dyadic import (
     BasisCombination,
@@ -46,7 +46,7 @@ from freep.dyadic import (
     _step_element,
 )
 from freep.freenorm import DEFAULT_CAP, exact_norm_small, exact_norms
-from freep.metric import DyadicPoint, dyadic_grid
+from freep.metric import DyadicPoint, PointedFiniteMetric, dyadic_grid
 
 F = Fraction
 
@@ -224,7 +224,7 @@ def test_molecule_cost_dominates_molecule_norm():
     u, v = dp(F(1, 4)), dp(F(3, 4))
     alpha, p = 0.5, 0.5
     comb = molecule_decompose(u, v, alpha)
-    from freep.metric import l1_space, PointedFiniteMetric
+    from freep.metric import l1_space
 
     pts = [(0.0,), (0.25,), (0.75,)]
     raw = l1_space(pts, base=0)
@@ -531,8 +531,17 @@ def test_verify_norming_does_no_per_point_analysis(monkeypatch):
     def refuse(*args):
         raise AssertionError("per-point analysis in verify_norming")
 
+    def refuse_check(*args):
+        raise AssertionError("distance check in verify_norming")
+
     for name in ("_peel", "_iota_expansion", "_coarse_neighbors", "molecule_l1"):
         monkeypatch.setattr(dyadic, name, refuse)
+    # the basis hosts are metrics by construction: no distance matrix is
+    # checked, neither by a host's constructor nor by a stack check that
+    # either module may hold
+    monkeypatch.setattr(PointedFiniteMetric, "_validate", refuse_check)
+    for module in (dyadic, metric):
+        monkeypatch.setattr(module, "check_distances", refuse_check, raising=False)
     # (3, 1) has the centre point, whose host is beyond the cap: the fallback
     # cost runs too
     for d, k in ((2, 2), (3, 1)):
