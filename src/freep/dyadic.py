@@ -76,8 +76,11 @@ PRUNE_TOL = 1e-13
 MAX_LEVEL = 32
 # verify_norming holds two dense N x N matrices, S and A, for a grid of N
 # basis points (at most 0.4 GB together), and checks its molecules in blocks
-# of at most N
+# of at most max(N, _BLOCK_ENTRIES / N) pairs, an N x pairs coefficient array
+# of about _BLOCK_ENTRIES doubles (512 KB); blocks of 2^17 and 2^18 entries
+# were slower on the grids of 129 to 289 points
 MAX_BASIS_POINTS = 5000
+_BLOCK_ENTRIES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -534,16 +537,18 @@ def _grid_basis_norms(coords, nums, S, k_max, alpha, p) -> np.ndarray:
 
 def _molecule_blocks(n_points: int, pair_budget: int):
     """The first pair_budget pairs (i, j) of combinations(range(n_points), 2)
-    in that order, as blocks (I, J, cuts) of at most n_points - 1 pairs made
-    of whole runs of one first point i (but for a run the budget cuts); the
-    runs of a block are its columns cuts[r]:cuts[r + 1]."""
+    in that order, as blocks (I, J, cuts) of at most
+    max(n_points - 1, _BLOCK_ENTRIES // n_points) pairs made of whole runs
+    of one first point i (but for a run the budget cuts); the runs of a
+    block are its columns cuts[r]:cuts[r + 1]."""
     starts = np.concatenate(([0], np.cumsum(np.arange(n_points - 1, 0, -1))))
     total = min(pair_budget, int(starts[-1]))
     bounds = starts.tolist()
+    width = max(n_points - 1, _BLOCK_ENTRIES // n_points)
     t0 = 0
     while t0 < total:
         # a run holds at most n_points - 1 pairs, so a next run starts in reach
-        reach = t0 + n_points - 1
+        reach = t0 + width
         t1 = total if total <= reach else bounds[bisect_right(bounds, reach) - 1]
         runs = bounds[bisect_left(bounds, t0) : bisect_left(bounds, t1)]
         t = np.arange(t0, t1)
@@ -560,9 +565,11 @@ def _molecule_checks(coords, S, A, I, J, cuts, alpha, p):
     Analysis is linear, so the coefficients of the molecule at (i, j) are
     (A[:, i] - A[:, j]) / |u_i - u_j|_1^alpha. The columns of A are exact
     coefficients rounded once, so equal coefficients cancel exactly. The
-    costs are one reduction over the block; the synthesis is taken one run
-    at a time, as S times the run's contiguous coefficient columns, since a
-    BLAS product rounds by the shape and layout of its operands."""
+    costs are one reduction over the block, column by Fortran column, so a
+    pair's cost does not depend on the block it is in. The synthesis is
+    taken one run at a time, as S times the run's contiguous coefficient
+    columns: a BLAS product rounds by the shape of its operands, and one
+    product over the whole block would move the residuals' last bits."""
     scale = 1.0 / np.abs(coords[J] - coords[I]).sum(axis=1) ** alpha
     C = np.asfortranarray(A[:, I])
     C -= A[:, J]
@@ -572,10 +579,10 @@ def _molecule_checks(coords, S, A, I, J, cuts, alpha, p):
     for a, b in zip(cuts, cuts[1:]):
         C[:, a:b] = S @ C[:, a:b]
     # the target is scale at i and -scale at j; rows skip the origin, position
-    # 0, whose run fills a block of its own
+    # 0, whose run, if the block holds it, comes first
     cols = np.arange(len(I))
-    if I[0]:
-        C[I - 1, cols] -= scale
+    o = int(np.searchsorted(I, 1))
+    C[I[o:] - 1, cols[o:]] -= scale[o:]
     C[J - 1, cols] += scale
     return costs, np.abs(C, out=C).max(axis=0)
 
@@ -598,7 +605,11 @@ def verify_norming(
     The analysis operator of the grid is built once from its integer
     numerators (`_analysis_operator`); the basis hosts are read off the
     columns of its synthesis matrix and checked in batches of one host size,
-    and the molecules are checked in blocks of pairs. A grid of more than
+    and the molecules are checked in blocks of whole runs of one first
+    point, as many as fit a fixed entry budget (`_molecule_blocks`; a
+    grid of up to 51 points takes one block), the synthesis one run
+    at a time; every pair's cost and residual are bitwise those of a block
+    of its run alone. A grid of more than
     MAX_BASIS_POINTS basis points raises before any work, and so do a d
     that is not an integer >= 1 and a k_max that is not an integer >= 0."""
     p = check_p(p)

@@ -210,14 +210,29 @@ def _subset_program(k):
     return bits, splits, layers
 
 
-def _subset_flows(w, p):
-    """(w(S), |w(S)|, |w(S)|^p) over the subsets S of the terminals with
-    weights w; a subset sum at rounding level carries no weight, not a tiny
-    molecule."""
-    wsum = _subset_program(len(w))[0] @ w
-    flow = np.where(np.abs(wsum) > COEFF_TOL * np.abs(w).sum(), np.abs(wsum), 0.0)
+def _weight_totals(W):
+    """sum |w| along the last axis of the weights W, the scale of the
+    rounding floor COEFF_TOL sum |w|. A total beyond the double range
+    raises: its floor would pass no weight at all, and the norm would read 0."""
+    with np.errstate(over="ignore"):
+        total = np.abs(W).sum(axis=-1)
+    if np.isinf(total).any():
+        raise ValueError("the weight total sum |w| overflows to inf; scale the element down")
+    return total
+
+
+def _subset_flows(W, p):
+    """(w(S), |w(S)|, |w(S)|^p), each (B, 2^k), over the subsets S of the
+    terminals for every row w of the weight stack W (B, k); a subset sum at
+    rounding level carries no weight, not a tiny molecule.
+
+    The subset sums are one stacked product, bitwise those of one
+    `bits @ w` per row (a `W @ bits.T` rounds differently)."""
+    wsum = (_subset_program(W.shape[1])[0] @ W[:, :, None])[..., 0]
+    flow = np.abs(wsum)
+    flow[flow <= COEFF_TOL * _weight_totals(W)[:, None]] = 0.0
     # scalar powers: numpy's array ** differs from pow() in the last bit on some inputs
-    return wsum, flow, np.array([f**p for f in flow.tolist()])
+    return wsum, flow, np.array([f**p for f in flow.ravel().tolist()]).reshape(flow.shape)
 
 
 def _tree_table(Dp, terminals, fp):
@@ -256,23 +271,42 @@ def _check_cap(k):
 def exact_norms(dist: np.ndarray, weights: np.ndarray, p: float) -> list[float]:
     """Exact free p-norms, values only, of a batch of elements on hosts of
     the same size: element b weighs points 1..n-1 of the host with distance
-    matrix dist[b] by weights[b], and point 0 is the base. One call of the
-    tree program for the whole batch; `exact_norm_small` is the one-host
-    case, with a witness, and the same cap applies.
+    matrix dist[b] by weights[b], and point 0 is the base. One
+    `_subset_flows` call and one tree-program call for the whole batch;
+    `exact_norm_small` is the one-host case, with a witness, and the same
+    cap applies, as does the refusal of a weight total beyond the double
+    range.
 
     Nothing here checks dist: each dist[b] must be a metric, as the
     matrix of a `PointedFiniteMetric` is, or the values are not norms."""
     p = check_p(p)
     _check_cap(weights.shape[1])
-    fp = np.array([_subset_flows(w, p)[2] for w in weights])
+    fp = _subset_flows(weights, p)[2]
     F = _tree_table(dist**p, np.arange(1, dist.shape[1]), fp)
     return [f ** (1.0 / p) for f in F[:, -1, 0].tolist()]
 
 
+def _has_cycle(W):
+    """Whether the edges of the antisymmetric flow W close a cycle, by a
+    union-find over the pairs with W[x, y] > 0."""
+    root = list(range(len(W)))
+    for x, y in zip(*(a.tolist() for a in np.nonzero(W > 0))):
+        while root[x] != x:
+            root[x] = x = root[root[x]]  # path halving
+        while root[y] != y:
+            root[y] = y = root[root[y]]
+        if x == y:
+            return True
+        root[x] = y
+    return False
+
+
 def _forest_witness(host, W, Dp, p):
     """The decomposition of the antisymmetric flow W, made a forest by
-    `_cancel_cycles`: one molecule x -> y per edge with W[x, y] > 0."""
-    _cancel_cycles(W, Dp, p)
+    `_cancel_cycles` when it has a cycle: one molecule x -> y per edge with
+    W[x, y] > 0."""
+    if _has_cycle(W):
+        _cancel_cycles(W, Dp, p)
     # endpoints as Python ints: reports serialize no numpy integers
     terms = tuple(
         (host.distance(x, y) * W[x, y], Molecule(host, x, y))
@@ -334,9 +368,10 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
     if m.is_zero():
         return 0.0, Decomposition(host, ())
     terminals = sorted(m.weights)
-    wsum, flow, fp = _subset_flows(np.array([m.weights[t] for t in terminals]), p)
+    wsum, flow, fp = _subset_flows(np.array([[m.weights[t] for t in terminals]]), p)
     Dp = host.dist**p
-    F = _tree_table(Dp[None], terminals, fp[None])[0]
+    F = _tree_table(Dp[None], terminals, fp)[0]
+    wsum, flow, fp = wsum[0], flow[0], fp[0]
     splits = _subset_program(len(terminals))[1]
 
     W = np.zeros((host.n, host.n))  # weight carried from u to v, antisymmetric
@@ -452,8 +487,9 @@ def exact_norm_p1(m: FreeElement) -> tuple[float, Decomposition]:
     node potentials keep every reduced cost nonnegative. A total at rounding
     level (at most COEFF_TOL sum |w|, the rule of `_subset_flows`) puts
     nothing on the base, and any other weight or left-over amount at that
-    level counts as zero. The flow, made a forest by `_cancel_cycles`, is
-    the witness: one molecule per edge, the flow times the edge length its
+    level counts as zero; a sum |w| beyond the double range raises. The
+    flow, made a forest by `_cancel_cycles` if it has a cycle, is the
+    witness: one molecule per edge, the flow times the edge length its
     coefficient. It shares no code with the tree program, so comparing it
     with `exact_norm_small(m, 1.0)` checks both.
     """
@@ -463,7 +499,7 @@ def exact_norm_p1(m: FreeElement) -> tuple[float, Decomposition]:
     if m.is_zero():
         return 0.0, Decomposition(host, ())
     w = m.as_full_vector()
-    tol = COEFF_TOL * np.abs(w).sum()
+    tol = COEFF_TOL * _weight_totals(w)
     w[host.base] = -w.sum()
     P, N = np.flatnonzero(w > tol), np.flatnonzero(w < -tol)
     C = host.dist[P][:, N]

@@ -85,8 +85,6 @@ def l1_space(points: Iterable[Sequence[float]], base: int = 0) -> PointedFiniteM
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError("need a nonempty list of equal-length coordinate vectors")
     labels = tuple(tuple(float(c) for c in row) for row in arr)
-    if len(set(labels)) != len(labels):
-        raise ValueError("duplicate points")
     dist = np.abs(arr[:, None, :] - arr[None, :, :]).sum(axis=2)
     np.fill_diagonal(dist, 0.0)
     return PointedFiniteMetric(labels, base, dist)
@@ -103,8 +101,6 @@ def lattice_l1_space(
     pts = [tuple(check_integer("lattice coordinate", c) for c in v) for v in lattice_points]
     if not pts:
         raise ValueError("need at least one lattice point")
-    if len(set(pts)) != len(pts):
-        raise ValueError("duplicate points")
     arr = np.array(pts, dtype=np.int64)
     dist = float(scale) * np.abs(arr[:, None, :] - arr[None, :, :]).sum(axis=2)
     return PointedFiniteMetric(tuple(pts), base, dist)

@@ -101,6 +101,21 @@ def test_non_finite_weight_is_rejected(capsys, space_file, tmp_path, command):
     assert "weight nan at point index 1 is not finite" in err
 
 
+@pytest.mark.parametrize("p", ["0.5", "1"])
+def test_weights_whose_total_overflows_exit_2(capsys, tmp_path, p):
+    # finite weights whose total sum |w| is inf: the rounding floor would
+    # drop every flow and certify the norm 0
+    space = write(tmp_path, "space.txt", README_FILES["README_SPACE"])
+    huge = write(tmp_path, "huge.txt", "1e308 1\n-1e308 2\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["--command", "norm", "--p", p, "--in", space, "--in", huge])
+    assert code == 2
+    assert out == ""
+    assert "the weight total sum |w| overflows to inf" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--command", "lambda-check", "--d", "2", "--samples", "-5"],
      "--samples must be an integer >= 0, got -5"),

@@ -550,21 +550,54 @@ def test_verify_norming_does_no_per_point_analysis(monkeypatch):
 
 
 @pytest.mark.parametrize("n_points", [2, 3, 10, 33])
-def test_molecule_blocks_take_the_budgeted_pairs_in_order(n_points):
+def test_molecule_blocks_take_the_budgeted_pairs_in_order(monkeypatch, n_points):
     pairs = list(combinations(range(n_points), 2))
-    for budget in (-1, 0, 1, 5, n_points, len(pairs) - 1, len(pairs), len(pairs) + 7):
-        got = []
-        for I, J, cuts in _molecule_blocks(n_points, budget):
-            assert len(I) <= n_points - 1
-            assert cuts[0] == 0 and cuts[-1] == len(I)
-            # whole runs of one first point: only the budget cuts the last one
-            for a, b in zip(cuts, cuts[1:]):
-                assert (I[a:b] == I[a]).all() and J[a] == I[a] + 1
-                assert J[b - 1] == n_points - 1 or len(got) + b == budget
-            assert all(I[b - 1] < I[b] for b in cuts[1:-1])
-            assert I[0] or not I[-1]  # the origin's run is a block of its own
-            got += zip(I.tolist(), J.tolist())
-        assert got == pairs[: max(budget, 0)]
+    # the blocks' entry budget: one run wide, a few runs wide, and the default
+    for entries in (0, 100, dyadic._BLOCK_ENTRIES):
+        monkeypatch.setattr(dyadic, "_BLOCK_ENTRIES", entries)
+        width = max(n_points - 1, entries // n_points)
+        for budget in (-1, 0, 1, 5, n_points, len(pairs) - 1, len(pairs), len(pairs) + 7):
+            got = []
+            for I, J, cuts in _molecule_blocks(n_points, budget):
+                assert len(I) <= width
+                assert cuts[0] == 0 and cuts[-1] == len(I)
+                # whole runs of one first point: only the budget cuts the last one
+                for a, b in zip(cuts, cuts[1:]):
+                    assert (I[a:b] == I[a]).all() and J[a] == I[a] + 1
+                    assert J[b - 1] == n_points - 1 or len(got) + b == budget
+                assert all(I[b - 1] < I[b] for b in cuts[1:-1])
+                got += zip(I.tolist(), J.tolist())
+            assert got == pairs[: max(budget, 0)]
+
+
+@pytest.mark.parametrize("d,k", [(1, 5), (2, 2), (3, 1), (1, 7), (2, 3), (3, 2)])
+def test_molecule_checks_do_not_depend_on_the_blocks(monkeypatch, d, k):
+    # each pair's cost and residual, bitwise, whether its run shares a block
+    # with other runs (the origin's run included) or fills one of its own
+    n_points = (2**k + 1) ** d
+    starts = np.concatenate(([0], np.cumsum(np.arange(n_points - 1, 0, -1))))
+    for alpha, p in ((0.35, 0.4), (0.5, 1.0), (0.9, 0.7)):
+        nums, S, A = _analysis_operator(d, k, alpha)
+        coords = nums / 2.0**k
+        # all pairs, and a budget that cuts the fourth run in the middle
+        for budget in (int(starts[-1]), int(starts[3]) + 2):
+            single = []
+            for i in range(n_points - 1):
+                js = np.arange(i + 1, n_points)[: max(budget - int(starts[i]), 0)]
+                if js.size:
+                    I = np.full(js.size, i)
+                    single.append(_molecule_checks(coords, S, A, I, js, [0, js.size], alpha, p))
+            for entries in (dyadic._BLOCK_ENTRIES, 5 * n_points):
+                with monkeypatch.context() as patch:
+                    patch.setattr(dyadic, "_BLOCK_ENTRIES", entries)
+                    blocks = [
+                        _molecule_checks(coords, S, A, I, J, cuts, alpha, p)
+                        for I, J, cuts in _molecule_blocks(n_points, budget)
+                    ]
+                for r in (0, 1):  # costs, residuals
+                    got = np.concatenate([b[r] for b in blocks])
+                    want = np.concatenate([b[r] for b in single])
+                    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def sorted_grid(d, k):

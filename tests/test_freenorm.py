@@ -33,6 +33,7 @@ from freep.freenorm import (
     p_cost,
     parse_element,
     _cancel_cycles,
+    _forest_witness,
     upper_bound_from,
 )
 from freep.metric import PointedFiniteMetric, holder_distort, l1_space
@@ -601,3 +602,23 @@ def test_cancel_cycles_keeps_element_and_cost(p, cycle):
     assert len(after.terms) == 3
     assert evaluate(after).max_weight_diff(evaluate(before)) <= 1e-15
     assert p_cost(after, p) <= p_cost(before, p) + 1e-15
+
+
+def test_forest_witness_peels_only_a_cycle(monkeypatch):
+    s = l1_space([(0.0,), (1.0,), (2.0,), (3.0,)])
+    flows = {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 0.75}
+    W = np.zeros((4, 4))
+    for (x, y), f in flows.items():
+        W[x, y], W[y, x] = f, -f
+    cycle = W.copy()
+    cycle[0, 2], cycle[2, 0] = -0.5, 0.5
+    # a tree goes straight to its molecules
+    with monkeypatch.context() as patch:
+        patch.setattr(freenorm, "_cancel_cycles", None)
+        tree = _forest_witness(s, W, s.dist, 1.0)
+    assert [(mol.x, mol.y) for _, mol in tree.terms] == list(flows)
+    assert [a for a, _ in tree.terms] == [s.distance(*e) * f for e, f in flows.items()]
+    # a cycle is cancelled: three molecules of the four edges are left
+    forest = _forest_witness(s, cycle, s.dist, 1.0)
+    assert len(forest.terms) == 3
+    assert np.array_equal(cycle, -cycle.T)

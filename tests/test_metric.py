@@ -31,6 +31,14 @@ def test_l1_space_rejects_duplicates():
         l1_space([(0.0,), (0.0,)])
 
 
+def test_duplicate_points_have_one_check():
+    # the constructor's, whichever space builds the labels
+    with pytest.raises(ValueError, match="^duplicate points in metric space$"):
+        l1_space([(0.0,), (-0.0,)])
+    with pytest.raises(ValueError, match="^duplicate points in metric space$"):
+        lattice_l1_space([(1,), (1,)], 0.5)
+
+
 def test_unit_square_vertex_distances():
     s = l1_space([(0, 0), (0, 1), (1, 0), (1, 1)])
     dists = {s.distance(i, j) for i, j in combinations(range(4), 2)}
