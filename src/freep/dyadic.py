@@ -20,6 +20,13 @@ from one integer array of grid numerators), so each molecule's coefficients
 are a scaled difference of two of its columns. `line_path`, a mesh-adjacent
 chain between two dyadic scalars, stays constructive.
 
+What of that operator does not depend on (alpha, p) is cached per grid in
+read-only arrays (`_grid_plan`): the numerators, the exact alpha-free peel
+and synthesis by their nonzero entries, and the basis hosts by size with
+their l1 distances. A call scales the entries into S and A, one scatter
+each, and raises the distances to alpha: the double products of a build
+from scratch, so the same bits.
+
 The norm of a basis element has one definition, `basis_norm_check` (the
 exact norm on the element's own host within the exact engine's cap, beyond
 it the cost of its partition-of-unity decomposition), and one batch,
@@ -75,7 +82,8 @@ from .metric import (
 PRUNE_TOL = 1e-13
 MAX_LEVEL = 32
 # verify_norming holds two dense N x N matrices, S and A, for a grid of N
-# basis points (at most 0.4 GB together), and checks its molecules in blocks
+# basis points (at most 0.4 GB together; the cached grid plan they are
+# scattered from holds no N x N array), and checks its molecules in blocks
 # of at most max(N, _BLOCK_ENTRIES / N) pairs, an N x pairs coefficient array
 # of about _BLOCK_ENTRIES doubles (512 KB); blocks of 2^17 and 2^18 entries
 # were slower on the grids of 129 to 289 points
@@ -400,13 +408,14 @@ def _proof_cost(v: DyadicPoint, alpha: float, p: float) -> float:
     return total ** (1.0 / p)
 
 
-def _basis_distances(X: np.ndarray, alpha: float) -> np.ndarray:
-    """The distance matrices |X_i - X_j|_1^alpha of a stack X (B, n, d) of
-    host coordinates, one host of n points per row, equal to the checked
-    `basis_element` hosts. They need no check: the rows are distinct dyadic
-    grid points, so their l1 distances are exact and positive, and
-    t -> t^alpha keeps the triangle inequality."""
-    return np.abs(X[:, :, None] - X[:, None]).sum(axis=3) ** alpha
+def _basis_l1(X: np.ndarray) -> np.ndarray:
+    """The l1 distance matrices |X_i - X_j|_1 of a stack X (B, n, d) of host
+    coordinates, one host of n points per row; raised to the power alpha,
+    they are the distance matrices of the checked `basis_element` hosts.
+    They need no check: the rows are distinct dyadic grid points, so their
+    l1 distances are exact and positive, and t -> t^alpha keeps the triangle
+    inequality."""
+    return np.abs(X[:, :, None] - X[:, None]).sum(axis=3)
 
 
 def basis_norm_check(v: DyadicPoint, alpha: float, p: float) -> tuple[float, float]:
@@ -468,6 +477,106 @@ def _coarse_triplets(nums: np.ndarray, levels: np.ndarray, index: np.ndarray, k:
     return out
 
 
+def _grid_peel(levels: np.ndarray, triplets, k_max: int):
+    """The alpha-free analysis matrix A0 of `_grid`'s basis points, by its
+    nonzero entries (rows, cols, values) in row-major order: rows index the
+    basis points, grid positions 1..N, and column j holds the exact peel
+    weights beta of delta(position j), zero for the origin.
+
+    A0 is `_peel` run on every delta at once: finest level first, the rows
+    of one level pass their weighted values on to the rows of their coarser
+    neighbours (`_coarse_triplets`), the finest rows being the unit rows of
+    their deltas. The values are dyadic rationals of size at most 3^d with
+    denominators of at most 2^(d k_max), far fewer than 53 significant bits
+    on the grids MAX_BASIS_POINTS admits, so every sum is exact. The dense
+    N x (N + 1) work array lives only for this call."""
+    n = len(levels) - 1
+    A = np.zeros((n, n + 1))
+    A[np.arange(n), np.arange(1, n + 1)] = 1.0
+    for u, v, w in triplets:
+        # a finest row passes on its unit entry: the bare weight
+        finest = levels[v] == k_max
+        A[u[finest] - 1, v[finest]] = w[finest]
+    for k in range(k_max - 1, 0, -1):
+        for u, v, w in triplets:
+            at = levels[v] == k
+            np.add.at(A, u[at] - 1, w[at, None] * A[v[at] - 1])
+    rows, cols = np.nonzero(A)
+    return rows, cols, A[rows, cols]
+
+
+class _GridPlan(NamedTuple):
+    """The alpha-free part of `verify_norming` on the level-k_max grid of
+    [0, 1]^d (`_grid_plan`); every array is read-only.
+
+    nums, levels: `_grid`'s numerators and levels, the origin first;
+    coords: nums / 2^k_max;
+    synthesis: (rows, cols, values) of S at alpha = 0, the unit diagonal and
+        the entries -w of `_coarse_triplets`, by column, rows ascending;
+    peel: (rows, cols, values) of A at alpha = 0 (`_grid_peel`);
+    hosts: per basis support size within DEFAULT_CAP, (cols, rows, l1): the
+        columns of S with that support, their nonzero rows, and the l1
+        distance stack (`_basis_l1`) of their hosts, the origin followed by
+        the points of those rows;
+    fallback: (cols, points), the columns whose hosts exceed DEFAULT_CAP and
+        their basis points, for `_proof_cost`."""
+
+    nums: np.ndarray
+    levels: np.ndarray
+    coords: np.ndarray
+    synthesis: tuple[np.ndarray, np.ndarray, np.ndarray]
+    peel: tuple[np.ndarray, np.ndarray, np.ndarray]
+    hosts: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    fallback: tuple[np.ndarray, tuple[DyadicPoint, ...]]
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=8)
+def _grid_plan(d: int, k_max: int) -> _GridPlan:
+    """The `_GridPlan` of the level-k_max grid of [0, 1]^d, built once per
+    (d, k_max) and kept for the last few grids. It holds no N x N array: the
+    two operators are stored by their nonzero entries, about 4 MB at
+    (3, 4), where each dense matrix takes 193 MB."""
+    nums, levels, index = _grid(d, k_max)
+    n = len(nums) - 1
+    # at k_max = 0 no point has neighbours, and d may be as large as 12
+    triplets = _coarse_triplets(nums, levels, index, k_max) if k_max else []
+    diag = np.arange(n)
+    rows = np.concatenate([diag] + [u - 1 for u, _, _ in triplets])
+    cols = np.concatenate([diag] + [v - 1 for _, v, _ in triplets])
+    values = np.concatenate([np.ones(n)] + [-w for _, _, w in triplets])
+    order = np.lexsort((rows, cols))
+    synthesis = _read_only(rows[order], cols[order], values[order])
+    coords = nums / 2.0**k_max
+
+    # the basis element at position j + 1 is column j of S: its host is the
+    # origin followed by the column's rows, already in (level, nums) order
+    rows, cols = synthesis[:2]
+    start = np.searchsorted(cols, np.arange(n + 1))
+    support = np.diff(start)
+    # a host is the support plus the origin
+    hosts = []
+    for size in sorted(set(support[support < DEFAULT_CAP].tolist())):
+        at = np.flatnonzero(support == size)
+        host_rows = rows[start[at, None] + np.arange(size)]
+        X = coords[np.column_stack((np.zeros(len(at), dtype=int), host_rows + 1))]
+        hosts.append(_read_only(at, host_rows, _basis_l1(X)))
+    beyond = np.flatnonzero(support >= DEFAULT_CAP)
+    points = tuple(DyadicPoint(k_max, tuple(nums[j + 1].tolist())) for j in beyond.tolist())
+    return _GridPlan(
+        *_read_only(nums, levels, coords),
+        synthesis,
+        _read_only(*_grid_peel(levels, triplets, k_max)),
+        tuple(hosts),
+        (*_read_only(beyond), points),
+    )
+
+
 def _analysis_operator(d: int, k_max: int, alpha: float):
     """(nums, S, A) for the level-k_max grid of `_grid`, the origin at
     position 0. Rows index the basis points, grid positions 1..N; column
@@ -477,61 +586,37 @@ def _analysis_operator(d: int, k_max: int, alpha: float):
     matrix A holds the basis coefficients of delta(position j), zero for the
     origin.
 
-    A is `_peel` run on every delta at once: finest level first, the rows of
-    one level pass their weighted values on to the rows of their coarser
-    neighbours, the finest rows being the unit rows of their deltas. The
-    values are dyadic rationals of size at most 3^d with denominators of at
-    most 2^(d k_max), far fewer than 53 significant bits on the grids
-    MAX_BASIS_POINTS admits, so every sum is exact; each row is then rounded
-    once, by the factor 2^(-level alpha) of `_rounded`."""
-    nums, levels, index = _grid(d, k_max)
-    n = len(nums) - 1
-    scale = np.array([2.0 ** (k * alpha) for k in range(k_max + 1)])[levels[1:]]
-    unscale = np.array([2.0 ** (-k * alpha) for k in range(k_max + 1)])[levels[1:]]
-    # at k_max = 0 no point has neighbours, and d may be as large as 12
-    triplets = _coarse_triplets(nums, levels, index, k_max) if k_max else []
-    S = np.diag(scale)
+    Both are one scatter of the grid's `_GridPlan`: S scales its alpha-free
+    columns by 2^(level alpha), and A rounds each exact peel weight once, by
+    the factor 2^(-level alpha) of its row (`_rounded`)."""
+    plan = _grid_plan(d, k_max)
+    n = len(plan.nums) - 1
+    scale = np.array([2.0 ** (k * alpha) for k in range(k_max + 1)])[plan.levels[1:]]
+    unscale = np.array([2.0 ** (-k * alpha) for k in range(k_max + 1)])[plan.levels[1:]]
+    S = np.zeros((n, n))
+    rows, cols, values = plan.synthesis
+    S[rows, cols] = values * scale[cols]
     A = np.zeros((n, n + 1))
-    A[np.arange(n), np.arange(1, n + 1)] = 1.0
-    for u, v, w in triplets:
-        S[u - 1, v - 1] = -w * scale[v - 1]
-        # a finest row passes on its unit entry: the bare weight
-        finest = levels[v] == k_max
-        A[u[finest] - 1, v[finest]] = w[finest]
-    for k in range(k_max - 1, 0, -1):
-        for u, v, w in triplets:
-            at = levels[v] == k
-            np.add.at(A, u[at] - 1, w[at, None] * A[v[at] - 1])
-    A *= unscale[:, None]
-    return nums, S, A
+    rows, cols, values = plan.peel
+    A[rows, cols] = values * unscale[rows]
+    return plan.nums, S, A
 
 
-def _grid_basis_norms(coords, nums, S, k_max, alpha, p) -> np.ndarray:
+def _grid_basis_norms(d: int, k_max: int, S: np.ndarray, alpha: float, p: float) -> np.ndarray:
     """The values of `basis_norm_check` at the basis points of
-    `_analysis_operator`'s grid, bitwise, read off its synthesis matrix S.
+    `_analysis_operator`'s grid, bitwise, with S its synthesis matrix.
 
-    The basis element at position j + 1 is column j of S, so its host is the
-    origin followed by the column's nonzero rows, already in (level, nums)
-    order, and its weights are the column's entries. The hosts of one size
-    give one stack of distance matrices (`_basis_distances`) and go through
-    the exact engine in one `exact_norms` call; beyond DEFAULT_CAP
-    `_proof_cost` stands in."""
-    n = S.shape[0]
-    col, row = np.nonzero(S.T)  # by column, each column's rows ascending
-    start = np.searchsorted(col, np.arange(n + 1))
-    support = np.diff(start)
-    values = np.empty(n)
-    for size in sorted(set(support.tolist())):
-        cols = np.flatnonzero(support == size)
-        if size + 1 > DEFAULT_CAP:
-            values[cols] = [
-                _proof_cost(DyadicPoint(k_max, tuple(nums[j + 1].tolist())), alpha, p)
-                for j in cols.tolist()
-            ]
-            continue
-        rows = row[start[cols, None] + np.arange(size)]
-        X = coords[np.column_stack((np.zeros(len(cols), dtype=int), rows + 1))]
-        values[cols] = exact_norms(_basis_distances(X, alpha), S[rows, cols[:, None]], p)
+    The hosts of one support size, read off the columns of S once in the
+    grid's `_GridPlan`, give one stack of distance matrices, their l1 stack
+    to the power alpha, and go through the exact engine in one
+    `exact_norms` call with the columns' entries as weights; beyond
+    DEFAULT_CAP `_proof_cost` stands in."""
+    plan = _grid_plan(d, k_max)
+    values = np.empty(len(S))
+    for cols, rows, l1 in plan.hosts:
+        values[cols] = exact_norms(l1**alpha, S[rows, cols[:, None]], p)
+    cols, points = plan.fallback
+    values[cols] = [_proof_cost(v, alpha, p) for v in points]
     return values
 
 
@@ -602,20 +687,22 @@ def verify_norming(
     tau^d rho^d. The report carries the resulting norming bound
     C(p, 2^d) rho^d tau^d and a completeness flag (the pair budget trims
     oversized grids, keeping the first pairs of `combinations(grid, 2)`).
-    The analysis operator of the grid is built once from its integer
-    numerators (`_analysis_operator`); the basis hosts are read off the
-    columns of its synthesis matrix and checked in batches of one host size,
-    and the molecules are checked in blocks of whole runs of one first
-    point, as many as fit a fixed entry budget (`_molecule_blocks`; a
-    grid of up to 51 points takes one block), the synthesis one run
-    at a time; every pair's cost and residual are bitwise those of a block
-    of its run alone. A grid of more than
-    MAX_BASIS_POINTS basis points raises before any work, and so do a d
-    that is not an integer >= 1 and a k_max that is not an integer >= 0."""
+    The analysis operator of the grid is scattered from its cached
+    alpha-free plan (`_grid_plan`, built once per (d, k_max) from the integer
+    numerators), whose basis hosts, read off the columns of the synthesis
+    matrix, are checked in batches of one host size; the molecules are
+    checked in blocks of whole runs of one first point, as many as fit a
+    fixed entry budget (`_molecule_blocks`; a grid of up to 51 points takes
+    one block), the synthesis one run at a time; every pair's cost and
+    residual are bitwise those of a block of its run alone. A grid of more
+    than MAX_BASIS_POINTS basis points raises before any work, and so do a d
+    that is not an integer >= 1 and a k_max or pair_budget that is not an
+    integer >= 0."""
     p = check_p(p)
     alpha = check_alpha(alpha)
     d = check_count("d", d, 1)
     k_max = check_count("k_max", k_max, 0)
+    pair_budget = check_count("pair_budget", pair_budget, 0)
     # N = (2^k + 1)^d - 1 basis points; when d (k + 1) > 64, N > 2^32 anyway
     n_basis = (2**k_max + 1) ** d - 1 if d * (k_max + 1) <= 64 else None
     if n_basis is None or n_basis > MAX_BASIS_POINTS:
@@ -626,8 +713,8 @@ def verify_norming(
         )
 
     nums, S, A = _analysis_operator(d, k_max, alpha)
-    coords = nums / 2.0**k_max
-    values = _grid_basis_norms(coords, nums, S, k_max, alpha, p)
+    coords = _grid_plan(d, k_max).coords
+    values = _grid_basis_norms(d, k_max, S, alpha, p)
     bound = basis_bound(p, alpha, d)
 
     complete = len(nums) * (len(nums) - 1) // 2 <= pair_budget

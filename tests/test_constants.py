@@ -15,6 +15,7 @@ from freep.constants import (
     tau,
 )
 from freep.cubes import CubeComplex, lambda_weight
+from freep.dyadic import verify_norming
 from freep.metric import DyadicPoint, l1_space, lattice_l1_space
 from freep.retraction import lower_bound_witness
 
@@ -58,9 +59,16 @@ def test_c_const_rejects_bad_arguments():
     (lambda: lambda_weight(UNIT_SQUARE, (0.9, 0.9), (0.5, 0.5)),
      "vertex coordinate must be an integer, got 0.9"),
     (lambda: lower_bound_witness(2.7, 0.5), "d must be an integer >= 1, got 2.7"),
+    (lambda: verify_norming(1, 0.5, 0.5, 2, pair_budget=2.0),
+     "pair_budget must be an integer >= 0, got 2.0"),
+    (lambda: verify_norming(1, 0.5, 0.5, 2, pair_budget=True),
+     "pair_budget must be an integer >= 0, got True"),
+    (lambda: verify_norming(1, 0.5, 0.5, 2, pair_budget=-3),
+     "pair_budget must be an integer >= 0, got -3"),
 ], ids=["c_const", "c_const-bool", "tau", "retraction_bounds", "basis_bound", "bm_bound",
         "bm_bound-zero", "dyadic-level", "dyadic-numerator", "l1-base", "lattice-coordinate",
-        "cube-offset", "cube-base-vertex", "lambda-vertex", "witness-d"])
+        "cube-offset", "cube-base-vertex", "lambda-vertex", "witness-d", "pair-budget-float",
+        "pair-budget-bool", "pair-budget-negative"])
 def test_counts_are_never_truncated(call, message):
     # truncated, c_const(0.5, 2.5) would read 2.0, basis_bound would mix
     # d = 2.5 and d = 2, and lambda_weight would weigh vertex (0, 0)

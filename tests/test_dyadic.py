@@ -36,9 +36,10 @@ from freep.dyadic import (
     synthesize,
     verify_norming,
     _analysis_operator,
-    _basis_distances,
+    _basis_l1,
     _coarse_neighbors,
     _grid_basis_norms,
+    _grid_plan,
     _molecule_blocks,
     _molecule_checks,
     _peel,
@@ -376,7 +377,7 @@ def test_basis_distance_stack_equals_the_element_hosts():
                 host = basis_element(v, alpha).host
                 by_size.setdefault(host.n, []).append(host)
             for hosts in by_size.values():
-                stack = _basis_distances(np.array([host.points for host in hosts]), alpha)
+                stack = _basis_l1(np.array([host.points for host in hosts])) ** alpha
                 for host, dist in zip(hosts, stack):
                     assert dist.tobytes() == host.dist.tobytes(), (host.points, alpha)
 
@@ -499,11 +500,15 @@ def test_analysis_operator_equals_the_per_point_oracle(d, k):
     """The array kernel builds the grid order, S and A bitwise equal to the
     per-point route: exact Fraction peels of each delta, rounded once."""
     for alpha in (0.25, 0.5, 0.7):
-        nums, S, A = _analysis_operator(d, k, alpha)
         grid, S_want, A_want = oracle_analysis_operator(d, k, alpha)
-        assert [DyadicPoint(k, n) for n in nums.tolist()] == grid
-        assert S.tobytes() == S_want.tobytes(), alpha
-        assert A.tobytes() == A_want.tobytes(), alpha
+        # from a freshly built grid plan, then from the cached one
+        for cold in (True, False):
+            if cold:
+                _grid_plan.cache_clear()
+            nums, S, A = _analysis_operator(d, k, alpha)
+            assert [DyadicPoint(k, n) for n in nums.tolist()] == grid
+            assert S.tobytes() == S_want.tobytes(), (alpha, cold)
+            assert A.tobytes() == A_want.tobytes(), (alpha, cold)
 
 
 def test_grid_basis_norms_equal_basis_norm_checks(basis_checks):
@@ -516,15 +521,68 @@ def test_grid_basis_norms_equal_basis_norm_checks(basis_checks):
         for alpha in (0.25, 0.5, 0.7):
             nums, S, A = _analysis_operator(d, k, alpha)
             for p in (0.3, 0.5, 0.8, 1.0):
-                got = _grid_basis_norms(nums / 2**k, nums, S, k, alpha, p)
                 checks = basis_checks[d, k, alpha, p]
                 want = [value for value, _ in checks]
-                assert [x.hex() for x in got.tolist()] == [x.hex() for x in want], (d, k, alpha, p)
+                # from a freshly built grid plan, then from the cached one
+                for cold in (True, False):
+                    if cold:
+                        _grid_plan.cache_clear()
+                    got = _grid_basis_norms(d, k, S, alpha, p)
+                    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want], (
+                        d, k, alpha, p, cold)
                 report = verify_norming(d, alpha, p, k)
                 assert report["max_basis_norm"].hex() == max(want).hex()
                 assert {report["basis_bound"]} == {bound for _, bound in checks}
             fallback += sum(basis_element(v, alpha).host.n > DEFAULT_CAP for v in pts)
     assert fallback
+
+
+def hexed(report):
+    return {key: value.hex() if isinstance(value, float) else value for key, value in report.items()}
+
+
+def plan_arrays(plan):
+    return [
+        plan.nums, plan.levels, plan.coords, *plan.synthesis, *plan.peel,
+        *(a for host in plan.hosts for a in host), plan.fallback[0],
+    ]
+
+
+@pytest.mark.parametrize("d,k", [(1, 5), (2, 2), (3, 1), (1, 7), (2, 3), (3, 2)])
+def test_grid_plan_is_reused_and_changes_nothing(monkeypatch, d, k):
+    """Each report from a plan built by its own call, then each again from
+    the plan the last of them left, with the grid, neighbour and peel
+    builders refused: the same fields, bit for bit."""
+    pairs = ((0.35, 0.4), (0.5, 1.0), (0.9, 0.7))
+    cold = {}
+    for alpha, p in pairs:
+        _grid_plan.cache_clear()
+        cold[alpha, p] = hexed(verify_norming(d, alpha, p, k))
+
+    def refuse(*args):
+        raise AssertionError("a cached grid plan was rebuilt")
+
+    for name in ("_grid", "_coarse_triplets", "_grid_peel"):
+        monkeypatch.setattr(dyadic, name, refuse)
+    for alpha, p in pairs:
+        assert hexed(verify_norming(d, alpha, p, k)) == cold[alpha, p], (alpha, p)
+
+
+@pytest.mark.parametrize("d,k", [(3, 1), (2, 3), (1, 7), (3, 2)])
+def test_grid_plan_is_read_only(d, k):
+    """No cached array can be written, a verify_norming call leaves the
+    plan's bytes as they were, and no array is N x N."""
+    plan = _grid_plan(d, k)
+    arrays = plan_arrays(plan)
+    before = [a.tobytes() for a in arrays]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 1
+    verify_norming(d, 0.5, 0.5, k)
+    assert _grid_plan(d, k) is plan
+    assert [a.tobytes() for a in arrays] == before
+    n = len(plan.nums) - 1
+    assert max(a.size for a in arrays) < n * n
 
 
 def test_verify_norming_does_no_per_point_analysis(monkeypatch):
