@@ -35,6 +35,11 @@ _CUBE_TOL = 1e-12
 # lookup tolerance below 0.003 lattice units: such a point lies in the cube at
 # the floor of its lattice position or, on or near a face, in the one beside.
 MAX_OFFSET = 2**31
+# A cube has 2^d vertices, and the retraction harness holds arrays of
+# (2^d)^3 entries: on a 2-vCPU VM `retraction-verify --samples 10` took
+# 1.5 s and 378 MB at d = 8, 10 s at d = 9, and at d = 10 it asked for
+# 8 GiB. So a complex of higher dimension is refused before any work.
+MAX_D = 8
 # The lookup takes at most this many (point, candidate cube) cells per block,
 # so its scratch memory does not grow with the number of points.
 _BLOCK_CELLS = 2**13
@@ -65,7 +70,7 @@ class CubeComplex:
     base_vertex: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        d = check_count("d", self.d, 1)
+        d = _check_dimension(check_count("d", self.d, 1))
         if not (math.isfinite(self.R) and self.R > 0):
             raise ValueError(f"R must be a finite positive number, got {self.R!r}")
         offs = sorted(
@@ -99,6 +104,12 @@ class CubeComplex:
 
     def vertices(self) -> tuple[tuple[int, ...], ...]:
         return self._vertices  # type: ignore[attr-defined]
+
+
+def _check_dimension(d: int) -> int:
+    if d > MAX_D:
+        raise ValueError(f"--d {d} is beyond the cap {MAX_D} on the dimension of a cube complex; lower --d")
+    return d
 
 
 @lru_cache(maxsize=None)
@@ -274,6 +285,7 @@ def load_complex(text: str) -> CubeComplex:
         d, R = int(d), float(R)
     except ValueError:
         raise ValueError(f"first line {rows[0]!r} must hold an integer d and a real R") from None
+    _check_dimension(d)
     if not (math.isfinite(R) and R > 0):
         raise ValueError(f"complex file R must be a finite positive number, got {R!r}")
     vectors = []

@@ -22,16 +22,21 @@ chain between two dyadic scalars, stays constructive.
 
 What of that operator does not depend on (alpha, p) is cached per grid in
 read-only arrays (`_grid_plan`): the numerators, the exact alpha-free peel
-and synthesis by their nonzero entries, and the basis hosts by size with
-their l1 distances. A call scales the entries into S and A, one scatter
-each, and raises the distances to alpha: the double products of a build
-from scratch, so the same bits.
+(itself peeled over the nonzero entries) and synthesis by their nonzero
+entries, the basis hosts by size with their l1 distances, and the index
+arrays of the one tree program over all those host groups. A call scales
+the synthesis entries into a dense S, rounds the peel entries into A, kept
+by its nonzero entries column by column, and raises the distances to alpha:
+the double products of a build from scratch, so the same bits. A molecule's
+coefficients are a scaled difference of two columns of A, mostly zero, so
+its p-cost takes |c|^p at the nonzero coefficients only.
 
 The norm of a basis element has one definition, `basis_norm_check` (the
 exact norm on the element's own host within the exact engine's cap, beyond
 it the cost of its partition-of-unity decomposition), and one batch,
 `_grid_basis_norms`, which reads a whole grid's hosts off the synthesis
-columns for `verify_norming`; the tests pin the batch to it bitwise.
+columns for `verify_norming` and takes all of them, of every size, through
+one `exact_norms` call; the tests pin the batch to it bitwise.
 
 The weights w(u, v) are dyadic, so the coefficient at a level-k point is an
 exact dyadic rational beta times 2^(-k*alpha). The analysis has one
@@ -68,6 +73,9 @@ from .freenorm import (
     coefficient_cost,
     exact_norm_small,
     exact_norms,
+    _read_only,
+    _tree_program,
+    _TreeProgram,
 )
 from .metric import (
     DyadicPoint,
@@ -81,12 +89,14 @@ from .metric import (
 
 PRUNE_TOL = 1e-13
 MAX_LEVEL = 32
-# verify_norming holds two dense N x N matrices, S and A, for a grid of N
-# basis points (at most 0.4 GB together; the cached grid plan they are
-# scattered from holds no N x N array), and checks its molecules in blocks
-# of at most max(N, _BLOCK_ENTRIES / N) pairs, an N x pairs coefficient array
-# of about _BLOCK_ENTRIES doubles (512 KB); blocks of 2^17 and 2^18 entries
-# were slower on the grids of 129 to 289 points
+# verify_norming holds one dense N x N matrix, S, for a grid of N basis
+# points (at most 0.2 GB; A is kept by its nonzero entries, and the cached
+# grid plan holds no N x N array, though its tree program's index arrays,
+# one entry per host, subset split or hop, take 62 MB at N = 4912), and
+# checks its molecules in blocks of at most max(N, _BLOCK_ENTRIES / N) pairs,
+# an N x pairs coefficient array of about _BLOCK_ENTRIES doubles (512 KB);
+# blocks of 2^17 and 2^18 entries were slower on the grids of 129 to 289
+# points
 MAX_BASIS_POINTS = 5000
 _BLOCK_ENTRIES = 1 << 16
 
@@ -483,26 +493,49 @@ def _grid_peel(levels: np.ndarray, triplets, k_max: int):
     basis points, grid positions 1..N, and column j holds the exact peel
     weights beta of delta(position j), zero for the origin.
 
-    A0 is `_peel` run on every delta at once: finest level first, the rows
-    of one level pass their weighted values on to the rows of their coarser
-    neighbours (`_coarse_triplets`), the finest rows being the unit rows of
-    their deltas. The values are dyadic rationals of size at most 3^d with
-    denominators of at most 2^(d k_max), far fewer than 53 significant bits
-    on the grids MAX_BASIS_POINTS admits, so every sum is exact. The dense
-    N x (N + 1) work array lives only for this call."""
+    A0 is `_peel` run on every delta at once, over the nonzero entries:
+    finest level first, the entries of the rows of one level, by then
+    complete, are summed by (row, column) and passed on, times their
+    weights, to the rows of their coarser neighbours (`_coarse_triplets`);
+    each row starts as the unit entry of its delta. The values are dyadic
+    rationals of size at most 3^d with denominators of at most 2^(d k_max),
+    far fewer than 53 significant bits on the grids MAX_BASIS_POINTS admits,
+    so every sum is exact, in any order."""
     n = len(levels) - 1
-    A = np.zeros((n, n + 1))
-    A[np.arange(n), np.arange(1, n + 1)] = 1.0
-    for u, v, w in triplets:
-        # a finest row passes on its unit entry: the bare weight
-        finest = levels[v] == k_max
-        A[u[finest] - 1, v[finest]] = w[finest]
-    for k in range(k_max - 1, 0, -1):
-        for u, v, w in triplets:
-            at = levels[v] == k
-            np.add.at(A, u[at] - 1, w[at, None] * A[v[at] - 1])
-    rows, cols = np.nonzero(A)
-    return rows, cols, A[rows, cols]
+    u = np.concatenate([u for u, _, _ in triplets] or [np.zeros(0, np.intp)]) - 1
+    v = np.concatenate([v for _, v, _ in triplets] or [np.zeros(0, np.intp)]) - 1
+    w = np.concatenate([w for _, _, w in triplets] or [np.zeros(0)])
+    order = np.argsort(v, kind="stable")
+    u, v, w = u[order], v[order], w[order]
+    # the rows come by level, coarsest first: level k is rows[lo[k]:lo[k + 1]]
+    lo = np.searchsorted(levels[1:], np.arange(k_max + 2))
+    pending = (np.arange(n), np.arange(1, n + 1), np.ones(n))
+    done = []
+    for k in range(k_max, -1, -1):
+        rows, cols, values = pending
+        at = rows >= lo[k]
+        key = rows[at] * (n + 1) + cols[at]
+        order = np.argsort(key, kind="stable")
+        key, values_k = key[order], values[at][order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        key, values_k = key[first], np.add.reduceat(values_k, first)
+        rows_k, cols_k = np.divmod(key, n + 1)
+        done.append((rows_k, cols_k, values_k))
+        # each neighbour triplet (u, v, w) of a row v at this level takes w
+        # times each of row v's entries
+        t0, t1 = np.searchsorted(v, (lo[k], lo[k + 1]))
+        start = np.searchsorted(rows_k, v[t0:t1])
+        count = np.searchsorted(rows_k, v[t0:t1], side="right") - start
+        t = np.repeat(np.arange(t0, t1), count)
+        e = np.arange(len(t)) + np.repeat(start - np.cumsum(count) + count, count)
+        pending = (
+            np.concatenate((rows[~at], u[t])),
+            np.concatenate((cols[~at], cols_k[e])),
+            np.concatenate((values[~at], w[t] * values_k[e])),
+        )
+    rows, cols, values = (np.concatenate(a) for a in zip(*done[::-1]))
+    keep = values != 0.0
+    return rows[keep], cols[keep], values[keep]
 
 
 class _GridPlan(NamedTuple):
@@ -513,27 +546,27 @@ class _GridPlan(NamedTuple):
     coords: nums / 2^k_max;
     synthesis: (rows, cols, values) of S at alpha = 0, the unit diagonal and
         the entries -w of `_coarse_triplets`, by column, rows ascending;
-    peel: (rows, cols, values) of A at alpha = 0 (`_grid_peel`);
+    peel: (rows, cols, values) of A at alpha = 0 (`_grid_peel`), row-major;
+    peel_columns: (starts, order), the order of the peel's entries by column,
+        rows ascending, column j being entries starts[j]:starts[j + 1];
     hosts: per basis support size within DEFAULT_CAP, (cols, rows, l1): the
         columns of S with that support, their nonzero rows, and the l1
         distance stack (`_basis_l1`) of their hosts, the origin followed by
         the points of those rows;
     fallback: (cols, points), the columns whose hosts exceed DEFAULT_CAP and
-        their basis points, for `_proof_cost`."""
+        their basis points, for `_proof_cost`;
+    tree: the index arrays of the one tree program over all host groups
+        (`freenorm._tree_program`)."""
 
     nums: np.ndarray
     levels: np.ndarray
     coords: np.ndarray
     synthesis: tuple[np.ndarray, np.ndarray, np.ndarray]
     peel: tuple[np.ndarray, np.ndarray, np.ndarray]
+    peel_columns: tuple[np.ndarray, np.ndarray]
     hosts: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     fallback: tuple[np.ndarray, tuple[DyadicPoint, ...]]
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+    tree: _TreeProgram
 
 
 @lru_cache(maxsize=8)
@@ -541,7 +574,8 @@ def _grid_plan(d: int, k_max: int) -> _GridPlan:
     """The `_GridPlan` of the level-k_max grid of [0, 1]^d, built once per
     (d, k_max) and kept for the last few grids. It holds no N x N array: the
     two operators are stored by their nonzero entries, about 4 MB at
-    (3, 4), where each dense matrix takes 193 MB."""
+    (3, 4), where each dense matrix takes 193 MB; the tree program's index
+    arrays take 62 MB there."""
     nums, levels, index = _grid(d, k_max)
     n = len(nums) - 1
     # at k_max = 0 no point has neighbours, and d may be as large as 12
@@ -559,21 +593,27 @@ def _grid_plan(d: int, k_max: int) -> _GridPlan:
     rows, cols = synthesis[:2]
     start = np.searchsorted(cols, np.arange(n + 1))
     support = np.diff(start)
-    # a host is the support plus the origin
-    hosts = []
+    # a host is the support plus the origin; the tree program takes one
+    # group (support size, host size, count) per host size
+    hosts, groups = [], []
     for size in sorted(set(support[support < DEFAULT_CAP].tolist())):
         at = np.flatnonzero(support == size)
         host_rows = rows[start[at, None] + np.arange(size)]
         X = coords[np.column_stack((np.zeros(len(at), dtype=int), host_rows + 1))]
         hosts.append(_read_only(at, host_rows, _basis_l1(X)))
+        groups.append((size, size + 1, len(at)))
     beyond = np.flatnonzero(support >= DEFAULT_CAP)
     points = tuple(DyadicPoint(k_max, tuple(nums[j + 1].tolist())) for j in beyond.tolist())
+    peel = _read_only(*_grid_peel(levels, triplets, k_max))
+    order = np.argsort(peel[1], kind="stable")
     return _GridPlan(
         *_read_only(nums, levels, coords),
         synthesis,
-        _read_only(*_grid_peel(levels, triplets, k_max)),
+        peel,
+        _read_only(np.searchsorted(peel[1][order], np.arange(n + 2)), order),
         tuple(hosts),
         (*_read_only(beyond), points),
+        _tree_program(tuple(groups)),
     )
 
 
@@ -586,9 +626,11 @@ def _analysis_operator(d: int, k_max: int, alpha: float):
     matrix A holds the basis coefficients of delta(position j), zero for the
     origin.
 
-    Both are one scatter of the grid's `_GridPlan`: S scales its alpha-free
-    columns by 2^(level alpha), and A rounds each exact peel weight once, by
-    the factor 2^(-level alpha) of its row (`_rounded`)."""
+    S is dense, one scatter of its alpha-free entries scaled by 2^(level
+    alpha) per column. A is kept by its nonzero entries, column by column,
+    (starts, rows, values) as in the plan's `peel_columns`: each exact peel
+    weight rounded once, by the factor 2^(-level alpha) of its row
+    (`_rounded`)."""
     plan = _grid_plan(d, k_max)
     n = len(plan.nums) - 1
     scale = np.array([2.0 ** (k * alpha) for k in range(k_max + 1)])[plan.levels[1:]]
@@ -596,25 +638,25 @@ def _analysis_operator(d: int, k_max: int, alpha: float):
     S = np.zeros((n, n))
     rows, cols, values = plan.synthesis
     S[rows, cols] = values * scale[cols]
-    A = np.zeros((n, n + 1))
-    rows, cols, values = plan.peel
-    A[rows, cols] = values * unscale[rows]
-    return plan.nums, S, A
+    rows, _, values = plan.peel
+    starts, order = plan.peel_columns
+    rows = rows[order]
+    return plan.nums, S, (starts, rows, values[order] * unscale[rows])
 
 
 def _grid_basis_norms(d: int, k_max: int, S: np.ndarray, alpha: float, p: float) -> np.ndarray:
     """The values of `basis_norm_check` at the basis points of
     `_analysis_operator`'s grid, bitwise, with S its synthesis matrix.
 
-    The hosts of one support size, read off the columns of S once in the
-    grid's `_GridPlan`, give one stack of distance matrices, their l1 stack
-    to the power alpha, and go through the exact engine in one
-    `exact_norms` call with the columns' entries as weights; beyond
+    The hosts, read off the columns of S once in the grid's `_GridPlan` and
+    grouped there by size, go through the exact engine in one `exact_norms`
+    call: per group its l1 stack to the power alpha and the columns' entries
+    as weights, all groups in one tree program (the plan's `tree`); beyond
     DEFAULT_CAP `_proof_cost` stands in."""
     plan = _grid_plan(d, k_max)
     values = np.empty(len(S))
-    for cols, rows, l1 in plan.hosts:
-        values[cols] = exact_norms(l1**alpha, S[rows, cols[:, None]], p)
+    groups = [(l1**alpha, S[rows, cols[:, None]]) for cols, rows, l1 in plan.hosts]
+    values[np.concatenate([cols for cols, _, _ in plan.hosts])] = exact_norms(groups, p)
     cols, points = plan.fallback
     values[cols] = [_proof_cost(v, alpha, p) for v in points]
     return values
@@ -648,18 +690,38 @@ def _molecule_checks(coords, S, A, I, J, cuts, alpha, p):
     `_analysis_operator`.
 
     Analysis is linear, so the coefficients of the molecule at (i, j) are
-    (A[:, i] - A[:, j]) / |u_i - u_j|_1^alpha. The columns of A are exact
-    coefficients rounded once, so equal coefficients cancel exactly. The
-    costs are one reduction over the block, column by Fortran column, so a
-    pair's cost does not depend on the block it is in. The synthesis is
+    (A[:, i] - A[:, j]) / |u_i - u_j|_1^alpha, built from the nonzero
+    entries of A's columns. The columns of A are exact coefficients rounded
+    once, so equal coefficients cancel exactly, and most of C is zero. The
+    costs are `coefficient_cost` over the block, column by Fortran column,
+    so a pair's cost does not depend on the block it is in; |c|^p is taken
+    only at the nonzero entries, since |0|^p adds nothing. The synthesis is
     taken one run at a time, as S times the run's contiguous coefficient
     columns: a BLAS product rounds by the shape of its operands, and one
     product over the whole block would move the residuals' last bits."""
     scale = 1.0 / np.abs(coords[J] - coords[I]).sum(axis=1) ** alpha
-    C = np.asfortranarray(A[:, I])
-    C -= A[:, J]
+    # the entries of the columns I, then those of the columns J negated, each
+    # entry e of column cols[t] at row rows[e] of C's column t mod len(I); a
+    # bincount adds them in that order into zeros, so C is A[:, I] - A[:, J]
+    # bitwise, Fortran-ordered
+    starts, rows, values = A
+    n, m = len(S), len(I)
+    cols = np.concatenate((I, J))
+    count = starts[cols + 1] - starts[cols]
+    t = np.repeat(np.arange(2 * m), count)
+    e = np.arange(len(t)) + np.repeat(starts[cols] - np.cumsum(count) + count, count)
+    v = values[e]
+    v[count[:m].sum() :] *= -1.0
+    C = np.bincount(t % m * n + rows[e], v, n * m).reshape(m, n).T
     C *= scale
-    costs = coefficient_cost(C, p, axis=0)
+    # coefficient_cost(C, p, axis=0), bitwise: the nonzero entries in one
+    # contiguous gather and one array **, which rounds each entry as the **
+    # over all of C does, scattered into zeros for the same column sums
+    flat = C.ravel(order="F")
+    nonzero = np.flatnonzero(flat)
+    powers = np.zeros(C.shape, order="F")
+    powers.ravel(order="F")[nonzero] = np.abs(flat[nonzero]) ** p
+    costs = powers.sum(axis=0) ** (1.0 / p)
     # C turns into S C, run by run
     for a, b in zip(cuts, cuts[1:]):
         C[:, a:b] = S @ C[:, a:b]
@@ -690,11 +752,11 @@ def verify_norming(
     The analysis operator of the grid is scattered from its cached
     alpha-free plan (`_grid_plan`, built once per (d, k_max) from the integer
     numerators), whose basis hosts, read off the columns of the synthesis
-    matrix, are checked in batches of one host size; the molecules are
-    checked in blocks of whole runs of one first point, as many as fit a
-    fixed entry budget (`_molecule_blocks`; a grid of up to 51 points takes
-    one block), the synthesis one run at a time; every pair's cost and
-    residual are bitwise those of a block of its run alone. A grid of more
+    matrix, are checked in one tree program over all host sizes; the
+    molecules are checked in blocks of whole runs of one first point, as
+    many as fit a fixed entry budget (`_molecule_blocks`; a grid of up to 51
+    points takes one block), the synthesis one run at a time; every pair's
+    cost and residual are bitwise those of a block of its run alone. A grid of more
     than MAX_BASIS_POINTS basis points raises before any work, and so do a d
     that is not an integer >= 1 and a k_max or pair_budget that is not an
     integer >= 0."""

@@ -220,6 +220,42 @@ def test_basis_verify_refuses_oversized_grids(capsys, d, kmax, count):
     assert f"{count} basis points" in err and "--d" in err and "--kmax" in err
 
 
+@pytest.fixture
+def no_cube_work(monkeypatch):
+    """Any cube lookup or retraction context fails the test at once, so a
+    refusal that comes too late cannot start the work it guards."""
+    from freep import retraction
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the dimension check")
+
+    monkeypatch.setattr(retraction, "build_context", refuse)
+    monkeypatch.setattr(cubes, "vertex_weights", refuse)
+
+
+@pytest.mark.parametrize("command", [
+    ["--command", "lambda-check", "--samples", "10"],
+    ["--command", "retraction-verify", "--p", "0.5", "--samples", "10"],
+])
+@pytest.mark.parametrize("d", [cubes.MAX_D + 1, cubes.MAX_D + 2, 40])
+def test_complex_commands_refuse_dimensions_beyond_the_cap(capsys, tmp_path, no_cube_work, command, d):
+    code, out, err = run(capsys, command + ["--d", str(d)])
+    assert (code, out) == (2, "")
+    assert f"--d {d} is beyond the cap {cubes.MAX_D}" in err
+    # a complex file whose first line gives such a d, whatever its offsets
+    for offsets in ("0 " * d, "0 0"):
+        cx = write(tmp_path, "cx.txt", f"{d} 1.0\n{offsets}\n{offsets}\n")
+        code, out, err = run(capsys, command + ["--in", cx])
+        assert (code, out) == (2, "")
+        assert f"--d {d} is beyond the cap {cubes.MAX_D}" in err
+
+
+def test_lambda_check_runs_at_the_dimension_cap(capsys):
+    code, out, _ = run(capsys, ["--command", "lambda-check", "--d", str(cubes.MAX_D), "--samples", "10"])
+    assert code == 0
+    assert json.loads(out)["d"] == cubes.MAX_D
+
+
 def test_decompose(capsys, space_file, element_file):
     code, out, _ = run(
         capsys,

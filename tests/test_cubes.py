@@ -173,6 +173,20 @@ def test_complex_requires_finite_positive_R():
             load_complex(f"1 {R}\n0\n0\n")
 
 
+def test_dimension_is_capped_before_any_vertex_is_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("vertices enumerated before the dimension check")
+
+    monkeypatch.setattr(cubes, "product", refuse)
+    for d in (cubes.MAX_D + 1, 64):
+        with pytest.raises(ValueError, match=f"--d {d} is beyond the cap {cubes.MAX_D}"):
+            CubeComplex(d=d, R=1.0, offsets=((0,) * d,))
+        with pytest.raises(ValueError, match=f"--d {d} is beyond the cap {cubes.MAX_D}"):
+            load_complex(f"{d} 1.0\n0\n0\n")
+    monkeypatch.undo()
+    assert CubeComplex(d=cubes.MAX_D, R=1.0, offsets=((0,) * cubes.MAX_D,)).d == cubes.MAX_D
+
+
 def test_offsets_are_bounded():
     with pytest.raises(ValueError, match="offset coordinates"):
         CubeComplex(d=2, R=1.0, offsets=((0, MAX_OFFSET + 1),))

@@ -46,7 +46,7 @@ from freep.dyadic import (
     _proof_cost,
     _step_element,
 )
-from freep.freenorm import DEFAULT_CAP, exact_norm_small, exact_norms
+from freep.freenorm import DEFAULT_CAP, _tree_program, coefficient_cost, exact_norm_small, exact_norms
 from freep.metric import DyadicPoint, PointedFiniteMetric, dyadic_grid
 
 F = Fraction
@@ -356,17 +356,22 @@ def test_proof_cost_equals_the_exact_oracle_bitwise():
     assert count == 38_328
 
 
-def test_verify_norming_runs_one_tree_program_call_per_host_size(monkeypatch):
+@pytest.mark.parametrize("d,k", [(3, 1), (2, 2), (1, 5)])
+def test_verify_norming_runs_one_exact_norms_call_carrying_every_host(monkeypatch, d, k):
+    """One exact_norms call per verify_norming call, whose host groups carry
+    every basis host within the cap, one group per host size."""
     calls = []
 
-    def counted(dist, weights, p):
-        calls.append(dist.shape)
-        return exact_norms(dist, weights, p)
+    def counted(hosts, p):
+        calls.append(sorted(dist.shape for dist, _ in hosts))
+        return exact_norms(hosts, p)
 
     monkeypatch.setattr(dyadic, "exact_norms", counted)
-    verify_norming(3, 0.5, 0.5, 1)
-    sizes = Counter(basis_element(v, 0.5).host.n for v in basis_points(3, 1))
-    assert sorted(calls) == sorted((count, n, n) for n, count in sizes.items() if n <= DEFAULT_CAP)
+    for alpha, p in ((0.5, 0.5), (0.7, 1.0)):
+        verify_norming(d, alpha, p, k)
+    sizes = Counter(basis_element(v, 0.5).host.n for v in basis_points(d, k))
+    want = sorted((count, n, n) for n, count in sizes.items() if n <= DEFAULT_CAP)
+    assert calls == [want, want]
 
 
 def test_basis_distance_stack_equals_the_element_hosts():
@@ -495,6 +500,16 @@ def test_verify_norming_rejects_counts_that_are_not_grid_sizes(d, k, message):
         verify_norming(d, 0.5, 0.5, k)
 
 
+def dense(A, n):
+    """The N x (N + 1) matrix of `_analysis_operator`'s A, held by its
+    nonzero entries column by column: zero elsewhere."""
+    starts, rows, values = A
+    assert (np.diff(starts) >= 0).all() and values.all()
+    out = np.zeros((n, n + 1))
+    out[rows, np.repeat(np.arange(n + 1), np.diff(starts))] = values
+    return out
+
+
 @pytest.mark.parametrize("d, k", [(1, 9), (2, 5), (3, 3), (4, 2), (7, 1)])
 def test_analysis_operator_equals_the_per_point_oracle(d, k):
     """The array kernel builds the grid order, S and A bitwise equal to the
@@ -508,7 +523,7 @@ def test_analysis_operator_equals_the_per_point_oracle(d, k):
             nums, S, A = _analysis_operator(d, k, alpha)
             assert [DyadicPoint(k, n) for n in nums.tolist()] == grid
             assert S.tobytes() == S_want.tobytes(), (alpha, cold)
-            assert A.tobytes() == A_want.tobytes(), (alpha, cold)
+            assert dense(A, len(S)).tobytes() == A_want.tobytes(), (alpha, cold)
 
 
 def test_grid_basis_norms_equal_basis_norm_checks(basis_checks):
@@ -543,8 +558,15 @@ def hexed(report):
 
 def plan_arrays(plan):
     return [
-        plan.nums, plan.levels, plan.coords, *plan.synthesis, *plan.peel,
+        plan.nums, plan.levels, plan.coords, *plan.synthesis, *plan.peel, *plan.peel_columns,
         *(a for host in plan.hosts for a in host), plan.fallback[0],
+    ]
+
+
+def tree_arrays(tree):
+    return [
+        *tree.single, tree.terminal_rows, *tree.hop, tree.roots,
+        *(a for layer in tree.layers for a in layer[:-1]),
     ]
 
 
@@ -570,10 +592,16 @@ def test_grid_plan_is_reused_and_changes_nothing(monkeypatch, d, k):
 
 @pytest.mark.parametrize("d,k", [(3, 1), (2, 3), (1, 7), (3, 2)])
 def test_grid_plan_is_read_only(d, k):
-    """No cached array can be written, a verify_norming call leaves the
-    plan's bytes as they were, and no array is N x N."""
+    """No cached array can be written, the tree program's index arrays
+    included, a verify_norming call leaves the plan's bytes as they were,
+    and no array is N x N: the tree program's arrays are flat, of a size
+    set by the hosts, not by N^2."""
     plan = _grid_plan(d, k)
-    arrays = plan_arrays(plan)
+    assert plan.tree is _tree_program(
+        tuple((rows.shape[1], rows.shape[1] + 1, len(cols)) for cols, rows, _ in plan.hosts)
+    )
+    arrays = plan_arrays(plan) + tree_arrays(plan.tree)
+    assert all(a.ndim == 1 for a in tree_arrays(plan.tree)) and len(tree_arrays(plan.tree)) > 8
     before = [a.tobytes() for a in arrays]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -582,7 +610,7 @@ def test_grid_plan_is_read_only(d, k):
     assert _grid_plan(d, k) is plan
     assert [a.tobytes() for a in arrays] == before
     n = len(plan.nums) - 1
-    assert max(a.size for a in arrays) < n * n
+    assert max(a.size for a in plan_arrays(plan)) < n * n
 
 
 def test_verify_norming_does_no_per_point_analysis(monkeypatch):
@@ -707,6 +735,24 @@ def test_verify_norming_batch_matches_single_pairs(d, k, p):
         )
         assert report["max_molecule_cost"] == pytest.approx(cost, rel=1e-12)
         assert report["max_molecule_residual"] == pytest.approx(residual, abs=1e-14)
+
+
+@pytest.mark.parametrize("d,k", [(1, 5), (2, 2), (3, 1), (2, 3)])
+def test_molecule_costs_are_coefficient_cost_bitwise(d, k):
+    """The block costs, |c|^p taken at the nonzero coefficients only, equal
+    coefficient_cost over the dense coefficient columns bitwise."""
+    for alpha, p in ((0.35, 0.4), (0.5, 1.0), (0.9, 0.7), (0.25, 0.3)):
+        nums, S, A = _analysis_operator(d, k, alpha)
+        coords = nums / 2.0**k
+        Ad = dense(A, len(S))
+        for I, J, cuts in _molecule_blocks(len(nums), 10**6):
+            C = np.asfortranarray(Ad[:, I])
+            C -= Ad[:, J]
+            C *= 1.0 / np.abs(coords[J] - coords[I]).sum(axis=1) ** alpha
+            want = coefficient_cost(C, p, axis=0)
+            assert (C == 0).mean() > 0.5  # most coefficients vanish
+            got = _molecule_checks(coords, S, A, I, J, cuts, alpha, p)[0]
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def test_molecule_checks_match_single_pairs():

@@ -483,30 +483,60 @@ def terms_hex(decomp):
     return [(a.hex(), mol.x, mol.y) for a, mol in decomp.terms]
 
 
+def host_draw(rng, n, kind):
+    host = lattice_space(rng, n) if kind == "lattice" else random_space(rng, n)
+    if kind == "holder":
+        host = holder_distort(host, float(rng.uniform(0.3, 0.7)))
+    draw = (lambda: float(rng.choice([-1.0, 0.5, 1.0]))) if kind == "lattice" else rng.normal
+    return host, draw
+
+
 def test_tree_program_matches_the_per_subset_loop_bitwise():
     """Values and witnesses equal the per-subset loop's to the bit, ties
     included (lattice hosts have many equal-cost trees), with the base at
-    any index; batched values of full-support elements based at point 0
-    equal it too."""
+    any index; the values of full-support elements based at point 0 equal
+    it too, batched in one exact_norms call over groups of hosts of every
+    size from 2 to 8 points."""
     rng = np.random.default_rng(12)
-    for n, p, kind, _ in itertools.product(range(2, 9), (1.0, 0.8, 0.5, 0.3),
-                                           ("plain", "holder", "lattice"), range(3)):
-        hosts = [lattice_space(rng, n) if kind == "lattice" else random_space(rng, n)
-                 for _ in range(2)]
-        if kind == "holder":
-            hosts = [holder_distort(h, float(rng.uniform(0.3, 0.7))) for h in hosts]
-        draw = (lambda: float(rng.choice([-1.0, 0.5, 1.0]))) if kind == "lattice" else rng.normal
-        weights = np.array([[draw() for _ in range(n - 1)] for _ in hosts])
-        batch = exact_norms(np.stack([h.dist for h in hosts]), weights, p)
-        for h, w, value in zip(hosts, weights, batch):
-            assert value.hex() == oracle_tree_norm(FreeElement(h, dict(enumerate(w, 1))), p)[0].hex()
+    for p, kind, _ in itertools.product((1.0, 0.8, 0.5, 0.3), ("plain", "holder", "lattice"), range(3)):
+        groups, elements = [], []
+        for n in range(2, 9):
+            hosts = [host_draw(rng, n, kind)[0] for _ in range(int(rng.integers(1, 4)))]
+            draw = host_draw(rng, n, kind)[1]
+            weights = np.array([[draw() for _ in range(n - 1)] for _ in hosts])
+            groups.append((np.stack([h.dist for h in hosts]), weights))
+            elements.append([FreeElement(h, dict(enumerate(w, 1))) for h, w in zip(hosts, weights)])
 
-        s = PointedFiniteMetric(hosts[0].points, int(rng.integers(n)), hosts[0].dist)
-        m = FreeElement(s, {i: draw() for i in range(n) if rng.random() < 0.7})
-        value, witness = exact_norm_small(m, p)
-        want, tree = oracle_tree_norm(m, p)
-        assert value.hex() == want.hex(), (n, p, kind)
-        assert terms_hex(witness) == terms_hex(tree), (n, p, kind)
+            host, draw = host_draw(rng, n, kind)
+            s = PointedFiniteMetric(host.points, int(rng.integers(n)), host.dist)
+            m = FreeElement(s, {i: draw() for i in range(n) if rng.random() < 0.7})
+            value, witness = exact_norm_small(m, p)
+            want, tree = oracle_tree_norm(m, p)
+            assert value.hex() == want.hex(), (n, p, kind)
+            assert terms_hex(witness) == terms_hex(tree), (n, p, kind)
+        # the groups in a shuffled order; the values come group by group
+        order = rng.permutation(len(groups))
+        batch = exact_norms([groups[g] for g in order], p)
+        want = [oracle_tree_norm(m, p)[0] for g in order for m in elements[g]]
+        assert [x.hex() for x in batch] == [x.hex() for x in want], (p, kind)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 10), st.integers(1, 7),
+       st.sampled_from((1.0, 0.8, 0.5, 0.3)), st.sampled_from(("plain", "holder", "lattice")))
+def test_small_supports_on_larger_hosts_match_the_per_subset_loop(seed, n, k, p, kind):
+    """exact_norm_small on a host larger than the support, the base
+    anywhere: the value and the witness of the per-subset loop, bitwise."""
+    rng = np.random.default_rng(seed)
+    host, draw = host_draw(rng, n, kind)
+    s = PointedFiniteMetric(host.points, int(rng.integers(n)), host.dist)
+    others = [i for i in range(n) if i != s.base]
+    support = rng.choice(others, min(k, len(others)), replace=False).tolist()
+    m = FreeElement(s, {i: draw() for i in support})
+    value, witness = exact_norm_small(m, p)
+    want, tree = oracle_tree_norm(m, p)
+    assert value.hex() == want.hex()
+    assert terms_hex(witness) == terms_hex(tree)
 
 
 @settings(max_examples=25, deadline=None)
