@@ -1,7 +1,8 @@
 #!/bin/sh
 # Run every README CLI command at README size with the `freep` on PATH, in
 # the current directory: the two file commands on a 4-point dyadic file
-# (norm also at p = 1, the transport route), norm --p 1 on a 40-point file,
+# (norm also at p = 1, the transport route), norm --p 1 on a 40-point file
+# with a signed element and with an all-positive one (the forced flow),
 # basis-verify also at d = 3, whose centre point is beyond the exact-norm cap
 # (the fallback cost), and lambda-check on an L-shaped complex at R = 0.7. Each report is written
 # with --out and parsed as strict JSON. A nonzero exit (a failed certified
@@ -32,5 +33,7 @@ run --command decompose --alpha 0.5 --in space.txt --in element.txt
 python3 -c 'import random; r = random.Random(40); print("2 0"); [print(r.uniform(0, 10), r.uniform(0, 10)) for _ in range(40)]' > space40.txt
 python3 -c 'import random; r = random.Random(41); [print(r.gauss(0, 1), j) for j in range(1, 40)]' > element40.txt
 run --command norm --p 1 --in space40.txt --in element40.txt
+python3 -c 'import random; r = random.Random(42); [print(abs(r.gauss(0, 1)), j) for j in range(1, 40)]' > positive40.txt
+run --command norm --p 1 --in space40.txt --in positive40.txt
 printf '2 0.7\n0 0\n1 0\n1 1\n2 1\n0 0\n' > L.txt
 run --command lambda-check --in L.txt

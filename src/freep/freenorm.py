@@ -7,9 +7,11 @@ base point normalized away. The p-norm (0 < p <= 1) is the infimum of
 
 * an exact value for p = 1, the transport cost: on a metric some optimal
   flow runs straight from the positive points to the negative ones (the
-  base carrying minus the total), so it is a transportation problem,
-  solved by successive shortest paths with node potentials and a dense
-  Dijkstra in numpy,
+  base carrying minus the total), so it is a transportation problem; with
+  one supply or one demand point its flow is forced, shipped nearest first
+  in one sort, and otherwise it is solved by successive shortest paths with
+  node potentials and a dense Dijkstra in numpy that relaxes every source
+  with supply left in one step,
 * an exact value for any p on small supports by a dynamic program over
   trees (linearly independent molecule sets are forests, the concave cost
   is minimized on a tree of the whole host rooted at the base, and a
@@ -214,13 +216,13 @@ def _subset_program(k):
 
 
 def _weight_totals(weights):
-    """sum |w| along the last axis of each weight array in `weights`, the
-    scale of the rounding floor COEFF_TOL sum |w|. A total beyond the double
-    range raises: its floor would pass no weight at all, and the norm would
-    read 0."""
+    """sum |w| along the last axis of each weight array in `weights`, flat in
+    their order, the scale of the rounding floor COEFF_TOL sum |w|. A total
+    beyond the double range raises: its floor would pass no weight at all,
+    and the norm would read 0."""
     with np.errstate(over="ignore"):
-        totals = [np.abs(W).sum(axis=-1) for W in weights]
-    if np.isinf(np.hstack(totals)).any():
+        totals = np.concatenate([np.abs(W).sum(axis=-1) for W in weights], axis=None)
+    if np.isinf(totals).any():
         raise ValueError("the weight total sum |w| overflows to inf; scale the element down")
     return totals
 
@@ -234,8 +236,7 @@ def _subset_flows(weights, p):
     The subset sums are one stacked product per stack, bitwise those of one
     `bits @ w` per row (a `W @ bits.T` rounds differently)."""
     wsum = np.concatenate([(_subset_program(W.shape[1])[0] @ W[:, :, None]).ravel() for W in weights])
-    totals = np.concatenate(_weight_totals(weights))
-    floor = np.repeat(COEFF_TOL * totals, [1 << W.shape[1] for W in weights for _ in W])
+    floor = np.repeat(COEFF_TOL * _weight_totals(weights), [1 << W.shape[1] for W in weights for _ in W])
     flow = np.abs(wsum)
     flow[flow <= floor] = 0.0
     # scalar powers: numpy's array ** differs from pow() in the last bit on some inputs
@@ -407,11 +408,11 @@ def exact_norms(hosts, p: float) -> list[float]:
     return [f ** (1.0 / p) for f in F[prog.roots].tolist()]
 
 
-def _has_cycle(W):
-    """Whether the edges of the antisymmetric flow W close a cycle, by a
-    union-find over the pairs with W[x, y] > 0."""
-    root = list(range(len(W)))
-    for x, y in zip(*(a.tolist() for a in np.nonzero(W > 0))):
+def _has_cycle(n, xs, ys):
+    """Whether the edges xs[e] -- ys[e] on n points close a cycle, by a
+    union-find."""
+    root = list(range(n))
+    for x, y in zip(xs, ys):
         while root[x] != x:
             root[x] = x = root[root[x]]  # path halving
         while root[y] != y:
@@ -425,13 +426,15 @@ def _has_cycle(W):
 def _forest_witness(host, W, Dp, p):
     """The decomposition of the antisymmetric flow W, made a forest by
     `_cancel_cycles` when it has a cycle: one molecule x -> y per edge with
-    W[x, y] > 0."""
-    if _has_cycle(W):
+    W[x, y] > 0, its coefficient d(x, y) W[x, y]."""
+    x, y = np.nonzero(W > 0)
+    if _has_cycle(len(W), x.tolist(), y.tolist()):
         _cancel_cycles(W, Dp, p)
+        x, y = np.nonzero(W > 0)
+    coeffs = host.dist[x, y] * W[x, y]
     # endpoints as Python ints: reports serialize no numpy integers
     terms = tuple(
-        (host.distance(x, y) * W[x, y], Molecule(host, x, y))
-        for x, y in zip(*(a.tolist() for a in np.nonzero(W > 0)))
+        (a, Molecule(host, u, v)) for a, u, v in zip(coeffs.tolist(), x.tolist(), y.tolist())
     )
     return Decomposition(host, terms)
 
@@ -524,51 +527,72 @@ def _transport(C, supply, demand, tol):
     """A least-cost flow F >= 0, F[i, j] sent from supply point i to demand
     point j at cost C[i, j] per unit, that ships the supplies to the demands.
 
-    Successive shortest paths with node potentials (Edmonds and Karp, JACM
-    1972). The residual graph has an edge i -> j at cost C[i, j] and, where
-    F[i, j] > 0, an edge j -> i at cost -C[i, j]. The potentials keep every
-    reduced cost C[i, j] + pot_i - pot_j nonnegative, and zero on the edges
-    that carry flow, so a dense Dijkstra finds each shortest path: settling
-    a demand point settles, at the same distance, the supply points that
-    ship to it, and each settled supply point relaxes its whole row in one
-    vectorised step. Points with supply left keep potential 0 and points with
-    demand left share one, so the nearest demand point by reduced cost is the
-    nearest by cost. Each augmentation empties a supply, a demand or a flow;
-    an amount of at most tol left over is rounding and counts as zero.
+    With one supply or one demand point the flow is forced: every point on
+    the other side trades its whole amount with the single one. It ships
+    nearest first, in one stable sort of the cost row or column, each time
+    as much as both sides have left, until the single point is empty, so a
+    rounding-level shortfall of the single point lands on its farthest
+    partners, where successive shortest paths put it too.
+
+    Otherwise successive shortest paths with node potentials (Edmonds and
+    Karp, JACM 1972). The residual graph has an edge i -> j at cost C[i, j]
+    and, where F[i, j] > 0, an edge j -> i at cost -C[i, j]. The potentials
+    keep every reduced cost C[i, j] + pot_i - pot_j nonnegative, and zero on
+    the edges that carry flow, so a dense Dijkstra finds each shortest path.
+    It starts from every point with supply left at distance 0, relaxed in
+    one step, a gather of their rows and a first minimum per column; then
+    settling a demand point settles, at the same distance, the supply points
+    that ship to it, and each of those relaxes its whole row in one
+    vectorised step. Points with supply left keep potential 0 and points
+    with demand left share one, so the nearest demand point by reduced cost
+    is the nearest by cost. Each augmentation empties a supply, a demand or
+    a flow. In both routes an amount of at most tol left over is rounding
+    and counts as zero.
     """
     a, b = C.shape
     F = np.zeros((a, b))
     s, t = supply.tolist(), demand.tolist()
-    ships = [set() for _ in range(b)]  # the supply points with flow to each demand point
-    potP, potN = np.zeros(a), np.zeros(b)
-    distP, viaP = np.empty(a), np.empty(a, dtype=np.intp)  # via: the point before on the path
-    distN, viaN, key = np.empty(b), np.empty(b, dtype=np.intp), np.empty(b)
-    sources, sinks = list(range(a)), b  # points with supply left, count with demand left
 
     def left(x, delta):
         return x - delta if x - delta > tol else 0.0
 
+    if a == 1 or b == 1:
+        for e in np.argsort(C, axis=None, kind="stable").tolist():
+            i, j = divmod(e, b)
+            F[i, j] = delta = min(s[i], t[j])
+            s[i], t[j] = left(s[i], delta), left(t[j], delta)
+            if not (s[0] if a == 1 else t[0]):
+                break
+        return F
+
+    ships = [set() for _ in range(b)]  # the supply points with flow to each demand point
+    potP, potN = np.zeros(a), np.zeros(b)
+    distP, viaP = np.empty(a), np.empty(a, dtype=np.intp)  # via: the point before on the path
+    sources, sinks = list(range(a)), b  # points with supply left, count with demand left
     while sources and sinks:
         R = C + potP[:, None]
         R -= potN
         np.maximum(R, 0.0, out=R)  # a rounding-level negative would unsettle a point
         distP.fill(np.inf)
-        distN.fill(np.inf)
-        key.fill(np.inf)  # distN of the unsettled demand points
-        rows, j, d = sources, -1, 0.0
+        src = np.array(sources)
+        distP[src], viaP[src] = 0.0, -1
+        free = R[src]
+        viaN = src[free.argmin(axis=0)]  # the first nearest source in `sources` order
+        distN = free.min(axis=0)
+        key = distN.copy()  # distN of the unsettled demand points
         while True:
-            for i in rows:
-                distP[i], viaP[i] = d, j
-                cand = R[i] + d
-                better = cand < distN  # never a settled point: its dist is at most d
-                np.copyto(distN, cand, where=better)
-                np.copyto(key, cand, where=better)
-                np.copyto(viaN, i, where=better)
             j = int(key.argmin())
             d, key[j] = float(key[j]), np.inf
             if t[j] > 0:
                 break
-            rows = [i for i in ships[j] if distP[i] == np.inf]
+            for i in ships[j]:
+                if distP[i] == np.inf:
+                    distP[i], viaP[i] = d, j
+                    cand = R[i] + d
+                    better = cand < distN  # never a settled point: its dist is at most d
+                    np.copyto(distN, cand, where=better)
+                    np.copyto(key, cand, where=better)
+                    np.copyto(viaN, i, where=better)
         potP += np.minimum(distP, d)
         potN += np.minimum(distN, d)
 
@@ -607,8 +631,11 @@ def exact_norm_p1(m: FreeElement) -> tuple[float, Decomposition]:
     such pair gives an optimal flow that leaves each positive point with
     exactly its weight and enters each negative one with exactly its
     magnitude. That is a transportation problem with cost matrix
-    dist[P][:, N], solved by `_transport` by successive shortest paths whose
-    node potentials keep every reduced cost nonnegative. A total at rounding
+    dist[P][:, N], solved by `_transport`: when P or N is a single point,
+    as when all weights share a sign, the flow is forced and ships nearest
+    first in one sort; otherwise by successive shortest paths whose node
+    potentials keep every reduced cost nonnegative and whose Dijkstra
+    relaxes all sources with supply left in one step. A total at rounding
     level (at most COEFF_TOL sum |w|, the rule of `_subset_flows`) puts
     nothing on the base, and any other weight or left-over amount at that
     level counts as zero; a sum |w| beyond the double range raises. The
@@ -660,27 +687,32 @@ class DualCertificate:
             raise CertificateError("function table width differs from the host size")
         if self.activity.shape != (self.functions.shape[0], n, n):
             raise CertificateError("activity table has the wrong shape")
-        if self.kappa < 1:
-            raise CertificateError("multiplicity kappa must be a positive integer")
+        try:
+            self.kappa = check_count("multiplicity kappa", self.kappa, 1)
+        except ValueError as err:
+            raise CertificateError(str(err)) from None
+        if not np.isfinite(self.functions).all():
+            raise CertificateError("certificate function has a non-finite value")
 
     def validate(self) -> None:
+        """Check every function and the multiplicity over the whole (F, n, n)
+        pair table; on the diagonal a difference is 0, within any slack, and
+        a point paired with itself counts against no multiplicity."""
         F, D = self.functions, self.host.dist
-        n = self.host.n
         if np.abs(F[:, self.host.base]).max() > 1e-12:
             raise CertificateError("certificate function does not vanish at the base")
         diffs = np.abs(F[:, :, None] - F[:, None, :])
-        off = ~np.eye(n, dtype=bool)
         slack = 1e-12 * (1.0 + D.max())
-        if np.any(diffs[:, off] > D[off][None, :] + slack):
+        if np.any(diffs > D + slack):
             raise CertificateError("certificate function exceeds Lipschitz constant 1")
         act = self.activity | self.activity.transpose(0, 2, 1)
         counts = act.sum(axis=0)
-        if counts[off].size and counts[off].max(initial=0) > self.kappa:
+        np.fill_diagonal(counts, 0)
+        if counts.max(initial=0) > self.kappa:
             raise CertificateError(
                 "a point pair is active for more functions than the multiplicity"
             )
-        inactive = off[None, :, :] & ~act
-        if np.any(diffs[inactive] > slack):
+        if np.any((diffs > slack) & ~act):
             raise CertificateError(
                 "certificate function does not annihilate an inactive molecule"
             )

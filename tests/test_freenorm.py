@@ -34,6 +34,7 @@ from freep.freenorm import (
     parse_element,
     _cancel_cycles,
     _forest_witness,
+    _transport,
     upper_bound_from,
 )
 from freep.metric import PointedFiniteMetric, holder_distort, l1_space
@@ -56,6 +57,24 @@ def random_space(rng, n):
 def random_element(rng, space):
     w = {i: float(rng.normal()) for i in range(1, space.n) if rng.random() < 0.85}
     return FreeElement(space, w)
+
+
+ONE_SIDED = ("positive", "negative", "one positive")
+
+
+def one_sided_element(rng, space, pattern, dyadic=False):
+    """An element whose transport has one supply or one demand point: all
+    weights positive (the base the one demand), all negative (the base the
+    one supply), or one positive point outweighing the negatives around it
+    (that point the one supply, the base a demand). Dyadic weights on a
+    lattice host tie in cost and in amount."""
+    support = [i for i in range(1, space.n) if rng.random() < 0.85] or [1]
+    mag = rng.integers(1, 5, len(support)) / 4 if dyadic else np.abs(rng.normal(size=len(support))) + 1e-3
+    w = dict(zip(support, -mag if pattern != "positive" else mag))
+    if pattern == "one positive" and len(support) > 1:
+        lone = support[int(rng.integers(len(support)))]
+        w[lone] = -sum(w.values()) + 2 * abs(w[lone])
+    return FreeElement(space, {i: float(x) for i, x in w.items()})
 
 
 def induced(m, subset):
@@ -157,12 +176,17 @@ def test_exact_norm_cap_counts_terminals_not_host_points():
 def test_exact_norm_p1_matches_lp_oracle():
     rng = np.random.default_rng(1972)
     sizes = [n for n in range(2, 13) for _ in range(3)] + [20, 40, 80, 200]
-    for n in sizes:
-        for kind in ("plain", "holder", "lattice"):
+    for draw, n in enumerate(sizes):
+        for kind in ("plain", "holder", "lattice", "one-sided"):
             if kind == "lattice":
                 s = lattice_space(rng, n)
                 # dyadic weights on a lattice: ties in cost and in amount
                 m = FreeElement(s, {i: int(rng.integers(-4, 5)) / 4 for i in range(1, n)})
+            elif kind == "one-sided":
+                # the forced flow: one supply or one demand point
+                dyadic = bool(draw // len(ONE_SIDED) % 2)
+                s = lattice_space(rng, n) if dyadic else random_space(rng, n)
+                m = one_sided_element(rng, s, ONE_SIDED[draw % len(ONE_SIDED)], dyadic)
             else:
                 s = random_space(rng, n)
                 if kind == "holder":
@@ -206,6 +230,17 @@ def test_exact_norm_p1_edge_cases():
         assert_optimal_forest(m, 1.0, value, witness, range(s.n))
 
 
+def test_forced_flow_ships_nearest_first():
+    # one supply point of 0.6 for demands 0.1, 0.2, 0.3 (costs 3, 2, 1): after
+    # 0.3 and 0.2 it has 0.6 - 0.3 - 0.2 = 0.09999999999999998 left, and that
+    # rounding-level shortfall lands on the farthest partner, as in successive
+    # shortest paths; the same holds with one demand point
+    C, amounts, total = np.array([[3.0, 2.0, 1.0]]), np.array([0.1, 0.2, 0.3]), np.array([0.6])
+    want = [0.09999999999999998, 0.2, 0.3]
+    assert _transport(C, total, amounts, 1e-15).tolist() == [want]
+    assert _transport(C.T, amounts, total, 1e-15).tolist() == [[w] for w in want]
+
+
 def test_exact_norm_p1_flow_cap(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(freenorm, "FLOW_CAP", 5)
     s = l1_space([(float(i),) for i in range(6)])
@@ -224,12 +259,15 @@ def test_exact_norm_p1_flow_cap(monkeypatch, tmp_path, capsys):
 
 def test_oracle_equivalence_p1():
     rng = np.random.default_rng(7)
-    for _ in range(30):
+    for draw in range(60):
         s = random_space(rng, int(rng.integers(2, 7)))
-        m = random_element(rng, s)
+        if draw % 2:
+            m = one_sided_element(rng, s, ONE_SIDED[draw // 2 % len(ONE_SIDED)])
+        else:
+            m = random_element(rng, s)
         v_flow, _ = exact_norm_p1(m)
         v_enum, _ = exact_norm_small(m, 1.0)
-        assert abs(v_flow - v_enum) <= 1e-7
+        assert abs(v_flow - v_enum) <= 1e-12 * v_enum
 
 
 def test_sandwich_soundness_random():
@@ -354,6 +392,18 @@ def test_certificate_validation_names_the_violation():
     act2 = np.vstack([activity, activity])
     with pytest.raises(CertificateError, match="multiplicity|active"):
         dual_lower_bound(FreeElement(s, {1: 1.0}), 0.5, DualCertificate(s, crowded, 1, act2))
+    unit = np.array([[0.0, 1.0, 0.0]])
+    for kappa in (0, 3.0, math.inf, math.nan, True):
+        with pytest.raises(CertificateError, match="^multiplicity kappa must be an integer >= 1"):
+            DualCertificate(s, unit, kappa, activity)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(CertificateError, match="^certificate function has a non-finite value$"):
+            DualCertificate(s, np.array([[0.0, bad, 0.0]]), 1, activity)
+    # a point paired with itself is no molecule: the zero function active on
+    # the diagonal only counts against no multiplicity, whatever the count
+    diagonal = np.vstack([activity, np.eye(n, dtype=bool)[None]])
+    paired = DualCertificate(s, np.vstack([unit, np.zeros((1, n))]), 1, diagonal)
+    assert dual_lower_bound(FreeElement(s, {1: 1.0}), 0.5, paired) == 1.0
 
 
 def test_rounding_level_pairings_count_as_zero():
