@@ -4,7 +4,9 @@
 # (norm also at p = 1, the transport route), norm --p 1 on a 40-point file
 # with a signed element and with an all-positive one (the forced flow),
 # basis-verify also at d = 3, whose centre point is beyond the exact-norm cap
-# (the fallback cost), and lambda-check on an L-shaped complex at R = 0.7. Each report is written
+# (the fallback cost), and at d = 2, kmax = 4, whose 41,616 molecule pairs
+# fit the default pair budget but are checked over many blocks, and
+# lambda-check on an L-shaped complex at R = 0.7. Each report is written
 # with --out and parsed as strict JSON. A nonzero exit (a failed certified
 # check, a crash, or a report that is not JSON) stops the script with that
 # status.
@@ -24,6 +26,7 @@ run --command bm-report --p 0.5 --alpha 0.5 --d 2
 run --command retraction-verify --d 2 --p 0.5 --seed 7 --samples 1000
 run --command basis-verify --d 2 --alpha 0.5 --p 0.5 --kmax 2
 run --command basis-verify --d 3 --alpha 0.5 --p 0.5 --kmax 1
+run --command basis-verify --d 2 --alpha 0.5 --p 0.5 --kmax 4
 run --command lambda-check --d 3 --R 2 --samples 10000 --seed 0
 printf '2 0\n0 0\n0.5 0\n0.5 0.25\n1 1\n' > space.txt
 printf '1.0 1\n-0.5 2\n0.25 3\n' > element.txt

@@ -25,11 +25,12 @@ read-only arrays (`_grid_plan`): the numerators, the exact alpha-free peel
 (itself peeled over the nonzero entries) and synthesis by their nonzero
 entries, the basis hosts by size with their l1 distances, and the index
 arrays of the one tree program over all those host groups. A call scales
-the synthesis entries into a dense S, rounds the peel entries into A, kept
-by its nonzero entries column by column, and raises the distances to alpha:
-the double products of a build from scratch, so the same bits. A molecule's
-coefficients are a scaled difference of two columns of A, mostly zero, so
-its p-cost takes |c|^p at the nonzero coefficients only.
+the synthesis entries into S and rounds the peel entries into A, both kept
+by their nonzero entries, and raises the distances to alpha: the double
+products of a build from scratch, so the same bits. Analysis and synthesis
+are linear, so a molecule's coefficients are a scaled difference of two
+columns of A, and its reconstruction residual the same difference of two
+columns of the point residuals S A - E (`_point_residuals`).
 
 The norm of a basis element has one definition, `basis_norm_check` (the
 exact norm on the element's own host within the exact engine's cap, beyond
@@ -56,7 +57,6 @@ analysis, together with the exact ring of sums of rationals times powers of
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -89,14 +89,10 @@ from .metric import (
 
 PRUNE_TOL = 1e-13
 MAX_LEVEL = 32
-# verify_norming holds one dense N x N matrix, S, for a grid of N basis
-# points (at most 0.2 GB; A is kept by its nonzero entries, and the cached
-# grid plan holds no N x N array, though its tree program's index arrays,
-# one entry per host, subset split or hop, take 62 MB at N = 4912), and
-# checks its molecules in blocks of at most max(N, _BLOCK_ENTRIES / N) pairs,
-# an N x pairs coefficient array of about _BLOCK_ENTRIES doubles (512 KB);
-# blocks of 2^17 and 2^18 entries were slower on the grids of 129 to 289
-# points
+# verify_norming keeps S, A and the point residuals by their nonzero
+# entries, so no array is N x N for a grid of N basis points (the grid
+# plan's tree program index takes 62 MB at N = 4912), and checks molecules
+# in blocks of about _BLOCK_ENTRIES coefficients (512 KB)
 MAX_BASIS_POINTS = 5000
 _BLOCK_ENTRIES = 1 << 16
 
@@ -549,10 +545,10 @@ class _GridPlan(NamedTuple):
     peel: (rows, cols, values) of A at alpha = 0 (`_grid_peel`), row-major;
     peel_columns: (starts, order), the order of the peel's entries by column,
         rows ascending, column j being entries starts[j]:starts[j + 1];
-    hosts: per basis support size within DEFAULT_CAP, (cols, rows, l1): the
-        columns of S with that support, their nonzero rows, and the l1
-        distance stack (`_basis_l1`) of their hosts, the origin followed by
-        the points of those rows;
+    hosts: per basis support size within DEFAULT_CAP, (cols, entries, l1):
+        the columns of S with that support, the positions of their entries
+        in `synthesis`, and the l1 distance stack (`_basis_l1`) of their
+        hosts, the origin followed by the points of those entries' rows;
     fallback: (cols, points), the columns whose hosts exceed DEFAULT_CAP and
         their basis points, for `_proof_cost`;
     tree: the index arrays of the one tree program over all host groups
@@ -572,10 +568,7 @@ class _GridPlan(NamedTuple):
 @lru_cache(maxsize=8)
 def _grid_plan(d: int, k_max: int) -> _GridPlan:
     """The `_GridPlan` of the level-k_max grid of [0, 1]^d, built once per
-    (d, k_max) and kept for the last few grids. It holds no N x N array: the
-    two operators are stored by their nonzero entries, about 4 MB at
-    (3, 4), where each dense matrix takes 193 MB; the tree program's index
-    arrays take 62 MB there."""
+    (d, k_max) and kept for the last few grids; it holds no N x N array."""
     nums, levels, index = _grid(d, k_max)
     n = len(nums) - 1
     # at k_max = 0 no point has neighbours, and d may be as large as 12
@@ -598,9 +591,9 @@ def _grid_plan(d: int, k_max: int) -> _GridPlan:
     hosts, groups = [], []
     for size in sorted(set(support[support < DEFAULT_CAP].tolist())):
         at = np.flatnonzero(support == size)
-        host_rows = rows[start[at, None] + np.arange(size)]
-        X = coords[np.column_stack((np.zeros(len(at), dtype=int), host_rows + 1))]
-        hosts.append(_read_only(at, host_rows, _basis_l1(X)))
+        entries = start[at, None] + np.arange(size)
+        X = coords[np.column_stack((np.zeros(len(at), dtype=int), rows[entries] + 1))]
+        hosts.append(_read_only(at, entries, _basis_l1(X)))
         groups.append((size, size + 1, len(at)))
     beyond = np.flatnonzero(support >= DEFAULT_CAP)
     points = tuple(DyadicPoint(k_max, tuple(nums[j + 1].tolist())) for j in beyond.tolist())
@@ -619,93 +612,98 @@ def _grid_plan(d: int, k_max: int) -> _GridPlan:
 
 def _analysis_operator(d: int, k_max: int, alpha: float):
     """(nums, S, A) for the level-k_max grid of `_grid`, the origin at
-    position 0. Rows index the basis points, grid positions 1..N; column
-    j of the synthesis matrix S is the point expansion of the basis element
-    at position j + 1, S = (I - W) 2^(level alpha) with W the coarse
-    neighbour weights of `_coarse_triplets`, and column j of the analysis
-    matrix A holds the basis coefficients of delta(position j), zero for the
-    origin.
-
-    S is dense, one scatter of its alpha-free entries scaled by 2^(level
-    alpha) per column. A is kept by its nonzero entries, column by column,
-    (starts, rows, values) as in the plan's `peel_columns`: each exact peel
-    weight rounded once, by the factor 2^(-level alpha) of its row
-    (`_rounded`)."""
+    position 0, both matrices by their nonzero entries; rows index the basis
+    points, grid positions 1..N. Column j of the synthesis matrix S, (rows,
+    cols, values) in the plan's `synthesis` order, is the point expansion of
+    the basis element at position j + 1: S = (I - W) 2^(level alpha), W the
+    coarse neighbour weights of `_coarse_triplets`. Column j of the analysis
+    matrix A, (starts, rows, values) as in the plan's `peel_columns`, holds
+    the basis coefficients of delta(position j), zero for the origin, each
+    exact peel weight rounded once (`_rounded`)."""
     plan = _grid_plan(d, k_max)
-    n = len(plan.nums) - 1
     scale = np.array([2.0 ** (k * alpha) for k in range(k_max + 1)])[plan.levels[1:]]
     unscale = np.array([2.0 ** (-k * alpha) for k in range(k_max + 1)])[plan.levels[1:]]
-    S = np.zeros((n, n))
     rows, cols, values = plan.synthesis
-    S[rows, cols] = values * scale[cols]
+    S = (rows, cols, values * scale[cols])
     rows, _, values = plan.peel
     starts, order = plan.peel_columns
     rows = rows[order]
     return plan.nums, S, (starts, rows, values[order] * unscale[rows])
 
 
-def _grid_basis_norms(d: int, k_max: int, S: np.ndarray, alpha: float, p: float) -> np.ndarray:
+def _grid_basis_norms(d: int, k_max: int, S, alpha: float, p: float) -> np.ndarray:
     """The values of `basis_norm_check` at the basis points of
-    `_analysis_operator`'s grid, bitwise, with S its synthesis matrix.
-
-    The hosts, read off the columns of S once in the grid's `_GridPlan` and
-    grouped there by size, go through the exact engine in one `exact_norms`
-    call: per group its l1 stack to the power alpha and the columns' entries
-    as weights, all groups in one tree program (the plan's `tree`); beyond
-    DEFAULT_CAP `_proof_cost` stands in."""
+    `_analysis_operator`'s grid, bitwise, with S its synthesis entries: the
+    hosts of the grid's `_GridPlan` in one `exact_norms` call, and beyond
+    DEFAULT_CAP `_proof_cost`."""
     plan = _grid_plan(d, k_max)
-    values = np.empty(len(S))
-    groups = [(l1**alpha, S[rows, cols[:, None]]) for cols, rows, l1 in plan.hosts]
+    values = np.empty(len(plan.nums) - 1)
+    groups = [(l1**alpha, S[2][entries]) for _, entries, l1 in plan.hosts]
     values[np.concatenate([cols for cols, _, _ in plan.hosts])] = exact_norms(groups, p)
     cols, points = plan.fallback
     values[cols] = [_proof_cost(v, alpha, p) for v in points]
     return values
 
 
+def _point_residuals(S, A) -> np.ndarray:
+    """The sup norms of the N + 1 columns of R = S A - E, with S and A from
+    `_analysis_operator` and column j of E the point evaluation
+    delta(position j), zero for the origin; R is summed from the products of
+    the nonzero entries of S and A, with no N x N array."""
+    s_rows, s_cols, s_values = S
+    starts, a_rows, a_values = A
+    n = len(starts) - 2
+    a_cols = np.repeat(np.arange(n + 1), np.diff(starts))
+    # S's entries in column c are s_start[c]:s_start[c + 1]; A's entry e
+    # meets the count[e] entries of S's column a_rows[e]
+    s_start = np.searchsorted(s_cols, np.arange(n + 1))
+    count = s_start[a_rows + 1] - s_start[a_rows]
+    e = np.repeat(np.arange(len(a_rows)), count)
+    t = np.arange(len(e)) + np.repeat(s_start[a_rows] - np.cumsum(count) + count, count)
+    # keys column-major, col * n + row; E's entry of column j is at row j - 1
+    key = np.concatenate((a_cols[e] * n + s_rows[t], np.arange(1, n + 1) * (n + 1) - 1))
+    terms = np.concatenate((s_values[t] * a_values[e], np.full(n, -1.0)))
+    order = np.argsort(key, kind="stable")
+    key, terms = key[order], terms[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    cols = key[first] // n
+    entries = np.abs(np.add.reduceat(terms, first))
+    first = np.flatnonzero(np.diff(cols, prepend=-1))
+    out = np.zeros(n + 1)
+    out[cols[first]] = np.maximum.reduceat(entries, first)
+    return out
+
+
 def _molecule_blocks(n_points: int, pair_budget: int):
     """The first pair_budget pairs (i, j) of combinations(range(n_points), 2)
-    in that order, as blocks (I, J, cuts) of at most
-    max(n_points - 1, _BLOCK_ENTRIES // n_points) pairs made of whole runs
-    of one first point i (but for a run the budget cuts); the runs of a
-    block are its columns cuts[r]:cuts[r + 1]."""
+    in that order, as blocks (I, J) of
+    max(n_points - 1, _BLOCK_ENTRIES // n_points) pairs, the last one
+    shorter."""
     starts = np.concatenate(([0], np.cumsum(np.arange(n_points - 1, 0, -1))))
     total = min(pair_budget, int(starts[-1]))
-    bounds = starts.tolist()
     width = max(n_points - 1, _BLOCK_ENTRIES // n_points)
-    t0 = 0
-    while t0 < total:
-        # a run holds at most n_points - 1 pairs, so a next run starts in reach
-        reach = t0 + width
-        t1 = total if total <= reach else bounds[bisect_right(bounds, reach) - 1]
-        runs = bounds[bisect_left(bounds, t0) : bisect_left(bounds, t1)]
-        t = np.arange(t0, t1)
+    for t0 in range(0, total, width):
+        t = np.arange(t0, min(t0 + width, total))
         I = np.searchsorted(starts, t, side="right") - 1
-        yield I, t - starts[I] + I + 1, [b - t0 for b in runs] + [t1 - t0]
-        t0 = t1
+        yield I, t - starts[I] + I + 1
 
 
-def _molecule_checks(coords, S, A, I, J, cuts, alpha, p):
-    """(p-costs, reconstruction residuals) of the molecules at the grid
-    position pairs (I, J) of a `_molecule_blocks` block, with S and A from
-    `_analysis_operator`.
+def _molecule_checks(coords, A, residuals, I, J, alpha, p):
+    """(p-costs, reconstruction residual bounds) of the molecules at the
+    grid position pairs (I, J), with A from `_analysis_operator` and
+    residuals from `_point_residuals`; each depends on its pair alone.
 
-    Analysis is linear, so the coefficients of the molecule at (i, j) are
-    (A[:, i] - A[:, j]) / |u_i - u_j|_1^alpha, built from the nonzero
-    entries of A's columns. The columns of A are exact coefficients rounded
-    once, so equal coefficients cancel exactly, and most of C is zero. The
-    costs are `coefficient_cost` over the block, column by Fortran column,
-    so a pair's cost does not depend on the block it is in; |c|^p is taken
-    only at the nonzero entries, since |0|^p adds nothing. The synthesis is
-    taken one run at a time, as S times the run's contiguous coefficient
-    columns: a BLAS product rounds by the shape of its operands, and one
-    product over the whole block would move the residuals' last bits."""
+    By linearity the molecule at (i, j) has the coefficients
+    scale (A[:, i] - A[:, j]) and the residual scale (R_i - R_j), with
+    scale = 1 / |u_i - u_j|_1^alpha. The cost is `coefficient_cost` of the
+    coefficients, bitwise, and the bound scale (|R_i|_inf + |R_j|_inf)."""
     scale = 1.0 / np.abs(coords[J] - coords[I]).sum(axis=1) ** alpha
     # the entries of the columns I, then those of the columns J negated, each
     # entry e of column cols[t] at row rows[e] of C's column t mod len(I); a
     # bincount adds them in that order into zeros, so C is A[:, I] - A[:, J]
     # bitwise, Fortran-ordered
     starts, rows, values = A
-    n, m = len(S), len(I)
+    n, m = len(coords) - 1, len(I)
     cols = np.concatenate((I, J))
     count = starts[cols + 1] - starts[cols]
     t = np.repeat(np.arange(2 * m), count)
@@ -722,16 +720,7 @@ def _molecule_checks(coords, S, A, I, J, cuts, alpha, p):
     powers = np.zeros(C.shape, order="F")
     powers.ravel(order="F")[nonzero] = np.abs(flat[nonzero]) ** p
     costs = powers.sum(axis=0) ** (1.0 / p)
-    # C turns into S C, run by run
-    for a, b in zip(cuts, cuts[1:]):
-        C[:, a:b] = S @ C[:, a:b]
-    # the target is scale at i and -scale at j; rows skip the origin, position
-    # 0, whose run, if the block holds it, comes first
-    cols = np.arange(len(I))
-    o = int(np.searchsorted(I, 1))
-    C[I[o:] - 1, cols[o:]] -= scale[o:]
-    C[J - 1, cols] += scale
-    return costs, np.abs(C, out=C).max(axis=0)
+    return costs, scale * (residuals[I] + residuals[J])
 
 
 def verify_norming(
@@ -745,19 +734,13 @@ def verify_norming(
 
     Every basis element of the level-`k_max` grid is checked against
     `basis_bound` d^alpha C(p, 2^d); every molecule over the grid is
-    decomposed with reconstruction residual and cost recorded against
-    tau^d rho^d. The report carries the resulting norming bound
-    C(p, 2^d) rho^d tau^d and a completeness flag (the pair budget trims
-    oversized grids, keeping the first pairs of `combinations(grid, 2)`).
-    The analysis operator of the grid is scattered from its cached
-    alpha-free plan (`_grid_plan`, built once per (d, k_max) from the integer
-    numerators), whose basis hosts, read off the columns of the synthesis
-    matrix, are checked in one tree program over all host sizes; the
-    molecules are checked in blocks of whole runs of one first point, as
-    many as fit a fixed entry budget (`_molecule_blocks`; a grid of up to 51
-    points takes one block), the synthesis one run at a time; every pair's
-    cost and residual are bitwise those of a block of its run alone. A grid of more
-    than MAX_BASIS_POINTS basis points raises before any work, and so do a d
+    decomposed with its cost recorded against tau^d rho^d and its
+    reconstruction residual bounded by linearity (`_molecule_checks`). The
+    report carries the resulting norming bound C(p, 2^d) rho^d tau^d and a
+    completeness flag (the pair budget trims oversized grids, keeping the
+    first pairs of `combinations(grid, 2)`). The alpha-free part of the
+    work is cached per grid (`_grid_plan`). A grid of more than
+    MAX_BASIS_POINTS basis points raises before any work, and so do a d
     that is not an integer >= 1 and a k_max or pair_budget that is not an
     integer >= 0."""
     p = check_p(p)
@@ -777,22 +760,22 @@ def verify_norming(
     nums, S, A = _analysis_operator(d, k_max, alpha)
     coords = _grid_plan(d, k_max).coords
     values = _grid_basis_norms(d, k_max, S, alpha, p)
+    residuals = _point_residuals(S, A)
     bound = basis_bound(p, alpha, d)
 
     complete = len(nums) * (len(nums) - 1) // 2 <= pair_budget
     max_cost = 0.0
     max_residual = 0.0
-    for I, J, cuts in _molecule_blocks(len(nums), pair_budget):
-        costs, residuals = _molecule_checks(coords, S, A, I, J, cuts, alpha, p)
+    for I, J in _molecule_blocks(len(nums), pair_budget):
+        costs, bounds = _molecule_checks(coords, A, residuals, I, J, alpha, p)
         max_cost = max(max_cost, float(costs.max()))
-        max_residual = max(max_residual, float(residuals.max()))
+        max_residual = max(max_residual, float(bounds.max()))
 
     return {
         "d": d,
         "alpha": alpha,
         "p": p,
         "k_max": k_max,
-        "basis_k_max": k_max,
         "max_basis_norm": float(values.max()),
         "basis_bound": bound,
         "basis_ok": bool((values <= bound + EVAL_TOL).all()),

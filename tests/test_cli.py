@@ -209,6 +209,29 @@ def test_basis_verify_default_budget_covers_the_d2_level4_grid(capsys):
     assert json.loads(out)["complete"] is True
 
 
+def test_basis_verify_catches_a_broken_analysis(capsys, monkeypatch):
+    # one exact peel weight of a copy of the grid plan moved by 1e-6: the
+    # columns of A through it no longer invert the synthesis, which only the
+    # reconstruction check can see (the move is far too small for the costs)
+    from freep import dyadic
+    from freep.freenorm import EVAL_TOL
+
+    plan = dyadic._grid_plan(2, 2)
+    rows, cols, values = plan.peel
+    values = values.copy()
+    values[len(values) // 2] += 1e-6
+    broken = plan._replace(peel=(rows, cols, values))
+    monkeypatch.setattr(dyadic, "_grid_plan", lambda d, k_max: broken)
+    assert dyadic.verify_norming(2, 0.5, 0.5, 2)["max_molecule_residual"] > EVAL_TOL
+    code, out, err = run(
+        capsys,
+        ["--command", "basis-verify", "--d", "2", "--alpha", "0.5",
+         "--p", "0.5", "--kmax", "2"],
+    )
+    assert code == 1 and json.loads(out)["max_molecule_residual"] > EVAL_TOL
+    assert "check failed: a molecule decomposition does not reconstruct its molecule" in err
+
+
 @pytest.mark.parametrize("d,kmax,count", [("2", "7", "16640"), ("20", "1", "3486784400")])
 def test_basis_verify_refuses_oversized_grids(capsys, d, kmax, count):
     code, out, err = run(
@@ -380,7 +403,10 @@ def test_retraction_verify_lower_bound_ignores_rounding_pairings(capsys, tmp_pat
 # one axis, and d = 3 cubes at R = 0.7; then, from before the basis norms
 # became one tree-program call per host size, the README basis-verify, two
 # more basis-verify grids (d = 3 sends its centre to the fallback cost), and
-# the README norm report with its witness, on the README command files
+# the README norm report with its witness, on the README command files. The
+# three basis-verify reports were recorded again when the molecule residual
+# became the linearity bound over the point residuals and the report lost
+# basis_k_max, a copy of k_max; every other field kept its bytes.
 @pytest.mark.parametrize("args, digest", [
     (["--command", "lambda-check", "--d", "3", "--R", "2", "--samples", "10000", "--seed", "0"],
      "d76a1433a33d51be659dbb3f345409e3858c1f79e00d6db8d2ad68daa278796a"),
@@ -401,11 +427,11 @@ def test_retraction_verify_lower_bound_ignores_rounding_pairings(capsys, tmp_pat
       "--samples", "500"],
      "bf749c1e61a679334aba106f344eb1ee0b8b5f6bcf1e43b0cbd1a74c2f0739e9"),
     (["--command", "basis-verify", "--d", "2", "--alpha", "0.5", "--p", "0.5", "--kmax", "2"],
-     "66f1d9ab3357c3c226da279a8b221a0a901513dbe22c5e016f87a34b3a9937d0"),
+     "803f5d7c45361005146d7e8d091f730a7e7771b457bdf7e029e2ceef5a6ae434"),
     (["--command", "basis-verify", "--d", "1", "--kmax", "5", "--alpha", "0.7", "--p", "0.3"],
-     "0fe5959c84542a6114d5944031370c9824f2456f5c760defda52a51b506645cc"),
+     "cf49393fbc996756b100ce903f79644e7df334a999ac959a54448b7188a65c00"),
     (["--command", "basis-verify", "--d", "3", "--kmax", "1", "--alpha", "0.25", "--p", "0.4"],
-     "cf1480212879d8ef6592f580339506a34b15a83582ec1be823fa22c781f3f144"),
+     "9bbfe28b3dfda0537549789b61b383f948a7dbd7c3efaae02c5773b50ee638d5"),
     (["--command", "norm", "--p", "0.5", "--alpha", "0.5", "--in", "README_SPACE",
       "--in", "README_ELEMENT"],
      "69290d445abb052f90c43a323d369bc9218bf46ca17a7bff378481f6dbbd884f"),

@@ -43,6 +43,7 @@ from freep.dyadic import (
     _molecule_blocks,
     _molecule_checks,
     _peel,
+    _point_residuals,
     _proof_cost,
     _step_element,
 )
@@ -480,8 +481,8 @@ def test_verify_norming_budget_flag():
 
 @pytest.mark.parametrize("d,k", [(2, 7), (20, 1)])
 def test_verify_norming_refuses_oversized_grids(d, k):
-    # (2^k + 1)^d - 1 basis points: dense N x N matrices of 4.4 GB at (2, 7),
-    # and 3.5e9 grid points to enumerate at (20, 1)
+    # (2^k + 1)^d - 1 basis points: 16,640 at (2, 7), and 3.5e9 grid points
+    # to enumerate at (20, 1)
     start = time.perf_counter()
     with pytest.raises(ValueError, match=f"{(2**k + 1) ** d - 1} basis points"):
         verify_norming(d, 0.5, 0.5, k)
@@ -510,6 +511,16 @@ def dense(A, n):
     return out
 
 
+def dense_synthesis(S, n):
+    """The N x N matrix of `_analysis_operator`'s S, held by its nonzero
+    entries (rows, cols, values), each (row, col) once: zero elsewhere."""
+    rows, cols, values = S
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows) and values.all()
+    out = np.zeros((n, n))
+    out[rows, cols] = values
+    return out
+
+
 @pytest.mark.parametrize("d, k", [(1, 9), (2, 5), (3, 3), (4, 2), (7, 1)])
 def test_analysis_operator_equals_the_per_point_oracle(d, k):
     """The array kernel builds the grid order, S and A bitwise equal to the
@@ -522,8 +533,59 @@ def test_analysis_operator_equals_the_per_point_oracle(d, k):
                 _grid_plan.cache_clear()
             nums, S, A = _analysis_operator(d, k, alpha)
             assert [DyadicPoint(k, n) for n in nums.tolist()] == grid
-            assert S.tobytes() == S_want.tobytes(), (alpha, cold)
-            assert dense(A, len(S)).tobytes() == A_want.tobytes(), (alpha, cold)
+            n = len(nums) - 1
+            assert dense_synthesis(S, n).tobytes() == S_want.tobytes(), (alpha, cold)
+            assert dense(A, n).tobytes() == A_want.tobytes(), (alpha, cold)
+
+
+def dense_residuals(S, A, n):
+    """R = S A - E from the dense matrices, E the point evaluations."""
+    return dense_synthesis(S, n) @ dense(A, n) - np.eye(n, n + 1, 1)
+
+
+def drawn(A, rng):
+    """A with the same nonzero pattern and its values drawn at random: an
+    analysis that does not invert the synthesis, so R is of order 1."""
+    starts, rows, values = A
+    return starts, rows, rng.normal(size=len(values))
+
+
+@pytest.mark.parametrize("d, k", [(1, 6), (2, 3), (3, 2), (5, 1)])
+def test_point_residuals_equal_the_dense_product(d, k):
+    """The column sup norms of R = S A - E summed from the nonzero entries
+    equal those of the dense product: within a few units of the last place
+    of 1 for the grid's own A, and within 1e-12 relative for a drawn A."""
+    rng = np.random.default_rng([d, k])
+    for alpha in (0.25, 0.5, 0.7):
+        nums, S, A = _analysis_operator(d, k, alpha)
+        n = len(nums) - 1
+        got = _point_residuals(S, A)
+        want = np.abs(dense_residuals(S, A, n)).max(axis=0)
+        assert got[0] == 0.0 and np.abs(got - want).max() <= 4 * np.finfo(float).eps
+        A = drawn(A, rng)
+        want = np.abs(dense_residuals(S, A, n)).max(axis=0)
+        assert want.min(initial=1.0, where=np.arange(n + 1) > 0) > 1e-3
+        assert _point_residuals(S, A) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("d, k", [(1, 5), (2, 2), (3, 1)])
+def test_molecule_residual_bounds_cover_the_synthesis(d, k):
+    # with a drawn A, each pair's bound covers its residual scale (R_i - R_j)
+    # from the dense product, and equals it on the origin's pairs (R_0 = 0)
+    rng = np.random.default_rng([d, k])
+    alpha, p = 0.5, 0.7
+    nums, S, A = _analysis_operator(d, k, alpha)
+    n = len(nums) - 1
+    A = drawn(A, rng)
+    R = dense_residuals(S, A, n)
+    coords = nums / 2.0**k
+    residuals = _point_residuals(S, A)
+    for I, J in _molecule_blocks(n + 1, 10**6):
+        scale = 1.0 / np.abs(coords[J] - coords[I]).sum(axis=1) ** alpha
+        direct = np.abs((R[:, I] - R[:, J]) * scale).max(axis=0)
+        bounds = _molecule_checks(coords, A, residuals, I, J, alpha, p)[1]
+        assert (bounds >= direct * (1 - 1e-12)).all()
+        assert bounds[I == 0] == pytest.approx(direct[I == 0], rel=1e-12)
 
 
 def test_grid_basis_norms_equal_basis_norm_checks(basis_checks):
@@ -644,27 +706,22 @@ def test_molecule_blocks_take_the_budgeted_pairs_in_order(monkeypatch, n_points)
         width = max(n_points - 1, entries // n_points)
         for budget in (-1, 0, 1, 5, n_points, len(pairs) - 1, len(pairs), len(pairs) + 7):
             got = []
-            for I, J, cuts in _molecule_blocks(n_points, budget):
+            for I, J in _molecule_blocks(n_points, budget):
                 assert len(I) <= width
-                assert cuts[0] == 0 and cuts[-1] == len(I)
-                # whole runs of one first point: only the budget cuts the last one
-                for a, b in zip(cuts, cuts[1:]):
-                    assert (I[a:b] == I[a]).all() and J[a] == I[a] + 1
-                    assert J[b - 1] == n_points - 1 or len(got) + b == budget
-                assert all(I[b - 1] < I[b] for b in cuts[1:-1])
                 got += zip(I.tolist(), J.tolist())
             assert got == pairs[: max(budget, 0)]
 
 
 @pytest.mark.parametrize("d,k", [(1, 5), (2, 2), (3, 1), (1, 7), (2, 3), (3, 2)])
 def test_molecule_checks_do_not_depend_on_the_blocks(monkeypatch, d, k):
-    # each pair's cost and residual, bitwise, whether its run shares a block
-    # with other runs (the origin's run included) or fills one of its own
+    # each pair's cost and residual bound, bitwise, whether its run shares a
+    # block with other runs (the origin's run included) or fills one of its own
     n_points = (2**k + 1) ** d
     starts = np.concatenate(([0], np.cumsum(np.arange(n_points - 1, 0, -1))))
     for alpha, p in ((0.35, 0.4), (0.5, 1.0), (0.9, 0.7)):
         nums, S, A = _analysis_operator(d, k, alpha)
         coords = nums / 2.0**k
+        residuals = _point_residuals(S, A)
         # all pairs, and a budget that cuts the fourth run in the middle
         for budget in (int(starts[-1]), int(starts[3]) + 2):
             single = []
@@ -672,15 +729,15 @@ def test_molecule_checks_do_not_depend_on_the_blocks(monkeypatch, d, k):
                 js = np.arange(i + 1, n_points)[: max(budget - int(starts[i]), 0)]
                 if js.size:
                     I = np.full(js.size, i)
-                    single.append(_molecule_checks(coords, S, A, I, js, [0, js.size], alpha, p))
+                    single.append(_molecule_checks(coords, A, residuals, I, js, alpha, p))
             for entries in (dyadic._BLOCK_ENTRIES, 5 * n_points):
                 with monkeypatch.context() as patch:
                     patch.setattr(dyadic, "_BLOCK_ENTRIES", entries)
                     blocks = [
-                        _molecule_checks(coords, S, A, I, J, cuts, alpha, p)
-                        for I, J, cuts in _molecule_blocks(n_points, budget)
+                        _molecule_checks(coords, A, residuals, I, J, alpha, p)
+                        for I, J in _molecule_blocks(n_points, budget)
                     ]
-                for r in (0, 1):  # costs, residuals
+                for r in (0, 1):  # costs, residual bounds
                     got = np.concatenate([b[r] for b in blocks])
                     want = np.concatenate([b[r] for b in single])
                     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
@@ -744,14 +801,15 @@ def test_molecule_costs_are_coefficient_cost_bitwise(d, k):
     for alpha, p in ((0.35, 0.4), (0.5, 1.0), (0.9, 0.7), (0.25, 0.3)):
         nums, S, A = _analysis_operator(d, k, alpha)
         coords = nums / 2.0**k
-        Ad = dense(A, len(S))
-        for I, J, cuts in _molecule_blocks(len(nums), 10**6):
+        residuals = _point_residuals(S, A)
+        Ad = dense(A, len(nums) - 1)
+        for I, J in _molecule_blocks(len(nums), 10**6):
             C = np.asfortranarray(Ad[:, I])
             C -= Ad[:, J]
             C *= 1.0 / np.abs(coords[J] - coords[I]).sum(axis=1) ** alpha
             want = coefficient_cost(C, p, axis=0)
             assert (C == 0).mean() > 0.5  # most coefficients vanish
-            got = _molecule_checks(coords, S, A, I, J, cuts, alpha, p)[0]
+            got = _molecule_checks(coords, A, residuals, I, J, alpha, p)[0]
             assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
@@ -767,7 +825,7 @@ def test_molecule_checks_match_single_pairs():
     i = grid.index(dp(F(1, 4), F(1, 4)))
     js = np.arange(i + 1, len(grid))
     costs, residuals = _molecule_checks(
-        nums / 8, S, A, np.full(js.size, i), js, [0, js.size], alpha, p
+        nums / 8, A, _point_residuals(S, A), np.full(js.size, i), js, alpha, p
     )
     for j, cost, residual in zip(js, costs, residuals):
         comb = molecule_decompose(grid[i], grid[j], alpha)
