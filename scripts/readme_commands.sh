@@ -6,7 +6,9 @@
 # basis-verify also at d = 3, whose centre point is beyond the exact-norm cap
 # (the fallback cost), and at d = 2, kmax = 4, whose 41,616 molecule pairs
 # fit the default pair budget but are checked over many blocks, and
-# lambda-check on an L-shaped complex at R = 0.7. Each report is written
+# lambda-check and retraction-verify on an L-shaped complex file at R = 0.7
+# (the complex-file harness route: one vertex-indicator certificate bounds
+# every sampled image difference). Each report is written
 # with --out and parsed as strict JSON. A nonzero exit (a failed certified
 # check, a crash, or a report that is not JSON) stops the script with that
 # status.
@@ -40,3 +42,4 @@ python3 -c 'import random; r = random.Random(42); [print(abs(r.gauss(0, 1)), j) 
 run --command norm --p 1 --in space40.txt --in positive40.txt
 printf '2 0.7\n0 0\n1 0\n1 1\n2 1\n0 0\n' > L.txt
 run --command lambda-check --in L.txt
+run --command retraction-verify --p 0.5 --samples 200 --in L.txt

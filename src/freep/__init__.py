@@ -39,7 +39,6 @@ from .freenorm import (
     FreeElement,
     Molecule,
     dual_lower_bound,
-    dual_lower_bounds,
     evaluate,
     exact_norm_p1,
     exact_norm_small,

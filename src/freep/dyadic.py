@@ -23,8 +23,8 @@ chain between two dyadic scalars, stays constructive.
 What of that operator does not depend on (alpha, p) is cached per grid in
 read-only arrays (`_grid_plan`): the numerators, the exact alpha-free peel
 (itself peeled over the nonzero entries) and synthesis by their nonzero
-entries, the basis hosts by size with their l1 distances, and the index
-arrays of the one tree program over all those host groups. A call scales
+entries, and the basis hosts by size with their l1 distances; the tree
+program over those host groups is cached by `exact_norms`. A call scales
 the synthesis entries into S and rounds the peel entries into A, both kept
 by their nonzero entries, and raises the distances to alpha: the double
 products of a build from scratch, so the same bits. Analysis and synthesis
@@ -74,8 +74,6 @@ from .freenorm import (
     exact_norm_small,
     exact_norms,
     _read_only,
-    _tree_program,
-    _TreeProgram,
 )
 from .metric import (
     DyadicPoint,
@@ -90,9 +88,9 @@ from .metric import (
 PRUNE_TOL = 1e-13
 MAX_LEVEL = 32
 # verify_norming keeps S, A and the point residuals by their nonzero
-# entries, so no array is N x N for a grid of N basis points (the grid
-# plan's tree program index takes 62 MB at N = 4912), and checks molecules
-# in blocks of about _BLOCK_ENTRIES coefficients (512 KB)
+# entries, so no array is N x N for a grid of N basis points (the tree
+# program index of its basis hosts takes 62 MB at N = 4912), and checks
+# molecules in blocks of about _BLOCK_ENTRIES coefficients (512 KB)
 MAX_BASIS_POINTS = 5000
 _BLOCK_ENTRIES = 1 << 16
 
@@ -550,9 +548,7 @@ class _GridPlan(NamedTuple):
         in `synthesis`, and the l1 distance stack (`_basis_l1`) of their
         hosts, the origin followed by the points of those entries' rows;
     fallback: (cols, points), the columns whose hosts exceed DEFAULT_CAP and
-        their basis points, for `_proof_cost`;
-    tree: the index arrays of the one tree program over all host groups
-        (`freenorm._tree_program`)."""
+        their basis points, for `_proof_cost`."""
 
     nums: np.ndarray
     levels: np.ndarray
@@ -562,7 +558,6 @@ class _GridPlan(NamedTuple):
     peel_columns: tuple[np.ndarray, np.ndarray]
     hosts: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     fallback: tuple[np.ndarray, tuple[DyadicPoint, ...]]
-    tree: _TreeProgram
 
 
 @lru_cache(maxsize=8)
@@ -586,15 +581,13 @@ def _grid_plan(d: int, k_max: int) -> _GridPlan:
     rows, cols = synthesis[:2]
     start = np.searchsorted(cols, np.arange(n + 1))
     support = np.diff(start)
-    # a host is the support plus the origin; the tree program takes one
-    # group (support size, host size, count) per host size
-    hosts, groups = [], []
+    # a host is the support plus the origin, one stack per host size
+    hosts = []
     for size in sorted(set(support[support < DEFAULT_CAP].tolist())):
         at = np.flatnonzero(support == size)
         entries = start[at, None] + np.arange(size)
         X = coords[np.column_stack((np.zeros(len(at), dtype=int), rows[entries] + 1))]
         hosts.append(_read_only(at, entries, _basis_l1(X)))
-        groups.append((size, size + 1, len(at)))
     beyond = np.flatnonzero(support >= DEFAULT_CAP)
     points = tuple(DyadicPoint(k_max, tuple(nums[j + 1].tolist())) for j in beyond.tolist())
     peel = _read_only(*_grid_peel(levels, triplets, k_max))
@@ -606,7 +599,6 @@ def _grid_plan(d: int, k_max: int) -> _GridPlan:
         _read_only(np.searchsorted(peel[1][order], np.arange(n + 2)), order),
         tuple(hosts),
         (*_read_only(beyond), points),
-        _tree_program(tuple(groups)),
     )
 
 

@@ -27,8 +27,9 @@ base point normalized away. The p-norm (0 < p <= 1) is the infimum of
   over the induced subspace, so it is this program run on that subspace as
   its own host,
 * certified two-sided bounds: any explicit decomposition gives an upper
-  bound, and any validated dual certificate of Lipschitz-1 functions with
-  bounded pair multiplicity gives a lower bound via subadditivity of t^p.
+  bound, and any dual certificate of Lipschitz-1 functions with bounded
+  pair multiplicity gives a lower bound via subadditivity of t^p; a
+  certificate is checked once, when it is made, and read-only after.
 """
 
 from __future__ import annotations
@@ -668,11 +669,16 @@ class CertificateError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualCertificate:
     """A family of base-vanishing Lipschitz-1 functions, each annihilating
     every molecule outside its declared activity set, with every unordered
-    point pair active for at most `kappa` of them."""
+    point pair active for at most `kappa` of them.
+
+    Checked once, when it is made: construction raises `CertificateError`
+    for a bad shape, multiplicity or value, or a family that `validate`
+    refuses. It keeps read-only copies of `functions` and `activity`, so
+    later writes to the caller's arrays do not reach it."""
 
     host: PointedFiniteMetric
     functions: np.ndarray  # (n_functions, n_points)
@@ -680,26 +686,32 @@ class DualCertificate:
     activity: np.ndarray  # (n_functions, n_points, n_points) bool, symmetric
 
     def __post_init__(self):
-        self.functions = np.atleast_2d(np.asarray(self.functions, dtype=float))
-        self.activity = np.asarray(self.activity, dtype=bool)
+        functions = np.atleast_2d(np.array(self.functions, dtype=float))
+        activity = np.array(self.activity, dtype=bool)
+        _read_only(functions, activity)
+        object.__setattr__(self, "functions", functions)
+        object.__setattr__(self, "activity", activity)
         n = self.host.n
-        if self.functions.shape[1] != n:
+        if functions.shape[1] != n:
             raise CertificateError("function table width differs from the host size")
-        if self.activity.shape != (self.functions.shape[0], n, n):
+        if activity.shape != (functions.shape[0], n, n):
             raise CertificateError("activity table has the wrong shape")
         try:
-            self.kappa = check_count("multiplicity kappa", self.kappa, 1)
+            object.__setattr__(self, "kappa", check_count("multiplicity kappa", self.kappa, 1))
         except ValueError as err:
             raise CertificateError(str(err)) from None
-        if not np.isfinite(self.functions).all():
+        if not np.isfinite(functions).all():
             raise CertificateError("certificate function has a non-finite value")
+        self.validate()
 
     def validate(self) -> None:
-        """Check every function and the multiplicity over the whole (F, n, n)
-        pair table; on the diagonal a difference is 0, within any slack, and
-        a point paired with itself counts against no multiplicity."""
+        """Raise `CertificateError` unless every function vanishes at the
+        base, is Lipschitz-1 and annihilates every inactive molecule, and no
+        point pair is active for more than kappa functions; on the diagonal
+        a difference is 0, within any slack, and a point paired with itself
+        counts against no multiplicity. An empty family passes."""
         F, D = self.functions, self.host.dist
-        if np.abs(F[:, self.host.base]).max() > 1e-12:
+        if np.abs(F[:, self.host.base]).max(initial=0.0) > 1e-12:
             raise CertificateError("certificate function does not vanish at the base")
         diffs = np.abs(F[:, :, None] - F[:, None, :])
         slack = 1e-12 * (1.0 + D.max())
@@ -718,9 +730,9 @@ class DualCertificate:
             )
 
 
-def dual_lower_bounds(elements, p: float, cert: DualCertificate) -> list[float]:
-    """Certified lower bounds (sum_u |<phi_u, m>|^p / kappa)^(1/p), one per
-    element, with the certificate validated once for all of them.
+def dual_lower_bound(m: FreeElement, p: float, cert: DualCertificate) -> float:
+    """Certified lower bound (sum_u |<phi_u, m>|^p / kappa)^(1/p) of the
+    p-norm of m; raises `CertificateError` if m lives on another host.
 
     Sound for any decomposition sum a_i mu_i of m: each pairing is at most
     sum of |a_i| over the molecules active for that function, subadditivity
@@ -731,22 +743,12 @@ def dual_lower_bounds(elements, p: float, cert: DualCertificate) -> list[float]:
     lowers the bound.
     """
     p = check_p(p)
-    if any(m.host is not cert.host for m in elements):
+    if m.host is not cert.host:
         raise CertificateError("certificate host differs from the element host")
-    cert.validate()
-    out = []
-    F = cert.functions
-    for m in elements:
-        v = m.as_full_vector()
-        pairings = F @ v
-        pairings[np.abs(pairings) <= COEFF_TOL * (np.abs(F) @ np.abs(v))] = 0.0
-        out.append(float(((np.abs(pairings) ** p).sum() / cert.kappa) ** (1.0 / p)))
-    return out
-
-
-def dual_lower_bound(m: FreeElement, p: float, cert: DualCertificate) -> float:
-    """Certified lower bound of one element; see `dual_lower_bounds`."""
-    return dual_lower_bounds([m], p, cert)[0]
+    F, v = cert.functions, m.as_full_vector()
+    pairings = F @ v
+    pairings[np.abs(pairings) <= COEFF_TOL * (np.abs(F) @ np.abs(v))] = 0.0
+    return float(((np.abs(pairings) ** p).sum() / cert.kappa) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

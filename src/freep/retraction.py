@@ -33,7 +33,6 @@ from .freenorm import (
     FreeElement,
     Molecule,
     dual_lower_bound,
-    dual_lower_bounds,
     evaluate,
     exact_norm_small,
     p_cost,
@@ -229,9 +228,9 @@ def estimate_lipschitz(ctx: RetractionContext, config: SamplerConfig) -> dict:
     decomposition's cost ratio; the theoretical sandwich and the witness
     value accompany them. Exact norms are cross-checked only when the vertex
     count is within the engine cap, and the report says whether they were.
-    All sampled points are weighed in one kernel call, the rows of all upper
-    decompositions in one more, and the dual certificate is validated once
-    for all pairs.
+    All sampled points are weighed in one kernel call and the rows of all
+    upper decompositions in one more; the one indicator certificate, checked
+    when it is made, bounds every image difference.
     """
     complex, p = ctx.complex, ctx.p
     # first, so that flags whose constants leave the double range stop here
@@ -253,7 +252,7 @@ def estimate_lipschitz(ctx: RetractionContext, config: SamplerConfig) -> dict:
     k = np.flatnonzero(l1s)  # the pairs of distinct points
     diffs = [images[2 * j] - images[2 * j + 1] for j in k]
     cert = vertex_indicator_certificate(ctx.vertex_space)
-    lowers = dual_lower_bounds(diffs, p, cert)
+    lowers = [dual_lower_bound(m, p, cert) for m in diffs]
     decomps = _upper_decompositions(ctx, points[2 * k], points[2 * k + 1], W[2 * k], W[2 * k + 1])
 
     exact_ok = ctx.vertex_space.n <= EXACT_NORM_CAP

@@ -659,11 +659,11 @@ def test_grid_plan_is_read_only(d, k):
     and no array is N x N: the tree program's arrays are flat, of a size
     set by the hosts, not by N^2."""
     plan = _grid_plan(d, k)
-    assert plan.tree is _tree_program(
+    tree = _tree_program(
         tuple((rows.shape[1], rows.shape[1] + 1, len(cols)) for cols, rows, _ in plan.hosts)
     )
-    arrays = plan_arrays(plan) + tree_arrays(plan.tree)
-    assert all(a.ndim == 1 for a in tree_arrays(plan.tree)) and len(tree_arrays(plan.tree)) > 8
+    arrays = plan_arrays(plan) + tree_arrays(tree)
+    assert all(a.ndim == 1 for a in tree_arrays(tree)) and len(tree_arrays(tree)) > 8
     before = [a.tobytes() for a in arrays]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,6 @@ from freep.freenorm import (
     FreeElement,
     Molecule,
     dual_lower_bound,
-    dual_lower_bounds,
     evaluate,
     exact_norm_p1,
     exact_norm_small,
@@ -419,19 +419,37 @@ def test_rounding_level_pairings_count_as_zero():
     assert dual_lower_bound(m, p, cert) <= exact_norm_small(m, p)[0]
 
 
-def test_batched_dual_lower_bounds_equal_single_ones():
+def test_certificate_is_checked_once_when_made(monkeypatch):
+    calls = []
+    validate = DualCertificate.validate
+    monkeypatch.setattr(DualCertificate, "validate", lambda self: calls.append(1) or validate(self))
     rng = np.random.default_rng(12)
-    s = l1_space(rng.random((6, 2)) * 3, base=0)
-    D = s.dist
-    F = (D - D[s.base][None, :]).T
-    cert = DualCertificate(s, F, s.n, np.broadcast_to(~np.eye(s.n, dtype=bool), (s.n,) * 3))
-    elements = [FreeElement(s, {i: float(rng.normal()) for i in range(1, 6) if rng.random() < 0.7})
-                for _ in range(20)]
-    for p in (1.0, 0.5, 0.3):
-        assert dual_lower_bounds(elements, p, cert) == [dual_lower_bound(m, p, cert) for m in elements]
+    s = l1_space(rng.random((5, 2)) * 3, base=0)
+    # x -> d(x, x_j) - d(base, x_j), one per point, every pair active for all
+    F = (s.dist - s.dist[s.base][None, :]).T
+    activity = np.repeat(~np.eye(s.n, dtype=bool)[None], s.n, axis=0)
+    cert = DualCertificate(s, F, s.n, activity)
+    elements = [FreeElement(s, {i: float(rng.normal()) for i in range(1, 5) if rng.random() < 0.7})
+                for _ in range(5)]
+    before = [dual_lower_bound(m, p, cert) for m in elements for p in (1.0, 0.3)]
+    assert len(before) == 10 and all(before) and len(calls) == 1
+    for a in (cert.functions, cert.activity):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    F[...], activity[...] = 0.0, False
+    assert [dual_lower_bound(m, p, cert) for m in elements for p in (1.0, 0.3)] == before
+    with pytest.raises(FrozenInstanceError):
+        cert.kappa = 1
     other = FreeElement(l1_space([(0.0,), (1.0,)]), {1: 1.0})
     with pytest.raises(CertificateError, match="host"):
-        dual_lower_bounds(elements + [other], 0.5, cert)
+        dual_lower_bound(other, 0.5, cert)
+
+
+def test_empty_certificate_bounds_by_zero():
+    s = l1_space([(0.0,), (1.0,), (2.0,)])
+    cert = DualCertificate(s, np.zeros((0, 3)), 1, np.zeros((0, 3, 3), bool))
+    for p in (1.0, 0.5):
+        assert dual_lower_bound(FreeElement(s, {1: 1.0, 2: -0.5}), p, cert) == 0.0
 
 
 def test_element_serialization_round_trip():
