@@ -85,6 +85,11 @@ def _merge_config(args) -> dict:
             # a JSON integer has no size limit: do not echo hundreds of digits
             raise ValueError(
                 f"--{name} must be a real number, got an integer beyond the double range")
+    if cfg["p"] is not None:
+        try:
+            constants.check_p(cfg["p"])
+        except ValueError as e:
+            raise ValueError(f"--p: {e}") from None
     if cfg["R"] is not None and not (math.isfinite(cfg["R"]) and cfg["R"] > 0):
         raise ValueError(f"--R must be a finite positive number, got {cfg['R']!r}")
     inputs = cfg["inputs"]

@@ -9,6 +9,14 @@ sandwich of the cube retraction, the basis bound, and the norming bound.
 from __future__ import annotations
 
 import numbers
+import sys
+
+# the slack of every certified comparison: a residual, or a value against its bound
+EVAL_TOL = 1e-9
+# the least admitted p: a p-norm is a sum of powers t^p taken to the power
+# 1/p, which magnifies the sum's relative rounding error, about one ulp, by
+# 1/p; at this p that stays within EVAL_TOL
+P_FLOOR = sys.float_info.epsilon / EVAL_TOL
 
 
 def check_count(name: str, value, low: int) -> int:
@@ -29,10 +37,10 @@ def check_integer(name: str, value) -> int:
 
 
 def check_p(p: float) -> float:
-    """Validate an exponent p with 0 < p <= 1."""
+    """Validate an exponent p with P_FLOOR <= p <= 1."""
     p = float(p)
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"exponent p must satisfy 0 < p <= 1, got {p}")
+    if not P_FLOOR <= p <= 1.0:
+        raise ValueError(f"exponent p must satisfy {P_FLOOR:.3g} <= p <= 1, got {p}")
     return p
 
 

@@ -14,23 +14,18 @@ expansions of the paper's lemmas are analyses of their targets,
 * `step_decompose`     - an axis-centered second difference at any grid point,
 * `molecule_decompose` - a normalized molecule (delta(u) - delta(v)) / |u - v|_1^alpha,
 
-and `verify_norming` builds the analysis operator of a whole grid at once
-(`_analysis_operator`, the analysis of every point evaluation of the grid,
-from one integer array of grid numerators), so each molecule's coefficients
-are a scaled difference of two of its columns. `line_path`, a mesh-adjacent
-chain between two dyadic scalars, stays constructive.
-
-What of that operator does not depend on (alpha, p) is cached per grid in
-read-only arrays (`_grid_plan`): the numerators, the exact alpha-free peel
-(itself peeled over the nonzero entries) and synthesis by their nonzero
-entries, and the basis hosts by size with their l1 distances; the tree
-program over those host groups is cached by `exact_norms`. A call scales
-the synthesis entries into S and rounds the peel entries into A, both kept
-by their nonzero entries, and raises the distances to alpha: the double
-products of a build from scratch, so the same bits. Analysis and synthesis
-are linear, so a molecule's coefficients are a scaled difference of two
-columns of A, and its reconstruction residual the same difference of two
-columns of the point residuals S A - E (`_point_residuals`).
+and `verify_norming` checks a whole grid at once through its synthesis
+matrix S (column j the point expansion of the basis element at grid
+position j + 1) and analysis matrix A (column j the coefficients of the
+point evaluation at position j), both held by their nonzero entries in one
+column layout (`_GridPlan`); the alpha-free part of both is cached per grid
+(`_grid_plan`), and a call only scales it (`_analysis_operator`). Analysis
+and synthesis are linear, so a molecule's coefficients are a scaled
+difference of two columns of A, priced from their nonzero entries, and its
+reconstruction residual the same difference of two columns of S A - E
+(`_point_residuals`).
+`line_path`, a mesh-adjacent chain between two dyadic scalars, stays
+constructive.
 
 The norm of a basis element has one definition, `basis_norm_check` (the
 exact norm on the element's own host within the exact engine's cap, beyond
@@ -46,12 +41,8 @@ an element, a double input being a dyadic rational too; in doubles for the
 grid operator, whose weights need far fewer than 53 bits) and rounds each
 coefficient once, as float(beta) * 2^(-k*alpha); the hat and step elements
 carry a factor 2^(n*alpha), which shifts the exponent to k - n. Equal
-coefficients thus round to equal doubles, and the tests pin the grid
-operator bitwise to one `analyze` per grid point (`tests/analysis_oracle.py`).
-The face-induction construction of molecules, with the constructive hat and
-step kernels it is built from, is kept in the tests as an oracle for the
-analysis, together with the exact ring of sums of rationals times powers of
-2^(-alpha) it computes in.
+coefficients thus round to equal doubles, and the grid operator equals one
+`analyze` per grid point bitwise.
 """
 
 from __future__ import annotations
@@ -77,10 +68,9 @@ from .freenorm import (
 )
 from .metric import (
     DyadicPoint,
+    PointedFiniteMetric,
     coordinate_level,
     dyadic_grid,
-    holder_distort,
-    l1_space,
     neighbors,
     replaced,
 )
@@ -90,7 +80,8 @@ MAX_LEVEL = 32
 # verify_norming keeps S, A and the point residuals by their nonzero
 # entries, so no array is N x N for a grid of N basis points (the tree
 # program index of its basis hosts takes 62 MB at N = 4912), and checks
-# molecules in blocks of about _BLOCK_ENTRIES coefficients (512 KB)
+# molecules in blocks of max(N, _BLOCK_ENTRIES // (N + 1)) pairs
+# (`_molecule_blocks`), so a grid of up to 51 points is one block
 MAX_BASIS_POINTS = 5000
 _BLOCK_ENTRIES = 1 << 16
 
@@ -388,8 +379,8 @@ def basis_element(v: DyadicPoint, alpha: float) -> FreeElement:
         raise ValueError("the origin does not index a basis element")
     expansion = _iota_expansion(v, alpha)
     support = sorted(expansion, key=lambda q: (q.level, q.nums))
-    points = [DyadicPoint.origin(v.d)] + support
-    host = holder_distort(l1_space([q.floats() for q in points], base=0), alpha)
+    labels = [q.floats() for q in [DyadicPoint.origin(v.d)] + support]
+    host = PointedFiniteMetric(labels, 0, _basis_l1(np.array([labels]))[0] ** alpha)
     return FreeElement(host, {i: expansion[q] for i, q in enumerate(support, 1)})
 
 
@@ -459,48 +450,61 @@ def _grid(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _coarse_triplets(nums: np.ndarray, levels: np.ndarray, index: np.ndarray, k: int):
     """The coarser-grid interpolation of `_grid`'s points as grid positions:
-    for each sign pattern s in {-1, 1}^d, the arrays (u, v, w) of the points
-    v of level >= 1 whose coordinates at their own level are odd where
-    s = -1, their neighbours u = v + s h on the odd coordinates (h the mesh
-    of v's level), and the weights w = 2^-(number of odd coordinates).
+    arrays (u, v, w) holding each pair (u, v) of `_coarse_neighbors` once,
+    v a point of level >= 1, u a neighbour of v other than the origin, and
+    w = 2^-(number of odd coordinates of v at its own level).
 
-    Each pair (u, v) of `_coarse_neighbors` appears once, in the pattern
-    with s = 1 on the even coordinates of v, which do not move; origin
-    neighbours are dropped, since the basis leaves out the origin."""
+    A neighbour is v + s h on the odd coordinates (h the mesh of v's level)
+    for a sign pattern s in {-1, 1}^d that is 1 on the even coordinates."""
     d = nums.shape[1]
     h = 2 ** (k - levels)[:, None]
     odd = (nums // h % 2 == 1) & (levels > 0)[:, None]
     weights = 0.5 ** odd.sum(axis=1)
     radix = (2**k + 1) ** np.arange(d - 1, -1, -1)
-    out = []
-    for signs in product((-1, 1), repeat=d):
+    out = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
+    # at k = 0 no point has neighbours, and d may be as large as 12
+    for signs in product((-1, 1), repeat=d) if k else ():
         v = np.flatnonzero((odd | (np.array(signs) > 0)).all(axis=1) & (levels > 0))
         u = index[((nums[v] + odd[v] * signs * h[v]) * radix).sum(axis=1)]
         keep = u > 0
         out.append((u[keep], v[keep], weights[v[keep]]))
-    return out
+    return tuple(np.concatenate(a) for a in zip(*out))
 
 
-def _grid_peel(levels: np.ndarray, triplets, k_max: int):
-    """The alpha-free analysis matrix A0 of `_grid`'s basis points, by its
-    nonzero entries (rows, cols, values) in row-major order: rows index the
-    basis points, grid positions 1..N, and column j holds the exact peel
-    weights beta of delta(position j), zero for the origin.
+def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, entry): for each o in turn, the positions
+    start[o], ..., start[o] + count[o] - 1 in entry, owned by o."""
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, np.arange(len(owner)) + np.repeat(start - np.cumsum(count) + count, count)
 
-    A0 is `_peel` run on every delta at once, over the nonzero entries:
-    finest level first, the entries of the rows of one level, by then
-    complete, are summed by (row, column) and passed on, times their
-    weights, to the rows of their coarser neighbours (`_coarse_triplets`);
-    each row starts as the unit entry of its delta. The values are dyadic
-    rationals of size at most 3^d with denominators of at most 2^(d k_max),
-    far fewer than 53 significant bits on the grids MAX_BASIS_POINTS admits,
-    so every sum is exact, in any order."""
+
+def _summed(key: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, sums): the distinct keys ascending and the sum of the values
+    of each, added in their order in `values`."""
+    order = np.argsort(key, kind="stable")
+    key, values = key[order], values[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    return key[first], np.add.reduceat(values, first)
+
+
+def _grid_peel(levels: np.ndarray, synthesis, k_max: int):
+    """The alpha-free analysis matrix A0 of `_grid`'s points in the layout
+    of `_GridPlan`: column j holds the exact peel weights beta of
+    delta(position j), zero for the origin, on the rows of the basis points.
+
+    `synthesis` is S0 = I - W in that layout, whose off-diagonal entries -w
+    give the coarse neighbours. Finest level first, the entries of the rows
+    of one level, then complete, are summed by (row, column) and passed on,
+    times w, to the rows of their coarser neighbours; each row starts as the
+    unit entry of its delta. The values are dyadic rationals of size at most
+    3^d with denominators of at most 2^(d k_max), far fewer than 53
+    significant bits on the grids MAX_BASIS_POINTS admits, so every sum is
+    exact, in any order."""
     n = len(levels) - 1
-    u = np.concatenate([u for u, _, _ in triplets] or [np.zeros(0, np.intp)]) - 1
-    v = np.concatenate([v for _, v, _ in triplets] or [np.zeros(0, np.intp)]) - 1
-    w = np.concatenate([w for _, _, w in triplets] or [np.zeros(0)])
-    order = np.argsort(v, kind="stable")
-    u, v, w = u[order], v[order], w[order]
+    starts, rows, values = synthesis
+    cols = np.repeat(np.arange(n), np.diff(starts))
+    off = rows != cols
+    u, v, w = rows[off], cols[off], -values[off]
     # the rows come by level, coarsest first: level k is rows[lo[k]:lo[k + 1]]
     lo = np.searchsorted(levels[1:], np.arange(k_max + 2))
     pending = (np.arange(n), np.arange(1, n + 1), np.ones(n))
@@ -508,41 +512,39 @@ def _grid_peel(levels: np.ndarray, triplets, k_max: int):
     for k in range(k_max, -1, -1):
         rows, cols, values = pending
         at = rows >= lo[k]
-        key = rows[at] * (n + 1) + cols[at]
-        order = np.argsort(key, kind="stable")
-        key, values_k = key[order], values[at][order]
-        first = np.flatnonzero(np.diff(key, prepend=-1))
-        key, values_k = key[first], np.add.reduceat(values_k, first)
+        key, values_k = _summed(rows[at] * (n + 1) + cols[at], values[at])
         rows_k, cols_k = np.divmod(key, n + 1)
         done.append((rows_k, cols_k, values_k))
-        # each neighbour triplet (u, v, w) of a row v at this level takes w
-        # times each of row v's entries
+        # each neighbour u of a row v at this level takes w times each of
+        # row v's entries
         t0, t1 = np.searchsorted(v, (lo[k], lo[k + 1]))
         start = np.searchsorted(rows_k, v[t0:t1])
-        count = np.searchsorted(rows_k, v[t0:t1], side="right") - start
-        t = np.repeat(np.arange(t0, t1), count)
-        e = np.arange(len(t)) + np.repeat(start - np.cumsum(count) + count, count)
+        t, e = _ranges(start, np.searchsorted(rows_k, v[t0:t1], side="right") - start)
+        t += t0
         pending = (
             np.concatenate((rows[~at], u[t])),
             np.concatenate((cols[~at], cols_k[e])),
             np.concatenate((values[~at], w[t] * values_k[e])),
         )
+    # done is row-major: reorder it by column, rows ascending
     rows, cols, values = (np.concatenate(a) for a in zip(*done[::-1]))
-    keep = values != 0.0
-    return rows[keep], cols[keep], values[keep]
+    order = np.flatnonzero(values)
+    order = order[np.argsort(cols[order], kind="stable")]
+    return np.searchsorted(cols[order], np.arange(n + 2)), rows[order], values[order]
 
 
 class _GridPlan(NamedTuple):
     """The alpha-free part of `verify_norming` on the level-k_max grid of
-    [0, 1]^d (`_grid_plan`); every array is read-only.
+    [0, 1]^d (`_grid_plan`); every array is read-only. A sparse matrix is
+    held by columns as (starts, rows, values): column j is entries
+    starts[j]:starts[j + 1], rows ascending; its rows index the basis
+    points, grid positions 1..N.
 
     nums, levels: `_grid`'s numerators and levels, the origin first;
     coords: nums / 2^k_max;
-    synthesis: (rows, cols, values) of S at alpha = 0, the unit diagonal and
-        the entries -w of `_coarse_triplets`, by column, rows ascending;
-    peel: (rows, cols, values) of A at alpha = 0 (`_grid_peel`), row-major;
-    peel_columns: (starts, order), the order of the peel's entries by column,
-        rows ascending, column j being entries starts[j]:starts[j + 1];
+    synthesis: S0 = I - W, S at alpha = 0: column j is the basis element at
+        position j + 1, W the weights of `_coarse_triplets`;
+    peel: A0, A at alpha = 0 (`_grid_peel`), one column per grid position;
     hosts: per basis support size within DEFAULT_CAP, (cols, entries, l1):
         the columns of S with that support, the positions of their entries
         in `synthesis`, and the l1 distance stack (`_basis_l1`) of their
@@ -555,7 +557,6 @@ class _GridPlan(NamedTuple):
     coords: np.ndarray
     synthesis: tuple[np.ndarray, np.ndarray, np.ndarray]
     peel: tuple[np.ndarray, np.ndarray, np.ndarray]
-    peel_columns: tuple[np.ndarray, np.ndarray]
     hosts: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     fallback: tuple[np.ndarray, tuple[DyadicPoint, ...]]
 
@@ -566,22 +567,18 @@ def _grid_plan(d: int, k_max: int) -> _GridPlan:
     (d, k_max) and kept for the last few grids; it holds no N x N array."""
     nums, levels, index = _grid(d, k_max)
     n = len(nums) - 1
-    # at k_max = 0 no point has neighbours, and d may be as large as 12
-    triplets = _coarse_triplets(nums, levels, index, k_max) if k_max else []
-    diag = np.arange(n)
-    rows = np.concatenate([diag] + [u - 1 for u, _, _ in triplets])
-    cols = np.concatenate([diag] + [v - 1 for _, v, _ in triplets])
-    values = np.concatenate([np.ones(n)] + [-w for _, _, w in triplets])
+    u, v, w = _coarse_triplets(nums, levels, index, k_max)
+    rows = np.concatenate((np.arange(n), u - 1))
+    cols = np.concatenate((np.arange(n), v - 1))
     order = np.lexsort((rows, cols))
-    synthesis = _read_only(rows[order], cols[order], values[order])
+    start = np.searchsorted(cols[order], np.arange(n + 1))
+    rows = rows[order]
+    synthesis = _read_only(start, rows, np.concatenate((np.ones(n), -w))[order])
     coords = nums / 2.0**k_max
 
     # the basis element at position j + 1 is column j of S: its host is the
     # origin followed by the column's rows, already in (level, nums) order
-    rows, cols = synthesis[:2]
-    start = np.searchsorted(cols, np.arange(n + 1))
     support = np.diff(start)
-    # a host is the support plus the origin, one stack per host size
     hosts = []
     for size in sorted(set(support[support < DEFAULT_CAP].tolist())):
         at = np.flatnonzero(support == size)
@@ -590,13 +587,10 @@ def _grid_plan(d: int, k_max: int) -> _GridPlan:
         hosts.append(_read_only(at, entries, _basis_l1(X)))
     beyond = np.flatnonzero(support >= DEFAULT_CAP)
     points = tuple(DyadicPoint(k_max, tuple(nums[j + 1].tolist())) for j in beyond.tolist())
-    peel = _read_only(*_grid_peel(levels, triplets, k_max))
-    order = np.argsort(peel[1], kind="stable")
     return _GridPlan(
         *_read_only(nums, levels, coords),
         synthesis,
-        peel,
-        _read_only(np.searchsorted(peel[1][order], np.arange(n + 2)), order),
+        _read_only(*_grid_peel(levels, synthesis, k_max)),
         tuple(hosts),
         (*_read_only(beyond), points),
     )
@@ -604,30 +598,25 @@ def _grid_plan(d: int, k_max: int) -> _GridPlan:
 
 def _analysis_operator(d: int, k_max: int, alpha: float):
     """(nums, S, A) for the level-k_max grid of `_grid`, the origin at
-    position 0, both matrices by their nonzero entries; rows index the basis
-    points, grid positions 1..N. Column j of the synthesis matrix S, (rows,
-    cols, values) in the plan's `synthesis` order, is the point expansion of
-    the basis element at position j + 1: S = (I - W) 2^(level alpha), W the
-    coarse neighbour weights of `_coarse_triplets`. Column j of the analysis
-    matrix A, (starts, rows, values) as in the plan's `peel_columns`, holds
-    the basis coefficients of delta(position j), zero for the origin, each
-    exact peel weight rounded once (`_rounded`)."""
+    position 0, both matrices in the layout of `_GridPlan`. Column j of the
+    synthesis matrix S = (I - W) 2^(level alpha) is the point expansion of
+    the basis element at position j + 1; column j of the analysis matrix A
+    holds the basis coefficients of delta(position j), zero for the origin,
+    each exact peel weight rounded once (`_rounded`)."""
     plan = _grid_plan(d, k_max)
     scale = np.array([2.0 ** (k * alpha) for k in range(k_max + 1)])[plan.levels[1:]]
     unscale = np.array([2.0 ** (-k * alpha) for k in range(k_max + 1)])[plan.levels[1:]]
-    rows, cols, values = plan.synthesis
-    S = (rows, cols, values * scale[cols])
-    rows, _, values = plan.peel
-    starts, order = plan.peel_columns
-    rows = rows[order]
-    return plan.nums, S, (starts, rows, values[order] * unscale[rows])
+    starts, rows, values = plan.synthesis
+    S = (starts, rows, values * np.repeat(scale, np.diff(starts)))
+    starts, rows, values = plan.peel
+    return plan.nums, S, (starts, rows, values * unscale[rows])
 
 
 def _grid_basis_norms(d: int, k_max: int, S, alpha: float, p: float) -> np.ndarray:
     """The values of `basis_norm_check` at the basis points of
-    `_analysis_operator`'s grid, bitwise, with S its synthesis entries: the
-    hosts of the grid's `_GridPlan` in one `exact_norms` call, and beyond
-    DEFAULT_CAP `_proof_cost`."""
+    `_analysis_operator`'s grid, bitwise, with S its synthesis: the hosts of
+    the grid's `_GridPlan` in one `exact_norms` call, and beyond DEFAULT_CAP
+    `_proof_cost`."""
     plan = _grid_plan(d, k_max)
     values = np.empty(len(plan.nums) - 1)
     groups = [(l1**alpha, S[2][entries]) for _, entries, l1 in plan.hosts]
@@ -642,27 +631,21 @@ def _point_residuals(S, A) -> np.ndarray:
     `_analysis_operator` and column j of E the point evaluation
     delta(position j), zero for the origin; R is summed from the products of
     the nonzero entries of S and A, with no N x N array."""
-    s_rows, s_cols, s_values = S
+    s_starts, s_rows, s_values = S
     starts, a_rows, a_values = A
     n = len(starts) - 2
     a_cols = np.repeat(np.arange(n + 1), np.diff(starts))
-    # S's entries in column c are s_start[c]:s_start[c + 1]; A's entry e
-    # meets the count[e] entries of S's column a_rows[e]
-    s_start = np.searchsorted(s_cols, np.arange(n + 1))
-    count = s_start[a_rows + 1] - s_start[a_rows]
-    e = np.repeat(np.arange(len(a_rows)), count)
-    t = np.arange(len(e)) + np.repeat(s_start[a_rows] - np.cumsum(count) + count, count)
+    # A's entry e meets the entries t of S's column a_rows[e]
+    e, t = _ranges(s_starts[a_rows], s_starts[a_rows + 1] - s_starts[a_rows])
     # keys column-major, col * n + row; E's entry of column j is at row j - 1
-    key = np.concatenate((a_cols[e] * n + s_rows[t], np.arange(1, n + 1) * (n + 1) - 1))
-    terms = np.concatenate((s_values[t] * a_values[e], np.full(n, -1.0)))
-    order = np.argsort(key, kind="stable")
-    key, terms = key[order], terms[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    cols = key[first] // n
-    entries = np.abs(np.add.reduceat(terms, first))
+    key, entries = _summed(
+        np.concatenate((a_cols[e] * n + s_rows[t], np.arange(1, n + 1) * (n + 1) - 1)),
+        np.concatenate((s_values[t] * a_values[e], np.full(n, -1.0))),
+    )
+    cols = key // n
     first = np.flatnonzero(np.diff(cols, prepend=-1))
     out = np.zeros(n + 1)
-    out[cols[first]] = np.maximum.reduceat(entries, first)
+    out[cols[first]] = np.maximum.reduceat(np.abs(entries), first)
     return out
 
 
@@ -685,33 +668,22 @@ def _molecule_checks(coords, A, residuals, I, J, alpha, p):
     grid position pairs (I, J), with A from `_analysis_operator` and
     residuals from `_point_residuals`; each depends on its pair alone.
 
-    By linearity the molecule at (i, j) has the coefficients
-    scale (A[:, i] - A[:, j]) and the residual scale (R_i - R_j), with
-    scale = 1 / |u_i - u_j|_1^alpha. The cost is `coefficient_cost` of the
-    coefficients, bitwise, and the bound scale (|R_i|_inf + |R_j|_inf)."""
+    The molecule at (i, j) has the coefficients c = scale (A[:, i] - A[:, j])
+    and the residual scale (R_i - R_j), scale = 1 / |u_i - u_j|_1^alpha. Its
+    cost is (sum |c|^p)^(1/p), summed over the nonzero entries of the two
+    columns in row order, and its bound scale (|R_i|_inf + |R_j|_inf)."""
     scale = 1.0 / np.abs(coords[J] - coords[I]).sum(axis=1) ** alpha
-    # the entries of the columns I, then those of the columns J negated, each
-    # entry e of column cols[t] at row rows[e] of C's column t mod len(I); a
-    # bincount adds them in that order into zeros, so C is A[:, I] - A[:, J]
-    # bitwise, Fortran-ordered
     starts, rows, values = A
     n, m = len(coords) - 1, len(I)
     cols = np.concatenate((I, J))
-    count = starts[cols + 1] - starts[cols]
-    t = np.repeat(np.arange(2 * m), count)
-    e = np.arange(len(t)) + np.repeat(starts[cols] - np.cumsum(count) + count, count)
+    # the entries of the columns I, then those of the columns J negated
+    t, e = _ranges(starts[cols], starts[cols + 1] - starts[cols])
     v = values[e]
-    v[count[:m].sum() :] *= -1.0
-    C = np.bincount(t % m * n + rows[e], v, n * m).reshape(m, n).T
-    C *= scale
-    # coefficient_cost(C, p, axis=0), bitwise: the nonzero entries in one
-    # contiguous gather and one array **, which rounds each entry as the **
-    # over all of C does, scattered into zeros for the same column sums
-    flat = C.ravel(order="F")
-    nonzero = np.flatnonzero(flat)
-    powers = np.zeros(C.shape, order="F")
-    powers.ravel(order="F")[nonzero] = np.abs(flat[nonzero]) ** p
-    costs = powers.sum(axis=0) ** (1.0 / p)
+    v[t >= m] *= -1.0
+    key, c = _summed(t % m * n + rows[e], v)
+    pair = key // n
+    c *= scale[pair]
+    costs = np.bincount(pair, np.abs(c) ** p, m) ** (1.0 / p)
     return costs, scale * (residuals[I] + residuals[J])
 
 

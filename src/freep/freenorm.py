@@ -41,11 +41,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constants import check_count, check_p
+from .constants import EVAL_TOL, check_count, check_p
 from .metric import PointedFiniteMetric
 
-# the slack of every certified comparison: a residual, or a value against its bound
-EVAL_TOL = 1e-9
 COEFF_TOL = 1e-12
 DEFAULT_CAP = 8
 FLOW_CAP = 1000
@@ -236,8 +234,9 @@ def _subset_flows(weights, p):
 
     The subset sums are one stacked product per stack, bitwise those of one
     `bits @ w` per row (a `W @ bits.T` rounds differently)."""
-    wsum = np.concatenate([(_subset_program(W.shape[1])[0] @ W[:, :, None]).ravel() for W in weights])
+    # the totals first: they refuse weights whose subset sums could overflow
     floor = np.repeat(COEFF_TOL * _weight_totals(weights), [1 << W.shape[1] for W in weights for _ in W])
+    wsum = np.concatenate([(_subset_program(W.shape[1])[0] @ W[:, :, None]).ravel() for W in weights])
     flow = np.abs(wsum)
     flow[flow <= floor] = 0.0
     # scalar powers: numpy's array ** differs from pow() in the last bit on some inputs

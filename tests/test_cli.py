@@ -7,6 +7,7 @@ import pytest
 
 from freep import cubes
 from freep.cli import main
+from freep.constants import EVAL_TOL, P_FLOOR
 
 
 def write(tmp_path, name, text):
@@ -104,16 +105,47 @@ def test_non_finite_weight_is_rejected(capsys, space_file, tmp_path, command):
 @pytest.mark.parametrize("p", ["0.5", "1"])
 def test_weights_whose_total_overflows_exit_2(capsys, tmp_path, p):
     # finite weights whose total sum |w| is inf: the rounding floor would
-    # drop every flow and certify the norm 0
+    # drop every flow and certify the norm 0; with one sign, their subset
+    # sums overflow too
     space = write(tmp_path, "space.txt", README_FILES["README_SPACE"])
-    huge = write(tmp_path, "huge.txt", "1e308 1\n-1e308 2\n")
+    for weights in ("1e308 1\n-1e308 2\n", "1e308 1\n1e308 2\n"):
+        huge = write(tmp_path, "huge.txt", weights)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, ["--command", "norm", "--p", p, "--in", space,
+                                          "--in", huge])
+        assert code == 2
+        assert out == ""
+        assert "the weight total sum |w| overflows to inf" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], weights
+
+
+def test_an_infinite_coordinate_exits_2(capsys, tmp_path):
+    space = write(tmp_path, "space.txt", "2 0\n0 0\ninf 0\n0 1\n")
+    element = write(tmp_path, "elem.txt", "1.0 1\n-1.0 2\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = run(capsys, ["--command", "norm", "--p", p, "--in", space, "--in", huge])
+        code, out, err = run(capsys, ["--command", "norm", "--p", "0.5", "--in", space,
+                                      "--in", element])
     assert code == 2
     assert out == ""
-    assert "the weight total sum |w| overflows to inf" in err
+    assert "distance d(0,1) = inf is not finite" in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_p_below_the_floor_exits_2(capsys, tmp_path):
+    # t^p rounds towards 1 and the power 1/p magnifies that: at p = 1e-300
+    # the molecule of length 2 read norm 1, though every p-norm of it is 2
+    space = write(tmp_path, "space.txt", "2 0\n0 0\n1 0\n0 1\n")
+    element = write(tmp_path, "elem.txt", "1.0 1\n-1.0 2\n")
+    argv = ["--command", "norm", "--in", space, "--in", element, "--p"]
+    code, out, err = run(capsys, [*argv, "1e-300"])
+    assert code == 2
+    assert out == ""
+    assert "--p: exponent p must satisfy 2.22e-07 <= p <= 1, got 1e-300" in err
+    code, out, _ = run(capsys, [*argv, repr(P_FLOOR)])
+    assert code == 0
+    assert json.loads(out)["norm"] == pytest.approx(2.0, rel=EVAL_TOL)
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -217,10 +249,10 @@ def test_basis_verify_catches_a_broken_analysis(capsys, monkeypatch):
     from freep.freenorm import EVAL_TOL
 
     plan = dyadic._grid_plan(2, 2)
-    rows, cols, values = plan.peel
+    starts, rows, values = plan.peel
     values = values.copy()
     values[len(values) // 2] += 1e-6
-    broken = plan._replace(peel=(rows, cols, values))
+    broken = plan._replace(peel=(starts, rows, values))
     monkeypatch.setattr(dyadic, "_grid_plan", lambda d, k_max: broken)
     assert dyadic.verify_norming(2, 0.5, 0.5, 2)["max_molecule_residual"] > EVAL_TOL
     code, out, err = run(

@@ -501,22 +501,15 @@ def test_verify_norming_rejects_counts_that_are_not_grid_sizes(d, k, message):
         verify_norming(d, 0.5, 0.5, k)
 
 
-def dense(A, n):
-    """The N x (N + 1) matrix of `_analysis_operator`'s A, held by its
-    nonzero entries column by column: zero elsewhere."""
-    starts, rows, values = A
-    assert (np.diff(starts) >= 0).all() and values.all()
-    out = np.zeros((n, n + 1))
-    out[rows, np.repeat(np.arange(n + 1), np.diff(starts))] = values
-    return out
-
-
-def dense_synthesis(S, n):
-    """The N x N matrix of `_analysis_operator`'s S, held by its nonzero
-    entries (rows, cols, values), each (row, col) once: zero elsewhere."""
-    rows, cols, values = S
-    assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows) and values.all()
-    out = np.zeros((n, n))
+def dense(M, n):
+    """The matrix of N rows of `_analysis_operator`'s S or A, held by its
+    nonzero entries column by column, rows strictly ascending in each
+    column: zero elsewhere."""
+    starts, rows, values = M
+    assert starts[0] == 0 and starts[-1] == len(rows) and values.all()
+    cols = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    assert (np.diff(cols * n + rows) > 0).all()
+    out = np.zeros((n, len(starts) - 1))
     out[rows, cols] = values
     return out
 
@@ -534,13 +527,13 @@ def test_analysis_operator_equals_the_per_point_oracle(d, k):
             nums, S, A = _analysis_operator(d, k, alpha)
             assert [DyadicPoint(k, n) for n in nums.tolist()] == grid
             n = len(nums) - 1
-            assert dense_synthesis(S, n).tobytes() == S_want.tobytes(), (alpha, cold)
+            assert dense(S, n).tobytes() == S_want.tobytes(), (alpha, cold)
             assert dense(A, n).tobytes() == A_want.tobytes(), (alpha, cold)
 
 
 def dense_residuals(S, A, n):
     """R = S A - E from the dense matrices, E the point evaluations."""
-    return dense_synthesis(S, n) @ dense(A, n) - np.eye(n, n + 1, 1)
+    return dense(S, n) @ dense(A, n) - np.eye(n, n + 1, 1)
 
 
 def drawn(A, rng):
@@ -620,7 +613,7 @@ def hexed(report):
 
 def plan_arrays(plan):
     return [
-        plan.nums, plan.levels, plan.coords, *plan.synthesis, *plan.peel, *plan.peel_columns,
+        plan.nums, plan.levels, plan.coords, *plan.synthesis, *plan.peel,
         *(a for host in plan.hosts for a in host), plan.fallback[0],
     ]
 
@@ -794,23 +787,34 @@ def test_verify_norming_batch_matches_single_pairs(d, k, p):
         assert report["max_molecule_residual"] == pytest.approx(residual, abs=1e-14)
 
 
+def row_order_sum(c, p):
+    """sum |c_i|^p over the nonzero entries of c, the powers added one by
+    one in their order."""
+    total = 0.0
+    for power in (np.abs(c[c != 0]) ** p).tolist():
+        total += power
+    return total
+
+
 @pytest.mark.parametrize("d,k", [(1, 5), (2, 2), (3, 1), (2, 3)])
 def test_molecule_costs_are_coefficient_cost_bitwise(d, k):
-    """The block costs, |c|^p taken at the nonzero coefficients only, equal
-    coefficient_cost over the dense coefficient columns bitwise."""
+    """The block costs are the p-cost of each pair's nonzero coefficients,
+    their powers added in row order, bitwise; and within 1e-12 relative of
+    coefficient_cost over the dense coefficient column, which sums the
+    zeros too, pairwise."""
     for alpha, p in ((0.35, 0.4), (0.5, 1.0), (0.9, 0.7), (0.25, 0.3)):
         nums, S, A = _analysis_operator(d, k, alpha)
         coords = nums / 2.0**k
         residuals = _point_residuals(S, A)
         Ad = dense(A, len(nums) - 1)
         for I, J in _molecule_blocks(len(nums), 10**6):
-            C = np.asfortranarray(Ad[:, I])
-            C -= Ad[:, J]
+            C = Ad[:, I] - Ad[:, J]
             C *= 1.0 / np.abs(coords[J] - coords[I]).sum(axis=1) ** alpha
-            want = coefficient_cost(C, p, axis=0)
             assert (C == 0).mean() > 0.5  # most coefficients vanish
             got = _molecule_checks(coords, A, residuals, I, J, alpha, p)[0]
+            want = np.array([row_order_sum(c, p) for c in C.T]) ** (1.0 / p)
             assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+            assert got == pytest.approx(coefficient_cost(C, p, axis=0), rel=1e-12, abs=0)
 
 
 def test_molecule_checks_match_single_pairs():

@@ -18,6 +18,7 @@ from tree_oracle import oracle_tree_norm
 import freep
 from freep import freenorm
 from freep.cli import main
+from freep.constants import P_FLOOR
 from freep.freenorm import (
     EVAL_TOL,
     CertificateError,
@@ -617,6 +618,22 @@ def test_norm_is_monotone_in_p(seed, n):
     n1, _ = exact_norm_p1(m)
     assert n05 >= n08 - 1e-9
     assert n08 >= n1 - 1e-9
+
+
+def test_a_p_below_the_floor_is_refused():
+    # the norm of 0.25 (delta(1) - delta(2)) is 0.5 at every p, but t^p
+    # rounds towards 1 and the power 1/p magnifies that: at p = 1e-10 the
+    # exact norm read 0.5000002646744071, at p = 1e-17 it read 1.0
+    s = l1_space([(0, 0), (1, 0), (0, 1)], base=0)
+    m = FreeElement(s, {1: 0.25, 2: -0.25})
+    value, witness = exact_norm_small(m, P_FLOOR)
+    assert value == pytest.approx(0.5, rel=EVAL_TOL)
+    assert upper_bound_from(m, P_FLOOR, witness) == pytest.approx(0.5, rel=EVAL_TOL)
+    for p in (1e-10, 1e-17, np.nextafter(P_FLOOR, 0.0)):
+        with pytest.raises(ValueError, match="exponent p must satisfy 2.22e-07 <= p <= 1"):
+            exact_norm_small(m, p)
+        with pytest.raises(ValueError, match="exponent p must satisfy"):
+            upper_bound_from(m, p, witness)
 
 
 def test_equal_cost_trees_at_p1_give_a_forest():
