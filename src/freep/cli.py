@@ -316,9 +316,8 @@ def main(argv=None) -> int:
             report, failures = _DISPATCH[cfg["command"]](cfg)
         except OverflowError:
             flags = " ".join(f"--{k} {v}" for k, v in cfg.items() if isinstance(v, (int, float)))
-            raise ValueError(
-                f"{flags} take a constant beyond the double range; raise --p or lower --d"
-            ) from None
+            advice = "raise --p" if cfg["d"] is None else "raise --p or lower --d"
+            raise ValueError(f"{flags} take a constant beyond the double range; {advice}") from None
         text = report_json(report)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -15,15 +15,15 @@ expansions of the paper's lemmas are analyses of their targets,
 * `molecule_decompose` - a normalized molecule (delta(u) - delta(v)) / |u - v|_1^alpha,
 
 and `verify_norming` checks a whole grid at once through its synthesis
-matrix S (column j the point expansion of the basis element at grid
-position j + 1) and analysis matrix A (column j the coefficients of the
-point evaluation at position j), both held by their nonzero entries in one
-column layout (`_GridPlan`); the alpha-free part of both is cached per grid
-(`_grid_plan`), and a call only scales it (`_analysis_operator`). Analysis
-and synthesis are linear, so a molecule's coefficients are a scaled
-difference of two columns of A, priced from their nonzero entries, and its
-reconstruction residual the same difference of two columns of S A - E
-(`_point_residuals`).
+matrix S = (I - W) 2^(level alpha) (column j the point expansion of the
+basis element at grid position j + 1) and analysis matrix A (column j the
+coefficients of delta(position j)), held by their nonzero entries in one
+column layout (`_GridPlan`), their alpha-free part cached per grid
+(`_grid_plan`). Its sparse products share one kernel (`_products`,
+`_summed`): the alpha-free A as sum_t W^t, the point residuals R = S A - E,
+and the molecule coefficients, scaled differences of two columns of A; a
+molecule's reconstruction residual is the same difference of two columns
+of R.
 `line_path`, a mesh-adjacent chain between two dyadic scalars, stays
 constructive.
 
@@ -77,11 +77,9 @@ from .metric import (
 
 PRUNE_TOL = 1e-13
 MAX_LEVEL = 32
-# verify_norming keeps S, A and the point residuals by their nonzero
-# entries, so no array is N x N for a grid of N basis points (the tree
-# program index of its basis hosts takes 62 MB at N = 4912), and checks
-# molecules in blocks of max(N, _BLOCK_ENTRIES // (N + 1)) pairs
-# (`_molecule_blocks`), so a grid of up to 51 points is one block
+# the largest grid verify_norming admits, in basis points N; it holds S, A
+# and R by their nonzero entries, so no array is N x N, and checks molecules
+# in blocks of max(N, _BLOCK_ENTRIES // (N + 1)) pairs (`_molecule_blocks`)
 MAX_BASIS_POINTS = 5000
 _BLOCK_ENTRIES = 1 << 16
 
@@ -471,13 +469,6 @@ def _coarse_triplets(nums: np.ndarray, levels: np.ndarray, index: np.ndarray, k:
     return tuple(np.concatenate(a) for a in zip(*out))
 
 
-def _ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, entry): for each o in turn, the positions
-    start[o], ..., start[o] + count[o] - 1 in entry, owned by o."""
-    owner = np.repeat(np.arange(len(count)), count)
-    return owner, np.arange(len(owner)) + np.repeat(start - np.cumsum(count) + count, count)
-
-
 def _summed(key: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(keys, sums): the distinct keys ascending and the sum of the values
     of each, added in their order in `values`."""
@@ -487,50 +478,48 @@ def _summed(key: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return key[first], np.add.reduceat(values, first)
 
 
-def _grid_peel(levels: np.ndarray, synthesis, k_max: int):
-    """The alpha-free analysis matrix A0 of `_grid`'s points in the layout
-    of `_GridPlan`: column j holds the exact peel weights beta of
-    delta(position j), zero for the origin, on the rows of the basis points.
+def _columns(key: np.ndarray, values: np.ndarray, n: int, m: int):
+    """The n x m matrix with the values at the ascending distinct keys
+    col * n + row, in the layout of `_GridPlan`."""
+    return np.searchsorted(key, np.arange(m + 1) * n), key % n, values
 
-    `synthesis` is S0 = I - W in that layout, whose off-diagonal entries -w
-    give the coarse neighbours. Finest level first, the entries of the rows
-    of one level, then complete, are summed by (row, column) and passed on,
-    times w, to the rows of their coarser neighbours; each row starts as the
-    unit entry of its delta. The values are dyadic rationals of size at most
-    3^d with denominators of at most 2^(d k_max), far fewer than 53
-    significant bits on the grids MAX_BASIS_POINTS admits, so every sum is
-    exact, in any order."""
-    n = len(levels) - 1
+
+def _products(X, Y, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, products): the products X[row, r] * Y[r, col] of the nonzero
+    entries of X and Y, both in the layout of `_GridPlan` with n rows in X,
+    keyed col * n + row; for each entry of Y in turn, those of the entries
+    of column r of X in their order. `_summed` adds them up to X Y."""
+    x_starts, x_rows, x_values = X
+    y_starts, y_rows, y_values = Y
+    first = x_starts[y_rows]
+    count = x_starts[y_rows + 1] - first
+    # product i pairs entry e[i] of Y with entry t[i] of X, running over
+    # first[e], ..., first[e] + count[e] - 1 for each e in turn
+    e = np.repeat(np.arange(len(y_rows)), count)
+    t = np.arange(len(e)) + (first - np.cumsum(count) + count)[e]
+    cols = np.repeat(np.arange(len(y_starts) - 1) * n, np.diff(y_starts))
+    return cols[e] + x_rows[t], x_values[t] * y_values[e]
+
+
+def _grid_peel(synthesis, k_max: int):
+    """A0, A at alpha = 0, from S0 = I - W, both in the layout of
+    `_GridPlan`: column j > 0 holds the exact peel weights of
+    delta(position j), column j - 1 of (I - W)^-1, and column 0 nothing.
+    W moves each point only to strictly coarser ones, so (I - W)^-1 =
+    sum_{t <= k_max} W^t. Its entries are positive dyadic rationals of size
+    at most 3^d over at most 2^(d k_max), far fewer than 53 significant bits
+    on the grids MAX_BASIS_POINTS admits, so every sum is exact."""
     starts, rows, values = synthesis
-    cols = np.repeat(np.arange(n), np.diff(starts))
-    off = rows != cols
-    u, v, w = rows[off], cols[off], -values[off]
-    # the rows come by level, coarsest first: level k is rows[lo[k]:lo[k + 1]]
-    lo = np.searchsorted(levels[1:], np.arange(k_max + 2))
-    pending = (np.arange(n), np.arange(1, n + 1), np.ones(n))
-    done = []
-    for k in range(k_max, -1, -1):
-        rows, cols, values = pending
-        at = rows >= lo[k]
-        key, values_k = _summed(rows[at] * (n + 1) + cols[at], values[at])
-        rows_k, cols_k = np.divmod(key, n + 1)
-        done.append((rows_k, cols_k, values_k))
-        # each neighbour u of a row v at this level takes w times each of
-        # row v's entries
-        t0, t1 = np.searchsorted(v, (lo[k], lo[k + 1]))
-        start = np.searchsorted(rows_k, v[t0:t1])
-        t, e = _ranges(start, np.searchsorted(rows_k, v[t0:t1], side="right") - start)
-        t += t0
-        pending = (
-            np.concatenate((rows[~at], u[t])),
-            np.concatenate((cols[~at], cols_k[e])),
-            np.concatenate((values[~at], w[t] * values_k[e])),
-        )
-    # done is row-major: reorder it by column, rows ascending
-    rows, cols, values = (np.concatenate(a) for a in zip(*done[::-1]))
-    order = np.flatnonzero(values)
-    order = order[np.argsort(cols[order], kind="stable")]
-    return np.searchsorted(cols[order], np.arange(n + 2)), rows[order], values[order]
+    n = len(starts) - 1
+    off = rows != np.repeat(np.arange(n), np.diff(starts))
+    # each column of S0 holds one diagonal entry
+    W = (starts - np.arange(n + 1), rows[off], -values[off])
+    terms = [(np.arange(n) * (n + 1), np.ones(n))]  # W^0 = I
+    for _ in range(k_max):
+        terms.append(_summed(*_products(_columns(*terms[-1], n, n), W, n)))
+    key, value = (np.concatenate(a) for a in zip(*terms))
+    # column j + 1 of A0 is column j of the sum
+    return _columns(*_summed(key + n, value), n, n + 1)
 
 
 class _GridPlan(NamedTuple):
@@ -568,12 +557,12 @@ def _grid_plan(d: int, k_max: int) -> _GridPlan:
     nums, levels, index = _grid(d, k_max)
     n = len(nums) - 1
     u, v, w = _coarse_triplets(nums, levels, index, k_max)
-    rows = np.concatenate((np.arange(n), u - 1))
-    cols = np.concatenate((np.arange(n), v - 1))
-    order = np.lexsort((rows, cols))
-    start = np.searchsorted(cols[order], np.arange(n + 1))
-    rows = rows[order]
-    synthesis = _read_only(start, rows, np.concatenate((np.ones(n), -w))[order])
+    # S0 = I - W: the unit diagonal, and -w at row u - 1 of column v - 1
+    key, values = _summed(
+        np.concatenate((np.arange(n) * (n + 1), (v - 1) * n + u - 1)),
+        np.concatenate((np.ones(n), -w)),
+    )
+    synthesis = start, rows, _ = _read_only(*_columns(key, values, n, n))
     coords = nums / 2.0**k_max
 
     # the basis element at position j + 1 is column j of S: its host is the
@@ -590,7 +579,7 @@ def _grid_plan(d: int, k_max: int) -> _GridPlan:
     return _GridPlan(
         *_read_only(nums, levels, coords),
         synthesis,
-        _read_only(*_grid_peel(levels, synthesis, k_max)),
+        _read_only(*_grid_peel(synthesis, k_max)),
         tuple(hosts),
         (*_read_only(beyond), points),
     )
@@ -629,18 +618,14 @@ def _grid_basis_norms(d: int, k_max: int, S, alpha: float, p: float) -> np.ndarr
 def _point_residuals(S, A) -> np.ndarray:
     """The sup norms of the N + 1 columns of R = S A - E, with S and A from
     `_analysis_operator` and column j of E the point evaluation
-    delta(position j), zero for the origin; R is summed from the products of
-    the nonzero entries of S and A, with no N x N array."""
-    s_starts, s_rows, s_values = S
-    starts, a_rows, a_values = A
-    n = len(starts) - 2
-    a_cols = np.repeat(np.arange(n + 1), np.diff(starts))
-    # A's entry e meets the entries t of S's column a_rows[e]
-    e, t = _ranges(s_starts[a_rows], s_starts[a_rows + 1] - s_starts[a_rows])
-    # keys column-major, col * n + row; E's entry of column j is at row j - 1
+    delta(position j), zero for the origin: each entry of R is the sum of
+    its products (`_products`) in their order, then E's entry -1."""
+    n = len(S[0]) - 1
+    key, products = _products(S, A, n)
+    # E's entry of column j is at row j - 1, added last to its sum
     key, entries = _summed(
-        np.concatenate((a_cols[e] * n + s_rows[t], np.arange(1, n + 1) * (n + 1) - 1)),
-        np.concatenate((s_values[t] * a_values[e], np.full(n, -1.0))),
+        np.concatenate((key, np.arange(1, n + 1) * (n + 1) - 1)),
+        np.concatenate((products, np.full(n, -1.0))),
     )
     cols = key // n
     first = np.flatnonzero(np.diff(cols, prepend=-1))
@@ -665,22 +650,19 @@ def _molecule_blocks(n_points: int, pair_budget: int):
 
 def _molecule_checks(coords, A, residuals, I, J, alpha, p):
     """(p-costs, reconstruction residual bounds) of the molecules at the
-    grid position pairs (I, J), with A from `_analysis_operator` and
+    grid position pairs (I, J), I < J, with A from `_analysis_operator` and
     residuals from `_point_residuals`; each depends on its pair alone.
 
     The molecule at (i, j) has the coefficients c = scale (A[:, i] - A[:, j])
     and the residual scale (R_i - R_j), scale = 1 / |u_i - u_j|_1^alpha. Its
-    cost is (sum |c|^p)^(1/p), summed over the nonzero entries of the two
-    columns in row order, and its bound scale (|R_i|_inf + |R_j|_inf)."""
+    cost is (sum |c|^p)^(1/p) over the two columns' supports in row order,
+    and its bound scale (|R_i|_inf + |R_j|_inf)."""
     scale = 1.0 / np.abs(coords[J] - coords[I]).sum(axis=1) ** alpha
-    starts, rows, values = A
     n, m = len(coords) - 1, len(I)
-    cols = np.concatenate((I, J))
-    # the entries of the columns I, then those of the columns J negated
-    t, e = _ranges(starts[cols], starts[cols + 1] - starts[cols])
-    v = values[e]
-    v[t >= m] *= -1.0
-    key, c = _summed(t % m * n + rows[e], v)
+    # column t of P is 1 at row I[t] and -1 at row J[t] > I[t]
+    rows, signs = np.empty(2 * m, dtype=I.dtype), np.ones(2 * m)
+    rows[::2], rows[1::2], signs[1::2] = I, J, -1.0
+    key, c = _summed(*_products(A, (np.arange(0, 2 * m + 1, 2), rows, signs), n))
     pair = key // n
     c *= scale[pair]
     costs = np.bincount(pair, np.abs(c) ** p, m) ** (1.0 / p)

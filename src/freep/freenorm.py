@@ -385,6 +385,14 @@ def _check_cap(k):
         )
 
 
+def _roots(costs: list[float], p: float) -> list[float]:
+    """cost^(1/p) of each least tree cost; a norm beyond the double range raises."""
+    try:
+        return [f ** (1.0 / p) for f in costs]
+    except OverflowError:
+        raise ValueError(f"p = {p} puts the norm beyond the double range; raise --p") from None
+
+
 def exact_norms(hosts, p: float) -> list[float]:
     """Exact free p-norms, values only, of a batch of elements in groups of
     hosts of one size each: a group is a pair (dist, weights), and element b
@@ -392,8 +400,8 @@ def exact_norms(hosts, p: float) -> list[float]:
     (B, n, n) by weights[b] (B, n - 1), point 0 being the base. The values
     come group by group. One `_subset_flows` call and one tree program for
     all groups; `exact_norm_small` is the one-host call, with a witness,
-    and the same cap applies, as does the refusal of a weight total beyond
-    the double range.
+    and the same cap applies, as do the refusals of a weight total and of
+    a norm beyond the double range.
 
     Nothing here checks dist: each dist[b] must be a metric, as the
     matrix of a `PointedFiniteMetric` is, or the values are not norms."""
@@ -405,7 +413,7 @@ def exact_norms(hosts, p: float) -> list[float]:
     fp = _subset_flows([W for _, W in hosts], p)[2]
     Dp = np.concatenate([D.ravel() for D, _ in hosts]) ** p
     F = _tree_table(prog, Dp, Dp[prog.terminal_rows], fp)
-    return [f ** (1.0 / p) for f in F[prog.roots].tolist()]
+    return _roots(F[prog.roots].tolist(), p)
 
 
 def _has_cycle(n, xs, ys):
@@ -486,7 +494,8 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
     DEFAULT_CAP on the support plus the base; the host itself may be larger.
     To restrict the molecules to a subset, build the induced subspace as the
     host. Beyond the cap, use the certified bound operations
-    (`upper_bound_from`, `dual_lower_bound`) instead.
+    (`upper_bound_from`, `dual_lower_bound`) instead. A norm beyond the
+    double range, at p near its floor, raises a ValueError.
     """
     p = check_p(p)
     _check_cap(len(m.weights))
@@ -516,7 +525,7 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
         if u != v and flow[S] > 0.0:
             W[u, v] += wsum[S]
             W[v, u] -= wsum[S]
-    return float(F[-1, host.base]) ** (1.0 / p), _forest_witness(host, W, Dp, p)
+    return _roots([float(F[-1, host.base])], p)[0], _forest_witness(host, W, Dp, p)
 
 
 # ---------------------------------------------------------------------------

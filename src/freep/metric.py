@@ -11,6 +11,7 @@ raises rather than being truncated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -144,6 +145,8 @@ def load_points(text: str) -> tuple[list[tuple[float, ...]], int]:
             coords = tuple(float(tok) for tok in ln.split())
         except ValueError:
             raise ValueError(f"point {ln!r} holds a coordinate that is not a number") from None
+        if not all(map(math.isfinite, coords)):
+            raise ValueError(f"point {ln!r} holds a coordinate that is not finite")
         if len(coords) != d:
             raise ValueError(f"point {ln!r} does not have {d} coordinates")
         points.append(coords)

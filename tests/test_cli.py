@@ -1,4 +1,3 @@
-import hashlib
 import json
 import warnings
 
@@ -8,6 +7,7 @@ import pytest
 from freep import cubes
 from freep.cli import main
 from freep.constants import EVAL_TOL, P_FLOOR
+from test_report_corpus import load as load_report_corpus
 
 
 def write(tmp_path, name, text):
@@ -121,16 +121,20 @@ def test_weights_whose_total_overflows_exit_2(capsys, tmp_path, p):
 
 
 def test_an_infinite_coordinate_exits_2(capsys, tmp_path):
-    space = write(tmp_path, "space.txt", "2 0\n0 0\ninf 0\n0 1\n")
+    # a coordinate that is not finite is refused on its own line, an inf
+    # and a nan alike, before any distance is taken
     element = write(tmp_path, "elem.txt", "1.0 1\n-1.0 2\n")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, out, err = run(capsys, ["--command", "norm", "--p", "0.5", "--in", space,
-                                      "--in", element])
-    assert code == 2
-    assert out == ""
-    assert "distance d(0,1) = inf is not finite" in err
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    for line in ("inf 0", "nan 0"):
+        space = write(tmp_path, "space.txt", f"2 0\n0 0\n{line}\n0 1\n")
+        for command in (["--command", "norm", "--p", "0.5"],
+                        ["--command", "decompose", "--alpha", "0.5"]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run(capsys, [*command, "--in", space, "--in", element])
+            assert code == 2, (line, command)
+            assert out == ""
+            assert f"point '{line}' holds a coordinate that is not finite" in err
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_a_p_below_the_floor_exits_2(capsys, tmp_path):
@@ -354,6 +358,25 @@ def test_constants_beyond_the_double_range_exit_2(capsys, args, message):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--command", "norm", "--p", "0.001", "--in", "README_SPACE", "--in", "README_ELEMENT"],
+     "p = 0.001 puts the norm beyond the double range; raise --p"),
+    (["--command", "norm", "--p", "1e-4", "--in", "README_SPACE", "--in", "README_ELEMENT"],
+     "p = 0.0001 puts the norm beyond the double range; raise --p"),
+    (["--command", "retraction-verify", "--p", "0.001", "--samples", "3", "--in", "L_SHAPE"],
+     "--p 0.001 --samples 3 take a constant beyond the double range; raise --p"),
+], ids=["norm-0.001", "norm-1e-4", "retraction-verify-file"])
+def test_values_beyond_the_double_range_name_no_flag_the_command_lacks(
+        capsys, tmp_path, args, message):
+    # none of these commands takes --d, so the advice names --p alone
+    files = {**COMPLEX_FILES, **README_FILES}
+    args = [write(tmp_path, a, files[a]) if a in files else a for a in args]
+    code, out, err = run(capsys, args)
+    assert code == 2
+    assert out == ""
+    assert message in err and "--d" not in err
+
+
 @pytest.mark.parametrize("flag, command", [
     ("R", ["--command", "lambda-check", "--d", "1"]),
     ("p", ["--command", "bm-report", "--alpha", "0.5", "--d", "2"]),
@@ -427,56 +450,41 @@ def test_retraction_verify_lower_bound_ignores_rounding_pairings(capsys, tmp_pat
     assert json.loads(out)["exact_norms_checked"] == 50
 
 
-# sha256 of the reports before the cube layer became one array kernel: the
-# README lambda-check and retraction-verify, and a lambda-check and a
-# retraction-verify on the two-square complex file as the benchmark runs them;
-# then, from before the upper decompositions became batched rows, three
-# retraction-verify runs whose pairs cross an L-shaped complex, a gap along
-# one axis, and d = 3 cubes at R = 0.7; then, from before the basis norms
-# became one tree-program call per host size, the README basis-verify, two
-# more basis-verify grids (d = 3 sends its centre to the fallback cost), and
-# the README norm report with its witness, on the README command files. The
-# three basis-verify reports were recorded again when the molecule residual
-# became the linearity bound over the point residuals and the report lost
-# basis_k_max, a copy of k_max; every other field kept its bytes.
-@pytest.mark.parametrize("args, digest", [
-    (["--command", "lambda-check", "--d", "3", "--R", "2", "--samples", "10000", "--seed", "0"],
-     "d76a1433a33d51be659dbb3f345409e3858c1f79e00d6db8d2ad68daa278796a"),
-    (["--command", "retraction-verify", "--d", "2", "--p", "0.5", "--seed", "7", "--samples", "1000"],
-     "b1675717b1b1f5d249ec564c6e41268aa42d69dc5afb4db22b8fc8505284ebe5"),
-    (["--command", "lambda-check", "--d", "3", "--R", "2", "--samples", "2000", "--seed", "3"],
-     "93ee04a1a40d8b7b0d5d8dcc4235500fe29c66e03586bd523448b84a62abf22e"),
-    (["--command", "retraction-verify", "--p", "0.8", "--seed", "3", "--samples", "200",
-      "--in", "TWO_SQUARES"],
-     "d7adf76a62afd3e2200c8653b72fa407d9601a1b4073b7fd857a673c76060f89"),
-    (["--command", "retraction-verify", "--p", "0.3", "--seed", "5", "--samples", "400",
-      "--in", "L_SHAPE"],
-     "d3d18c0437e1c5b4ebb59b9bfbbedba956b6515e79a337e0317a477ca3d53cdf"),
-    (["--command", "retraction-verify", "--p", "0.3", "--seed", "5", "--samples", "400",
-      "--in", "GAPPED"],
-     "ef2114aca426c0ec63ae3c2ccc01cbd0c7a63764637786525c62c1a6a08a1d50"),
-    (["--command", "retraction-verify", "--d", "3", "--p", "0.75", "--R", "0.7", "--seed", "2",
-      "--samples", "500"],
-     "bf749c1e61a679334aba106f344eb1ee0b8b5f6bcf1e43b0cbd1a74c2f0739e9"),
-    (["--command", "basis-verify", "--d", "2", "--alpha", "0.5", "--p", "0.5", "--kmax", "2"],
-     "803f5d7c45361005146d7e8d091f730a7e7771b457bdf7e029e2ceef5a6ae434"),
-    (["--command", "basis-verify", "--d", "1", "--kmax", "5", "--alpha", "0.7", "--p", "0.3"],
-     "cf49393fbc996756b100ce903f79644e7df334a999ac959a54448b7188a65c00"),
-    (["--command", "basis-verify", "--d", "3", "--kmax", "1", "--alpha", "0.25", "--p", "0.4"],
-     "9bbfe28b3dfda0537549789b61b383f948a7dbd7c3efaae02c5773b50ee638d5"),
-    (["--command", "norm", "--p", "0.5", "--alpha", "0.5", "--in", "README_SPACE",
-      "--in", "README_ELEMENT"],
-     "69290d445abb052f90c43a323d369bc9218bf46ca17a7bff378481f6dbbd884f"),
+# the corpus names of the input files above
+CORPUS_FILES = {"TWO_SQUARES": "two_squares.txt", "L_SHAPE": "L.txt", "GAPPED": "gapped.txt",
+                "README_SPACE": "space.txt", "README_ELEMENT": "element.txt"}
+
+
+@pytest.mark.parametrize("args", [
+    ["--command", "lambda-check", "--d", "3", "--R", "2", "--samples", "10000", "--seed", "0"],
+    ["--command", "retraction-verify", "--d", "2", "--p", "0.5", "--seed", "7", "--samples", "1000"],
+    ["--command", "lambda-check", "--d", "3", "--R", "2", "--samples", "2000", "--seed", "3"],
+    ["--command", "retraction-verify", "--p", "0.8", "--seed", "3", "--samples", "200",
+     "--in", "TWO_SQUARES"],
+    ["--command", "retraction-verify", "--p", "0.3", "--seed", "5", "--samples", "400",
+     "--in", "L_SHAPE"],
+    ["--command", "retraction-verify", "--p", "0.3", "--seed", "5", "--samples", "400",
+     "--in", "GAPPED"],
+    ["--command", "retraction-verify", "--d", "3", "--p", "0.75", "--R", "0.7", "--seed", "2",
+     "--samples", "500"],
+    ["--command", "basis-verify", "--d", "2", "--alpha", "0.5", "--p", "0.5", "--kmax", "2"],
+    ["--command", "basis-verify", "--d", "1", "--kmax", "5", "--alpha", "0.7", "--p", "0.3"],
+    ["--command", "basis-verify", "--d", "3", "--kmax", "1", "--alpha", "0.25", "--p", "0.4"],
+    ["--command", "norm", "--p", "0.5", "--alpha", "0.5", "--in", "README_SPACE",
+     "--in", "README_ELEMENT"],
 ], ids=["readme-lambda-check", "readme-retraction-verify", "lambda-check-2000",
         "retraction-verify-two-squares", "retraction-verify-L", "retraction-verify-gapped",
         "retraction-verify-d3", "readme-basis-verify", "basis-verify-d1", "basis-verify-d3",
         "readme-norm"])
-def test_reports_are_byte_stable(capsys, tmp_path, args, digest):
+def test_reports_are_byte_stable(args):
+    """The report is a run of scripts/report_corpus.py on input files of the
+    same bytes, so the corpus aggregate digest (tests/test_report_corpus.py)
+    pins its bytes."""
+    corpus = load_report_corpus()
+    assert [CORPUS_FILES.get(a, a) for a in args] in corpus.corpus_runs()
     files = {**COMPLEX_FILES, **README_FILES}
-    args = [write(tmp_path, a, files[a]) if a in files else a for a in args]
-    code, out, _ = run(capsys, args)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    for name in set(args) & set(CORPUS_FILES):
+        assert corpus._files()[CORPUS_FILES[name]] == files[name]
 
 
 @pytest.mark.parametrize("command", [

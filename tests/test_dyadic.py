@@ -44,8 +44,10 @@ from freep.dyadic import (
     _molecule_checks,
     _peel,
     _point_residuals,
+    _products,
     _proof_cost,
     _step_element,
+    _summed,
 )
 from freep.freenorm import DEFAULT_CAP, _tree_program, coefficient_cost, exact_norm_small, exact_norms
 from freep.metric import DyadicPoint, PointedFiniteMetric, dyadic_grid
@@ -529,6 +531,50 @@ def test_analysis_operator_equals_the_per_point_oracle(d, k):
             n = len(nums) - 1
             assert dense(S, n).tobytes() == S_want.tobytes(), (alpha, cold)
             assert dense(A, n).tobytes() == A_want.tobytes(), (alpha, cold)
+
+
+def layout(M):
+    """The nonzero entries of a dense matrix by columns, rows ascending:
+    (starts, rows, values), the layout of the grid plan."""
+    cols, rows = np.nonzero(M.T)
+    return np.searchsorted(cols, np.arange(M.shape[1] + 1)), rows, M[rows, cols]
+
+
+def sparse_pair(rng, n, r, m):
+    """X (n, r) and Y (r, m) with small integer entries, so that every sum
+    is exact, and with empty columns in X and in Y, a Y entry on the row of
+    an empty X column, and a product sum that cancels to exactly 0."""
+    X = rng.integers(-3, 4, (n, r)) * (rng.random((n, r)) < 0.4)
+    Y = rng.integers(-3, 4, (r, m)) * (rng.random((r, m)) < 0.4)
+    X[:, 0] = Y[:, 1] = 0
+    Y[0, 2] = 5
+    X[:, 1], X[:, 2] = 0, X[:, 3]
+    X[0, 2] = X[0, 3] = 2
+    Y[:, 4] = 0
+    Y[2, 4], Y[3, 4] = 1, -1
+    return X.astype(float), Y.astype(float)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sparse_products_equal_the_dense_product(seed):
+    """`_products` lists X[row, r] Y[r, col] for each entry of Y in turn,
+    over the entries of column r of X, keyed col * n + row, and `_summed`
+    adds them up to the dense X @ Y at its keys, zeros elsewhere; a sum that
+    cancels keeps its key with the value 0."""
+    rng = np.random.default_rng(seed)
+    n, r, m = rng.integers(5, 30, 3)
+    X, Y = sparse_pair(rng, n, r, m)
+    key, products = _products(layout(X), layout(Y), n)
+    want = [(col * n + row, X[row, k] * Y[k, col])
+            for col in range(m) for k in np.flatnonzero(Y[:, col])
+            for row in np.flatnonzero(X[:, k])]
+    assert list(zip(key.tolist(), products.tolist())) == want
+    key, sums = _summed(key, products)
+    assert (np.diff(key) > 0).all()
+    got = np.zeros((m, n))
+    got.ravel()[key] = sums
+    assert np.array_equal(got.T, X @ Y)
+    assert 4 * n + 0 in key.tolist() and sums[key.tolist().index(4 * n)] == 0.0
 
 
 def dense_residuals(S, A, n):

@@ -636,6 +636,20 @@ def test_a_p_below_the_floor_is_refused():
             upper_bound_from(m, p, witness)
 
 
+def test_a_norm_beyond_the_double_range_is_refused():
+    # the norm of delta(1) + delta(2) is 2^(1/p): a double at p = 0.001,
+    # beyond the double range at p = 3e-7, where the last power overflows
+    s = l1_space([(0, 0), (1, 0), (0, 1)], base=0)
+    m = FreeElement(s, {1: 1.0, 2: 1.0})
+    group = [(s.dist[None], np.array([[1.0, 1.0]]))]
+    assert exact_norm_small(m, 0.001)[0] == 1.0715086071862673e301
+    assert exact_norms(group, 0.001) == [1.0715086071862673e301]
+    with pytest.raises(ValueError, match="p = 3e-07 puts the norm beyond the double range"):
+        exact_norm_small(m, 3e-7)
+    with pytest.raises(ValueError, match="p = 3e-07 puts the norm beyond the double range"):
+        exact_norms(group, 3e-7)
+
+
 def test_equal_cost_trees_at_p1_give_a_forest():
     # l1 lattice and dyadic weights: pushing weight around a cycle is free
     s = l1_space([(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)], base=0)

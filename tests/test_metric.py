@@ -187,6 +187,8 @@ def test_point_file_errors():
     ("2 x\n0 0\n1 1\n", "first line '2 x' must hold the dimension and the base index"),
     ("2 0 1\n0 0\n1 1\n", "first line '2 0 1' must hold the dimension and the base index"),
     ("2 0\n0 0\n1 y\n", "point '1 y' holds a coordinate that is not a number"),
+    ("2 0\n0 0\ninf 0\n0 1\n", "point 'inf 0' holds a coordinate that is not finite"),
+    ("2 0\n0 0\n0 nan\n", "point '0 nan' holds a coordinate that is not finite"),
 ])
 def test_point_file_parse_errors_name_the_line(text, message):
     with pytest.raises(ValueError, match=message):
