@@ -10,7 +10,7 @@ from pathlib import Path
 
 from freep.cubes import CubeComplex
 from freep.reportio import report_json
-from freep.retraction import SamplerConfig, build_context, estimate_lipschitz
+from freep.retraction import build_context, estimate_lipschitz
 
 COMPLEXES = {
     1: CubeComplex(d=1, R=1.0, offsets=((0,), (1,), (2,), (3,))),
@@ -33,11 +33,9 @@ def main():
     print(header)
     print("-" * len(header))
     for d, complex in COMPLEXES.items():
+        ctx = build_context(complex)
         for p in (1.0, 0.75, 0.5):
-            ctx = build_context(complex, p)
-            report = estimate_lipschitz(
-                ctx, SamplerConfig(n_samples=args.samples, seed=args.seed)
-            )
+            report = estimate_lipschitz(ctx, p, args.samples, args.seed)
             print(
                 f"{d:>2} {p:>5.2f} {report['theoretical_lower']:>9.4f} "
                 f"{report['max_lower_ratio']:>9.4f} {report['max_upper_cost_ratio']:>9.4f} "

@@ -56,7 +56,6 @@ from .metric import (
 )
 from .retraction import (
     RetractionContext,
-    SamplerConfig,
     build_context,
     estimate_lipschitz,
     lipschitz_upper_decomposition,

@@ -160,13 +160,12 @@ def _cmd_norm(cfg):
 
 def _cmd_retraction_verify(cfg):
     p, = _need(cfg, "p")
-    complex = _load_complex(cfg)
-    ctx = retraction.build_context(complex, p)
-    sampler = retraction.SamplerConfig(
-        n_samples=cfg["samples"] if cfg["samples"] is not None else 200,
-        seed=cfg["seed"] if cfg["seed"] is not None else 0,
+    report = retraction.estimate_lipschitz(
+        retraction.build_context(_load_complex(cfg)),
+        p,
+        cfg["samples"] if cfg["samples"] is not None else 200,
+        cfg["seed"] if cfg["seed"] is not None else 0,
     )
-    report = retraction.estimate_lipschitz(ctx, sampler)
     report["command"] = "retraction-verify"
     failures = []
     if report["max_upper_cost_ratio"] > report["theoretical_upper"] * (1 + EVAL_TOL):
@@ -219,7 +218,7 @@ def _cmd_decompose(cfg):
         "residual": residual,
     }
     failures = []
-    if residual > EVAL_TOL:
+    if residual > freenorm.residual_tol(weights):
         failures.append("basis coefficients do not reconstruct the element")
     return report, failures
 

@@ -674,7 +674,7 @@ def verify_norming(
     alpha: float,
     p: float,
     k_max: int,
-    pair_budget: int = 100_000,
+    pair_budget: int = (MAX_BASIS_POINTS + 1) * MAX_BASIS_POINTS // 2,
 ) -> dict:
     """Certify the two-sided norming estimates at desk scale.
 
@@ -683,8 +683,9 @@ def verify_norming(
     decomposed with its cost recorded against tau^d rho^d and its
     reconstruction residual bounded by linearity (`_molecule_checks`). The
     report carries the resulting norming bound C(p, 2^d) rho^d tau^d and a
-    completeness flag (the pair budget trims oversized grids, keeping the
-    first pairs of `combinations(grid, 2)`). The alpha-free part of the
+    completeness flag (a pair budget below the grid's pair count keeps the
+    first pairs of `combinations(grid, 2)`; the default covers every pair
+    of every admitted grid). The alpha-free part of the
     work is cached per grid (`_grid_plan`). A grid of more than
     MAX_BASIS_POINTS basis points raises before any work, and so do a d
     that is not an integer >= 1 and a k_max or pair_budget that is not an

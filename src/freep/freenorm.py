@@ -170,13 +170,20 @@ def p_cost(decomp: Decomposition, p: float) -> float:
     return float(coefficient_cost(np.array([a for a, _ in decomp.terms]), check_p(p)))
 
 
+def residual_tol(weights: dict) -> float:
+    """The largest coordinate residual a reconstruction of the weights may
+    leave: EVAL_TOL times their largest |weight|, so the check does not
+    depend on the scale of the weights."""
+    return EVAL_TOL * max(map(abs, weights.values()), default=0.0)
+
+
 def upper_bound_from(m: FreeElement, p: float, decomp: Decomposition) -> float:
     """Certified upper bound: the cost of a decomposition verified to
-    reproduce m within EVAL_TOL per coordinate."""
+    reproduce m within `residual_tol(m.weights)` per coordinate."""
     if decomp.host is not m.host:
         raise ValueError("decomposition host differs from the element host")
     residual = evaluate(decomp).max_weight_diff(m)
-    if residual > EVAL_TOL:
+    if residual > residual_tol(m.weights):
         raise ValueError(
             f"decomposition does not evaluate to the element "
             f"(max coordinate residual {residual:.3e})"

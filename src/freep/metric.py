@@ -105,7 +105,9 @@ def lattice_l1_space(
     if not pts:
         raise ValueError("need at least one lattice point")
     arr = np.array(pts, dtype=np.int64)
-    dist = float(scale) * np.abs(arr[:, None, :] - arr[None, :, :]).sum(axis=2)
+    # a product beyond the double range is inf, which the constructor names
+    with np.errstate(over="ignore"):
+        dist = float(scale) * np.abs(arr[:, None, :] - arr[None, :, :]).sum(axis=2)
     return PointedFiniteMetric(tuple(pts), base, dist)
 
 

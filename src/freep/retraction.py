@@ -2,10 +2,10 @@
 
 A point of the cube union maps to the multilinear vertex-weight combination
 of point evaluations over the vertex set with the subspace l1 metric. The
-module builds the explicit decompositions certifying the upper Lipschitz
-bound C(p, 2^(d-1)) C(p, d) C(p, 3), the cross-axis witness pair with its
-indicator dual certificate reaching the lower bound C(p, 2^(d-1)), and a
-seeded sampling harness reporting both extremes.
+module gives the explicit decompositions certifying the upper Lipschitz
+bound C(p, 2^(d-1)) C(p, d) C(p, 3), the cross-axis witness pair whose
+indicator dual certificate reaches the lower bound C(p, 2^(d-1)), and a
+seeded sampling harness reporting both extremes as ratios over |x - y|_1.
 """
 
 from __future__ import annotations
@@ -48,15 +48,13 @@ EXACT_CHECK_SAMPLES = 50
 @dataclass(frozen=True)
 class RetractionContext:
     complex: CubeComplex
-    p: float
     vertex_space: PointedFiniteMetric
 
 
-def build_context(complex: CubeComplex, p: float) -> RetractionContext:
+def build_context(complex: CubeComplex) -> RetractionContext:
     """Pair a complex with the metric space over its vertices."""
-    p = check_p(p)
     base = int(vertex_ids(complex, complex.base_vertex))
-    return RetractionContext(complex, p, lattice_l1_space(complex.vertices(), complex.R, base=base))
+    return RetractionContext(complex, lattice_l1_space(complex.vertices(), complex.R, base=base))
 
 
 def retract(ctx: RetractionContext, x) -> FreeElement:
@@ -81,20 +79,14 @@ def _images(ctx: RetractionContext, X) -> tuple[np.ndarray, list[FreeElement]]:
 
 
 def lipschitz_upper_decomposition(ctx: RetractionContext, x, y) -> Decomposition:
-    """Explicit decomposition of r(x) - r(y) whose cost is at most
-    C(p, 2^(d-1)) C(p, d) C(p, 3) |x - y|_1.
+    """A decomposition of r(x) - r(y) whose p-cost is at most
+    C(p, 2^(d-1)) C(p, d) C(p, 3) |x - y|_1 for every p in (0, 1].
 
-    Within one cube the coordinatewise zigzag suffices; across cubes the
-    points are first moved to the facing integer faces (x', y'), whose
-    difference is a lattice vector handled by vertex translation. When a
-    facing integer coordinate is ambiguous the smaller value is taken.
-
-    The terms come in rows, each weighing one point in one cube and moving
-    the weight of every vertex v it supports to v + s for a lattice step s.
-    A zigzag step along axis i is the step pair's common point with its
-    local coordinate t_i set to 0, scaled by the signed step, with s = e_i
-    and molecules (v + s, v). The bridge is x' in x's cube, scaled by
-    |x' - y'|_1, with s = y' - x' and molecules (v, v + s).
+    Within one cube it is the coordinatewise zigzag; across cubes the path
+    runs through the facing integer faces x' and y' (the smaller one where a
+    facing coordinate is ambiguous), and the bridge moves each vertex v that
+    x' weighs in x's cube to v + (y' - x'), scaled by |x' - y'|_1. A point
+    outside the union raises ValueError.
     """
     X = as_points(ctx.complex, x, y)
     W = find_cubes(ctx.complex, X)
@@ -176,8 +168,6 @@ def _witness_pair(d: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 @dataclass(frozen=True)
 class WitnessResult:
-    x: tuple[float, ...]
-    y: tuple[float, ...]
     element: FreeElement
     certificate: DualCertificate
     certified_value: float
@@ -186,62 +176,57 @@ class WitnessResult:
     @cached_property
     def upper_decomposition(self) -> Decomposition:
         """The element along the 2^(d-1) vertical edges, 2^-(d-1) on each."""
-        return lipschitz_upper_decomposition(self.context, self.y, self.x)
+        x, y = _witness_pair(self.context.complex.d)
+        return lipschitz_upper_decomposition(self.context, y, x)
 
 
 def lower_bound_witness(d: int, p: float) -> WitnessResult:
-    """The cross-axis pair on the unit cube whose image difference has free
-    p-norm exactly C(p, 2^(d-1)) while |x - y|_1 = 1.
-
-    x and y sit at the centers of the bottom and top facets; the image
-    difference spreads over the 2^(d-1) vertical edges with equal weights,
-    the indicator certificate matches the upper decomposition along those
-    edges, and the two certified bounds coincide.
-    """
+    """r(y) - r(x) for the cross-axis pair x, y on the unit cube, the centers
+    of its bottom and top facets, with |x - y|_1 = 1: the indicator
+    certificate bounds its free p-norm below by C(p, 2^(d-1)), the cost of
+    its decomposition along the 2^(d-1) vertical edges. A d that is not an
+    integer >= 1 or a p outside [P_FLOOR, 1] raises ValueError."""
     p = check_p(p)
     d = check_count("d", d, 1)
-    complex = CubeComplex(d=d, R=1.0, offsets=((0,) * d,), base_vertex=(0,) * d)
-    ctx = build_context(complex, p)
-    x, y = _witness_pair(d)
-    _, (image_x, image_y) = _images(ctx, np.array([x, y]))
+    ctx = build_context(CubeComplex(d=d, R=1.0, offsets=((0,) * d,), base_vertex=(0,) * d))
+    _, (image_x, image_y) = _images(ctx, np.array(_witness_pair(d)))
     element = image_y - image_x
     cert = vertex_indicator_certificate(ctx.vertex_space)
-    return WitnessResult(x, y, element, cert, dual_lower_bound(element, p, cert), ctx)
+    return WitnessResult(element, cert, dual_lower_bound(element, p, cert), ctx)
 
 
 # ---------------------------------------------------------------------------
 # sampling harness
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    n_samples: int = 200
-    seed: int = 0
+def estimate_lipschitz(ctx: RetractionContext, p: float, n_samples: int, seed: int) -> dict:
+    """Report the certified Lipschitz evidence for the retraction at p over
+    the cross-axis witness pair and `n_samples` pairs drawn from the cube
+    union by a generator seeded with `seed`.
 
-
-def estimate_lipschitz(ctx: RetractionContext, config: SamplerConfig) -> dict:
-    """Sample point pairs in the cube union and report the certified
-    Lipschitz evidence for the retraction.
-
-    The cross-axis witness pair comes first, then `n_samples` seeded
-    pairs. Every pair contributes a dual lower bound ratio and the proof
-    decomposition's cost ratio; the theoretical sandwich and the witness
-    value accompany them. Exact norms are cross-checked only when the vertex
-    count is within the engine cap, and the report says whether they were.
-    All sampled points are weighed in one kernel call and the rows of all
-    upper decompositions in one more; the one indicator certificate, checked
-    when it is made, bounds every image difference.
+    Over the pairs of distinct points it reports the largest dual lower
+    bound and the largest decomposition p-cost, each divided by
+    |x - y|_1, and the largest reconstruction residual of a decomposition,
+    next to the theoretical sandwich and the witness value. On complexes of
+    at most EXACT_NORM_CAP vertices the first EXACT_CHECK_SAMPLES ratios are
+    checked against the exact norm, within EVAL_TOL, and
+    `exact_norms_checked` counts them; a ratio the exact norm escapes raises
+    AssertionError. A p outside [P_FLOOR, 1] or a count that is not an
+    integer >= 0 raises ValueError.
     """
-    complex, p = ctx.complex, ctx.p
+    p = check_p(p)
+    n_samples = check_count("n_samples", n_samples, 0)
+    seed = check_count("seed", seed, 0)
+    complex = ctx.complex
     # first, so that flags whose constants leave the double range stop here
     lower_const, upper_const = retraction_bounds(p, complex.d)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     offsets = np.array(complex.offsets, dtype=float)
     R = complex.R
 
     unit_x, unit_y = np.array(_witness_pair(complex.d))
     pairs = [(R * (offsets[0] + unit_x), R * (offsets[0] + unit_y))]
-    for _ in range(config.n_samples):
+    for _ in range(n_samples):
         wa = offsets[rng.integers(len(offsets))]
         wb = offsets[rng.integers(len(offsets))]
         pairs.append((R * (wa + rng.random(complex.d)), R * (wb + rng.random(complex.d))))
@@ -269,9 +254,9 @@ def estimate_lipschitz(ctx: RetractionContext, config: SamplerConfig) -> dict:
         max_cost = max(max_cost, cost)
         max_residual = max(max_residual, residual)
         if exact_ok and exact_checked < EXACT_CHECK_SAMPLES:
-            norm, _ = exact_norm_small(m, p)
+            norm = exact_norm_small(m, p)[0] / l1
             exact_checked += 1
-            if not (lower * l1 <= norm + EVAL_TOL and norm <= cost * l1 + EVAL_TOL):
+            if not (lower <= norm + EVAL_TOL and norm <= cost + EVAL_TOL):
                 raise AssertionError("exact norm escaped its certified bounds")
 
     witness = lower_bound_witness(complex.d, p)
@@ -281,7 +266,7 @@ def estimate_lipschitz(ctx: RetractionContext, config: SamplerConfig) -> dict:
         "R": R,
         "complex": [list(w) for w in complex.offsets],
         "n_samples": len(pairs),
-        "seed": config.seed,
+        "seed": seed,
         "max_lower_ratio": max_lower,
         "max_upper_cost_ratio": max_cost,
         "max_reconstruction_residual": max_residual,

@@ -125,8 +125,8 @@ def test_criterion_05_upper_bound_sampling():
         for cfg_idx, complex in enumerate(COMPLEXES):
             d = complex.d
             offsets = np.array(complex.offsets, dtype=float)
+            ctx = build_context(complex)
             for p in (1.0, 0.5):
-                ctx = build_context(complex, p)
                 _, upper = retraction_bounds(p, d)
                 rng = np.random.default_rng(500 + cfg_idx)
                 for _ in range(10**3):
@@ -251,7 +251,7 @@ def test_criterion_09_symmetries():
         }
         for _ in range(50):
             d = int(rng.integers(1, 4))
-            ctx = build_context(complexes[d], 0.5)
+            ctx = build_context(complexes[d])
             x = np.array([rng.random() for _ in range(d)])
             s = np.zeros(d)
             s[0] = float(rng.integers(1, 3))

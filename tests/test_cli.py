@@ -222,6 +222,36 @@ def test_retraction_verify_from_complex_file(capsys, tmp_path):
     assert report["max_upper_cost_ratio"] <= 1 + 1e-9
 
 
+@pytest.mark.parametrize("source", ["1e8", "1e12", "file-1e300"])
+def test_retraction_verify_checks_its_ratios_at_any_scale(capsys, tmp_path, source):
+    # the exact norms are cross-checked as ratios over |x - y|_1, so the
+    # scale R neither breaks the check nor changes how many pairs it covers
+    if source.startswith("file"):
+        scaled = ["--in", write(tmp_path, "cx.txt", "1 1e300\n5\n5\n")]
+        unit = ["--in", write(tmp_path, "unit.txt", "1 1\n5\n5\n")]
+    else:
+        scaled, unit = ["--d", "2", "--R", source], ["--d", "2"]
+    argv = ["--command", "retraction-verify", "--p", "0.5", "--samples", "200"]
+    for seed in ("0", "1", "2", "3"):
+        code, out, err = run(capsys, [*argv, *unit, "--seed", seed])
+        assert code == 0, err
+        checked = json.loads(out)["exact_norms_checked"]
+        code, out, err = run(capsys, [*argv, *scaled, "--seed", seed])
+        assert code == 0, (seed, err)
+        assert json.loads(out)["exact_norms_checked"] == checked > 0
+
+
+def test_a_scale_whose_distances_overflow_exits_2_without_warnings(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            capsys, ["--command", "retraction-verify", "--d", "2", "--p", "0.5", "--R", "1e308"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: distance d(0,3) = inf is not finite\n"
+    assert not caught
+
+
 def test_basis_verify(capsys):
     code, out, _ = run(
         capsys,
@@ -242,6 +272,18 @@ def test_basis_verify_default_budget_covers_the_d2_level4_grid(capsys):
          "--p", "0.5", "--kmax", "4"],
     )
     assert code == 0
+    assert json.loads(out)["complete"] is True
+
+
+def test_basis_verify_default_budget_covers_the_d1_level9_grid(capsys):
+    # 131,328 molecule pairs, more than the old default budget of 100,000;
+    # the default now covers every grid MAX_BASIS_POINTS admits
+    code, out, err = run(
+        capsys,
+        ["--command", "basis-verify", "--d", "1", "--alpha", "0.5",
+         "--p", "0.5", "--kmax", "9"],
+    )
+    assert code == 0, err
     assert json.loads(out)["complete"] is True
 
 
@@ -325,6 +367,20 @@ def test_decompose(capsys, space_file, element_file):
     report = json.loads(out)
     assert report["residual"] <= 1e-9
     assert report["n_terms"] == len(report["coefficients"]) == 2
+
+
+def test_decompose_takes_a_large_element_within_its_rounding(capsys, tmp_path):
+    # the residual is 1.2e-7 at weights of order 1e9 and exactly 0 at order 1:
+    # the slack scales with the element's largest weight
+    space = write(tmp_path, "space.txt", "2 0\n0 0\n0.5 0\n0.5 0.25\n1 1\n0.25 0.75\n")
+    for scale in (1.0, 1e9):
+        weights = [scale, -0.5 * scale, 0.25 * scale, 0.75 * scale]
+        lines = "".join(f"{w!r} {i}\n" for i, w in enumerate(weights, 1))
+        element = write(tmp_path, "elem.txt", lines)
+        code, out, err = run(
+            capsys, ["--command", "decompose", "--alpha", "0.5", "--in", space, "--in", element])
+        assert code == 0, (scale, err)
+        assert json.loads(out)["residual"] <= EVAL_TOL * scale
 
 
 def test_decompose_refuses_a_base_off_the_origin(capsys, tmp_path):

@@ -351,6 +351,27 @@ def test_upper_bound_rejects_wrong_decomposition():
         upper_bound_from(m, 0.5, wrong)
 
 
+def test_upper_bound_refuses_to_drop_a_tiny_element():
+    # the exact norm is 7.46e-12 at p = 0.5; under an absolute slack of
+    # EVAL_TOL the empty decomposition certified 0.0
+    s = l1_space([(0, 0), (1, 0), (0, 1)], base=0)
+    m = FreeElement(s, {1: 1e-12, 2: -3e-12})
+    assert exact_norm_small(m, 0.5)[0] == pytest.approx(7.464101615137753e-12, rel=1e-12)
+    with pytest.raises(ValueError, match="residual"):
+        upper_bound_from(m, 0.5, Decomposition(s, ()))
+
+
+def test_upper_bound_takes_optimal_witnesses_of_large_elements():
+    # at weights of order 1e9 an optimal witness reproduces the element
+    # within a few 1e-7, its rounding at that scale
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        space = l1_space(rng.random((6, 2)), base=0)
+        m = FreeElement(space, {i: 1e9 * float(rng.normal()) for i in range(1, 6)})
+        for p, (value, witness) in ((0.5, exact_norm_small(m, 0.5)), (1.0, exact_norm_p1(m))):
+            assert upper_bound_from(m, p, witness) == pytest.approx(value, rel=1e-9), (seed, p)
+
+
 def test_dual_lower_bound_examples():
     s = l1_space([(0, 0), (0, 1), (1, 0), (1, 1)], base=0)
     zero = FreeElement(s, {})

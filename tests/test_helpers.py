@@ -5,7 +5,7 @@ import numpy as np
 from freep.cli import main
 from freep.cubes import CubeComplex
 from freep.metric import replaced
-from freep.retraction import SamplerConfig, build_context, estimate_lipschitz, retract
+from freep.retraction import build_context, estimate_lipschitz, retract
 
 
 def test_coordinate_helpers():
@@ -15,16 +15,15 @@ def test_coordinate_helpers():
 
 def test_negative_offsets_and_fractional_scale():
     cx = CubeComplex(d=2, R=0.5, offsets=((-1, 0), (0, 0)))
-    ctx = build_context(cx, 1.0)
+    ctx = build_context(cx)
     m = retract(ctx, np.array([-0.2, 0.3]))
     assert m.weights and all(0 < w < 1 for w in m.weights.values())
 
 
 def test_harness_report_is_deterministic():
     cx = CubeComplex(d=2, R=1.0, offsets=((0, 0), (1, 0)))
-    ctx = build_context(cx, 0.5)
-    cfg = SamplerConfig(n_samples=25, seed=3)
-    assert estimate_lipschitz(ctx, cfg) == estimate_lipschitz(ctx, cfg)
+    ctx = build_context(cx)
+    assert estimate_lipschitz(ctx, 0.5, 25, 3) == estimate_lipschitz(ctx, 0.5, 25, 3)
 
 
 def test_cli_seeded_report_bytes_are_stable(capsys, tmp_path):

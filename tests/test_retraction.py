@@ -17,7 +17,6 @@ from freep.freenorm import evaluate, p_cost, upper_bound_from
 from freep.retraction import (
     _images,
     _upper_decompositions,
-    SamplerConfig,
     build_context,
     estimate_lipschitz,
     lipschitz_upper_decomposition,
@@ -37,7 +36,7 @@ def test_retract_at_vertices_is_unit_evaluation():
     # L-shaped complex lies an ulp off v and is still weighed as the vertex
     L_SHAPE = CubeComplex(d=2, R=0.7, offsets=((0, 0), (1, 0), (1, 1), (2, 1)))
     for complex in (UNIT_SQUARE, L_SHAPE):
-        ctx = build_context(complex, 0.5)
+        ctx = build_context(complex)
         for v in complex.vertices():
             m = retract(ctx, complex.R * np.array(v, dtype=float))
             if v == complex.base_vertex:
@@ -47,16 +46,16 @@ def test_retract_at_vertices_is_unit_evaluation():
 
 
 def test_retract_examples():
-    ctx1 = build_context(CubeComplex(d=1, R=1.0, offsets=((0,),)), 1.0)
+    ctx1 = build_context(CubeComplex(d=1, R=1.0, offsets=((0,),)))
     m = retract(ctx1, (0.3,))
     assert m.weights == pytest.approx({vertex_index(ctx1, (1,)): 0.3})
-    ctx2 = build_context(UNIT_SQUARE, 1.0)
+    ctx2 = build_context(UNIT_SQUARE)
     m2 = retract(ctx2, (0.5, 0.5))
     assert sorted(m2.weights.values()) == pytest.approx([0.25, 0.25, 0.25])
 
 
 def test_translate_identity_and_covariance():
-    ctx = build_context(TWO_CUBES_1D, 0.5)
+    ctx = build_context(TWO_CUBES_1D)
     m = retract(ctx, (0.3,))
     assert translate_element(ctx, m, (0.0,)).max_weight_diff(m) == 0.0
     shifted = translate_element(ctx, m, (1.0,))
@@ -66,7 +65,7 @@ def test_translate_identity_and_covariance():
 
 
 def test_translate_errors():
-    ctx = build_context(TWO_CUBES_1D, 0.5)
+    ctx = build_context(TWO_CUBES_1D)
     m = retract(ctx, (0.3,))
     with pytest.raises(ValueError, match="lattice"):
         translate_element(ctx, m, (0.5,))
@@ -75,7 +74,7 @@ def test_translate_errors():
 
 
 def test_points_outside_the_union_raise():
-    ctx = build_context(TWO_CUBES_1D, 0.5)
+    ctx = build_context(TWO_CUBES_1D)
     with pytest.raises(ValueError, match="outside"):
         retract(ctx, (2.5,))
     with pytest.raises(ValueError, match="outside"):
@@ -103,7 +102,7 @@ def test_rescale_check_random_d2():
 
 
 def test_upper_decomposition_trivial_and_single_axis():
-    ctx = build_context(CubeComplex(d=3, R=1.0, offsets=((0, 0, 0),)), 0.5)
+    ctx = build_context(CubeComplex(d=3, R=1.0, offsets=((0, 0, 0),)))
     x = np.array([0.2, 0.7, 0.1])
     assert lipschitz_upper_decomposition(ctx, x, x).terms == ()
     y = x.copy()
@@ -117,7 +116,7 @@ def test_upper_decomposition_trivial_and_single_axis():
 
 def test_upper_decomposition_cross_cube_band():
     complex = CubeComplex(d=2, R=1.0, offsets=((0, 0), (1, 0)))
-    ctx = build_context(complex, 0.5)
+    ctx = build_context(complex)
     rng = np.random.default_rng(21)
     _, upper = retraction_bounds(0.5, 2)
     for _ in range(200):
@@ -161,7 +160,7 @@ def test_indicator_certificate_matches_the_oracle(d):
     for offsets in complex_shapes(d).values():
         # the last offset as the base, so it is not always vertex 0
         complex = CubeComplex(d=d, R=0.7, offsets=offsets, base_vertex=offsets[-1])
-        space = build_context(complex, 0.5).vertex_space
+        space = build_context(complex).vertex_space
         cert = vertex_indicator_certificate(space)
         F, activity = oracle_indicator_certificate(space)
         assert cert.functions.tobytes() == F.tobytes()
@@ -169,8 +168,8 @@ def test_indicator_certificate_matches_the_oracle(d):
 
 
 def test_harness_d1_band_and_report():
-    ctx = build_context(TWO_CUBES_1D, 0.5)
-    report = estimate_lipschitz(ctx, SamplerConfig(n_samples=100, seed=4))
+    ctx = build_context(TWO_CUBES_1D)
+    report = estimate_lipschitz(ctx, 0.5, n_samples=100, seed=4)
     assert report["theoretical_lower"] == 1.0
     assert report["theoretical_upper"] == pytest.approx(3.0)
     assert report["max_upper_cost_ratio"] <= 3.0 * (1 + 1e-9)
@@ -181,15 +180,26 @@ def test_harness_d1_band_and_report():
 
 
 def test_harness_includes_witness_pair():
-    ctx = build_context(UNIT_SQUARE, 0.5)
-    report = estimate_lipschitz(ctx, SamplerConfig(n_samples=20, seed=0))
+    ctx = build_context(UNIT_SQUARE)
+    report = estimate_lipschitz(ctx, 0.5, n_samples=20, seed=0)
     assert report["max_lower_ratio"] >= c_const(0.5, 2) - 1e-9
 
 
 def test_harness_p1_ratios_do_not_exceed_one():
-    ctx = build_context(TWO_CUBES_1D, 1.0)
-    report = estimate_lipschitz(ctx, SamplerConfig(n_samples=200, seed=8))
+    ctx = build_context(TWO_CUBES_1D)
+    report = estimate_lipschitz(ctx, 1.0, n_samples=200, seed=8)
     assert report["max_upper_cost_ratio"] <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(n_samples=2.5), "n_samples must be an integer >= 0, got 2.5"),
+    (dict(seed=-1), "seed must be an integer >= 0, got -1"),
+    (dict(p=1.5), "exponent p must satisfy"),
+])
+def test_harness_refuses_bad_arguments(kwargs, message):
+    args = dict(p=0.5, n_samples=10, seed=0) | kwargs
+    with pytest.raises(ValueError, match=message):
+        estimate_lipschitz(build_context(TWO_CUBES_1D), **args)
 
 
 def test_harness_validates_the_certificate_once(monkeypatch):
@@ -198,14 +208,14 @@ def test_harness_validates_the_certificate_once(monkeypatch):
     calls = []
     validate = DualCertificate.validate
     monkeypatch.setattr(DualCertificate, "validate", lambda self: calls.append(1) or validate(self))
-    ctx = build_context(TWO_CUBES_1D, 0.5)
-    estimate_lipschitz(ctx, SamplerConfig(n_samples=60, seed=2))
+    ctx = build_context(TWO_CUBES_1D)
+    estimate_lipschitz(ctx, 0.5, n_samples=60, seed=2)
     assert len(calls) == 2
 
 
 def test_batched_images_match_the_oracle_weights():
     complex = CubeComplex(d=2, R=0.7, offsets=((0, 0), (1, 0), (1, 1)))
-    ctx = build_context(complex, 0.5)
+    ctx = build_context(complex)
     rng = np.random.default_rng(3)
     offs = np.array(complex.offsets, dtype=float)
     X = complex.R * (offs[rng.integers(3, size=50)] + rng.random((50, 2)))
@@ -249,7 +259,7 @@ def test_upper_decomposition_matches_the_oracle(d):
     for R in (1.0, 2.0, 0.7, 1e-3):
         for offsets in [*complex_shapes(d).values(), gap_along_first_axis]:
             complex = CubeComplex(d=d, R=R, offsets=offsets)
-            ctx = build_context(complex, 0.5)
+            ctx = build_context(complex)
             pairs = _pairs(complex, rng)
             expected = [oracle_upper_decomposition(ctx, x, y) for x, y in pairs]
             assert any(dec.terms for dec in expected)
@@ -263,7 +273,7 @@ def test_upper_decomposition_matches_the_oracle(d):
 def test_a_point_found_in_a_cube_is_retracted_there():
     """Just outside the last square, within the lookup's tolerance, a point
     is retracted and decomposed in that square."""
-    ctx = build_context(CubeComplex(d=2, R=1.0, offsets=((0, 0), (1, 0))), 0.5)
+    ctx = build_context(CubeComplex(d=2, R=1.0, offsets=((0, 0), (1, 0))))
     x = (2 + 1.5e-12, 0.5)
     assert retract(ctx, x).weights == retract(ctx, (2.0, 0.5)).weights
     dec = lipschitz_upper_decomposition(ctx, x, (0.3, 0.2))
@@ -283,10 +293,10 @@ def test_harness_weighs_all_pairs_at_once(monkeypatch):
 
     monkeypatch.setattr(cubes, "tensor_weights", counted)
     monkeypatch.setattr(retraction, "tensor_weights", counted)
-    ctx = build_context(CubeComplex(d=2, R=0.7, offsets=((0, 0), (1, 0), (1, 1))), 0.5)
+    ctx = build_context(CubeComplex(d=2, R=0.7, offsets=((0, 0), (1, 0), (1, 1))))
     per_run = []
     for samples in (100, 1000):
         calls.clear()
-        estimate_lipschitz(ctx, SamplerConfig(n_samples=samples, seed=1))
+        estimate_lipschitz(ctx, 0.5, n_samples=samples, seed=1)
         per_run.append(len(calls))
     assert per_run[0] == per_run[1] <= 3
