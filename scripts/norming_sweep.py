@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Sweep the dyadic norming verification over (d, alpha, p) and print the
-observed maxima against the certified bounds. At d = 3 the hosts of the
-centre points exceed the exact-norm cap, so the sweep runs the fallback
-cost next to the batched exact norms.
+observed maxima against the certified bounds. Each call computes one basis
+norm per class, a level and a count of odd coordinates: (kmax + 1) d values.
+At d = 3 the hosts of the classes with three odd coordinates exceed the
+exact-norm cap, so the sweep runs the fallback cost next to the exact norms.
 
 Usage: python3 scripts/norming_sweep.py [--kmax K] [--out-dir DIR]
 """

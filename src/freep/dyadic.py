@@ -20,19 +20,22 @@ basis element at grid position j + 1) and analysis matrix A (column j the
 coefficients of delta(position j)), held by their nonzero entries in one
 column layout (`_GridPlan`), their alpha-free part cached per grid
 (`_grid_plan`). Its sparse products share one kernel (`_products`,
-`_summed`): the alpha-free A as sum_t W^t, the point residuals R = S A - E,
-and the molecule coefficients, scaled differences of two columns of A; a
-molecule's reconstruction residual is the same difference of two columns
-of R.
+`_summed`): the alpha-free A, built level by level as A = I + A W, the point
+residuals R = S A - E, and the molecule coefficients, scaled differences of
+two columns of A; a molecule's reconstruction residual is the same
+difference of two columns of R.
 `line_path`, a mesh-adjacent chain between two dyadic scalars, stays
 constructive.
 
-The norm of a basis element has one definition, `basis_norm_check` (the
-exact norm on the element's own host within the exact engine's cap, beyond
-it the cost of its partition-of-unity decomposition), and one batch,
-`_grid_basis_norms`, which reads a whole grid's hosts off the synthesis
-columns for `verify_norming` and takes all of them, of every size, through
-one `exact_norms` call; the tests pin the batch to it bitwise.
+The norm of a basis element has one definition, `basis_norm_check`: a point
+of level k >= 1 with m odd numerators, or a corner with m coordinates equal
+to 1, is in class (k, m); a translation and a coordinate permutation carry
+its element onto that of the representative 2^-k (1, ..., 1, 0, ..., 0);
+and the value is the exact norm of that element within the exact engine's
+cap, beyond it the cost of its partition-of-unity decomposition.
+`verify_norming` computes the (k_max + 1) d class values of a grid in
+`_grid_basis_norms`, one `exact_norms` call per host shape, and the tests
+pin them to `basis_norm_check` bitwise.
 
 The weights w(u, v) are dyadic, so the coefficient at a level-k point is an
 exact dyadic rational beta times 2^(-k*alpha). The analysis has one
@@ -51,7 +54,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import pairwise, product
 from typing import NamedTuple
 
 import numpy as np
@@ -414,19 +417,26 @@ def _basis_l1(X: np.ndarray) -> np.ndarray:
 def basis_norm_check(v: DyadicPoint, alpha: float, p: float) -> tuple[float, float]:
     """(value, `basis_bound` d^alpha C(p, 2^d)) for the basis element at v.
 
-    The value is the exact norm of `basis_element` when its host, the
-    support plus the origin, fits the exact engine's cap DEFAULT_CAP, and
-    beyond it the partition-of-unity decomposition cost `_proof_cost`, which
-    never exceeds the bound either. This is the definition of the basis
-    norm; `verify_norming` computes it for a whole grid at once
-    (`_grid_basis_norms`)."""
+    A basis point of level k >= 1 with m odd numerators, or a corner with m
+    coordinates equal to 1, is in the class (k, m), whose representative is
+    r = 2^-k (1, ..., 1, 0, ..., 0) with m ones. The origin is a corner of
+    the support of r's element, so a translation and a permutation of the
+    coordinates carry v's support and weights exactly onto those of
+    `basis_element(r)`. The value is the exact norm of that element, the
+    exact norm of v's element over its own support, when its host fits the
+    exact engine's cap DEFAULT_CAP, and beyond it the cost `_proof_cost` of
+    the partition-of-unity decomposition, which depends on the class alone
+    and never exceeds the bound either. `verify_norming` computes it once
+    per class of a whole grid (`_grid_basis_norms`)."""
     p = check_p(p)
     alpha = check_alpha(alpha)
-    elem = basis_element(v, alpha)
+    m = sum(n % 2 for n in v.nums)
+    r = DyadicPoint(v.level, (1,) * m + (0,) * (v.d - m))
+    elem = basis_element(r, alpha)
     if elem.host.n <= DEFAULT_CAP:
         value = exact_norm_small(elem, p)[0]
     else:
-        value = _proof_cost(v, alpha, p)
+        value = _proof_cost(r, alpha, p)
     return value, basis_bound(p, alpha, v.d)
 
 
@@ -501,25 +511,27 @@ def _products(X, Y, n: int) -> tuple[np.ndarray, np.ndarray]:
     return cols[e] + x_rows[t], x_values[t] * y_values[e]
 
 
-def _grid_peel(synthesis, k_max: int):
-    """A0, A at alpha = 0, from S0 = I - W, both in the layout of
-    `_GridPlan`: column j > 0 holds the exact peel weights of
+def _grid_peel(synthesis, levels: np.ndarray):
+    """A0, A at alpha = 0, from S0 = I - W and `_grid`'s levels, both in the
+    layout of `_GridPlan`: column j > 0 holds the exact peel weights of
     delta(position j), column j - 1 of (I - W)^-1, and column 0 nothing.
-    W moves each point only to strictly coarser ones, so (I - W)^-1 =
-    sum_{t <= k_max} W^t. Its entries are positive dyadic rationals of size
-    at most 3^d over at most 2^(d k_max), far fewer than 53 significant bits
-    on the grids MAX_BASIS_POINTS admits, so every sum is exact."""
+    A0 = I + A0 W, W moving each point only to strictly coarser ones, is
+    built one level at a time, coarsest first. Its entries are positive
+    dyadic rationals of size at most 3^d over at most 2^(d k_max), far
+    fewer than 53 significant bits on the grids MAX_BASIS_POINTS admits, so
+    every sum is exact."""
     starts, rows, values = synthesis
     n = len(starts) - 1
-    off = rows != np.repeat(np.arange(n), np.diff(starts))
-    # each column of S0 holds one diagonal entry
-    W = (starts - np.arange(n + 1), rows[off], -values[off])
-    terms = [(np.arange(n) * (n + 1), np.ones(n))]  # W^0 = I
-    for _ in range(k_max):
-        terms.append(_summed(*_products(_columns(*terms[-1], n, n), W, n)))
-    key, value = (np.concatenate(a) for a in zip(*terms))
-    # column j + 1 of A0 is column j of the sum
-    return _columns(*_summed(key + n, value), n, n + 1)
+    key, value = np.zeros(0, np.intp), np.zeros(0)
+    # the columns of a level are a run; column j of A0 is column j of
+    # I + W = |S0| times the final columns u < j and, at j, the unit e_j
+    for lo, hi in pairwise(np.searchsorted(levels[1:], range(levels[-1] + 2)).tolist()):
+        X = _columns(np.append(key, np.arange(lo, n) * (n + 1)), np.append(value, np.ones(n - lo)), n, n)
+        at = slice(starts[lo], starts[hi])
+        k, v = _summed(*_products(X, (starts[lo : hi + 1] - starts[lo], rows[at], np.abs(values[at])), n))
+        key, value = np.append(key, k + lo * n), np.append(value, v)
+    # column j + 1 of A0 is column j of (I - W)^-1
+    return _columns(key + n, value, n, n + 1)
 
 
 class _GridPlan(NamedTuple):
@@ -534,18 +546,22 @@ class _GridPlan(NamedTuple):
     synthesis: S0 = I - W, S at alpha = 0: column j is the basis element at
         position j + 1, W the weights of `_coarse_triplets`;
     peel: A0, A at alpha = 0 (`_grid_peel`), one column per grid position;
-    hosts: per basis support size within DEFAULT_CAP, (cols, entries, l1):
-        the columns of S with that support, the positions of their entries
-        in `synthesis`, and the l1 distance stack (`_basis_l1`) of their
-        hosts, the origin followed by the points of those entries' rows;
-    fallback: (cols, points), the columns whose hosts exceed DEFAULT_CAP and
-        their basis points, for `_proof_cost`."""
+    classes: per column of S, the class (k, m) of its basis point
+        (`basis_norm_check`) as k d + m - 1;
+    hosts: per support size within DEFAULT_CAP of the class
+        representatives, (classes, entries, l1): those classes, the
+        positions in `synthesis` of their representatives' column entries,
+        and the l1 distance stack (`_basis_l1`) of their hosts, the origin
+        followed by those entries' rows;
+    fallback: (classes, points), the classes whose representatives' hosts
+        exceed DEFAULT_CAP and those representatives, for `_proof_cost`."""
 
     nums: np.ndarray
     levels: np.ndarray
     coords: np.ndarray
     synthesis: tuple[np.ndarray, np.ndarray, np.ndarray]
     peel: tuple[np.ndarray, np.ndarray, np.ndarray]
+    classes: np.ndarray
     hosts: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     fallback: tuple[np.ndarray, tuple[DyadicPoint, ...]]
 
@@ -565,21 +581,30 @@ def _grid_plan(d: int, k_max: int) -> _GridPlan:
     synthesis = start, rows, _ = _read_only(*_columns(key, values, n, n))
     coords = nums / 2.0**k_max
 
-    # the basis element at position j + 1 is column j of S: its host is the
-    # origin followed by the column's rows, already in (level, nums) order
-    support = np.diff(start)
+    # m is the count of odd numerators at the point's own level, the count
+    # of coordinates equal to 1 at level 0
+    h = 2 ** (k_max - levels[1:, None])
+    classes = levels[1:] * d + (nums[1:] // h % 2).sum(axis=1) - 1
+    # class k d + m - 1 has the representative 2^-k (1, ..., 1, 0, ..., 0),
+    # the basis element of column reps[k d + m - 1]; its host is the origin
+    # followed by the column's rows, already in (level, nums) order
+    k, m = np.divmod(np.arange((k_max + 1) * d), d)
+    radix = (2**k_max + 1) ** np.arange(d - 1, -1, -1)
+    reps = index[((np.arange(d) <= m[:, None]) * 2 ** (k_max - k[:, None])) @ radix] - 1
+    support = np.diff(start)[reps]
     hosts = []
     for size in sorted(set(support[support < DEFAULT_CAP].tolist())):
         at = np.flatnonzero(support == size)
-        entries = start[at, None] + np.arange(size)
+        entries = start[reps[at], None] + np.arange(size)
         X = coords[np.column_stack((np.zeros(len(at), dtype=int), rows[entries] + 1))]
         hosts.append(_read_only(at, entries, _basis_l1(X)))
     beyond = np.flatnonzero(support >= DEFAULT_CAP)
-    points = tuple(DyadicPoint(k_max, tuple(nums[j + 1].tolist())) for j in beyond.tolist())
+    points = tuple(DyadicPoint(k_max, tuple(nums[j + 1].tolist())) for j in reps[beyond].tolist())
     return _GridPlan(
         *_read_only(nums, levels, coords),
         synthesis,
-        _read_only(*_grid_peel(synthesis, k_max)),
+        _read_only(*_grid_peel(synthesis, levels)),
+        *_read_only(classes),
         tuple(hosts),
         (*_read_only(beyond), points),
     )
@@ -603,16 +628,17 @@ def _analysis_operator(d: int, k_max: int, alpha: float):
 
 def _grid_basis_norms(d: int, k_max: int, S, alpha: float, p: float) -> np.ndarray:
     """The values of `basis_norm_check` at the basis points of
-    `_analysis_operator`'s grid, bitwise, with S its synthesis: the hosts of
-    the grid's `_GridPlan` in one `exact_norms` call, and beyond DEFAULT_CAP
-    `_proof_cost`."""
+    `_analysis_operator`'s grid, bitwise, with S its synthesis: one value
+    per class of the grid's `_GridPlan`, from one `exact_norms` call per
+    host shape of the representatives and beyond DEFAULT_CAP `_proof_cost`,
+    scattered through the plan's class index."""
     plan = _grid_plan(d, k_max)
-    values = np.empty(len(plan.nums) - 1)
-    groups = [(l1**alpha, S[2][entries]) for _, entries, l1 in plan.hosts]
-    values[np.concatenate([cols for cols, _, _ in plan.hosts])] = exact_norms(groups, p)
-    cols, points = plan.fallback
-    values[cols] = [_proof_cost(v, alpha, p) for v in points]
-    return values
+    values = np.empty((k_max + 1) * d)
+    for classes, entries, l1 in plan.hosts:
+        values[classes] = exact_norms(l1**alpha, S[2][entries], p)
+    classes, points = plan.fallback
+    values[classes] = [_proof_cost(v, alpha, p) for v in points]
+    return values[plan.classes]
 
 
 def _point_residuals(S, A) -> np.ndarray:

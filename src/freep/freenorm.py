@@ -16,16 +16,15 @@ base point normalized away. The p-norm (0 < p <= 1) is the infimum of
   trees (linearly independent molecule sets are forests, the concave cost
   is minimized on a tree of the whole host rooted at the base, and a
   Dreyfus-Wagner subset program finds the best one in O(3^k n + 2^k n^2)
-  time for support size k on n points); one flat program takes one
-  popcount layer of subsets per array step, for any list of host groups of
-  mixed sizes at once, from index arrays that depend only on the groups and
-  are cached (`exact_norms`, values only, on raw distance matrices that its
-  one caller, the dyadic basis batch, builds as metrics, all of a grid's
-  hosts in one call), and `exact_norm_small` is its one-group, one-host
-  call with a witness; the norm with
-  molecules restricted to a subset of the host is, by definition, the norm
-  over the induced subspace, so it is this program run on that subspace as
-  its own host,
+  time for support size k on n points); the program takes one popcount
+  layer of subsets per array step for a stack of B hosts of one shape, k
+  terminals on n points, from index arrays that depend only on (k, n, B)
+  and are cached. `exact_norms` gives the values of such a stack on raw
+  distance matrices (the dyadic basis sends one stack per host shape of
+  its class representatives), and `exact_norm_small` is its call B = 1,
+  with a witness; the norm with molecules restricted to a subset of the
+  host is, by definition, the norm over the induced subspace, so it is
+  this program run on that subspace as its own host,
 * certified two-sided bounds: any explicit decomposition gives an upper
   bound, and any dual certificate of Lipschitz-1 functions with bounded
   pair multiplicity gives a lower bound via subadditivity of t^p; a
@@ -221,29 +220,27 @@ def _subset_program(k):
     return bits, splits, layers
 
 
-def _weight_totals(weights):
-    """sum |w| along the last axis of each weight array in `weights`, flat in
-    their order, the scale of the rounding floor COEFF_TOL sum |w|. A total
-    beyond the double range raises: its floor would pass no weight at all,
-    and the norm would read 0."""
+def _weight_totals(W):
+    """sum |w| along the last axis of W, the scale of the rounding floor
+    COEFF_TOL sum |w|. A total beyond the double range raises: its floor
+    would pass no weight at all, and the norm would read 0."""
     with np.errstate(over="ignore"):
-        totals = np.concatenate([np.abs(W).sum(axis=-1) for W in weights], axis=None)
+        totals = np.abs(W).sum(axis=-1)
     if np.isinf(totals).any():
         raise ValueError("the weight total sum |w| overflows to inf; scale the element down")
     return totals
 
 
-def _subset_flows(weights, p):
+def _subset_flows(W, p):
     """(w(S), |w(S)|, |w(S)|^p), flat, over the subsets S of the terminals of
-    every row w of each weight stack W (B, k) in `weights`: stack by stack,
-    row by row, subset by subset; a subset sum at rounding level carries no
-    weight, not a tiny molecule.
+    every row w of the weight stack W (B, k): row by row, subset by subset;
+    a subset sum at rounding level carries no weight, not a tiny molecule.
 
-    The subset sums are one stacked product per stack, bitwise those of one
+    The subset sums are one stacked product, bitwise those of one
     `bits @ w` per row (a `W @ bits.T` rounds differently)."""
     # the totals first: they refuse weights whose subset sums could overflow
-    floor = np.repeat(COEFF_TOL * _weight_totals(weights), [1 << W.shape[1] for W in weights for _ in W])
-    wsum = np.concatenate([(_subset_program(W.shape[1])[0] @ W[:, :, None]).ravel() for W in weights])
+    floor = np.repeat(COEFF_TOL * _weight_totals(W), 1 << W.shape[1])
+    wsum = (_subset_program(W.shape[1])[0] @ W[:, :, None]).ravel()
     flow = np.abs(wsum)
     flow[flow <= floor] = 0.0
     # scalar powers: numpy's array ** differs from pow() in the last bit on some inputs
@@ -257,12 +254,11 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 class _TreeProgram(NamedTuple):
-    """The index arrays of the flat tree program on a tuple of host groups
-    (k terminals, n points, B hosts) (`_tree_program`), read-only. The
-    table F holds F[S, v] group by group, host by host, subset S by subset,
-    point v by point; the flow powers fp and the distance powers Dp are flat
-    in the same group and host order, fp by subset and Dp by row u, then
-    column v.
+    """The index arrays of the flat tree program on B hosts of n points with
+    k terminals each (`_tree_program`), read-only. The table F holds
+    F[S, v] host by host, subset S by subset, point v by point; the flow
+    powers fp and the distance powers Dp are flat in the same host order, fp
+    by subset and Dp by row u, then column v.
 
     size: the length of F;
     single: (F, fp) positions of the singletons {t}, point by point, in the
@@ -270,11 +266,11 @@ class _TreeProgram(NamedTuple):
     terminal_rows: the Dp positions of the rows 1..k of every host, in that
         order (the terminal rows when points 1..k are the terminals);
     hop: the hop products fp(S) Dp(u, v), layer by layer, in the order
-        (group, host, S, v, u): the fp position of each (host, S), the
-        number n^2 of its products, and the Dp position of each product;
+        (host, S, v, u): the fp position of each (host, S), the number n^2
+        of its products, and the Dp position of each product;
     layers: per popcount 2, 3, ...: the branch positions (T, S - T) of F,
-        ordered (group, host, S, u, split T), and the `reduceat` start of
-        each (host, S, u); the positions in that branch minimum g of the hop
+        ordered (host, S, u, split T), and the `reduceat` start of each
+        (host, S, u); the positions in that branch minimum g of the hop
         terms, the start of each (host, S, v), the F positions of the
         (host, S, v), and the layer's slice of the hop products;
     roots: the F positions of (host, all terminals, point 0)."""
@@ -288,86 +284,67 @@ class _TreeProgram(NamedTuple):
 
 
 @lru_cache(maxsize=32)
-def _tree_program(groups):
-    """The `_TreeProgram` of a tuple of host groups (k, n, B), built with a
-    few array steps per group and layer, free of the distances, the weights
-    and p, and kept for the last few tuples of groups."""
-    single, single_fp, rows, roots = [], [], [], []
-    branch, hop = {}, {}  # per popcount, one entry per group
-    fo = fpo = do = 0  # where the group starts in F, fp and Dp
-    for k, n, B in groups:
-        size = 1 << k
-        b = np.arange(B)[:, None, None, None]
-        Fb, fpb, Db = fo + b * size * n, fpo + b * size, do + b * n * n
-        t, v = (1 << np.arange(k))[:, None], np.arange(n)  # the singletons {t}
-        single.append(Fb[..., 0] + t * n + v)
-        single_fp.append(np.broadcast_to(fpb[..., 0] + t, (B, k, n)))
-        rows.append(Db[..., 0] + np.arange(1, k + 1)[:, None] * n + v)
-        roots.append(Fb + (size - 1) * n)
-        for c, (subsets, T, rest, starts) in enumerate(_subset_program(k)[2], 2):
-            # one host's branch terms in the order (S, u, split): split j of
-            # the subset at index s sits at n starts[s] + u lens[s] + j - starts[s]
-            lens = np.diff(np.append(starts, len(T)))
-            s = np.repeat(np.arange(len(subsets)), lens)
-            at = (n * starts[s] + np.arange(len(T)) - starts[s])[:, None] + v * lens[s][:, None]
-            Tpos, Rpos = np.empty((2, len(T) * n), dtype=np.intp)
-            Tpos[at], Rpos[at] = T[:, None] * n + v, rest[:, None] * n + v
-            branch.setdefault(c, []).append(
-                (Fb[..., 0, 0] + Tpos, Fb[..., 0, 0] + Rpos, np.tile(np.repeat(lens, n), B))
+def _tree_program(k, n, B):
+    """The `_TreeProgram` of B hosts of n points with k terminals each,
+    built with a few array steps per layer, free of the distances, the
+    weights and p, and kept for the last few shapes."""
+    size = 1 << k
+    b = np.arange(B)[:, None, None, None]
+    Fb, fpb, Db = b * size * n, b * size, b * n * n  # where each host starts in F, fp and Dp
+    t, v = (1 << np.arange(k))[:, None], np.arange(n)  # the singletons {t}
+    layers, hop_fp, hop_D, h0 = [], [], [], 0
+    for subsets, T, rest, starts in _subset_program(k)[2]:
+        # one host's branch terms in the order (S, u, split): split j of
+        # the subset at index s sits at n starts[s] + u lens[s] + j - starts[s]
+        lens = np.diff(np.append(starts, len(T)))
+        s = np.repeat(np.arange(len(subsets)), lens)
+        at = (n * starts[s] + np.arange(len(T)) - starts[s])[:, None] + v * lens[s][:, None]
+        Tpos, Rpos = np.empty((2, len(T) * n), dtype=np.intp)
+        Tpos[at], Rpos[at] = T[:, None] * n + v, rest[:, None] * n + v
+        count = np.tile(np.repeat(lens, n), B)
+        # the hop terms in the order (host, S, v, u)
+        L, shape = len(subsets), (B, len(subsets), n, n)
+        s, u, to = np.arange(L)[:, None, None], v, v[:, None]
+        hop_fp.append(fpb[..., 0, 0] + subsets)
+        hop_D.append(np.broadcast_to(Db + u * n + to, shape))
+        h1 = h0 + B * L * n * n
+        layers.append(
+            _read_only(
+                np.ravel(Fb[..., 0, 0] + Tpos),
+                np.ravel(Fb[..., 0, 0] + Rpos),
+                np.cumsum(count) - count,
+                np.ravel(np.broadcast_to((b * L + s) * n + u, shape)),
+                np.arange(0, h1 - h0, n),
+                np.ravel(Fb + subsets[s] * n + to),
             )
-            # the hop terms in the order (host, S, v, u)
-            L, shape = len(subsets), (B, len(subsets), n, n)
-            s, u, to = np.arange(L)[:, None, None], v, v[:, None]
-            hop.setdefault(c, []).append((
-                np.broadcast_to((b * L + s) * n + u, shape),
-                fpb[..., 0, 0] + subsets,
-                np.broadcast_to(Db + u * n + to, shape),
-                Fb + (subsets[s] * n + to),
-                n,
-            ))
-        fo, fpo, do = fo + B * size * n, fpo + B * size, do + B * n * n
+            + (slice(h0, h1),)
+        )
+        h0 = h1
 
     def flat(parts):
         # intp, not int32: a gather casts a narrower index to intp on every call
         return np.concatenate([np.ravel(a) for a in parts] or [np.zeros(0, np.intp)])
 
-    layers, hop_fp, hop_count, hop_D, h0 = [], [], [], [], 0
-    for c in sorted(branch):
-        T, rest, lens = zip(*branch[c])
-        bstarts = np.cumsum(np.concatenate(lens)) - np.concatenate(lens)
-        gpos, hstarts, g0, h1 = [], [], 0, h0
-        for gp, fp, dp, out, n in hop[c]:
-            gpos.append(g0 + gp)
-            hstarts.append(np.arange(h1 - h0, h1 - h0 + gp.size, n))
-            hop_fp.append(fp)
-            hop_count.append(np.full(fp.size, n * n))
-            hop_D.append(dp)
-            g0, h1 = g0 + gp.size // n, h1 + gp.size
-        outs = [out for _, _, _, out, _ in hop[c]]
-        layers.append(
-            _read_only(flat(T), flat(rest), flat([bstarts]), flat(gpos), flat(hstarts), flat(outs))
-            + (slice(h0, h1),)
-        )
-        h0 = h1
+    hop_fp = flat(hop_fp)
     return _TreeProgram(
-        fo,
-        _read_only(flat(single), flat(single_fp)),
-        *_read_only(flat(rows)),
-        _read_only(flat(hop_fp), flat(hop_count), flat(hop_D)),
+        B * size * n,
+        _read_only(np.ravel(Fb[..., 0] + t * n + v), np.ravel(np.broadcast_to(fpb[..., 0] + t, (B, k, n)))),
+        *_read_only(np.ravel(Db[..., 0] + np.arange(1, k + 1)[:, None] * n + v)),
+        _read_only(hop_fp, np.full(hop_fp.size, n * n), flat(hop_D)),
         tuple(layers),
-        *_read_only(flat(roots)),
+        *_read_only(np.ravel(Fb + (size - 1) * n)),
     )
 
 
 def _tree_table(prog, Dp, Dt, fp):
-    """The tree program on the host groups of `prog`: the flat table of
+    """The tree program on the hosts of `prog`: the flat table of
     F[S, v], the least sum_e Dp(e) |W_e|^p over trees joining the terminals
     S to v in its host, W_e the weight on the side of edge e away from v,
     given the flat distance powers Dp, the terminal rows Dt of Dp and the
     flow powers fp of `_subset_flows`.
 
     A singleton {t} costs |w_t|^p Dp(t, v). Then one popcount layer of
-    subsets per step, for all groups at once. The branch cost g[S][u] is the
+    subsets per step, for all hosts at once. The branch cost g[S][u] is the
     least F[T][u] + F[S - T][u] over the splits T of S: two gathers, an add
     and one `np.minimum.reduceat`. One hop F[S][v] = min_u g[S][u] + Dp(u,
     v) |w(S)|^p suffices because d^p is a metric for p <= 1: one gather of g,
@@ -400,25 +377,22 @@ def _roots(costs: list[float], p: float) -> list[float]:
         raise ValueError(f"p = {p} puts the norm beyond the double range; raise --p") from None
 
 
-def exact_norms(hosts, p: float) -> list[float]:
-    """Exact free p-norms, values only, of a batch of elements in groups of
-    hosts of one size each: a group is a pair (dist, weights), and element b
-    of it weighs points 1..n-1 of the host with distance matrix dist[b]
-    (B, n, n) by weights[b] (B, n - 1), point 0 being the base. The values
-    come group by group. One `_subset_flows` call and one tree program for
-    all groups; `exact_norm_small` is the one-host call, with a witness,
-    and the same cap applies, as do the refusals of a weight total and of
-    a norm beyond the double range.
+def exact_norms(D, W, p: float) -> list[float]:
+    """Exact free p-norms, values only, of a stack of elements on hosts of
+    one shape: element b weighs points 1..n-1 of the host with distance
+    matrix D[b] (B, n, n) by W[b] (B, n - 1), point 0 being the base. One
+    `_subset_flows` call and one tree program for the whole stack;
+    `exact_norm_small` is the call B = 1, with a witness, and the same cap
+    applies, as do the refusals of a weight total and of a norm beyond the
+    double range.
 
-    Nothing here checks dist: each dist[b] must be a metric, as the
-    matrix of a `PointedFiniteMetric` is, or the values are not norms."""
+    Nothing here checks D: each D[b] must be a metric, as the matrix of a
+    `PointedFiniteMetric` is, or the values are not norms."""
     p = check_p(p)
-    groups = tuple((W.shape[1], D.shape[1], len(D)) for D, W in hosts)
-    for k, _, _ in groups:
-        _check_cap(k)
-    prog = _tree_program(groups)
-    fp = _subset_flows([W for _, W in hosts], p)[2]
-    Dp = np.concatenate([D.ravel() for D, _ in hosts]) ** p
+    _check_cap(W.shape[1])
+    prog = _tree_program(W.shape[1], D.shape[1], len(D))
+    fp = _subset_flows(W, p)[2]
+    Dp = D.ravel() ** p
     F = _tree_table(prog, Dp, Dp[prog.terminal_rows], fp)
     return _roots(F[prog.roots].tolist(), p)
 
@@ -488,7 +462,7 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
     The minimum over decompositions is attained on a tree rooted at the base
     (a minimum concave-cost flow, Zangwill 1968): the least sum_e (d(e)
     |W_e|)^p, W_e the weight of m on the side of edge e away from the base.
-    This is the one-group call (k, n, 1) of the flat tree program
+    This is the one-host call (k, n, 1) of the flat tree program
     `_tree_table`, in O(3^k n + 2^k n^2) time and k array steps for support
     size k on a host of n points; its table, reshaped to (2^k, n), is what
     the witness reads. The witness comes from a backtracking from the full
@@ -511,9 +485,9 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
         return 0.0, Decomposition(host, ())
     terminals = sorted(m.weights)
     k = len(terminals)
-    wsum, flow, fp = _subset_flows([np.array([[m.weights[t] for t in terminals]])], p)
+    wsum, flow, fp = _subset_flows(np.array([[m.weights[t] for t in terminals]]), p)
     Dp = host.dist**p
-    prog = _tree_program(((k, host.n, 1),))
+    prog = _tree_program(k, host.n, 1)
     F = _tree_table(prog, Dp.ravel(), Dp[terminals].ravel(), fp).reshape(1 << k, host.n)
     splits = _subset_program(k)[1]
 
@@ -666,7 +640,7 @@ def exact_norm_p1(m: FreeElement) -> tuple[float, Decomposition]:
     if m.is_zero():
         return 0.0, Decomposition(host, ())
     w = m.as_full_vector()
-    tol = COEFF_TOL * _weight_totals([w])[0]
+    tol = COEFF_TOL * _weight_totals(w)
     w[host.base] = -w.sum()
     P, N = np.flatnonzero(w > tol), np.flatnonzero(w < -tol)
     C = host.dist[P][:, N]

@@ -49,8 +49,15 @@ from freep.dyadic import (
     _step_element,
     _summed,
 )
-from freep.freenorm import DEFAULT_CAP, _tree_program, coefficient_cost, exact_norm_small, exact_norms
-from freep.metric import DyadicPoint, PointedFiniteMetric, dyadic_grid
+from freep.freenorm import (
+    DEFAULT_CAP,
+    FreeElement,
+    _tree_program,
+    coefficient_cost,
+    exact_norm_small,
+    exact_norms,
+)
+from freep.metric import DyadicPoint, PointedFiniteMetric, dyadic_grid, holder_distort, l1_space
 
 F = Fraction
 
@@ -320,25 +327,57 @@ def basis_checks():
     }
 
 
+def own_support_element(v: DyadicPoint, alpha: float) -> FreeElement:
+    """v's basis element over its own support, v and its coarse neighbours
+    ({0, v} for a corner), as a host of its own: the host of
+    basis_element(r), r = 2^-k (1, ..., 1, 0, ..., 0) with one 1 per odd
+    numerator of v (per coordinate 1 of a corner), moved by the isometry
+    that sends the first axes to v's odd ones in order and then r to v. The
+    base is the image of the origin, and every other point weighs what v's
+    point expansion puts on it."""
+    odd = [i for i, n in enumerate(v.nums) if n % 2]
+    axes = odd + [i for i in range(v.d) if i not in odd]
+    r = DyadicPoint(v.level, (1,) * len(odd) + (0,) * (v.d - len(odd)))
+    h = F(1, 2**v.level)
+    corner = [c - h if i in odd else c for i, c in enumerate(v.coords())]
+    points = []
+    for x in basis_element(r, alpha).host.points:
+        y = list(corner)
+        for i, axis in enumerate(axes):
+            y[axis] += F(x[i])
+        points.append(DyadicPoint.from_fractions(y))
+    support = {u for u, _ in _coarse_neighbors(v)} if v.level else {DyadicPoint.origin(v.d)}
+    assert points[1:] and set(points) == support | {v} and len(set(points)) == len(points)
+    expansion = synthesize(BasisCombination({v: 1.0}), alpha)
+    host = holder_distort(l1_space([q.floats() for q in points], base=0), alpha)
+    return FreeElement(host, {i: expansion[q] for i, q in enumerate(points) if i})
+
+
 def test_batched_basis_norms_equal_one_host_norms(basis_checks):
-    """basis_norm_check, which the grid batch is pinned to, is the exact norm
-    of each element on its own host bitwise, beyond the cap the fallback
-    cost of the exact oracle, paired with the basis bound."""
-    exact = 0
+    """basis_norm_check, which the grid batch is pinned to, is bitwise the
+    exact norm of each element over its own support, a host the test builds
+    as the image of its class representative's host; beyond the cap it is
+    the fallback cost of the exact oracle. Each is paired with the basis
+    bound. Corners, points next to the origin, other points and fallback
+    classes all occur."""
+    kinds = Counter()
     for d, k in ORACLE_GRIDS:
         pts = basis_points(d, k)
         for alpha in (0.25, 0.5, 0.7):
-            elems = [basis_element(v, alpha) for v in pts]
+            elems = [own_support_element(v, alpha) for v in pts]
             for p in (0.3, 0.5, 0.8, 1.0):
                 bound = basis_bound(p, alpha, d)
                 for v, e, (value, check_bound) in zip(pts, elems, basis_checks[d, k, alpha, p]):
-                    if e.host.n <= DEFAULT_CAP:
-                        expected, exact = exact_norm_small(e, p)[0], exact + 1
+                    if e.host.n > DEFAULT_CAP:
+                        expected, kind = oracle_proof_cost(v, alpha, p), "fallback"
                     else:
-                        expected = oracle_proof_cost(v, alpha, p)
+                        expected = exact_norm_small(e, p)[0]
+                        kind = "corner" if v.level == 0 else "next to the origin" if (
+                            e.host.points[0] == (0.0,) * d) else "other"
+                    kinds[kind] += 1
                     assert value.hex() == expected.hex(), (v, alpha, p)
                     assert check_bound == bound
-    assert exact > 3000  # 3,876 of the 3,984 checks run the tree program
+    assert kinds == {"corner": 132, "next to the origin": 336, "other": 3408, "fallback": 108}
 
 
 PROOF_COST_GRIDS = ((1, 9), (2, 5), (3, 3), (4, 2), (5, 1))
@@ -359,25 +398,50 @@ def test_proof_cost_equals_the_exact_oracle_bitwise():
     assert count == 38_328
 
 
+def class_representatives(d: int, k: int, alpha: float) -> list[FreeElement]:
+    """The basis elements of the class representatives
+    2^-level (1, ..., 1, 0, ..., 0) of the level-k grid of [0, 1]^d, by
+    (level, number of ones)."""
+    return [
+        basis_element(DyadicPoint(level, (1,) * m + (0,) * (d - m)), alpha)
+        for level in range(k + 1)
+        for m in range(1, d + 1)
+    ]
+
+
 @pytest.mark.parametrize("d,k", [(3, 1), (2, 2), (1, 5)])
-def test_verify_norming_runs_one_exact_norms_call_carrying_every_host(monkeypatch, d, k):
-    """One exact_norms call per verify_norming call, whose host groups carry
-    every basis host within the cap, one group per host size."""
+def test_verify_norming_runs_one_exact_norms_call_per_host_shape(monkeypatch, d, k):
+    """One exact_norms call per host shape of the class representatives
+    within the cap, host sizes ascending, each carrying exactly the hosts
+    and weights of their basis elements in (level, m) order: at most three
+    calls and 17 exact norms over the three grids."""
     calls = []
 
-    def counted(hosts, p):
-        calls.append(sorted(dist.shape for dist, _ in hosts))
-        return exact_norms(hosts, p)
+    def counted(D, W, p):
+        calls.append((D.tobytes(), W.tobytes()))
+        return exact_norms(D, W, p)
 
     monkeypatch.setattr(dyadic, "exact_norms", counted)
     for alpha, p in ((0.5, 0.5), (0.7, 1.0)):
+        calls.clear()
         verify_norming(d, alpha, p, k)
-    sizes = Counter(basis_element(v, 0.5).host.n for v in basis_points(d, k))
-    want = sorted((count, n, n) for n, count in sizes.items() if n <= DEFAULT_CAP)
-    assert calls == [want, want]
+        by_size = {}
+        for e in class_representatives(d, k, alpha):
+            if e.host.n <= DEFAULT_CAP:
+                by_size.setdefault(e.host.n, []).append(e)
+        want = [
+            (np.stack([e.host.dist for e in es]).tobytes(),
+             np.array([[e.weights[i] for i in range(1, n)] for e in es]).tobytes())
+            for n, es in sorted(by_size.items())
+        ]
+        assert calls == want and len(calls) <= 3
+        assert sum(map(len, by_size.values())) == {(3, 1): 5, (2, 2): 6, (1, 5): 6}[d, k]
 
 
 def test_basis_distance_stack_equals_the_element_hosts():
+    """The l1 stack of every basis point's host, and each host stack of the
+    grid plan, one per host shape of the class representatives, raised to
+    alpha: the distance matrices of the basis_element hosts bitwise."""
     for d, k in ORACLE_GRIDS:
         for alpha in (0.25, 0.5, 0.7):
             by_size = {}
@@ -388,6 +452,10 @@ def test_basis_distance_stack_equals_the_element_hosts():
                 stack = _basis_l1(np.array([host.points for host in hosts])) ** alpha
                 for host, dist in zip(hosts, stack):
                     assert dist.tobytes() == host.dist.tobytes(), (host.points, alpha)
+            reps = class_representatives(d, k, alpha)
+            for classes, _, l1 in _grid_plan(d, k).hosts:
+                for c, dist in zip(classes.tolist(), l1**alpha):
+                    assert dist.tobytes() == reps[c].host.dist.tobytes(), (d, k, c, alpha)
 
 
 def test_analyze_examples():
@@ -659,7 +727,7 @@ def hexed(report):
 
 def plan_arrays(plan):
     return [
-        plan.nums, plan.levels, plan.coords, *plan.synthesis, *plan.peel,
+        plan.nums, plan.levels, plan.coords, *plan.synthesis, *plan.peel, plan.classes,
         *(a for host in plan.hosts for a in host), plan.fallback[0],
     ]
 
@@ -693,16 +761,18 @@ def test_grid_plan_is_reused_and_changes_nothing(monkeypatch, d, k):
 
 @pytest.mark.parametrize("d,k", [(3, 1), (2, 3), (1, 7), (3, 2)])
 def test_grid_plan_is_read_only(d, k):
-    """No cached array can be written, the tree program's index arrays
-    included, a verify_norming call leaves the plan's bytes as they were,
-    and no array is N x N: the tree program's arrays are flat, of a size
-    set by the hosts, not by N^2."""
+    """No cached array can be written, the index arrays of the tree program
+    of each host shape included, a verify_norming call leaves the plan's
+    bytes as they were, and no array is N x N: the tree programs' arrays
+    are flat, of a size set by the hosts, not by N^2."""
     plan = _grid_plan(d, k)
-    tree = _tree_program(
-        tuple((rows.shape[1], rows.shape[1] + 1, len(cols)) for cols, rows, _ in plan.hosts)
-    )
-    arrays = plan_arrays(plan) + tree_arrays(tree)
-    assert all(a.ndim == 1 for a in tree_arrays(tree)) and len(tree_arrays(tree)) > 8
+    trees = [
+        _tree_program(rows.shape[1], rows.shape[1] + 1, len(classes))
+        for classes, rows, _ in plan.hosts
+    ]
+    tree_parts = [a for tree in trees for a in tree_arrays(tree)]
+    arrays = plan_arrays(plan) + tree_parts
+    assert all(a.ndim == 1 for a in tree_parts) and len(tree_parts) > 8
     before = [a.tobytes() for a in arrays]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):

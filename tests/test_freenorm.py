@@ -585,17 +585,18 @@ def test_tree_program_matches_the_per_subset_loop_bitwise():
     """Values and witnesses equal the per-subset loop's to the bit, ties
     included (lattice hosts have many equal-cost trees), with the base at
     any index; the values of full-support elements based at point 0 equal
-    it too, batched in one exact_norms call over groups of hosts of every
-    size from 2 to 8 points."""
+    it too, a stack of one to three hosts of one shape per exact_norms
+    call, for every host size from 2 to 8 points."""
     rng = np.random.default_rng(12)
     for p, kind, _ in itertools.product((1.0, 0.8, 0.5, 0.3), ("plain", "holder", "lattice"), range(3)):
-        groups, elements = [], []
         for n in range(2, 9):
             hosts = [host_draw(rng, n, kind)[0] for _ in range(int(rng.integers(1, 4)))]
             draw = host_draw(rng, n, kind)[1]
             weights = np.array([[draw() for _ in range(n - 1)] for _ in hosts])
-            groups.append((np.stack([h.dist for h in hosts]), weights))
-            elements.append([FreeElement(h, dict(enumerate(w, 1))) for h, w in zip(hosts, weights)])
+            batch = exact_norms(np.stack([h.dist for h in hosts]), weights, p)
+            want = [oracle_tree_norm(FreeElement(h, dict(enumerate(w, 1))), p)[0]
+                    for h, w in zip(hosts, weights)]
+            assert [x.hex() for x in batch] == [x.hex() for x in want], (n, p, kind)
 
             host, draw = host_draw(rng, n, kind)
             s = PointedFiniteMetric(host.points, int(rng.integers(n)), host.dist)
@@ -604,11 +605,6 @@ def test_tree_program_matches_the_per_subset_loop_bitwise():
             want, tree = oracle_tree_norm(m, p)
             assert value.hex() == want.hex(), (n, p, kind)
             assert terms_hex(witness) == terms_hex(tree), (n, p, kind)
-        # the groups in a shuffled order; the values come group by group
-        order = rng.permutation(len(groups))
-        batch = exact_norms([groups[g] for g in order], p)
-        want = [oracle_tree_norm(m, p)[0] for g in order for m in elements[g]]
-        assert [x.hex() for x in batch] == [x.hex() for x in want], (p, kind)
 
 
 @settings(max_examples=60, deadline=None)
@@ -662,13 +658,13 @@ def test_a_norm_beyond_the_double_range_is_refused():
     # beyond the double range at p = 3e-7, where the last power overflows
     s = l1_space([(0, 0), (1, 0), (0, 1)], base=0)
     m = FreeElement(s, {1: 1.0, 2: 1.0})
-    group = [(s.dist[None], np.array([[1.0, 1.0]]))]
+    stack = s.dist[None], np.array([[1.0, 1.0]])
     assert exact_norm_small(m, 0.001)[0] == 1.0715086071862673e301
-    assert exact_norms(group, 0.001) == [1.0715086071862673e301]
+    assert exact_norms(*stack, 0.001) == [1.0715086071862673e301]
     with pytest.raises(ValueError, match="p = 3e-07 puts the norm beyond the double range"):
         exact_norm_small(m, 3e-7)
     with pytest.raises(ValueError, match="p = 3e-07 puts the norm beyond the double range"):
-        exact_norms(group, 3e-7)
+        exact_norms(*stack, 3e-7)
 
 
 def test_equal_cost_trees_at_p1_give_a_forest():
