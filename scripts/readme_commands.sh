@@ -8,10 +8,14 @@
 # fit the default pair budget but are checked over many blocks, and
 # lambda-check and retraction-verify on an L-shaped complex file at R = 0.7
 # (the complex-file harness route: one vertex-indicator certificate bounds
-# every sampled image difference). Each report is written
-# with --out and parsed as strict JSON. A nonzero exit (a failed certified
-# check, a crash, or a report that is not JSON) stops the script with that
-# status.
+# every sampled image difference). Last, norm --p 0.5 on a 200-point file
+# with a 7-point element, the exact tree program on a large host in a fresh
+# process; that run is written `run --p 0.5 --command ...` because
+# scripts/report_corpus.py takes the lines that begin `run --command` into
+# its pinned corpus, and this one is not a README command. Each report is
+# written with --out and parsed as strict JSON. A nonzero exit (a failed
+# certified check, a crash, or a report that is not JSON) stops the script
+# with that status.
 set -e
 run() {
     freep "$@" --out report.json
@@ -43,3 +47,6 @@ run --command norm --p 1 --in space40.txt --in positive40.txt
 printf '2 0.7\n0 0\n1 0\n1 1\n2 1\n0 0\n' > L.txt
 run --command lambda-check --in L.txt
 run --command retraction-verify --p 0.5 --samples 200 --in L.txt
+python3 -c 'import random; r = random.Random(200); print("2 0"); [print(r.uniform(0, 10), r.uniform(0, 10)) for _ in range(200)]' > space200.txt
+python3 -c 'import random; r = random.Random(201); [print(r.gauss(0, 1), j) for j in r.sample(range(1, 200), 7)]' > element200.txt
+run --p 0.5 --command norm --in space200.txt --in element200.txt

@@ -18,12 +18,12 @@ base point normalized away. The p-norm (0 < p <= 1) is the infimum of
   Dreyfus-Wagner subset program finds the best one in O(3^k n + 2^k n^2)
   time for support size k on n points); the program takes one popcount
   layer of subsets per array step for a stack of B hosts of one shape, k
-  terminals on n points, from index arrays that depend only on (k, n, B)
-  and are cached. `exact_norms` gives the values of such a stack on raw
-  distance matrices (the dyadic basis sends one stack per host shape of
-  its class representatives), and `exact_norm_small` is its call B = 1,
-  with a witness; the norm with molecules restricted to a subset of the
-  host is, by definition, the norm over the induced subspace, so it is
+  terminals on n points: the branch terms through cached index arrays that
+  depend only on (k, n, B), and each hop as one broadcast of the hosts'
+  distance powers over the layer. `exact_norms` gives the values of such a
+  stack on raw distance matrices, and `exact_norm_small` is its call
+  B = 1, with a witness; the norm with molecules restricted to a subset of
+  the host is, by definition, the norm over the induced subspace, so it is
   this program run on that subspace as its own host,
 * certified two-sided bounds: any explicit decomposition gives an upper
   bound, and any dual certificate of Lipschitz-1 functions with bounded
@@ -254,33 +254,22 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 class _TreeProgram(NamedTuple):
-    """The index arrays of the flat tree program on B hosts of n points with
-    k terminals each (`_tree_program`), read-only. The table F holds
-    F[S, v] host by host, subset S by subset, point v by point; the flow
-    powers fp and the distance powers Dp are flat in the same host order, fp
-    by subset and Dp by row u, then column v.
+    """The index arrays of the tree program on B hosts of n points with k
+    terminals each (`_tree_program`), flat and read-only: O(3^k n B)
+    entries, none per hop term, since `_tree_table` takes each hop as a
+    broadcast. The table F holds F[S, v] host by host, subset S by subset,
+    point v by point, and the flow powers fp host by host, subset by subset.
 
-    size: the length of F;
     single: (F, fp) positions of the singletons {t}, point by point, in the
-        order of the terminal rows Dt that they multiply;
-    terminal_rows: the Dp positions of the rows 1..k of every host, in that
-        order (the terminal rows when points 1..k are the terminals);
-    hop: the hop products fp(S) Dp(u, v), layer by layer, in the order
-        (host, S, v, u): the fp position of each (host, S), the number n^2
-        of its products, and the Dp position of each product;
+        order of the terminal rows that they multiply;
     layers: per popcount 2, 3, ...: the branch positions (T, S - T) of F,
         ordered (host, S, u, split T), and the `reduceat` start of each
-        (host, S, u); the positions in that branch minimum g of the hop
-        terms, the start of each (host, S, v), the F positions of the
-        (host, S, v), and the layer's slice of the hop products;
-    roots: the F positions of (host, all terminals, point 0)."""
+        (host, S, u); the fp position of each (host, S); and the F position
+        of each (host, S, v) with the `reduceat` start of its run of n hop
+        terms in the order (host, S, v, u)."""
 
-    size: int
     single: tuple[np.ndarray, np.ndarray]
-    terminal_rows: np.ndarray
-    hop: tuple[np.ndarray, np.ndarray, np.ndarray]
-    layers: tuple[tuple, ...]
-    roots: np.ndarray
+    layers: tuple[tuple[np.ndarray, ...], ...]
 
 
 @lru_cache(maxsize=32)
@@ -289,10 +278,10 @@ def _tree_program(k, n, B):
     built with a few array steps per layer, free of the distances, the
     weights and p, and kept for the last few shapes."""
     size = 1 << k
-    b = np.arange(B)[:, None, None, None]
-    Fb, fpb, Db = b * size * n, b * size, b * n * n  # where each host starts in F, fp and Dp
+    b = np.arange(B)[:, None]
+    Fb, fpb = b * size * n, b * size  # where each host starts in F and fp
     t, v = (1 << np.arange(k))[:, None], np.arange(n)  # the singletons {t}
-    layers, hop_fp, hop_D, h0 = [], [], [], 0
+    layers = []
     for subsets, T, rest, starts in _subset_program(k)[2]:
         # one host's branch terms in the order (S, u, split): split j of
         # the subset at index s sits at n starts[s] + u lens[s] + j - starts[s]
@@ -302,37 +291,20 @@ def _tree_program(k, n, B):
         Tpos, Rpos = np.empty((2, len(T) * n), dtype=np.intp)
         Tpos[at], Rpos[at] = T[:, None] * n + v, rest[:, None] * n + v
         count = np.tile(np.repeat(lens, n), B)
-        # the hop terms in the order (host, S, v, u)
-        L, shape = len(subsets), (B, len(subsets), n, n)
-        s, u, to = np.arange(L)[:, None, None], v, v[:, None]
-        hop_fp.append(fpb[..., 0, 0] + subsets)
-        hop_D.append(np.broadcast_to(Db + u * n + to, shape))
-        h1 = h0 + B * L * n * n
+        out = np.ravel(Fb[..., None] + subsets[:, None] * n + v)
         layers.append(
             _read_only(
-                np.ravel(Fb[..., 0, 0] + Tpos),
-                np.ravel(Fb[..., 0, 0] + Rpos),
+                np.ravel(Fb + Tpos),
+                np.ravel(Fb + Rpos),
                 np.cumsum(count) - count,
-                np.ravel(np.broadcast_to((b * L + s) * n + u, shape)),
-                np.arange(0, h1 - h0, n),
-                np.ravel(Fb + subsets[s] * n + to),
+                np.ravel(fpb + subsets),
+                out,
+                np.arange(0, out.size * n, n),
             )
-            + (slice(h0, h1),)
         )
-        h0 = h1
-
-    def flat(parts):
-        # intp, not int32: a gather casts a narrower index to intp on every call
-        return np.concatenate([np.ravel(a) for a in parts] or [np.zeros(0, np.intp)])
-
-    hop_fp = flat(hop_fp)
     return _TreeProgram(
-        B * size * n,
-        _read_only(np.ravel(Fb[..., 0] + t * n + v), np.ravel(np.broadcast_to(fpb[..., 0] + t, (B, k, n)))),
-        *_read_only(np.ravel(Db[..., 0] + np.arange(1, k + 1)[:, None] * n + v)),
-        _read_only(hop_fp, np.full(hop_fp.size, n * n), flat(hop_D)),
+        _read_only(np.ravel(Fb[..., None] + t * n + v), np.ravel(np.broadcast_to(fpb[..., None] + t, (B, k, n)))),
         tuple(layers),
-        *_read_only(np.ravel(Fb + (size - 1) * n)),
     )
 
 
@@ -340,23 +312,26 @@ def _tree_table(prog, Dp, Dt, fp):
     """The tree program on the hosts of `prog`: the flat table of
     F[S, v], the least sum_e Dp(e) |W_e|^p over trees joining the terminals
     S to v in its host, W_e the weight on the side of edge e away from v,
-    given the flat distance powers Dp, the terminal rows Dt of Dp and the
-    flow powers fp of `_subset_flows`.
+    given the distance powers Dp (B, n, n), each symmetric, the terminal
+    rows Dt (B, k, n) of Dp and the flow powers fp of `_subset_flows`.
 
     A singleton {t} costs |w_t|^p Dp(t, v). Then one popcount layer of
     subsets per step, for all hosts at once. The branch cost g[S][u] is the
     least F[T][u] + F[S - T][u] over the splits T of S: two gathers, an add
     and one `np.minimum.reduceat`. One hop F[S][v] = min_u g[S][u] + Dp(u,
-    v) |w(S)|^p suffices because d^p is a metric for p <= 1: one gather of g,
-    an add of the hop products, all taken before the loop, and one
-    `np.minimum.reduceat`, then one scatter into F.
+    v) |w(S)|^p suffices because d^p is a metric for p <= 1: one broadcast
+    of |w(S)|^p Dp(v, u) + g[S][u] over (B, S, v, u), its minima over the
+    runs of n by `np.minimum.reduceat`, and one scatter into F.
     """
-    F = np.zeros(prog.size)
-    F[prog.single[0]] = fp[prog.single[1]] * Dt
-    products = np.repeat(fp[prog.hop[0]], prog.hop[1]) * Dp[prog.hop[2]]
-    for T, rest, bstarts, gpos, hstarts, out, part in prog.layers:
+    B, n = len(Dp), Dp.shape[-1]
+    F = np.zeros(fp.size * n)
+    F[prog.single[0]] = fp[prog.single[1]] * Dt.ravel()
+    hosts = Dp[:, None]
+    for T, rest, bstarts, fpos, out, hstarts in prog.layers:
         g = np.minimum.reduceat(F[T] + F[rest], bstarts)
-        F[out] = np.minimum.reduceat(g[gpos] + products[part], hstarts)
+        hop = fp[fpos].reshape(B, -1, 1, 1) * hosts
+        hop += g.reshape(B, -1, 1, n)
+        F[out] = np.minimum.reduceat(hop.ravel(), hstarts)
     return F
 
 
@@ -387,14 +362,16 @@ def exact_norms(D, W, p: float) -> list[float]:
     double range.
 
     Nothing here checks D: each D[b] must be a metric, as the matrix of a
-    `PointedFiniteMetric` is, or the values are not norms."""
+    `PointedFiniteMetric` is, or the values are not norms. It must be
+    exactly symmetric too, as a metric is: the hop reads D[b, v, u] as the
+    distance from u to v."""
     p = check_p(p)
     _check_cap(W.shape[1])
-    prog = _tree_program(W.shape[1], D.shape[1], len(D))
+    (B, k), n = W.shape, D.shape[1]
     fp = _subset_flows(W, p)[2]
-    Dp = D.ravel() ** p
-    F = _tree_table(prog, Dp, Dp[prog.terminal_rows], fp)
-    return _roots(F[prog.roots].tolist(), p)
+    Dp = D**p
+    F = _tree_table(_tree_program(k, n, B), Dp, Dp[:, 1 : k + 1], fp)
+    return _roots(F.reshape(B, -1, n)[:, -1, 0].tolist(), p)
 
 
 def _has_cycle(n, xs, ys):
@@ -462,16 +439,15 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
     The minimum over decompositions is attained on a tree rooted at the base
     (a minimum concave-cost flow, Zangwill 1968): the least sum_e (d(e)
     |W_e|)^p, W_e the weight of m on the side of edge e away from the base.
-    This is the one-host call (k, n, 1) of the flat tree program
-    `_tree_table`, in O(3^k n + 2^k n^2) time and k array steps for support
-    size k on a host of n points; its table, reshaped to (2^k, n), is what
-    the witness reads. The witness comes from a backtracking from the full
-    set at the base that recomputes the branch and hop minima only at the
-    O(k) nodes it visits, taking first minima in the table's order; it has
-    one molecule per tree edge carrying nonzero weight, with both endpoints
-    anywhere in the host (every host point may serve as a Steiner point).
-    Exact for every
-    0 < p <= 1 but exponential in the support size, hence the cap
+    This is the one-host call of the tree program `_tree_table`, in
+    O(3^k n + 2^k n^2) time and k array steps for support size k on a host
+    of n points; its table, reshaped to (2^k, n), is what the witness reads.
+    The witness comes from a backtracking from the full set at the base
+    that recomputes the branch and hop minima only at the O(k) nodes it
+    visits, taking first minima in the table's order; it has one molecule
+    per tree edge carrying nonzero weight, with both endpoints anywhere in
+    the host (every host point may serve as a Steiner point). Exact for
+    every 0 < p <= 1 but exponential in the support size, hence the cap
     DEFAULT_CAP on the support plus the base; the host itself may be larger.
     To restrict the molecules to a subset, build the induced subspace as the
     host. Beyond the cap, use the certified bound operations
@@ -487,8 +463,7 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
     k = len(terminals)
     wsum, flow, fp = _subset_flows(np.array([[m.weights[t] for t in terminals]]), p)
     Dp = host.dist**p
-    prog = _tree_program(k, host.n, 1)
-    F = _tree_table(prog, Dp.ravel(), Dp[terminals].ravel(), fp).reshape(1 << k, host.n)
+    F = _tree_table(_tree_program(k, host.n, 1), Dp[None], Dp[None, terminals], fp).reshape(1 << k, host.n)
     splits = _subset_program(k)[1]
 
     W = np.zeros((host.n, host.n))  # weight carried from u to v, antisymmetric

@@ -733,10 +733,7 @@ def plan_arrays(plan):
 
 
 def tree_arrays(tree):
-    return [
-        *tree.single, tree.terminal_rows, *tree.hop, tree.roots,
-        *(a for layer in tree.layers for a in layer[:-1]),
-    ]
+    return [*tree.single, *(a for layer in tree.layers for a in layer)]
 
 
 @pytest.mark.parametrize("d,k", [(1, 5), (2, 2), (3, 1), (1, 7), (2, 3), (3, 2)])

@@ -36,6 +36,7 @@ from freep.freenorm import (
     _cancel_cycles,
     _forest_witness,
     _transport,
+    _tree_program,
     upper_bound_from,
 )
 from freep.metric import PointedFiniteMetric, holder_distort, l1_space
@@ -623,6 +624,43 @@ def test_small_supports_on_larger_hosts_match_the_per_subset_loop(seed, n, k, p,
     want, tree = oracle_tree_norm(m, p)
     assert value.hex() == want.hex()
     assert terms_hex(witness) == terms_hex(tree)
+
+
+HOST_KINDS = ("plain", "holder", "lattice")
+
+
+@pytest.mark.parametrize("kind", HOST_KINDS)
+@pytest.mark.parametrize("n", [30, 60, 200])
+def test_small_supports_on_large_hosts_match_the_per_subset_loop(n, kind):
+    """exact_norm_small with 5 to 7 support points on hosts of up to 200
+    points, the base anywhere: the value and the witness of the per-subset
+    loop, bitwise."""
+    rng = np.random.default_rng([n, HOST_KINDS.index(kind)])
+    for k in (5, 6, 7):
+        host, draw = host_draw(rng, n, kind)
+        s = PointedFiniteMetric(host.points, int(rng.integers(n)), host.dist)
+        others = [i for i in range(n) if i != s.base]
+        m = FreeElement(s, {i: draw() for i in rng.choice(others, k, replace=False).tolist()})
+        p = float(rng.choice([1.0, 0.8, 0.5, 0.3]))
+        value, witness = exact_norm_small(m, p)
+        want, tree = oracle_tree_norm(m, p)
+        assert value.hex() == want.hex(), (k, p)
+        assert terms_hex(witness) == terms_hex(tree), (k, p)
+
+
+def test_tree_program_holds_no_entry_per_hop_term():
+    """The index of the tree program grows like its branch terms, 3^k n B,
+    not like its hop terms, 2^k n^2 B: a 200-point host with 7 terminals
+    holds fewer than 2 3^k n B entries, where one per hop term alone would
+    be 120 n^2 = 4.8 million."""
+
+    def entries(part):
+        if isinstance(part, np.ndarray):
+            return part.size
+        return sum(map(entries, part)) if isinstance(part, tuple) else 0
+
+    k, n, B = 7, 200, 1
+    assert entries(_tree_program(k, n, B)) < 2 * 3**k * n * B
 
 
 @settings(max_examples=25, deadline=None)
