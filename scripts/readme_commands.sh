@@ -8,11 +8,13 @@
 # fit the default pair budget but are checked over many blocks, and
 # lambda-check and retraction-verify on an L-shaped complex file at R = 0.7
 # (the complex-file harness route: one vertex-indicator certificate bounds
-# every sampled image difference). Last, norm --p 0.5 on a 200-point file
-# with a 7-point element, the exact tree program on a large host in a fresh
-# process; that run is written `run --p 0.5 --command ...` because
+# every sampled image difference). Last, two runs that are not README
+# commands: norm --p 0.5 on a 200-point file with a 7-point element, the
+# exact tree program on a large host in a fresh process, and basis-verify at
+# d = 3, kmax = 3, a cold 729-point grid plan with the fallback classes on
+# three levels. They are written `run --p 0.5 --command ...` because
 # scripts/report_corpus.py takes the lines that begin `run --command` into
-# its pinned corpus, and this one is not a README command. Each report is
+# its pinned corpus, and these are not README commands. Each report is
 # written with --out and parsed as strict JSON. A nonzero exit (a failed
 # certified check, a crash, or a report that is not JSON) stops the script
 # with that status.
@@ -50,3 +52,4 @@ run --command retraction-verify --p 0.5 --samples 200 --in L.txt
 python3 -c 'import random; r = random.Random(200); print("2 0"); [print(r.uniform(0, 10), r.uniform(0, 10)) for _ in range(200)]' > space200.txt
 python3 -c 'import random; r = random.Random(201); [print(r.gauss(0, 1), j) for j in r.sample(range(1, 200), 7)]' > element200.txt
 run --p 0.5 --command norm --in space200.txt --in element200.txt
+run --p 0.5 --command basis-verify --d 3 --alpha 0.5 --kmax 3

@@ -315,7 +315,11 @@ def main(argv=None) -> int:
             report, failures = _DISPATCH[cfg["command"]](cfg)
         except OverflowError:
             flags = " ".join(f"--{k} {v}" for k, v in cfg.items() if isinstance(v, (int, float)))
-            advice = "raise --p" if cfg["d"] is None else "raise --p or lower --d"
+            advice = "raise --p"
+            if cfg["d"] is not None:
+                advice += " or lower --d"
+            if cfg["alpha"] is not None:
+                advice += " or move --alpha away from 0 and 1"
             raise ValueError(f"{flags} take a constant beyond the double range; {advice}") from None
         text = report_json(report)
     except ValueError as e:

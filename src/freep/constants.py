@@ -61,22 +61,34 @@ def c_const(p: float, n: int) -> float:
     return float(n) ** (1.0 / p - 1.0)
 
 
+def _gap(t: float) -> float:
+    """1 - t, the denominator of a geometric sum of ratio t < 1; a t that
+    rounds to 1 puts the sum beyond the double range, which raises
+    OverflowError as every other overflowing constant does."""
+    gap = 1.0 - t
+    if gap == 0.0:
+        raise OverflowError("a geometric ratio rounds to 1")
+    return gap
+
+
 def rho(p: float, alpha: float) -> float:
     """Cost factor of one axis-step expansion in the dyadic hierarchy."""
     p = check_p(p)
     alpha = check_alpha(alpha)
-    geom = 2.0 ** (-p * alpha) / (1.0 - 2.0 ** (-p * alpha))
+    t = 2.0 ** (-p * alpha)
+    geom = t / _gap(t)
     return (c_const(p, 2) ** p + (1.0 + 2.0 ** (1.0 - p)) * geom) ** (1.0 / p)
 
 
 def tau(p: float, alpha: float, d: int) -> float:
-    """Cost factor of one face-induction level in molecule decompositions."""
+    """Cost factor of one face-induction level in molecule decompositions;
+    its chain factor is C(p alpha, d)^alpha for every p alpha > 0."""
     p = check_p(p)
     alpha = check_alpha(alpha)
     d = check_count("d", d, 1)
-    chain = c_const(p * alpha, d) ** alpha
-    line = (1.0 / (1.0 - 2.0 ** (p * (alpha - 1.0)))) ** (1.0 / p)
-    path = (1.0 / (1.0 - 2.0 ** (-p * alpha))) ** (1.0 / p)
+    chain = (float(d) ** (1.0 / (p * alpha) - 1.0)) ** alpha
+    line = (1.0 / _gap(2.0 ** (p * (alpha - 1.0)))) ** (1.0 / p)
+    path = (1.0 / _gap(2.0 ** (-p * alpha))) ** (1.0 / p)
     corner = (1.0 + float(d - 1) ** (p * alpha)) ** (1.0 / p)
     return chain * 2.0 ** (2.0 / p) * line * path * corner
 

@@ -18,12 +18,15 @@ and `verify_norming` checks a whole grid at once through its synthesis
 matrix S = (I - W) 2^(level alpha) (column j the point expansion of the
 basis element at grid position j + 1) and analysis matrix A (column j the
 coefficients of delta(position j)), held by their nonzero entries in one
-column layout (`_GridPlan`), their alpha-free part cached per grid
-(`_grid_plan`). Its sparse products share one kernel (`_products`,
-`_summed`): the alpha-free A, built level by level as A = I + A W, the point
-residuals R = S A - E, and the molecule coefficients, scaled differences of
-two columns of A; a molecule's reconstruction residual is the same
-difference of two columns of R.
+column layout (`_GridPlan`). Their alpha-free part is cached per grid
+(`_grid_plan`): its positions are the origin and then `basis_points`, and
+its levels, coordinates and W are read off those points and their
+`_coarse_neighbors`, the rule every element analysis uses. Its sparse
+products share one kernel (`_products`, `_summed`): the alpha-free A, built
+level by level as A = I + A W, the point residuals R = S A - E, and the
+molecule coefficients, scaled differences of two columns of A; a
+molecule's reconstruction residual is the same difference of two columns
+of R.
 `line_path`, a mesh-adjacent chain between two dyadic scalars, stays
 constructive.
 
@@ -33,9 +36,10 @@ to 1, is in class (k, m); a translation and a coordinate permutation carry
 its element onto that of the representative 2^-k (1, ..., 1, 0, ..., 0);
 and the value is the exact norm of that element within the exact engine's
 cap, beyond it the cost of its partition-of-unity decomposition.
-`verify_norming` computes the (k_max + 1) d class values of a grid in
-`_grid_basis_norms`, one `exact_norms` call per host shape, and the tests
-pin them to `basis_norm_check` bitwise.
+`_grid_basis_norms` computes the (k_max + 1) d class values of a grid, one
+`exact_norms` call per host shape, and the tests pin them to
+`basis_norm_check` bitwise; every class has a point in the grid, so
+`verify_norming` reduces over the class values alone.
 
 The weights w(u, v) are dyadic, so the coefficient at a level-k point is an
 exact dyadic rational beta times 2^(-k*alpha). The analysis has one
@@ -385,18 +389,17 @@ def basis_element(v: DyadicPoint, alpha: float) -> FreeElement:
     return FreeElement(host, {i: expansion[q] for i, q in enumerate(support, 1)})
 
 
-def _proof_cost(v: DyadicPoint, alpha: float, p: float) -> float:
-    """Cost of the partition-of-unity decomposition of the basis element at v
-    into molecules toward its coarser neighbors (origin included).
+def _proof_cost(k: int, m: int, alpha: float, p: float) -> float:
+    """Cost of the partition-of-unity decomposition of a basis element of
+    class (k, m) (`basis_norm_check`) into molecules toward its coarser
+    neighbours (origin included).
 
-    A level-k point with m odd numerators has 2^m coarse neighbours, each
-    m 2^-k away and weighing 2^-m, both exact doubles, so every molecule
-    term is the same double; the 2^m terms are added one by one, as a sum
-    over the neighbours rounds. A corner costs its distance to the origin."""
-    k = v.level
+    At level k >= 1 the element has 2^m coarse neighbours, each m 2^-k away
+    and weighing 2^-m, both exact doubles, so every molecule term is the
+    same double; the 2^m terms are added one by one, as a sum over the
+    neighbours rounds. A corner costs its distance m to the origin."""
     if k == 0:
-        return float(sum(v.nums)) ** alpha
-    m = sum(n % 2 for n in v.nums)
+        return float(m) ** alpha
     term = (2.0 ** (k * alpha) * 0.5**m * (m / 2.0**k) ** alpha) ** p
     total = 0.0
     for _ in range(2**m):
@@ -436,47 +439,8 @@ def basis_norm_check(v: DyadicPoint, alpha: float, p: float) -> tuple[float, flo
     if elem.host.n <= DEFAULT_CAP:
         value = exact_norm_small(elem, p)[0]
     else:
-        value = _proof_cost(r, alpha, p)
+        value = _proof_cost(v.level, m, alpha, p)
     return value, basis_bound(p, alpha, v.d)
-
-
-def _grid(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(nums, levels, index) of the level-k grid of [0, 1]^d sorted by
-    (level, nums), the origin first: nums (M, d) holds the integer numerators
-    over 2^k, levels the canonical levels, and index[key] the position of
-    the grid point with mixed-radix key nums @ (2^k + 1)^(d - 1 - axis)."""
-    side = 2**k + 1
-    nums = np.indices((side,) * d).reshape(d, -1).T
-    levels = np.full(len(nums), k)
-    for t in range(1, k + 1):
-        levels[(nums % 2**t == 0).all(axis=1)] = k - t
-    order = np.argsort(levels, kind="stable")  # nums come in lexicographic order
-    index = np.empty_like(order)
-    index[order] = np.arange(len(order))
-    return nums[order], levels[order], index
-
-
-def _coarse_triplets(nums: np.ndarray, levels: np.ndarray, index: np.ndarray, k: int):
-    """The coarser-grid interpolation of `_grid`'s points as grid positions:
-    arrays (u, v, w) holding each pair (u, v) of `_coarse_neighbors` once,
-    v a point of level >= 1, u a neighbour of v other than the origin, and
-    w = 2^-(number of odd coordinates of v at its own level).
-
-    A neighbour is v + s h on the odd coordinates (h the mesh of v's level)
-    for a sign pattern s in {-1, 1}^d that is 1 on the even coordinates."""
-    d = nums.shape[1]
-    h = 2 ** (k - levels)[:, None]
-    odd = (nums // h % 2 == 1) & (levels > 0)[:, None]
-    weights = 0.5 ** odd.sum(axis=1)
-    radix = (2**k + 1) ** np.arange(d - 1, -1, -1)
-    out = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
-    # at k = 0 no point has neighbours, and d may be as large as 12
-    for signs in product((-1, 1), repeat=d) if k else ():
-        v = np.flatnonzero((odd | (np.array(signs) > 0)).all(axis=1) & (levels > 0))
-        u = index[((nums[v] + odd[v] * signs * h[v]) * radix).sum(axis=1)]
-        keep = u > 0
-        out.append((u[keep], v[keep], weights[v[keep]]))
-    return tuple(np.concatenate(a) for a in zip(*out))
 
 
 def _summed(key: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -512,7 +476,7 @@ def _products(X, Y, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _grid_peel(synthesis, levels: np.ndarray):
-    """A0, A at alpha = 0, from S0 = I - W and `_grid`'s levels, both in the
+    """A0, A at alpha = 0, from S0 = I - W and the grid's levels, both in the
     layout of `_GridPlan`: column j > 0 holds the exact peel weights of
     delta(position j), column j - 1 of (I - W)^-1, and column 0 nothing.
     A0 = I + A0 W, W moving each point only to strictly coarser ones, is
@@ -536,61 +500,62 @@ def _grid_peel(synthesis, levels: np.ndarray):
 
 class _GridPlan(NamedTuple):
     """The alpha-free part of `verify_norming` on the level-k_max grid of
-    [0, 1]^d (`_grid_plan`); every array is read-only. A sparse matrix is
-    held by columns as (starts, rows, values): column j is entries
+    [0, 1]^d (`_grid_plan`); every array is read-only. Grid position 0 is
+    the origin and positions 1..N are `basis_points(d, k_max)`. A sparse
+    matrix is held by columns as (starts, rows, values): column j is entries
     starts[j]:starts[j + 1], rows ascending; its rows index the basis
     points, grid positions 1..N.
 
-    nums, levels: `_grid`'s numerators and levels, the origin first;
-    coords: nums / 2^k_max;
+    levels, coords: the level and the coordinates of each grid position;
     synthesis: S0 = I - W, S at alpha = 0: column j is the basis element at
-        position j + 1, W the weights of `_coarse_triplets`;
+        position j + 1, W the weights of `_coarse_neighbors`;
     peel: A0, A at alpha = 0 (`_grid_peel`), one column per grid position;
-    classes: per column of S, the class (k, m) of its basis point
-        (`basis_norm_check`) as k d + m - 1;
     hosts: per support size within DEFAULT_CAP of the class
-        representatives, (classes, entries, l1): those classes, the
-        positions in `synthesis` of their representatives' column entries,
-        and the l1 distance stack (`_basis_l1`) of their hosts, the origin
-        followed by those entries' rows;
-    fallback: (classes, points), the classes whose representatives' hosts
-        exceed DEFAULT_CAP and those representatives, for `_proof_cost`."""
+        representatives (`basis_norm_check`), (classes, entries, l1): those
+        classes (k, m) as k d + m - 1, the positions in `synthesis` of their
+        representatives' column entries, and the l1 distance stack
+        (`_basis_l1`) of their hosts, the origin followed by those entries'
+        rows;
+    fallback: the classes k d + m - 1 whose representatives' hosts exceed
+        DEFAULT_CAP, for `_proof_cost`."""
 
-    nums: np.ndarray
     levels: np.ndarray
     coords: np.ndarray
     synthesis: tuple[np.ndarray, np.ndarray, np.ndarray]
     peel: tuple[np.ndarray, np.ndarray, np.ndarray]
-    classes: np.ndarray
     hosts: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    fallback: tuple[np.ndarray, tuple[DyadicPoint, ...]]
+    fallback: np.ndarray
 
 
 @lru_cache(maxsize=8)
 def _grid_plan(d: int, k_max: int) -> _GridPlan:
     """The `_GridPlan` of the level-k_max grid of [0, 1]^d, built once per
-    (d, k_max) and kept for the last few grids; it holds no N x N array."""
-    nums, levels, index = _grid(d, k_max)
-    n = len(nums) - 1
-    u, v, w = _coarse_triplets(nums, levels, index, k_max)
-    # S0 = I - W: the unit diagonal, and -w at row u - 1 of column v - 1
-    key, values = _summed(
-        np.concatenate((np.arange(n) * (n + 1), (v - 1) * n + u - 1)),
-        np.concatenate((np.ones(n), -w)),
-    )
+    (d, k_max) from its points and their `_coarse_neighbors` and kept for
+    the last few grids; it holds no N x N array."""
+    points = [DyadicPoint.origin(d)] + basis_points(d, k_max)
+    position = {v: j for j, v in enumerate(points)}
+    n = len(points) - 1
+    # S0 = I - W: the unit diagonal, and -w(u, v) at row u - 1 of column
+    # v - 1 for each coarse neighbour u of v other than the origin
+    key, values = list(range(0, n * n, n + 1)), [1.0] * n
+    for j, v in enumerate(points[1:]):
+        for u, w in _coarse_neighbors(v) if v.level else ():
+            if position[u]:
+                key.append(j * n + position[u] - 1)
+                values.append(-float(w))
+    key, values = _summed(np.array(key), np.array(values))
     synthesis = start, rows, _ = _read_only(*_columns(key, values, n, n))
-    coords = nums / 2.0**k_max
+    levels = np.array([v.level for v in points])
+    coords = np.array([v.floats() for v in points])
 
-    # m is the count of odd numerators at the point's own level, the count
-    # of coordinates equal to 1 at level 0
-    h = 2 ** (k_max - levels[1:, None])
-    classes = levels[1:] * d + (nums[1:] // h % 2).sum(axis=1) - 1
-    # class k d + m - 1 has the representative 2^-k (1, ..., 1, 0, ..., 0),
-    # the basis element of column reps[k d + m - 1]; its host is the origin
-    # followed by the column's rows, already in (level, nums) order
-    k, m = np.divmod(np.arange((k_max + 1) * d), d)
-    radix = (2**k_max + 1) ** np.arange(d - 1, -1, -1)
-    reps = index[((np.arange(d) <= m[:, None]) * 2 ** (k_max - k[:, None])) @ radix] - 1
+    # class k d + m - 1 has the representative 2^-k (1, ..., 1, 0, ..., 0)
+    # with m ones, the basis element of column reps[k d + m - 1]; its host
+    # is the origin followed by the column's rows, already in grid order
+    reps = np.array([
+        position[DyadicPoint(k, (1,) * m + (0,) * (d - m))] - 1
+        for k in range(k_max + 1)
+        for m in range(1, d + 1)
+    ])
     support = np.diff(start)[reps]
     hosts = []
     for size in sorted(set(support[support < DEFAULT_CAP].tolist())):
@@ -598,47 +563,43 @@ def _grid_plan(d: int, k_max: int) -> _GridPlan:
         entries = start[reps[at], None] + np.arange(size)
         X = coords[np.column_stack((np.zeros(len(at), dtype=int), rows[entries] + 1))]
         hosts.append(_read_only(at, entries, _basis_l1(X)))
-    beyond = np.flatnonzero(support >= DEFAULT_CAP)
-    points = tuple(DyadicPoint(k_max, tuple(nums[j + 1].tolist())) for j in reps[beyond].tolist())
     return _GridPlan(
-        *_read_only(nums, levels, coords),
+        *_read_only(levels, coords),
         synthesis,
         _read_only(*_grid_peel(synthesis, levels)),
-        *_read_only(classes),
         tuple(hosts),
-        (*_read_only(beyond), points),
+        *_read_only(np.flatnonzero(support >= DEFAULT_CAP)),
     )
 
 
-def _analysis_operator(d: int, k_max: int, alpha: float):
-    """(nums, S, A) for the level-k_max grid of `_grid`, the origin at
-    position 0, both matrices in the layout of `_GridPlan`. Column j of the
+def _analysis_operator(plan: _GridPlan, alpha: float):
+    """(S, A) of a grid's `_GridPlan`, both in its layout. Column j of the
     synthesis matrix S = (I - W) 2^(level alpha) is the point expansion of
     the basis element at position j + 1; column j of the analysis matrix A
     holds the basis coefficients of delta(position j), zero for the origin,
     each exact peel weight rounded once (`_rounded`)."""
-    plan = _grid_plan(d, k_max)
-    scale = np.array([2.0 ** (k * alpha) for k in range(k_max + 1)])[plan.levels[1:]]
-    unscale = np.array([2.0 ** (-k * alpha) for k in range(k_max + 1)])[plan.levels[1:]]
+    levels = plan.levels[1:]
+    scale = np.array([2.0 ** (k * alpha) for k in range(levels[-1] + 1)])[levels]
+    unscale = np.array([2.0 ** (-k * alpha) for k in range(levels[-1] + 1)])[levels]
     starts, rows, values = plan.synthesis
     S = (starts, rows, values * np.repeat(scale, np.diff(starts)))
     starts, rows, values = plan.peel
-    return plan.nums, S, (starts, rows, values * unscale[rows])
+    return S, (starts, rows, values * unscale[rows])
 
 
-def _grid_basis_norms(d: int, k_max: int, S, alpha: float, p: float) -> np.ndarray:
-    """The values of `basis_norm_check` at the basis points of
-    `_analysis_operator`'s grid, bitwise, with S its synthesis: one value
-    per class of the grid's `_GridPlan`, from one `exact_norms` call per
-    host shape of the representatives and beyond DEFAULT_CAP `_proof_cost`,
-    scattered through the plan's class index."""
-    plan = _grid_plan(d, k_max)
-    values = np.empty((k_max + 1) * d)
+def _grid_basis_norms(plan: _GridPlan, S, alpha: float, p: float) -> np.ndarray:
+    """The values of `basis_norm_check` on the (k_max + 1) d classes (k, m)
+    of a grid's `_GridPlan`, at k d + m - 1, bitwise, with S its synthesis
+    (`_analysis_operator`): one `exact_norms` call per host shape of the
+    class representatives, and beyond DEFAULT_CAP `_proof_cost`."""
+    d = plan.coords.shape[1]
+    values = np.empty((plan.levels[-1] + 1) * d)
     for classes, entries, l1 in plan.hosts:
         values[classes] = exact_norms(l1**alpha, S[2][entries], p)
-    classes, points = plan.fallback
-    values[classes] = [_proof_cost(v, alpha, p) for v in points]
-    return values[plan.classes]
+    values[plan.fallback] = [
+        _proof_cost(c // d, c % d + 1, alpha, p) for c in plan.fallback.tolist()
+    ]
+    return values
 
 
 def _point_residuals(S, A) -> np.ndarray:
@@ -730,17 +691,18 @@ def verify_norming(
             f"the cap {MAX_BASIS_POINTS}; lower --d or --kmax"
         )
 
-    nums, S, A = _analysis_operator(d, k_max, alpha)
-    coords = _grid_plan(d, k_max).coords
-    values = _grid_basis_norms(d, k_max, S, alpha, p)
+    plan = _grid_plan(d, k_max)
+    S, A = _analysis_operator(plan, alpha)
+    values = _grid_basis_norms(plan, S, alpha, p)
     residuals = _point_residuals(S, A)
     bound = basis_bound(p, alpha, d)
 
-    complete = len(nums) * (len(nums) - 1) // 2 <= pair_budget
+    n_points = len(plan.coords)
+    complete = n_points * (n_points - 1) // 2 <= pair_budget
     max_cost = 0.0
     max_residual = 0.0
-    for I, J in _molecule_blocks(len(nums), pair_budget):
-        costs, bounds = _molecule_checks(coords, A, residuals, I, J, alpha, p)
+    for I, J in _molecule_blocks(n_points, pair_budget):
+        costs, bounds = _molecule_checks(plan.coords, A, residuals, I, J, alpha, p)
         max_cost = max(max_cost, float(costs.max()))
         max_residual = max(max_residual, float(bounds.max()))
 

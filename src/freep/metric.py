@@ -86,8 +86,9 @@ def l1_space(points: Iterable[Sequence[float]], base: int = 0) -> PointedFiniteM
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError("need a nonempty list of equal-length coordinate vectors")
     labels = tuple(tuple(float(c) for c in row) for row in arr)
-    # an infinite coordinate gives inf - inf = nan, which the constructor names
-    with np.errstate(invalid="ignore"):
+    # an infinite coordinate gives inf - inf = nan, and a gap beyond the
+    # double range gives inf; the constructor names either
+    with np.errstate(invalid="ignore", over="ignore"):
         dist = np.abs(arr[:, None, :] - arr[None, :, :]).sum(axis=2)
     np.fill_diagonal(dist, 0.0)
     return PointedFiniteMetric(labels, base, dist)

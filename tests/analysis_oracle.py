@@ -1,11 +1,12 @@
 """Reference analysis operator, one grid point at a time.
 
-`freep.dyadic._analysis_operator` builds the grid of `verify_norming` from
-one integer numerator array and peels the analysis matrix for every delta at
-once, one level per array step. This module keeps the per-point route it
-replaced: the grid as sorted `DyadicPoint`s, each column of the synthesis
-matrix from the point's expansion, and each column of the analysis matrix
-from an exact `Fraction` peel of that point's delta (`analyze({v: 1.0})`).
+`freep.dyadic._analysis_operator` scales the grid plan of `verify_norming`,
+whose synthesis matrix is assembled from the coarse neighbours of all grid
+points at once and whose analysis matrix is peeled for every delta at once,
+one level per array step. This module keeps the per-point route: the grid
+as sorted `DyadicPoint`s, each column of the synthesis matrix from the
+point's expansion, and each column of the analysis matrix from an exact
+`Fraction` peel of that point's delta (`analyze({v: 1.0})`).
 Both round each coefficient once from the same exact weight, so the tests
 pin the kernel equal to it bitwise: the grid order, S and A.
 """

@@ -403,7 +403,21 @@ def test_decompose_refuses_a_base_off_the_origin(capsys, tmp_path):
      "--p 0.01 --alpha 0.5 --d 3 take a constant beyond the double range"),
     (["--command", "retraction-verify", "--p", "0.001", "--d", "2", "--samples", "3"],
      "--p 0.001 --d 2 --samples 3 take a constant beyond the double range"),
-], ids=["basis-verify", "bm-report", "retraction-verify"])
+    # 2^(p (alpha - 1)) or 2^(-p alpha) rounds to 1 in tau and rho, whose
+    # geometric sums are then beyond the double range
+    (["--command", "bm-report", "--p", "0.5", "--alpha", "0.9999999999999999", "--d", "1"],
+     "--p 0.5 --alpha 0.9999999999999999 --d 1 take a constant beyond the double range; "
+     "raise --p or lower --d or move --alpha away from 0 and 1"),
+    (["--command", "bm-report", "--p", "0.5", "--alpha", "1e-17", "--d", "1"],
+     "--p 0.5 --alpha 1e-17 --d 1 take a constant beyond the double range; "
+     "raise --p or lower --d or move --alpha away from 0 and 1"),
+    (["--command", "basis-verify", "--p", "0.5", "--alpha", "0.9999999999999999", "--d", "1",
+      "--kmax", "1"],
+     "--p 0.5 --alpha 0.9999999999999999 --d 1 --kmax 1 take a constant beyond the double range"),
+    (["--command", "basis-verify", "--p", "0.5", "--alpha", "1e-17", "--d", "1", "--kmax", "1"],
+     "--p 0.5 --alpha 1e-17 --d 1 --kmax 1 take a constant beyond the double range"),
+], ids=["basis-verify", "bm-report", "retraction-verify", "bm-report-alpha-below-1",
+        "bm-report-alpha-above-0", "basis-verify-alpha-below-1", "basis-verify-alpha-above-0"])
 def test_constants_beyond_the_double_range_exit_2(capsys, args, message):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -412,6 +426,17 @@ def test_constants_beyond_the_double_range_exit_2(capsys, args, message):
     assert out == ""
     assert message in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_point_gap_beyond_the_double_range_exits_2(capsys, tmp_path):
+    # the gap from 1e308 to -1e308 overflows to inf, which the metric names
+    # without a numpy warning
+    space = write(tmp_path, "space.txt", "1 0\n0\n1e308\n-1e308\n")
+    element = write(tmp_path, "elem.txt", "1.0 1\n")
+    code, out, err = run(capsys, ["--command", "norm", "--p", "0.5", "--in", space, "--in", element])
+    assert code == 2
+    assert out == ""
+    assert "distance d(1,2) = inf is not finite" in err
 
 
 @pytest.mark.parametrize("args, message", [

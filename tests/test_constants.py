@@ -141,6 +141,19 @@ def test_tau_factorization_d2():
     )
 
 
+@pytest.mark.parametrize("alpha", [0.9999999999999999, 1e-17])
+def test_geometric_ratios_that_round_to_1_overflow(alpha):
+    # 2^(p (alpha - 1)) (tau's line factor) or 2^(-p alpha) (rho, and tau's
+    # path factor) rounds to 1, so the geometric sum is beyond the double
+    # range; at alpha = 1e-17, p alpha is below P_FLOOR, where C(p alpha, d)
+    # still defines tau's chain factor
+    with pytest.raises(OverflowError):
+        tau(0.5, alpha, 1)
+    if alpha < 0.5:
+        with pytest.raises(OverflowError):
+            rho(0.5, alpha)
+
+
 def test_tau_nondecreasing_in_d():
     for p in (1.0, 0.5):
         for alpha in (0.25, 0.75):

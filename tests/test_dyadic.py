@@ -303,13 +303,13 @@ def test_basis_norm_check_examples():
 def test_basis_norm_check_proof_cost_fallback():
     v = dp(F(1, 2), F(1, 2))
     exact_val, _ = basis_norm_check(v, 0.5, 0.5)
-    assert exact_val <= _proof_cost(v, 0.5, 0.5) + 1e-9
+    assert exact_val <= _proof_cost(1, 2, 0.5, 0.5) + 1e-9
     # the d = 3 centre point has all 8 corners as coarse neighbours, so its
     # host is beyond the exact-norm cap and the proof cost stands in
     centre = dp(F(1, 2), F(1, 2), F(1, 2))
     assert basis_element(centre, 0.5).host.n > DEFAULT_CAP
     value, bound = basis_norm_check(centre, 0.5, 0.5)
-    assert value == _proof_cost(centre, 0.5, 0.5)
+    assert value == _proof_cost(1, 3, 0.5, 0.5)
     assert value <= bound + 1e-9
 
 
@@ -384,15 +384,16 @@ PROOF_COST_GRIDS = ((1, 9), (2, 5), (3, 3), (4, 2), (5, 1))
 
 
 def test_proof_cost_equals_the_exact_oracle_bitwise():
-    """The float fallback cost, one double term repeated over the 2^m coarse
-    neighbours, equals the term-by-term exact oracle on every basis point of
-    five grids."""
+    """The float fallback cost of a class (k, m), one double term repeated
+    over the 2^m coarse neighbours, equals the term-by-term exact oracle at
+    every basis point of that class on five grids."""
     count = 0
     for d, k in PROOF_COST_GRIDS:
         for v in basis_points(d, k):
+            m = sum(n % 2 for n in v.nums)
             for alpha in (0.25, 0.5, 0.7):
                 for p in (0.3, 0.5, 0.8, 1.0):
-                    got, want = _proof_cost(v, alpha, p), oracle_proof_cost(v, alpha, p)
+                    got, want = _proof_cost(v.level, m, alpha, p), oracle_proof_cost(v, alpha, p)
                     assert got.hex() == want.hex(), (v, alpha, p)
                     count += 1
     assert count == 38_328
@@ -594,9 +595,10 @@ def test_analysis_operator_equals_the_per_point_oracle(d, k):
         for cold in (True, False):
             if cold:
                 _grid_plan.cache_clear()
-            nums, S, A = _analysis_operator(d, k, alpha)
-            assert [DyadicPoint(k, n) for n in nums.tolist()] == grid
-            n = len(nums) - 1
+            plan = _grid_plan(d, k)
+            S, A = _analysis_operator(plan, alpha)
+            assert [DyadicPoint.from_fractions(map(F, c)) for c in plan.coords.tolist()] == grid
+            n = len(plan.coords) - 1
             assert dense(S, n).tobytes() == S_want.tobytes(), (alpha, cold)
             assert dense(A, n).tobytes() == A_want.tobytes(), (alpha, cold)
 
@@ -664,8 +666,8 @@ def test_point_residuals_equal_the_dense_product(d, k):
     of 1 for the grid's own A, and within 1e-12 relative for a drawn A."""
     rng = np.random.default_rng([d, k])
     for alpha in (0.25, 0.5, 0.7):
-        nums, S, A = _analysis_operator(d, k, alpha)
-        n = len(nums) - 1
+        S, A = _analysis_operator(_grid_plan(d, k), alpha)
+        n = len(S[0]) - 1
         got = _point_residuals(S, A)
         want = np.abs(dense_residuals(S, A, n)).max(axis=0)
         assert got[0] == 0.0 and np.abs(got - want).max() <= 4 * np.finfo(float).eps
@@ -681,11 +683,11 @@ def test_molecule_residual_bounds_cover_the_synthesis(d, k):
     # from the dense product, and equals it on the origin's pairs (R_0 = 0)
     rng = np.random.default_rng([d, k])
     alpha, p = 0.5, 0.7
-    nums, S, A = _analysis_operator(d, k, alpha)
-    n = len(nums) - 1
+    coords = _grid_plan(d, k).coords
+    S, A = _analysis_operator(_grid_plan(d, k), alpha)
+    n = len(coords) - 1
     A = drawn(A, rng)
     R = dense_residuals(S, A, n)
-    coords = nums / 2.0**k
     residuals = _point_residuals(S, A)
     for I, J in _molecule_blocks(n + 1, 10**6):
         scale = 1.0 / np.abs(coords[J] - coords[I]).sum(axis=1) ** alpha
@@ -696,14 +698,17 @@ def test_molecule_residual_bounds_cover_the_synthesis(d, k):
 
 
 def test_grid_basis_norms_equal_basis_norm_checks(basis_checks):
-    """The hosts read off the synthesis columns give the values of
-    basis_norm_check bitwise, the d = 3 fallback cost included, and
+    """The hosts read off the synthesis columns give one value per class
+    (k, m), at k d + m - 1, and at each basis point its class's value is
+    that of basis_norm_check bitwise, the d = 3 fallback cost included;
     verify_norming reports their maximum and the bound."""
     fallback = 0
     for d, k in ORACLE_GRIDS:
         pts = basis_points(d, k)
+        classes = [v.level * d + sum(n % 2 for n in v.nums) - 1 for v in pts]
+        assert sorted(set(classes)) == list(range((k + 1) * d))
         for alpha in (0.25, 0.5, 0.7):
-            nums, S, A = _analysis_operator(d, k, alpha)
+            S, A = _analysis_operator(_grid_plan(d, k), alpha)
             for p in (0.3, 0.5, 0.8, 1.0):
                 checks = basis_checks[d, k, alpha, p]
                 want = [value for value, _ in checks]
@@ -711,7 +716,7 @@ def test_grid_basis_norms_equal_basis_norm_checks(basis_checks):
                 for cold in (True, False):
                     if cold:
                         _grid_plan.cache_clear()
-                    got = _grid_basis_norms(d, k, S, alpha, p)
+                    got = _grid_basis_norms(_grid_plan(d, k), S, alpha, p)[classes]
                     assert [x.hex() for x in got.tolist()] == [x.hex() for x in want], (
                         d, k, alpha, p, cold)
                 report = verify_norming(d, alpha, p, k)
@@ -727,8 +732,8 @@ def hexed(report):
 
 def plan_arrays(plan):
     return [
-        plan.nums, plan.levels, plan.coords, *plan.synthesis, *plan.peel, plan.classes,
-        *(a for host in plan.hosts for a in host), plan.fallback[0],
+        plan.levels, plan.coords, *plan.synthesis, *plan.peel,
+        *(a for host in plan.hosts for a in host), plan.fallback,
     ]
 
 
@@ -739,7 +744,7 @@ def tree_arrays(tree):
 @pytest.mark.parametrize("d,k", [(1, 5), (2, 2), (3, 1), (1, 7), (2, 3), (3, 2)])
 def test_grid_plan_is_reused_and_changes_nothing(monkeypatch, d, k):
     """Each report from a plan built by its own call, then each again from
-    the plan the last of them left, with the grid, neighbour and peel
+    the plan the last of them left, with the point, neighbour and peel
     builders refused: the same fields, bit for bit."""
     pairs = ((0.35, 0.4), (0.5, 1.0), (0.9, 0.7))
     cold = {}
@@ -750,7 +755,7 @@ def test_grid_plan_is_reused_and_changes_nothing(monkeypatch, d, k):
     def refuse(*args):
         raise AssertionError("a cached grid plan was rebuilt")
 
-    for name in ("_grid", "_coarse_triplets", "_grid_peel"):
+    for name in ("basis_points", "_coarse_neighbors", "_grid_peel"):
         monkeypatch.setattr(dyadic, name, refuse)
     for alpha, p in pairs:
         assert hexed(verify_norming(d, alpha, p, k)) == cold[alpha, p], (alpha, p)
@@ -777,7 +782,7 @@ def test_grid_plan_is_read_only(d, k):
     verify_norming(d, 0.5, 0.5, k)
     assert _grid_plan(d, k) is plan
     assert [a.tobytes() for a in arrays] == before
-    n = len(plan.nums) - 1
+    n = len(plan.coords) - 1
     assert max(a.size for a in plan_arrays(plan)) < n * n
 
 
@@ -788,7 +793,7 @@ def test_verify_norming_does_no_per_point_analysis(monkeypatch):
     def refuse_check(*args):
         raise AssertionError("distance check in verify_norming")
 
-    for name in ("_peel", "_iota_expansion", "_coarse_neighbors", "molecule_l1"):
+    for name in ("_peel", "_iota_expansion", "molecule_l1"):
         monkeypatch.setattr(dyadic, name, refuse)
     # the basis hosts are metrics by construction: no distance matrix is
     # checked, neither by a host's constructor nor by a stack check that
@@ -797,10 +802,16 @@ def test_verify_norming_does_no_per_point_analysis(monkeypatch):
     for module in (dyadic, metric):
         monkeypatch.setattr(module, "check_distances", refuse_check, raising=False)
     # (3, 1) has the centre point, whose host is beyond the cap: the fallback
-    # cost runs too
-    for d, k in ((2, 2), (3, 1)):
-        report = verify_norming(d, 0.5, 0.5, k)
-        assert report["basis_ok"] and report["complete"]
+    # cost runs too. A cold plan reads the grid's points and their coarse
+    # neighbours once; a warm call reads no point at all
+    _grid_plan.cache_clear()
+    for warm in (False, True):
+        if warm:
+            for name in ("basis_points", "_coarse_neighbors"):
+                monkeypatch.setattr(dyadic, name, refuse)
+        for d, k in ((2, 2), (3, 1)):
+            report = verify_norming(d, 0.5, 0.5, k)
+            assert report["basis_ok"] and report["complete"]
 
 
 @pytest.mark.parametrize("n_points", [2, 3, 10, 33])
@@ -825,8 +836,8 @@ def test_molecule_checks_do_not_depend_on_the_blocks(monkeypatch, d, k):
     n_points = (2**k + 1) ** d
     starts = np.concatenate(([0], np.cumsum(np.arange(n_points - 1, 0, -1))))
     for alpha, p in ((0.35, 0.4), (0.5, 1.0), (0.9, 0.7)):
-        nums, S, A = _analysis_operator(d, k, alpha)
-        coords = nums / 2.0**k
+        coords = _grid_plan(d, k).coords
+        S, A = _analysis_operator(_grid_plan(d, k), alpha)
         residuals = _point_residuals(S, A)
         # all pairs, and a budget that cuts the fourth run in the middle
         for budget in (int(starts[-1]), int(starts[3]) + 2):
@@ -916,11 +927,11 @@ def test_molecule_costs_are_coefficient_cost_bitwise(d, k):
     coefficient_cost over the dense coefficient column, which sums the
     zeros too, pairwise."""
     for alpha, p in ((0.35, 0.4), (0.5, 1.0), (0.9, 0.7), (0.25, 0.3)):
-        nums, S, A = _analysis_operator(d, k, alpha)
-        coords = nums / 2.0**k
+        coords = _grid_plan(d, k).coords
+        S, A = _analysis_operator(_grid_plan(d, k), alpha)
         residuals = _point_residuals(S, A)
-        Ad = dense(A, len(nums) - 1)
-        for I, J in _molecule_blocks(len(nums), 10**6):
+        Ad = dense(A, len(coords) - 1)
+        for I, J in _molecule_blocks(len(coords), 10**6):
             C = Ad[:, I] - Ad[:, J]
             C *= 1.0 / np.abs(coords[J] - coords[I]).sum(axis=1) ** alpha
             assert (C == 0).mean() > 0.5  # most coefficients vanish
@@ -937,12 +948,13 @@ def test_molecule_checks_match_single_pairs():
     # unpruned p = 0.4 costs equal to the single-pair route (a rounding-level
     # entry of 4e-17 would move them by about 3e-7 relative)
     alpha, p = 0.5, 0.4
-    nums, S, A = _analysis_operator(2, 3, alpha)
-    grid = [DyadicPoint(3, n) for n in nums.tolist()]
+    plan = _grid_plan(2, 3)
+    S, A = _analysis_operator(plan, alpha)
+    grid = sorted_grid(2, 3)
     i = grid.index(dp(F(1, 4), F(1, 4)))
     js = np.arange(i + 1, len(grid))
     costs, residuals = _molecule_checks(
-        nums / 8, A, _point_residuals(S, A), np.full(js.size, i), js, alpha, p
+        plan.coords, A, _point_residuals(S, A), np.full(js.size, i), js, alpha, p
     )
     for j, cost, residual in zip(js, costs, residuals):
         comb = molecule_decompose(grid[i], grid[j], alpha)
