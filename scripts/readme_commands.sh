@@ -8,16 +8,18 @@
 # fit the default pair budget but are checked over many blocks, and
 # lambda-check and retraction-verify on an L-shaped complex file at R = 0.7
 # (the complex-file harness route: one vertex-indicator certificate bounds
-# every sampled image difference). Last, two runs that are not README
-# commands: norm --p 0.5 on a 200-point file with a 7-point element, the
-# exact tree program on a large host in a fresh process, and basis-verify at
+# every sampled image difference). Three runs are not README commands:
+# decompose of the element 1e-14 delta(point 1) on the 4-point file, whose
+# coefficients are pruned relative to the largest, not below an absolute
+# floor; norm --p 0.5 on a 200-point file with a 7-point element, the exact
+# tree program on a large host in a fresh process; and basis-verify at
 # d = 3, kmax = 3, a cold 729-point grid plan with the fallback classes on
-# three levels. They are written `run --p 0.5 --command ...` because
-# scripts/report_corpus.py takes the lines that begin `run --command` into
-# its pinned corpus, and these are not README commands. Each report is
-# written with --out and parsed as strict JSON. A nonzero exit (a failed
-# certified check, a crash, or a report that is not JSON) stops the script
-# with that status.
+# three levels. They are written `run --p 0.5 --command ...` (or `run
+# --alpha ...`) because scripts/report_corpus.py takes the lines that begin
+# `run --command` into its pinned corpus, and these are not README
+# commands. Each report is written with --out and parsed as strict JSON. A
+# nonzero exit (a failed certified check, a crash, or a report that is not
+# JSON) stops the script with that status.
 set -e
 run() {
     freep "$@" --out report.json
@@ -41,6 +43,8 @@ printf '1.0 1\n-0.5 2\n0.25 3\n' > element.txt
 run --command norm --p 0.5 --alpha 0.5 --in space.txt --in element.txt
 run --command norm --p 1 --in space.txt --in element.txt
 run --command decompose --alpha 0.5 --in space.txt --in element.txt
+printf '1e-14 1\n' > tiny.txt
+run --alpha 0.5 --command decompose --in space.txt --in tiny.txt
 python3 -c 'import random; r = random.Random(40); print("2 0"); [print(r.uniform(0, 10), r.uniform(0, 10)) for _ in range(40)]' > space40.txt
 python3 -c 'import random; r = random.Random(41); [print(r.gauss(0, 1), j) for j in range(1, 40)]' > element40.txt
 run --command norm --p 1 --in space40.txt --in element40.txt

@@ -19,22 +19,12 @@ from . import constants, cubes, dyadic, freenorm, metric, retraction
 from .freenorm import EVAL_TOL
 from .reportio import report_json
 
-COMMANDS = (
-    "norm",
-    "retraction-verify",
-    "basis-verify",
-    "decompose",
-    "bm-report",
-    "lambda-check",
-)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="freep",
         description="certified free p-norm, retraction, and dyadic-basis checks",
     )
-    ap.add_argument("--command", choices=COMMANDS)
+    ap.add_argument("--command", choices=_DISPATCH)
     ap.add_argument("--config", help="JSON file with default flag values")
     ap.add_argument("--p", type=float)
     ap.add_argument("--alpha", type=float)
@@ -71,7 +61,7 @@ def _merge_config(args) -> dict:
                 raise ValueError(f"unknown config key {key!r}")
             if cfg[key] is None:
                 cfg[key] = val
-    if cfg["command"] not in COMMANDS:
+    if cfg["command"] not in _DISPATCH:
         raise ValueError("--command is required (or must be set in the config file)")
     # a config file can hold any JSON value, and JSON true is an int to Python
     for name, low in (("seed", 0), ("samples", 0), ("d", 1), ("kmax", 1)):

@@ -21,6 +21,7 @@ a sorted table of the vertices present.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -73,6 +74,9 @@ class CubeComplex:
         d = _check_dimension(check_count("d", self.d, 1))
         if not (math.isfinite(self.R) and self.R > 0):
             raise ValueError(f"R must be a finite positive number, got {self.R!r}")
+        if self.R < sys.float_info.min:
+            raise ValueError(f"R = {self.R!r} is subnormal, below {sys.float_info.min!r}: "
+                             "its lattice distances R k would keep too few bits")
         offs = sorted(
             {tuple(check_integer("offset coordinate", c) for c in w) for w in self.offsets}
         )
@@ -250,15 +254,10 @@ def find_cube(complex: CubeComplex, x: Sequence[float]) -> tuple[int, ...]:
 def lambda_weight(complex: CubeComplex, v: Sequence[int], x: Sequence[float]) -> float:
     """Weight of lattice vertex v (lattice units) at point x (actual
     coordinates); zero whenever v is not a vertex of x's cube."""
-    v = np.array([check_integer("vertex coordinate", c) for c in v], dtype=np.int64)
-    if v.shape != (complex.d,):
+    v = tuple(check_integer("vertex coordinate", c) for c in v)
+    if len(v) != complex.d:
         raise ValueError(f"vertex must have {complex.d} coordinates")
-    W, L = vertex_weights(complex, as_points(complex, x))
-    bit = v - W[0]
-    if np.any((bit < 0) | (bit > 1)):
-        return 0.0
-    weight = float(L[0, int(bit @ (1 << np.arange(complex.d)[::-1]))])
-    return 0.0 if weight == 0.0 else weight
+    return next((w.weight for w in lambda_support(complex, x) if w.vertex == v), 0.0)
 
 
 def lambda_support(complex: CubeComplex, x: Sequence[float]) -> list[VertexWeight]:

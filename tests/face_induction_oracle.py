@@ -17,7 +17,11 @@ coefficients check the rationals of `freep.dyadic`'s peel. The coarser-grid
 interpolation is kept here too, in exact coordinates (`oracle_coarse_neighbors`),
 as a check on `freep.dyadic`'s integer kernel over the numerators, and so
 is the cost of a basis element's partition-of-unity decomposition, summed
-over those neighbours with exact distances (`oracle_proof_cost`).
+over those neighbours with exact distances (`oracle_proof_cost`). So is a
+mesh-adjacent chain by a level scan (`oracle_line_path`), which locates the
+coarsest grid point between the endpoints level by level and extends
+outward one mesh step per level: a check on `line_path`, which reads the
+same chain off the binary expansion of its two gaps.
 """
 
 import math
@@ -27,7 +31,14 @@ from itertools import product
 
 from freep import dyadic
 from freep.constants import check_alpha
-from freep.dyadic import BasisCombination, HatDecomposition, HatTerm, line_path, molecule_l1
+from freep.dyadic import (
+    BasisCombination,
+    HatDecomposition,
+    HatTerm,
+    _check_dyadic_unit,
+    line_path,
+    molecule_l1,
+)
 from freep.metric import DyadicPoint, coordinate_level, neighbors, replaced
 
 # ---------------------------------------------------------------------------
@@ -276,6 +287,54 @@ def oracle_step(
     coordinates finer than the axis level; exact mode carries `PowSum`s."""
     ctx = _ExactCoeffs() if exact else _FloatCoeffs(check_alpha(alpha))
     return BasisCombination(_pruned(_step_comb(v.coords(), axis, ctx, {}), ctx))
+
+
+# ---------------------------------------------------------------------------
+# mesh-adjacent paths by a level scan
+
+
+def oracle_line_path(u, v) -> list[Fraction]:
+    """A chain from u to v whose consecutive entries share a level k and
+    differ by exactly 2^-k.
+
+    Built by locating the coarsest grid point between the two (the smaller
+    candidate on ties) and extending outward one mesh step per level; the
+    gap profile then carries at most two gaps per level, which yields the
+    strict cost bound checked in the suite.
+    """
+    u = _check_dyadic_unit(u)
+    v = _check_dyadic_unit(v)
+    if u == v:
+        raise ValueError("path endpoints must differ")
+    a, b = (u, v) if u < v else (v, u)
+    n = max(coordinate_level(a), coordinate_level(b))
+
+    first = None
+    for k in range(-1, n + 1):
+        step = Fraction(2) if k == -1 else Fraction(1, 2**k)
+        m = math.ceil(a / step) * step
+        if m <= b:
+            first = m
+            n0 = k
+            break
+    assert first is not None
+
+    lo = hi = first
+    lows: list[Fraction] = []
+    highs: list[Fraction] = []
+    for k in range(n0 + 1, n + 1):
+        h = Fraction(1, 2**k)
+        if lo - h >= a:
+            lo -= h
+            lows.append(lo)
+        if hi + h <= b:
+            hi += h
+            highs.append(hi)
+    assert lo == a and hi == b
+    path = list(reversed(lows)) + [first] + highs
+    if u > v:
+        path.reverse()
+    return path
 
 
 class _Decomposer:

@@ -383,6 +383,20 @@ def test_decompose_takes_a_large_element_within_its_rounding(capsys, tmp_path):
         assert json.loads(out)["residual"] <= EVAL_TOL * scale
 
 
+@pytest.mark.parametrize("weight", ["1e-14", "1e-200", "1e-320"])
+def test_decompose_takes_a_tiny_element(capsys, tmp_path, weight):
+    # coefficients are pruned relative to the largest, so a tiny element
+    # keeps them all, down to a subnormal weight
+    space = write(tmp_path, "space.txt", "2 0\n0 0\n0.5 0\n0.5 0.25\n1 1\n")
+    element = write(tmp_path, "tiny.txt", f"{weight} 1\n")
+    code, out, err = run(
+        capsys, ["--command", "decompose", "--alpha", "0.5", "--in", space, "--in", element])
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["n_terms"] == 2
+    assert report["residual"] <= EVAL_TOL * float(weight)
+
+
 def test_decompose_refuses_a_base_off_the_origin(capsys, tmp_path):
     # the base evaluation is the zero vector, so the weight at point 1 would
     # be dropped without a word while the basis is pointed at the origin
@@ -498,6 +512,23 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert json.loads(out)["d"] == 1
 
 
+def test_an_unknown_command_exits_2_listing_the_commands_in_order(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exited:
+        main(["--command", "bogus"])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    listing = err[err.index("invalid choice"):]
+    names = ["norm", "retraction-verify", "basis-verify", "decompose", "bm-report",
+             "lambda-check"]
+    places = [listing.index(name) for name in names]
+    assert places == sorted(places)
+    cfg = write(tmp_path, "cfg.json", json.dumps({"command": "bogus"}))
+    code, out, err = run(capsys, ["--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "--command is required (or must be set in the config file)" in err
+
+
 def test_missing_required_flag(capsys):
     code, _, err = run(capsys, ["--command", "bm-report", "--p", "1"])
     assert code == 2
@@ -587,6 +618,29 @@ def test_scale_must_be_finite_and_positive(capsys, tmp_path, command, R, source)
     assert out == ""
     assert message in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("command", [
+    ["--command", "lambda-check"],
+    ["--command", "retraction-verify", "--p", "0.5"],
+], ids=["lambda-check", "retraction-verify"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_a_subnormal_scale_exits_2_and_the_smallest_normal_is_taken(
+        capsys, tmp_path, command, source):
+    # a subnormal R keeps only a few bits in the lattice distances R k
+    def args(R):
+        if source == "flag":
+            return ["--d", "2", "--R", R]
+        return ["--in", write(tmp_path, "cx.txt", f"2 {R}\n0 0\n1 0\n0 0\n")]
+
+    for R in ("1e-320", "1e-310"):
+        code, out, err = run(capsys, [*command, *args(R), "--samples", "20"])
+        assert code == 2
+        assert out == ""
+        assert f"R = {float(R)!r} is subnormal" in err
+    for R in ("2.2250738585072014e-308", "1e-300"):
+        code, _, err = run(capsys, [*command, *args(R), "--samples", "20"])
+        assert code == 0, (R, err)
 
 
 def test_lambda_check_weighs_all_samples_at_once(capsys, monkeypatch):

@@ -1,4 +1,6 @@
+import math
 import re
+import sys
 from itertools import product
 
 import numpy as np
@@ -171,6 +173,10 @@ def test_complex_requires_finite_positive_R():
     for R in ("inf", "nan", "-1"):
         with pytest.raises(ValueError, match="complex file R must be a finite positive number"):
             load_complex(f"1 {R}\n0\n0\n")
+    for R in (5e-324, 1e-310, math.nextafter(sys.float_info.min, 0)):
+        with pytest.raises(ValueError, match=f"R = {float(R)!r} is subnormal"):
+            CubeComplex(d=1, R=R, offsets=((0,),))
+    assert CubeComplex(d=1, R=sys.float_info.min, offsets=((0,),)).R == sys.float_info.min
 
 
 def test_dimension_is_capped_before_any_vertex_is_built(monkeypatch):

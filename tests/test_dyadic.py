@@ -1,3 +1,4 @@
+import random
 import time
 from collections import Counter
 from decimal import Decimal, localcontext
@@ -15,6 +16,7 @@ from face_induction_oracle import (
     oracle_coarse_neighbors,
     oracle_difference,
     oracle_hat,
+    oracle_line_path,
     oracle_molecule,
     oracle_proof_cost,
     oracle_step,
@@ -203,6 +205,30 @@ def test_line_path_properties_sampled():
                     assert gap.numerator == 1
                     k = coordinate_level(gap)
                     assert (a * 2**k).denominator == 1 and (b * 2**k).denominator == 1
+
+
+def test_line_path_equals_the_level_scan_oracle():
+    """The binary expansion of the two gaps is the level scan's chain, on
+    every ordered pair of the level-6 grid and on seeded pairs of endpoints
+    at independent levels up to 40; invalid input gives the same errors."""
+    grid = [F(k, 64) for k in range(65)]
+    pairs = [(u, v) for u in grid for v in grid if u != v]
+    rng = random.Random(7)
+    while len(pairs) < 65 * 64 + 2000:
+        u, v = (F(rng.randrange(2**n + 1), 2**n) for n in (rng.randint(0, 40), rng.randint(0, 40)))
+        if u != v:
+            pairs.append((u, v))
+    for u, v in pairs:
+        path = line_path(u, v)
+        assert path == oracle_line_path(u, v), (u, v)
+        assert all(type(x) is F for x in path)
+    for u, v in [(F(1, 2), 0.5), (F(1, 3), 0), (F(-1, 2), 1), (0, 1.5), (float("nan"), 1)]:
+        errors = []
+        for path_of in (line_path, oracle_line_path):
+            with pytest.raises(ValueError) as raised:
+                path_of(u, v)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1], (u, v)
 
 
 def test_molecule_d1_corner_to_corner():
