@@ -8,16 +8,17 @@
 # fit the default pair budget but are checked over many blocks, and
 # lambda-check and retraction-verify on an L-shaped complex file at R = 0.7
 # (the complex-file harness route: one vertex-indicator certificate bounds
-# every sampled image difference). Three runs are not README commands:
+# every sampled image difference). Four runs are not README commands:
 # decompose of the element 1e-14 delta(point 1) on the 4-point file, whose
 # coefficients are pruned relative to the largest, not below an absolute
 # floor; norm --p 0.5 on a 200-point file with a 7-point element, the exact
-# tree program on a large host in a fresh process; and basis-verify at
-# d = 3, kmax = 3, a cold 729-point grid plan with the fallback classes on
-# three levels. They are written `run --p 0.5 --command ...` (or `run
-# --alpha ...`) because scripts/report_corpus.py takes the lines that begin
-# `run --command` into its pinned corpus, and these are not README
-# commands. Each report is written with --out and parsed as strict JSON. A
+# tree program on a large host in a fresh process; basis-verify at d = 3,
+# kmax = 3, a cold 729-point grid plan with the fallback classes on three
+# levels; and basis-verify at d = 4, kmax = 1, a cold class table with two
+# classes beyond the cap, whose hosts are never built. They are written
+# `run --p 0.5 --command ...` (or `run --alpha ...`) because
+# scripts/report_corpus.py takes the lines that begin `run --command` into
+# its pinned corpus, and these are not README commands. Each report is written with --out and parsed as strict JSON. A
 # nonzero exit (a failed certified check, a crash, or a report that is not
 # JSON) stops the script with that status.
 set -e
@@ -57,3 +58,4 @@ python3 -c 'import random; r = random.Random(200); print("2 0"); [print(r.unifor
 python3 -c 'import random; r = random.Random(201); [print(r.gauss(0, 1), j) for j in r.sample(range(1, 200), 7)]' > element200.txt
 run --p 0.5 --command norm --in space200.txt --in element200.txt
 run --p 0.5 --command basis-verify --d 3 --alpha 0.5 --kmax 3
+run --p 0.5 --command basis-verify --d 4 --alpha 0.5 --kmax 1

@@ -8,7 +8,6 @@ named on stderr), 2 on unusable configuration or input files.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -80,8 +79,6 @@ def _merge_config(args) -> dict:
             constants.check_p(cfg["p"])
         except ValueError as e:
             raise ValueError(f"--p: {e}") from None
-    if cfg["R"] is not None and not (math.isfinite(cfg["R"]) and cfg["R"] > 0):
-        raise ValueError(f"--R must be a finite positive number, got {cfg['R']!r}")
     inputs = cfg["inputs"]
     if inputs is not None and (
         not isinstance(inputs, list) or not all(isinstance(f, str) for f in inputs)

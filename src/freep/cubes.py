@@ -71,7 +71,10 @@ class CubeComplex:
     base_vertex: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        d = _check_dimension(check_count("d", self.d, 1))
+        d = check_count("d", self.d, 1)
+        if d > MAX_D:
+            raise ValueError(
+                f"--d {d} is beyond the cap {MAX_D} on the dimension of a cube complex; lower --d")
         if not (math.isfinite(self.R) and self.R > 0):
             raise ValueError(f"R must be a finite positive number, got {self.R!r}")
         if self.R < sys.float_info.min:
@@ -108,12 +111,6 @@ class CubeComplex:
 
     def vertices(self) -> tuple[tuple[int, ...], ...]:
         return self._vertices  # type: ignore[attr-defined]
-
-
-def _check_dimension(d: int) -> int:
-    if d > MAX_D:
-        raise ValueError(f"--d {d} is beyond the cap {MAX_D} on the dimension of a cube complex; lower --d")
-    return d
 
 
 @lru_cache(maxsize=None)
@@ -284,15 +281,10 @@ def load_complex(text: str) -> CubeComplex:
         d, R = int(d), float(R)
     except ValueError:
         raise ValueError(f"first line {rows[0]!r} must hold an integer d and a real R") from None
-    _check_dimension(d)
-    if not (math.isfinite(R) and R > 0):
-        raise ValueError(f"complex file R must be a finite positive number, got {R!r}")
     vectors = []
     for ln in rows[1:]:
         try:
             vectors.append(tuple(int(tok) for tok in ln.split()))
         except ValueError:
             raise ValueError(f"complex line {ln!r} holds a value that is not an integer") from None
-    if any(len(v) != d for v in vectors):
-        raise ValueError("every offset line must have d integers")
     return CubeComplex(d=d, R=R, offsets=tuple(vectors[:-1]), base_vertex=vectors[-1])

@@ -32,16 +32,12 @@ their numerators at the finer level: it starts at the point between them
 with the most trailing zeros and steps to each endpoint by the binary
 expansion of the gap, largest part first, so at most two gaps per level.
 
-The norm of a basis element has one definition, `basis_norm_check`: a point
-of level k >= 1 with m odd numerators, or a corner with m coordinates equal
-to 1, is in class (k, m); a translation and a coordinate permutation carry
-its element onto that of the representative 2^-k (1, ..., 1, 0, ..., 0);
-and the value is the exact norm of that element within the exact engine's
-cap, beyond it the cost of its partition-of-unity decomposition.
-`_grid_basis_norms` computes the (k_max + 1) d class values of a grid, one
-`exact_norms` call per host shape, and the tests pin them to
-`basis_norm_check` bitwise; every class has a point in the grid, so
-`verify_norming` reduces over the class values alone.
+The norm of a basis element depends on its class (k, m) alone, k its level
+and m its number of odd numerators (`basis_norm_check`). The class values
+have one route, `_class_norms`, over an alpha-free table of the class
+representatives' hosts (`_class_hosts`), one `exact_norms` call per host
+size: `basis_norm_check` reads its point's class, and `verify_norming`
+reduces over all classes, each of which has a point in the grid.
 
 The weights w(u, v) are dyadic, so the coefficient at a level-k point is an
 exact dyadic rational beta times 2^(-k*alpha). The analysis has one
@@ -70,7 +66,6 @@ from .freenorm import (
     EVAL_TOL,
     FreeElement,
     coefficient_cost,
-    exact_norm_small,
     exact_norms,
     _read_only,
 )
@@ -362,13 +357,21 @@ def basis_element(v: DyadicPoint, alpha: float) -> FreeElement:
     and then its support by (level, nums), under the alpha-distorted l1
     metric."""
     alpha = check_alpha(alpha)
+    labels, weights = _element_host(v, alpha)
+    host = PointedFiniteMetric(labels, 0, _basis_l1(np.array([labels]))[0] ** alpha)
+    return FreeElement(host, dict(enumerate(weights, 1)))
+
+
+def _element_host(v: DyadicPoint, alpha: float) -> tuple[list, list[float]]:
+    """(labels, weights) of the basis element at v: the coordinates of the
+    origin and then of its support by (level, nums), and its weights on
+    that support."""
     if v.is_origin():
         raise ValueError("the origin does not index a basis element")
     expansion = _iota_expansion(v, alpha)
     support = sorted(expansion, key=lambda q: (q.level, q.nums))
     labels = [q.floats() for q in [DyadicPoint.origin(v.d)] + support]
-    host = PointedFiniteMetric(labels, 0, _basis_l1(np.array([labels]))[0] ** alpha)
-    return FreeElement(host, {i: expansion[q] for i, q in enumerate(support, 1)})
+    return labels, [expansion[q] for q in support]
 
 
 def _proof_cost(k: int, m: int, alpha: float, p: float) -> float:
@@ -400,7 +403,8 @@ def _basis_l1(X: np.ndarray) -> np.ndarray:
 
 
 def basis_norm_check(v: DyadicPoint, alpha: float, p: float) -> tuple[float, float]:
-    """(value, `basis_bound` d^alpha C(p, 2^d)) for the basis element at v.
+    """(value, `basis_bound` d^alpha C(p, 2^d)) for the basis element at v,
+    the value entry k d + m - 1 of `_class_norms` for v in class (k, m).
 
     A basis point of level k >= 1 with m odd numerators, or a corner with m
     coordinates equal to 1, is in the class (k, m), whose representative is
@@ -408,21 +412,54 @@ def basis_norm_check(v: DyadicPoint, alpha: float, p: float) -> tuple[float, flo
     the support of r's element, so a translation and a permutation of the
     coordinates carry v's support and weights exactly onto those of
     `basis_element(r)`. The value is the exact norm of that element, the
-    exact norm of v's element over its own support, when its host fits the
-    exact engine's cap DEFAULT_CAP, and beyond it the cost `_proof_cost` of
-    the partition-of-unity decomposition, which depends on the class alone
-    and never exceeds the bound either. `verify_norming` computes it once
-    per class of a whole grid (`_grid_basis_norms`)."""
+    exact norm of v's element over its own support, when its host fits
+    DEFAULT_CAP, and beyond it the cost `_proof_cost` of the
+    partition-of-unity decomposition, which never exceeds the bound either."""
     p = check_p(p)
     alpha = check_alpha(alpha)
+    if v.is_origin():
+        raise ValueError("the origin does not index a basis element")
     m = sum(n % 2 for n in v.nums)
-    r = DyadicPoint(v.level, (1,) * m + (0,) * (v.d - m))
-    elem = basis_element(r, alpha)
-    if elem.host.n <= DEFAULT_CAP:
-        value = exact_norm_small(elem, p)[0]
-    else:
-        value = _proof_cost(v.level, m, alpha, p)
-    return value, basis_bound(p, alpha, v.d)
+    value = _class_norms(v.d, v.level, alpha, p)[v.level * v.d + m - 1]
+    return float(value), basis_bound(p, alpha, v.d)
+
+
+@lru_cache(maxsize=32)
+def _class_hosts(d: int, k_max: int):
+    """(hosts, fallback), read-only: the alpha-free table of the classes
+    (k, m) of `basis_norm_check` in [0, 1]^d, k <= k_max, class (k, m) at
+    k d + m - 1. Its host, that of `basis_element(r)` at the representative
+    r = 2^-k (1, ..., 1, 0, ..., 0), has 2^m + 1 points at k >= 1 and 2 at
+    k = 0. hosts has one (classes, l1, weights) per host size within
+    DEFAULT_CAP, smallest first: the classes ascending, the l1 stack
+    (`_basis_l1`) of their hosts and r's weights at alpha = 0.
+    fallback lists the classes beyond the cap, whose hosts are never built."""
+    table = {}
+    for c, (k, m) in enumerate(product(range(k_max + 1), range(1, d + 1))):
+        r = DyadicPoint(k, (1,) * m + (0,) * (d - m))
+        table.setdefault(2**m + 1 if k else 2, []).append((c, r))
+    hosts = []
+    for size in sorted(s for s in table if s <= DEFAULT_CAP):
+        classes, reps = zip(*table[size])
+        labels, weights = zip(*(_element_host(r, 0.0) for r in reps))
+        hosts.append(_read_only(np.array(classes), _basis_l1(np.array(labels)), np.array(weights)))
+    fallback = sorted(c for s in table if s > DEFAULT_CAP for c, _ in table[s])
+    return tuple(hosts), _read_only(np.array(fallback, dtype=int))[0]
+
+
+def _class_norms(d: int, k_max: int, alpha: float, p: float) -> np.ndarray:
+    """The values of `basis_norm_check` on the (k_max + 1) d classes (k, m)
+    of [0, 1]^d, at k d + m - 1, from the class table (`_class_hosts`): the
+    l1 stacks raised to alpha and the weights of level k scaled by
+    2^(k alpha), one `exact_norms` call per host size, and beyond
+    DEFAULT_CAP `_proof_cost`."""
+    hosts, fallback = _class_hosts(d, k_max)
+    values = np.empty((k_max + 1) * d)
+    for classes, l1, weights in hosts:
+        scale = np.array([2.0 ** (k * alpha) for k in (classes // d).tolist()])
+        values[classes] = exact_norms(l1**alpha, weights * scale[:, None], p)
+    values[fallback] = [_proof_cost(c // d, c % d + 1, alpha, p) for c in fallback.tolist()]
+    return values
 
 
 def _summed(key: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -491,22 +528,12 @@ class _GridPlan(NamedTuple):
     levels, coords: the level and the coordinates of each grid position;
     synthesis: S0 = I - W, S at alpha = 0: column j is the basis element at
         position j + 1, W the weights of `_coarse_neighbors`;
-    peel: A0, A at alpha = 0 (`_grid_peel`), one column per grid position;
-    hosts: per support size within DEFAULT_CAP of the class
-        representatives (`basis_norm_check`), (classes, entries, l1): those
-        classes (k, m) as k d + m - 1, the positions in `synthesis` of their
-        representatives' column entries, and the l1 distance stack
-        (`_basis_l1`) of their hosts, the origin followed by those entries'
-        rows;
-    fallback: the classes k d + m - 1 whose representatives' hosts exceed
-        DEFAULT_CAP, for `_proof_cost`."""
+    peel: A0, A at alpha = 0 (`_grid_peel`), one column per grid position."""
 
     levels: np.ndarray
     coords: np.ndarray
     synthesis: tuple[np.ndarray, np.ndarray, np.ndarray]
     peel: tuple[np.ndarray, np.ndarray, np.ndarray]
-    hosts: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    fallback: np.ndarray
 
 
 @lru_cache(maxsize=8)
@@ -526,31 +553,11 @@ def _grid_plan(d: int, k_max: int) -> _GridPlan:
                 key.append(j * n + position[u] - 1)
                 values.append(-float(w))
     key, values = _summed(np.array(key), np.array(values))
-    synthesis = start, rows, _ = _read_only(*_columns(key, values, n, n))
+    synthesis = _read_only(*_columns(key, values, n, n))
     levels = np.array([v.level for v in points])
     coords = np.array([v.floats() for v in points])
-
-    # class k d + m - 1 has the representative 2^-k (1, ..., 1, 0, ..., 0)
-    # with m ones, the basis element of column reps[k d + m - 1]; its host
-    # is the origin followed by the column's rows, already in grid order
-    reps = np.array([
-        position[DyadicPoint(k, (1,) * m + (0,) * (d - m))] - 1
-        for k in range(k_max + 1)
-        for m in range(1, d + 1)
-    ])
-    support = np.diff(start)[reps]
-    hosts = []
-    for size in sorted(set(support[support < DEFAULT_CAP].tolist())):
-        at = np.flatnonzero(support == size)
-        entries = start[reps[at], None] + np.arange(size)
-        X = coords[np.column_stack((np.zeros(len(at), dtype=int), rows[entries] + 1))]
-        hosts.append(_read_only(at, entries, _basis_l1(X)))
     return _GridPlan(
-        *_read_only(levels, coords),
-        synthesis,
-        _read_only(*_grid_peel(synthesis, levels)),
-        tuple(hosts),
-        *_read_only(np.flatnonzero(support >= DEFAULT_CAP)),
+        *_read_only(levels, coords), synthesis, _read_only(*_grid_peel(synthesis, levels))
     )
 
 
@@ -567,21 +574,6 @@ def _analysis_operator(plan: _GridPlan, alpha: float):
     S = (starts, rows, values * np.repeat(scale, np.diff(starts)))
     starts, rows, values = plan.peel
     return S, (starts, rows, values * unscale[rows])
-
-
-def _grid_basis_norms(plan: _GridPlan, S, alpha: float, p: float) -> np.ndarray:
-    """The values of `basis_norm_check` on the (k_max + 1) d classes (k, m)
-    of a grid's `_GridPlan`, at k d + m - 1, bitwise, with S its synthesis
-    (`_analysis_operator`): one `exact_norms` call per host shape of the
-    class representatives, and beyond DEFAULT_CAP `_proof_cost`."""
-    d = plan.coords.shape[1]
-    values = np.empty((plan.levels[-1] + 1) * d)
-    for classes, entries, l1 in plan.hosts:
-        values[classes] = exact_norms(l1**alpha, S[2][entries], p)
-    values[plan.fallback] = [
-        _proof_cost(c // d, c % d + 1, alpha, p) for c in plan.fallback.tolist()
-    ]
-    return values
 
 
 def _point_residuals(S, A) -> np.ndarray:
@@ -655,7 +647,7 @@ def verify_norming(
     completeness flag (a pair budget below the grid's pair count keeps the
     first pairs of `combinations(grid, 2)`; the default covers every pair
     of every admitted grid). The alpha-free part of the
-    work is cached per grid (`_grid_plan`). A grid of more than
+    work is cached per grid (`_grid_plan`, `_class_hosts`). A grid of more than
     MAX_BASIS_POINTS basis points raises before any work, and so do a d
     that is not an integer >= 1 and a k_max or pair_budget that is not an
     integer >= 0."""
@@ -675,7 +667,7 @@ def verify_norming(
 
     plan = _grid_plan(d, k_max)
     S, A = _analysis_operator(plan, alpha)
-    values = _grid_basis_norms(plan, S, alpha, p)
+    values = _class_norms(d, k_max, alpha, p)
     residuals = _point_residuals(S, A)
     bound = basis_bound(p, alpha, d)
 

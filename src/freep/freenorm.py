@@ -129,10 +129,6 @@ class Molecule:
     def distance(self) -> float:
         return self.host.distance(self.x, self.y)
 
-    def element(self) -> FreeElement:
-        inv = 1.0 / self.distance
-        return FreeElement(self.host, {self.x: inv, self.y: -inv})
-
 
 @dataclass(frozen=True)
 class Decomposition:

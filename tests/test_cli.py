@@ -607,10 +607,11 @@ def test_reports_are_byte_stable(args):
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_scale_must_be_finite_and_positive(capsys, tmp_path, command, R, source):
     if source == "flag":
-        args, message = ["--d", "1", "--R", R], f"--R must be a finite positive number, got {float(R)!r}"
+        args = ["--d", "1", "--R", R]
     else:
         args = ["--in", write(tmp_path, "cx.txt", f"1 {R}\n0\n0\n")]
-        message = f"complex file R must be a finite positive number, got {float(R)!r}"
+    # one check, the constructor's, whichever the source
+    message = f"error: R must be a finite positive number, got {float(R)!r}"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, [*command, *args, "--samples", "5"])

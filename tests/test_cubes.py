@@ -171,7 +171,7 @@ def test_complex_requires_finite_positive_R():
         with pytest.raises(ValueError, match="R must be a finite positive number"):
             CubeComplex(d=1, R=R, offsets=((0,),))
     for R in ("inf", "nan", "-1"):
-        with pytest.raises(ValueError, match="complex file R must be a finite positive number"):
+        with pytest.raises(ValueError, match="^R must be a finite positive number"):
             load_complex(f"1 {R}\n0\n0\n")
     for R in (5e-324, 1e-310, math.nextafter(sys.float_info.min, 0)):
         with pytest.raises(ValueError, match=f"R = {float(R)!r} is subnormal"):

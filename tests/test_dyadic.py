@@ -39,8 +39,9 @@ from freep.dyadic import (
     verify_norming,
     _analysis_operator,
     _basis_l1,
+    _class_hosts,
+    _class_norms,
     _coarse_neighbors,
-    _grid_basis_norms,
     _grid_plan,
     _molecule_blocks,
     _molecule_checks,
@@ -467,7 +468,7 @@ def test_verify_norming_runs_one_exact_norms_call_per_host_shape(monkeypatch, d,
 
 def test_basis_distance_stack_equals_the_element_hosts():
     """The l1 stack of every basis point's host, and each host stack of the
-    grid plan, one per host shape of the class representatives, raised to
+    class table, one per host size of the class representatives, raised to
     alpha: the distance matrices of the basis_element hosts bitwise."""
     for d, k in ORACLE_GRIDS:
         for alpha in (0.25, 0.5, 0.7):
@@ -480,7 +481,7 @@ def test_basis_distance_stack_equals_the_element_hosts():
                 for host, dist in zip(hosts, stack):
                     assert dist.tobytes() == host.dist.tobytes(), (host.points, alpha)
             reps = class_representatives(d, k, alpha)
-            for classes, _, l1 in _grid_plan(d, k).hosts:
+            for classes, l1, _ in _class_hosts(d, k)[0]:
                 for c, dist in zip(classes.tolist(), l1**alpha):
                     assert dist.tobytes() == reps[c].host.dist.tobytes(), (d, k, c, alpha)
 
@@ -724,25 +725,25 @@ def test_molecule_residual_bounds_cover_the_synthesis(d, k):
 
 
 def test_grid_basis_norms_equal_basis_norm_checks(basis_checks):
-    """The hosts read off the synthesis columns give one value per class
-    (k, m), at k d + m - 1, and at each basis point its class's value is
-    that of basis_norm_check bitwise, the d = 3 fallback cost included;
-    verify_norming reports their maximum and the bound."""
+    """The class values of a grid (`_class_norms`), one per class (k, m) at
+    k d + m - 1, and at each basis point its class's value is that of
+    basis_norm_check, which reads the table of the point's own level,
+    bitwise, the d = 3 fallback cost included; verify_norming reports
+    their maximum and the bound."""
     fallback = 0
     for d, k in ORACLE_GRIDS:
         pts = basis_points(d, k)
         classes = [v.level * d + sum(n % 2 for n in v.nums) - 1 for v in pts]
         assert sorted(set(classes)) == list(range((k + 1) * d))
         for alpha in (0.25, 0.5, 0.7):
-            S, A = _analysis_operator(_grid_plan(d, k), alpha)
             for p in (0.3, 0.5, 0.8, 1.0):
                 checks = basis_checks[d, k, alpha, p]
                 want = [value for value, _ in checks]
-                # from a freshly built grid plan, then from the cached one
+                # from a freshly built class table, then from the cached one
                 for cold in (True, False):
                     if cold:
-                        _grid_plan.cache_clear()
-                    got = _grid_basis_norms(_grid_plan(d, k), S, alpha, p)[classes]
+                        _class_hosts.cache_clear()
+                    got = _class_norms(d, k, alpha, p)[classes]
                     assert [x.hex() for x in got.tolist()] == [x.hex() for x in want], (
                         d, k, alpha, p, cold)
                 report = verify_norming(d, alpha, p, k)
@@ -752,15 +753,37 @@ def test_grid_basis_norms_equal_basis_norm_checks(basis_checks):
     assert fallback
 
 
+@pytest.mark.parametrize("d", [9, 10, 12])
+def test_basis_norm_check_builds_no_host_beyond_the_cap(monkeypatch, d):
+    """The level-1 centre point's class host has 2^d + 1 points, beyond the
+    cap: its value is the fallback cost bitwise, and no host over the cap
+    is built, neither for it nor for any other class of its table."""
+    build = dyadic._basis_l1
+
+    def capped(X):
+        assert X.shape[1] <= DEFAULT_CAP, f"a host of {X.shape[1]} points was built"
+        return build(X)
+
+    monkeypatch.setattr(dyadic, "_basis_l1", capped)
+    _class_hosts.cache_clear()
+    centre = DyadicPoint(1, (1,) * d)
+    for alpha, p in ((0.25, 0.3), (0.5, 0.5), (0.7, 1.0)):
+        value, bound = basis_norm_check(centre, alpha, p)
+        assert value.hex() == _proof_cost(1, d, alpha, p).hex(), (alpha, p)
+        assert bound == basis_bound(p, alpha, d)
+
+
 def hexed(report):
     return {key: value.hex() if isinstance(value, float) else value for key, value in report.items()}
 
 
 def plan_arrays(plan):
-    return [
-        plan.levels, plan.coords, *plan.synthesis, *plan.peel,
-        *(a for host in plan.hosts for a in host), plan.fallback,
-    ]
+    return [plan.levels, plan.coords, *plan.synthesis, *plan.peel]
+
+
+def class_arrays(table):
+    hosts, fallback = table
+    return [*(a for host in hosts for a in host), fallback]
 
 
 def tree_arrays(tree):
@@ -789,27 +812,28 @@ def test_grid_plan_is_reused_and_changes_nothing(monkeypatch, d, k):
 
 @pytest.mark.parametrize("d,k", [(3, 1), (2, 3), (1, 7), (3, 2)])
 def test_grid_plan_is_read_only(d, k):
-    """No cached array can be written, the index arrays of the tree program
-    of each host shape included, a verify_norming call leaves the plan's
-    bytes as they were, and no array is N x N: the tree programs' arrays
-    are flat, of a size set by the hosts, not by N^2."""
-    plan = _grid_plan(d, k)
+    """No cached array can be written, the class table's and the index
+    arrays of the tree program of each of its host sizes included, a
+    verify_norming call leaves their bytes as they were, and no array is
+    N x N: the tree programs' arrays are flat, of a size set by the hosts,
+    not by N^2."""
+    plan, table = _grid_plan(d, k), _class_hosts(d, k)
     trees = [
-        _tree_program(rows.shape[1], rows.shape[1] + 1, len(classes))
-        for classes, rows, _ in plan.hosts
+        _tree_program(weights.shape[1], weights.shape[1] + 1, len(classes))
+        for classes, _, weights in table[0]
     ]
     tree_parts = [a for tree in trees for a in tree_arrays(tree)]
-    arrays = plan_arrays(plan) + tree_parts
+    arrays = plan_arrays(plan) + class_arrays(table) + tree_parts
     assert all(a.ndim == 1 for a in tree_parts) and len(tree_parts) > 8
     before = [a.tobytes() for a in arrays]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 1
     verify_norming(d, 0.5, 0.5, k)
-    assert _grid_plan(d, k) is plan
+    assert _grid_plan(d, k) is plan and _class_hosts(d, k) is table
     assert [a.tobytes() for a in arrays] == before
     n = len(plan.coords) - 1
-    assert max(a.size for a in plan_arrays(plan)) < n * n
+    assert max(a.size for a in plan_arrays(plan) + class_arrays(table)) < n * n
 
 
 def test_verify_norming_does_no_per_point_analysis(monkeypatch):
@@ -819,8 +843,17 @@ def test_verify_norming_does_no_per_point_analysis(monkeypatch):
     def refuse_check(*args):
         raise AssertionError("distance check in verify_norming")
 
-    for name in ("_peel", "_iota_expansion", "molecule_l1"):
+    for name in ("_peel", "molecule_l1"):
         monkeypatch.setattr(dyadic, name, refuse)
+    # the class table expands each representative within the cap once
+    expansions = []
+    expand = dyadic._iota_expansion
+
+    def counted(v, alpha):
+        expansions.append(v)
+        return expand(v, alpha)
+
+    monkeypatch.setattr(dyadic, "_iota_expansion", counted)
     # the basis hosts are metrics by construction: no distance matrix is
     # checked, neither by a host's constructor nor by a stack check that
     # either module may hold
@@ -828,16 +861,20 @@ def test_verify_norming_does_no_per_point_analysis(monkeypatch):
     for module in (dyadic, metric):
         monkeypatch.setattr(module, "check_distances", refuse_check, raising=False)
     # (3, 1) has the centre point, whose host is beyond the cap: the fallback
-    # cost runs too. A cold plan reads the grid's points and their coarse
-    # neighbours once; a warm call reads no point at all
+    # cost runs too. A cold plan and class table read the grid's points and
+    # their coarse neighbours once, and expand at most one representative
+    # per class; a warm call reads no point and expands none
     _grid_plan.cache_clear()
+    _class_hosts.cache_clear()
     for warm in (False, True):
         if warm:
             for name in ("basis_points", "_coarse_neighbors"):
                 monkeypatch.setattr(dyadic, name, refuse)
         for d, k in ((2, 2), (3, 1)):
+            expansions.clear()
             report = verify_norming(d, 0.5, 0.5, k)
             assert report["basis_ok"] and report["complete"]
+            assert len(expansions) <= (0 if warm else (k + 1) * d), (d, k, warm)
 
 
 @pytest.mark.parametrize("n_points", [2, 3, 10, 33])

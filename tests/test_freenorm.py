@@ -49,6 +49,12 @@ def three_point_space():
     return PointedFiniteMetric(("0", "A", "B"), 0, D)
 
 
+def unit_molecule(s, x, y):
+    """The element (delta(x) - delta(y)) / d(x, y) of the molecule at x, y."""
+    inv = 1.0 / s.distance(x, y)
+    return FreeElement(s, {x: inv, y: -inv})
+
+
 def random_space(rng, n):
     pts = rng.random((n, 2)) * 3
     while len({tuple(r) for r in pts}) < n:
@@ -135,7 +141,7 @@ def test_exact_norm_p1_examples():
     assert value == pytest.approx(1.0, abs=1e-9)
     assert evaluate(witness).max_weight_diff(FreeElement(s, {1: 1.0})) < 1e-9
 
-    mol = Molecule(s, 1, 2).element()
+    mol = unit_molecule(s, 1, 2)
     value, _ = exact_norm_p1(mol)
     assert value == pytest.approx(1.0, abs=1e-9)
 
@@ -314,7 +320,7 @@ def test_homogeneity_and_p_triangle(seed, p):
 def test_restricted_norm_examples():
     # the norm over molecules within a subset is the norm of the induced subspace
     s = three_point_space()
-    m = Molecule(s, 1, 2).element()
+    m = unit_molecule(s, 1, 2)
     full, _ = exact_norm_small(m, 0.5)
     assert exact_norm_small(induced(m, range(s.n)), 0.5)[0] == pytest.approx(full, abs=1e-9)
     on_pair, _ = exact_norm_small(induced(m, [1, 2]), 0.5)
@@ -336,7 +342,7 @@ def test_restricted_norm_monotone_under_inclusion():
 
 def test_upper_bound_padding_costs_more_for_small_p():
     s = three_point_space()
-    m = Molecule(s, 1, 2).element()
+    m = unit_molecule(s, 1, 2)
     value, witness = exact_norm_small(m, 0.5)
     padded = Decomposition(
         s, witness.terms + ((0.3, Molecule(s, 0, 1)), (-0.3, Molecule(s, 0, 1)))
@@ -346,7 +352,7 @@ def test_upper_bound_padding_costs_more_for_small_p():
 
 def test_upper_bound_rejects_wrong_decomposition():
     s = three_point_space()
-    m = Molecule(s, 1, 2).element()
+    m = unit_molecule(s, 1, 2)
     wrong = Decomposition(s, ((1.0, Molecule(s, 0, 1)),))
     with pytest.raises(ValueError, match="residual"):
         upper_bound_from(m, 0.5, wrong)
