@@ -8,6 +8,7 @@ named on stderr), 2 on unusable configuration or input files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -192,6 +193,11 @@ def _cmd_decompose(cfg):
             [Fraction(float(c)) for c in space.points[idx]]
         )
         weights[pt] = weights.get(pt, 0.0) + w
+    # the element is analysed and checked scaled by 2^-e into [1/2, 1) at
+    # its largest |weight|, so that no tolerance underflows; the scaling and
+    # the exact peel are exact, and coefficients and residual scale back
+    e = math.frexp(max(map(abs, weights.values()), default=0.0))[1]
+    weights = {pt: math.ldexp(w, -e) for pt, w in weights.items()}
     comb = dyadic.analyze(weights, alpha)
     residual = dyadic.reconstruction_residual(comb, weights, alpha)
     report = {
@@ -199,10 +205,10 @@ def _cmd_decompose(cfg):
         "alpha": alpha,
         "n_terms": len(comb.coeffs),
         "coefficients": [
-            {"point": [float(c) for c in v.floats()], "level": v.level, "coeff": c}
+            {"point": [float(c) for c in v.floats()], "level": v.level, "coeff": math.ldexp(c, e)}
             for v, c in comb.items_sorted()
         ],
-        "residual": residual,
+        "residual": math.ldexp(residual, e),
     }
     failures = []
     if residual > freenorm.residual_tol(weights):

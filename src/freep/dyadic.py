@@ -22,11 +22,17 @@ column layout (`_GridPlan`). Their alpha-free part is cached per grid
 (`_grid_plan`): its positions are the origin and then `basis_points`, and
 its levels, coordinates and W are read off those points and their
 `_coarse_neighbors`, the rule every element analysis uses. Its sparse
-products share one kernel (`_products`, `_summed`): the alpha-free A, built
-level by level as A = I + A W, the point residuals R = S A - E, and the
-molecule coefficients, scaled differences of two columns of A; a
-molecule's reconstruction residual is the same difference of two columns
-of R.
+products share one kernel in two halves: the symbolic half
+(`_product_symbols`) reads the two column structures alone and lists the
+X and Y entry of every product in summation order, and the numeric half
+(`_product_values`) gathers, multiplies and adds. The products are the
+alpha-free A, built level by level as A = I + A W, the point residuals
+R = S A - E, and the molecule coefficients, scaled differences of two
+columns of A; a molecule's reconstruction residual is the same difference
+of two columns of R. S and A keep their patterns at every alpha, so the
+plan holds the symbols of R and of the first block of molecules: a call on
+a known grid runs numeric halves only, except for the later blocks of a
+grid too large for one block, which are built per call.
 `line_path`, a mesh-adjacent chain between two dyadic scalars, is read off
 their numerators at the finer level: it starts at the point between them
 with the most trailing zeros and steps to each endpoint by the binary
@@ -55,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, pairwise, product
+from itertools import accumulate, chain, pairwise, product
 from typing import NamedTuple
 
 import numpy as np
@@ -123,7 +129,7 @@ def _coarse_neighbors(v: DyadicPoint) -> tuple[tuple[DyadicPoint, Fraction], ...
     others stay, and every u weighs 2^-(the number of moved coordinates)."""
     axes = [(n - 1, n + 1) if n % 2 else (n,) for n in v.nums]
     weight = Fraction(1, 2 ** sum(n % 2 for n in v.nums))
-    return tuple((DyadicPoint(v.level, nums), weight) for nums in product(*axes))
+    return tuple((DyadicPoint._exact(v.level, nums), weight) for nums in product(*axes))
 
 
 def _iota_expansion(v: DyadicPoint, alpha: float) -> dict[DyadicPoint, float]:
@@ -462,36 +468,55 @@ def _class_norms(d: int, k_max: int, alpha: float, p: float) -> np.ndarray:
     return values
 
 
-def _summed(key: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, sums): the distinct keys ascending and the sum of the values
-    of each, added in their order in `values`."""
+class _Product(NamedTuple):
+    """The symbolic half of a sparse product X Y (`_product_symbols`): the X
+    entry x and the Y entry y of each product X[row, r] Y[r, col] in
+    summation order, and the first product of each output entry. The
+    numeric half, `_product_values`, adds the products up."""
+
+    x: np.ndarray
+    y: np.ndarray
+    starts: np.ndarray
+
+
+def _product_symbols(
+    X, Y, n: int, appended: np.ndarray = np.zeros(0, np.intp)
+) -> tuple[_Product, np.ndarray]:
+    """(symbols, keys): the symbolic half of X Y from the column structures
+    (starts, rows) of X, of n rows, and of Y alone, both in the layout of
+    `_GridPlan`, and the output keys col * n + row ascending. Each output
+    entry sums its products for each entry of Y in turn, over the entries
+    of column r of X in their order, and then its entries among the keys
+    `appended`: each the product of X entry len(X rows) and Y entry
+    len(Y rows), values that the caller of the numeric half appends."""
+    x_starts, x_rows = X[:2]
+    y_starts, y_rows = Y[:2]
+    first = x_starts[y_rows]
+    count = x_starts[y_rows + 1] - first
+    # product i pairs entry y[i] of Y with entry x[i] of X, x running over
+    # first[e], ..., first[e] + count[e] - 1 for each entry e of Y in turn
+    y = np.repeat(np.arange(len(y_rows)), count)
+    x = np.arange(len(y)) + (first - np.cumsum(count) + count)[y]
+    cols = np.repeat(np.arange(len(y_starts) - 1) * n, np.diff(y_starts))
+    key = np.concatenate((cols[y] + x_rows[x], appended))
+    x = np.concatenate((x, np.full(len(appended), len(x_rows))))
+    y = np.concatenate((y, np.full(len(appended), len(y_rows))))
     order = np.argsort(key, kind="stable")
-    key, values = key[order], values[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    return key[first], np.add.reduceat(values, first)
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    return _Product(x[order], y[order], starts), key[starts]
+
+
+def _product_values(product: _Product, x_values, y_values) -> np.ndarray:
+    """The numeric half of a sparse product: each output entry of
+    `product`, the sum of its products in their order."""
+    return np.add.reduceat(x_values[product.x] * y_values[product.y], product.starts)
 
 
 def _columns(key: np.ndarray, values: np.ndarray, n: int, m: int):
     """The n x m matrix with the values at the ascending distinct keys
     col * n + row, in the layout of `_GridPlan`."""
     return np.searchsorted(key, np.arange(m + 1) * n), key % n, values
-
-
-def _products(X, Y, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, products): the products X[row, r] * Y[r, col] of the nonzero
-    entries of X and Y, both in the layout of `_GridPlan` with n rows in X,
-    keyed col * n + row; for each entry of Y in turn, those of the entries
-    of column r of X in their order. `_summed` adds them up to X Y."""
-    x_starts, x_rows, x_values = X
-    y_starts, y_rows, y_values = Y
-    first = x_starts[y_rows]
-    count = x_starts[y_rows + 1] - first
-    # product i pairs entry e[i] of Y with entry t[i] of X, running over
-    # first[e], ..., first[e] + count[e] - 1 for each e in turn
-    e = np.repeat(np.arange(len(y_rows)), count)
-    t = np.arange(len(e)) + (first - np.cumsum(count) + count)[e]
-    cols = np.repeat(np.arange(len(y_starts) - 1) * n, np.diff(y_starts))
-    return cols[e] + x_rows[t], x_values[t] * y_values[e]
 
 
 def _grid_peel(synthesis, levels: np.ndarray):
@@ -511,10 +536,105 @@ def _grid_peel(synthesis, levels: np.ndarray):
     for lo, hi in pairwise(np.searchsorted(levels[1:], range(levels[-1] + 2)).tolist()):
         X = _columns(np.append(key, np.arange(lo, n) * (n + 1)), np.append(value, np.ones(n - lo)), n, n)
         at = slice(starts[lo], starts[hi])
-        k, v = _summed(*_products(X, (starts[lo : hi + 1] - starts[lo], rows[at], np.abs(values[at])), n))
-        key, value = np.append(key, k + lo * n), np.append(value, v)
+        Y = (starts[lo : hi + 1] - starts[lo], rows[at], np.abs(values[at]))
+        product, keys = _product_symbols(X, Y, n)
+        key = np.append(key, keys + lo * n)
+        value = np.append(value, _product_values(product, X[2], Y[2]))
     # column j + 1 of A0 is column j of (I - W)^-1
     return _columns(key + n, value, n, n + 1)
+
+
+def _residual_symbols(S, A) -> tuple[_Product, np.ndarray]:
+    """(symbols, columns): the symbolic half of R = S A - E, with S and A
+    from `_analysis_operator` or their alpha-free patterns, and column j of
+    E the point evaluation delta(position j), zero for the origin, and the
+    first entry of each column 1..N of R. E's entry -1 of column j, at row
+    j - 1, is appended, added last to its sum, so no such column is empty;
+    column 0 is."""
+    n = len(S[0]) - 1
+    product, keys = _product_symbols(S, A, n, np.arange(1, n + 1) * (n + 1) - 1)
+    return product, np.searchsorted(keys, np.arange(1, n + 1) * n)
+
+
+def _residual_sups(residual, S, A) -> np.ndarray:
+    """The sup norms of the N + 1 columns of R = S A - E from its
+    `_residual_symbols`: their numeric half, E's entry the appended product
+    -1 * 1, and each column's maximum."""
+    product, columns = residual
+    entries = _product_values(product, np.append(S[2], -1.0), np.append(A[2], 1.0))
+    return np.concatenate(([0.0], np.maximum.reduceat(np.abs(entries), columns)))
+
+
+def _point_residuals(S, A) -> np.ndarray:
+    """The sup norms of the N + 1 columns of R = S A - E, both halves in one
+    call: `_residual_sups` of `_residual_symbols`."""
+    return _residual_sups(_residual_symbols(S, A), S, A)
+
+
+class _MoleculeBlock(NamedTuple):
+    """The alpha-free part of the molecule checks at the grid position
+    pairs (I, J), I < J (`_molecule_block`): the pairs, their l1 distances
+    dist, the symbolic half of the coefficient product A P, column t of the
+    pair matrix P being 1 at row I[t] and -1 at row J[t], its Y entries
+    read as indices into the signs (1, -1), and the pair t of each
+    coefficient."""
+
+    I: np.ndarray
+    J: np.ndarray
+    dist: np.ndarray
+    product: _Product
+    pair: np.ndarray
+
+
+_SIGNS = np.array([1.0, -1.0])
+
+
+def _molecule_block(coords, A, I, J) -> _MoleculeBlock:
+    """The `_MoleculeBlock` of the pairs (I, J) from the grid coordinates and
+    the column structure of A."""
+    n, m = len(coords) - 1, len(I)
+    rows = np.empty(2 * m, dtype=I.dtype)
+    rows[::2], rows[1::2] = I, J
+    product, keys = _product_symbols(A, (np.arange(0, 2 * m + 1, 2), rows), n)
+    dist = np.abs(coords[J] - coords[I]).sum(axis=1)
+    return _MoleculeBlock(I, J, dist, product._replace(y=product.y & 1), keys // n)
+
+
+def _block_checks(block: _MoleculeBlock, A, residuals, alpha, p):
+    """(p-costs, reconstruction residual bounds) of the molecules of a
+    `_MoleculeBlock`, with A from `_analysis_operator` and residuals from
+    `_residual_sups`; each depends on its pair alone.
+
+    The molecule at (i, j) has the coefficients c = scale (A[:, i] - A[:, j])
+    and the residual scale (R_i - R_j), scale = 1 / |u_i - u_j|_1^alpha. Its
+    cost is (sum |c|^p)^(1/p) over the two columns' supports in row order,
+    and its bound scale (|R_i|_inf + |R_j|_inf)."""
+    scale = 1.0 / block.dist**alpha
+    c = _product_values(block.product, A[2], _SIGNS)
+    c *= scale[block.pair]
+    costs = np.bincount(block.pair, np.abs(c) ** p, len(scale)) ** (1.0 / p)
+    return costs, scale * (residuals[block.I] + residuals[block.J])
+
+
+def _molecule_checks(coords, A, residuals, I, J, alpha, p):
+    """`_block_checks` of the pairs (I, J), both halves in one call."""
+    return _block_checks(_molecule_block(coords, A, I, J), A, residuals, alpha, p)
+
+
+def _molecule_blocks(n_points: int, pair_budget: int, start: int = 0):
+    """The first pair_budget pairs (i, j) of combinations(range(n_points), 2)
+    in that order, as blocks (I, J) of
+    max(n_points - 1, _BLOCK_ENTRIES // n_points) pairs, the last one
+    shorter, from pair `start` on: 0 or the end of the first block."""
+    total = min(pair_budget, n_points * (n_points - 1) // 2)
+    if start >= total:
+        return
+    starts = np.concatenate(([0], np.cumsum(np.arange(n_points - 1, 0, -1))))
+    width = max(n_points - 1, _BLOCK_ENTRIES // n_points)
+    for t0 in range(start, total, width):
+        t = np.arange(t0, min(t0 + width, total))
+        I = np.searchsorted(starts, t, side="right") - 1
+        yield I, t - starts[I] + I + 1
 
 
 class _GridPlan(NamedTuple):
@@ -523,17 +643,24 @@ class _GridPlan(NamedTuple):
     the origin and positions 1..N are `basis_points(d, k_max)`. A sparse
     matrix is held by columns as (starts, rows, values): column j is entries
     starts[j]:starts[j + 1], rows ascending; its rows index the basis
-    points, grid positions 1..N.
+    points, grid positions 1..N. S and A keep the patterns of S0 and A0 at
+    every alpha, so the symbolic halves of their products are alpha-free.
 
     levels, coords: the level and the coordinates of each grid position;
     synthesis: S0 = I - W, S at alpha = 0: column j is the basis element at
         position j + 1, W the weights of `_coarse_neighbors`;
-    peel: A0, A at alpha = 0 (`_grid_peel`), one column per grid position."""
+    peel: A0, A at alpha = 0 (`_grid_peel`), one column per grid position;
+    residual: the symbols of R = S0 A0 - E and its column starts
+        (`_residual_symbols`);
+    block: the first molecule block of the grid's pairs
+        (`_molecule_blocks`, `_molecule_block`)."""
 
     levels: np.ndarray
     coords: np.ndarray
     synthesis: tuple[np.ndarray, np.ndarray, np.ndarray]
     peel: tuple[np.ndarray, np.ndarray, np.ndarray]
+    residual: tuple[_Product, np.ndarray]
+    block: _MoleculeBlock
 
 
 @lru_cache(maxsize=8)
@@ -541,24 +668,27 @@ def _grid_plan(d: int, k_max: int) -> _GridPlan:
     """The `_GridPlan` of the level-k_max grid of [0, 1]^d, built once per
     (d, k_max) from its points and their `_coarse_neighbors` and kept for
     the last few grids; it holds no N x N array."""
-    points = [DyadicPoint.origin(d)] + basis_points(d, k_max)
+    points = [DyadicPoint._exact(0, (0,) * d)] + basis_points(d, k_max)
     position = {v: j for j, v in enumerate(points)}
     n = len(points) - 1
     # S0 = I - W: the unit diagonal, and -w(u, v) at row u - 1 of column
-    # v - 1 for each coarse neighbour u of v other than the origin
+    # v - 1 for each coarse neighbour u of v other than the origin; no key
+    # repeats
     key, values = list(range(0, n * n, n + 1)), [1.0] * n
     for j, v in enumerate(points[1:]):
         for u, w in _coarse_neighbors(v) if v.level else ():
             if position[u]:
                 key.append(j * n + position[u] - 1)
                 values.append(-float(w))
-    key, values = _summed(np.array(key), np.array(values))
-    synthesis = _read_only(*_columns(key, values, n, n))
+    order = np.argsort(key)
+    synthesis = _read_only(*_columns(np.array(key)[order], np.array(values)[order], n, n))
     levels = np.array([v.level for v in points])
     coords = np.array([v.floats() for v in points])
-    return _GridPlan(
-        *_read_only(levels, coords), synthesis, _read_only(*_grid_peel(synthesis, levels))
-    )
+    peel = _read_only(*_grid_peel(synthesis, levels))
+    residual = _residual_symbols(synthesis, peel)
+    block = _molecule_block(coords, peel, *next(_molecule_blocks(n + 1, (n + 1) * n // 2)))
+    _read_only(levels, coords, *residual[0], residual[1], *block[:3], *block.product, block.pair)
+    return _GridPlan(levels, coords, synthesis, peel, residual, block)
 
 
 def _analysis_operator(plan: _GridPlan, alpha: float):
@@ -574,60 +704,6 @@ def _analysis_operator(plan: _GridPlan, alpha: float):
     S = (starts, rows, values * np.repeat(scale, np.diff(starts)))
     starts, rows, values = plan.peel
     return S, (starts, rows, values * unscale[rows])
-
-
-def _point_residuals(S, A) -> np.ndarray:
-    """The sup norms of the N + 1 columns of R = S A - E, with S and A from
-    `_analysis_operator` and column j of E the point evaluation
-    delta(position j), zero for the origin: each entry of R is the sum of
-    its products (`_products`) in their order, then E's entry -1."""
-    n = len(S[0]) - 1
-    key, products = _products(S, A, n)
-    # E's entry of column j is at row j - 1, added last to its sum
-    key, entries = _summed(
-        np.concatenate((key, np.arange(1, n + 1) * (n + 1) - 1)),
-        np.concatenate((products, np.full(n, -1.0))),
-    )
-    cols = key // n
-    first = np.flatnonzero(np.diff(cols, prepend=-1))
-    out = np.zeros(n + 1)
-    out[cols[first]] = np.maximum.reduceat(np.abs(entries), first)
-    return out
-
-
-def _molecule_blocks(n_points: int, pair_budget: int):
-    """The first pair_budget pairs (i, j) of combinations(range(n_points), 2)
-    in that order, as blocks (I, J) of
-    max(n_points - 1, _BLOCK_ENTRIES // n_points) pairs, the last one
-    shorter."""
-    starts = np.concatenate(([0], np.cumsum(np.arange(n_points - 1, 0, -1))))
-    total = min(pair_budget, int(starts[-1]))
-    width = max(n_points - 1, _BLOCK_ENTRIES // n_points)
-    for t0 in range(0, total, width):
-        t = np.arange(t0, min(t0 + width, total))
-        I = np.searchsorted(starts, t, side="right") - 1
-        yield I, t - starts[I] + I + 1
-
-
-def _molecule_checks(coords, A, residuals, I, J, alpha, p):
-    """(p-costs, reconstruction residual bounds) of the molecules at the
-    grid position pairs (I, J), I < J, with A from `_analysis_operator` and
-    residuals from `_point_residuals`; each depends on its pair alone.
-
-    The molecule at (i, j) has the coefficients c = scale (A[:, i] - A[:, j])
-    and the residual scale (R_i - R_j), scale = 1 / |u_i - u_j|_1^alpha. Its
-    cost is (sum |c|^p)^(1/p) over the two columns' supports in row order,
-    and its bound scale (|R_i|_inf + |R_j|_inf)."""
-    scale = 1.0 / np.abs(coords[J] - coords[I]).sum(axis=1) ** alpha
-    n, m = len(coords) - 1, len(I)
-    # column t of P is 1 at row I[t] and -1 at row J[t] > I[t]
-    rows, signs = np.empty(2 * m, dtype=I.dtype), np.ones(2 * m)
-    rows[::2], rows[1::2], signs[1::2] = I, J, -1.0
-    key, c = _summed(*_products(A, (np.arange(0, 2 * m + 1, 2), rows, signs), n))
-    pair = key // n
-    c *= scale[pair]
-    costs = np.bincount(pair, np.abs(c) ** p, m) ** (1.0 / p)
-    return costs, scale * (residuals[I] + residuals[J])
 
 
 def verify_norming(
@@ -668,15 +744,22 @@ def verify_norming(
     plan = _grid_plan(d, k_max)
     S, A = _analysis_operator(plan, alpha)
     values = _class_norms(d, k_max, alpha, p)
-    residuals = _point_residuals(S, A)
+    residuals = _residual_sups(plan.residual, S, A)
     bound = basis_bound(p, alpha, d)
 
     n_points = len(plan.coords)
     complete = n_points * (n_points - 1) // 2 <= pair_budget
+    # the plan's first block when the budget covers it, the later blocks
+    # built one at a time
+    cached = pair_budget >= len(plan.block.I)
+    first = [_block_checks(plan.block, A, residuals, alpha, p)] if cached else []
+    rest = (
+        _molecule_checks(plan.coords, A, residuals, I, J, alpha, p)
+        for I, J in _molecule_blocks(n_points, pair_budget, len(plan.block.I) if cached else 0)
+    )
     max_cost = 0.0
     max_residual = 0.0
-    for I, J in _molecule_blocks(n_points, pair_budget):
-        costs, bounds = _molecule_checks(plan.coords, A, residuals, I, J, alpha, p)
+    for costs, bounds in chain(first, rest):
         max_cost = max(max_cost, float(costs.max()))
         max_residual = max(max_residual, float(bounds.max()))
 

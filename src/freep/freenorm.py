@@ -125,6 +125,16 @@ class Molecule:
             if check_count("point index", idx, 0) >= self.host.n:
                 raise ValueError(f"point index {idx} out of range")
 
+    @classmethod
+    def _edge(cls, host: PointedFiniteMetric, x: int, y: int) -> "Molecule":
+        """The molecule at two distinct indices of host, without the checks
+        of the constructor: for indices read off an n x n array of host."""
+        mol = object.__new__(cls)
+        object.__setattr__(mol, "host", host)
+        object.__setattr__(mol, "x", x)
+        object.__setattr__(mol, "y", y)
+        return mol
+
     @property
     def distance(self) -> float:
         return self.host.distance(self.x, self.y)
@@ -396,7 +406,7 @@ def _forest_witness(host, W, Dp, p):
     coeffs = host.dist[x, y] * W[x, y]
     # endpoints as Python ints: reports serialize no numpy integers
     terms = tuple(
-        (a, Molecule(host, u, v)) for a, u, v in zip(coeffs.tolist(), x.tolist(), y.tolist())
+        (a, Molecule._edge(host, u, v)) for a, u, v in zip(coeffs.tolist(), x.tolist(), y.tolist())
     )
     return Decomposition(host, terms)
 

@@ -184,6 +184,16 @@ def neighbors(x: Fraction) -> tuple[Fraction, Fraction]:
     return x - h, x + h
 
 
+def _canonical(level: int, nums: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(level, nums) with the common power of two of the numerators divided
+    out, down to level 0 at most."""
+    g = math.gcd(*nums)
+    shift = min(level, (g & -g).bit_length() - 1) if g else level
+    if not shift:
+        return level, nums
+    return level - shift, tuple(n >> shift for n in nums)
+
+
 @dataclass(frozen=True, order=True)
 class DyadicPoint:
     """A point of [0, 1]^d with coordinates numerators * 2^-level, stored in
@@ -197,13 +207,21 @@ class DyadicPoint:
         nums = tuple(check_integer("numerator", n) for n in self.nums)
         if not nums:
             raise ValueError("need at least one coordinate")
-        while level > 0 and all(n % 2 == 0 for n in nums):
-            nums = tuple(n // 2 for n in nums)
-            level -= 1
+        level, nums = _canonical(level, nums)
         if any(not 0 <= n <= 2**level for n in nums):
             raise ValueError("coordinates must lie in [0, 1]")
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "nums", nums)
+
+    @classmethod
+    def _exact(cls, level: int, nums: tuple[int, ...]) -> "DyadicPoint":
+        """The point nums * 2^-level in canonical form, without the checks
+        of the constructor: for int numerators built in [0, 2^level]."""
+        point = object.__new__(cls)
+        level, nums = _canonical(level, nums)
+        object.__setattr__(point, "level", level)
+        object.__setattr__(point, "nums", nums)
+        return point
 
     @classmethod
     def origin(cls, d: int) -> "DyadicPoint":
@@ -238,7 +256,7 @@ def dyadic_grid(d: int, k: int) -> set[DyadicPoint]:
     k = check_count("k", k, -1)
     if k == -1:
         return {DyadicPoint.origin(d)}
-    return {DyadicPoint(k, nums) for nums in product(range(2**k + 1), repeat=d)}
+    return {DyadicPoint._exact(k, nums) for nums in product(range(2**k + 1), repeat=d)}
 
 
 # ---------------------------------------------------------------------------

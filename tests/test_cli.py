@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -395,6 +396,29 @@ def test_decompose_takes_a_tiny_element(capsys, tmp_path, weight):
     report = json.loads(out)
     assert report["n_terms"] == 2
     assert report["residual"] <= EVAL_TOL * float(weight)
+
+
+def test_decompose_takes_a_subnormal_element_of_several_weights(capsys, tmp_path):
+    # EVAL_TOL times the largest |weight| underflows to 0 here, so the element
+    # is analysed and checked scaled into [1/2, 1): its coefficients are
+    # those of the same element scaled by 2^1070, scaled back, each rounded
+    # once
+    space = write(tmp_path, "space.txt", "2 0\n0 0\n0.5 0\n0.5 0.25\n1 1\n0.25 0.75\n")
+    weights = (1e-320, -5e-321, 2.5e-321, 7.5e-321)
+    reports = []
+    for name, scale in (("tiny.txt", 0), ("big.txt", 1070)):
+        lines = "".join(f"{math.ldexp(w, scale)!r} {i}\n" for i, w in enumerate(weights, 1))
+        element = write(tmp_path, name, lines)
+        code, out, err = run(
+            capsys, ["--command", "decompose", "--alpha", "0.5", "--in", space, "--in", element])
+        assert code == 0, err
+        reports.append(json.loads(out))
+    tiny, big = reports
+    assert tiny["n_terms"] == big["n_terms"] == 9
+    assert tiny["residual"] == 0.0
+    assert [c["coeff"] for c in tiny["coefficients"]] == [
+        math.ldexp(c["coeff"], -1070) for c in big["coefficients"]
+    ]
 
 
 def test_decompose_refuses_a_base_off_the_origin(capsys, tmp_path):

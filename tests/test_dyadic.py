@@ -3,7 +3,7 @@ import time
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -39,6 +39,7 @@ from freep.dyadic import (
     verify_norming,
     _analysis_operator,
     _basis_l1,
+    _block_checks,
     _class_hosts,
     _class_norms,
     _coarse_neighbors,
@@ -47,10 +48,11 @@ from freep.dyadic import (
     _molecule_checks,
     _peel,
     _point_residuals,
-    _products,
+    _product_symbols,
+    _product_values,
     _proof_cost,
+    _residual_sups,
     _step_element,
-    _summed,
 )
 from freep.freenorm import (
     DEFAULT_CAP,
@@ -654,24 +656,35 @@ def sparse_pair(rng, n, r, m):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_sparse_products_equal_the_dense_product(seed):
-    """`_products` lists X[row, r] Y[r, col] for each entry of Y in turn,
-    over the entries of column r of X, keyed col * n + row, and `_summed`
-    adds them up to the dense X @ Y at its keys, zeros elsewhere; a sum that
+    """The symbolic half of X Y orders the products X[row, r] Y[r, col] by
+    the key col * n + row and, within a key, for each entry of Y in turn
+    over the entries of column r of X, then the appended entries (the X and
+    Y entries one past the end); the numeric half adds them up to the dense
+    X @ Y at its keys, zeros elsewhere, plus the appended -1 * 1. A sum that
     cancels keeps its key with the value 0."""
     rng = np.random.default_rng(seed)
     n, r, m = rng.integers(5, 30, 3)
     X, Y = sparse_pair(rng, n, r, m)
-    key, products = _products(layout(X), layout(Y), n)
-    want = [(col * n + row, X[row, k] * Y[k, col])
-            for col in range(m) for k in np.flatnonzero(Y[:, col])
-            for row in np.flatnonzero(X[:, k])]
-    assert list(zip(key.tolist(), products.tolist())) == want
-    key, sums = _summed(key, products)
-    assert (np.diff(key) > 0).all()
+    listed = [(col * n + row, X[row, k] * Y[k, col])
+              for col in range(m) for k in np.flatnonzero(Y[:, col])
+              for row in np.flatnonzero(X[:, k])]
+    # appended: a key that has products, and one of the empty column 1 of Y
+    appended = np.array([listed[0][0], 1 * n + 2])
+    want = sorted(listed + [(k, -1.0) for k in appended.tolist()], key=lambda kv: kv[0])
+    product, keys = _product_symbols(layout(X), layout(Y), n, appended)
+    x_values, y_values = np.append(layout(X)[2], -1.0), np.append(layout(Y)[2], 1.0)
+    counts = np.diff(np.append(product.starts, len(product.x)))
+    got = zip(np.repeat(keys, counts).tolist(),
+              (x_values[product.x] * y_values[product.y]).tolist())
+    assert list(got) == want
+    sums = _product_values(product, x_values, y_values)
+    assert (np.diff(keys) > 0).all()
     got = np.zeros((m, n))
-    got.ravel()[key] = sums
-    assert np.array_equal(got.T, X @ Y)
-    assert 4 * n + 0 in key.tolist() and sums[key.tolist().index(4 * n)] == 0.0
+    got.ravel()[keys] = sums
+    want = (X @ Y).T.copy()
+    want.ravel()[appended] -= 1.0
+    assert np.array_equal(got, want)
+    assert 4 * n + 0 in keys.tolist() and sums[keys.tolist().index(4 * n)] == 0.0
 
 
 def dense_residuals(S, A, n):
@@ -781,6 +794,12 @@ def plan_arrays(plan):
     return [plan.levels, plan.coords, *plan.synthesis, *plan.peel]
 
 
+def symbol_arrays(plan):
+    """The symbols of the plan's residual and first molecule block."""
+    product, columns = plan.residual
+    return [*product, columns, *plan.block[:3], *plan.block.product, plan.block.pair]
+
+
 def class_arrays(table):
     hosts, fallback = table
     return [*(a for host in hosts for a in host), fallback]
@@ -816,14 +835,15 @@ def test_grid_plan_is_read_only(d, k):
     arrays of the tree program of each of its host sizes included, a
     verify_norming call leaves their bytes as they were, and no array is
     N x N: the tree programs' arrays are flat, of a size set by the hosts,
-    not by N^2."""
+    not by N^2, and the first molecule block's product lists the entries of
+    the two columns of A of each of its pairs, no more."""
     plan, table = _grid_plan(d, k), _class_hosts(d, k)
     trees = [
         _tree_program(weights.shape[1], weights.shape[1] + 1, len(classes))
         for classes, _, weights in table[0]
     ]
     tree_parts = [a for tree in trees for a in tree_arrays(tree)]
-    arrays = plan_arrays(plan) + class_arrays(table) + tree_parts
+    arrays = plan_arrays(plan) + symbol_arrays(plan) + class_arrays(table) + tree_parts
     assert all(a.ndim == 1 for a in tree_parts) and len(tree_parts) > 8
     before = [a.tobytes() for a in arrays]
     for a in arrays:
@@ -834,6 +854,88 @@ def test_grid_plan_is_read_only(d, k):
     assert [a.tobytes() for a in arrays] == before
     n = len(plan.coords) - 1
     assert max(a.size for a in plan_arrays(plan) + class_arrays(table)) < n * n
+    counts = np.diff(plan.peel[0])
+    assert len(plan.block.product.x) == (counts[plan.block.I] + counts[plan.block.J]).sum()
+
+
+def bits(a):
+    return np.asarray(a).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("d,k", [(1, 5), (2, 2), (3, 1), (2, 3), (2, 4)])
+def test_plan_symbols_equal_the_one_shot_kernel(d, k):
+    """The plan's alpha-free symbols, applied at alpha, give the one-shot
+    kernel's residuals and first-block costs and bounds bitwise; and each
+    report, with every pair or with a budget below the block width (which
+    cuts the cached block), is the maximum over the one-shot blocks."""
+    plan = _grid_plan(d, k)
+    n_points = len(plan.coords)
+    pairs = n_points * (n_points - 1) // 2
+    width = max(n_points - 1, dyadic._BLOCK_ENTRIES // n_points)
+    I, J = next(_molecule_blocks(n_points, pairs))
+    assert bits(plan.block.I) == bits(I) and bits(plan.block.J) == bits(J)
+    for alpha, p in ((0.35, 0.4), (0.5, 1.0), (0.9, 0.7), (0.25, 0.3)):
+        S, A = _analysis_operator(plan, alpha)
+        residuals = _point_residuals(S, A)
+        assert bits(_residual_sups(plan.residual, S, A)) == bits(residuals)
+        got = _block_checks(plan.block, A, residuals, alpha, p)
+        want = _molecule_checks(plan.coords, A, residuals, I, J, alpha, p)
+        assert [bits(a) for a in got] == [bits(a) for a in want], (alpha, p)
+        for budget in (pairs, width // 3):
+            blocks = [
+                _molecule_checks(plan.coords, A, residuals, I, J, alpha, p)
+                for I, J in _molecule_blocks(n_points, budget)
+            ]
+            report = verify_norming(d, alpha, p, k, pair_budget=budget)
+            assert report["max_molecule_cost"].hex() == max(c.max() for c, _ in blocks).hex()
+            assert report["max_molecule_residual"].hex() == max(b.max() for _, b in blocks).hex()
+
+
+def test_warm_single_block_call_runs_no_symbolic_half(monkeypatch):
+    """On a grid whose pairs fit in one block, a warm call runs only the
+    numeric half of each product, with the same report bit for bit; on a
+    grid of five blocks the later blocks still run the symbolic half."""
+    grids = ((1, 5), (2, 2), (3, 1))
+    pairs = ((0.35, 0.4), (0.5, 1.0), (0.9, 0.7))
+    cold = {(d, k, a, p): hexed(verify_norming(d, a, p, k)) for d, k in grids for a, p in pairs}
+    verify_norming(2, 0.5, 0.5, 3)
+
+    def refuse(*args):
+        raise AssertionError("symbolic half in a warm call")
+
+    monkeypatch.setattr(dyadic, "_product_symbols", refuse)
+    for (d, k, alpha, p), report in cold.items():
+        assert hexed(verify_norming(d, alpha, p, k)) == report, (d, k, alpha, p)
+    with pytest.raises(AssertionError, match="symbolic half"):
+        verify_norming(2, 0.5, 0.5, 3)
+
+
+@pytest.mark.parametrize("d,k", [(2, 3), (3, 2)])
+def test_plan_points_equal_checked_points(monkeypatch, d, k):
+    """A cold plan builds its points and their coarse neighbours with no
+    checked constructor call, and each equals the checked point of its
+    level and numerators, its hash too."""
+    checked = DyadicPoint.__post_init__
+
+    def refuse(self):
+        raise AssertionError("a checked point in the grid plan")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DyadicPoint, "__post_init__", refuse)
+        _grid_plan.cache_clear()
+        _coarse_neighbors.cache_clear()
+        _grid_plan(d, k)
+        points = sorted_grid(d, k)
+        neighbours = [u for v in points if v.level for u, _ in _coarse_neighbors(v)]
+    assert DyadicPoint.__post_init__ is checked
+    for v in points + neighbours:
+        want = DyadicPoint(v.level, v.nums)
+        assert v == want and hash(v) == hash(want)
+        assert type(v.level) is int and all(type(n) is int for n in v.nums)
+    # every numerator tuple of the grid, canonical or not
+    for nums in product(range(2**k + 1), repeat=d):
+        got, want = DyadicPoint._exact(k, nums), DyadicPoint(k, nums)
+        assert (got.level, got.nums) == (want.level, want.nums) and hash(got) == hash(want)
 
 
 def test_verify_norming_does_no_per_point_analysis(monkeypatch):

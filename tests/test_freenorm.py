@@ -794,6 +794,29 @@ def test_cancel_cycles_keeps_element_and_cost(p, cycle):
     assert p_cost(after, p) <= p_cost(before, p) + 1e-15
 
 
+def test_forest_witness_builds_its_molecules_unchecked(monkeypatch):
+    # the witness reads its endpoints off the flow matrix of its own host,
+    # so it skips the constructor's checks; each molecule equals the checked
+    # one, endpoints Python ints, while a user's Molecule is still checked
+    s = l1_space([(0.0,), (1.0,), (2.0,), (3.0,)])
+    W = np.zeros((4, 4))
+    for (x, y), f in {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 0.75, (2, 0): 0.5}.items():
+        W[x, y], W[y, x] = f, -f
+
+    def refuse(self):
+        raise AssertionError("a checked molecule in the witness")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Molecule, "__post_init__", refuse)
+        witness = _forest_witness(s, W, s.dist, 1.0)
+    assert len(witness.terms) == 3
+    for _, mol in witness.terms:
+        assert type(mol.x) is type(mol.y) is int
+        assert mol == Molecule(s, mol.x, mol.y) and hash(mol) == hash(Molecule(s, mol.x, mol.y))
+    with pytest.raises(ValueError, match="a molecule needs two distinct points"):
+        Molecule(s, 1, 1)
+
+
 def test_forest_witness_peels_only_a_cycle(monkeypatch):
     s = l1_space([(0.0,), (1.0,), (2.0,), (3.0,)])
     flows = {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 0.75}
