@@ -8,15 +8,19 @@
 # fit the default pair budget but are checked over many blocks, and
 # lambda-check and retraction-verify on an L-shaped complex file at R = 0.7
 # (the complex-file harness route: one vertex-indicator certificate bounds
-# every sampled image difference). Four runs are not README commands:
+# every sampled image difference). Six runs are not README commands:
 # decompose of the element 1e-14 delta(point 1) on the 4-point file, whose
 # coefficients are pruned relative to the largest, not below an absolute
 # floor; norm --p 0.5 on a 200-point file with a 7-point element, the exact
 # tree program on a large host in a fresh process; basis-verify at d = 3,
 # kmax = 3, a cold 729-point grid plan with the fallback classes on three
-# levels; and basis-verify at d = 4, kmax = 1, a cold class table with two
-# classes beyond the cap, whose hosts are never built. They are written
-# `run --p 0.5 --command ...` (or `run --alpha ...`) because
+# levels; basis-verify at d = 4, kmax = 1, a cold class table with two
+# classes beyond the cap, whose hosts are never built; and two runs at small
+# p, where the constants reach 5e9 to 1e11 and a value checked against its
+# constant passes within EVAL_TOL relative to it: retraction-verify at d = 2,
+# p = 0.03 (the witness value) and basis-verify at d = 4, p = 0.1 (a basis
+# norm one rounding above its bound). They are written
+# `run --p ... --command ...` (or `run --alpha ...`) because
 # scripts/report_corpus.py takes the lines that begin `run --command` into
 # its pinned corpus, and these are not README commands. Each report is written with --out and parsed as strict JSON. A
 # nonzero exit (a failed certified check, a crash, or a report that is not
@@ -59,3 +63,5 @@ python3 -c 'import random; r = random.Random(201); [print(r.gauss(0, 1), j) for 
 run --p 0.5 --command norm --in space200.txt --in element200.txt
 run --p 0.5 --command basis-verify --d 3 --alpha 0.5 --kmax 3
 run --p 0.5 --command basis-verify --d 4 --alpha 0.5 --kmax 1
+run --p 0.03 --command retraction-verify --d 2 --samples 50
+run --p 0.1 --command basis-verify --d 4 --alpha 0.5 --kmax 1

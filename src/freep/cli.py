@@ -160,7 +160,8 @@ def _cmd_retraction_verify(cfg):
         failures.append("decomposition cost ratio exceeds the certified upper constant")
     if report["max_reconstruction_residual"] > EVAL_TOL:
         failures.append("decomposition does not reconstruct the retraction difference")
-    if abs(report["witness_value"] - report["theoretical_lower"]) > EVAL_TOL:
+    lower = report["theoretical_lower"]
+    if abs(report["witness_value"] - lower) > lower * EVAL_TOL:
         failures.append("witness value differs from the certified lower constant")
     return report, failures
 
@@ -172,7 +173,7 @@ def _cmd_basis_verify(cfg):
     failures = []
     if not report["basis_ok"]:
         failures.append("a basis element exceeds the norming bound")
-    if report["max_molecule_cost"] > report["molecule_bound"] + EVAL_TOL:
+    if report["max_molecule_cost"] > report["molecule_bound"] * (1 + EVAL_TOL):
         failures.append("a molecule decomposition exceeds the certified cost bound")
     if report["max_molecule_residual"] > EVAL_TOL:
         failures.append("a molecule decomposition does not reconstruct its molecule")

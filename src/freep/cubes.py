@@ -92,6 +92,10 @@ class CubeComplex:
         verts = sorted(
             {tuple(wi + b for wi, b in zip(w, bits)) for w in offs for bits in product((0, 1), repeat=d)}
         )
+        reach = max(abs(c) for v in verts for c in v)
+        if math.isinf(self.R * reach):
+            raise ValueError(f"R = {self.R!r} times the vertex coordinate {reach} is beyond "
+                             "the double range; lower R")
         base = self.base_vertex
         if base is None:
             base = verts[0]

@@ -609,10 +609,10 @@ def exact_norm_p1(m: FreeElement) -> tuple[float, Decomposition]:
     relaxes all sources with supply left in one step. A total at rounding
     level (at most COEFF_TOL sum |w|, the rule of `_subset_flows`) puts
     nothing on the base, and any other weight or left-over amount at that
-    level counts as zero; a sum |w| beyond the double range raises. The
-    flow, made a forest by `_cancel_cycles` if it has a cycle, is the
-    witness: one molecule per edge, the flow times the edge length its
-    coefficient. It shares no code with the tree program, so comparing it
+    level counts as zero; a sum |w| or a cost beyond the double range
+    raises. The flow, made a forest by `_cancel_cycles` if it has a cycle,
+    is the witness: one molecule per edge, the flow times the edge length
+    its coefficient. It shares no code with the tree program, so comparing it
     with `exact_norm_small(m, 1.0)` checks both.
     """
     host, n = m.host, m.host.n
@@ -626,9 +626,13 @@ def exact_norm_p1(m: FreeElement) -> tuple[float, Decomposition]:
     P, N = np.flatnonzero(w > tol), np.flatnonzero(w < -tol)
     C = host.dist[P][:, N]
     F = _transport(C, w[P], -w[N], tol)
+    with np.errstate(over="ignore"):
+        cost = float((C * F).sum())
+    if math.isinf(cost):
+        raise ValueError("the free 1-norm overflows to inf; scale the element or the points down")
     W = np.zeros((n, n))  # weight carried from u to v, antisymmetric
     W[P[:, None], N], W[N[:, None], P] = F, -F.T
-    return float((C * F).sum()), _forest_witness(host, W, host.dist, 1.0)
+    return cost, _forest_witness(host, W, host.dist, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -61,13 +61,16 @@ class PointedFiniteMetric:
         if n > 1 and D[~np.eye(n, dtype=bool)].min() <= 0.0:
             raise ValueError("off-diagonal distances must be strictly positive")
         slack = _TRIANGLE_TOL * max(1.0, D.max())
-        for k in range(n):
-            via = D[:, k, None] + D[k]
-            if (D > via + slack).any():
-                i, j = np.unravel_index(np.argmax(D - via), (n, n))
-                raise ValueError(
-                    f"triangle inequality fails: d({i},{j}) > d({i},{k}) + d({k},{j})"
-                )
+        # a sum of two distances beyond the double range is inf, which bounds
+        # every distance
+        with np.errstate(over="ignore"):
+            for k in range(n):
+                via = D[:, k, None] + D[k]
+                if (D > via + slack).any():
+                    i, j = np.unravel_index(np.argmax(D - via), (n, n))
+                    raise ValueError(
+                        f"triangle inequality fails: d({i},{j}) > d({i},{k}) + d({k},{j})"
+                    )
 
     @property
     def n(self) -> int:

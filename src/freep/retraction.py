@@ -209,7 +209,7 @@ def estimate_lipschitz(ctx: RetractionContext, p: float, n_samples: int, seed: i
     |x - y|_1, and the largest reconstruction residual of a decomposition,
     next to the theoretical sandwich and the witness value. On complexes of
     at most EXACT_NORM_CAP vertices the first EXACT_CHECK_SAMPLES ratios are
-    checked against the exact norm, within EVAL_TOL, and
+    checked against the exact norm, within EVAL_TOL relative, and
     `exact_norms_checked` counts them; a ratio the exact norm escapes raises
     AssertionError. A p outside [P_FLOOR, 1] or a count that is not an
     integer >= 0 raises ValueError.
@@ -256,7 +256,7 @@ def estimate_lipschitz(ctx: RetractionContext, p: float, n_samples: int, seed: i
         if exact_ok and exact_checked < EXACT_CHECK_SAMPLES:
             norm = exact_norm_small(m, p)[0] / l1
             exact_checked += 1
-            if not (lower <= norm + EVAL_TOL and norm <= cost + EVAL_TOL):
+            if not (lower <= norm * (1 + EVAL_TOL) and norm <= cost * (1 + EVAL_TOL)):
                 raise AssertionError("exact norm escaped its certified bounds")
 
     witness = lower_bound_witness(complex.d, p)

@@ -253,6 +253,42 @@ def test_a_scale_whose_distances_overflow_exits_2_without_warnings(capsys):
     assert not caught
 
 
+# At small p the constants reach 1e8 to 1e34, where a value one rounding
+# away from its constant differs from it by more than EVAL_TOL: each check
+# of a value against a constant is relative to the constant.
+
+
+@pytest.mark.parametrize("d, p", [("2", "0.03"), ("4", "0.1")])
+def test_a_witness_value_at_small_p_passes_relative_to_its_constant(capsys, d, p):
+    code, out, err = run(capsys, ["--command", "retraction-verify", "--d", d, "--p", p,
+                                  "--samples", "50"])
+    assert code == 0, err
+    report = json.loads(out)
+    gap = abs(report["witness_value"] - report["theoretical_lower"])
+    assert EVAL_TOL < gap <= EVAL_TOL * report["theoretical_lower"]
+
+
+def test_exact_norms_at_small_p_are_checked_relative_to_their_bounds(capsys, tmp_path):
+    # the norms are about 1.5e34, and the exact cross-check ran out of
+    # absolute slack with an AssertionError
+    cx = write(tmp_path, "cx.txt", COMPLEX_FILES["TWO_SQUARES"])
+    code, out, err = run(capsys, ["--command", "retraction-verify", "--p", "0.02",
+                                  "--samples", "200", "--in", cx])
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["exact_norms_checked"] > 0 and report["max_upper_cost_ratio"] > 1e34
+
+
+def test_a_basis_norm_at_small_p_passes_relative_to_its_bound(capsys):
+    code, out, err = run(capsys, ["--command", "basis-verify", "--d", "4", "--alpha", "0.5",
+                                  "--p", "0.1", "--kmax", "1"])
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["basis_ok"]
+    gap = report["max_basis_norm"] - report["basis_bound"]
+    assert EVAL_TOL < gap <= EVAL_TOL * report["basis_bound"]
+
+
 def test_basis_verify(capsys):
     code, out, _ = run(
         capsys,
@@ -475,6 +511,51 @@ def test_a_point_gap_beyond_the_double_range_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "distance d(1,2) = inf is not finite" in err
+
+
+def test_a_distance_sum_beyond_the_double_range_passes_the_triangle_check(capsys, tmp_path):
+    # d(1, 0) + d(0, 1) overflows to inf, which bounds every distance
+    space = write(tmp_path, "space.txt", "2 0\n0 0\n1e308 0\n")
+    element = write(tmp_path, "elem.txt", "1.0 1\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["--command", "norm", "--p", "0.5",
+                                      "--in", space, "--in", element])
+    assert code == 0, err
+    assert json.loads(out)["norm"] == 1e308
+    assert not caught
+
+
+def test_a_p1_norm_beyond_the_double_range_exits_2(capsys, tmp_path):
+    # each distance and weight is finite, and the transport cost 1e300 * 1e300
+    # is not
+    space = write(tmp_path, "space.txt", "2 0\n0 0\n0 1e300\n")
+    element = write(tmp_path, "elem.txt", "1e300 1\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["--command", "norm", "--p", "1",
+                                      "--in", space, "--in", element])
+    assert code == 2
+    assert out == ""
+    assert err == "error: the free 1-norm overflows to inf; scale the element or the points down\n"
+    assert not caught
+
+
+@pytest.mark.parametrize("text", ["2 1e308\n0 0\n1 0\n0 0\n", "1 1e308\n1\n1\n"],
+                         ids=["two-squares", "line"])
+def test_a_scale_whose_vertex_coordinates_overflow_exits_2(capsys, tmp_path, text):
+    # R times the vertex coordinate 2 is inf, and so would be the points
+    # sampled in the cube beside it; the flag route's one cube at the origin
+    # has no vertex coordinate beyond 1
+    args = ["--in", write(tmp_path, "cx.txt", text)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["--command", "lambda-check", *args])
+    assert code == 2
+    assert out == ""
+    assert err == ("error: R = 1e+308 times the vertex coordinate 2 is beyond the double "
+                   "range; lower R\n")
+    assert not caught
 
 
 @pytest.mark.parametrize("args, message", [

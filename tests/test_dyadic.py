@@ -44,14 +44,14 @@ from freep.dyadic import (
     _class_norms,
     _coarse_neighbors,
     _grid_plan,
+    _molecule_block,
     _molecule_blocks,
-    _molecule_checks,
     _peel,
-    _point_residuals,
     _product_symbols,
     _product_values,
     _proof_cost,
     _residual_sups,
+    _residual_symbols,
     _step_element,
 )
 from freep.freenorm import (
@@ -692,6 +692,18 @@ def dense_residuals(S, A, n):
     return dense(S, n) @ dense(A, n) - np.eye(n, n + 1, 1)
 
 
+def point_residuals(S, A):
+    """The sup norms of the N + 1 columns of R = S A - E, both halves of
+    the kernel in one call."""
+    return _residual_sups(_residual_symbols(S, A), S, A)
+
+
+def molecule_checks(coords, A, residuals, I, J, alpha, p):
+    """The costs and residual bounds of the molecules at the pairs (I, J),
+    their block built from the grid coordinates and A and then evaluated."""
+    return _block_checks(_molecule_block(coords, A, I, J), A, residuals, alpha, p)
+
+
 def drawn(A, rng):
     """A with the same nonzero pattern and its values drawn at random: an
     analysis that does not invert the synthesis, so R is of order 1."""
@@ -708,13 +720,13 @@ def test_point_residuals_equal_the_dense_product(d, k):
     for alpha in (0.25, 0.5, 0.7):
         S, A = _analysis_operator(_grid_plan(d, k), alpha)
         n = len(S[0]) - 1
-        got = _point_residuals(S, A)
+        got = point_residuals(S, A)
         want = np.abs(dense_residuals(S, A, n)).max(axis=0)
         assert got[0] == 0.0 and np.abs(got - want).max() <= 4 * np.finfo(float).eps
         A = drawn(A, rng)
         want = np.abs(dense_residuals(S, A, n)).max(axis=0)
         assert want.min(initial=1.0, where=np.arange(n + 1) > 0) > 1e-3
-        assert _point_residuals(S, A) == pytest.approx(want, rel=1e-12)
+        assert point_residuals(S, A) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("d, k", [(1, 5), (2, 2), (3, 1)])
@@ -728,11 +740,11 @@ def test_molecule_residual_bounds_cover_the_synthesis(d, k):
     n = len(coords) - 1
     A = drawn(A, rng)
     R = dense_residuals(S, A, n)
-    residuals = _point_residuals(S, A)
+    residuals = point_residuals(S, A)
     for I, J in _molecule_blocks(n + 1, 10**6):
         scale = 1.0 / np.abs(coords[J] - coords[I]).sum(axis=1) ** alpha
         direct = np.abs((R[:, I] - R[:, J]) * scale).max(axis=0)
-        bounds = _molecule_checks(coords, A, residuals, I, J, alpha, p)[1]
+        bounds = molecule_checks(coords, A, residuals, I, J, alpha, p)[1]
         assert (bounds >= direct * (1 - 1e-12)).all()
         assert bounds[I == 0] == pytest.approx(direct[I == 0], rel=1e-12)
 
@@ -876,14 +888,14 @@ def test_plan_symbols_equal_the_one_shot_kernel(d, k):
     assert bits(plan.block.I) == bits(I) and bits(plan.block.J) == bits(J)
     for alpha, p in ((0.35, 0.4), (0.5, 1.0), (0.9, 0.7), (0.25, 0.3)):
         S, A = _analysis_operator(plan, alpha)
-        residuals = _point_residuals(S, A)
+        residuals = point_residuals(S, A)
         assert bits(_residual_sups(plan.residual, S, A)) == bits(residuals)
         got = _block_checks(plan.block, A, residuals, alpha, p)
-        want = _molecule_checks(plan.coords, A, residuals, I, J, alpha, p)
+        want = molecule_checks(plan.coords, A, residuals, I, J, alpha, p)
         assert [bits(a) for a in got] == [bits(a) for a in want], (alpha, p)
         for budget in (pairs, width // 3):
             blocks = [
-                _molecule_checks(plan.coords, A, residuals, I, J, alpha, p)
+                molecule_checks(plan.coords, A, residuals, I, J, alpha, p)
                 for I, J in _molecule_blocks(n_points, budget)
             ]
             report = verify_norming(d, alpha, p, k, pair_budget=budget)
@@ -908,6 +920,48 @@ def test_warm_single_block_call_runs_no_symbolic_half(monkeypatch):
         assert hexed(verify_norming(d, alpha, p, k)) == report, (d, k, alpha, p)
     with pytest.raises(AssertionError, match="symbolic half"):
         verify_norming(2, 0.5, 0.5, 3)
+
+
+@pytest.mark.parametrize("d,k", [(1, 5), (2, 3)])
+def test_a_budget_cuts_the_first_block(d, k):
+    """Budgets of none, one, a third of the first block, the block and one
+    pair more: each report is the maximum over the one-shot blocks of the
+    budgeted pairs, by float.hex, and 0.0 for no pair; (2, 3) has five
+    blocks."""
+    plan = _grid_plan(d, k)
+    n_points = len(plan.coords)
+    pairs = n_points * (n_points - 1) // 2
+    width = len(plan.block.I)
+    for alpha, p in ((0.35, 0.4), (0.9, 0.7)):
+        S, A = _analysis_operator(plan, alpha)
+        residuals = point_residuals(S, A)
+        for budget in (0, 1, width // 3, width, width + 1):
+            blocks = [
+                molecule_checks(plan.coords, A, residuals, I, J, alpha, p)
+                for I, J in _molecule_blocks(n_points, budget)
+            ]
+            report = verify_norming(d, alpha, p, k, pair_budget=budget)
+            cost = max((c.max() for c, _ in blocks), default=0.0)
+            residual = max((b.max() for _, b in blocks), default=0.0)
+            assert report["max_molecule_cost"].hex() == float(cost).hex(), (alpha, p, budget)
+            assert report["max_molecule_residual"].hex() == float(residual).hex()
+            assert report["complete"] == (budget >= pairs)
+
+
+def test_warm_call_under_the_block_width_runs_no_symbolic_half(monkeypatch):
+    """A budget below the width of the plan's first block cuts that block: a
+    warm call builds no smaller block, so it runs no symbolic half, on a
+    grid of one block and on one of five."""
+    cases = [(d, k, budget) for d, k in ((1, 5), (2, 3)) for budget in (0, 1, 40)]
+    cold = {case: hexed(verify_norming(case[0], 0.5, 0.7, case[1], case[2])) for case in cases}
+
+    def refuse(*args):
+        raise AssertionError("symbolic half in a warm call")
+
+    monkeypatch.setattr(dyadic, "_product_symbols", refuse)
+    for (d, k, budget), report in cold.items():
+        assert budget < len(_grid_plan(d, k).block.I)
+        assert hexed(verify_norming(d, 0.5, 0.7, k, budget)) == report, (d, k, budget)
 
 
 @pytest.mark.parametrize("d,k", [(2, 3), (3, 2)])
@@ -1003,7 +1057,7 @@ def test_molecule_checks_do_not_depend_on_the_blocks(monkeypatch, d, k):
     for alpha, p in ((0.35, 0.4), (0.5, 1.0), (0.9, 0.7)):
         coords = _grid_plan(d, k).coords
         S, A = _analysis_operator(_grid_plan(d, k), alpha)
-        residuals = _point_residuals(S, A)
+        residuals = point_residuals(S, A)
         # all pairs, and a budget that cuts the fourth run in the middle
         for budget in (int(starts[-1]), int(starts[3]) + 2):
             single = []
@@ -1011,12 +1065,12 @@ def test_molecule_checks_do_not_depend_on_the_blocks(monkeypatch, d, k):
                 js = np.arange(i + 1, n_points)[: max(budget - int(starts[i]), 0)]
                 if js.size:
                     I = np.full(js.size, i)
-                    single.append(_molecule_checks(coords, A, residuals, I, js, alpha, p))
+                    single.append(molecule_checks(coords, A, residuals, I, js, alpha, p))
             for entries in (dyadic._BLOCK_ENTRIES, 5 * n_points):
                 with monkeypatch.context() as patch:
                     patch.setattr(dyadic, "_BLOCK_ENTRIES", entries)
                     blocks = [
-                        _molecule_checks(coords, A, residuals, I, J, alpha, p)
+                        molecule_checks(coords, A, residuals, I, J, alpha, p)
                         for I, J in _molecule_blocks(n_points, budget)
                     ]
                 for r in (0, 1):  # costs, residual bounds
@@ -1094,13 +1148,13 @@ def test_molecule_costs_are_coefficient_cost_bitwise(d, k):
     for alpha, p in ((0.35, 0.4), (0.5, 1.0), (0.9, 0.7), (0.25, 0.3)):
         coords = _grid_plan(d, k).coords
         S, A = _analysis_operator(_grid_plan(d, k), alpha)
-        residuals = _point_residuals(S, A)
+        residuals = point_residuals(S, A)
         Ad = dense(A, len(coords) - 1)
         for I, J in _molecule_blocks(len(coords), 10**6):
             C = Ad[:, I] - Ad[:, J]
             C *= 1.0 / np.abs(coords[J] - coords[I]).sum(axis=1) ** alpha
             assert (C == 0).mean() > 0.5  # most coefficients vanish
-            got = _molecule_checks(coords, A, residuals, I, J, alpha, p)[0]
+            got = molecule_checks(coords, A, residuals, I, J, alpha, p)[0]
             want = np.array([row_order_sum(c, p) for c in C.T]) ** (1.0 / p)
             assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
             assert got == pytest.approx(coefficient_cost(C, p, axis=0), rel=1e-12, abs=0)
@@ -1118,8 +1172,8 @@ def test_molecule_checks_match_single_pairs():
     grid = sorted_grid(2, 3)
     i = grid.index(dp(F(1, 4), F(1, 4)))
     js = np.arange(i + 1, len(grid))
-    costs, residuals = _molecule_checks(
-        plan.coords, A, _point_residuals(S, A), np.full(js.size, i), js, alpha, p
+    costs, residuals = molecule_checks(
+        plan.coords, A, point_residuals(S, A), np.full(js.size, i), js, alpha, p
     )
     for j, cost, residual in zip(js, costs, residuals):
         comb = molecule_decompose(grid[i], grid[j], alpha)
