@@ -43,7 +43,7 @@ def _lines(rows) -> str:
 
 def _files() -> dict[str, str]:
     """The input files of the corpus: those scripts/readme_commands.sh
-    writes, with the same bytes, and the complex files of the pinned
+    writes, with the same bytes, and the input files of the pinned
     reports."""
     r40, r41, r42 = random.Random(40), random.Random(41), random.Random(42)
     return {
@@ -55,6 +55,11 @@ def _files() -> dict[str, str]:
         "L.txt": "2 0.7\n0 0\n1 0\n1 1\n2 1\n0 0\n",
         "two_squares.txt": "2 1.0\n0 0\n1 0\n0 0\n",
         "gapped.txt": "2 1.0\n0 0\n2 0\n0 0\n",
+        "L35.txt": "2 0.7\n3 5\n4 5\n4 6\n3 5\n",
+        "far.txt": "2 0\n0 0\n1e300 0\n0 1\n",
+        "far4.txt": "2 0\n0 0\n1e300 0\n0 1\n1 0\n",
+        "far_element.txt": "1e300 2\n",
+        "far_pair.txt": "1e300 2\n1e300 3\n",
     }
 
 
@@ -80,6 +85,9 @@ PINNED = [
     "--command basis-verify --d 1 --kmax 5 --alpha 0.7 --p 0.3",
     "--command basis-verify --d 3 --kmax 1 --alpha 0.25 --p 0.4",
     "--command norm --p 0.5 --alpha 0.5 --in space.txt --in element.txt",
+    "--command retraction-verify --p 1 --seed 5 --samples 400 --in L35.txt",
+    "--command norm --p 0.8 --in far.txt --in far_element.txt",
+    "--command norm --p 0.8 --in far4.txt --in far_pair.txt",
 ]
 
 # the grids and the (alpha, p) pool of the benchmark's norming workload

@@ -646,6 +646,16 @@ COMPLEX_FILES = {
     "GAPPED": "2 1.0\n0 0\n2 0\n0 0\n",
     "GAPPED_R07": "2 0.7\n0 0\n2 0\n0 0\n",
     "LINE_R07": "1 0.7\n-2\n-1\n0\n3\n-2\n",
+    "L_3_5": "2 0.7\n3 5\n4 5\n4 6\n3 5\n",
+}
+
+# points 1e300 apart carrying weights of 1e300, so that some terms of the
+# tree program leave the double range although the norm need not
+FAR_FILES = {
+    "FAR_SPACE": "2 0\n0 0\n1e300 0\n0 1\n",
+    "FAR_SPACE4": "2 0\n0 0\n1e300 0\n0 1\n1 0\n",
+    "FAR_ELEMENT": "1e300 2\n",
+    "FAR_PAIR": "1e300 2\n1e300 3\n",
 }
 
 
@@ -669,7 +679,9 @@ def test_retraction_verify_lower_bound_ignores_rounding_pairings(capsys, tmp_pat
 
 # the corpus names of the input files above
 CORPUS_FILES = {"TWO_SQUARES": "two_squares.txt", "L_SHAPE": "L.txt", "GAPPED": "gapped.txt",
-                "README_SPACE": "space.txt", "README_ELEMENT": "element.txt"}
+                "L_3_5": "L35.txt", "README_SPACE": "space.txt", "README_ELEMENT": "element.txt",
+                "FAR_SPACE": "far.txt", "FAR_SPACE4": "far4.txt", "FAR_ELEMENT": "far_element.txt",
+                "FAR_PAIR": "far_pair.txt"}
 
 
 @pytest.mark.parametrize("args", [
@@ -689,17 +701,21 @@ CORPUS_FILES = {"TWO_SQUARES": "two_squares.txt", "L_SHAPE": "L.txt", "GAPPED": 
     ["--command", "basis-verify", "--d", "3", "--kmax", "1", "--alpha", "0.25", "--p", "0.4"],
     ["--command", "norm", "--p", "0.5", "--alpha", "0.5", "--in", "README_SPACE",
      "--in", "README_ELEMENT"],
+    ["--command", "retraction-verify", "--p", "1", "--seed", "5", "--samples", "400",
+     "--in", "L_3_5"],
+    ["--command", "norm", "--p", "0.8", "--in", "FAR_SPACE", "--in", "FAR_ELEMENT"],
+    ["--command", "norm", "--p", "0.8", "--in", "FAR_SPACE4", "--in", "FAR_PAIR"],
 ], ids=["readme-lambda-check", "readme-retraction-verify", "lambda-check-2000",
         "retraction-verify-two-squares", "retraction-verify-L", "retraction-verify-gapped",
         "retraction-verify-d3", "readme-basis-verify", "basis-verify-d1", "basis-verify-d3",
-        "readme-norm"])
+        "readme-norm", "retraction-verify-L-3-5-p1", "norm-far", "norm-far-pair"])
 def test_reports_are_byte_stable(args):
     """The report is a run of scripts/report_corpus.py on input files of the
     same bytes, so the corpus aggregate digest (tests/test_report_corpus.py)
     pins its bytes."""
     corpus = load_report_corpus()
     assert [CORPUS_FILES.get(a, a) for a in args] in corpus.corpus_runs()
-    files = {**COMPLEX_FILES, **README_FILES}
+    files = {**COMPLEX_FILES, **README_FILES, **FAR_FILES}
     for name in set(args) & set(CORPUS_FILES):
         assert corpus._files()[CORPUS_FILES[name]] == files[name]
 
