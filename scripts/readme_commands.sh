@@ -8,7 +8,7 @@
 # fit the default pair budget but are checked over many blocks, and
 # lambda-check and retraction-verify on an L-shaped complex file at R = 0.7
 # (the complex-file harness route: one vertex-indicator certificate bounds
-# every sampled image difference). Six runs are not README commands:
+# every sampled image difference). Eight runs are not README commands:
 # decompose of the element 1e-14 delta(point 1) on the 4-point file, whose
 # coefficients are pruned relative to the largest, not below an absolute
 # floor; norm --p 0.5 on a 200-point file with a 7-point element, the exact
@@ -19,7 +19,10 @@
 # p, where the constants reach 5e9 to 1e11 and a value checked against its
 # constant passes within EVAL_TOL relative to it: retraction-verify at d = 2,
 # p = 0.03 (the witness value) and basis-verify at d = 4, p = 0.1 (a basis
-# norm one rounding above its bound). They are written
+# norm one rounding above its bound); and two runs of norm --p 0.8 on points
+# 1e300 apart with weights of 1e300, whose norms are finite although terms
+# of the tree program are inf, which must pass without a RuntimeWarning (CI
+# runs this script with PYTHONWARNINGS=error::RuntimeWarning). They are written
 # `run --p ... --command ...` (or `run --alpha ...`) because
 # scripts/report_corpus.py takes the lines that begin `run --command` into
 # its pinned corpus, and these are not README commands. Each report is written with --out and parsed as strict JSON. A
@@ -65,3 +68,9 @@ run --p 0.5 --command basis-verify --d 3 --alpha 0.5 --kmax 3
 run --p 0.5 --command basis-verify --d 4 --alpha 0.5 --kmax 1
 run --p 0.03 --command retraction-verify --d 2 --samples 50
 run --p 0.1 --command basis-verify --d 4 --alpha 0.5 --kmax 1
+printf '2 0\n0 0\n1e300 0\n0 1\n' > far.txt
+printf '1e300 2\n' > far_element.txt
+run --p 0.8 --command norm --in far.txt --in far_element.txt
+printf '2 0\n0 0\n1e300 0\n0 1\n1 0\n' > far4.txt
+printf '1e300 2\n1e300 3\n' > far_pair.txt
+run --p 0.8 --command norm --in far4.txt --in far_pair.txt

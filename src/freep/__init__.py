@@ -29,7 +29,6 @@ from .dyadic import (
     hat_decompose,
     line_path,
     molecule_decompose,
-    step_decompose,
     synthesize,
     verify_norming,
 )
@@ -52,7 +51,6 @@ from .metric import (
     dyadic_grid,
     holder_distort,
     l1_space,
-    neighbors,
 )
 from .retraction import (
     RetractionContext,

@@ -19,6 +19,10 @@ from . import constants, cubes, dyadic, freenorm, metric, retraction
 from .freenorm import EVAL_TOL
 from .reportio import report_json
 
+# the numeric flags: float for a real number, or the least value of a count
+_NUMBERS = {"p": float, "alpha": float, "d": 1, "kmax": 1, "R": float, "seed": 0, "samples": 0}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="freep",
@@ -26,13 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--command", choices=_DISPATCH)
     ap.add_argument("--config", help="JSON file with default flag values")
-    ap.add_argument("--p", type=float)
-    ap.add_argument("--alpha", type=float)
-    ap.add_argument("--d", type=int)
-    ap.add_argument("--kmax", type=int)
-    ap.add_argument("--R", type=float)
-    ap.add_argument("--seed", type=int)
-    ap.add_argument("--samples", type=int)
+    for name, kind in _NUMBERS.items():
+        ap.add_argument(f"--{name}", type=float if kind is float else int)
     ap.add_argument("--in", dest="inputs", action="append", default=None,
                     help="input file; repeat for commands taking two inputs")
     ap.add_argument("--out", help="report file (stdout when omitted)")
@@ -40,11 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args) -> dict:
-    cfg = {
-        "command": args.command, "p": args.p, "alpha": args.alpha, "d": args.d,
-        "kmax": args.kmax, "R": args.R, "seed": args.seed, "samples": args.samples,
-        "inputs": args.inputs, "out": args.out,
-    }
+    # in the order of the parser, which the beyond-range message keeps
+    cfg = {key: val for key, val in vars(args).items() if key != "config"}
     if args.config:
         import json
 
@@ -64,14 +60,15 @@ def _merge_config(args) -> dict:
     if cfg["command"] not in _DISPATCH:
         raise ValueError("--command is required (or must be set in the config file)")
     # a config file can hold any JSON value, and JSON true is an int to Python
-    for name, low in (("seed", 0), ("samples", 0), ("d", 1), ("kmax", 1)):
-        if cfg[name] is not None:
-            constants.check_count(f"--{name}", cfg[name], low)
-    for name in ("p", "alpha", "R"):
+    for name, kind in _NUMBERS.items():
         val = cfg[name]
-        if val is not None and (isinstance(val, bool) or not isinstance(val, (int, float))):
+        if val is None:
+            continue
+        if kind is not float:
+            constants.check_count(f"--{name}", val, kind)
+        elif isinstance(val, bool) or not isinstance(val, (int, float)):
             raise ValueError(f"--{name} must be a real number, got {val!r}")
-        if isinstance(val, int) and not -sys.float_info.max <= val <= sys.float_info.max:
+        elif isinstance(val, int) and not -sys.float_info.max <= val <= sys.float_info.max:
             # a JSON integer has no size limit: do not echo hundreds of digits
             raise ValueError(
                 f"--{name} must be a real number, got an integer beyond the double range")

@@ -11,7 +11,6 @@ evaluations. `analyze` computes the basis coefficients of an element; the
 expansions of the paper's lemmas are analyses of their targets,
 
 * `hat_decompose`      - a single coordinate evaluation over an interval,
-* `step_decompose`     - an axis-centered second difference at any grid point,
 * `molecule_decompose` - a normalized molecule (delta(u) - delta(v)) / |u - v|_1^alpha,
 
 and `verify_norming` checks a whole grid at once through its synthesis
@@ -51,8 +50,8 @@ exact dyadic rational beta times 2^(-k*alpha). The analysis has one
 arithmetic: it peels the alpha-free weights beta exactly (in rationals for
 an element, a double input being a dyadic rational too; in doubles for the
 grid operator, whose weights need far fewer than 53 bits) and rounds each
-coefficient once, as float(beta) * 2^(-k*alpha); the hat and step elements
-carry a factor 2^(n*alpha), which shifts the exponent to k - n. Equal
+coefficient once, as float(beta) * 2^(-k*alpha); the hat element carries a
+factor 2^(n*alpha), which shifts the exponent to k - n. Equal
 coefficients thus round to equal doubles, and the grid operator equals one
 `analyze` per grid point bitwise.
 """
@@ -76,14 +75,7 @@ from .freenorm import (
     exact_norms,
     _read_only,
 )
-from .metric import (
-    DyadicPoint,
-    PointedFiniteMetric,
-    coordinate_level,
-    dyadic_grid,
-    neighbors,
-    replaced,
-)
+from .metric import DyadicPoint, PointedFiniteMetric, coordinate_level, dyadic_grid, l1_distances
 
 PRUNE_TOL = 1e-13
 MAX_LEVEL = 32
@@ -250,35 +242,6 @@ def hat_decompose(u1, u2, v, alpha: float) -> HatDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# the axis-step expansion
-
-
-def _step_element(v: DyadicPoint, axis: int) -> tuple[int, dict[DyadicPoint, Fraction]]:
-    """(n, the step element of `step_decompose` divided by 2^(n*alpha)),
-    origin entry dropped."""
-    coords = v.coords()
-    if not 0 <= axis < v.d:
-        raise ValueError(f"axis {axis} out of range")
-    n = coordinate_level(coords[axis])
-    if n < 1:
-        raise ValueError(f"coordinate {coords[axis]} of v is at level 0")
-    out = {v: Fraction(1)}
-    for c in neighbors(coords[axis]):
-        out[DyadicPoint.from_fractions(replaced(coords, axis, c))] = Fraction(-1, 2)
-    return n, {u: c for u, c in out.items() if not u.is_origin()}
-
-
-def step_decompose(v: DyadicPoint, axis: int, alpha: float) -> BasisCombination:
-    """Expand 2^(n*alpha)(delta(v) - (delta(v + h e_axis) + delta(v - h e_axis)) / 2)
-    over the basis, where h = 2^-n and the axis coordinate of v has exact
-    level n >= 1; the cost is at most rho^(l+1) <= rho^d with l the number of
-    coordinates of v finer than level n.
-    """
-    n, elem = _step_element(v, axis)
-    return BasisCombination(_rounded(_peel(elem), check_alpha(alpha), n))
-
-
-# ---------------------------------------------------------------------------
 # mesh-adjacent paths between dyadic scalars
 
 
@@ -365,7 +328,7 @@ def basis_element(v: DyadicPoint, alpha: float) -> FreeElement:
     metric."""
     alpha = check_alpha(alpha)
     labels, weights = _element_host(v, alpha)
-    host = PointedFiniteMetric(labels, 0, _basis_l1(np.array([labels]))[0] ** alpha)
+    host = PointedFiniteMetric(labels, 0, l1_distances(np.array(labels)) ** alpha)
     return FreeElement(host, dict(enumerate(weights, 1)))
 
 
@@ -399,16 +362,6 @@ def _proof_cost(k: int, m: int, alpha: float, p: float) -> float:
     return total ** (1.0 / p)
 
 
-def _basis_l1(X: np.ndarray) -> np.ndarray:
-    """The l1 distance matrices |X_i - X_j|_1 of a stack X (B, n, d) of host
-    coordinates, one host of n points per row; raised to the power alpha,
-    they are the distance matrices of the checked `basis_element` hosts.
-    They need no check: the rows are distinct dyadic grid points, so their
-    l1 distances are exact and positive, and t -> t^alpha keeps the triangle
-    inequality."""
-    return np.abs(X[:, :, None] - X[:, None]).sum(axis=3)
-
-
 def basis_norm_check(v: DyadicPoint, alpha: float, p: float) -> tuple[float, float]:
     """(value, `basis_bound` d^alpha C(p, 2^d)) for the basis element at v,
     the value entry k d + m - 1 of `_class_norms` for v in class (k, m).
@@ -439,7 +392,7 @@ def _class_hosts(d: int, k_max: int):
     r = 2^-k (1, ..., 1, 0, ..., 0), has 2^m + 1 points at k >= 1 and 2 at
     k = 0. hosts has one (classes, l1, weights) per host size within
     DEFAULT_CAP, smallest first: the classes ascending, the l1 stack
-    (`_basis_l1`) of their hosts and r's weights at alpha = 0.
+    (`l1_distances`) of their hosts and r's weights at alpha = 0.
     fallback lists the classes beyond the cap, whose hosts are never built."""
     table = {}
     for c, (k, m) in enumerate(product(range(k_max + 1), range(1, d + 1))):
@@ -449,7 +402,11 @@ def _class_hosts(d: int, k_max: int):
     for size in sorted(s for s in table if s <= DEFAULT_CAP):
         classes, reps = zip(*table[size])
         labels, weights = zip(*(_element_host(r, 0.0) for r in reps))
-        hosts.append(_read_only(np.array(classes), _basis_l1(np.array(labels)), np.array(weights)))
+        # raised to alpha, the stack holds the distance matrices of the
+        # checked `basis_element` hosts, and needs no check of its own: the
+        # rows are distinct dyadic grid points, so their l1 distances are
+        # exact and positive, and t -> t^alpha keeps the triangle inequality
+        hosts.append(_read_only(np.array(classes), l1_distances(np.array(labels)), np.array(weights)))
     fallback = sorted(c for s in table if s > DEFAULT_CAP for c, _ in table[s])
     return tuple(hosts), _read_only(np.array(fallback, dtype=int))[0]
 

@@ -165,9 +165,9 @@ def evaluate(decomp: Decomposition) -> FreeElement:
     return FreeElement(decomp.host, acc)
 
 
-def coefficient_cost(a, p: float, axis=None):
-    """The p-cost (sum |a_i|^p)^(1/p) of the coefficients a along `axis`."""
-    return (np.abs(a) ** p).sum(axis) ** (1.0 / p)
+def coefficient_cost(a, p: float):
+    """The p-cost (sum |a_i|^p)^(1/p) of the coefficients a."""
+    return (np.abs(a) ** p).sum() ** (1.0 / p)
 
 
 def p_cost(decomp: Decomposition, p: float) -> float:
@@ -352,6 +352,8 @@ def _check_cap(k):
 
 def _roots(costs: list[float], p: float) -> list[float]:
     """cost^(1/p) of each least tree cost; a norm beyond the double range raises."""
+    if math.inf in costs:
+        raise ValueError("the free p-norm is beyond the double range; scale the element or the points down")
     try:
         return [f ** (1.0 / p) for f in costs]
     except OverflowError:
@@ -376,7 +378,11 @@ def exact_norms(D, W, p: float) -> list[float]:
     (B, k), n = W.shape, D.shape[1]
     fp = _subset_flows(W, p)[2]
     Dp = D**p
-    F = _tree_table(_tree_program(k, n, B), Dp, Dp[:, 1 : k + 1], fp)
+    # a term beyond the double range is inf, which a finite least cost never
+    # takes; an infinite least cost is a norm beyond that range, and `_roots`
+    # refuses it
+    with np.errstate(over="ignore"):
+        F = _tree_table(_tree_program(k, n, B), Dp, Dp[:, 1 : k + 1], fp)
     return _roots(F.reshape(B, -1, n)[:, -1, 0].tolist(), p)
 
 
@@ -458,7 +464,7 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
     To restrict the molecules to a subset, build the induced subspace as the
     host. Beyond the cap, use the certified bound operations
     (`upper_bound_from`, `dual_lower_bound`) instead. A norm beyond the
-    double range, at p near its floor, raises a ValueError.
+    double range raises a ValueError.
     """
     p = check_p(p)
     _check_cap(len(m.weights))
@@ -469,25 +475,30 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
     k = len(terminals)
     wsum, flow, fp = _subset_flows(np.array([[m.weights[t] for t in terminals]]), p)
     Dp = host.dist**p
-    F = _tree_table(_tree_program(k, host.n, 1), Dp[None], Dp[None, terminals], fp).reshape(1 << k, host.n)
-    splits = _subset_program(k)[1]
+    # a term of the table or of the backtracking beyond the double range is
+    # inf, which a finite least cost never takes; an infinite least cost is a
+    # norm beyond that range, refused before the backtracking
+    with np.errstate(over="ignore"):
+        F = _tree_table(_tree_program(k, host.n, 1), Dp[None], Dp[None, terminals], fp).reshape(1 << k, host.n)
+        value = _roots([float(F[-1, host.base])], p)[0]
+        splits = _subset_program(k)[1]
 
-    W = np.zeros((host.n, host.n))  # weight carried from u to v, antisymmetric
-    stack = [(len(F) - 1, host.base)]
-    while stack:
-        S, v = stack.pop()
-        if S & (S - 1):
-            T = splits[S]
-            cand = F[T] + F[S ^ T]
-            u = int((cand.min(axis=0) + fp[S] * Dp[:, v]).argmin())
-            T = int(T[cand[:, u].argmin()])
-            stack += [(T, u), (S ^ T, u)]
-        else:
-            u = terminals[S.bit_length() - 1]
-        if u != v and flow[S] > 0.0:
-            W[u, v] += wsum[S]
-            W[v, u] -= wsum[S]
-    return _roots([float(F[-1, host.base])], p)[0], _forest_witness(host, W, Dp, p)
+        W = np.zeros((host.n, host.n))  # weight carried from u to v, antisymmetric
+        stack = [(len(F) - 1, host.base)]
+        while stack:
+            S, v = stack.pop()
+            if S & (S - 1):
+                T = splits[S]
+                cand = F[T] + F[S ^ T]
+                u = int((cand.min(axis=0) + fp[S] * Dp[:, v]).argmin())
+                T = int(T[cand[:, u].argmin()])
+                stack += [(T, u), (S ^ T, u)]
+            else:
+                u = terminals[S.bit_length() - 1]
+            if u != v and flow[S] > 0.0:
+                W[u, v] += wsum[S]
+                W[v, u] -= wsum[S]
+    return value, _forest_witness(host, W, Dp, p)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Real-valued distances live in doubles and are checked once, where they
 enter: the `PointedFiniteMetric` constructor refuses a matrix that is not a
 metric, and every public entry of the library takes such a host. Dyadic grid
 points are stored exactly as integer numerators over a power-of-two
-denominator so that grid membership, coordinate levels, and neighbor
-computations never round; a count or a coordinate that is not an integer
+denominator so that grid membership, coordinate levels, and coarse
+neighbours never round; a count or a coordinate that is not an integer
 raises rather than being truncated.
 """
 
@@ -83,6 +83,12 @@ class PointedFiniteMetric:
         return f"PointedFiniteMetric(n={self.n}, base={self.base})"
 
 
+def l1_distances(X: np.ndarray) -> np.ndarray:
+    """The l1 distance matrix |X_i - X_j|_1 of the points X (..., n, d), one
+    matrix per leading index."""
+    return np.abs(X[..., :, None, :] - X[..., None, :, :]).sum(axis=-1)
+
+
 def l1_space(points: Iterable[Sequence[float]], base: int = 0) -> PointedFiniteMetric:
     """Finite subset of R^d with the l1 metric."""
     arr = np.array([list(map(float, pt)) for pt in points], dtype=float)
@@ -92,7 +98,7 @@ def l1_space(points: Iterable[Sequence[float]], base: int = 0) -> PointedFiniteM
     # an infinite coordinate gives inf - inf = nan, and a gap beyond the
     # double range gives inf; the constructor names either
     with np.errstate(invalid="ignore", over="ignore"):
-        dist = np.abs(arr[:, None, :] - arr[None, :, :]).sum(axis=2)
+        dist = l1_distances(arr)
     np.fill_diagonal(dist, 0.0)
     return PointedFiniteMetric(labels, base, dist)
 
@@ -111,7 +117,7 @@ def lattice_l1_space(
     arr = np.array(pts, dtype=np.int64)
     # a product beyond the double range is inf, which the constructor names
     with np.errstate(over="ignore"):
-        dist = float(scale) * np.abs(arr[:, None, :] - arr[None, :, :]).sum(axis=2)
+        dist = float(scale) * l1_distances(arr)
     return PointedFiniteMetric(tuple(pts), base, dist)
 
 
@@ -175,16 +181,6 @@ def coordinate_level(x: Fraction | int) -> int:
     if den & (den - 1):
         raise ValueError(f"{x} is not a dyadic rational")
     return den.bit_length() - 1
-
-
-def neighbors(x: Fraction) -> tuple[Fraction, Fraction]:
-    """The two adjacent coarser grid points x -+ 2^-n at x's own level n >= 1."""
-    x = Fraction(x)
-    n = coordinate_level(x)
-    if n < 1:
-        raise ValueError(f"{x} is at level 0 and has no canonical neighbors")
-    h = Fraction(1, 2**n)
-    return x - h, x + h
 
 
 def _canonical(level: int, nums: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -254,20 +250,7 @@ class DyadicPoint:
 
 
 def dyadic_grid(d: int, k: int) -> set[DyadicPoint]:
-    """The grid [0,1]^d intersected with 2^-k Z^d; k = -1 gives the origin."""
+    """The grid [0,1]^d intersected with 2^-k Z^d."""
     d = check_count("d", d, 1)
-    k = check_count("k", k, -1)
-    if k == -1:
-        return {DyadicPoint.origin(d)}
+    k = check_count("k", k, 0)
     return {DyadicPoint._exact(k, nums) for nums in product(range(2**k + 1), repeat=d)}
-
-
-# ---------------------------------------------------------------------------
-# coordinate helpers on plain tuples
-
-
-def replaced(x: Sequence, j: int, value) -> tuple:
-    """Replace coordinate j (0-based)."""
-    out = list(x)
-    out[j] = value
-    return tuple(out)

@@ -21,13 +21,17 @@ over those neighbours with exact distances (`oracle_proof_cost`). So is a
 mesh-adjacent chain by a level scan (`oracle_line_path`), which locates the
 coarsest grid point between the endpoints level by level and extends
 outward one mesh step per level: a check on `line_path`, which reads the
-same chain off the binary expansion of its two gaps.
+same chain off the binary expansion of its two gaps. The coordinate rules
+the kernels share, the two coarser neighbours of a dyadic scalar
+(`neighbors`) and a tuple with one coordinate replaced (`replaced`), are
+kept here too.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import Sequence
 
 from freep import dyadic
 from freep.constants import check_alpha
@@ -39,7 +43,28 @@ from freep.dyadic import (
     line_path,
     molecule_l1,
 )
-from freep.metric import DyadicPoint, coordinate_level, neighbors, replaced
+from freep.metric import DyadicPoint, coordinate_level
+
+# ---------------------------------------------------------------------------
+# coordinate helpers
+
+
+def neighbors(x: Fraction) -> tuple[Fraction, Fraction]:
+    """The two adjacent coarser grid points x -+ 2^-n at x's own level n >= 1."""
+    x = Fraction(x)
+    n = coordinate_level(x)
+    if n < 1:
+        raise ValueError(f"{x} is at level 0 and has no canonical neighbors")
+    h = Fraction(1, 2**n)
+    return x - h, x + h
+
+
+def replaced(x: Sequence, j: int, value) -> tuple:
+    """Replace coordinate j (0-based)."""
+    out = list(x)
+    out[j] = value
+    return tuple(out)
+
 
 # ---------------------------------------------------------------------------
 # coefficient arithmetic: doubles, or exact sums of q * X^m with X = 2^-alpha

@@ -541,6 +541,40 @@ def test_a_p1_norm_beyond_the_double_range_exits_2(capsys, tmp_path):
     assert not caught
 
 
+@pytest.mark.parametrize("space, element, norm", [
+    ("FAR_SPACE", "FAR_ELEMENT", 1.0000000000000384e+300),
+    ("FAR_SPACE4", "FAR_PAIR", 2.3784142300055335e+300),
+], ids=["one-weight", "two-weights"])
+def test_a_tree_norm_with_terms_beyond_the_double_range_passes(capsys, tmp_path, space, element,
+                                                              norm):
+    # the single-point term of the far point, 1e240 * 1e240, is inf in the
+    # tree table, and so are hop terms of the backtracking; the least cost is
+    # finite, and so is the norm
+    args = ["--in", write(tmp_path, "space.txt", FAR_FILES[space]),
+            "--in", write(tmp_path, "elem.txt", FAR_FILES[element])]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["--command", "norm", "--p", "0.8", *args])
+    assert code == 0, err
+    assert json.loads(out)["norm"] == norm
+    assert not caught
+
+
+def test_a_tree_norm_beyond_the_double_range_exits_2(capsys, tmp_path):
+    # the weight 1e300 sits on the point 1e300 from the base, so every tree
+    # costs inf: the norm is refused before the backtracking
+    args = ["--in", write(tmp_path, "space.txt", FAR_FILES["FAR_SPACE"]),
+            "--in", write(tmp_path, "elem.txt", "1e300 1\n")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["--command", "norm", "--p", "0.8", *args])
+    assert code == 2
+    assert out == ""
+    assert err == ("error: the free p-norm is beyond the double range; scale the element or "
+                   "the points down\n")
+    assert not caught
+
+
 @pytest.mark.parametrize("text", ["2 1e308\n0 0\n1 0\n0 0\n", "1 1e308\n1\n1\n"],
                          ids=["two-squares", "line"])
 def test_a_scale_whose_vertex_coordinates_overflow_exits_2(capsys, tmp_path, text):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from analysis_oracle import oracle_analysis_operator
 from face_induction_oracle import (
     PowSum,
+    neighbors,
     oracle_coarse_neighbors,
     oracle_difference,
     oracle_hat,
@@ -20,6 +21,7 @@ from face_induction_oracle import (
     oracle_molecule,
     oracle_proof_cost,
     oracle_step,
+    replaced,
 )
 from freep import dyadic, metric
 from freep.constants import basis_bound, rho, tau
@@ -34,11 +36,9 @@ from freep.dyadic import (
     molecule_decompose,
     molecule_target,
     reconstruction_residual,
-    step_decompose,
     synthesize,
     verify_norming,
     _analysis_operator,
-    _basis_l1,
     _block_checks,
     _class_hosts,
     _class_norms,
@@ -52,24 +52,50 @@ from freep.dyadic import (
     _proof_cost,
     _residual_sups,
     _residual_symbols,
-    _step_element,
+    _rounded,
 )
 from freep.freenorm import (
     DEFAULT_CAP,
     FreeElement,
     _tree_program,
-    coefficient_cost,
     exact_norm_small,
     exact_norms,
 )
-from freep.metric import DyadicPoint, PointedFiniteMetric, dyadic_grid, holder_distort, l1_space
+from freep.metric import (
+    DyadicPoint,
+    PointedFiniteMetric,
+    coordinate_level,
+    dyadic_grid,
+    holder_distort,
+    l1_distances,
+    l1_space,
+)
 
 F = Fraction
 
 
+def step_element(v: DyadicPoint, axis: int) -> tuple[int, dict[DyadicPoint, Fraction]]:
+    """(n, the step element delta(v) - (delta(v - h e_axis) + delta(v + h e_axis)) / 2),
+    h = 2^-n at the level n >= 1 of v's axis coordinate, origin entry dropped."""
+    coords = v.coords()
+    out = {v: F(1)}
+    for c in neighbors(coords[axis]):
+        out[DyadicPoint.from_fractions(replaced(coords, axis, c))] = F(-1, 2)
+    return coordinate_level(coords[axis]), {u: c for u, c in out.items() if not u.is_origin()}
+
+
+def step_expansion(v: DyadicPoint, axis: int, alpha: float) -> BasisCombination:
+    """The paper's step expansion, the analysis of 2^(n alpha) times the
+    step element: its exact peel, rounded once; its cost is at most
+    rho^(l+1) <= rho^d with l the number of coordinates of v finer than
+    level n."""
+    n, elem = step_element(v, axis)
+    return BasisCombination(_rounded(_peel(elem), alpha, n))
+
+
 def step_target(v: DyadicPoint, axis: int, alpha: float) -> dict[DyadicPoint, float]:
-    """Point expansion of the step element (origin entries dropped)."""
-    n, elem = _step_element(v, axis)
+    """Point expansion of 2^(n alpha) times the step element."""
+    n, elem = step_element(v, axis)
     return {u: float(c) * 2.0 ** (n * alpha) for u, c in elem.items()}
 
 
@@ -146,7 +172,7 @@ def test_hat_rejects_bad_inputs():
 
 
 def test_step_base_case_d1():
-    comb = step_decompose(dp(F(1, 2)), 0, 0.5)
+    comb = step_expansion(dp(F(1, 2)), 0, 0.5)
     assert comb.coeffs == {dp(F(1, 2)): 1.0}
     assert reconstruction_residual(comb, step_target(dp(F(1, 2)), 0, 0.5), 0.5) <= 1e-12
     assert comb.p_cost(1.0) <= rho(1.0, 0.5)
@@ -155,7 +181,7 @@ def test_step_base_case_d1():
 def test_step_with_finer_coordinate_reconstructs():
     v = dp(F(1, 2), F(3, 8))  # axis-0 coordinate at level 1, axis-1 finer
     for alpha in (0.25, 0.5):
-        comb = step_decompose(v, 0, alpha)
+        comb = step_expansion(v, 0, alpha)
         assert reconstruction_residual(comb, step_target(v, 0, alpha), alpha) <= 1e-9
 
 
@@ -167,15 +193,10 @@ def test_step_cost_within_rho_power():
             for axis in range(2):
                 if v.coords()[axis] in (0, 1):
                     continue  # level-0 coordinate, no step element there
-                comb = step_decompose(v, axis, alpha)
+                comb = step_expansion(v, axis, alpha)
                 assert comb.p_cost(p) <= bound + 1e-9
                 count += 1
         assert count > 0
-
-
-def test_step_rejects_level_zero_axis():
-    with pytest.raises(ValueError, match="level 0"):
-        step_decompose(dp(F(0), F(1, 2)), 0, 0.5)
 
 
 def test_line_path_examples():
@@ -193,8 +214,6 @@ def test_line_path_examples():
 
 
 def test_line_path_properties_sampled():
-    from freep.metric import coordinate_level
-
     for n in (3, 5):
         pts = [F(k, 2**n) for k in range(2**n + 1)]
         for i in range(0, len(pts), 3):
@@ -479,7 +498,7 @@ def test_basis_distance_stack_equals_the_element_hosts():
                 host = basis_element(v, alpha).host
                 by_size.setdefault(host.n, []).append(host)
             for hosts in by_size.values():
-                stack = _basis_l1(np.array([host.points for host in hosts])) ** alpha
+                stack = l1_distances(np.array([host.points for host in hosts])) ** alpha
                 for host, dist in zip(hosts, stack):
                     assert dist.tobytes() == host.dist.tobytes(), (host.points, alpha)
             reps = class_representatives(d, k, alpha)
@@ -783,13 +802,13 @@ def test_basis_norm_check_builds_no_host_beyond_the_cap(monkeypatch, d):
     """The level-1 centre point's class host has 2^d + 1 points, beyond the
     cap: its value is the fallback cost bitwise, and no host over the cap
     is built, neither for it nor for any other class of its table."""
-    build = dyadic._basis_l1
+    build = dyadic.l1_distances
 
     def capped(X):
-        assert X.shape[1] <= DEFAULT_CAP, f"a host of {X.shape[1]} points was built"
+        assert X.shape[-2] <= DEFAULT_CAP, f"a host of {X.shape[-2]} points was built"
         return build(X)
 
-    monkeypatch.setattr(dyadic, "_basis_l1", capped)
+    monkeypatch.setattr(dyadic, "l1_distances", capped)
     _class_hosts.cache_clear()
     centre = DyadicPoint(1, (1,) * d)
     for alpha, p in ((0.25, 0.3), (0.5, 0.5), (0.7, 1.0)):
@@ -1143,8 +1162,8 @@ def row_order_sum(c, p):
 def test_molecule_costs_are_coefficient_cost_bitwise(d, k):
     """The block costs are the p-cost of each pair's nonzero coefficients,
     their powers added in row order, bitwise; and within 1e-12 relative of
-    coefficient_cost over the dense coefficient column, which sums the
-    zeros too, pairwise."""
+    the p-cost over the dense coefficient column, which sums the zeros too,
+    pairwise."""
     for alpha, p in ((0.35, 0.4), (0.5, 1.0), (0.9, 0.7), (0.25, 0.3)):
         coords = _grid_plan(d, k).coords
         S, A = _analysis_operator(_grid_plan(d, k), alpha)
@@ -1157,7 +1176,8 @@ def test_molecule_costs_are_coefficient_cost_bitwise(d, k):
             got = molecule_checks(coords, A, residuals, I, J, alpha, p)[0]
             want = np.array([row_order_sum(c, p) for c in C.T]) ** (1.0 / p)
             assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-            assert got == pytest.approx(coefficient_cost(C, p, axis=0), rel=1e-12, abs=0)
+            dense_cost = (np.abs(C) ** p).sum(axis=0) ** (1.0 / p)
+            assert got == pytest.approx(dense_cost, rel=1e-12, abs=0)
 
 
 def test_molecule_checks_match_single_pairs():
@@ -1191,11 +1211,11 @@ def test_step_matches_constructive_oracle(d, k):
         for axis in range(d):
             if v.coords()[axis] in (0, 1):
                 continue  # level-0 coordinate, no step element there
-            n, elem = _step_element(v, axis)
+            n, elem = step_element(v, axis)
             assert ring(_peel(elem), n) == oracle_step(v, axis, exact=True).coeffs
             for alpha in (0.35, 0.5):
                 # float equality of the nonzero coefficients is bitwise
-                assert step_decompose(v, axis, alpha) == oracle_step(v, axis, alpha)
+                assert step_expansion(v, axis, alpha) == oracle_step(v, axis, alpha)
             count += 1
     assert count
 

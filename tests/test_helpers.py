@@ -2,9 +2,9 @@ import json
 
 import numpy as np
 
+from face_induction_oracle import replaced
 from freep.cli import main
 from freep.cubes import CubeComplex
-from freep.metric import replaced
 from freep.retraction import build_context, estimate_lipschitz, retract
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from face_induction_oracle import neighbors
 from freep.metric import (
     DyadicPoint,
     PointedFiniteMetric,
@@ -15,7 +16,6 @@ from freep.metric import (
     l1_space,
     lattice_l1_space,
     load_points,
-    neighbors,
     save_points,
 )
 
@@ -101,13 +101,13 @@ def test_dyadic_grid_sizes():
     assert len(dyadic_grid(1, 0)) == 2
     assert len(dyadic_grid(2, 1)) == 9
     assert len(dyadic_grid(3, 2)) == 125
-    assert dyadic_grid(2, -1) == {DyadicPoint.origin(2)}
 
 
 @pytest.mark.parametrize("d, k, message", [
     (2.5, 1, "d must be an integer >= 1, got 2.5"),
-    (2, 1.5, "k must be an integer >= -1, got 1.5"),
-    (2, -2, "k must be an integer >= -1, got -2"),
+    (2, 1.5, "k must be an integer >= 0, got 1.5"),
+    (2, -1, "k must be an integer >= 0, got -1"),
+    (2, -2, "k must be an integer >= 0, got -2"),
 ])
 def test_dyadic_grid_counts_are_integers(d, k, message):
     with pytest.raises(ValueError, match=message):
