@@ -202,28 +202,25 @@ def upper_bound_from(m: FreeElement, p: float, decomp: Decomposition) -> float:
 
 @lru_cache(maxsize=None)
 def _subset_program(k):
-    """(bits, splits, layers) of the tree program on k terminals: the (2^k, k)
-    membership table of the subsets; per subset S its splits, the proper
-    parts T of S that hold its lowest terminal, in a fixed order; and per
-    popcount 2..k the layer (subsets S, all their splits T concatenated,
-    S - T for each, the index where each S's splits start)."""
+    """(bits, rank, layers) of the tree program on k terminals: the (2^k, k)
+    membership table of the subsets; the row rank[S] of each subset S of
+    two or more terminals in its layer; and per popcount c = 2..k the layer
+    (S, T, S - T). Its subsets S ascend, and row r of T, of 2^(c-1) - 1
+    entries, lists the splits of S[r], the proper parts that hold its
+    lowest terminal, in descending order: the lowest terminal plus the bits
+    of a descending code of c - 1 bits, short of all ones, dealt out to the
+    places of the other terminals of S[r]."""
     size = 1 << k
     bits = (np.arange(size)[:, None] >> np.arange(k)) & 1
-    splits = [np.zeros(0, dtype=np.intp)]
-    for S in range(1, size):
-        low, parts, T = S & -S, [], S & (S - 1)
-        while T:
-            T = (T - 1) & (S ^ low)
-            parts.append(low | T)
-        splits.append(np.array(parts, dtype=np.intp))
-    layers = []
+    count, rank, layers = bits.sum(axis=1), np.zeros(size, dtype=np.intp), []
     for c in range(2, k + 1):
-        subsets = np.array([S for S in range(size) if S.bit_count() == c])
-        lens = [len(splits[S]) for S in subsets]
-        T = np.concatenate([splits[S] for S in subsets])
-        starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-        layers.append((subsets, T, np.repeat(subsets, lens) ^ T, starts))
-    return bits, splits, layers
+        S = np.flatnonzero(count == c)
+        rank[S] = np.arange(len(S))
+        places = np.nonzero(bits[S])[1].reshape(-1, c)  # row by row, ascending
+        codes = (np.arange((1 << (c - 1)) - 2, -1, -1)[:, None] >> np.arange(c - 1)) & 1
+        T = (1 << places[:, :1]) + (1 << places[:, 1:]) @ codes.T
+        layers.append((S, T, S[:, None] ^ T))
+    return bits, rank, layers
 
 
 def _weight_totals(W):
@@ -288,22 +285,16 @@ def _tree_program(k, n, B):
     Fb, fpb = b * size * n, b * size  # where each host starts in F and fp
     t, v = (1 << np.arange(k))[:, None], np.arange(n)  # the singletons {t}
     layers = []
-    for subsets, T, rest, starts in _subset_program(k)[2]:
-        # one host's branch terms in the order (S, u, split): split j of
-        # the subset at index s sits at n starts[s] + u lens[s] + j - starts[s]
-        lens = np.diff(np.append(starts, len(T)))
-        s = np.repeat(np.arange(len(subsets)), lens)
-        at = (n * starts[s] + np.arange(len(T)) - starts[s])[:, None] + v * lens[s][:, None]
-        Tpos, Rpos = np.empty((2, len(T) * n), dtype=np.intp)
-        Tpos[at], Rpos[at] = T[:, None] * n + v, rest[:, None] * n + v
-        count = np.tile(np.repeat(lens, n), B)
-        out = np.ravel(Fb[..., None] + subsets[:, None] * n + v)
+    for S, T, rest in _subset_program(k)[2]:
+        # one host's branch terms in the order (S, u, split)
+        Tpos, Rpos = (np.ravel(X[:, None] * n + v[:, None]) for X in (T, rest))
+        out = np.ravel(Fb[..., None] + S[:, None] * n + v)
         layers.append(
             _read_only(
                 np.ravel(Fb + Tpos),
                 np.ravel(Fb + Rpos),
-                np.cumsum(count) - count,
-                np.ravel(fpb + subsets),
+                np.arange(0, B * Tpos.size, T.shape[1]),
+                np.ravel(fpb + S),
                 out,
                 np.arange(0, out.size * n, n),
             )
@@ -341,13 +332,22 @@ def _tree_table(prog, Dp, Dt, fp):
     return F
 
 
-def _check_cap(k):
+def _tree_costs(D, W, terminals, p):
+    """The tree table of the elements W (B, k) on the hosts D (B, n, n), row
+    b of W weighing the points `terminals` of D[b], as F (B, 2^k, n), with
+    the `_subset_flows` of W and the distance powers D^p; a support of k
+    points plus the base beyond DEFAULT_CAP is refused."""
+    (B, k), n = W.shape, D.shape[-1]
     if k + 1 > DEFAULT_CAP:
         raise ValueError(
             f"element has {k} support points plus the base, beyond "
             f"the exact-norm cap {DEFAULT_CAP}; "
             "use upper_bound_from / dual_lower_bound for certified bounds"
         )
+    flows = _subset_flows(W, p)
+    Dp = D**p
+    F = _tree_table(_tree_program(k, n, B), Dp, Dp[:, terminals], flows[2])
+    return F.reshape(B, -1, n), flows, Dp
 
 
 def _roots(costs: list[float], p: float) -> list[float]:
@@ -374,16 +374,12 @@ def exact_norms(D, W, p: float) -> list[float]:
     exactly symmetric too, as a metric is: the hop reads D[b, v, u] as the
     distance from u to v."""
     p = check_p(p)
-    _check_cap(W.shape[1])
-    (B, k), n = W.shape, D.shape[1]
-    fp = _subset_flows(W, p)[2]
-    Dp = D**p
     # a term beyond the double range is inf, which a finite least cost never
     # takes; an infinite least cost is a norm beyond that range, and `_roots`
     # refuses it
     with np.errstate(over="ignore"):
-        F = _tree_table(_tree_program(k, n, B), Dp, Dp[:, 1 : k + 1], fp)
-    return _roots(F.reshape(B, -1, n)[:, -1, 0].tolist(), p)
+        F = _tree_costs(D, W, slice(1, W.shape[1] + 1), p)[0]
+    return _roots(F[:, -1, 0].tolist(), p)
 
 
 def _has_cycle(n, xs, ys):
@@ -467,28 +463,26 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
     double range raises a ValueError.
     """
     p = check_p(p)
-    _check_cap(len(m.weights))
     host = m.host
     if m.is_zero():
         return 0.0, Decomposition(host, ())
     terminals = sorted(m.weights)
-    k = len(terminals)
-    wsum, flow, fp = _subset_flows(np.array([[m.weights[t] for t in terminals]]), p)
-    Dp = host.dist**p
+    weights = np.array([[m.weights[t] for t in terminals]])
     # a term of the table or of the backtracking beyond the double range is
     # inf, which a finite least cost never takes; an infinite least cost is a
     # norm beyond that range, refused before the backtracking
     with np.errstate(over="ignore"):
-        F = _tree_table(_tree_program(k, host.n, 1), Dp[None], Dp[None, terminals], fp).reshape(1 << k, host.n)
+        F, (wsum, flow, fp), Dp = _tree_costs(host.dist[None], weights, terminals, p)
+        F, Dp = F[0], Dp[0]
         value = _roots([float(F[-1, host.base])], p)[0]
-        splits = _subset_program(k)[1]
+        _, rank, layers = _subset_program(len(terminals))
 
         W = np.zeros((host.n, host.n))  # weight carried from u to v, antisymmetric
         stack = [(len(F) - 1, host.base)]
         while stack:
             S, v = stack.pop()
             if S & (S - 1):
-                T = splits[S]
+                T = layers[S.bit_count() - 2][1][rank[S]]
                 cand = F[T] + F[S ^ T]
                 u = int((cand.min(axis=0) + fp[S] * Dp[:, v]).argmin())
                 T = int(T[cand[:, u].argmin()])

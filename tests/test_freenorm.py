@@ -13,7 +13,7 @@ from enum_oracle import ORACLE_CAP, enumeration_norm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from lp_oracle import lp_norm_p1
-from tree_oracle import oracle_tree_norm
+from tree_oracle import oracle_splits, oracle_tree_norm
 
 import freep
 from freep import freenorm
@@ -35,6 +35,7 @@ from freep.freenorm import (
     parse_element,
     _cancel_cycles,
     _forest_witness,
+    _subset_program,
     _transport,
     _tree_program,
     upper_bound_from,
@@ -652,6 +653,24 @@ def test_small_supports_on_large_hosts_match_the_per_subset_loop(n, kind):
         want, tree = oracle_tree_norm(m, p)
         assert value.hex() == want.hex(), (k, p)
         assert terms_hex(witness) == terms_hex(tree), (k, p)
+
+
+def test_split_table_matches_the_submask_loop():
+    """Each popcount layer c of the split table lists its subsets ascending,
+    rank inverts them, and row r holds the 2^(c-1) - 1 splits of subset r
+    in the submask loop's order, with S - T beside them, for 1 to 12
+    terminals."""
+    for k in range(1, 13):
+        splits = oracle_splits(k)
+        bits, rank, layers = _subset_program(k)
+        assert [len(S) for S, _, _ in layers] == [math.comb(k, c) for c in range(2, k + 1)]
+        for c, (S, T, rest) in enumerate(layers, start=2):
+            assert (bits[S].sum(axis=1) == c).all() and (np.diff(S) > 0).all()
+            assert (rank[S] == np.arange(len(S))).all()
+            assert T.shape == (len(S), 2 ** (c - 1) - 1)
+            assert (rest == S[:, None] ^ T).all()
+            for s, row in zip(S.tolist(), T.tolist()):
+                assert row == splits[s].tolist(), (k, s)
 
 
 def test_tree_program_holds_no_entry_per_hop_term():

@@ -4,15 +4,30 @@
 subsets per array step and recovers the witness by recomputing the minima on
 the nodes its backtracking visits. This module keeps the per-subset loop it
 replaced, which stores the hop and the split of every (subset, point) pair
-and backtracks through those tables. Its arithmetic is the same (numpy
-scalar powers, the same sums in the same order, first minima), so the tests
-pin the kernel equal to it bitwise: values, witness coefficients and
-molecules.
+and backtracks through those tables, and the submask loop that listed the
+splits of each subset before `_subset_program` built them as one table per
+popcount layer. Its arithmetic is the same (numpy scalar powers, the same
+sums in the same order, first minima), so the tests pin the kernel equal to
+it bitwise: values, witness coefficients and molecules.
 """
 
 import numpy as np
 
 from freep.freenorm import COEFF_TOL, Decomposition, _forest_witness
+
+
+def oracle_splits(k):
+    """Per subset S of k terminals its splits, the proper parts of S that
+    hold its lowest terminal, in descending order, by a submask loop."""
+    size = 1 << k
+    splits = [np.zeros(0, dtype=np.intp)]
+    for S in range(1, size):
+        low, parts, T = S & -S, [], S & (S - 1)
+        while T:
+            T = (T - 1) & (S ^ low)
+            parts.append(low | T)
+        splits.append(np.array(parts, dtype=np.intp))
+    return splits
 
 
 def oracle_tree_norm(m, p):
@@ -26,6 +41,7 @@ def oracle_tree_norm(m, p):
     wsum = ((np.arange(size)[:, None] >> np.arange(len(terminals))) & 1) @ w
     flow = np.where(np.abs(wsum) > COEFF_TOL * np.abs(w).sum(), np.abs(wsum), 0.0)
     Dp = host.dist**p
+    splits = oracle_splits(len(terminals))
     F = np.zeros((size, n))
     hop = np.zeros((size, n), dtype=np.intp)
     split = np.zeros((size, n), dtype=np.intp)
@@ -34,11 +50,7 @@ def oracle_tree_norm(m, p):
         if S == low:
             g = np.where(cols == terminals[low.bit_length() - 1], 0.0, np.inf)
         else:
-            parts, T = [], S ^ low
-            while T:
-                T = (T - 1) & (S ^ low)
-                parts.append(low | T)
-            parts = np.array(parts)
+            parts = splits[S]
             cand = F[parts] + F[S ^ parts]
             best = cand.argmin(axis=0)
             g, split[S] = cand[best, cols], parts[best]
