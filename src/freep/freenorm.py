@@ -3,32 +3,25 @@
 Elements of the span of point evaluations are sparse weight vectors with the
 base point normalized away. The p-norm (0 < p <= 1) is the infimum of
 (sum |a_i|^p)^(1/p) over decompositions into elementary molecules
-(delta(x) - delta(y)) / d(x, y). Three certified routes are provided:
+(delta(x) - delta(y)) / d(x, y). The routes:
 
-* an exact value for p = 1, the transport cost: on a metric some optimal
-  flow runs straight from the positive points to the negative ones (the
-  base carrying minus the total), so it is a transportation problem; with
-  one supply or one demand point its flow is forced, shipped nearest first
-  in one sort, and otherwise it is solved by successive shortest paths with
-  node potentials and a dense Dijkstra in numpy that relaxes every source
-  with supply left in one step,
-* an exact value for any p on small supports by a dynamic program over
-  trees (linearly independent molecule sets are forests, the concave cost
-  is minimized on a tree of the whole host rooted at the base, and a
-  Dreyfus-Wagner subset program finds the best one in O(3^k n + 2^k n^2)
-  time for support size k on n points); the program takes one popcount
-  layer of subsets per array step for a stack of B hosts of one shape, k
-  terminals on n points: the branch terms through cached index arrays that
-  depend only on (k, n, B), and each hop as one broadcast of the hosts'
-  distance powers over the layer. `exact_norms` gives the values of such a
-  stack on raw distance matrices, and `exact_norm_small` is its call
-  B = 1, with a witness; the norm with molecules restricted to a subset of
-  the host is, by definition, the norm over the induced subspace, so it is
-  this program run on that subspace as its own host,
-* certified two-sided bounds: any explicit decomposition gives an upper
-  bound, and any dual certificate of Lipschitz-1 functions with bounded
-  pair multiplicity gives a lower bound via subadditivity of t^p; a
-  certificate is checked once, when it is made, and read-only after.
+* `exact_norm_small(m, p)`: the exact norm and an optimal forest witness,
+  for any p, by a Dreyfus-Wagner program over trees of the whole host in
+  O(3^k n + 2^k n^2) time for k support points on n host points; it
+  refuses a support plus the base of more than DEFAULT_CAP points.
+  `exact_norms(D, W, p)`: the values alone of a stack of elements on hosts
+  of one shape, from one table of the same program, with the same cap.
+* `exact_norm_p1(m)`: the exact 1-norm, a transport cost, and an optimal
+  forest witness, for a support of any size on a host of at most FLOW_CAP
+  points.
+* `upper_bound_from(m, p, decomp)` and `dual_lower_bound(m, p, cert)`:
+  certified bounds for an element of any size, from a decomposition that
+  reproduces m within `residual_tol` and from a `DualCertificate`, which
+  is checked once, when it is made.
+
+The exact routes refuse a weight total sum |w| or a norm beyond the double
+range with a ValueError. The norm with molecules restricted to a subset of
+the host is the norm over the induced subspace as its own host.
 """
 
 from __future__ import annotations
@@ -238,7 +231,6 @@ def _subset_flows(W, p):
     """(w(S), |w(S)|, |w(S)|^p), flat, over the subsets S of the terminals of
     every row w of the weight stack W (B, k): row by row, subset by subset;
     a subset sum at rounding level carries no weight, not a tiny molecule.
-
     The subset sums are one stacked product, bitwise those of one
     `bits @ w` per row (a `W @ bits.T` rounds differently)."""
     # the totals first: they refuse weights whose subset sums could overflow
@@ -350,36 +342,43 @@ def _tree_costs(D, W, terminals, p):
     return F.reshape(B, -1, n), flows, Dp
 
 
-def _roots(costs: list[float], p: float) -> list[float]:
-    """cost^(1/p) of each least tree cost; a norm beyond the double range raises."""
-    if math.inf in costs:
-        raise ValueError("the free p-norm is beyond the double range; scale the element or the points down")
-    try:
-        return [f ** (1.0 / p) for f in costs]
-    except OverflowError:
-        raise ValueError(f"p = {p} puts the norm beyond the double range; raise --p") from None
+def _roots(F, base, D, W, terminals, p):
+    """The norms F[b, -1, base]^(1/p) of the tables F of `_tree_costs(D, W,
+    terminals, p)`. A norm beyond the double range raises, naming p only
+    when the element's least cost at p = 1, from one more table call, is a
+    double: there its norm is in range."""
+    roots = []
+    for b, f in enumerate(F[:, -1, base].tolist()):
+        try:
+            root = f ** (1.0 / p)
+        except OverflowError:
+            root = math.inf
+        if root == math.inf:
+            if _tree_costs(D[b : b + 1], W[b : b + 1], terminals, 1.0)[0][0, -1, base] < math.inf:
+                raise ValueError(f"p = {p} puts the norm beyond the double range; raise --p")
+            raise ValueError("the free p-norm is beyond the double range; scale the element or the points down")
+        roots.append(root)
+    return roots
 
 
 def exact_norms(D, W, p: float) -> list[float]:
     """Exact free p-norms, values only, of a stack of elements on hosts of
     one shape: element b weighs points 1..n-1 of the host with distance
     matrix D[b] (B, n, n) by W[b] (B, n - 1), point 0 being the base. One
-    `_subset_flows` call and one tree program for the whole stack;
-    `exact_norm_small` is the call B = 1, with a witness, and the same cap
-    applies, as do the refusals of a weight total and of a norm beyond the
-    double range.
+    tree table serves the whole stack, with the cap and the refusals of
+    `exact_norm_small`, its one-host call with a witness.
 
     Nothing here checks D: each D[b] must be a metric, as the matrix of a
     `PointedFiniteMetric` is, or the values are not norms. It must be
     exactly symmetric too, as a metric is: the hop reads D[b, v, u] as the
     distance from u to v."""
     p = check_p(p)
+    terminals = slice(1, W.shape[1] + 1)
     # a term beyond the double range is inf, which a finite least cost never
     # takes; an infinite least cost is a norm beyond that range, and `_roots`
     # refuses it
     with np.errstate(over="ignore"):
-        F = _tree_costs(D, W, slice(1, W.shape[1] + 1), p)[0]
-    return _roots(F[:, -1, 0].tolist(), p)
+        return _roots(_tree_costs(D, W, terminals, p)[0], 0, D, W, terminals, p)
 
 
 def _has_cycle(n, xs, ys):
@@ -446,21 +445,16 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
 
     The minimum over decompositions is attained on a tree rooted at the base
     (a minimum concave-cost flow, Zangwill 1968): the least sum_e (d(e)
-    |W_e|)^p, W_e the weight of m on the side of edge e away from the base.
-    This is the one-host call of the tree program `_tree_table`, in
-    O(3^k n + 2^k n^2) time and k array steps for support size k on a host
-    of n points; its table, reshaped to (2^k, n), is what the witness reads.
-    The witness comes from a backtracking from the full set at the base
-    that recomputes the branch and hop minima only at the O(k) nodes it
-    visits, taking first minima in the table's order; it has one molecule
-    per tree edge carrying nonzero weight, with both endpoints anywhere in
-    the host (every host point may serve as a Steiner point). Exact for
-    every 0 < p <= 1 but exponential in the support size, hence the cap
-    DEFAULT_CAP on the support plus the base; the host itself may be larger.
-    To restrict the molecules to a subset, build the induced subspace as the
-    host. Beyond the cap, use the certified bound operations
-    (`upper_bound_from`, `dual_lower_bound`) instead. A norm beyond the
-    double range raises a ValueError.
+    |W_e|)^p, W_e the weight of m on the side of edge e away from the base,
+    which the tree program `_tree_table` finds on the host. The witness is
+    read back by a backtracking from the full set at the base that
+    recomputes the minima only at the O(k) nodes it visits, first minima in
+    the table's order: one molecule per tree edge carrying nonzero weight,
+    both endpoints anywhere in the host (every host point may serve as a
+    Steiner point). Exact for every 0 < p <= 1. A support plus the base of
+    more than DEFAULT_CAP points raises a ValueError (use `upper_bound_from`
+    and `dual_lower_bound` there), and so does a norm beyond the double
+    range (`_roots`).
     """
     p = check_p(p)
     host = m.host
@@ -473,8 +467,8 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
     # norm beyond that range, refused before the backtracking
     with np.errstate(over="ignore"):
         F, (wsum, flow, fp), Dp = _tree_costs(host.dist[None], weights, terminals, p)
+        value = _roots(F, host.base, host.dist[None], weights, terminals, p)[0]
         F, Dp = F[0], Dp[0]
-        value = _roots([float(F[-1, host.base])], p)[0]
         _, rank, layers = _subset_program(len(terminals))
 
         W = np.zeros((host.n, host.n))  # weight carried from u to v, antisymmetric
@@ -502,28 +496,27 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
 def _transport(C, supply, demand, tol):
     """A least-cost flow F >= 0, F[i, j] sent from supply point i to demand
     point j at cost C[i, j] per unit, that ships the supplies to the demands.
+    In both routes an amount of at most tol left over is rounding and counts
+    as zero.
 
     With one supply or one demand point the flow is forced: every point on
-    the other side trades its whole amount with the single one. It ships
-    nearest first, in one stable sort of the cost row or column, each time
-    as much as both sides have left, until the single point is empty, so a
-    rounding-level shortfall of the single point lands on its farthest
-    partners, where successive shortest paths put it too.
+    the other side trades its whole amount with the single one, nearest
+    first in one stable sort of the cost row or column, each time as much as
+    both sides have left, so a rounding-level shortfall of the single point
+    lands on its farthest partners, where successive shortest paths put it
+    too.
 
     Otherwise successive shortest paths with node potentials (Edmonds and
     Karp, JACM 1972). The residual graph has an edge i -> j at cost C[i, j]
     and, where F[i, j] > 0, an edge j -> i at cost -C[i, j]. The potentials
     keep every reduced cost C[i, j] + pot_i - pot_j nonnegative, and zero on
     the edges that carry flow, so a dense Dijkstra finds each shortest path.
-    It starts from every point with supply left at distance 0, relaxed in
-    one step, a gather of their rows and a first minimum per column; then
+    It starts from every point with supply left at distance 0 in one step;
     settling a demand point settles, at the same distance, the supply points
-    that ship to it, and each of those relaxes its whole row in one
-    vectorised step. Points with supply left keep potential 0 and points
-    with demand left share one, so the nearest demand point by reduced cost
-    is the nearest by cost. Each augmentation empties a supply, a demand or
-    a flow. In both routes an amount of at most tol left over is rounding
-    and counts as zero.
+    that ship to it, and each of those relaxes its whole row in one step.
+    Points with supply left keep potential 0 and points with demand left
+    share one, so the nearest demand point by reduced cost is the nearest by
+    cost. Each augmentation empties a supply, a demand or a flow.
     """
     a, b = C.shape
     F = np.zeros((a, b))
@@ -603,22 +596,16 @@ def exact_norm_p1(m: FreeElement) -> tuple[float, Decomposition]:
     and its norm is the least cost sum d(x, y) f(x, y) of a flow f >= 0 that
     each point x leaves with net amount w(x). Positive-to-negative edges
     suffice: a unit routed x -> z -> y costs at least d(x, y) by the
-    triangle inequality, which the host guarantees, so shortcutting every
-    such pair gives an optimal flow that leaves each positive point with
-    exactly its weight and enters each negative one with exactly its
-    magnitude. That is a transportation problem with cost matrix
-    dist[P][:, N], solved by `_transport`: when P or N is a single point,
-    as when all weights share a sign, the flow is forced and ships nearest
-    first in one sort; otherwise by successive shortest paths whose node
-    potentials keep every reduced cost nonnegative and whose Dijkstra
-    relaxes all sources with supply left in one step. A total at rounding
-    level (at most COEFF_TOL sum |w|, the rule of `_subset_flows`) puts
-    nothing on the base, and any other weight or left-over amount at that
-    level counts as zero; a sum |w| or a cost beyond the double range
-    raises. The flow, made a forest by `_cancel_cycles` if it has a cycle,
-    is the witness: one molecule per edge, the flow times the edge length
-    its coefficient. It shares no code with the tree program, so comparing it
-    with `exact_norm_small(m, 1.0)` checks both.
+    triangle inequality, which the host guarantees, so the norm is the
+    transportation problem with cost matrix dist[P][:, N] (`_transport`). A
+    total at rounding level (at most COEFF_TOL sum |w|, the rule of
+    `_subset_flows`) puts nothing on the base, and any other weight or
+    left-over amount at that level counts as zero; a sum |w| or a cost
+    beyond the double range raises. The flow, made a forest by
+    `_cancel_cycles` if it has a cycle, is the witness: one molecule per
+    edge, the flow times the edge length its coefficient. It shares no code
+    with the tree program, so comparing it with `exact_norm_small(m, 1.0)`
+    checks both.
     """
     host, n = m.host, m.host.n
     if n > FLOW_CAP:

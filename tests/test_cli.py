@@ -575,6 +575,20 @@ def test_a_tree_norm_beyond_the_double_range_exits_2(capsys, tmp_path):
     assert not caught
 
 
+@pytest.mark.parametrize("p", ["0.001", "0.3"])
+def test_a_tree_norm_beyond_the_double_range_at_p_1_names_no_p(capsys, tmp_path, p):
+    # at these p the least tree cost is a double and only its root
+    # overflows, but the norm is 1e600 at p = 1 too: no p brings it into
+    # range, so the advice is to scale, not to raise --p
+    args = ["--in", write(tmp_path, "space.txt", FAR_FILES["FAR_SPACE"]),
+            "--in", write(tmp_path, "elem.txt", "1e300 1\n")]
+    code, out, err = run(capsys, ["--command", "norm", "--p", p, *args])
+    assert code == 2
+    assert out == ""
+    assert err == ("error: the free p-norm is beyond the double range; scale the element or "
+                   "the points down\n")
+
+
 @pytest.mark.parametrize("text", ["2 1e308\n0 0\n1 0\n0 0\n", "1 1e308\n1\n1\n"],
                          ids=["two-squares", "line"])
 def test_a_scale_whose_vertex_coordinates_overflow_exits_2(capsys, tmp_path, text):
