@@ -7,7 +7,13 @@ The corpus is
   - the pinned reports of `test_reports_are_byte_stable` (tests/test_cli.py);
   - basis-verify on the three grids of the benchmark's `norming` workload,
     each at the 12 (alpha, p) of its pool;
-  - norm on the README files at p = 0.3, 0.5, 0.8 and 1.
+  - norm on the README files at p = 0.3, 0.5, 0.8 and 1;
+  - norm on seeded hosts shaped like the benchmark's `exact-norm` pool:
+    3-7 points in dimension 1-3, plain and at alpha 0.3, 0.5 and 0.7,
+    supports of all but one or two host points, each at p = 1, 0.8, 0.5
+    and 0.3, so both exact routes and their witnesses are pinned;
+  - the `norm` and `norm --p 1` runs of the benchmark's first `cli-cold`
+    variants, on their own input files (perfbench/workloads.py).
 Each entry keeps its argv, exit status, parsed report and the sha256 of the
 report bytes; one aggregate digest covers them all.
 
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -35,10 +42,40 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 README_SCRIPT = Path(__file__).resolve().parent / "readme_commands.sh"
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+# the seeded exact-norm-like hosts, their alpha (None: plain) and their p
+POOL_HOSTS = 24
+POOL_ALPHAS = (None, 0.3, 0.5, 0.7)
+POOL_PS = ("1", "0.8", "0.5", "0.3")
+CLI_VARIANTS = 4
 
 
 def _lines(rows) -> str:
     return "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
+def _pool_files(i: int) -> dict[str, str]:
+    """Host i of the exact-norm-like slice, n = 3-7 points in dimension
+    1-3 with coordinates in [0, 4), and an element of gaussian weights on
+    n - 1 or n - 2 of its non-base points (one point when n = 3)."""
+    r = random.Random(1000 + i)
+    n, d = 3 + i % 5, 1 + i % 3
+    support = r.sample(range(1, n), max(1, n - 1 - r.randrange(2)))
+    return {
+        f"pool{i}.txt": f"{d} 0\n" + _lines([r.uniform(0, 4) for _ in range(d)] for _ in range(n)),
+        f"pool{i}_element.txt": _lines((r.gauss(0, 1), j) for j in sorted(support)),
+    }
+
+
+def _cli_variants() -> list[dict]:
+    """The benchmark's first CLI_VARIANTS `cli-cold` variants: their input
+    files and the flags of each command (`cli_variant` in
+    perfbench/workloads.py)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [workloads.cli_variant(v) for v in range(CLI_VARIANTS)]
 
 
 def _files() -> dict[str, str]:
@@ -60,6 +97,9 @@ def _files() -> dict[str, str]:
         "far4.txt": "2 0\n0 0\n1e300 0\n0 1\n1 0\n",
         "far_element.txt": "1e300 2\n",
         "far_pair.txt": "1e300 2\n1e300 3\n",
+        **{name: text for i in range(POOL_HOSTS) for name, text in _pool_files(i).items()},
+        **{f"cli{v}_{name}": text for v, variant in enumerate(_cli_variants())
+           for name, text in variant["files"].items() if name.startswith(("norm_", "p1_"))},
     }
 
 
@@ -102,6 +142,15 @@ def corpus_runs() -> list[list[str]]:
              for d, k in NORMING_GRIDS for a, p in NORMING_POOL]
     runs += [["--command", "norm", "--p", p, "--in", "space.txt", "--in", "element.txt"]
              for p in ("0.3", "0.5", "0.8", "1")]
+    for i in range(POOL_HOSTS):
+        alpha = POOL_ALPHAS[i % len(POOL_ALPHAS)]
+        flags = ["--alpha", repr(alpha)] if alpha is not None else []
+        runs += [["--command", "norm", "--p", p, *flags, "--in", f"pool{i}.txt",
+                  "--in", f"pool{i}_element.txt"] for p in POOL_PS]
+    for v, variant in enumerate(_cli_variants()):
+        for cmd in ("norm", "norm-p1"):
+            args = [f"cli{v}_{a}" if a.endswith(".txt") else a for a in variant["args"][cmd]]
+            runs.append(["--command", "norm", *args])
     # one entry per argv, in first-seen order
     return list({" ".join(argv): argv for argv in runs}.values())
 

@@ -7,10 +7,10 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "report_corpus.py"
 
-# recorded when the corpus took three more pinned reports: retraction-verify
-# at p = 1 on the `3 5` complex and norm on two elements whose terms leave
-# the double range; the 59 reports before them did not move
-AGGREGATE = "02205e6a6e352029e3b4f16d26bdd1ab66db81cb20cfadb72f8acc1c5d48ae88"
+# recorded when the corpus took 104 more norm runs: 96 on the seeded
+# exact-norm-like hosts and 8 of the cli-cold variants; the 62 reports
+# before them did not move
+AGGREGATE = "c5dc9cdd89116059c2cdb30a59a7b1d329ad39cf93a821fcd52b5dd0e13e5a67"
 
 
 def load():
@@ -22,7 +22,7 @@ def load():
 
 def test_report_corpus_aggregate_digest():
     manifest = load().build_manifest()
-    assert len(manifest["reports"]) == 62
+    assert len(manifest["reports"]) == 166
     assert all(entry["exit"] == 0 for entry in manifest["reports"].values())
     assert manifest["aggregate"] == AGGREGATE
 
