@@ -27,7 +27,7 @@ the host is the norm over the induced subspace as its own host.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -118,16 +118,6 @@ class Molecule:
             if check_count("point index", idx, 0) >= self.host.n:
                 raise ValueError(f"point index {idx} out of range")
 
-    @classmethod
-    def _edge(cls, host: PointedFiniteMetric, x: int, y: int) -> "Molecule":
-        """The molecule at two distinct indices of host, without the checks
-        of the constructor: for indices read off an n x n array of host."""
-        mol = object.__new__(cls)
-        object.__setattr__(mol, "host", host)
-        object.__setattr__(mol, "x", x)
-        object.__setattr__(mol, "y", y)
-        return mol
-
     @property
     def distance(self) -> float:
         return self.host.distance(self.x, self.y)
@@ -146,8 +136,18 @@ class Decomposition:
         )
 
 
-def evaluate(decomp: Decomposition) -> FreeElement:
-    """Sum the molecule terms into a free element (base coordinate dropped)."""
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls with these fields, without
+    the checks and conversions of its constructor: for fields the engine
+    made itself, such as molecule endpoints read off its own host."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _term_sums(decomp: Decomposition) -> dict[int, float]:
+    """The weight per point of the molecule terms summed, the base
+    included; molecules over another host than decomp's raise."""
     acc: dict[int, float] = {}
     for a, mol in decomp.terms:
         if mol.host is not decomp.host:
@@ -155,7 +155,12 @@ def evaluate(decomp: Decomposition) -> FreeElement:
         f = a / mol.distance
         acc[mol.x] = acc.get(mol.x, 0.0) + f
         acc[mol.y] = acc.get(mol.y, 0.0) - f
-    return FreeElement(decomp.host, acc)
+    return acc
+
+
+def evaluate(decomp: Decomposition) -> FreeElement:
+    """Sum the molecule terms into a free element (base coordinate dropped)."""
+    return FreeElement(decomp.host, _term_sums(decomp))
 
 
 def coefficient_cost(a, p: float):
@@ -175,17 +180,31 @@ def residual_tol(weights: dict) -> float:
     return EVAL_TOL * max(map(abs, weights.values()), default=0.0)
 
 
-def upper_bound_from(m: FreeElement, p: float, decomp: Decomposition) -> float:
-    """Certified upper bound: the cost of a decomposition verified to
-    reproduce m within `residual_tol(m.weights)` per coordinate."""
+def decomposition_residual(m: FreeElement, decomp: Decomposition, tol: float) -> float:
+    """The largest coordinate residual of decomp against m, the sum of its
+    terms compared with the weights of m, the base coordinate dropped. A
+    residual that is not <= tol, NaN and inf among them, raises a
+    ValueError, and so does a decomposition over another host."""
     if decomp.host is not m.host:
         raise ValueError("decomposition host differs from the element host")
-    residual = evaluate(decomp).max_weight_diff(m)
-    if residual > residual_tol(m.weights):
+    acc = _term_sums(decomp)
+    acc.pop(m.host.base, None)
+    w = m.weights
+    diffs = [abs(acc.get(i, 0.0) - w.get(i, 0.0)) for i in acc.keys() | w.keys()]
+    # the sum is NaN exactly when a difference is: none is negative
+    residual = math.nan if math.isnan(sum(diffs)) else max(diffs, default=0.0)
+    if not residual <= tol:
         raise ValueError(
             f"decomposition does not evaluate to the element "
             f"(max coordinate residual {residual:.3e})"
         )
+    return residual
+
+
+def upper_bound_from(m: FreeElement, p: float, decomp: Decomposition) -> float:
+    """Certified upper bound: the cost of a decomposition verified to
+    reproduce m within `residual_tol(m.weights)` per coordinate."""
+    decomposition_residual(m, decomp, residual_tol(m.weights))
     return p_cost(decomp, p)
 
 
@@ -218,10 +237,10 @@ def _subset_program(k):
 
 def _weight_totals(W):
     """sum |w| along the last axis of W, the scale of the rounding floor
-    COEFF_TOL sum |w|. A total beyond the double range raises: its floor
-    would pass no weight at all, and the norm would read 0."""
-    with np.errstate(over="ignore"):
-        totals = np.abs(W).sum(axis=-1)
+    COEFF_TOL sum |w|, under the caller's np.errstate(over="ignore"). A
+    total beyond the double range raises: its floor would pass no weight at
+    all, and the norm would read 0."""
+    totals = np.abs(W).sum(axis=-1)
     if np.isinf(totals).any():
         raise ValueError("the weight total sum |w| overflows to inf; scale the element down")
     return totals
@@ -234,12 +253,12 @@ def _subset_flows(W, p):
     The subset sums are one stacked product, bitwise those of one
     `bits @ w` per row (a `W @ bits.T` rounds differently)."""
     # the totals first: they refuse weights whose subset sums could overflow
-    floor = np.repeat(COEFF_TOL * _weight_totals(W), 1 << W.shape[1])
-    wsum = (_subset_program(W.shape[1])[0] @ W[:, :, None]).ravel()
+    floor = COEFF_TOL * _weight_totals(W)[:, None]
+    wsum = (_subset_program(W.shape[1])[0] @ W[:, :, None])[..., 0]
     flow = np.abs(wsum)
     flow[flow <= floor] = 0.0
     # scalar powers: numpy's array ** differs from pow() in the last bit on some inputs
-    return wsum, flow, np.array([f**p for f in flow.tolist()])
+    return wsum.ravel(), flow.ravel(), np.array([f**p for f in flow.ravel().tolist()])
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -297,38 +316,53 @@ def _tree_program(k, n, B):
     )
 
 
-def _tree_table(prog, Dp, Dt, fp):
+def _tree_table(prog, Dp, Dt, fp, choices=None):
     """The tree program on the hosts of `prog`: the flat table of
     F[S, v], the least sum_e Dp(e) |W_e|^p over trees joining the terminals
     S to v in its host, W_e the weight on the side of edge e away from v,
     given the distance powers Dp (B, n, n), each symmetric, the terminal
     rows Dt (B, k, n) of Dp and the flow powers fp of `_subset_flows`.
+    Given a list `choices`, it appends per layer the first minima that a
+    witness is read from, flat: the place in its row of the split of each
+    (host, S, u), then the hop point u of each (host, S, v).
 
     A singleton {t} costs |w_t|^p Dp(t, v). Then one popcount layer of
     subsets per step, for all hosts at once. The branch cost g[S][u] is the
     least F[T][u] + F[S - T][u] over the splits T of S: two gathers, an add
-    and one `np.minimum.reduceat`. One hop F[S][v] = min_u g[S][u] + Dp(u,
+    and the run minima of `_least`. One hop F[S][v] = min_u g[S][u] + Dp(u,
     v) |w(S)|^p suffices because d^p is a metric for p <= 1: one broadcast
     of |w(S)|^p Dp(v, u) + g[S][u] over (B, S, v, u), its minima over the
-    runs of n by `np.minimum.reduceat`, and one scatter into F.
+    runs of n by `_least`, and one scatter into F.
     """
     B, n = len(Dp), Dp.shape[-1]
     F = np.zeros(fp.size * n)
     F[prog.single[0]] = fp[prog.single[1]] * Dt.ravel()
     hosts = Dp[:, None]
     for T, rest, bstarts, fpos, out, hstarts in prog.layers:
-        g = np.minimum.reduceat(F[T] + F[rest], bstarts)
+        g = _least(F[T] + F[rest], bstarts, choices)
         hop = fp[fpos].reshape(B, -1, 1, 1) * hosts
         hop += g.reshape(B, -1, 1, n)
-        F[out] = np.minimum.reduceat(hop.ravel(), hstarts)
+        F[out] = _least(hop.ravel(), hstarts, choices)
     return F
 
 
-def _tree_costs(D, W, terminals, p):
+def _least(X, starts, choices):
+    """The minima of the runs of the flat X that begin at `starts`, all of
+    one length; given a list `choices`, by the first minimum of each run,
+    whose place in its run is appended to `choices`."""
+    if choices is None:
+        return np.minimum.reduceat(X, starts)
+    at = X.reshape(starts.size, -1).argmin(axis=1)
+    choices.append(at)
+    return X[starts + at]
+
+
+def _tree_costs(D, W, terminals, p, choices=None):
     """The tree table of the elements W (B, k) on the hosts D (B, n, n), row
     b of W weighing the points `terminals` of D[b], as F (B, 2^k, n), with
-    the `_subset_flows` of W and the distance powers D^p; a support of k
-    points plus the base beyond DEFAULT_CAP is refused."""
+    the `_subset_flows` of W and the distance powers D^p, and the `choices`
+    of `_tree_table`; a support of k points plus the base beyond
+    DEFAULT_CAP is refused."""
     (B, k), n = W.shape, D.shape[-1]
     if k + 1 > DEFAULT_CAP:
         raise ValueError(
@@ -338,7 +372,7 @@ def _tree_costs(D, W, terminals, p):
         )
     flows = _subset_flows(W, p)
     Dp = D**p
-    F = _tree_table(_tree_program(k, n, B), Dp, Dp[:, terminals], flows[2])
+    F = _tree_table(_tree_program(k, n, B), Dp, Dp[:, terminals], flows[2], choices)
     return F.reshape(B, -1, n), flows, Dp
 
 
@@ -381,11 +415,11 @@ def exact_norms(D, W, p: float) -> list[float]:
         return _roots(_tree_costs(D, W, terminals, p)[0], 0, D, W, terminals, p)
 
 
-def _has_cycle(n, xs, ys):
-    """Whether the edges xs[e] -- ys[e] on n points close a cycle, by a
+def _has_cycle(n, edges):
+    """Whether the edges (x, y, ...) on n points close a cycle, by a
     union-find."""
     root = list(range(n))
-    for x, y in zip(xs, ys):
+    for x, y, _ in edges:
         while root[x] != x:
             root[x] = x = root[root[x]]  # path halving
         while root[y] != y:
@@ -396,20 +430,22 @@ def _has_cycle(n, xs, ys):
     return False
 
 
-def _forest_witness(host, W, Dp, p):
-    """The decomposition of the antisymmetric flow W, made a forest by
-    `_cancel_cycles` when it has a cycle: one molecule x -> y per edge with
-    W[x, y] > 0, its coefficient d(x, y) W[x, y]."""
-    x, y = np.nonzero(W > 0)
-    if _has_cycle(len(W), x.tolist(), y.tolist()):
+def _forest_witness(host, edges, Dp, p):
+    """The decomposition of the flow of edges (x, y, f), f > 0 carried from
+    x to y, in row-major (x, y) order: one molecule x -> y per edge, its
+    coefficient d(x, y) f. A flow with a cycle is first made a forest by
+    `_cancel_cycles` on its antisymmetric n x n matrix."""
+    if _has_cycle(host.n, edges):
+        W = np.zeros((host.n, host.n))
+        for x, y, f in edges:
+            W[x, y], W[y, x] = f, -f
         _cancel_cycles(W, Dp, p)
         x, y = np.nonzero(W > 0)
-    coeffs = host.dist[x, y] * W[x, y]
+        edges = zip(x.tolist(), y.tolist(), W[x, y].tolist())
     # endpoints as Python ints: reports serialize no numpy integers
-    terms = tuple(
-        (a, Molecule._edge(host, u, v)) for a, u, v in zip(coeffs.tolist(), x.tolist(), y.tolist())
-    )
-    return Decomposition(host, terms)
+    D = host.dist
+    terms = tuple((float(D[x, y]) * f, _unchecked(Molecule, host=host, x=x, y=y)) for x, y, f in edges)
+    return _unchecked(Decomposition, host=host, terms=terms)
 
 
 def _cancel_cycles(W, Dp, p):
@@ -447,11 +483,11 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
     (a minimum concave-cost flow, Zangwill 1968): the least sum_e (d(e)
     |W_e|)^p, W_e the weight of m on the side of edge e away from the base,
     which the tree program `_tree_table` finds on the host. The witness is
-    read back by a backtracking from the full set at the base that
-    recomputes the minima only at the O(k) nodes it visits, first minima in
-    the table's order: one molecule per tree edge carrying nonzero weight,
-    both endpoints anywhere in the host (every host point may serve as a
-    Steiner point). Exact for every 0 < p <= 1. A support plus the base of
+    read from the choices the table records, first minima in its order:
+    from the full set at the base, each node (S, v) takes its hop point u
+    and the split of S at u, O(k) lookups in all. One molecule per tree
+    edge carrying nonzero weight, both endpoints anywhere in the host
+    (every host point may serve as a Steiner point). Exact for every 0 < p <= 1. A support plus the base of
     more than DEFAULT_CAP points raises a ValueError (use `upper_bound_from`
     and `dual_lower_bound` there), and so does a norm beyond the double
     range (`_roots`).
@@ -462,31 +498,30 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
         return 0.0, Decomposition(host, ())
     terminals = sorted(m.weights)
     weights = np.array([[m.weights[t] for t in terminals]])
-    # a term of the table or of the backtracking beyond the double range is
-    # inf, which a finite least cost never takes; an infinite least cost is a
-    # norm beyond that range, refused before the backtracking
+    choices = []
+    # a term of the table beyond the double range is inf, which a finite
+    # least cost never takes; an infinite least cost is a norm beyond that
+    # range, refused before the witness is read
     with np.errstate(over="ignore"):
-        F, (wsum, flow, fp), Dp = _tree_costs(host.dist[None], weights, terminals, p)
+        F, (wsum, flow, _), Dp = _tree_costs(host.dist[None], weights, terminals, p, choices)
         value = _roots(F, host.base, host.dist[None], weights, terminals, p)[0]
-        F, Dp = F[0], Dp[0]
-        _, rank, layers = _subset_program(len(terminals))
-
-        W = np.zeros((host.n, host.n))  # weight carried from u to v, antisymmetric
-        stack = [(len(F) - 1, host.base)]
-        while stack:
-            S, v = stack.pop()
-            if S & (S - 1):
-                T = layers[S.bit_count() - 2][1][rank[S]]
-                cand = F[T] + F[S ^ T]
-                u = int((cand.min(axis=0) + fp[S] * Dp[:, v]).argmin())
-                T = int(T[cand[:, u].argmin()])
-                stack += [(T, u), (S ^ T, u)]
-            else:
-                u = terminals[S.bit_length() - 1]
-            if u != v and flow[S] > 0.0:
-                W[u, v] += wsum[S]
-                W[v, u] -= wsum[S]
-    return value, _forest_witness(host, W, Dp, p)
+    _, rank, layers = _subset_program(len(terminals))
+    carried = {}  # weight carried from x to y, x < y, by the tree edges
+    stack = [(len(wsum) - 1, host.base)]
+    while stack:
+        S, v = stack.pop()
+        if S & (S - 1):
+            c, r = S.bit_count() - 2, rank[S]
+            u = int(choices[2 * c + 1][r * host.n + v])
+            T = int(layers[c][1][r, choices[2 * c][r * host.n + u]])
+            stack += [(T, u), (S ^ T, u)]
+        else:
+            u = terminals[S.bit_length() - 1]
+        if u != v and flow[S] > 0.0:
+            x, y, f = (u, v, wsum[S]) if u < v else (v, u, -wsum[S])
+            carried[x, y] = carried.get((x, y), 0.0) + float(f)
+    edges = sorted((x, y, f) if f > 0 else (y, x, -f) for (x, y), f in carried.items() if f)
+    return value, _forest_witness(host, edges, Dp[0], p)
 
 
 # ---------------------------------------------------------------------------
@@ -601,9 +636,9 @@ def exact_norm_p1(m: FreeElement) -> tuple[float, Decomposition]:
     total at rounding level (at most COEFF_TOL sum |w|, the rule of
     `_subset_flows`) puts nothing on the base, and any other weight or
     left-over amount at that level counts as zero; a sum |w| or a cost
-    beyond the double range raises. The flow, made a forest by
-    `_cancel_cycles` if it has a cycle, is the witness: one molecule per
-    edge, the flow times the edge length its coefficient. It shares no code
+    beyond the double range raises. The edges that carry flow, made a
+    forest by `_cancel_cycles` if they close a cycle, are the witness: one
+    molecule per edge, the flow times the edge length its coefficient. It shares no code
     with the tree program, so comparing it with `exact_norm_small(m, 1.0)`
     checks both.
     """
@@ -613,18 +648,18 @@ def exact_norm_p1(m: FreeElement) -> tuple[float, Decomposition]:
     if m.is_zero():
         return 0.0, Decomposition(host, ())
     w = m.as_full_vector()
-    tol = COEFF_TOL * _weight_totals(w)
-    w[host.base] = -w.sum()
-    P, N = np.flatnonzero(w > tol), np.flatnonzero(w < -tol)
-    C = host.dist[P][:, N]
-    F = _transport(C, w[P], -w[N], tol)
     with np.errstate(over="ignore"):
+        tol = COEFF_TOL * _weight_totals(w)
+        w[host.base] = -w.sum()
+        P, N = np.flatnonzero(w > tol), np.flatnonzero(w < -tol)
+        C = host.dist[P][:, N]
+        F = _transport(C, w[P], -w[N], tol)
         cost = float((C * F).sum())
     if math.isinf(cost):
         raise ValueError("the free 1-norm overflows to inf; scale the element or the points down")
-    W = np.zeros((n, n))  # weight carried from u to v, antisymmetric
-    W[P[:, None], N], W[N[:, None], P] = F, -F.T
-    return cost, _forest_witness(host, W, host.dist, 1.0)
+    i, j = np.nonzero(F > 0)
+    edges = list(zip(P[i].tolist(), N[j].tolist(), F[i, j].tolist()))
+    return cost, _forest_witness(host, edges, host.dist, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -644,12 +679,14 @@ class DualCertificate:
     Checked once, when it is made: construction raises `CertificateError`
     for a bad shape, multiplicity or value, or a family that `validate`
     refuses. It keeps read-only copies of `functions` and `activity`, so
-    later writes to the caller's arrays do not reach it."""
+    later writes to the caller's arrays do not reach it, and of
+    |functions|, which `dual_lower_bound` reads."""
 
     host: PointedFiniteMetric
     functions: np.ndarray  # (n_functions, n_points)
     kappa: int
     activity: np.ndarray  # (n_functions, n_points, n_points) bool, symmetric
+    abs_functions: np.ndarray = field(init=False, repr=False, compare=False)  # |functions|
 
     def __post_init__(self):
         functions = np.atleast_2d(np.array(self.functions, dtype=float))
@@ -657,6 +694,7 @@ class DualCertificate:
         _read_only(functions, activity)
         object.__setattr__(self, "functions", functions)
         object.__setattr__(self, "activity", activity)
+        object.__setattr__(self, "abs_functions", _read_only(np.abs(functions))[0])
         n = self.host.n
         if functions.shape[1] != n:
             raise CertificateError("function table width differs from the host size")
@@ -711,9 +749,9 @@ def dual_lower_bound(m: FreeElement, p: float, cert: DualCertificate) -> float:
     p = check_p(p)
     if m.host is not cert.host:
         raise CertificateError("certificate host differs from the element host")
-    F, v = cert.functions, m.as_full_vector()
-    pairings = F @ v
-    pairings[np.abs(pairings) <= COEFF_TOL * (np.abs(F) @ np.abs(v))] = 0.0
+    v = m.as_full_vector()
+    pairings = cert.functions @ v
+    pairings[np.abs(pairings) <= COEFF_TOL * (cert.abs_functions @ np.abs(v))] = 0.0
     return float(((np.abs(pairings) ** p).sum() / cert.kappa) ** (1.0 / p))
 
 

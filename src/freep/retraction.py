@@ -10,6 +10,7 @@ seeded sampling harness reporting both extremes as ratios over |x - y|_1.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,8 +33,8 @@ from .freenorm import (
     DualCertificate,
     FreeElement,
     Molecule,
+    decomposition_residual,
     dual_lower_bound,
-    evaluate,
     exact_norm_small,
     p_cost,
 )
@@ -249,7 +250,7 @@ def estimate_lipschitz(ctx: RetractionContext, p: float, n_samples: int, seed: i
         l1 = l1s[j]
         lower = lower / l1
         cost = p_cost(decomp, p) / l1
-        residual = evaluate(decomp).max_weight_diff(m)
+        residual = decomposition_residual(m, decomp, sys.float_info.max)
         max_lower = max(max_lower, lower)
         max_cost = max(max_cost, cost)
         max_residual = max(max_residual, residual)

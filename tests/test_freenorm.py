@@ -13,13 +13,14 @@ from enum_oracle import ORACLE_CAP, enumeration_norm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from lp_oracle import lp_norm_p1
-from tree_oracle import oracle_splits, oracle_tree_norm
+from tree_oracle import matrix_witness, oracle_splits, oracle_tree_norm
 
 import freep
 from freep import freenorm
 from freep.cli import main
 from freep.constants import P_FLOOR
 from freep.freenorm import (
+    COEFF_TOL,
     EVAL_TOL,
     CertificateError,
     Decomposition,
@@ -369,6 +370,30 @@ def test_upper_bound_refuses_to_drop_a_tiny_element():
         upper_bound_from(m, 0.5, Decomposition(s, ()))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_upper_bound_refuses_a_non_finite_coefficient(bad):
+    # on (0, 2) the bad coordinate 2 follows the exact coordinate 1, so a
+    # maximum that let the first value stand against NaN would pass it
+    s = three_point_space()
+    m = unit_molecule(s, 1, 2)
+    witness = exact_norm_small(m, 0.5)[1]
+    for mol in (Molecule(s, 0, 2), Molecule(s, 1, 2)):
+        with pytest.raises(ValueError, match="residual"):
+            upper_bound_from(m, 0.5, Decomposition(s, witness.terms + ((bad, mol),)))
+
+
+def test_upper_bound_refuses_molecules_over_another_host():
+    # the other host has the same distances, so the residual alone is 0
+    s, other = three_point_space(), three_point_space()
+    m = unit_molecule(s, 1, 2)
+    witness = exact_norm_small(m, 0.5)[1]
+    foreign = tuple((a, Molecule(other, mol.x, mol.y)) for a, mol in witness.terms)
+    with pytest.raises(ValueError, match="mixes molecules over different hosts"):
+        upper_bound_from(m, 0.5, Decomposition(s, foreign))
+    with pytest.raises(ValueError, match="decomposition host differs"):
+        upper_bound_from(m, 0.5, Decomposition(other, foreign))
+
+
 def test_upper_bound_takes_optimal_witnesses_of_large_elements():
     # at weights of order 1e9 an optimal witness reproduces the element
     # within a few 1e-7, its rounding at that scale
@@ -473,6 +498,17 @@ def test_certificate_is_checked_once_when_made(monkeypatch):
     other = FreeElement(l1_space([(0.0,), (1.0,)]), {1: 1.0})
     with pytest.raises(CertificateError, match="host"):
         dual_lower_bound(other, 0.5, cert)
+
+
+def test_certificate_keeps_its_absolute_functions():
+    s = l1_space([(0.0,), (1.0,), (2.5,)])
+    F = (s.dist - s.dist[s.base][None, :]).T
+    cert = DualCertificate(s, F, s.n, np.repeat(~np.eye(s.n, dtype=bool)[None], s.n, axis=0))
+    assert cert.abs_functions.tobytes() == np.abs(cert.functions).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        cert.abs_functions[...] = 0
+    with pytest.raises(TypeError):  # made by the certificate, never passed in
+        DualCertificate(s, F, s.n, cert.activity, np.abs(F))
 
 
 def test_empty_certificate_bounds_by_zero():
@@ -859,16 +895,14 @@ def test_forest_witness_builds_its_molecules_unchecked(monkeypatch):
     # so it skips the constructor's checks; each molecule equals the checked
     # one, endpoints Python ints, while a user's Molecule is still checked
     s = l1_space([(0.0,), (1.0,), (2.0,), (3.0,)])
-    W = np.zeros((4, 4))
-    for (x, y), f in {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 0.75, (2, 0): 0.5}.items():
-        W[x, y], W[y, x] = f, -f
+    edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 0.5), (2, 3, 0.75)]  # a cycle 0 -> 1 -> 2 -> 0
 
     def refuse(self):
         raise AssertionError("a checked molecule in the witness")
 
     with monkeypatch.context() as patch:
         patch.setattr(Molecule, "__post_init__", refuse)
-        witness = _forest_witness(s, W, s.dist, 1.0)
+        witness = _forest_witness(s, edges, s.dist, 1.0)
     assert len(witness.terms) == 3
     for _, mol in witness.terms:
         assert type(mol.x) is type(mol.y) is int
@@ -880,18 +914,66 @@ def test_forest_witness_builds_its_molecules_unchecked(monkeypatch):
 def test_forest_witness_peels_only_a_cycle(monkeypatch):
     s = l1_space([(0.0,), (1.0,), (2.0,), (3.0,)])
     flows = {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 0.75}
-    W = np.zeros((4, 4))
-    for (x, y), f in flows.items():
-        W[x, y], W[y, x] = f, -f
-    cycle = W.copy()
-    cycle[0, 2], cycle[2, 0] = -0.5, 0.5
+    edges = [(x, y, f) for (x, y), f in flows.items()]
+    cycle = sorted(edges + [(2, 0, 0.5)])
     # a tree goes straight to its molecules
     with monkeypatch.context() as patch:
         patch.setattr(freenorm, "_cancel_cycles", None)
-        tree = _forest_witness(s, W, s.dist, 1.0)
+        tree = _forest_witness(s, edges, s.dist, 1.0)
     assert [(mol.x, mol.y) for _, mol in tree.terms] == list(flows)
     assert [a for a, _ in tree.terms] == [s.distance(*e) * f for e, f in flows.items()]
-    # a cycle is cancelled: three molecules of the four edges are left
+    # a cycle is cancelled: three molecules of the four edges are left, and
+    # they carry the same element
     forest = _forest_witness(s, cycle, s.dist, 1.0)
     assert len(forest.terms) == 3
-    assert np.array_equal(cycle, -cycle.T)
+    flow = Decomposition(s, tuple((s.distance(x, y) * f, Molecule(s, x, y)) for x, y, f in cycle))
+    assert evaluate(forest).max_weight_diff(evaluate(flow)) <= 1e-15
+
+
+def transport_flow_matrix(m):
+    """The antisymmetric n x n flow of `_transport` for m, built as
+    `exact_norm_p1` built it before it handed over an edge list, and the
+    numbers of supply and demand points."""
+    host, w = m.host, m.as_full_vector()
+    tol = COEFF_TOL * np.abs(w).sum()
+    w[host.base] = -w.sum()
+    P, N = np.flatnonzero(w > tol), np.flatnonzero(w < -tol)
+    F = _transport(host.dist[P][:, N], w[P], -w[N], tol)
+    W = np.zeros((host.n, host.n))
+    W[P[:, None], N], W[N[:, None], P] = F, -F.T
+    return W, len(P), len(N)
+
+
+def test_p1_witness_is_the_flow_matrix_witness_bitwise():
+    """exact_norm_p1's edge list gives the witness that the transport's
+    n x n flow matrix gives, to the bit: one- and two-sided transports, on
+    plain, Hölder and lattice hosts, and a flow with a cycle."""
+    rng = np.random.default_rng(1009)
+    two_sided = []
+    for n in range(2, 41):
+        for kind in ("plain", "holder", "lattice", "one-sided"):
+            if kind == "lattice":
+                s = lattice_space(rng, n)
+                m = FreeElement(s, {i: int(rng.integers(-4, 5)) / 4 for i in range(1, n)})
+            else:
+                s = random_space(rng, n)
+                if kind == "holder":
+                    s = holder_distort(s, float(rng.choice([0.3, 0.5, 0.7])))
+                m = (one_sided_element(rng, s, ONE_SIDED[n % 3]) if kind == "one-sided"
+                     else random_element(rng, s))
+            if m.is_zero():
+                continue
+            W, supply, demand = transport_flow_matrix(m)
+            two_sided.append(min(supply, demand) > 1)
+            want = matrix_witness(s, W, s.dist, 1.0)
+            assert terms_hex(exact_norm_p1(m)[1]) == terms_hex(want), (n, kind)
+    assert 0 < sum(two_sided) < len(two_sided)
+    # supply points 1 and 2 both ship to demand points 0 and 3: a cycle
+    s = l1_space([(0.0,), (1.0,), (2.0,), (3.0,)])
+    P, N, F = np.array([1, 2]), np.array([0, 3]), np.array([[0.5, 0.25], [0.25, 0.5]])
+    W = np.zeros((4, 4))
+    W[P[:, None], N], W[N[:, None], P] = F, -F.T
+    edges = sorted((int(P[i]), int(N[j]), float(F[i, j])) for i in range(2) for j in range(2))
+    forest = _forest_witness(s, edges, s.dist, 1.0)
+    assert len(forest.terms) < 4  # a forest on four points
+    assert terms_hex(forest) == terms_hex(matrix_witness(s, W, s.dist, 1.0))

@@ -1,19 +1,23 @@
-"""Reference tree program, one subset at a time.
+"""Reference tree program, one subset at a time, and the flow-matrix witness.
 
 `freep.freenorm` runs the Dreyfus-Wagner program one popcount layer of
-subsets per array step and recovers the witness by recomputing the minima on
-the nodes its backtracking visits. This module keeps the per-subset loop it
-replaced, which stores the hop and the split of every (subset, point) pair
-and backtracks through those tables, and the submask loop that listed the
-splits of each subset before `_subset_program` built them as one table per
-popcount layer. Its arithmetic is the same (numpy scalar powers, the same
-sums in the same order, first minima), so the tests pin the kernel equal to
-it bitwise: values, witness coefficients and molecules.
+subsets per array step, and reads the witness from the choices its table
+records: per layer, the first-minimum split of each (subset, point) and the
+first-minimum hop point of each (subset, point), as an edge list. This
+module keeps the per-subset loop it replaced, which stores the hop and the
+split of every (subset, point) pair and backtracks through those tables into
+an n x n flow matrix, and the submask loop that listed the splits of each
+subset before `_subset_program` built them as one table per popcount layer.
+Its arithmetic is the same (numpy scalar powers, the same sums in the same
+order, first minima), so the tests pin the kernel equal to it bitwise:
+values, witness coefficients and molecules. `matrix_witness` reads a
+witness off a flow matrix as both exact routes did before they took edge
+lists.
 """
 
 import numpy as np
 
-from freep.freenorm import COEFF_TOL, Decomposition, _forest_witness
+from freep.freenorm import COEFF_TOL, Decomposition, Molecule, _cancel_cycles, _has_cycle
 
 
 def oracle_splits(k):
@@ -68,4 +72,18 @@ def oracle_tree_norm(m, p):
             W[v, u] -= wsum[S]
         if S & (S - 1):
             stack += [(split[S, u], u), (S ^ split[S, u], u)]
-    return float(F[-1, host.base] ** (1.0 / p)), _forest_witness(host, W, Dp, p)
+    return float(F[-1, host.base] ** (1.0 / p)), matrix_witness(host, W, Dp, p)
+
+
+def matrix_witness(host, W, Dp, p):
+    """The decomposition of the antisymmetric flow matrix W: one molecule
+    x -> y per entry W[x, y] > 0, in row-major order, its coefficient
+    d(x, y) W[x, y], after `_cancel_cycles` when those entries close a
+    cycle."""
+    x, y = np.nonzero(W > 0)
+    if _has_cycle(len(W), list(zip(x.tolist(), y.tolist(), W[x, y].tolist()))):
+        _cancel_cycles(W, Dp, p)
+        x, y = np.nonzero(W > 0)
+    coeffs = host.dist[x, y] * W[x, y]
+    return Decomposition(host, tuple((a, Molecule(host, u, v))
+                                     for a, u, v in zip(coeffs.tolist(), x.tolist(), y.tolist())))
