@@ -931,9 +931,9 @@ def test_forest_witness_peels_only_a_cycle(monkeypatch):
 
 
 def transport_flow_matrix(m):
-    """The antisymmetric n x n flow of `_transport` for m, built as
-    `exact_norm_p1` built it before it handed over an edge list, and the
-    numbers of supply and demand points."""
+    """The antisymmetric n x n flow matrix of `_transport` for m, W[x, y]
+    the amount shipped from x to y, and the numbers of supply and demand
+    points: the oracle for the edge list of `exact_norm_p1`."""
     host, w = m.host, m.as_full_vector()
     tol = COEFF_TOL * np.abs(w).sum()
     w[host.base] = -w.sum()

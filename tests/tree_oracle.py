@@ -11,8 +11,8 @@ subset before `_subset_program` built them as one table per popcount layer.
 Its arithmetic is the same (numpy scalar powers, the same sums in the same
 order, first minima), so the tests pin the kernel equal to it bitwise:
 values, witness coefficients and molecules. `matrix_witness` reads a
-witness off a flow matrix as both exact routes did before they took edge
-lists.
+witness off an n x n flow matrix: the oracle for the edge lists that both
+exact routes hand to `_forest_witness`.
 """
 
 import numpy as np
