@@ -180,11 +180,11 @@ def residual_tol(weights: dict) -> float:
     return EVAL_TOL * max(map(abs, weights.values()), default=0.0)
 
 
-def decomposition_residual(m: FreeElement, decomp: Decomposition, tol: float) -> float:
+def decomposition_residual(m: FreeElement, decomp: Decomposition) -> float:
     """The largest coordinate residual of decomp against m, the sum of its
     terms compared with the weights of m, the base coordinate dropped. A
-    residual that is not <= tol, NaN and inf among them, raises a
-    ValueError, and so does a decomposition over another host."""
+    residual that is not finite raises a ValueError, and so does a
+    decomposition over another host."""
     if decomp.host is not m.host:
         raise ValueError("decomposition host differs from the element host")
     acc = _term_sums(decomp)
@@ -193,18 +193,20 @@ def decomposition_residual(m: FreeElement, decomp: Decomposition, tol: float) ->
     diffs = [abs(acc.get(i, 0.0) - w.get(i, 0.0)) for i in acc.keys() | w.keys()]
     # the sum is NaN exactly when a difference is: none is negative
     residual = math.nan if math.isnan(sum(diffs)) else max(diffs, default=0.0)
-    if not residual <= tol:
-        raise ValueError(
-            f"decomposition does not evaluate to the element "
-            f"(max coordinate residual {residual:.3e})"
-        )
+    if not math.isfinite(residual):
+        raise ValueError(f"decomposition has a residual of {residual} against the element")
     return residual
 
 
 def upper_bound_from(m: FreeElement, p: float, decomp: Decomposition) -> float:
     """Certified upper bound: the cost of a decomposition verified to
     reproduce m within `residual_tol(m.weights)` per coordinate."""
-    decomposition_residual(m, decomp, residual_tol(m.weights))
+    residual = decomposition_residual(m, decomp)
+    if residual > residual_tol(m.weights):
+        raise ValueError(
+            f"decomposition does not evaluate to the element "
+            f"(max coordinate residual {residual:.3e})"
+        )
     return p_cost(decomp, p)
 
 
@@ -277,10 +279,10 @@ class _TreeProgram(NamedTuple):
     single: (F, fp) positions of the singletons {t}, point by point, in the
         order of the terminal rows that they multiply;
     layers: per popcount 2, 3, ...: the branch positions (T, S - T) of F,
-        ordered (host, S, u, split T), and the `reduceat` start of each
+        ordered (host, S, u, split T), and the start of the run of each
         (host, S, u); the fp position of each (host, S); and the F position
-        of each (host, S, v) with the `reduceat` start of its run of n hop
-        terms in the order (host, S, v, u)."""
+        of each (host, S, v) with the start of its run of n hop terms in
+        the order (host, S, v, u)."""
 
     single: tuple[np.ndarray, np.ndarray]
     layers: tuple[tuple[np.ndarray, ...], ...]
@@ -348,12 +350,11 @@ def _tree_table(prog, Dp, Dt, fp, choices=None):
 
 def _least(X, starts, choices):
     """The minima of the runs of the flat X that begin at `starts`, all of
-    one length; given a list `choices`, by the first minimum of each run,
-    whose place in its run is appended to `choices`."""
-    if choices is None:
-        return np.minimum.reduceat(X, starts)
+    one length, read at the first minimum of each run; given a list
+    `choices`, the place of that minimum in its run is appended to it."""
     at = X.reshape(starts.size, -1).argmin(axis=1)
-    choices.append(at)
+    if choices is not None:
+        choices.append(at)
     return X[starts + at]
 
 
@@ -651,9 +652,10 @@ def exact_norm_p1(m: FreeElement) -> tuple[float, Decomposition]:
     with np.errstate(over="ignore"):
         tol = COEFF_TOL * _weight_totals(w)
         w[host.base] = -w.sum()
-        P, N = np.flatnonzero(w > tol), np.flatnonzero(w < -tol)
-        C = host.dist[P][:, N]
-        F = _transport(C, w[P], -w[N], tol)
+    P, N = np.flatnonzero(w > tol), np.flatnonzero(w < -tol)
+    C = host.dist[P][:, N]
+    F = _transport(C, w[P], -w[N], tol)
+    with np.errstate(over="ignore"):
         cost = float((C * F).sum())
     if math.isinf(cost):
         raise ValueError("the free 1-norm overflows to inf; scale the element or the points down")

@@ -10,7 +10,6 @@ seeded sampling harness reporting both extremes as ratios over |x - y|_1.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -250,7 +249,7 @@ def estimate_lipschitz(ctx: RetractionContext, p: float, n_samples: int, seed: i
         l1 = l1s[j]
         lower = lower / l1
         cost = p_cost(decomp, p) / l1
-        residual = decomposition_residual(m, decomp, sys.float_info.max)
+        residual = decomposition_residual(m, decomp)
         max_lower = max(max_lower, lower)
         max_cost = max(max_cost, cost)
         max_residual = max(max_residual, residual)
