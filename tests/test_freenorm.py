@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -977,3 +978,37 @@ def test_p1_witness_is_the_flow_matrix_witness_bitwise():
     forest = _forest_witness(s, edges, s.dist, 1.0)
     assert len(forest.terms) < 4  # a forest on four points
     assert terms_hex(forest) == terms_hex(matrix_witness(s, W, s.dist, 1.0))
+
+
+def certified_query_bits(rng):
+    """The bits of one certified norm query shaped like the benchmark's: a
+    host of 3-7 points in d = 1-3, plain or Hölder, a support of 1 to
+    n - 1 points and p from the benchmark's mix; the values and witnesses
+    (coefficients as hex, endpoints and their types) of both exact routes,
+    the upper bound of each witness and a distance-function dual bound."""
+    n, d = int(rng.integers(3, 8)), int(rng.integers(1, 4))
+    host = l1_space((rng.random((n, d)) * 4.0).tolist())
+    if rng.random() < 0.5:
+        host = holder_distort(host, float(rng.choice([0.3, 0.5, 0.7])))
+    support = rng.choice(np.arange(1, n), size=int(rng.integers(1, n)), replace=False)
+    m = FreeElement(host, {int(j): float(rng.normal()) for j in support})
+    p = float(rng.choice([1.0, 0.8, 0.5, 0.3]))
+    D = host.dist
+    cert = DualCertificate(
+        host=host, functions=(D - D[host.base]).T, kappa=n,
+        activity=np.broadcast_to(~np.eye(n, dtype=bool), (n, n, n)),
+    )
+    bits = []
+    for value, witness, q in (*exact_norm_small(m, p), p), (*exact_norm_p1(m), 1.0):
+        ends = [(mol.x, mol.y, type(mol.x).__name__, type(mol.y).__name__) for _, mol in witness.terms]
+        bits += [float(value).hex(), terms_hex(witness), ends, upper_bound_from(m, q, witness).hex()]
+    return bits + [dual_lower_bound(m, p, cert).hex()]
+
+
+def test_certified_query_bits_are_pinned():
+    """The values, witnesses and bounds of 100 seeded certified queries,
+    one digest: a change to the engine that moves one bit of them fails."""
+    rng = np.random.default_rng(2024)
+    bits = [certified_query_bits(rng) for _ in range(100)]
+    digest = hashlib.sha256(json.dumps(bits).encode()).hexdigest()
+    assert digest == "7c98ceefbadc5536869b201427d02aea896397cda21afc990c50bf963ff1a88c"
