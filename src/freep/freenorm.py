@@ -91,14 +91,6 @@ class FreeElement:
     def __rmul__(self, a: float) -> "FreeElement":
         return FreeElement(self.host, {i: a * w for i, w in self.weights.items()})
 
-    def max_weight_diff(self, other: "FreeElement") -> float:
-        self._require_same_host(other)
-        keys = set(self.weights) | set(other.weights)
-        return max(
-            (abs(self.weights.get(i, 0.0) - other.weights.get(i, 0.0)) for i in keys),
-            default=0.0,
-        )
-
     def __repr__(self) -> str:
         return f"FreeElement({self.weights})"
 
@@ -136,12 +128,13 @@ class Decomposition:
         )
 
 
-def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass cls with these fields, without
-    the checks and conversions of its constructor: for fields the engine
-    made itself, such as molecule endpoints read off its own host."""
+def _unchecked(cls, fields: dict):
+    """An instance of the frozen dataclass cls with the fields of this dict,
+    which it keeps, without the checks and conversions of its constructor:
+    for fields the engine made itself, such as molecule endpoints read off
+    its own host."""
     obj = object.__new__(cls)
-    obj.__dict__.update(fields)
+    object.__setattr__(obj, "__dict__", fields)
     return obj
 
 
@@ -149,12 +142,14 @@ def _term_sums(decomp: Decomposition) -> dict[int, float]:
     """The weight per point of the molecule terms summed, the base
     included; molecules over another host than decomp's raise."""
     acc: dict[int, float] = {}
+    host = decomp.host
     for a, mol in decomp.terms:
-        if mol.host is not decomp.host:
+        if mol.host is not host:
             raise ValueError("decomposition mixes molecules over different hosts")
-        f = a / mol.distance
-        acc[mol.x] = acc.get(mol.x, 0.0) + f
-        acc[mol.y] = acc.get(mol.y, 0.0) - f
+        x, y = mol.x, mol.y
+        f = a / host.dist.item(x, y)
+        acc[x] = acc.get(x, 0.0) + f
+        acc[y] = acc.get(y, 0.0) - f
     return acc
 
 
@@ -165,7 +160,7 @@ def evaluate(decomp: Decomposition) -> FreeElement:
 
 def coefficient_cost(a, p: float):
     """The p-cost (sum |a_i|^p)^(1/p) of the coefficients a."""
-    return (np.abs(a) ** p).sum() ** (1.0 / p)
+    return np.add.reduce(np.abs(a) ** p) ** (1.0 / p)
 
 
 def p_cost(decomp: Decomposition, p: float) -> float:
@@ -189,8 +184,8 @@ def decomposition_residual(m: FreeElement, decomp: Decomposition) -> float:
         raise ValueError("decomposition host differs from the element host")
     acc = _term_sums(decomp)
     acc.pop(m.host.base, None)
-    w = m.weights
-    diffs = [abs(acc.get(i, 0.0) - w.get(i, 0.0)) for i in acc.keys() | w.keys()]
+    diffs = [abs(acc.pop(i, 0.0) - w) for i, w in m.weights.items()]
+    diffs += map(abs, acc.values())
     # the sum is NaN exactly when a difference is: none is negative
     residual = math.nan if math.isnan(sum(diffs)) else max(diffs, default=0.0)
     if not math.isfinite(residual):
@@ -217,7 +212,7 @@ def upper_bound_from(m: FreeElement, p: float, decomp: Decomposition) -> float:
 @lru_cache(maxsize=None)
 def _subset_program(k):
     """(bits, rank, layers) of the tree program on k terminals: the (2^k, k)
-    membership table of the subsets; the row rank[S] of each subset S of
+    membership table of the subsets, in doubles; the row rank[S] of each subset S of
     two or more terminals in its layer; and per popcount c = 2..k the layer
     (S, T, S - T). Its subsets S ascend, and row r of T, of 2^(c-1) - 1
     entries, lists the splits of S[r], the proper parts that hold its
@@ -234,33 +229,35 @@ def _subset_program(k):
         codes = (np.arange((1 << (c - 1)) - 2, -1, -1)[:, None] >> np.arange(c - 1)) & 1
         T = (1 << places[:, :1]) + (1 << places[:, 1:]) @ codes.T
         layers.append((S, T, S[:, None] ^ T))
-    return bits, rank, layers
+    return bits.astype(float), rank, layers
 
 
-def _weight_totals(W):
-    """sum |w| along the last axis of W, the scale of the rounding floor
-    COEFF_TOL sum |w|, under the caller's np.errstate(over="ignore"). A
-    total beyond the double range raises: its floor would pass no weight at
-    all, and the norm would read 0."""
-    totals = np.abs(W).sum(axis=-1)
-    if np.isinf(totals).any():
+def _weight_floors(W):
+    """The rounding floor COEFF_TOL sum |w| of every row w of W, sum |w| a
+    numpy sum along the last axis, as a list of floats, under the caller's
+    np.errstate(over="ignore"). A total beyond the double range raises: its
+    floor would pass no weight at all, and the norm would read 0."""
+    totals = np.add.reduce(np.abs(W), axis=-1, keepdims=True).ravel().tolist()
+    if math.inf in totals:
         raise ValueError("the weight total sum |w| overflows to inf; scale the element down")
-    return totals
+    return [COEFF_TOL * total for total in totals]
 
 
 def _subset_flows(W, p):
-    """(w(S), |w(S)|, |w(S)|^p), flat, over the subsets S of the terminals of
-    every row w of the weight stack W (B, k): row by row, subset by subset;
-    a subset sum at rounding level carries no weight, not a tiny molecule.
-    The subset sums are one stacked product, bitwise those of one
-    `bits @ w` per row (a `W @ bits.T` rounds differently)."""
-    # the totals first: they refuse weights whose subset sums could overflow
-    floor = COEFF_TOL * _weight_totals(W)[:, None]
-    wsum = (_subset_program(W.shape[1])[0] @ W[:, :, None])[..., 0]
-    flow = np.abs(wsum)
-    flow[flow <= floor] = 0.0
+    """(w(S), |w(S)|^p) over the subsets S of the terminals of every row w
+    of the weight stack W (B, k): w(S) as one list per row, subset by
+    subset, and the powers as one flat array; a subset sum at rounding level
+    (at most the row's `_weight_floors`) carries no weight, not a tiny
+    molecule, so its power is 0, and every other power is positive. The
+    subset sums are one `bits.dot(w)` per row, bitwise a stacked
+    `bits @ W[..., None]` (a `W @ bits.T` rounds differently)."""
+    # the floors first: they refuse weights whose subset sums could overflow
+    floors = _weight_floors(W)
+    bits = _subset_program(W.shape[1])[0]
+    wsum = [bits.dot(w).tolist() for w in W]
     # scalar powers: numpy's array ** differs from pow() in the last bit on some inputs
-    return wsum.ravel(), flow.ravel(), np.array([f**p for f in flow.ravel().tolist()])
+    powers = [f**p if (f := abs(x)) > floor else 0.0 for row, floor in zip(wsum, floors) for x in row]
+    return wsum, np.array(powers)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -358,12 +355,15 @@ def _least(X, starts, choices):
     return X[starts + at]
 
 
+@np.errstate(over="ignore")
 def _tree_costs(D, W, terminals, p, choices=None):
     """The tree table of the elements W (B, k) on the hosts D (B, n, n), row
     b of W weighing the points `terminals` of D[b], as F (B, 2^k, n), with
-    the `_subset_flows` of W and the distance powers D^p, and the `choices`
-    of `_tree_table`; a support of k points plus the base beyond
-    DEFAULT_CAP is refused."""
+    the two `_subset_flows` of W and the distance powers D^p, and the
+    `choices` of `_tree_table`; a support of k points plus the base beyond
+    DEFAULT_CAP is refused. A term of the table beyond the double range is
+    inf, which a finite least cost never takes; an infinite least cost is a
+    norm beyond that range, which `_roots` refuses."""
     (B, k), n = W.shape, D.shape[-1]
     if k + 1 > DEFAULT_CAP:
         raise ValueError(
@@ -371,10 +371,10 @@ def _tree_costs(D, W, terminals, p, choices=None):
             f"the exact-norm cap {DEFAULT_CAP}; "
             "use upper_bound_from / dual_lower_bound for certified bounds"
         )
-    flows = _subset_flows(W, p)
+    wsum, fp = _subset_flows(W, p)
     Dp = D**p
-    F = _tree_table(_tree_program(k, n, B), Dp, Dp[:, terminals], flows[2], choices)
-    return F.reshape(B, -1, n), flows, Dp
+    F = _tree_table(_tree_program(k, n, B), Dp, Dp.take(terminals, axis=1), fp, choices)
+    return F.reshape(B, -1, n), wsum, fp, Dp
 
 
 def _roots(F, base, D, W, terminals, p):
@@ -408,12 +408,8 @@ def exact_norms(D, W, p: float) -> list[float]:
     exactly symmetric too, as a metric is: the hop reads D[b, v, u] as the
     distance from u to v."""
     p = check_p(p)
-    terminals = slice(1, W.shape[1] + 1)
-    # a term beyond the double range is inf, which a finite least cost never
-    # takes; an infinite least cost is a norm beyond that range, and `_roots`
-    # refuses it
-    with np.errstate(over="ignore"):
-        return _roots(_tree_costs(D, W, terminals, p)[0], 0, D, W, terminals, p)
+    terminals = range(1, W.shape[1] + 1)
+    return _roots(_tree_costs(D, W, terminals, p)[0], 0, D, W, terminals, p)
 
 
 def _has_cycle(n, edges):
@@ -444,9 +440,8 @@ def _forest_witness(host, edges, Dp, p):
         x, y = np.nonzero(W > 0)
         edges = zip(x.tolist(), y.tolist(), W[x, y].tolist())
     # endpoints as Python ints: reports serialize no numpy integers
-    D = host.dist
-    terms = tuple((float(D[x, y]) * f, _unchecked(Molecule, host=host, x=x, y=y)) for x, y, f in edges)
-    return _unchecked(Decomposition, host=host, terms=terms)
+    terms = [(host.dist.item(x, y) * f, _unchecked(Molecule, {"host": host, "x": x, "y": y})) for x, y, f in edges]
+    return _unchecked(Decomposition, {"host": host, "terms": tuple(terms)})
 
 
 def _cancel_cycles(W, Dp, p):
@@ -498,30 +493,27 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
     if m.is_zero():
         return 0.0, Decomposition(host, ())
     terminals = sorted(m.weights)
-    weights = np.array([[m.weights[t] for t in terminals]])
+    weights, D = np.array([[m.weights[t] for t in terminals]]), host.dist[None]
     choices = []
-    # a term of the table beyond the double range is inf, which a finite
-    # least cost never takes; an infinite least cost is a norm beyond that
-    # range, refused before the witness is read
-    with np.errstate(over="ignore"):
-        F, (wsum, flow, _), Dp = _tree_costs(host.dist[None], weights, terminals, p, choices)
-        value = _roots(F, host.base, host.dist[None], weights, terminals, p)[0]
+    F, (wsum,), fp, Dp = _tree_costs(D, weights, terminals, p, choices)
+    value = _roots(F, host.base, D, weights, terminals, p)[0]  # refuses a norm beyond range
     _, rank, layers = _subset_program(len(terminals))
+    fp, n = fp.tolist(), host.n
     carried = {}  # weight carried from x to y, x < y, by the tree edges
     stack = [(len(wsum) - 1, host.base)]
     while stack:
         S, v = stack.pop()
         if S & (S - 1):
-            c, r = S.bit_count() - 2, rank[S]
-            u = int(choices[2 * c + 1][r * host.n + v])
-            T = int(layers[c][1][r, choices[2 * c][r * host.n + u]])
+            c, r = S.bit_count() - 2, rank.item(S)
+            u = choices[2 * c + 1].item(r * n + v)
+            T = layers[c][1].item(r, choices[2 * c].item(r * n + u))
             stack += [(T, u), (S ^ T, u)]
         else:
             u = terminals[S.bit_length() - 1]
-        if u != v and flow[S] > 0.0:
+        if u != v and fp[S] > 0.0:
             x, y, f = (u, v, wsum[S]) if u < v else (v, u, -wsum[S])
-            carried[x, y] = carried.get((x, y), 0.0) + float(f)
-    edges = sorted((x, y, f) if f > 0 else (y, x, -f) for (x, y), f in carried.items() if f)
+            carried[x, y] = carried.get((x, y), 0.0) + f
+    edges = sorted([(x, y, f) if f > 0 else (y, x, -f) for (x, y), f in carried.items() if f])
     return value, _forest_witness(host, edges, Dp[0], p)
 
 
@@ -531,8 +523,9 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
 
 def _transport(C, supply, demand, tol):
     """A least-cost flow F >= 0, F[i, j] sent from supply point i to demand
-    point j at cost C[i, j] per unit, that ships the supplies to the demands.
-    In both routes an amount of at most tol left over is rounding and counts
+    point j at cost C[i, j] per unit, that ships the supply amounts to the
+    demand amounts, as a dict of the positive entries F[i, j] at (i, j). In
+    both routes an amount of at most tol left over is rounding and counts
     as zero.
 
     With one supply or one demand point the flow is forced: every point on
@@ -555,73 +548,85 @@ def _transport(C, supply, demand, tol):
     cost. Each augmentation empties a supply, a demand or a flow.
     """
     a, b = C.shape
-    F = np.zeros((a, b))
-    s, t = supply.tolist(), demand.tolist()
+    s, t = list(supply), list(demand)
+    flow = {}  # the positive entries of F
 
     def left(x, delta):
         return x - delta if x - delta > tol else 0.0
 
     if a == 1 or b == 1:
-        for e in np.argsort(C, axis=None, kind="stable").tolist():
+        cost = C.ravel().tolist()
+        for e in sorted(range(a * b), key=cost.__getitem__):
             i, j = divmod(e, b)
-            F[i, j] = delta = min(s[i], t[j])
+            flow[i, j] = delta = s[i] if s[i] <= t[j] else t[j]
             s[i], t[j] = left(s[i], delta), left(t[j], delta)
             if not (s[0] if a == 1 else t[0]):
                 break
-        return F
+    else:
+        ships = [set() for _ in range(b)]  # the supply points with flow to each demand point
+        potP, potN = np.zeros(a), np.zeros(b)
+        sources, sinks = list(range(a)), b  # points with supply left, count with demand left
+        while sources and sinks:
+            R = C + potP[:, None]
+            R -= potN
+            np.maximum(R, 0.0, out=R)  # a rounding-level negative would unsettle a point
+            distP, viaP = [math.inf] * a, [-1] * a  # via: the point before on the path
+            for i in sources:
+                distP[i] = 0.0
+            src = np.array(sources)
+            free = R[src]
+            viaN = src[free.argmin(axis=0)]  # the first nearest source in `sources` order
+            distN = free.min(axis=0)
+            key = distN.copy()  # distN of the unsettled demand points
+            while True:
+                j = int(key.argmin())
+                d, key[j] = float(key[j]), np.inf
+                if t[j] > 0:
+                    break
+                for i in ships[j]:
+                    if distP[i] == math.inf:
+                        distP[i], viaP[i] = d, j
+                        cand = R[i] + d
+                        better = cand < distN  # never a settled point: its dist is at most d
+                        np.copyto(distN, cand, where=better)
+                        np.copyto(key, cand, where=better)
+                        np.copyto(viaN, i, where=better)
+            potP += np.minimum(distP, d)
+            potN += np.minimum(distN, d)
 
-    ships = [set() for _ in range(b)]  # the supply points with flow to each demand point
-    potP, potN = np.zeros(a), np.zeros(b)
-    distP, viaP = np.empty(a), np.empty(a, dtype=np.intp)  # via: the point before on the path
-    sources, sinks = list(range(a)), b  # points with supply left, count with demand left
-    while sources and sinks:
-        R = C + potP[:, None]
-        R -= potN
-        np.maximum(R, 0.0, out=R)  # a rounding-level negative would unsettle a point
-        distP.fill(np.inf)
-        src = np.array(sources)
-        distP[src], viaP[src] = 0.0, -1
-        free = R[src]
-        viaN = src[free.argmin(axis=0)]  # the first nearest source in `sources` order
-        distN = free.min(axis=0)
-        key = distN.copy()  # distN of the unsettled demand points
-        while True:
-            j = int(key.argmin())
-            d, key[j] = float(key[j]), np.inf
-            if t[j] > 0:
-                break
-            for i in ships[j]:
-                if distP[i] == np.inf:
-                    distP[i], viaP[i] = d, j
-                    cand = R[i] + d
-                    better = cand < distN  # never a settled point: its dist is at most d
-                    np.copyto(distN, cand, where=better)
-                    np.copyto(key, cand, where=better)
-                    np.copyto(viaN, i, where=better)
-        potP += np.minimum(distP, d)
-        potN += np.minimum(distN, d)
+            i = viaN.item(j)
+            forward, backward = [(i, j)], []
+            while viaP[i] >= 0:
+                jb = viaP[i]
+                backward.append((i, jb))
+                i = viaN.item(jb)
+                forward.append((i, jb))
+            delta = min(s[i], t[j], *(flow[e] for e in backward))
+            for e in forward:
+                flow[e] = flow.get(e, 0.0) + delta
+                ships[e[1]].add(e[0])
+            for e in backward:
+                flow[e] = left(flow[e], delta)
+                if not flow[e]:
+                    del flow[e]
+                    ships[e[1]].remove(e[0])
+            s[i], t[j] = left(s[i], delta), left(t[j], delta)
+            if not s[i]:
+                sources.remove(i)
+            if not t[j]:
+                sinks -= 1
+    return flow
 
-        i = int(viaN[j])
-        forward, backward = [(i, j)], []
-        while viaP[i] >= 0:
-            jb = int(viaP[i])
-            backward.append((i, jb))
-            i = int(viaN[jb])
-            forward.append((i, jb))
-        delta = min(s[i], t[j], *(F[e] for e in backward))
-        for e in forward:
-            F[e] += delta
-            ships[e[1]].add(e[0])
-        for e in backward:
-            F[e] = left(F[e], delta)
-            if not F[e]:
-                ships[e[1]].remove(e[0])
-        s[i], t[j] = left(s[i], delta), left(t[j], delta)
-        if not s[i]:
-            sources.remove(i)
-        if not t[j]:
-            sinks -= 1
-    return F
+
+@np.errstate(over="ignore")
+def _flow_cost(C, flow):
+    """The cost sum C * F of the flow F whose positive entries are the dict
+    `flow`, as a float, one numpy sum over the whole matrix; a cost beyond
+    the double range reads inf."""
+    F = np.zeros(C.shape)
+    for e, f in flow.items():
+        F[e] = f
+    return float(np.add.reduce(C * F, axis=None))
 
 
 def exact_norm_p1(m: FreeElement) -> tuple[float, Decomposition]:
@@ -639,28 +644,28 @@ def exact_norm_p1(m: FreeElement) -> tuple[float, Decomposition]:
     left-over amount at that level counts as zero; a sum |w| or a cost
     beyond the double range raises. The edges that carry flow, made a
     forest by `_cancel_cycles` if they close a cycle, are the witness: one
-    molecule per edge, the flow times the edge length its coefficient. It shares no code
-    with the tree program, so comparing it with `exact_norm_small(m, 1.0)`
-    checks both.
+    molecule per edge, the flow times the edge length its coefficient. It
+    shares no code with the tree program, so comparing it with
+    `exact_norm_small(m, 1.0)` checks both.
     """
     host, n = m.host, m.host.n
     if n > FLOW_CAP:
         raise ValueError(f"host has {n} points, beyond the flow cap {FLOW_CAP}")
     if m.is_zero():
         return 0.0, Decomposition(host, ())
-    w = m.as_full_vector()
+    full = m.as_full_vector()
+    w = full.tolist()
     with np.errstate(over="ignore"):
-        tol = COEFF_TOL * _weight_totals(w)
-        w[host.base] = -w.sum()
-    P, N = np.flatnonzero(w > tol), np.flatnonzero(w < -tol)
-    C = host.dist[P][:, N]
-    F = _transport(C, w[P], -w[N], tol)
-    with np.errstate(over="ignore"):
-        cost = float((C * F).sum())
+        (tol,) = _weight_floors(full)
+        w[host.base] = -np.add.reduce(full).item()
+    P = [x for x in range(n) if w[x] > tol]
+    N = [y for y in range(n) if w[y] < -tol]
+    C = host.dist.take(P, axis=0).take(N, axis=1)
+    flow = _transport(C, [w[x] for x in P], [-w[y] for y in N], tol)
+    cost = _flow_cost(C, flow)
     if math.isinf(cost):
         raise ValueError("the free 1-norm overflows to inf; scale the element or the points down")
-    i, j = np.nonzero(F > 0)
-    edges = list(zip(P[i].tolist(), N[j].tolist(), F[i, j].tolist()))
+    edges = [(P[i], N[j], f) for (i, j), f in sorted(flow.items())]
     return cost, _forest_witness(host, edges, host.dist, 1.0)
 
 
@@ -752,9 +757,9 @@ def dual_lower_bound(m: FreeElement, p: float, cert: DualCertificate) -> float:
     if m.host is not cert.host:
         raise CertificateError("certificate host differs from the element host")
     v = m.as_full_vector()
-    pairings = cert.functions @ v
-    pairings[np.abs(pairings) <= COEFF_TOL * (cert.abs_functions @ np.abs(v))] = 0.0
-    return float(((np.abs(pairings) ** p).sum() / cert.kappa) ** (1.0 / p))
+    pairings = np.abs(cert.functions.dot(v))
+    pairings[pairings <= COEFF_TOL * cert.abs_functions.dot(np.abs(v))] = 0.0
+    return float((np.add.reduce(pairings**p) / cert.kappa) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

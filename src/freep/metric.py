@@ -34,13 +34,14 @@ class PointedFiniteMetric:
 
     def __init__(self, points: Sequence, base: int, dist: np.ndarray):
         self.points = tuple(points)
+        self.n = len(self.points)
         self.base = check_count("base index", base, 0)
         self.dist = np.array(dist, dtype=float)
         self.dist.setflags(write=False)
         self._validate()
 
     def _validate(self) -> None:
-        n = len(self.points)
+        n = self.n
         if n == 0:
             raise ValueError("a pointed metric space needs at least one point")
         if len(set(self.points)) != n:
@@ -71,10 +72,6 @@ class PointedFiniteMetric:
                     raise ValueError(
                         f"triangle inequality fails: d({i},{j}) > d({i},{k}) + d({k},{j})"
                     )
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
 
     def distance(self, i: int, j: int) -> float:
         return float(self.dist[i, j])

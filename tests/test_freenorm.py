@@ -14,6 +14,7 @@ from enum_oracle import ORACLE_CAP, enumeration_norm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from lp_oracle import lp_norm_p1
+from test_helpers import max_weight_diff
 from tree_oracle import matrix_witness, oracle_splits, oracle_tree_norm
 
 import freep
@@ -142,7 +143,7 @@ def test_exact_norm_p1_examples():
     s = three_point_space()
     value, witness = exact_norm_p1(FreeElement(s, {1: 1.0}))
     assert value == pytest.approx(1.0, abs=1e-9)
-    assert evaluate(witness).max_weight_diff(FreeElement(s, {1: 1.0})) < 1e-9
+    assert max_weight_diff(evaluate(witness), FreeElement(s, {1: 1.0})) < 1e-9
 
     mol = unit_molecule(s, 1, 2)
     value, _ = exact_norm_p1(mol)
@@ -248,8 +249,8 @@ def test_forced_flow_ships_nearest_first():
     # shortest paths; the same holds with one demand point
     C, amounts, total = np.array([[3.0, 2.0, 1.0]]), np.array([0.1, 0.2, 0.3]), np.array([0.6])
     want = [0.09999999999999998, 0.2, 0.3]
-    assert _transport(C, total, amounts, 1e-15).tolist() == [want]
-    assert _transport(C.T, amounts, total, 1e-15).tolist() == [[w] for w in want]
+    assert _transport(C, total, amounts, 1e-15) == {(0, j): w for j, w in enumerate(want)}
+    assert _transport(C.T, amounts, total, 1e-15) == {(i, 0): w for i, w in enumerate(want)}
 
 
 def test_exact_norm_p1_flow_cap(monkeypatch, tmp_path, capsys):
@@ -570,7 +571,7 @@ def assert_optimal_forest(m, p, value, witness, subset):
         a, b = find(mol.x), find(mol.y)
         assert a != b, "witness molecules contain a cycle"
         root[a] = b
-    assert evaluate(witness).max_weight_diff(m) <= EVAL_TOL
+    assert max_weight_diff(evaluate(witness), m) <= EVAL_TOL
     assert p_cost(witness, p) == pytest.approx(value, rel=1e-12, abs=1e-15)
 
 
@@ -887,7 +888,7 @@ def test_cancel_cycles_keeps_element_and_cost(p, cycle):
     after = witness(W)
     assert np.array_equal(W, -W.T)
     assert len(after.terms) == 3
-    assert evaluate(after).max_weight_diff(evaluate(before)) <= 1e-15
+    assert max_weight_diff(evaluate(after), evaluate(before)) <= 1e-15
     assert p_cost(after, p) <= p_cost(before, p) + 1e-15
 
 
@@ -928,7 +929,7 @@ def test_forest_witness_peels_only_a_cycle(monkeypatch):
     forest = _forest_witness(s, cycle, s.dist, 1.0)
     assert len(forest.terms) == 3
     flow = Decomposition(s, tuple((s.distance(x, y) * f, Molecule(s, x, y)) for x, y, f in cycle))
-    assert evaluate(forest).max_weight_diff(evaluate(flow)) <= 1e-15
+    assert max_weight_diff(evaluate(forest), evaluate(flow)) <= 1e-15
 
 
 def transport_flow_matrix(m):
@@ -939,7 +940,9 @@ def transport_flow_matrix(m):
     tol = COEFF_TOL * np.abs(w).sum()
     w[host.base] = -w.sum()
     P, N = np.flatnonzero(w > tol), np.flatnonzero(w < -tol)
-    F = _transport(host.dist[P][:, N], w[P], -w[N], tol)
+    F = np.zeros((len(P), len(N)))
+    for (i, j), f in _transport(host.dist[P][:, N], w[P], -w[N], tol).items():
+        F[i, j] = f
     W = np.zeros((host.n, host.n))
     W[P[:, None], N], W[N[:, None], P] = F, -F.T
     return W, len(P), len(N)

@@ -8,6 +8,15 @@ from freep.cubes import CubeComplex
 from freep.retraction import build_context, estimate_lipschitz, retract
 
 
+def max_weight_diff(a, b) -> float:
+    """The largest |a(i) - b(i)| over the points of the free elements a and
+    b; elements over different hosts raise."""
+    if a.host is not b.host:
+        raise ValueError("elements live over different hosts")
+    keys = a.weights.keys() | b.weights.keys()
+    return max((abs(a.weights.get(i, 0.0) - b.weights.get(i, 0.0)) for i in keys), default=0.0)
+
+
 def test_coordinate_helpers():
     x = (0.25, 0.5, 0.75)
     assert replaced(x, 2, 0.0) == (0.25, 0.5, 0.0)
