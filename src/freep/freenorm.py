@@ -142,14 +142,12 @@ def _term_sums(decomp: Decomposition) -> dict[int, float]:
     """The weight per point of the molecule terms summed, the base
     included; molecules over another host than decomp's raise."""
     acc: dict[int, float] = {}
-    host = decomp.host
     for a, mol in decomp.terms:
-        if mol.host is not host:
+        if mol.host is not decomp.host:
             raise ValueError("decomposition mixes molecules over different hosts")
-        x, y = mol.x, mol.y
-        f = a / host.dist.item(x, y)
-        acc[x] = acc.get(x, 0.0) + f
-        acc[y] = acc.get(y, 0.0) - f
+        f = a / decomp.host.dist.item(mol.x, mol.y)
+        acc[mol.x] = acc.get(mol.x, 0.0) + f
+        acc[mol.y] = acc.get(mol.y, 0.0) - f
     return acc
 
 
@@ -160,7 +158,7 @@ def evaluate(decomp: Decomposition) -> FreeElement:
 
 def coefficient_cost(a, p: float):
     """The p-cost (sum |a_i|^p)^(1/p) of the coefficients a."""
-    return np.add.reduce(np.abs(a) ** p) ** (1.0 / p)
+    return np.add.reduce(np.abs(a) ** p, axis=None) ** (1.0 / p)
 
 
 def p_cost(decomp: Decomposition, p: float) -> float:
@@ -212,13 +210,13 @@ def upper_bound_from(m: FreeElement, p: float, decomp: Decomposition) -> float:
 @lru_cache(maxsize=None)
 def _subset_program(k):
     """(bits, rank, layers) of the tree program on k terminals: the (2^k, k)
-    membership table of the subsets, in doubles; the row rank[S] of each subset S of
-    two or more terminals in its layer; and per popcount c = 2..k the layer
-    (S, T, S - T). Its subsets S ascend, and row r of T, of 2^(c-1) - 1
-    entries, lists the splits of S[r], the proper parts that hold its
-    lowest terminal, in descending order: the lowest terminal plus the bits
-    of a descending code of c - 1 bits, short of all ones, dealt out to the
-    places of the other terminals of S[r]."""
+    membership table of the subsets, in doubles; the row rank[S] of each
+    subset S of two or more terminals in its layer; and per popcount
+    c = 2..k the layer (S, T, S - T). Its subsets S ascend, and row r of T,
+    of 2^(c-1) - 1 entries, lists the splits of S[r], the proper parts that
+    hold its lowest terminal, in descending order: the lowest terminal plus
+    the bits of a descending code of c - 1 bits, short of all ones, dealt
+    out to the places of the other terminals of S[r]."""
     size = 1 << k
     bits = (np.arange(size)[:, None] >> np.arange(k)) & 1
     count, rank, layers = bits.sum(axis=1), np.zeros(size, dtype=np.intp), []
@@ -359,11 +357,12 @@ def _least(X, starts, choices):
 def _tree_costs(D, W, terminals, p, choices=None):
     """The tree table of the elements W (B, k) on the hosts D (B, n, n), row
     b of W weighing the points `terminals` of D[b], as F (B, 2^k, n), with
-    the two `_subset_flows` of W and the distance powers D^p, and the
-    `choices` of `_tree_table`; a support of k points plus the base beyond
-    DEFAULT_CAP is refused. A term of the table beyond the double range is
-    inf, which a finite least cost never takes; an infinite least cost is a
-    norm beyond that range, which `_roots` refuses."""
+    the subset sums and flow powers of `_subset_flows` and the distance
+    powers D^p, and the `choices` of `_tree_table`; a support of k points
+    plus the base beyond DEFAULT_CAP is refused. A term of the table beyond
+    the double range is inf, which a finite least cost never takes; an
+    infinite least cost is a norm beyond that range, which `_roots`
+    refuses."""
     (B, k), n = W.shape, D.shape[-1]
     if k + 1 > DEFAULT_CAP:
         raise ValueError(
@@ -483,10 +482,10 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
     from the full set at the base, each node (S, v) takes its hop point u
     and the split of S at u, O(k) lookups in all. One molecule per tree
     edge carrying nonzero weight, both endpoints anywhere in the host
-    (every host point may serve as a Steiner point). Exact for every 0 < p <= 1. A support plus the base of
-    more than DEFAULT_CAP points raises a ValueError (use `upper_bound_from`
-    and `dual_lower_bound` there), and so does a norm beyond the double
-    range (`_roots`).
+    (every host point may serve as a Steiner point). Exact for every
+    0 < p <= 1. A support plus the base of more than DEFAULT_CAP points
+    raises a ValueError (use `upper_bound_from` and `dual_lower_bound`
+    there), and so does a norm beyond the double range (`_roots`).
     """
     p = check_p(p)
     host = m.host
@@ -496,7 +495,7 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
     weights, D = np.array([[m.weights[t] for t in terminals]]), host.dist[None]
     choices = []
     F, (wsum,), fp, Dp = _tree_costs(D, weights, terminals, p, choices)
-    value = _roots(F, host.base, D, weights, terminals, p)[0]  # refuses a norm beyond range
+    value = _roots(F, host.base, D, weights, terminals, p)[0]
     _, rank, layers = _subset_program(len(terminals))
     fp, n = fp.tolist(), host.n
     carried = {}  # weight carried from x to y, x < y, by the tree edges
@@ -562,59 +561,60 @@ def _transport(C, supply, demand, tol):
             s[i], t[j] = left(s[i], delta), left(t[j], delta)
             if not (s[0] if a == 1 else t[0]):
                 break
-    else:
-        ships = [set() for _ in range(b)]  # the supply points with flow to each demand point
-        potP, potN = np.zeros(a), np.zeros(b)
-        sources, sinks = list(range(a)), b  # points with supply left, count with demand left
-        while sources and sinks:
-            R = C + potP[:, None]
-            R -= potN
-            np.maximum(R, 0.0, out=R)  # a rounding-level negative would unsettle a point
-            distP, viaP = [math.inf] * a, [-1] * a  # via: the point before on the path
-            for i in sources:
-                distP[i] = 0.0
-            src = np.array(sources)
-            free = R[src]
-            viaN = src[free.argmin(axis=0)]  # the first nearest source in `sources` order
-            distN = free.min(axis=0)
-            key = distN.copy()  # distN of the unsettled demand points
-            while True:
-                j = int(key.argmin())
-                d, key[j] = float(key[j]), np.inf
-                if t[j] > 0:
-                    break
-                for i in ships[j]:
-                    if distP[i] == math.inf:
-                        distP[i], viaP[i] = d, j
-                        cand = R[i] + d
-                        better = cand < distN  # never a settled point: its dist is at most d
-                        np.copyto(distN, cand, where=better)
-                        np.copyto(key, cand, where=better)
-                        np.copyto(viaN, i, where=better)
-            potP += np.minimum(distP, d)
-            potN += np.minimum(distN, d)
+        return flow
 
-            i = viaN.item(j)
-            forward, backward = [(i, j)], []
-            while viaP[i] >= 0:
-                jb = viaP[i]
-                backward.append((i, jb))
-                i = viaN.item(jb)
-                forward.append((i, jb))
-            delta = min(s[i], t[j], *(flow[e] for e in backward))
-            for e in forward:
-                flow[e] = flow.get(e, 0.0) + delta
-                ships[e[1]].add(e[0])
-            for e in backward:
-                flow[e] = left(flow[e], delta)
-                if not flow[e]:
-                    del flow[e]
-                    ships[e[1]].remove(e[0])
-            s[i], t[j] = left(s[i], delta), left(t[j], delta)
-            if not s[i]:
-                sources.remove(i)
-            if not t[j]:
-                sinks -= 1
+    ships = [set() for _ in range(b)]  # the supply points with flow to each demand point
+    potP, potN = np.zeros(a), np.zeros(b)
+    sources, sinks = list(range(a)), b  # points with supply left, count with demand left
+    while sources and sinks:
+        R = C + potP[:, None]
+        R -= potN
+        np.maximum(R, 0.0, out=R)  # a rounding-level negative would unsettle a point
+        distP, viaP = [math.inf] * a, [-1] * a  # via: the point before on the path
+        for i in sources:
+            distP[i] = 0.0
+        src = np.array(sources)
+        free = R[src]
+        viaN = src[free.argmin(axis=0)]  # the first nearest source in `sources` order
+        distN = free.min(axis=0)
+        key = distN.copy()  # distN of the unsettled demand points
+        while True:
+            j = int(key.argmin())
+            d, key[j] = float(key[j]), np.inf
+            if t[j] > 0:
+                break
+            for i in ships[j]:
+                if distP[i] == math.inf:
+                    distP[i], viaP[i] = d, j
+                    cand = R[i] + d
+                    better = cand < distN  # never a settled point: its dist is at most d
+                    np.copyto(distN, cand, where=better)
+                    np.copyto(key, cand, where=better)
+                    np.copyto(viaN, i, where=better)
+        potP += np.minimum(distP, d)
+        potN += np.minimum(distN, d)
+
+        i = viaN.item(j)
+        forward, backward = [(i, j)], []
+        while viaP[i] >= 0:
+            jb = viaP[i]
+            backward.append((i, jb))
+            i = viaN.item(jb)
+            forward.append((i, jb))
+        delta = min(s[i], t[j], *(flow[e] for e in backward))
+        for e in forward:
+            flow[e] = flow.get(e, 0.0) + delta
+            ships[e[1]].add(e[0])
+        for e in backward:
+            flow[e] = left(flow[e], delta)
+            if not flow[e]:
+                del flow[e]
+                ships[e[1]].remove(e[0])
+        s[i], t[j] = left(s[i], delta), left(t[j], delta)
+        if not s[i]:
+            sources.remove(i)
+        if not t[j]:
+            sinks -= 1
     return flow
 
 

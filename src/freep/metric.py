@@ -27,8 +27,8 @@ _TRIANGLE_TOL = 1e-12
 class PointedFiniteMetric:
     """A finite metric space with a distinguished base point.
 
-    Points are hashable labels (coordinate tuples in practice); `dist` is a
-    dense symmetric matrix. Validation covers finiteness, symmetry, the zero
+    Points are hashable labels (coordinate tuples in practice), `n` of them;
+    `dist` is a dense symmetric matrix. Validation covers finiteness, symmetry, the zero
     diagonal, positivity off the diagonal, and the triangle inequality.
     """
 
