@@ -557,7 +557,7 @@ def _transport(C, supply, demand, tol):
         cost = C.ravel().tolist()
         for e in sorted(range(a * b), key=cost.__getitem__):
             i, j = divmod(e, b)
-            flow[i, j] = delta = s[i] if s[i] <= t[j] else t[j]
+            flow[i, j] = delta = min(s[i], t[j])
             s[i], t[j] = left(s[i], delta), left(t[j], delta)
             if not (s[0] if a == 1 else t[0]):
                 break
