@@ -231,11 +231,11 @@ def _subset_program(k):
 
 
 def _weight_floors(W):
-    """The rounding floor COEFF_TOL sum |w| of every row w of W, sum |w| a
-    numpy sum along the last axis, as a list of floats, under the caller's
+    """The rounding floor COEFF_TOL sum |w| of every row w of the 2-D W,
+    sum |w| a numpy sum along the row, as a list of floats, under the caller's
     np.errstate(over="ignore"). A total beyond the double range raises: its
     floor would pass no weight at all, and the norm would read 0."""
-    totals = np.add.reduce(np.abs(W), axis=-1, keepdims=True).ravel().tolist()
+    totals = np.add.reduce(np.abs(W), axis=-1).tolist()
     if math.inf in totals:
         raise ValueError("the weight total sum |w| overflows to inf; scale the element down")
     return [COEFF_TOL * total for total in totals]
@@ -497,7 +497,7 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
     F, (wsum,), fp, Dp = _tree_costs(D, weights, terminals, p, choices)
     value = _roots(F, host.base, D, weights, terminals, p)[0]
     _, rank, layers = _subset_program(len(terminals))
-    fp, n = fp.tolist(), host.n
+    n = host.n
     carried = {}  # weight carried from x to y, x < y, by the tree edges
     stack = [(len(wsum) - 1, host.base)]
     while stack:
@@ -509,7 +509,7 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
             stack += [(T, u), (S ^ T, u)]
         else:
             u = terminals[S.bit_length() - 1]
-        if u != v and fp[S] > 0.0:
+        if u != v and fp.item(S) > 0.0:
             x, y, f = (u, v, wsum[S]) if u < v else (v, u, -wsum[S])
             carried[x, y] = carried.get((x, y), 0.0) + f
     edges = sorted([(x, y, f) if f > 0 else (y, x, -f) for (x, y), f in carried.items() if f])
@@ -656,7 +656,7 @@ def exact_norm_p1(m: FreeElement) -> tuple[float, Decomposition]:
     full = m.as_full_vector()
     w = full.tolist()
     with np.errstate(over="ignore"):
-        (tol,) = _weight_floors(full)
+        (tol,) = _weight_floors(full[None])
         w[host.base] = -np.add.reduce(full).item()
     P = [x for x in range(n) if w[x] > tol]
     N = [y for y in range(n) if w[y] < -tol]
