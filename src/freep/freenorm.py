@@ -230,12 +230,11 @@ def _subset_program(k):
     return bits.astype(float), rank, layers
 
 
-def _weight_floors(W):
-    """The rounding floor COEFF_TOL sum |w| of every row w of the 2-D W,
-    sum |w| a numpy sum along the row, as a list of floats, under the caller's
-    np.errstate(over="ignore"). A total beyond the double range raises: its
-    floor would pass no weight at all, and the norm would read 0."""
-    totals = np.add.reduce(np.abs(W), axis=-1).tolist()
+def _weight_floors(totals):
+    """The rounding floors COEFF_TOL sum |w| of a list of weight totals
+    sum |w|, each a numpy sum along a row of |w|. A total beyond the double
+    range raises: its floor would pass no weight at all, and the norm would
+    read 0."""
     if math.inf in totals:
         raise ValueError("the weight total sum |w| overflows to inf; scale the element down")
     return [COEFF_TOL * total for total in totals]
@@ -250,7 +249,7 @@ def _subset_flows(W, p):
     subset sums are one `bits.dot(w)` per row, bitwise a stacked
     `bits @ W[..., None]` (a `W @ bits.T` rounds differently)."""
     # the floors first: they refuse weights whose subset sums could overflow
-    floors = _weight_floors(W)
+    floors = _weight_floors(np.add.reduce(np.abs(W), axis=-1).tolist())
     bits = _subset_program(W.shape[1])[0]
     wsum = [bits.dot(w).tolist() for w in W]
     # scalar powers: numpy's array ** differs from pow() in the last bit on some inputs
@@ -653,11 +652,14 @@ def exact_norm_p1(m: FreeElement) -> tuple[float, Decomposition]:
         raise ValueError(f"host has {n} points, beyond the flow cap {FLOW_CAP}")
     if m.is_zero():
         return 0.0, Decomposition(host, ())
-    full = m.as_full_vector()
-    w = full.tolist()
+    rows = np.zeros((2, n))  # w and |w| over the host, one numpy sum each
+    for x, wx in m.weights.items():
+        rows[0, x], rows[1, x] = wx, abs(wx)
     with np.errstate(over="ignore"):
-        (tol,) = _weight_floors(full[None])
-        w[host.base] = -np.add.reduce(full).item()
+        net, total = np.add.reduce(rows, axis=1).tolist()
+    (tol,) = _weight_floors([total])
+    w = rows[0].tolist()
+    w[host.base] = -net
     P = [x for x in range(n) if w[x] > tol]
     N = [y for y in range(n) if w[y] < -tol]
     C = host.dist.take(P, axis=0).take(N, axis=1)
