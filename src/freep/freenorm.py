@@ -246,12 +246,11 @@ def _subset_flows(W, p):
     subset, and the powers as one flat array; a subset sum at rounding level
     (at most the row's `_weight_floors`) carries no weight, not a tiny
     molecule, so its power is 0, and every other power is positive. The
-    subset sums are one `bits.dot(w)` per row, bitwise a stacked
-    `bits @ W[..., None]` (a `W @ bits.T` rounds differently)."""
+    subset sums are one stacked product, bitwise those of one `bits @ w`
+    per row (a `W @ bits.T` rounds differently)."""
     # the floors first: they refuse weights whose subset sums could overflow
     floors = _weight_floors(np.add.reduce(np.abs(W), axis=-1).tolist())
-    bits = _subset_program(W.shape[1])[0]
-    wsum = [bits.dot(w).tolist() for w in W]
+    wsum = (_subset_program(W.shape[1])[0] @ W[..., None])[..., 0].tolist()
     # scalar powers: numpy's array ** differs from pow() in the last bit on some inputs
     powers = [f**p if (f := abs(x)) > floor else 0.0 for row, floor in zip(wsum, floors) for x in row]
     return wsum, np.array(powers)
