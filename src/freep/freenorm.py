@@ -242,7 +242,8 @@ def _weight_floors(totals):
 
 def _subset_flows(W, p):
     """(w(S), |w(S)|^p) over the subsets S of the terminals of every row w
-    of the weight stack W (B, k): w(S) as one list per row, subset by
+    of the weight stack W (B, k), under the caller's
+    np.errstate(over="ignore"): w(S) as one list per row, subset by
     subset, and the powers as one flat array; a subset sum at rounding level
     (at most the row's `_weight_floors`) carries no weight, not a tiny
     molecule, so its power is 0, and every other power is positive. The
