@@ -2,17 +2,20 @@
 # Run every README CLI command at README size with the `freep` on PATH, in
 # the current directory: the two file commands on a 4-point dyadic file
 # (norm also at p = 1, the transport route), norm --p 1 on a 40-point file
-# with a signed element and with an all-positive one (the forced flow),
-# basis-verify also at d = 3, whose centre point is beyond the exact-norm cap
-# (the fallback cost), and at d = 2, kmax = 4, whose 41,616 molecule pairs
+# with a signed element and with an all-positive one (one demand point, the
+# base, so the simplex's start is the flow), basis-verify also at d = 3,
+# whose centre point is beyond the exact-norm cap (the fallback cost), and
+# at d = 2, kmax = 4, whose 41,616 molecule pairs
 # fit the default pair budget but are checked over many blocks, and
 # lambda-check and retraction-verify on an L-shaped complex file at R = 0.7
 # (the complex-file harness route: one vertex-indicator certificate bounds
-# every sampled image difference). Eight runs are not README commands:
+# every sampled image difference). Nine runs are not README commands:
 # decompose of the element 1e-14 delta(point 1) on the 4-point file, whose
 # coefficients are pruned relative to the largest, not below an absolute
 # floor; norm --p 0.5 on a 200-point file with a 7-point element, the exact
-# tree program on a large host in a fresh process; basis-verify at d = 3,
+# tree program on a large host in a fresh process; norm --p 1 on a
+# 400-point file with a signed weight on every point, a transport of about
+# 200 by 200 points that the simplex solves by pivots; basis-verify at d = 3,
 # kmax = 3, a cold 729-point grid plan with the fallback classes on three
 # levels; basis-verify at d = 4, kmax = 1, a cold class table with two
 # classes beyond the cap, whose hosts are never built; and two runs at small
@@ -64,6 +67,9 @@ run --command retraction-verify --p 0.5 --samples 200 --in L.txt
 python3 -c 'import random; r = random.Random(200); print("2 0"); [print(r.uniform(0, 10), r.uniform(0, 10)) for _ in range(200)]' > space200.txt
 python3 -c 'import random; r = random.Random(201); [print(r.gauss(0, 1), j) for j in r.sample(range(1, 200), 7)]' > element200.txt
 run --p 0.5 --command norm --in space200.txt --in element200.txt
+python3 -c 'import random; r = random.Random(400); print("2 0"); [print(r.uniform(0, 10), r.uniform(0, 10)) for _ in range(400)]' > space400.txt
+python3 -c 'import random; r = random.Random(401); [print(r.gauss(0, 1), j) for j in range(1, 400)]' > element400.txt
+run --p 1 --command norm --in space400.txt --in element400.txt
 run --p 0.5 --command basis-verify --d 3 --alpha 0.5 --kmax 3
 run --p 0.5 --command basis-verify --d 4 --alpha 0.5 --kmax 1
 run --p 0.03 --command retraction-verify --d 2 --samples 50

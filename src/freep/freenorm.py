@@ -521,99 +521,98 @@ def exact_norm_small(m: FreeElement, p: float) -> tuple[float, Decomposition]:
 
 def _transport(C, supply, demand, tol):
     """A least-cost flow F >= 0, F[i, j] sent from supply point i to demand
-    point j at cost C[i, j] per unit, that ships the supply amounts to the
-    demand amounts, as a dict of the positive entries F[i, j] at (i, j). In
-    both routes an amount of at most tol left over is rounding and counts
-    as zero.
+    point j at cost C[i, j] > 0 per unit, that ships the supply amounts to
+    the demand amounts, as a dict of its positive entries at (i, j): cells
+    of a spanning tree of the a + b points, so at most a + b - 1. An amount
+    of at most tol left over is rounding and counts as zero.
 
-    With one supply or one demand point the flow is forced: every point on
-    the other side trades its whole amount with the single one, nearest
-    first in one stable sort of the cost row or column, each time as much as
-    both sides have left, so a rounding-level shortfall of the single point
-    lands on its farthest partners, where successive shortest paths put it
-    too.
+    The transportation simplex (Dantzig 1951). The start fills the cells
+    least cost first, in one stable sort of C, each time as much as both
+    points have left, but the last open supply point fills each open demand
+    point but the last, which takes any shortfall. Each fill hangs one of
+    its points below the other: the demand point if it is empty and not the
+    last, else the supply point. With one supply or one demand point the
+    start is the flow: nearest first, a shortfall of the single point on its
+    farthest partners.
 
-    Otherwise successive shortest paths with node potentials (Edmonds and
-    Karp, JACM 1972). The residual graph has an edge i -> j at cost C[i, j]
-    and, where F[i, j] > 0, an edge j -> i at cost -C[i, j]. The potentials
-    keep every reduced cost C[i, j] + pot_i - pot_j nonnegative, and zero on
-    the edges that carry flow, so a dense Dijkstra finds each shortest path.
-    It starts from every point with supply left at distance 0 in one step;
-    settling a demand point settles, at the same distance, the supply points
-    that ship to it, and each of those relaxes its whole row in one step.
-    Points with supply left keep potential 0 and points with demand left
-    share one, so the nearest demand point by reduced cost is the nearest by
-    cost. Each augmentation empties a supply, a demand or a flow.
+    Each pivot reads the potentials u, v off the tree, u_i + v_j = C[i, j] /
+    max C on its cells, and takes the first least reduced cost C[i, j] /
+    max C - u_i - v_j; its cell enters if that cost and the cycle it closes,
+    summed exactly, save more than COEFF_TOL of the start's cost per unit
+    shipped, else the simplex ends. The least falling flow on the cycle
+    moves round it, and of the cells it empties the last met from the apex,
+    going the way the flow enters, leaves. So every tree cell at zero hangs
+    a supply point below a demand point, as at the start: a strongly
+    feasible tree (Cunningham, Math. Programming 1976), which no pivot
+    returns to.
     """
     a, b = C.shape
-    s, t = list(supply), list(demand)
-    flow = {}  # the positive entries of F
+    amount, flow, cost = [*supply, *demand], {}, C.ravel().tolist()
+    parent, rows, cols = [-1] * (a + b), a, b  # the tree on rows 0..a-1, columns a..a+b-1
+    for e in sorted(range(a * b), key=cost.__getitem__):
+        i, j = divmod(e, b)
+        y = a + j
+        if parent[i] >= 0 or parent[y] >= 0:
+            continue
+        delta = amount[y] if rows == 1 < cols or amount[y] < amount[i] else amount[i]
+        if delta:
+            flow[i, j] = delta
+        amount[i] = r if (r := amount[i] - delta) > tol else 0.0
+        amount[y] = r if (r := amount[y] - delta) > tol else 0.0
+        if cols > 1 and not amount[y]:
+            parent[y], cols = i, cols - 1
+        else:
+            parent[i], rows = y, rows - 1
+    if a > 1 < b:  # cells outside the tree to price
+        Cs, nbrs = C / max(cost), [set() for _ in parent]
+        depth, pot, cell = [0] * (a + b), [0.0] * (a + b), [None] * (a + b)
+        least = COEFF_TOL * math.fsum(Cs.item(e) * f for e, f in flow.items()) / math.fsum(flow.values())
 
-    def left(x, delta):
-        return x - delta if x - delta > tol else 0.0
+        def hang(x, y):  # hang x below y by its tree cell, and re-read the tree below x
+            stack = [(x, y)]
+            while stack:
+                x, y = stack.pop()
+                parent[x], depth[x], cell[x] = y, depth[y] + 1, (x, y - a) if x < a else (y, x - a)
+                pot[x] = Cs.item(cell[x]) - pot[y]
+                stack += [(z, x) for z in nbrs[x] if z != y]
 
-    if a == 1 or b == 1:
-        cost = C.ravel().tolist()
-        for e in sorted(range(a * b), key=cost.__getitem__):
-            i, j = divmod(e, b)
-            flow[i, j] = delta = min(s[i], t[j])
-            s[i], t[j] = left(s[i], delta), left(t[j], delta)
-            if not (s[0] if a == 1 else t[0]):
-                break
-        return flow
-
-    ships = [set() for _ in range(b)]  # the supply points with flow to each demand point
-    potP, potN = np.zeros(a), np.zeros(b)
-    sources, sinks = list(range(a)), b  # points with supply left, count with demand left
-    while sources and sinks:
-        R = C + potP[:, None]
-        R -= potN
-        np.maximum(R, 0.0, out=R)  # a rounding-level negative would unsettle a point
-        distP, viaP = [math.inf] * a, [-1] * a  # via: the point before on the path
-        for i in sources:
-            distP[i] = 0.0
-        src = np.array(sources)
-        free = R[src]
-        viaN = src[free.argmin(axis=0)]  # the first nearest source in `sources` order
-        distN = free.min(axis=0)
-        key = distN.copy()  # distN of the unsettled demand points
+        for x, y in enumerate(parent):
+            if y >= 0:
+                nbrs[x].add(y)
+                nbrs[y].add(x)
+        for x in nbrs[root := parent.index(-1)]:
+            hang(x, root)
         while True:
-            j = int(key.argmin())
-            d, key[j] = float(key[j]), np.inf
-            if t[j] > 0:
+            u = np.array(pot)
+            R = Cs - u[:a, None]
+            R -= u[a:]
+            k, l = divmod(int(R.argmin()), b)
+            if R.item(k, l) >= -least:  # nothing to gain, within rounding
                 break
-            for i in ships[j]:
-                if distP[i] == math.inf:
-                    distP[i], viaP[i] = d, j
-                    cand = R[i] + d
-                    better = cand < distN  # never a settled point: its dist is at most d
-                    np.copyto(distN, cand, where=better)
-                    np.copyto(key, cand, where=better)
-                    np.copyto(viaN, i, where=better)
-        potP += np.minimum(distP, d)
-        potN += np.minimum(distN, d)
-
-        i = viaN.item(j)
-        forward, backward = [(i, j)], []
-        while viaP[i] >= 0:
-            jb = viaP[i]
-            backward.append((i, jb))
-            i = viaN.item(jb)
-            forward.append((i, jb))
-        delta = min(s[i], t[j], *(flow[e] for e in backward))
-        for e in forward:
-            flow[e] = flow.get(e, 0.0) + delta
-            ships[e[1]].add(e[0])
-        for e in backward:
-            flow[e] = left(flow[e], delta)
-            if not flow[e]:
-                del flow[e]
-                ships[e[1]].remove(e[0])
-        s[i], t[j] = left(s[i], delta), left(t[j], delta)
-        if not s[i]:
-            sources.remove(i)
-        if not t[j]:
-            sinks -= 1
+            x, y, up, down = k, a + l, [], []  # the tree paths from k and from l to the apex
+            while x != y:
+                if depth[x] >= depth[y]:
+                    up.append(x)
+                    x = parent[x]
+                else:
+                    down.append(y)
+                    y = parent[y]
+            # the cycle against the flow, the apex down to l, then k up: the flow falls where it runs row to column
+            cycle = [(z, cell[z], z >= a) for z in reversed(down)] + [(z, cell[z], z < a) for z in up]
+            if math.fsum([Cs.item(k, l), *(-Cs.item(c) if falls else Cs.item(c) for _, c, falls in cycle)]) >= -least:
+                break
+            theta = min(flow.get(c, 0.0) for _, c, falls in cycle if falls)
+            for _, c, falls in cycle:
+                f = flow.get(c, 0.0) + (-theta if falls else theta)
+                flow[c] = f if f > tol else 0.0
+            q = next(z for z, c, falls in cycle if falls and not flow[c])
+            flow[k, l] = theta
+            nbrs[q].remove(parent[q])
+            nbrs[parent[q]].remove(q)
+            nbrs[k].add(a + l)
+            nbrs[a + l].add(k)
+            hang(*((k, a + l) if q in up else (a + l, k)))  # the end below the leaving cell, from the other
+        flow = {e: f for e, f in flow.items() if f}
     return flow
 
 
@@ -641,11 +640,10 @@ def exact_norm_p1(m: FreeElement) -> tuple[float, Decomposition]:
     total at rounding level (at most COEFF_TOL sum |w|, the rule of
     `_subset_flows`) puts nothing on the base, and any other weight or
     left-over amount at that level counts as zero; a sum |w| or a cost
-    beyond the double range raises. The edges that carry flow, made a
-    forest by `_cancel_cycles` if they close a cycle, are the witness: one
-    molecule per edge, the flow times the edge length its coefficient. It
-    shares no code with the tree program, so comparing it with
-    `exact_norm_small(m, 1.0)` checks both.
+    beyond the double range raises. The edges that carry flow, a forest,
+    are the witness: one molecule per edge, the flow times the edge length
+    its coefficient. It shares no code with the tree program, so comparing
+    it with `exact_norm_small(m, 1.0)` checks both.
     """
     host, n = m.host, m.host.n
     if n > FLOW_CAP:

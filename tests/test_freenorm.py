@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from lp_oracle import lp_norm_p1
 from test_helpers import max_weight_diff
+from transport_oracle import ssp_transport
 from tree_oracle import matrix_witness, oracle_splits, oracle_tree_norm
 
 import freep
@@ -37,7 +38,9 @@ from freep.freenorm import (
     p_cost,
     parse_element,
     _cancel_cycles,
+    _flow_cost,
     _forest_witness,
+    _has_cycle,
     _subset_program,
     _transport,
     _tree_program,
@@ -932,17 +935,32 @@ def test_forest_witness_peels_only_a_cycle(monkeypatch):
     assert max_weight_diff(evaluate(forest), evaluate(flow)) <= 1e-15
 
 
-def transport_flow_matrix(m):
-    """The antisymmetric n x n flow matrix of `_transport` for m, W[x, y]
-    the amount shipped from x to y, and the numbers of supply and demand
-    points: the oracle for the edge list of `exact_norm_p1`."""
+def transport_problem(m):
+    """The transportation problem that `exact_norm_p1` solves for m: the
+    cost matrix from the supply points P to the demand points N, their
+    amounts, the rounding floor tol, and P and N."""
     host, w = m.host, m.as_full_vector()
     tol = COEFF_TOL * np.abs(w).sum()
     w[host.base] = -w.sum()
     P, N = np.flatnonzero(w > tol), np.flatnonzero(w < -tol)
-    F = np.zeros((len(P), len(N)))
-    for (i, j), f in _transport(host.dist[P][:, N], w[P], -w[N], tol).items():
-        F[i, j] = f
+    return host.dist[P][:, N], w[P], -w[N], tol, P, N
+
+
+def flow_matrix(shape, flow):
+    """The dense matrix of a dict of flows."""
+    F = np.zeros(shape)
+    for e, f in flow.items():
+        F[e] = f
+    return F
+
+
+def transport_flow_matrix(m):
+    """The antisymmetric n x n flow matrix of `_transport` for m, W[x, y]
+    the amount shipped from x to y, and the numbers of supply and demand
+    points: the oracle for the edge list of `exact_norm_p1`."""
+    C, supply, demand, tol, P, N = transport_problem(m)
+    F = flow_matrix(C.shape, _transport(C, supply, demand, tol))
+    host = m.host
     W = np.zeros((host.n, host.n))
     W[P[:, None], N], W[N[:, None], P] = F, -F.T
     return W, len(P), len(N)
@@ -981,6 +999,72 @@ def test_p1_witness_is_the_flow_matrix_witness_bitwise():
     forest = _forest_witness(s, edges, s.dist, 1.0)
     assert len(forest.terms) < 4  # a forest on four points
     assert terms_hex(forest) == terms_hex(matrix_witness(s, W, s.dist, 1.0))
+
+
+def transport_element(rng, host, kind, one_sided):
+    """Gaussian weights on every non-base point, integer weights 1-3 on a
+    lattice and weights 1 on a line, with random signs, or one sign for
+    all, which leaves the base the one supply or demand point."""
+    n = host.n
+    mag = {"lattice": rng.integers(1, 4, n), "collinear": np.ones(n)}.get(kind, np.abs(rng.normal(size=n)))
+    sign = np.full(n, rng.choice([-1, 1])) if one_sided else rng.choice([-1, 1], n)
+    return FreeElement(host, {i: float(sign[i] * mag[i]) for i in range(1, n)})
+
+
+def test_transport_matches_the_shortest_path_and_lp_oracles():
+    """The simplex's flow costs what the successive-shortest-path flow and
+    the LP oracle cost (up to 100 points), within 1e-12 relative, on one-
+    and two-sided problems over hosts of 2-400 points: plain, Hölder, a
+    lattice with integer weights and a line with weights +-1, the last two
+    full of ties in cost and in amount. Each flow ships every amount up to
+    tol, on at most |P| + |N| - 1 cells."""
+    rng = np.random.default_rng(1951)
+    shapes = set()
+    for n in [*range(2, 13), 20, 40, 100, 400]:
+        for kind in ("plain", "holder", "lattice", "collinear"):
+            if kind == "collinear":
+                host = l1_space([(float(x),) for x in rng.permutation(n)], base=0)
+            else:
+                host = lattice_space(rng, n) if kind == "lattice" else random_space(rng, n)
+            if kind == "holder":
+                host = holder_distort(host, float(rng.choice([0.3, 0.5, 0.7])))
+            for one_sided in (False, True):
+                m = transport_element(rng, host, kind, one_sided)
+                C, supply, demand, tol, P, N = transport_problem(m)
+                flow = _transport(C, supply, demand, tol)
+                shapes.add(min(C.shape) > 1)
+                assert len(flow) <= len(P) + len(N) - 1 and min(flow.values()) > tol
+                F = flow_matrix(C.shape, flow)
+                assert np.abs(F.sum(axis=1) - supply).max() <= tol, (n, kind, one_sided)
+                assert np.abs(F.sum(axis=0) - demand).max() <= tol, (n, kind, one_sided)
+                value = _flow_cost(C, flow)
+                oracle = _flow_cost(C, ssp_transport(C, supply, demand, tol))
+                assert value == pytest.approx(oracle, rel=1e-12), (n, kind, one_sided)
+                if n <= 100:  # the LP oracle takes a second at 400 points
+                    assert value == pytest.approx(lp_norm_p1(m)[0], rel=1e-12), (n, kind, one_sided)
+    assert shapes == {False, True}
+
+
+def test_p1_witness_is_a_forest_without_cancelling_cycles(monkeypatch):
+    """On 200-point hosts where the successive-shortest-path flow closes
+    cycles, the simplex's flow is a forest already: exact_norm_p1 never
+    calls `_cancel_cycles`, its witness has at most as many terms as the
+    support (the support and the base, less one), and it costs the value."""
+
+    def refuse(*args):
+        raise AssertionError("the p = 1 route cancelled a cycle")
+
+    monkeypatch.setattr(freenorm, "_cancel_cycles", refuse)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        host = l1_space((rng.random((200, 2)) * 10).tolist())
+        m = FreeElement(host, {i: float(rng.normal()) for i in range(1, 200)})
+        C, supply, demand, tol, P, N = transport_problem(m)
+        ssp = ssp_transport(C, supply, demand, tol)
+        assert _has_cycle(host.n, [(int(P[i]), int(N[j]), f) for (i, j), f in ssp.items()])
+        value, witness = exact_norm_p1(m)
+        assert len(witness.terms) <= len(m.weights)
+        assert upper_bound_from(m, 1.0, witness) == pytest.approx(value, rel=1e-12)
 
 
 def certified_query_bits(rng):
