@@ -9,7 +9,7 @@
 # fit the default pair budget but are checked over many blocks, and
 # lambda-check and retraction-verify on an L-shaped complex file at R = 0.7
 # (the complex-file harness route: one vertex-indicator certificate bounds
-# every sampled image difference). Nine runs are not README commands:
+# every sampled image difference). Ten runs are not README commands:
 # decompose of the element 1e-14 delta(point 1) on the 4-point file, whose
 # coefficients are pruned relative to the largest, not below an absolute
 # floor; norm --p 0.5 on a 200-point file with a 7-point element, the exact
@@ -25,7 +25,10 @@
 # norm one rounding above its bound); and two runs of norm --p 0.8 on points
 # 1e300 apart with weights of 1e300, whose norms are finite although terms
 # of the tree program are inf, which must pass without a RuntimeWarning (CI
-# runs this script with PYTHONWARNINGS=error::RuntimeWarning). They are written
+# runs this script with PYTHONWARNINGS=error::RuntimeWarning); and
+# retraction-verify on the d = 3 unit cube, whose 8 vertices fit the
+# exact-norm cap, so its first 50 ratios are checked against exact norms of
+# supports of up to 7 points. They are written
 # `run --p ... --command ...` (or `run --alpha ...`) because
 # scripts/report_corpus.py takes the lines that begin `run --command` into
 # its pinned corpus, and these are not README commands. Each report is written with --out and parsed as strict JSON. A
@@ -80,3 +83,4 @@ run --p 0.8 --command norm --in far.txt --in far_element.txt
 printf '2 0\n0 0\n1e300 0\n0 1\n1 0\n' > far4.txt
 printf '1e300 2\n1e300 3\n' > far_pair.txt
 run --p 0.8 --command norm --in far4.txt --in far_pair.txt
+run --p 0.5 --command retraction-verify --d 3 --samples 200

@@ -27,6 +27,7 @@ from .cubes import (
     vertex_weights,
 )
 from .freenorm import (
+    DEFAULT_CAP,
     EVAL_TOL,
     Decomposition,
     DualCertificate,
@@ -39,9 +40,8 @@ from .freenorm import (
 )
 from .metric import PointedFiniteMetric, lattice_l1_space
 
-# exact norms cross-check the sampled pairs on complexes of at most
-# EXACT_NORM_CAP vertices, for the first EXACT_CHECK_SAMPLES pairs
-EXACT_NORM_CAP = 6
+# the first EXACT_CHECK_SAMPLES sampled pairs are checked against exact norms
+# on a vertex host of at most DEFAULT_CAP points, where every support fits
 EXACT_CHECK_SAMPLES = 50
 
 
@@ -207,9 +207,9 @@ def estimate_lipschitz(ctx: RetractionContext, p: float, n_samples: int, seed: i
     Over the pairs of distinct points it reports the largest dual lower
     bound and the largest decomposition p-cost, each divided by
     |x - y|_1, and the largest reconstruction residual of a decomposition,
-    next to the theoretical sandwich and the witness value. On complexes of
-    at most EXACT_NORM_CAP vertices the first EXACT_CHECK_SAMPLES ratios are
-    checked against the exact norm, within EVAL_TOL relative, and
+    next to the theoretical sandwich and the witness value. When the vertex
+    host has at most DEFAULT_CAP points, the first EXACT_CHECK_SAMPLES ratios
+    are checked against the exact norm, within EVAL_TOL relative, and
     `exact_norms_checked` counts them; a ratio the exact norm escapes raises
     AssertionError. A p outside [P_FLOOR, 1] or a count that is not an
     integer >= 0 raises ValueError.
@@ -240,7 +240,6 @@ def estimate_lipschitz(ctx: RetractionContext, p: float, n_samples: int, seed: i
     lowers = [dual_lower_bound(m, p, cert) for m in diffs]
     decomps = _upper_decompositions(ctx, points[2 * k], points[2 * k + 1], W[2 * k], W[2 * k + 1])
 
-    exact_ok = ctx.vertex_space.n <= EXACT_NORM_CAP
     max_lower = 0.0
     max_cost = 0.0
     max_residual = 0.0
@@ -253,7 +252,7 @@ def estimate_lipschitz(ctx: RetractionContext, p: float, n_samples: int, seed: i
         max_lower = max(max_lower, lower)
         max_cost = max(max_cost, cost)
         max_residual = max(max_residual, residual)
-        if exact_ok and exact_checked < EXACT_CHECK_SAMPLES:
+        if ctx.vertex_space.n <= DEFAULT_CAP and exact_checked < EXACT_CHECK_SAMPLES:
             norm = exact_norm_small(m, p)[0] / l1
             exact_checked += 1
             if not (lower <= norm * (1 + EVAL_TOL) and norm <= cost * (1 + EVAL_TOL)):

@@ -869,6 +869,24 @@ def refuse_constant(token):
     raise ValueError(f"the report holds {token}, which is not JSON")
 
 
+def run_contract(argv, codes=(0, 1, 2)):
+    """`main(argv)` in process with RuntimeWarning as an error, checked
+    against the contract of every command: an exit status in `codes` and no
+    traceback; at 2 one `error:` line and no report; otherwise a strict JSON
+    report, with one `check failed:` line at 1 and nothing on stderr at 0.
+    Returns the report, or None at 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    assert code in codes, err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and re.fullmatch(r"error: [^\n]+\n", err.getvalue())
+        return None
+    assert re.fullmatch(r"check failed: [^\n]+\n" if code else "", err.getvalue())
+    return json.loads(out.getvalue(), parse_constant=refuse_constant)
+
+
 # a signed number of magnitude 1e-300 to 1e300, or a small integer
 magnitude = st.builds(lambda sign, m, e: sign * m * 10.0**e, st.sampled_from([-1.0, 1.0]),
                       st.floats(1.0, 9.99), st.integers(-300, 299))
@@ -902,16 +920,10 @@ def test_norm_contract(files, p):
         space, element = Path(tmp, "space.txt"), Path(tmp, "element.txt")
         space.write_text(files[0])
         element.write_text(files[1])
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(["--command", "norm", "--p", p, "--in", str(space), "--in", str(element)])
-    assert code in (0, 2), err.getvalue()
-    if code == 2:
-        assert out.getvalue() == "" and re.fullmatch(r"error: [^\n]+\n", err.getvalue())
+        report = run_contract(["--command", "norm", "--p", p, "--in", str(space), "--in", str(element)],
+                              codes=(0, 2))
+    if report is None:
         return
-    assert err.getvalue() == ""
-    report = json.loads(out.getvalue(), parse_constant=refuse_constant)
     points, base = metric.load_points(files[0])
     m = freenorm.parse_element(metric.l1_space(points, base), files[1])
     if p == "1" and len(m.weights) + 1 <= freenorm.DEFAULT_CAP:
@@ -919,3 +931,35 @@ def test_norm_contract(files, p):
             warnings.simplefilter("error", RuntimeWarning)
             value, _ = freenorm.exact_norm_small(m, 1.0)
         assert value == pytest.approx(report["norm"], rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(p=st.one_of(st.floats(P_FLOOR / 2, 1.5), st.sampled_from([0.3, 0.5, 0.75, 1.0])),
+       alpha=st.floats(-0.5, 1.5), d=st.one_of(st.integers(0, 64), st.integers(1, 4)))
+@example(p=P_FLOOR / 2, alpha=-0.5, d=0)
+@example(p=P_FLOOR, alpha=0.5, d=64)
+@example(p=1.5, alpha=1.5, d=1)
+@example(p=1.0, alpha=0.5, d=2)
+def test_bm_report_contract(p, alpha, d):
+    """`bm-report` at p from P_FLOOR / 2 to 1.5, alpha from -0.5 to 1.5 and
+    d from 0 to 64: exit 0 with a strict JSON report, or 2 with one `error:`
+    line, and no RuntimeWarning."""
+    report = run_contract(["--command", "bm-report", f"--p={p!r}", f"--alpha={alpha!r}", f"--d={d}"])
+    if report is not None:
+        assert (report["p"], report["alpha"], report["d"]) == (p, alpha, d)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(0, cubes.MAX_D + 1), R=st.floats(1e-320, 1e300),
+       samples=st.integers(0, 40), seed=st.one_of(st.integers(0, 2**64), st.integers()))
+@example(d=cubes.MAX_D, R=1e-320, samples=40, seed=0)
+@example(d=cubes.MAX_D + 1, R=1e300, samples=0, seed=-1)
+@example(d=1, R=1e300, samples=40, seed=2**80)
+def test_lambda_check_contract(d, R, samples, seed):
+    """`lambda-check` on the flag complex at d from 0 to MAX_D + 1, R from
+    1e-320 to 1e300, 0-40 samples and any seed: exit 0 or 1 with a strict
+    JSON report, or 2 with one `error:` line, and no RuntimeWarning."""
+    report = run_contract(["--command", "lambda-check", f"--d={d}", f"--R={R!r}",
+                           f"--samples={samples}", f"--seed={seed}"])
+    if report is not None:
+        assert (report["d"], report["R"], report["samples"], report["seed"]) == (d, R, samples, seed)

@@ -82,6 +82,18 @@ def test_holder_identity_and_example():
     assert holder_distort(s, 0.5).distance(0, 1) == 2.0
 
 
+def test_holder_distort_rechecks_the_triangle_inequality():
+    # below distance 1 the constructor's slack is 1e-12 absolute, so it takes
+    # an excess of 9e-13 at d(0,2); t^0.3 magnifies that excess to about
+    # 4e-9 at this scale, and the re-check refuses the distorted host
+    near, tiny = 1e-6, 1e-300
+    far = near + tiny + 9e-13
+    space = PointedFiniteMetric(
+        ("a", "b", "c"), 0, np.array([[0.0, near, far], [near, 0.0, tiny], [far, tiny, 0.0]]))
+    with pytest.raises(ValueError, match="triangle inequality fails"):
+        holder_distort(space, 0.3)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(

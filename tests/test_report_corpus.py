@@ -7,11 +7,12 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "report_corpus.py"
 
-# re-recorded when the p = 1 transport became one transportation simplex:
-# the five norm --p 1 reports on 40-point files moved (space40 with
-# element40 and the p1 files of cli0-cli3), each to another optimal forest,
-# the norm by 1 ulp in cli1 and 2 ulp in cli2; the other 161 did not move
-AGGREGATE = "81106d1d4cb8a03d9b744af448f0b5815517c3c292a6ca0deed456fc610ddd4c"
+# re-recorded when the retraction harness's exact cross-check took the
+# exact-norm cap DEFAULT_CAP as its size rule: the three retraction-verify
+# reports on 7-8-vertex complexes (gapped.txt, L35.txt and the d = 3 unit
+# cube) moved in exact_norms_checked alone, 0 -> 50; the other 163 did not
+# move
+AGGREGATE = "5a9c0e922f91a5ed6e8d3da272a1e5ebcc9239f09caf6fd0b61d0dc1b6f494aa"
 
 
 def load():

@@ -12,6 +12,7 @@ from retraction_oracle import (
 from test_helpers import max_weight_diff
 
 from freep import cubes, retraction
+from freep.cli import main
 from freep.constants import c_const, retraction_bounds
 from freep.cubes import CubeComplex, find_cubes
 from freep.freenorm import evaluate, p_cost, upper_bound_from
@@ -178,6 +179,33 @@ def test_harness_d1_band_and_report():
     assert report["witness_value"] == pytest.approx(1.0, abs=1e-9)
     assert report["max_reconstruction_residual"] <= 1e-9
     assert report["exact_norms_checked"] > 0
+
+
+@pytest.mark.parametrize("offsets, n, checked", [
+    (((0, 0, 0),), 8, 50),
+    (((0, 0), (1, 0), (2, 0)), 8, 50),
+    (((0, 0), (1, 0), (0, 1), (1, 1)), 9, 0),
+], ids=["unit-cube-d3", "row-of-three-squares", "block-of-2x2-squares"])
+def test_harness_checks_exact_norms_on_vertex_hosts_within_the_cap(offsets, n, checked):
+    # the first 50 ratios are checked when the vertex host fits the
+    # exact-norm cap of 8 points, and so does every support plus the base
+    ctx = build_context(CubeComplex(d=len(offsets[0]), R=1.0, offsets=offsets))
+    assert ctx.vertex_space.n == n
+    report = estimate_lipschitz(ctx, 0.5, n_samples=60, seed=0)
+    assert report["exact_norms_checked"] == checked
+
+
+@pytest.mark.parametrize("d, p", [("2", "0.1"), ("3", "0.2")], ids=["square", "unit-cube-d3"])
+def test_an_exact_norm_beyond_the_double_range_exits_2(capsys, d, p):
+    # at R = 1e305 the cost of a sampled pair's upper decomposition
+    # overflows first, with a warning, and the exact norm of that pair
+    # refuses, on the 4 vertices of the square as on the 8 of the cube
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["--command", "retraction-verify", "--d", d, "--R", "1e305", "--p", p,
+                     "--samples", "3"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: p = {p} puts the norm beyond the double range; raise --p\n"
 
 
 def test_harness_includes_witness_pair():
