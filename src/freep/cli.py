@@ -2,7 +2,7 @@
 
 One JSON report per run; exit status 0 only when every certified check in
 the run passed, 1 when a check failed (the first violated invariant is
-named on stderr), 2 on unusable configuration or input files.
+named on stderr), 2 on unusable configuration, input files or report file.
 """
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import constants, cubes, dyadic, freenorm, metric, retraction
-from .freenorm import EVAL_TOL
+from .constants import EVAL_TOL
 from .reportio import report_json
 
 # the numeric flags: float for a real number, or the least value of a count
@@ -233,6 +231,8 @@ def _cmd_bm_report(cfg):
 
 
 def _cmd_lambda_check(cfg):
+    import numpy as np
+
     complex = _load_complex(cfg)
     n_samples = cfg["samples"] if cfg["samples"] is not None else 2000
     seed = cfg["seed"] if cfg["seed"] is not None else 0
@@ -317,7 +317,11 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if cfg["out"]:
-        Path(cfg["out"]).write_text(text)
+        try:
+            Path(cfg["out"]).write_text(text)
+        except OSError as e:
+            print(f"error: cannot write report file {cfg['out']}: {e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     if failures:

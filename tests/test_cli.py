@@ -3,6 +3,8 @@ import io
 import json
 import math
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,9 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import freep
 from freep import cubes, freenorm, metric
 from freep.cli import main
 from freep.constants import EVAL_TOL, P_FLOOR
+from test_freenorm import fresh_env
 from test_report_corpus import load as load_report_corpus
 
 
@@ -963,3 +967,174 @@ def test_lambda_check_contract(d, R, samples, seed):
                            f"--samples={samples}", f"--seed={seed}"])
     if report is not None:
         assert (report["d"], report["R"], report["samples"], report["seed"]) == (d, R, samples, seed)
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_an_unwritable_report_file_exits_2(capsys, tmp_path, where):
+    out = tmp_path / "missing" / "r.json" if where == "missing-directory" else tmp_path
+    argv = ["--command", "bm-report", "--p", "0.5", "--alpha", "0.5", "--d", "2", "--out", str(out)]
+    assert run_contract(argv, codes=(2,)) is None
+    code, _, err = run(capsys, argv)
+    assert code == 2 and err.startswith(f"error: cannot write report file {out}: ")
+
+
+# a dyadic coordinate of level 0-6 in [0, 1]
+dyadic_coordinate = st.integers(0, 6).flatmap(
+    lambda j: st.integers(0, 2**j).map(lambda k: math.ldexp(k, -j)))
+# beyond the support's level cap (0.1 and 1/3 have binary level 55 and 54),
+# or outside [0, 1]
+odd_coordinate = st.sampled_from([0.1, 1 / 3, 2.0**-40, 1.5, -0.25, 3.0])
+
+
+@st.composite
+def decompose_inputs(draw):
+    d, n = draw(st.integers(1, 3)), draw(st.integers(2, 6))
+    coordinate = dyadic_coordinate if draw(st.booleans()) else st.one_of(dyadic_coordinate,
+                                                                        odd_coordinate)
+    points = draw(st.lists(st.tuples(*[coordinate] * d), min_size=n, max_size=n, unique=True))
+    base, origin = draw(st.integers(0, n - 1)), (0.0,) * d
+    if draw(st.integers(0, 4)):  # mostly pointed at the origin, as the dyadic basis is
+        if origin in points:
+            base = points.index(origin)
+        else:
+            points[base] = origin
+    weights = draw(st.lists(st.tuples(number, st.integers(0, n - 1)), min_size=1, max_size=n))
+    space = f"{d} {base}\n" + "".join(" ".join(map(repr, q)) + "\n" for q in points)
+    return space, "".join(f"{w!r} {i}\n" for w, i in weights)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(files=decompose_inputs(), alpha=st.one_of(st.floats(0.0, 1.5), st.floats(0.05, 0.95)))
+@example(files=("1 0\n0.0\n0.5\n1.0\n", "1e300 1\n-1e-300 2\n"), alpha=0.5)
+@example(files=("2 1\n0.5 0.5\n0.0 0.0\n0.25 0.75\n", "1.0 2\n"), alpha=0.5)
+def test_decompose_contract(files, alpha):
+    """`decompose` on 2-6 points in d = 1-3, dyadic of level 0-6 or not,
+    some outside [0, 1], based at the origin or off it, with signed weights
+    of magnitude 1e-300 to 1e300 and alpha from 0 to 1.5: exit 0 with a
+    strict JSON report, or 2 with one `error:` line, and no RuntimeWarning."""
+    with tempfile.TemporaryDirectory() as tmp:
+        space, element = Path(tmp, "space.txt"), Path(tmp, "element.txt")
+        space.write_text(files[0])
+        element.write_text(files[1])
+        report = run_contract(["--command", "decompose", f"--alpha={alpha!r}",
+                               "--in", str(space), "--in", str(element)], codes=(0, 2))
+    if report is not None:
+        assert report["alpha"] == alpha and report["n_terms"] == len(report["coefficients"])
+
+
+# ---------------------------------------------------------------------------
+# what a cold command loads: freep registers its modules lazily, and each
+# runs on its first attribute lookup
+
+
+def cold_run(tmp_path, code, *args):
+    done = subprocess.run([sys.executable, "-c", code, *args], env=fresh_env(), cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# `python -m freep.cli ARGS` in this process; then its exit status and the
+# freep modules that ran (a registered module that never ran is no ModuleType)
+COLD_COMMAND = """
+import runpy, sys, types
+try:
+    runpy.run_module("freep.cli", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    print(e.code, *sorted(k for k, m in sys.modules.items()
+                          if k.startswith("freep.") and type(m) is types.ModuleType))
+"""
+
+README_ARGS = ["--in", "space.txt", "--in", "element.txt"]
+NUMERIC = {"constants", "metric", "freenorm", "reportio"}
+
+
+@pytest.mark.parametrize("args, loaded", [
+    (["--command", "bm-report", "--p", "0.5", "--alpha", "0.5", "--d", "2"],
+     {"constants", "reportio"}),
+    (["--command", "norm", "--p", "0.5", "--alpha", "0.5", *README_ARGS], NUMERIC),
+    (["--command", "norm", "--p", "1", *README_ARGS], NUMERIC),
+    (["--command", "basis-verify", "--d", "2", "--alpha", "0.5", "--p", "0.5", "--kmax", "2"],
+     NUMERIC | {"dyadic"}),
+    (["--command", "decompose", "--alpha", "0.5", *README_ARGS], NUMERIC | {"dyadic"}),
+    (["--command", "lambda-check", "--d", "3", "--R", "2", "--samples", "10000", "--seed", "0"],
+     {"constants", "cubes", "reportio"}),
+    (["--command", "retraction-verify", "--d", "2", "--p", "0.5", "--seed", "7",
+      "--samples", "1000"], NUMERIC | {"cubes", "retraction"}),
+], ids=["bm-report", "norm", "norm-p1", "basis-verify", "decompose", "lambda-check",
+        "retraction-verify"])
+def test_a_cold_readme_command_runs_only_the_modules_it_reads(tmp_path, args, loaded):
+    (tmp_path / "space.txt").write_text(README_FILES["README_SPACE"])
+    (tmp_path / "element.txt").write_text(README_FILES["README_ELEMENT"])
+    out = cold_run(tmp_path, COLD_COMMAND, *args, "--out", "report.json").split()
+    assert out == ["0", *sorted(f"freep.{m}" for m in loaded)]
+    json.loads((tmp_path / "report.json").read_text())
+
+
+def test_bm_report_runs_without_numpy(capsys, tmp_path):
+    args = ["--command", "bm-report", "--p", "0.5", "--alpha", "0.5", "--d", "2"]
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from freep.cli import main\n"
+            f"sys.exit(main({args!r} + ['--out', 'report.json']))\n")
+    cold_run(tmp_path, code)
+    assert (tmp_path / "report.json").read_text() == run(capsys, args)[1]
+
+
+# the public names of the package, by the module that defines them
+PUBLIC = {
+    "constants": ["basis_bound", "bm_bound", "c_const", "retraction_bounds", "rho", "tau"],
+    "cubes": ["CubeComplex", "find_cube", "lambda_support", "lambda_weight", "scalar_coeff",
+              "vertex_bits", "vertex_ids", "vertex_weights"],
+    "dyadic": ["BasisCombination", "analyze", "basis_element", "basis_norm_check",
+               "hat_decompose", "line_path", "molecule_decompose", "synthesize",
+               "verify_norming"],
+    "freenorm": ["Decomposition", "DualCertificate", "FreeElement", "Molecule",
+                 "dual_lower_bound", "evaluate", "exact_norm_p1", "exact_norm_small", "p_cost",
+                 "upper_bound_from"],
+    "metric": ["DyadicPoint", "PointedFiniteMetric", "coordinate_level", "dyadic_grid",
+               "holder_distort", "l1_space"],
+    "retraction": ["RetractionContext", "build_context", "estimate_lipschitz",
+                   "lipschitz_upper_decomposition", "lower_bound_witness", "retract"],
+}
+
+
+def test_the_package_namespace_keeps_its_names():
+    assert freep.__all__ == sorted([*PUBLIC, *(n for names in PUBLIC.values() for n in names)])
+    assert len(freep.__all__) == 51
+    for module, names in PUBLIC.items():
+        owner = sys.modules[f"freep.{module}"]
+        assert getattr(freep, module) is owner
+        for name in names:
+            assert getattr(freep, name) is getattr(owner, name)
+    star = {}
+    exec("from freep import *", star)
+    assert set(freep.__all__) <= set(star) and set(freep.__all__) <= set(dir(freep))
+    with pytest.raises(AttributeError, match="no attribute 'exact_norm'"):
+        freep.exact_norm
+
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def test_the_benchmark_tracer_installs_over_modules_not_yet_run(tmp_path):
+    # the tracer reads every traced module from sys.modules, and looking up
+    # a function there runs a module that never ran; freep.cli is imported
+    # as the benchmark's workloads import it
+    code = f"""
+import importlib.util, sys, types
+import freep.cli
+print(*sorted(k for k, m in sys.modules.items()
+              if k.startswith("freep.") and type(m) is types.ModuleType))
+spec = importlib.util.spec_from_file_location("perfbench_tracing", {str(TRACING)!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+original = freep.freenorm.exact_norm_small
+tracer = tracing.Tracer()
+tracer.install()
+assert freep.freenorm.exact_norm_small is not original
+assert freep.retraction.exact_norm_small is freep.freenorm.exact_norm_small
+tracer.uninstall()
+assert freep.freenorm.exact_norm_small is original is freep.retraction.exact_norm_small
+"""
+    assert cold_run(tmp_path, code).split() == ["freep.cli", "freep.constants", "freep.reportio"]
